@@ -21,8 +21,8 @@ import (
 )
 
 // sessionEngines are the registry entries that accept a shared session
-// (the "sync" alias shares blaze-sync's builder; graphene places its own
-// devices and inmem performs no IO, so neither can share a scheduler).
+// (graphene places its own devices and inmem performs no IO, so neither
+// can share a scheduler).
 var sessionEngines = []string{"blaze", "blaze-sync", "flashgraph"}
 
 // mixedResults holds the answers of the four-query mixed workload:

@@ -20,8 +20,7 @@ import (
 	"blaze/internal/trace"
 )
 
-// conformanceEngines are the registry entries under test; the "sync"
-// alias is omitted because it is the same builder as blaze-sync.
+// conformanceEngines are the registry entries under test.
 var conformanceEngines = []string{"blaze", "blaze-sync", "flashgraph", "graphene", "inmem"}
 
 // allEngines additionally includes blaze-async, for the legs whose

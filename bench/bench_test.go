@@ -62,7 +62,7 @@ func TestRunIsDeterministic(t *testing.T) {
 
 func TestRunAllSystemsAllQueries(t *testing.T) {
 	d := MustLoad("r2", coarse)
-	for _, sys := range []string{"blaze", "sync", "flashgraph", "graphene"} {
+	for _, sys := range []string{"blaze", "blaze-sync", "flashgraph", "graphene"} {
 		for _, q := range []string{"bfs", "pr1", "spmv"} {
 			r := Run(d, Opts{System: sys, Query: q, PRIters: 2})
 			if r.ElapsedNs <= 0 {
@@ -107,7 +107,7 @@ func TestTableFormatAndCSV(t *testing.T) {
 func TestBlazeBeatsBaselinesOnHeavyQuery(t *testing.T) {
 	d := MustLoad("r2", DefaultScale) // large enough for pipeline overlap
 	blaze := Run(d, Opts{System: "blaze", Query: "spmv"})
-	for _, other := range []string{"sync", "flashgraph", "graphene"} {
+	for _, other := range []string{"blaze-sync", "flashgraph", "graphene"} {
 		r := Run(d, Opts{System: other, Query: "spmv"})
 		if r.ElapsedNs <= blaze.ElapsedNs {
 			t.Errorf("%s (%d ns) not slower than blaze (%d ns) on spmv/r2",

@@ -72,7 +72,7 @@ func Fig8(scale float64) []Table {
 		return t
 	}
 	a := mk("blaze", "fig8_blaze", "Average read bandwidth of Blaze on Optane")
-	b := mk("sync", "fig8_sync", "Average read bandwidth of the synchronization-based variant")
+	b := mk("blaze-sync", "fig8_sync", "Average read bandwidth of the synchronization-based variant")
 	a.Notes = append(a.Notes,
 		"Expected shape: Blaze near device bandwidth on all workloads; the sync variant reaches only 38-85% on computation-heavy queries (paper Fig. 8).")
 	return []Table{a, b}

@@ -19,7 +19,7 @@ var Queries = []string{"bfs", "pr", "wcc", "spmv", "bc"}
 
 // Opts parameterizes one measured run.
 type Opts struct {
-	System string // "blaze", "sync", "flashgraph", "graphene"
+	System string // a registry name: "blaze", "blaze-sync", "flashgraph", ...
 	Query  string // "bfs", "pr", "pr1", "wcc", "spmv", "bc"
 	// NumDev devices with Profile bandwidth.
 	NumDev  int

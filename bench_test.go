@@ -151,7 +151,7 @@ func BenchmarkFig8SyncVariant(b *testing.B) {
 	d := bench.MustLoad("r2", benchScale)
 	var util float64
 	for i := 0; i < b.N; i++ {
-		r := bench.Run(d, bench.Opts{System: "sync", Query: "spmv"})
+		r := bench.Run(d, bench.Opts{System: "blaze-sync", Query: "spmv"})
 		util = r.AvgBW() / ssd.OptaneSSD.RandBytesPerSec
 	}
 	report(b, "util", util)

@@ -298,13 +298,11 @@ func New(opts ...Option) *Runtime {
 	rt.stats = metrics.NewIOStats(statDevs)
 	rt.cfg.Stats = rt.stats
 	rt.cfg.Mem = rt.mem
-	if !rt.ctx.IsSim() {
-		// The run pool retains IO buffers, bin buffer pairs, and stagers
-		// across EdgeMap rounds (reset, not reallocated) so iterative
-		// algorithms stop churning the GC. Virtual-time runs keep the seed
-		// allocation pattern for byte-identical figures.
-		rt.cfg.Pool = engine.NewPool()
-	}
+	// The run pool retains IO buffers, bin buffer pairs, and stagers across
+	// EdgeMap rounds (reset, not reallocated) so iterative algorithms stop
+	// churning the GC. Allocation is not modeled, so virtual-time runs are
+	// unchanged by it.
+	rt.cfg.Pool = engine.NewPool()
 	return rt
 }
 

@@ -1,6 +1,7 @@
 package blaze_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"blaze"
@@ -185,14 +186,16 @@ func TestLoadGraphFromFiles(t *testing.T) {
 		if g.NumEdges() != wantIn {
 			t.Fatalf("loaded %d edges, want %d", g.NumEdges(), wantIn)
 		}
-		var count int64
+		// Gather runs on several procs at once (never twice for one
+		// destination), so a counter shared across destinations is atomic.
+		var count atomic.Int64
 		blaze.EdgeMap(c, g, blaze.All(g.NumVertices()),
 			func(s, d uint32) int64 { return 1 },
-			func(d uint32, v int64) bool { count += v; return false },
+			func(d uint32, v int64) bool { count.Add(v); return false },
 			func(d uint32) bool { return true },
 			false)
-		if count != wantIn {
-			t.Fatalf("edge scan through file-backed graph saw %d edges, want %d", count, wantIn)
+		if count.Load() != wantIn {
+			t.Fatalf("edge scan through file-backed graph saw %d edges, want %d", count.Load(), wantIn)
 		}
 	})
 }

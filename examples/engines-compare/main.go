@@ -29,9 +29,6 @@ func main() {
 	fmt.Printf("BFS on %s (|V|=%d |E|~%d) across all engines:\n\n",
 		preset.Name, preset.V, preset.E)
 	for _, name := range registry.Names() {
-		if name == "sync" {
-			continue // alias of blaze-sync
-		}
 		// Each engine gets a fresh deterministic virtual-time context and
 		// its own copy of the graph, so makespans are comparable.
 		ctx := exec.NewSim()

@@ -28,7 +28,6 @@ import (
 	"blaze/internal/metrics"
 	"blaze/internal/pagecache"
 	"blaze/internal/pipeline"
-	"blaze/internal/ssd"
 	"blaze/internal/trace"
 )
 
@@ -145,92 +144,43 @@ func owner(v, n uint32, workers int) int {
 func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	fns algo.EdgeFuncs, output bool) (*frontier.VertexSubset, error) {
 
+	if err := g.RequireStatic(s.Name()); err != nil {
+		return nil, err
+	}
 	ctx := s.Ctx
 	cfg := s.Cfg
 	m := cfg.Model
 	c := g.CSR
-	numDev := g.Arr.NumDevices()
 	workers := cfg.ComputeWorkers
 
-	ctr := cfg.Tracer.AttachQuery(p, trace.StageCoord, -1, cfg.traceQuery())
-	var t0 int64
-	if ctr.Active() {
-		t0 = p.Now()
-	}
-
-	ps := pipeline.PageSource(ctx, p, f, c, numDev, 1)
-	p.Advance(m.VertexOp * f.Count() / int64(workers))
-	if ctr.Active() {
-		t1 := p.Now()
-		ctr.Span(trace.OpPhase, -1, t0, t1, int64(trace.PhaseSource))
-		t0 = t1
-	}
-	if ps.Pages() == 0 {
-		if !output {
-			return nil, nil
+	// The front half with single-page requests and the LRU cache in front
+	// of every device. FlashGraph synchronizes before every cache access —
+	// including misses — so the probe itself syncs; with one-page runs the
+	// multi-page probe degenerates to the single-page hit/miss FlashGraph
+	// models. The cache is private to this instance, so admissions have no
+	// owner to charge.
+	fr, err := pipeline.Open(ctx, p, f, pipeline.Spec{
+		Sources:     []pipeline.Source{{Name: g.Name, CSR: c, Arr: g.Arr}},
+		Model:       m,
+		Procs:       workers,
+		MergePages:  1,
+		BufferBytes: cfg.IOBufferBytes,
+		Cache:       s.cache,
+		CacheOwner:  pagecache.NoOwner,
+		QueryCache:  cfg.QueryCache,
+		ProbeSyncs:  true,
+		Scheds:      cfg.Scheds,
+		Tracer:      cfg.Tracer,
+		Query:       cfg.traceQuery(),
+		ProcName:    "fg-io",
+	})
+	if fr == nil {
+		if err != nil || !output {
+			return nil, err
 		}
 		return frontier.NewVertexSubset(c.V), nil
 	}
-
-	bufCount := pipeline.BufferCount(cfg.IOBufferBytes, ssd.PageSize, numDev, ps.Pages())
-	free, filled := pipeline.NewQueues(ctx, bufCount)
-	pipeline.Stock(p, free, bufCount, ssd.PageSize)
-
-	// IO readers, one per device, single-page requests (MergeRuns(1))
-	// with the LRU cache in front. FlashGraph synchronizes before every
-	// cache access — including misses — so the probe itself syncs. Pages
-	// are keyed by the graph's interned name (stable across reloads); with
-	// one-page runs the multi-page probe degenerates to the single-page
-	// hit/miss FlashGraph models.
-	gid := s.cache.GraphID(g.Name)
-	stride := int64(numDev)
-	ab := &exec.Latch{}
-	readers := make([]*pipeline.Reader, numDev)
-	for d := 0; d < numDev; d++ {
-		dev := d
-		readers[d] = &pipeline.Reader{
-			Name:       fmt.Sprintf("fg-io%d", dev),
-			Device:     g.Arr.Device(dev),
-			Dev:        dev,
-			Query:      cfg.traceQuery(),
-			Pages:      ps.PerDev[dev],
-			Free:       free,
-			Filled:     filled,
-			Latch:      ab,
-			Merge:      pipeline.MergeRuns(1),
-			SubmitCost: m.IOSubmit,
-			HitCost:    m.PageOverhead / 2,
-			ProbeRun: func(io exec.Proc, buf *pipeline.Buffer, n int) (prefix, suffix int) {
-				base := g.Arr.Logical(buf.Dev, buf.Start)
-				io.Sync()
-				prefix, suffix = s.cache.ProbeRun(gid, base, stride, n, buf.Data)
-				if cfg.QueryCache != nil {
-					served := int64(prefix + suffix)
-					cfg.QueryCache.Add(served, int64(n)-served)
-				}
-				return prefix, suffix
-			},
-			Fill: func(io exec.Proc, buf *pipeline.Buffer, lo, hi int) {
-				base := g.Arr.Logical(buf.Dev, buf.Start)
-				io.Sync()
-				for pg := lo; pg < hi; pg++ {
-					s.cache.Put(pagecache.Key{Graph: gid, Logical: base + int64(pg)*stride},
-						buf.Data[pg*ssd.PageSize:(pg+1)*ssd.PageSize])
-				}
-			},
-			Tracer: cfg.Tracer,
-			WrapErr: func(err error) error {
-				return fmt.Errorf("flashgraph: edgemap on %q: %w", g.Name, err)
-			},
-		}
-		if cfg.Scheds != nil {
-			readers[d].Sched = cfg.Scheds.For(readers[d].Device)
-		}
-	}
-	ioWG := ctx.NewWaitGroup()
-	ioWG.Add(numDev)
-	pipeline.Start(ctx, ioWG, readers)
-	pipeline.CloseAfter(ctx, "fg-io-closer", ioWG, filled)
+	fr.Start()
 
 	// Phase 1: scatter procs turn pages into messages routed to owners.
 	msgs := make([][]message, workers)
@@ -252,7 +202,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 				msgMu[o].Unlock()
 				local[o] = local[o][:0]
 			}
-			pipeline.Drain(sp, free, filled, ab, false, func(buf *pipeline.Buffer) {
+			fr.Drain(sp, func(buf *pipeline.Buffer) {
 				logical := g.Arr.Logical(buf.Dev, buf.Start)
 				var produced int64
 				vertices, edges := engine.ForEachActiveEdge(c, f, logical, buf.Data, func(src, d uint32) {
@@ -274,14 +224,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 		})
 	}
 	scatterWG.Wait(p)
-	free.Close()
-	filled.Close()
-	if ctr.Active() {
-		t2 := p.Now()
-		ctr.Span(trace.OpPhase, -1, t0, t2, int64(trace.PhasePipeline))
-		t0 = t2
-	}
-	if err := ab.Err(); err != nil {
+	if err := fr.Close(p); err != nil {
 		// The iteration barrier was never reached: drop the queued messages
 		// and report the failure before the processing phase starts.
 		return nil, err
@@ -334,16 +277,11 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	if debugPhase != nil {
 		debugPhase("process-end", p.Now())
 	}
-	if !output {
-		if ctr.Active() {
-			ctr.Span(trace.OpPhase, -1, t0, p.Now(), int64(trace.PhaseMerge))
-		}
-		return nil, nil
+	var merged *frontier.VertexSubset
+	if output {
+		merged = pipeline.MergeFrontiers(c.V, outFronts)
 	}
-	merged := pipeline.MergeFrontiers(c.V, outFronts)
-	if ctr.Active() {
-		ctr.Span(trace.OpPhase, -1, t0, p.Now(), int64(trace.PhaseMerge))
-	}
+	fr.EndMerge(p)
 	return merged, nil
 }
 

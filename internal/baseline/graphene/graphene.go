@@ -166,6 +166,9 @@ func (pl *placement) pairOf(logical int64, pairs int) int {
 func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	fns algo.EdgeFuncs, output bool) (*frontier.VertexSubset, error) {
 
+	if err := g.RequireStatic(s.Name()); err != nil {
+		return nil, err
+	}
 	ctx := s.Ctx
 	cfg := s.Cfg
 	m := cfg.Model
@@ -179,7 +182,8 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	}
 
 	// Active logical pages, ascending, then routed to owning pairs.
-	all := pipeline.PageSource(ctx, p, f, c, 1, 1)
+	f.Seal()
+	all := frontier.PagesOf(f, c, 1)
 	p.Advance(m.VertexOp * f.Count() / int64(2*cfg.Pairs))
 	if ctr.Active() {
 		t1 := p.Now()
@@ -227,7 +231,6 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 			// at MaxIOPages, never across a partition boundary.
 			Merge:      pipeline.MergeGaps(cfg.MaxIOPages, cfg.GapMergePages, pl.pagesPerPart),
 			SubmitCost: m.IOSubmit,
-			Tracer:     cfg.Tracer,
 			WrapErr: func(err error) error {
 				return fmt.Errorf("graphene: edgemap on %q: %w", g.Name, err)
 			},
@@ -245,7 +248,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 			if output {
 				out = frontier.NewVertexSubset(c.V)
 			}
-			pipeline.Drain(cp, free, filled, ab, false, func(buf *pipeline.Buffer) {
+			pipeline.Drain(cp, free, filled, ab, func(buf *pipeline.Buffer) {
 				for pg := 0; pg < buf.NumPages; pg++ {
 					logical := buf.Start + int64(pg)
 					pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]

@@ -278,6 +278,9 @@ func (cl *Cluster) exchange(mp exec.Proc, machine int, v uint32, r *exchangeResu
 func (cl *Cluster) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	fns algo.EdgeFuncs, output bool) (*frontier.VertexSubset, error) {
 
+	if err := g.RequireStatic(cl.Name()); err != nil {
+		return nil, err
+	}
 	parts, err := cl.partitionsFor(g)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"blaze/internal/bin"
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
-	"blaze/internal/pagecache"
 	"blaze/internal/pipeline"
 	"blaze/internal/ssd"
 	"blaze/internal/trace"
@@ -32,9 +31,10 @@ type Stats struct {
 // When output is true the new frontier is returned; otherwise nil.
 // The value flow runs through online binning, so gather needs no atomics.
 //
-// The storage side — page-frontier source, per-device readers, buffer
-// queues, drain-and-recycle shutdown — is the shared pipeline stage
-// library; this file contributes the bin-scatter/gather compute sink.
+// The storage side — page-frontier conversion, per-device readers, page
+// cache and scheduler routing, buffer queues, drain-and-recycle shutdown —
+// is pipeline.Open; this file contributes the bin-scatter/gather compute
+// sink and the pool that carries buffers from one round to the next.
 //
 // EdgeMap fails cleanly: on the first unrecoverable device error (after
 // the device's retry policy is exhausted) the pipeline stops issuing IO,
@@ -54,73 +54,28 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	}
 	m := cfg.Model
 	c := g.CSR
-	numDev := g.Arr.NumDevices()
 	computeProcs := cfg.ScatterProcs + cfg.GatherProcs
-
-	// The pool and queue batching are wall-clock optimizations: under the
-	// virtual-time backend the seed allocation pattern and per-item queue
-	// protocol are kept so figures stay byte-identical (the batch queue
-	// methods degenerate to per-item transfers there by construction).
 	pool := cfg.Pool
-	if ctx.IsSim() {
-		pool = nil
-	}
 
-	// Phase spans on the coordinator's clock: source → pipeline → merge,
-	// back to back, so the trace summary's phase totals reconstruct the
-	// makespan exactly (what Summary.PhaseCoverage checks).
-	ctr := cfg.Tracer.AttachQuery(p, trace.StageCoord, -1, cfg.TraceQuery())
-	var t0 int64
-	if ctr.Active() {
-		t0 = p.Now()
-	}
-
-	// Step 1: vertex frontier -> per-device page frontiers, one conversion
-	// per graph source. A graph with sealed delta segments (Graph.Segs)
-	// iterates as [base, seg0, seg1, ...]; a segment-free graph is the
-	// single-source seed path, operation for operation.
+	// Steps 1-4: vertex frontier -> per-device page frontiers -> stocked IO
+	// buffers and one reader per source and device. A graph with sealed
+	// delta segments (Graph.Segs) iterates as [base, seg0, seg1, ...]; a
+	// segment-free graph is the single-source seed path, operation for
+	// operation.
 	sources := append([]*Graph{g}, g.Segs...)
-	pss := make([]*frontier.PageSubset, len(sources))
-	var totalPages int64
-	for _, sg := range sources {
-		if sg.CSR.V != c.V {
-			return nil, st, fmt.Errorf("engine: segment %q has %d vertices, base has %d", sg.Name, sg.CSR.V, c.V)
-		}
+	spec := cfg.FrontSpec("io", sources...)
+	if pool != nil {
+		spec.Recycled = pool.takeIOBuffers
 	}
-	for k, sg := range sources {
-		pss[k] = pipeline.PageSource(ctx, p, f, sg.CSR, numDev, computeProcs)
-		p.Advance(m.VertexOp * f.Count() / int64(computeProcs))
-		totalPages += pss[k].Pages()
-	}
-	if ctr.Active() {
-		t1 := p.Now()
-		ctr.Span(trace.OpPhase, -1, t0, t1, int64(trace.PhaseSource))
-		t0 = t1
-	}
-	if totalPages == 0 {
-		if !output {
-			return nil, st, nil
+	fr, err := pipeline.Open(ctx, p, f, spec)
+	if fr == nil {
+		if err != nil || !output {
+			return nil, st, err
 		}
 		return frontier.NewVertexSubset(c.V), st, nil
 	}
-
-	// IO buffers and their two MPMC queues (steps 2-4, 7). The buffer
-	// floor scales with the reader count (one reader per source × device).
-	numReaders := numDev * len(sources)
-	bufPages := cfg.MaxMergePages
-	bufLen := bufPages * ssd.PageSize
-	bufCount := pipeline.BufferCount(cfg.IOBufferBytes, bufLen, numReaders, totalPages)
-	free, filled := pipeline.NewQueues(ctx, bufCount)
-	var bufs []*pipeline.Buffer
-	if pool != nil {
-		bufs = pool.takeIOBuffers(bufLen, bufCount)
-	}
-	for len(bufs) < bufCount {
-		bufs = append(bufs, &pipeline.Buffer{Data: make([]byte, bufLen)})
-	}
-	free.PushN(p, bufs)
 	if cfg.Mem != nil {
-		cfg.Mem.Set("io-buffers", int64(bufCount)*int64(bufLen))
+		cfg.Mem.Set("io-buffers", fr.BufferBytes())
 	}
 
 	// Online bins (steps 6, 8).
@@ -157,114 +112,9 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 		cfg.Mem.Set("frontier", f.Bytes())
 	}
 
-	// Shared failure latch: the first unrecoverable device error flips it,
-	// and every proc degrades to drain-and-recycle at its next loop
-	// boundary. The coordinating proc returns the error after the pipeline
-	// has fully quiesced.
-	ab := &exec.Latch{}
-
-	// IO readers: one per device (step 2), merging up to MaxMergePages
-	// device-contiguous pages per request and never merging across gaps,
-	// with the optional page cache probed in front of the device. The probe
-	// covers the whole merged run (pipeline.Reader.ProbeRun): a fully
-	// cached run is served with no device IO, and a cached prefix/suffix is
-	// trimmed off a partial run so the device reads only the uncached
-	// middle span.
-	cache := cfg.PageCache
-	stride := int64(numDev)
-	owner := cfg.CacheOwner()
-	qcache := cfg.QueryCache
-	readers := make([]*pipeline.Reader, 0, numReaders)
-	for k, sg := range sources {
-		src, arr := k, sg.Arr
-		var gid pagecache.ID
-		if cache.Enabled() {
-			// Pages are keyed by the source graph's interned name, not its
-			// CSR pointer, so the cache never pins the index against GC, a
-			// reloaded graph hits its previous incarnation's entries, and
-			// each delta segment gets its own key space. The logical-page
-			// stride between device-adjacent pages of a striped array is
-			// the device count.
-			gid = cache.GraphID(sg.Name)
-		}
-		for d := 0; d < numDev; d++ {
-			dev := d
-			name := fmt.Sprintf("io%d", dev)
-			if k > 0 {
-				name = fmt.Sprintf("io%d.s%d", dev, k-1)
-			}
-			r := &pipeline.Reader{
-				Name:       name,
-				Device:     arr.Device(dev),
-				Dev:        dev,
-				Src:        src,
-				Query:      cfg.TraceQuery(),
-				Pages:      pss[k].PerDev[dev],
-				Free:       free,
-				Filled:     filled,
-				Latch:      ab,
-				Merge:      pipeline.MergeRuns(cfg.MaxMergePages),
-				SubmitCost: m.IOSubmit,
-				Batched:    true,
-				Tracer:     cfg.Tracer,
-				WrapErr: func(err error) error {
-					return fmt.Errorf("engine: edgemap on %q: %w", g.Name, err)
-				},
-			}
-			if cfg.Scheds != nil && k == 0 {
-				// Session mode: route the base graph's reads through the
-				// shared per-device scheduler (cross-query coalescing + DRR
-				// pacing). Segment arrays are private to this graph — they
-				// are not in the session's device table — so their readers
-				// go to the device directly.
-				r.Sched = cfg.Scheds.For(r.Device)
-			}
-			if cache.Enabled() {
-				r.HitCost = m.PageOverhead / 2
-				r.ProbeRun = func(io exec.Proc, buf *pipeline.Buffer, n int) (prefix, suffix int) {
-					base := arr.Logical(buf.Dev, buf.Start)
-					prefix, suffix = cache.ProbeRun(gid, base, stride, n, buf.Data)
-					if qcache != nil {
-						served := int64(prefix + suffix)
-						qcache.Add(served, int64(n)-served)
-					}
-					return prefix, suffix
-				}
-				r.Fill = func(io exec.Proc, buf *pipeline.Buffer, lo, hi int) {
-					// Key construction is pure: hoist the striped-array math out
-					// of the synchronized section so the lock window only covers
-					// the cache inserts. Logical(dev, local+pg) advances by the
-					// device-count stride per page of the merged run. Only the
-					// device-read span [lo, hi) is inserted — cache-served
-					// prefix/suffix pages are already resident.
-					base := arr.Logical(buf.Dev, buf.Start)
-					ftr := trace.RingOf(io)
-					io.Sync()
-					for pg := lo; pg < hi; pg++ {
-						res := cache.PutOwned(pagecache.Key{Graph: gid, Logical: base + int64(pg)*stride},
-							buf.Data[pg*ssd.PageSize:(pg+1)*ssd.PageSize], owner)
-						if res&pagecache.PutQuotaRejected != 0 && qcache != nil {
-							qcache.AddQuotaRejected(1)
-						}
-						if ftr.Active() {
-							if res&pagecache.PutEvicted != 0 {
-								ftr.Instant(trace.OpCacheEvict, int32(buf.Dev), io.Now(), 1)
-							}
-							if res&pagecache.PutGhostHit != 0 {
-								ftr.Instant(trace.OpCacheGhostHit, int32(buf.Dev), io.Now(), 1)
-							}
-						}
-					}
-				}
-			}
-			readers = append(readers, r)
-		}
-	}
-	ioWG := ctx.NewWaitGroup()
-	ioWG.Add(numReaders)
-	pipeline.Start(ctx, ioWG, readers)
-	// Closer proc ends the filled stream once all IO procs finish.
-	pipeline.CloseAfter(ctx, "io-closer", ioWG, filled)
+	// Readers start only now, after the bins are primed: the order of the
+	// coordinator's queue operations is observable under virtual time.
+	fr.Start()
 
 	// Scatter procs (steps 5-7): the bin-scatter sink.
 	scatterWG := ctx.NewWaitGroup()
@@ -276,7 +126,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 			cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), cfg.TraceQuery())
 			stager := stagers[id]
 			local := &scatStats[id]
-			pipeline.Drain(sp, free, filled, ab, true, func(buf *pipeline.Buffer) {
+			fr.Drain(sp, func(buf *pipeline.Buffer) {
 				sg := sources[buf.Src]
 				for pg := 0; pg < buf.NumPages; pg++ {
 					logical := sg.Arr.Logical(buf.Dev, buf.Start+int64(pg))
@@ -285,7 +135,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 				}
 				local.PagesRead += int64(buf.NumPages)
 			})
-			if !ab.Failed() {
+			if !fr.Failed() {
 				stager.FlushAll(sp)
 			}
 			scatterWG.Done(sp)
@@ -319,7 +169,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 					// On failure the records are dropped unapplied, but the
 					// buffer still returns to its bin so scatter procs
 					// blocked in a flush wake and the drain completes.
-					if !ab.Failed() {
+					if !fr.Failed() {
 						var from int64
 						if gtr.Active() {
 							from = gp.Now()
@@ -348,7 +198,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	// incomplete scan), but the drain order is unchanged so every proc
 	// joins and every buffer parks before the error is returned.
 	scatterWG.Wait(p)
-	if !ab.Failed() {
+	if !fr.Failed() {
 		bm.FlushPartials(p)
 	}
 	bm.CloseFull()
@@ -356,44 +206,24 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 
 	// The pipeline has quiesced: every IO buffer is back in the free queue
 	// and every bin buffer is parked in its slot/empty queue. Stock the
-	// pool for the next round, then close both buffer queues on every exit
-	// path — the io-closer already closed filled (Close is idempotent).
+	// pool for the next round, then close the front half.
 	if pool != nil {
-		recovered := make([]*pipeline.Buffer, 0, bufCount)
-		for {
-			buf, ok := free.TryPop(p)
-			if !ok {
-				break
-			}
-			recovered = append(recovered, buf)
-		}
-		pool.putIOBuffers(bufLen, recovered)
+		pool.putIOBuffers(cfg.MaxMergePages*ssd.PageSize, fr.Recover(p))
 		putBinState(pool, &binState[V]{bufs: bm.Drain(p), stagers: stagers})
 	}
-	free.Close()
-	filled.Close()
-	if ctr.Active() {
-		t2 := p.Now()
-		ctr.Span(trace.OpPhase, -1, t0, t2, int64(trace.PhasePipeline))
-		t0 = t2
-	}
+	err = fr.Close(p)
 
 	for _, s := range scatStats {
 		st.PagesRead += s.PagesRead
 		st.EdgesScanned += s.EdgesScanned
 	}
 	st.Records = bm.Records()
-	if err := ab.Err(); err != nil {
+	if err != nil || !output {
 		return nil, st, err
-	}
-	if !output {
-		return nil, st, nil
 	}
 	merged := pipeline.MergeFrontiers(c.V, outFronts)
 	p.Advance(m.VertexOp * merged.Count() / int64(computeProcs))
-	if ctr.Active() {
-		ctr.Span(trace.OpPhase, -1, t0, p.Now(), int64(trace.PhaseMerge))
-	}
+	fr.EndMerge(p)
 	st.VerticesMoved = merged.Count()
 	return merged, st, nil
 }

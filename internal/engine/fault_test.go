@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,6 +211,33 @@ func TestEdgeMapNoOutputReturnsNil(t *testing.T) {
 			if out != nil {
 				t.Errorf("output=false returned a non-nil frontier (count %d)", out.Count())
 			}
+		}
+	})
+}
+
+// TestSegmentReadErrorNamesSegment: when the base graph's devices are
+// healthy and a sealed segment's are dead, the error names the segment
+// whose read failed, not the base graph.
+func TestSegmentReadErrorNamesSegment(t *testing.T) {
+	ctx := exec.NewSim()
+	g, c := testGraph(ctx, 2, nil)
+	dead := fault.Policy{Seed: 7, PermanentRate: 1}.DeviceOptions()
+	dy := NewDynamic(ctx, g, nil, ssd.OptaneSSD, nil, nil, nil, dead)
+	if err := dy.Add(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	dy.Seal()
+	ctx.Run("main", func(p exec.Proc) {
+		_, _, err := EdgeMap(ctx, p, g, frontier.All(c.V),
+			func(s, d uint32) int64 { return 1 },
+			func(d uint32, v int64) bool { return false },
+			func(d uint32) bool { return true },
+			false, DefaultConfig(c.E))
+		var fe *fault.Error
+		if !errors.As(err, &fe) {
+			t.Errorf("error chain lost the injected fault: %v", err)
+		} else if want := `"` + g.Segs[0].Name + `"`; !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not name the failed segment %s: %v", want, err)
 		}
 	})
 }

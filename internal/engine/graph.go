@@ -15,6 +15,7 @@ import (
 	"blaze/internal/iosched"
 	"blaze/internal/metrics"
 	"blaze/internal/pagecache"
+	"blaze/internal/pipeline"
 	"blaze/internal/ssd"
 	"blaze/internal/trace"
 )
@@ -39,6 +40,18 @@ type Graph struct {
 	Segs []*Graph
 
 	file *os.File // backing file when loaded from disk, for Close
+}
+
+// RequireStatic returns an error when g carries sealed delta segments.
+// Engines whose EdgeMap scans only the base CSR call it first: without it
+// a query on an engine.Dynamic overlay would silently answer for the base
+// graph alone.
+func (g *Graph) RequireStatic(engine string) error {
+	if len(g.Segs) > 0 {
+		return fmt.Errorf("%s: graph %q has %d sealed delta segments, which this engine does not read (compact it, or use a dynamic-capable engine)",
+			engine, g.Name, len(g.Segs))
+	}
+	return nil
 }
 
 // NumVertices returns |V|.
@@ -140,9 +153,9 @@ type Config struct {
 	Stats *metrics.IOStats
 	Mem   *metrics.MemAccount
 	// Pool, when non-nil, retains IO buffers, bin buffer pairs, and
-	// stagers across EdgeMap calls (reset, not reallocated). It is used
-	// only under the real-time backend; the virtual-time backend keeps the
-	// seed allocation pattern so figures stay byte-identical.
+	// stagers across EdgeMap calls (reset, not reallocated). Allocation is
+	// not modeled, so under the virtual-time backend it changes host time
+	// only.
 	Pool *Pool
 	// Tracer, when non-nil, attaches per-proc trace rings to every pipeline
 	// stage (coordinator, IO readers, scatter, gather) so runs can emit
@@ -227,6 +240,31 @@ func (c Config) CacheOwner() int32 {
 		return c.QueryID
 	}
 	return pagecache.NoOwner
+}
+
+// FrontSpec returns the storage front half this config asks for over the
+// given graph sources (a base graph followed by its sealed segments), with
+// reader procs named after procName. The blaze engines share it; each adds
+// only what it alone has (the binning engine its recycled buffers).
+func (c Config) FrontSpec(procName string, sources ...*Graph) pipeline.Spec {
+	srcs := make([]pipeline.Source, len(sources))
+	for i, g := range sources {
+		srcs[i] = pipeline.Source{Name: g.Name, CSR: g.CSR, Arr: g.Arr}
+	}
+	return pipeline.Spec{
+		Sources:     srcs,
+		Model:       c.Model,
+		Procs:       c.ScatterProcs + c.GatherProcs,
+		MergePages:  c.MaxMergePages,
+		BufferBytes: c.IOBufferBytes,
+		Cache:       c.PageCache,
+		CacheOwner:  c.CacheOwner(),
+		QueryCache:  c.QueryCache,
+		Scheds:      c.Scheds,
+		Tracer:      c.Tracer,
+		Query:       c.TraceQuery(),
+		ProcName:    procName,
+	}
 }
 
 func (c Config) validate() error {

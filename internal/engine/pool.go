@@ -15,9 +15,9 @@ import (
 // halves of every bin — pure GC churn, since the sizes never change within
 // one Runtime. A Runtime owns one Pool and threads it through Config.
 //
-// The pool is a wall-clock optimization only: the engine ignores it under
-// the virtual-time backend, where allocation costs are not modeled and the
-// seed allocation pattern must be preserved for byte-identical figures.
+// The pool is a wall-clock optimization only: allocation costs are not
+// modeled, and recycled buffers pass through the same queue operations as
+// fresh ones, so virtual-time figures are the same with or without it.
 //
 // Ownership discipline: EdgeMap takes entire entries out of the pool at
 // round start and returns them at round end, so the pool's lock is touched

@@ -105,3 +105,40 @@ func TestPoolRecycling(t *testing.T) {
 		t.Fatalf("pool not emptied after size change, got %d", len(got))
 	}
 }
+
+// TestPoolInvisibleInVirtualTime pins why EdgeMap no longer drops the pool
+// under exec.Sim: allocation is not modeled and recycled buffers take the
+// same queue operations as fresh ones, so pooled and unpooled rounds end at
+// the same virtual instant with the same device traffic.
+func TestPoolInvisibleInVirtualTime(t *testing.T) {
+	run := func(pool *Pool) (end int64, bytes int64) {
+		ctx := exec.NewSim()
+		stats := metrics.NewIOStats(2)
+		g, c := testGraph(ctx, 2, stats)
+		conf := DefaultConfig(c.E)
+		conf.Stats = stats
+		conf.Pool = pool
+		ctx.Run("main", func(p exec.Proc) {
+			for round := 0; round < 3; round++ {
+				f := frontier.All(c.V)
+				if round == 1 {
+					f = frontier.Single(c.V, 1) // fewer buffers than the pool holds
+				}
+				if _, _, err := EdgeMap(ctx, p, g, f,
+					func(s, d uint32) int64 { return 1 },
+					func(d uint32, v int64) bool { return true },
+					func(d uint32) bool { return true },
+					true, conf); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		return ctx.End, stats.TotalBytes()
+	}
+	endFresh, bytesFresh := run(nil)
+	endPooled, bytesPooled := run(NewPool())
+	if endFresh != endPooled || bytesFresh != bytesPooled {
+		t.Errorf("pooled run ends at %d ns / %d bytes, unpooled at %d ns / %d bytes",
+			endPooled, bytesPooled, endFresh, bytesFresh)
+	}
+}

@@ -3,41 +3,21 @@ package frontier
 import (
 	"math/rand"
 	"testing"
-
-	"blaze/internal/exec"
 )
 
-// BenchmarkPagesOf measures the vertex→page frontier conversion, sequential
-// versus fanned out over workers, on a dense frontier — the shape that
-// dominates PageRank and WCC rounds.
+// BenchmarkPagesOf measures the vertex→page frontier conversion on a dense
+// frontier — the shape that dominates PageRank and WCC rounds.
 func BenchmarkPagesOf(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const v, e = 200_000, 2_000_000
 	c := randomCSR(rng, v, e)
 	f := All(v)
-	const numDev = 4
-
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if PagesOf(f, c, numDev).Pages() == 0 {
-				b.Fatal("empty page frontier")
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if PagesOf(f, c, 4).Pages() == 0 {
+			b.Fatal("empty page frontier")
 		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		workers := workers
-		b.Run(map[int]string{2: "par2", 4: "par4", 8: "par8"}[workers], func(b *testing.B) {
-			b.ReportAllocs()
-			ctx := exec.NewReal()
-			ctx.Run("main", func(p exec.Proc) {
-				for i := 0; i < b.N; i++ {
-					if PagesOfParallel(ctx, p, f, c, numDev, workers).Pages() == 0 {
-						b.Fatal("empty page frontier")
-					}
-				}
-			})
-		})
 	}
 }
 

@@ -6,11 +6,9 @@
 package frontier
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
-	"blaze/internal/exec"
 	"blaze/internal/graph"
 )
 
@@ -180,92 +178,13 @@ func (ps *PageSubset) Pages() int64 { return ps.total }
 
 // PagesOf converts a sealed vertex frontier into a page frontier for a
 // graph striped over numDev devices. Active vertices are visited in
-// ascending ID order, so page IDs come out sorted and deduped per device
-// without extra sorting.
+// ascending ID order, so page IDs come out sorted per device, and a page
+// shared by adjacent vertices is emitted once: page ranges of ascending
+// vertices are monotonic, so a logical high-water mark dedups them.
 func PagesOf(f *VertexSubset, c *graph.CSR, numDev int) *PageSubset {
-	part := pagesOfRange(f, c, numDev, 0, f.spans())
-	ps := &PageSubset{PerDev: part.perDev}
-	for _, pages := range part.perDev {
-		ps.total += int64(len(pages))
-	}
-	return ps
-}
-
-// PagesOfParallel is PagesOf fanned out over workers procs spawned on ctx:
-// each worker converts a contiguous slice of the sealed frontier into a
-// partial per-device page set, and the partials are concatenated in order
-// with boundary pages (shared between adjacent vertices across a chunk
-// split) deduplicated. The output is identical to PagesOf. The engine uses
-// it under the real-time backend, where the vertex→page conversion is a
-// serial bottleneck on large frontiers; the virtual-time backend keeps the
-// sequential call with an analytically modeled parallel cost so figures
-// stay deterministic.
-func PagesOfParallel(ctx exec.Context, p exec.Proc, f *VertexSubset, c *graph.CSR, numDev, workers int) *PageSubset {
-	spans := f.spans()
-	if workers > spans {
-		workers = spans
-	}
-	if workers <= 1 {
-		return PagesOf(f, c, numDev)
-	}
-	parts := make([]pagePartial, workers)
-	wg := ctx.NewWaitGroup()
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		k := k
-		lo, hi := k*spans/workers, (k+1)*spans/workers
-		ctx.Go(fmt.Sprintf("pagesof%d", k), func(wp exec.Proc) {
-			parts[k] = pagesOfRange(f, c, numDev, lo, hi)
-			wg.Done(wp)
-		})
-	}
-	wg.Wait(p)
-	// Stitch partials in chunk order. A page already emitted by an earlier
-	// chunk can only reappear at the head of a later chunk's lists (page
-	// ranges of ascending vertices are monotonic), so dropping leading
-	// pages at or below the running logical high-water mark reproduces the
-	// sequential dedup exactly.
 	ps := &PageSubset{PerDev: make([][]int64, numDev)}
-	prevMax := int64(-1)
-	for k := range parts {
-		for d := 0; d < numDev; d++ {
-			pages := parts[k].perDev[d]
-			for len(pages) > 0 && pages[0]*int64(numDev)+int64(d) <= prevMax {
-				pages = pages[1:]
-			}
-			ps.PerDev[d] = append(ps.PerDev[d], pages...)
-			ps.total += int64(len(pages))
-		}
-		if parts[k].maxLogical > prevMax {
-			prevMax = parts[k].maxLogical
-		}
-	}
-	return ps
-}
-
-// spans returns the number of iteration units the frontier splits into:
-// bitmap words when dense, sparse-list entries otherwise.
-func (f *VertexSubset) spans() int {
-	if f.dense {
-		return len(f.bits)
-	}
-	return len(f.sparse)
-}
-
-// pagePartial is one chunk's contribution to a page frontier.
-type pagePartial struct {
-	perDev     [][]int64
-	maxLogical int64
-}
-
-// pagesOfRange converts the frontier's iteration units [lo, hi) — bitmap
-// words when dense, sorted sparse entries otherwise — into per-device page
-// lists, deduplicating within the chunk via the same logical high-water
-// mark the sequential path uses.
-func pagesOfRange(f *VertexSubset, c *graph.CSR, numDev, lo, hi int) pagePartial {
-	part := pagePartial{perDev: make([][]int64, numDev)}
 	lastLogical := int64(-1)
-	emit := func(v uint32) {
+	f.ForEach(func(v uint32) {
 		first, last, ok := c.PageRange(v)
 		if !ok {
 			return
@@ -275,26 +194,12 @@ func pagesOfRange(f *VertexSubset, c *graph.CSR, numDev, lo, hi int) pagePartial
 		}
 		for pg := first; pg <= last; pg++ {
 			d := int(pg % int64(numDev))
-			part.perDev[d] = append(part.perDev[d], pg/int64(numDev))
+			ps.PerDev[d] = append(ps.PerDev[d], pg/int64(numDev))
+			ps.total++
 		}
 		if last > lastLogical {
 			lastLogical = last
 		}
-	}
-	if f.dense {
-		for w := lo; w < hi; w++ {
-			word := f.bits[w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				emit(uint32(w*64 + b))
-				word &^= 1 << b
-			}
-		}
-	} else {
-		for _, v := range f.sparse[lo:hi] {
-			emit(v)
-		}
-	}
-	part.maxLogical = lastLogical
-	return part
+	})
+	return ps
 }

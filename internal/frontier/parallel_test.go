@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"blaze/internal/exec"
 	"blaze/internal/graph"
 )
 
@@ -96,40 +95,4 @@ func TestMergeMixedRepresentations(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPagesOfParallelMatchesSequential fuzzes frontier shapes, device
-// counts, and worker counts: the parallel conversion must reproduce the
-// sequential page frontier exactly, including boundary-page dedup.
-func TestPagesOfParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ctx := exec.NewReal()
-	ctx.Run("main", func(p exec.Proc) {
-		for trial := 0; trial < 30; trial++ {
-			v := uint32(rng.Intn(3000) + 64)
-			c := randomCSR(rng, v, rng.Intn(40000)+1000)
-			f := randomSubset(rng, v, []int{1, 5, 50, 100}[rng.Intn(4)])
-			numDev := rng.Intn(4) + 1
-			workers := rng.Intn(8) + 1
-
-			want := PagesOf(f, c, numDev)
-			got := PagesOfParallel(ctx, p, f, c, numDev, workers)
-			if got.Pages() != want.Pages() {
-				t.Fatalf("trial %d (dev=%d workers=%d): %d pages, want %d",
-					trial, numDev, workers, got.Pages(), want.Pages())
-			}
-			for d := 0; d < numDev; d++ {
-				if len(got.PerDev[d]) != len(want.PerDev[d]) {
-					t.Fatalf("trial %d dev %d: %d pages, want %d",
-						trial, d, len(got.PerDev[d]), len(want.PerDev[d]))
-				}
-				for i := range want.PerDev[d] {
-					if got.PerDev[d][i] != want.PerDev[d][i] {
-						t.Fatalf("trial %d dev %d page %d: %d, want %d",
-							trial, d, i, got.PerDev[d][i], want.PerDev[d][i])
-					}
-				}
-			}
-		}
-	})
 }

@@ -70,6 +70,9 @@ func MemBytes(g *engine.Graph) int64 {
 func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	fns algo.EdgeFuncs, output bool) (*frontier.VertexSubset, error) {
 
+	if err := g.RequireStatic(s.Name()); err != nil {
+		return nil, err
+	}
 	c := g.CSR
 	if c.Adj == nil {
 		panic("inmem: graph must be fully in memory")

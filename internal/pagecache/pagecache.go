@@ -32,7 +32,7 @@
 //
 // Multi-page runs are served through ProbeRun, which can satisfy a fully
 // cached merged run or trim a cached prefix/suffix off a partially cached
-// one (see the pipeline.Reader.ProbeRun contract).
+// one (the reader side is pipeline.cacheView).
 package pagecache
 
 import (

@@ -1,42 +1,39 @@
-// Package pipeline is the shared out-of-core pipeline-stage library used
-// by every EdgeMap engine in this repository: Blaze's online-binning
-// engine, its synchronization-based variant, and the FlashGraph-style and
-// Graphene-style baselines.
-//
-// All four engines execute the same storage-side skeleton (§IV-C, Fig. 5):
+// Package pipeline is the storage front half every out-of-core EdgeMap
+// engine in this repository runs (§IV-C, Fig. 5):
 //
 //	vertex frontier → page frontier → per-device IO readers
-//	    → free/filled buffer queues → compute sinks → output frontier
+//	    → free/filled buffer queues → compute sinks
 //
-// and differ only in how the compute sinks consume filled buffers
-// (bin-scatter/gather, inline-atomic apply, or owner-queue message
-// passing) and in reader policy (contiguous-run merge vs gap merge, page
-// cache in front of the device or not). This package owns the parts they
-// share:
+// The engines differ only in how their compute sinks consume filled
+// buffers: bin scatter/gather (blaze), inline-atomic apply (blaze-sync),
+// owner-queue messages (flashgraph), paired per-partition compute
+// (graphene). Everything before the sink lives here, once:
 //
-//   - Buffer, the IO buffer unit, with BufferCount sizing and Stock/
-//     NewQueues free/filled queue construction;
-//   - Reader, the per-device IO proc loop (merge policy, page-cache
-//     probe/fill hooks, retry-aware ScheduleRead, failure-latch
-//     drain-and-recycle, batched or per-item free-queue claims);
-//   - Drain, the sink-side consumption loop (batched or per-item), which
-//     recycles every buffer back to the free queue even after a failure so
-//     blocked readers always wake;
-//   - PageSource and MergeFrontiers, the frontier-side endpoints.
+//   - Open builds the front half for the striped-array engines (blaze,
+//     blaze-sync, flashgraph) from a Spec: one page-frontier conversion
+//     per graph source, buffer sizing and stocking, the per-device
+//     readers with the page cache and the shared IO scheduler in front of
+//     the device, and the failure latch. The returned Front starts the
+//     readers, runs the sink loop, and closes the pipeline; an engine
+//     contributes the function that processes one filled buffer.
+//   - Reader is the per-device IO proc loop (merge policy, retry-aware
+//     ScheduleRead, failure-latch drain-and-recycle) and Drain the sink
+//     loop that recycles every buffer even after a failure. Graphene,
+//     whose topology is one private queue pair per IO/compute pair, builds
+//     its Readers from these directly.
+//   - MergeFrontiers folds the sinks' per-proc output frontiers.
 //
-// Virtual-time discipline: the library preserves the exact per-item queue
-// protocol and cost-charging order of the engines it was extracted from.
-// Every hook (Merge, Probe, Fill, SubmitCost) either charges model time
-// exactly where the original engine did or is pure computation, so the
-// calibrated figures (fig8/fig10) are byte-identical before and after the
-// extraction. Batching (ClaimBatch) is a real-time optimization only: the
-// virtual-time queues transfer one item per batched call by construction.
+// Virtual-time discipline: proc spawn order, proc names and the order of
+// model-time charges are observable under exec.Sim, so they are part of
+// this package's contract — the calibrated figures (results/*.csv) are
+// byte-identical across any change here. Queue transfers always use the
+// batch calls (ClaimBatch); the virtual-time queues move one item per
+// batched call by construction, so batching cannot move a figure.
 package pipeline
 
 import (
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
-	"blaze/internal/graph"
 )
 
 // Buffer is one IO buffer: up to a reader's merge cap of device-contiguous
@@ -53,11 +50,11 @@ type Buffer struct {
 	Src      int
 }
 
-// ClaimBatch bounds how many queue items batched pipeline procs move per
-// lock acquisition on the real-time backend. Small enough that holding a
-// batch never starves the pipeline (BufferCount keeps at least 2 buffers
-// per device and each batch returns promptly), large enough to amortize
-// the mutex on the per-page hot path. The virtual-time queues transfer one
+// ClaimBatch bounds how many queue items pipeline procs move per lock
+// acquisition on the real-time backend. Small enough that holding a batch
+// never starves the pipeline (BufferCount keeps at least 2 buffers per
+// device and each batch returns promptly), large enough to amortize the
+// mutex on the per-page hot path. The virtual-time queues transfer one
 // item per batch call regardless, preserving the calibrated figures.
 const ClaimBatch = 4
 
@@ -81,27 +78,12 @@ func NewQueues(ctx exec.Context, count int) (free, filled exec.Queue[*Buffer]) {
 }
 
 // Stock fills the free queue with count freshly allocated buffers of
-// bufLen bytes, one Push per buffer (the seed allocation pattern the
-// virtual-time figures were calibrated against). Engines with a buffer
-// pool stock recycled buffers with PushN instead.
+// bufLen bytes, one Push per buffer (the stocking pattern the virtual-time
+// figures were calibrated against).
 func Stock(p exec.Proc, free exec.Queue[*Buffer], count, bufLen int) {
 	for i := 0; i < count; i++ {
 		free.Push(p, &Buffer{Data: make([]byte, bufLen)})
 	}
-}
-
-// PageSource converts a sealed vertex frontier into the per-device page
-// frontier that drives the readers. With parallelProcs > 1 under the
-// real-time backend the conversion fans out over the compute procs; the
-// virtual-time backend always runs it on the calling proc and lets the
-// engine charge the modeled parallel cost.
-func PageSource(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset,
-	c *graph.CSR, numDev, parallelProcs int) *frontier.PageSubset {
-	f.Seal()
-	if !ctx.IsSim() && parallelProcs > 1 {
-		return frontier.PagesOfParallel(ctx, p, f, c, numDev, parallelProcs)
-	}
-	return frontier.PagesOf(f, c, numDev)
 }
 
 // MergeFrontiers folds per-proc output frontiers into one sealed subset

@@ -57,12 +57,12 @@ func MergeGaps(maxPages, gapPages int, pagesPerPart int64) Merge {
 }
 
 // Reader is one per-device IO stage: it walks its page list, claims free
-// buffers, coalesces requests with Merge, optionally probes a page cache,
-// schedules retry-aware asynchronous reads, and hands filled buffers
-// downstream stamped with their completion time. On the first
-// unrecoverable device error it latches the failure, recycles its claimed
-// buffers, and stops issuing IO; it also degrades to a clean stop whenever
-// another stage has latched first.
+// buffers, coalesces requests with Merge, probes the page cache when one
+// sits in front of the device, schedules retry-aware asynchronous reads,
+// and hands filled buffers downstream stamped with their completion time.
+// On the first unrecoverable device error it latches the failure, recycles
+// its claimed buffers, and stops issuing IO; it also degrades to a clean
+// stop whenever another stage has latched first.
 type Reader struct {
 	// Name is the proc debug name (e.g. "io0").
 	Name string
@@ -86,7 +86,9 @@ type Reader struct {
 	// Pages is this device's sorted page frontier, in the device's own
 	// address space.
 	Pages []int64
-	// Free and Filled are the buffer queues shared with the sinks.
+	// Free and Filled are the buffer queues shared with the sinks. Free
+	// buffers are claimed up to ClaimBatch at a time; leftovers are
+	// returned when the page list runs out or the pipeline fails.
 	Free, Filled exec.Queue[*Buffer]
 	// Latch is the pipeline's shared failure latch.
 	Latch *exec.Latch
@@ -94,41 +96,13 @@ type Reader struct {
 	Merge Merge
 	// SubmitCost charges model time for submitting an n-page request.
 	SubmitCost func(numPages int) int64
-	// Batched claims free buffers in batches of up to ClaimBatch under one
-	// lock acquisition on the real-time backend (the virtual-time queue
-	// hands out one per call regardless). Leftovers are returned when the
-	// page list runs out or the pipeline fails.
-	Batched bool
-	// ProbeRun, when non-nil, probes a page cache for the merged run of n
-	// pages starting at buf.Start before the device request is formed. It
-	// copies whatever it can serve into buf.Data and returns the served
-	// leading (prefix) and trailing (suffix) page counts:
-	//
-	//   - prefix+suffix == n: the whole run came from cache; the reader
-	//     charges HitCost per page and pushes the buffer with no device IO.
-	//   - 0 < prefix+suffix < n: the reader trims the device read to the
-	//     uncached middle span [prefix, n-suffix), charging HitCost per
-	//     served page plus the submit cost of the shrunken request.
-	//   - prefix+suffix == 0: clean fall-through to a full-run read.
-	//
-	// Implementations must only serve contiguous prefixes/suffixes — the
-	// device read is a single span — and never return prefix+suffix > n.
-	ProbeRun func(io exec.Proc, buf *Buffer, n int) (prefix, suffix int)
-	// HitCost is the model time charged per page served from the cache.
-	HitCost int64
-	// Fill, when non-nil, inserts the device-read pages [lo, hi) of a
-	// successfully read buffer into the cache before the buffer is handed
-	// downstream (cache-served pages outside that range are already
-	// resident). Implementations synchronize (Proc.Sync) before touching
-	// the shared cache and should hoist key construction ahead of the
-	// synchronized section.
-	Fill func(io exec.Proc, buf *Buffer, lo, hi int)
-	// WrapErr decorates an unrecoverable device error with engine context.
+	// WrapErr decorates an unrecoverable device error with the source that
+	// failed.
 	WrapErr func(error) error
-	// Tracer, when non-nil, attaches a per-proc trace ring (stage "io",
-	// keyed by Dev) to the reader proc in Start. Emission itself goes
-	// through the proc's ring and is a nil-check when tracing is off.
-	Tracer *trace.Tracer
+
+	// cache, when non-nil, is the page cache in front of Device (set by
+	// Open; see cacheView for the probe/fill contract).
+	cache *cacheView
 }
 
 // Run executes the reader loop on the given proc. It returns when the page
@@ -141,36 +115,21 @@ func (r *Reader) Run(io exec.Proc) {
 	bn, bi := 0, 0
 	i := 0
 	for i < len(pages) && !r.Latch.Failed() {
-		var buf *Buffer
 		var waitFrom int64
 		if tr.Active() {
 			waitFrom = io.Now()
 		}
-		if r.Batched {
-			if bi == bn {
-				bn = r.Free.PopBatch(io, batch[:])
-				bi = 0
-				if bn == 0 {
-					break
-				}
-				// The pop may have blocked while another proc failed;
-				// recheck before issuing more IO.
-				if r.Latch.Failed() {
-					break
-				}
-			}
-			buf = batch[bi]
-			bi++
-		} else {
-			b, ok := r.Free.Pop(io)
-			if !ok || r.Latch.Failed() {
-				if ok {
-					r.Free.Push(io, b)
-				}
+		if bi == bn {
+			bn = r.Free.PopBatch(io, batch[:])
+			bi = 0
+			// The pop may have blocked while another proc failed; recheck
+			// before issuing more IO.
+			if bn == 0 || r.Latch.Failed() {
 				break
 			}
-			buf = b
 		}
+		buf := batch[bi]
+		bi++
 		if tr.Active() {
 			// The span covers the free-buffer claim: non-zero duration means
 			// the device outran the sinks and IO stalled for buffers.
@@ -185,21 +144,18 @@ func (r *Reader) Run(io exec.Proc) {
 		// every page from memory with no device time; a partial hit trims
 		// the cached prefix/suffix off the device request.
 		lo, hi := 0, n
-		if r.ProbeRun != nil {
-			prefix, suffix := r.ProbeRun(io, buf, n)
+		if r.cache != nil {
+			prefix, suffix := r.cache.probe(io, buf, n)
 			lo, hi = prefix, n-suffix
-			if served := prefix + suffix; served >= n {
-				io.Advance(r.HitCost * int64(n))
-				if tr.Active() {
-					tr.Instant(trace.OpCacheHit, int32(r.Dev), io.Now(), int64(n))
-				}
-				r.Filled.Push(io, buf)
-				i = next
-				continue
-			} else if served > 0 {
-				io.Advance(r.HitCost * int64(served))
+			if served := prefix + suffix; served > 0 {
+				io.Advance(r.cache.hitCost * int64(served))
 				if tr.Active() {
 					tr.Instant(trace.OpCacheHit, int32(r.Dev), io.Now(), int64(served))
+				}
+				if served >= n {
+					r.Filled.Push(io, buf)
+					i = next
+					continue
 				}
 			}
 		}
@@ -218,15 +174,11 @@ func (r *Reader) Run(io exec.Proc) {
 			// the failure, hand the buffer back, and stop this device's
 			// stream.
 			r.Latch.Fail(r.WrapErr(err))
-			if r.Batched {
-				bi--
-			} else {
-				r.Free.Push(io, buf)
-			}
+			bi--
 			break
 		}
-		if r.Fill != nil {
-			r.Fill(io, buf, lo, hi)
+		if r.cache != nil {
+			r.cache.fill(io, buf, lo, hi)
 		}
 		r.Filled.PushAt(io, buf, done)
 		if tr.Active() {
@@ -237,28 +189,4 @@ func (r *Reader) Run(io exec.Proc) {
 	if bi < bn {
 		r.Free.PushN(io, batch[bi:bn])
 	}
-}
-
-// Start spawns one proc per reader (in order, so virtual-time scheduling
-// is reproducible) and arranges wg.Done on completion. The caller must
-// have wg.Add(len(readers))'d already.
-func Start(ctx exec.Context, wg exec.WaitGroup, readers []*Reader) {
-	for _, r := range readers {
-		r := r
-		ctx.Go(r.Name, func(io exec.Proc) {
-			r.Tracer.AttachQuery(io, trace.StageIO, int32(r.Dev), r.Query)
-			r.Run(io)
-			wg.Done(io)
-		})
-	}
-}
-
-// CloseAfter spawns a closer proc that ends the filled stream once every
-// reader counted in wg has finished, releasing sinks blocked on an empty
-// queue.
-func CloseAfter(ctx exec.Context, name string, wg exec.WaitGroup, filled exec.Queue[*Buffer]) {
-	ctx.Go(name, func(cp exec.Proc) {
-		wg.Wait(cp)
-		filled.Close()
-	})
 }

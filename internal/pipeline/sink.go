@@ -9,69 +9,39 @@ import (
 // procs: pop filled buffers until the stream closes, process each one, and
 // recycle every buffer back to the free queue — including after a latched
 // failure, so readers blocked on an empty free queue always wake and the
-// pipeline drains instead of deadlocking. With batched=true items move in
-// ClaimBatch groups per lock acquisition on the real-time backend (the
-// virtual-time queue still transfers one per call).
-func Drain(p exec.Proc, free, filled exec.Queue[*Buffer], latch *exec.Latch, batched bool, process func(buf *Buffer)) {
+// pipeline drains instead of deadlocking. Items move in ClaimBatch groups
+// per lock acquisition on the real-time backend (the virtual-time queue
+// transfers one per call).
+func Drain(p exec.Proc, free, filled exec.Queue[*Buffer], latch *exec.Latch, process func(buf *Buffer)) {
 	tr := trace.RingOf(p)
-	if batched {
-		var batch [ClaimBatch]*Buffer
-		for {
-			var waitFrom int64
-			if tr.Active() {
-				waitFrom = p.Now()
-			}
-			n := filled.PopBatch(p, batch[:])
-			if n == 0 {
-				return
-			}
-			if tr.Active() {
-				tr.Span(trace.OpSinkWait, int32(batch[0].Dev), waitFrom, p.Now(), int64(n))
-			}
-			for _, buf := range batch[:n] {
-				// After a failure, recycle without processing: the data may
-				// be absent or partial.
-				if latch.Failed() {
-					continue
-				}
-				if tr.Active() {
-					from := p.Now()
-					process(buf)
-					tr.Span(trace.OpSinkBuf, int32(buf.Dev), from, p.Now(), int64(buf.NumPages))
-					continue
-				}
-				process(buf)
-			}
-			free.PushN(p, batch[:n])
-			if tr.Active() {
-				tr.Counter(trace.OpFreeLen, 0, p.Now(), int64(free.Len()))
-			}
-		}
-	}
+	var batch [ClaimBatch]*Buffer
 	for {
 		var waitFrom int64
 		if tr.Active() {
 			waitFrom = p.Now()
 		}
-		buf, ok := filled.Pop(p)
-		if !ok {
+		n := filled.PopBatch(p, batch[:])
+		if n == 0 {
 			return
 		}
 		if tr.Active() {
-			tr.Span(trace.OpSinkWait, int32(buf.Dev), waitFrom, p.Now(), 1)
+			tr.Span(trace.OpSinkWait, int32(batch[0].Dev), waitFrom, p.Now(), int64(n))
 		}
-		if latch.Failed() {
-			free.Push(p, buf)
-			continue
-		}
-		if tr.Active() {
-			from := p.Now()
+		for _, buf := range batch[:n] {
+			// After a failure, recycle without processing: the data may
+			// be absent or partial.
+			if latch.Failed() {
+				continue
+			}
+			if tr.Active() {
+				from := p.Now()
+				process(buf)
+				tr.Span(trace.OpSinkBuf, int32(buf.Dev), from, p.Now(), int64(buf.NumPages))
+				continue
+			}
 			process(buf)
-			tr.Span(trace.OpSinkBuf, int32(buf.Dev), from, p.Now(), int64(buf.NumPages))
-		} else {
-			process(buf)
 		}
-		free.Push(p, buf)
+		free.PushN(p, batch[:n])
 		if tr.Active() {
 			tr.Counter(trace.OpFreeLen, 0, p.Now(), int64(free.Len()))
 		}

@@ -10,7 +10,7 @@
 //	blaze-async    blaze driven barrier-free: priority-ordered page waves
 //	               (cache-resident first) with convergence detection
 //	               instead of round counting (see algo.AsyncDriver)
-//	blaze-sync     the synchronization-based variant ("sync" is an alias)
+//	blaze-sync     the synchronization-based variant
 //	blaze-scaleout M destination-partitioned machines, each running the
 //	               blaze engine on its own device array, exchanging sparse
 //	               vertex deltas over a modeled interconnect (see
@@ -81,8 +81,7 @@ type Options struct {
 	PageCache      *pagecache.Cache
 	PageCacheBytes int64
 	CachePolicy    pagecache.Policy
-	// Pool retains blaze IO/bin buffers across EdgeMap rounds (real-time
-	// backend only).
+	// Pool retains blaze IO/bin buffers across EdgeMap rounds.
 	Pool *engine.Pool
 	// DevOpts configures devices the engine builds itself (graphene).
 	DevOpts []ssd.DeviceOptions
@@ -179,15 +178,16 @@ type Info struct {
 	// must attach c.Adj before running them on a file-backed graph.
 	NeedsAdjacency bool
 	// SessionCapable marks engines that honor Options.Scheds — i.e. read
-	// the session graph's striped array through pipeline.Reader and can
+	// the session graph's striped array through pipeline.Open and can
 	// therefore share devices with concurrent queries. Graphene places its
 	// own devices and inmem does no IO; neither can join a session.
 	SessionCapable bool
 	// DynamicCapable marks engines whose EdgeMap iterates Graph.Segs — the
 	// sealed delta segments an engine.Dynamic overlay appends — so queries
-	// observe edge insertions without a rebuild. The sync variant applies
-	// updates inline over its own single-source scan, and the baselines and
-	// inmem walk the base CSR directly; none of them see segments.
+	// observe edge insertions without a rebuild. The sync variant, the
+	// baselines, inmem and the scale-out engine read the base CSR only, and
+	// their EdgeMap rejects a graph that carries segments
+	// (engine.Graph.RequireStatic).
 	DynamicCapable bool
 }
 
@@ -230,8 +230,7 @@ func DynamicCapable(name string) bool {
 	return engines[name].DynamicCapable
 }
 
-// SessionNames returns the session-capable engine names, sorted, aliases
-// included.
+// SessionNames returns the session-capable engine names, sorted.
 func SessionNames() []string {
 	names := make([]string, 0, len(engines))
 	for n, e := range engines {
@@ -243,7 +242,7 @@ func SessionNames() []string {
 	return names
 }
 
-// Names returns the registered engine names, sorted, aliases included.
+// Names returns the registered engine names, sorted.
 func Names() []string {
 	names := make([]string, 0, len(engines))
 	for n := range engines {
@@ -260,11 +259,9 @@ func init() {
 	Register("blaze-async", Info{SessionCapable: true, DynamicCapable: true, New: func(ctx exec.Context, o Options) algo.System {
 		return algo.NewAsyncBlaze(ctx, o.BlazeConfig())
 	}})
-	sync := Info{SessionCapable: true, New: func(ctx exec.Context, o Options) algo.System {
+	Register("blaze-sync", Info{SessionCapable: true, New: func(ctx exec.Context, o Options) algo.System {
 		return syncvar.New(ctx, o.BlazeConfig())
-	}}
-	Register("blaze-sync", sync)
-	Register("sync", sync) // historical harness name
+	}})
 	Register("flashgraph", Info{SessionCapable: true, New: func(ctx exec.Context, o Options) algo.System {
 		cfg := flashgraph.DefaultConfig()
 		cfg.ComputeWorkers = o.Workers

@@ -1,0 +1,81 @@
+package registry
+
+import (
+	"strings"
+	"testing"
+
+	"blaze/algo"
+	"blaze/internal/engine"
+	"blaze/internal/exec"
+	"blaze/internal/frontier"
+	"blaze/internal/graph"
+	"blaze/internal/ssd"
+)
+
+// TestSegmentsAreReadOrRefused: on an engine.Dynamic graph with a sealed
+// delta segment, an engine either reads the segment (DynamicCapable: the
+// inserted edge's destination receives its update) or refuses the graph
+// with an error — never the base graph's answer with no error. After
+// compaction every engine sees the edge.
+func TestSegmentsAreReadOrRefused(t *testing.T) {
+	names := []string{"blaze-sync", "flashgraph", "graphene", "inmem", "blaze-scaleout", "blaze", "blaze-async"}
+	if len(names) != len(Names()) {
+		t.Fatalf("test covers %v, registry has %v", names, Names())
+	}
+	// A path 0→1→…→62 leaves vertex 63 without in-edges; the insertion
+	// 0→63 lives only in the segment.
+	const n = 64
+	var src, dst []uint32
+	for v := uint32(0); v+2 < n; v++ {
+		src, dst = append(src, v), append(dst, v+1)
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			ctx := exec.NewSim()
+			g := engine.FromCSR(ctx, "g", graph.MustBuild(n, src, dst), 1, ssd.OptaneSSD, nil, nil)
+			dy := engine.NewDynamic(ctx, g, nil, ssd.OptaneSSD, nil, nil, nil)
+			if err := dy.Add(0, n-1); err != nil {
+				t.Fatal(err)
+			}
+			dy.Seal()
+			sys, err := New(name, ctx, Options{Edges: g.NumEdges()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reached := func(p exec.Proc) (bool, error) {
+				hit := false
+				_, err := sys.EdgeMap(p, g, frontier.All(n), algo.EdgeFuncs{
+					Scatter: func(s, d uint32) float64 { return 1 },
+					Gather: func(d uint32, v float64) bool {
+						if d == n-1 {
+							hit = true
+						}
+						return false
+					},
+					Cond: func(d uint32) bool { return true },
+				}, false)
+				return hit, err
+			}
+			ctx.Run("main", func(p exec.Proc) {
+				hit, err := reached(p)
+				switch {
+				case DynamicCapable(name):
+					if err != nil || !hit {
+						t.Errorf("dynamic-capable engine: inserted edge seen %v, err %v", hit, err)
+					}
+				case err == nil:
+					t.Errorf("engine ignored the sealed segment without an error (inserted edge seen: %v)", hit)
+				case !strings.Contains(err.Error(), "segment"):
+					t.Errorf("error does not say why the graph was refused: %v", err)
+				}
+				if err := dy.Compact(); err != nil {
+					t.Error(err)
+					return
+				}
+				if hit, err := reached(p); err != nil || !hit {
+					t.Errorf("after compaction: inserted edge seen %v, err %v", hit, err)
+				}
+			})
+		})
+	}
+}

@@ -6,9 +6,9 @@
 // high-in-degree vertices keeps the device underutilized on
 // computation-heavy queries — the effect online binning exists to remove.
 //
-// The storage side (page frontier, per-device readers, buffer queues,
-// drain-and-recycle shutdown) comes entirely from internal/pipeline; this
-// package only contributes the inline-atomic compute sink.
+// The storage side (page frontier, per-device readers, page cache, buffer
+// queues, drain-and-recycle shutdown) is pipeline.Open; this package only
+// contributes the inline-atomic compute sink.
 //
 // The variant runs under the virtual-time backend for measurement; under
 // the real-time backend the serialized gather-per-vertex guarantee does not
@@ -23,7 +23,6 @@ import (
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
-	"blaze/internal/pagecache"
 	"blaze/internal/pipeline"
 	"blaze/internal/ssd"
 	"blaze/internal/trace"
@@ -57,102 +56,25 @@ func (s *System) VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(uint32
 func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	fns algo.EdgeFuncs, output bool) (*frontier.VertexSubset, error) {
 
+	if err := g.RequireStatic(s.Name()); err != nil {
+		return nil, err
+	}
 	ctx := s.Ctx
 	cfg := s.Cfg
 	m := cfg.Model
 	c := g.CSR
-	numDev := g.Arr.NumDevices()
 	workers := cfg.ScatterProcs + cfg.GatherProcs
 
-	ctr := cfg.Tracer.AttachQuery(p, trace.StageCoord, -1, cfg.TraceQuery())
-	var t0 int64
-	if ctr.Active() {
-		t0 = p.Now()
-	}
-
-	ps := pipeline.PageSource(ctx, p, f, c, numDev, 1)
-	p.Advance(m.VertexOp * f.Count() / int64(workers))
-	if ctr.Active() {
-		t1 := p.Now()
-		ctr.Span(trace.OpPhase, -1, t0, t1, int64(trace.PhaseSource))
-		t0 = t1
-	}
-	if ps.Pages() == 0 {
-		if !output {
-			return nil, nil
+	// The optional page cache (a Blaze-side extension, see engine.EdgeMap)
+	// applies to the sync variant too: FrontSpec carries it.
+	fr, err := pipeline.Open(ctx, p, f, cfg.FrontSpec("sync-io", g))
+	if fr == nil {
+		if err != nil || !output {
+			return nil, err
 		}
 		return frontier.NewVertexSubset(c.V), nil
 	}
-
-	bufLen := cfg.MaxMergePages * ssd.PageSize
-	bufCount := pipeline.BufferCount(cfg.IOBufferBytes, bufLen, numDev, ps.Pages())
-	free, filled := pipeline.NewQueues(ctx, bufCount)
-	pipeline.Stock(p, free, bufCount, bufLen)
-
-	// The optional page cache (a Blaze-side extension, see engine.EdgeMap)
-	// applies to the sync variant too: same run probing, same fill of the
-	// device-read span only.
-	cache := cfg.PageCache
-	var gid pagecache.ID
-	var stride int64
-	if cache.Enabled() {
-		gid = cache.GraphID(g.Name)
-		stride = int64(numDev)
-	}
-
-	ab := &exec.Latch{}
-	owner := cfg.CacheOwner()
-	qcache := cfg.QueryCache
-	readers := make([]*pipeline.Reader, numDev)
-	for d := 0; d < numDev; d++ {
-		r := &pipeline.Reader{
-			Name:       fmt.Sprintf("sync-io%d", d),
-			Device:     g.Arr.Device(d),
-			Dev:        d,
-			Query:      cfg.TraceQuery(),
-			Pages:      ps.PerDev[d],
-			Free:       free,
-			Filled:     filled,
-			Latch:      ab,
-			Merge:      pipeline.MergeRuns(cfg.MaxMergePages),
-			SubmitCost: m.IOSubmit,
-			Tracer:     cfg.Tracer,
-			WrapErr: func(err error) error {
-				return fmt.Errorf("syncvar: edgemap on %q: %w", g.Name, err)
-			},
-		}
-		if cfg.Scheds != nil {
-			r.Sched = cfg.Scheds.For(r.Device)
-		}
-		if cache.Enabled() {
-			r.HitCost = m.PageOverhead / 2
-			r.ProbeRun = func(io exec.Proc, buf *pipeline.Buffer, n int) (prefix, suffix int) {
-				base := g.Arr.Logical(buf.Dev, buf.Start)
-				prefix, suffix = cache.ProbeRun(gid, base, stride, n, buf.Data)
-				if qcache != nil {
-					served := int64(prefix + suffix)
-					qcache.Add(served, int64(n)-served)
-				}
-				return prefix, suffix
-			}
-			r.Fill = func(io exec.Proc, buf *pipeline.Buffer, lo, hi int) {
-				base := g.Arr.Logical(buf.Dev, buf.Start)
-				io.Sync()
-				for pg := lo; pg < hi; pg++ {
-					res := cache.PutOwned(pagecache.Key{Graph: gid, Logical: base + int64(pg)*stride},
-						buf.Data[pg*ssd.PageSize:(pg+1)*ssd.PageSize], owner)
-					if res&pagecache.PutQuotaRejected != 0 && qcache != nil {
-						qcache.AddQuotaRejected(1)
-					}
-				}
-			}
-		}
-		readers[d] = r
-	}
-	ioWG := ctx.NewWaitGroup()
-	ioWG.Add(numDev)
-	pipeline.Start(ctx, ioWG, readers)
-	pipeline.CloseAfter(ctx, "sync-io-closer", ioWG, filled)
+	fr.Start()
 
 	// Combined scatter+apply procs: every update pays the atomic penalty,
 	// plus modeled cache-line contention on the hot-edge fraction whenever
@@ -173,7 +95,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 			if output {
 				out = frontier.NewVertexSubset(c.V)
 			}
-			pipeline.Drain(wp, free, filled, ab, false, func(buf *pipeline.Buffer) {
+			fr.Drain(wp, func(buf *pipeline.Buffer) {
 				for pg := 0; pg < buf.NumPages; pg++ {
 					logical := g.Arr.Logical(buf.Dev, buf.Start+int64(pg))
 					pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]
@@ -203,22 +125,10 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 		})
 	}
 	wg.Wait(p)
-	free.Close()
-	filled.Close()
-	if ctr.Active() {
-		t2 := p.Now()
-		ctr.Span(trace.OpPhase, -1, t0, t2, int64(trace.PhasePipeline))
-		t0 = t2
-	}
-	if err := ab.Err(); err != nil {
+	if err := fr.Close(p); err != nil || !output {
 		return nil, err
 	}
-	if !output {
-		return nil, nil
-	}
 	merged := pipeline.MergeFrontiers(c.V, outFronts)
-	if ctr.Active() {
-		ctr.Span(trace.OpPhase, -1, t0, p.Now(), int64(trace.PhaseMerge))
-	}
+	fr.EndMerge(p)
 	return merged, nil
 }
