@@ -88,6 +88,42 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "note: fault injection / retry overrides active; outputs will diverge from the paper figures")
 	}
 
+	// Profiles cover whichever mode runs below: the traced run and the
+	// snapshot modes return early, so the set-up has to precede them.
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "creating CPU profile: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "starting CPU profile: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		defer func() {
+			f, err := os.Create(*memprofile)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "creating heap profile: %v\n", err)
+				if code == 0 {
+					code = 1
+				}
+				return
+			}
+			defer f.Close()
+			runtime.GC() // up-to-date allocation statistics
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "writing heap profile: %v\n", err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
+	}
+
 	if *traceOut != "" || *stageStats {
 		d, err := bench.Load("r2", *scale)
 		if err != nil {
@@ -262,40 +298,6 @@ func run() (code int) {
 			return 2
 		}
 		runs = []bench.Experiment{e}
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating CPU profile: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "starting CPU profile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "creating heap profile: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-				return
-			}
-			defer f.Close()
-			runtime.GC() // up-to-date allocation statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "writing heap profile: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}()
 	}
 
 	for _, e := range runs {

@@ -125,4 +125,12 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 		t.Errorf("table1.csv missing: %v", err)
 	}
 	run("blaze-plot", "-in", resDir, "-out", filepath.Join(resDir, "plots"))
+
+	// Profiling flags must cover the modes that return before the
+	// experiment loop: a snapshot run leaves a non-empty CPU profile.
+	prof := filepath.Join(resDir, "snapshot.prof")
+	run("blaze-bench", "-snapshot", filepath.Join(resDir, "snapshot.json"), "-scale", "4096", "-cpuprofile", prof)
+	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+		t.Errorf("-snapshot -cpuprofile left no profile: %v", err)
+	}
 }

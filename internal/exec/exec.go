@@ -11,9 +11,13 @@
 //     neither 20 cores nor an Optane SSD.
 //
 // The Sim backend executes the *real* computation (actual graphs, actual
-// algorithm state); only timing is modeled. Procs are scheduled one at a
-// time in increasing virtual-clock order, so results are bit-deterministic
-// across runs regardless of GOMAXPROCS.
+// algorithm state); only timing is modeled. Each proc is a coroutine
+// (iter.Pull) and Sim.Run is a loop on its caller's goroutine that resumes
+// them one at a time in increasing virtual-clock order, so results are
+// bit-deterministic across runs regardless of GOMAXPROCS. One coroutine
+// runs at a time and the switch between them is the only synchronisation:
+// the Sim backend holds no lock, and using a Sim proc or primitive from any
+// goroutine other than the running proc's is a data race.
 //
 // Engine code follows one rule: every interaction with state shared across
 // procs happens either through an exec primitive (Queue, WaitGroup, Barrier,

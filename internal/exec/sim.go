@@ -1,150 +1,175 @@
 package exec
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
-	"sync"
 
 	"blaze/internal/trace"
 )
 
 // Sim is the virtual-time backend: a sequential, deterministic
-// discrete-event execution. Procs are real goroutines, but exactly one runs
-// at a time; the scheduler always resumes the runnable proc with the
-// smallest (clock, sequence) pair, so every interaction with shared state
-// happens in global timestamp order and the whole execution is
+// discrete-event execution. Every proc is an iter.Pull coroutine and Run is
+// a plain loop on its caller's goroutine that resumes the runnable proc with
+// the smallest (clock, sequence) pair, so every interaction with shared
+// state happens in global timestamp order and the whole execution is
 // deterministic.
 //
+// Exactly one coroutine runs at a time and a coroutine switch is the only
+// synchronisation there is: Sim holds no lock, so touching a Sim primitive
+// from a goroutine that is not the running proc is a data race.
+//
 // A proc advances its own clock freely with Advance (no scheduling cost);
-// it re-enters the scheduler only at Sync points and at blocking primitive
-// operations. This keeps simulation overhead to a few context switches per
-// 4 kB page rather than per edge.
+// it yields to Run only at Sync points that find an earlier proc runnable
+// and at blocking primitive operations. This keeps simulation overhead to a
+// few coroutine switches per 4 kB page rather than per edge.
 type Sim struct {
-	mu      sync.Mutex
-	ready   readyHeap
-	seq     int64
-	nlive   int
-	cur     *simProc            // the proc currently holding the execution token
-	blocked map[*simProc]string // proc -> what it is blocked on, for deadlock reports
-	yield   chan struct{}
-	// failure holds the first panic raised inside any proc; Run re-panics
-	// with it on the caller's goroutine so tests and callers can recover.
-	failure any
+	ready []*simProc // binary min-heap on (now, seq)
+	seq   int64
+	live  []*simProc // every proc that has not exited: running, ready or blocked
+	cur   *simProc   // the proc Run resumed last
 	// End is the largest proc clock observed at completion, i.e. the
 	// virtual makespan of the execution. Valid after Run returns.
 	End int64
 }
 
 // NewSim returns a fresh virtual-time context.
-func NewSim() *Sim {
-	return &Sim{
-		yield:   make(chan struct{}),
-		blocked: map[*simProc]string{},
-	}
-}
+func NewSim() *Sim { return &Sim{} }
 
 // IsSim reports true.
 func (s *Sim) IsSim() bool { return true }
 
-// Run executes fn as the root proc at virtual time zero and drives the
-// scheduler until every proc has finished. It panics with a diagnostic if
-// all live procs block on each other (a simulated deadlock).
+// Run executes fn as the root proc at virtual time zero and drives every
+// proc, on the caller's goroutine, until all have finished. It panics with a
+// diagnostic if all live procs block on each other (a simulated deadlock),
+// and a panic inside any proc propagates through next to Run's caller;
+// either way the procs still parked are unwound first.
 func (s *Sim) Run(name string, fn func(Proc)) {
-	root := s.newProc(name, fn)
-	s.mu.Lock()
-	s.pushReady(root)
-	s.mu.Unlock()
-	for {
-		s.mu.Lock()
-		if s.nlive == 0 {
-			s.mu.Unlock()
-			return
+	s.pushReady(s.newProc(name, fn))
+	defer s.unwind()
+	for len(s.live) > 0 {
+		if len(s.ready) == 0 {
+			panic(s.deadlockReport())
 		}
-		if s.ready.Len() == 0 {
-			diag := s.deadlockReport()
-			s.mu.Unlock()
-			panic(diag)
-		}
-		p := heap.Pop(&s.ready).(*simProc)
-		s.cur = p
-		s.mu.Unlock()
-		p.resume <- struct{}{}
-		<-s.yield
-		s.mu.Lock()
-		fail := s.failure
-		s.mu.Unlock()
-		if fail != nil {
-			panic(fail)
-		}
+		s.cur = s.popReady()
+		s.cur.next()
 	}
 }
 
-// Go starts fn as a new proc whose clock begins at the parent's clock (the
-// proc currently holding the execution token — exactly one proc runs at a
-// time, so s.cur is the caller).
+// Go starts fn as a new proc whose clock begins at the parent's clock
+// (exactly one proc runs at a time, so s.cur is the caller).
 func (s *Sim) Go(name string, fn func(Proc)) {
 	child := s.newProc(name, fn)
-	s.mu.Lock()
 	if s.cur != nil {
 		child.now = s.cur.now
 	}
 	s.pushReady(child)
-	s.mu.Unlock()
 }
 
 func (s *Sim) newProc(name string, fn func(Proc)) *simProc {
-	p := &simProc{sim: s, name: name, resume: make(chan struct{})}
-	s.mu.Lock()
-	s.nlive++
-	s.mu.Unlock()
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s.mu.Lock()
-				if s.failure == nil {
-					s.failure = r
-				}
-				s.mu.Unlock()
-			}
-			s.mu.Lock()
-			s.nlive--
-			if p.now > s.End {
-				s.End = p.now
-			}
-			s.mu.Unlock()
-			s.yield <- struct{}{}
-		}()
-		<-p.resume
+	p := &simProc{sim: s, name: name, slot: len(s.live)}
+	s.live = append(s.live, p)
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
 		fn(p)
-	}()
+	})
 	return p
 }
 
-// pushReady requires s.mu held.
+// unwind stops every proc still alive when Run leaves by a deadlock or a
+// proc panic, so their coroutines are not leaked: a parked proc unwinds its
+// stack with the stopped sentinel (its deferred clean-up runs), one that
+// never started is simply released. A completed Run leaves nothing to stop.
+func (s *Sim) unwind() {
+	for n := len(s.live); n > 0; n = len(s.live) {
+		p := s.live[n-1]
+		s.live = s.live[:n-1]
+		p.stopped = true
+		p.stop()
+	}
+}
+
+// stopped is the panic value that unwinds a proc of an aborted Run.
+type stopped struct{}
+
+// exit is deferred at the top frame of every proc. It swallows the stopped
+// sentinel (and nothing else); for a proc ending on its own it retires the
+// proc from the live set and folds its clock into the makespan.
+func (p *simProc) exit() {
+	if p.stopped {
+		if r := recover(); r != nil && r != (stopped{}) {
+			panic(r)
+		}
+		return
+	}
+	s := p.sim
+	n := len(s.live) - 1
+	last := s.live[n]
+	s.live[p.slot], last.slot = last, p.slot
+	s.live[n] = nil
+	s.live = s.live[:n]
+	if p.now > s.End {
+		s.End = p.now
+	}
+}
+
+// before is the scheduling order: by clock, then by the sequence number
+// handed out when the proc became ready; the tiebreak makes scheduling —
+// and therefore the whole simulation — deterministic.
+func (p *simProc) before(o *simProc) bool {
+	return p.now < o.now || p.now == o.now && p.seq < o.seq
+}
+
 func (s *Sim) pushReady(p *simProc) {
 	s.seq++
 	p.seq = s.seq
-	heap.Push(&s.ready, p)
+	h := append(s.ready, p)
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !p.before(h[up]) {
+			break
+		}
+		h[i] = h[up]
+		i = up
+	}
+	h[i] = p
+	s.ready = h
 }
 
-// wake moves a blocked proc to the ready set, resuming it no earlier than
-// at. Requires s.mu held.
-func (s *Sim) wake(p *simProc, at int64) {
-	if p.now < at {
-		p.now = at
+func (s *Sim) popReady() *simProc {
+	h := s.ready
+	top, n := h[0], len(h)-1
+	p := h[n]
+	h[n] = nil
+	h = h[:n]
+	s.ready = h
+	if n == 0 {
+		return top
 	}
-	delete(s.blocked, p)
-	s.pushReady(p)
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(p) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = p
+	return top
 }
 
 func (s *Sim) deadlockReport() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "exec: simulated deadlock: %d live procs, none runnable\n", s.nlive)
+	fmt.Fprintf(&b, "exec: simulated deadlock: %d live procs, none runnable\n", len(s.live))
 	var lines []string
-	for p, what := range s.blocked {
-		lines = append(lines, fmt.Sprintf("  %s (t=%dns) blocked on %s", p.name, p.now, what))
+	for _, p := range s.live {
+		lines = append(lines, fmt.Sprintf("  %s (t=%dns) blocked on %s", p.name, p.now, p.blockedOn))
 	}
 	sort.Strings(lines)
 	b.WriteString(strings.Join(lines, "\n"))
@@ -153,12 +178,20 @@ func (s *Sim) deadlockReport() string {
 
 // simProc is one simulated thread.
 type simProc struct {
-	sim    *Sim
-	name   string
-	now    int64
-	seq    int64
-	resume chan struct{}
-	ring   *trace.Ring
+	sim  *Sim
+	name string
+	now  int64
+	seq  int64
+	ring *trace.Ring
+
+	next  func() (struct{}, bool) // resumes the coroutine; Run's side
+	stop  func()                  // releases the coroutine; unwind's side
+	yield func(struct{}) bool     // switches back to Run; the proc's side
+
+	slot       int      // index in sim.live
+	stopped    bool     // set by unwind: every further Sync or block panics
+	blockedOn  string   // what the proc last blocked on, for deadlock reports
+	nextWaiter *simProc // link in the waitList the proc is blocked on
 }
 
 func (p *simProc) Advance(ns int64)           { p.now += ns }
@@ -169,26 +202,69 @@ func (p *simProc) SetTraceRing(r *trace.Ring) { p.ring = r }
 
 // Sync parks the proc until it holds the minimal clock among runnable
 // procs, so that the caller's next shared-state access happens in global
-// timestamp order. If the proc is already minimal it returns immediately.
+// timestamp order. If the proc is already minimal (ties favour the running
+// proc) it returns immediately.
 func (p *simProc) Sync() {
 	s := p.sim
-	s.mu.Lock()
-	if s.ready.Len() == 0 || s.ready[0].now >= p.now {
-		s.mu.Unlock()
+	if p.stopped {
+		panic(stopped{})
+	}
+	if len(s.ready) == 0 || s.ready[0].now >= p.now {
 		return
 	}
 	s.pushReady(p)
-	s.mu.Unlock()
-	s.yield <- struct{}{}
-	<-p.resume
+	p.park()
 }
 
-// block parks the proc off the ready heap; some other proc must wake it via
-// Sim.wake. The caller must have registered p in a waiter list (and in
-// s.blocked) before calling block. Returns once resumed.
-func (p *simProc) block() {
-	p.sim.yield <- struct{}{}
-	<-p.resume
+// park switches back to Run, returning once Run resumes the proc. The
+// caller has put p where a resume can come from: the ready heap or a
+// waitList.
+func (p *simProc) park() {
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
+	}
+}
+
+// waitList is an intrusive FIFO of blocked procs. A proc blocks on one
+// thing at a time, so the link lives on the proc and blocking allocates
+// nothing.
+type waitList struct{ head, tail *simProc }
+
+// block parks p at the tail of w until another proc wakes it; what names
+// the wait in deadlock reports.
+func (w *waitList) block(p *simProc, what string) {
+	p.blockedOn = what
+	if w.tail == nil {
+		w.head = p
+	} else {
+		w.tail.nextWaiter = p
+	}
+	w.tail = p
+	p.park()
+}
+
+// wakeOne moves the longest-blocked proc, if any, to the ready heap,
+// resuming it no earlier than at.
+func (w *waitList) wakeOne(at int64) bool {
+	p := w.head
+	if p == nil {
+		return false
+	}
+	if w.head = p.nextWaiter; w.head == nil {
+		w.tail = nil
+	}
+	p.nextWaiter = nil
+	if p.now < at {
+		p.now = at
+	}
+	p.sim.pushReady(p)
+	return true
+}
+
+// wakeAll wakes every blocked proc in blocking order.
+func (w *waitList) wakeAll(at int64) {
+	for w.wakeOne(at) {
+	}
 }
 
 // asSim asserts that a Proc belongs to this Sim.
@@ -200,35 +276,13 @@ func (s *Sim) asSim(p Proc) *simProc {
 	return sp
 }
 
-// readyHeap orders procs by (clock, sequence); the sequence tiebreak makes
-// scheduling — and therefore the whole simulation — deterministic.
-type readyHeap []*simProc
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].now != h[j].now {
-		return h[i].now < h[j].now
-	}
-	return h[i].seq < h[j].seq
-}
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(*simProc)) }
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return p
-}
-
 // NewWaitGroup returns a virtual-time wait group.
 func (s *Sim) NewWaitGroup() WaitGroup { return &simWG{s: s} }
 
 type simWG struct {
 	s       *Sim
 	count   int
-	waiters []*simProc
+	waiters waitList
 }
 
 func (w *simWG) Add(delta int) {
@@ -245,13 +299,8 @@ func (w *simWG) Done(p Proc) {
 	if w.count < 0 {
 		panic("exec: negative WaitGroup counter")
 	}
-	if w.count == 0 && len(w.waiters) > 0 {
-		w.s.mu.Lock()
-		for _, wp := range w.waiters {
-			w.s.wake(wp, sp.now)
-		}
-		w.s.mu.Unlock()
-		w.waiters = w.waiters[:0]
+	if w.count == 0 {
+		w.waiters.wakeAll(sp.now)
 	}
 }
 
@@ -261,11 +310,7 @@ func (w *simWG) Wait(p Proc) {
 	if w.count == 0 {
 		return
 	}
-	w.waiters = append(w.waiters, sp)
-	w.s.mu.Lock()
-	w.s.blocked[sp] = "waitgroup"
-	w.s.mu.Unlock()
-	sp.block()
+	w.waiters.block(sp, "waitgroup")
 }
 
 // NewBarrier returns a virtual-time cyclic barrier: all n procs resume at
@@ -277,7 +322,7 @@ type simBarrier struct {
 	n       int
 	arrived int
 	maxT    int64
-	waiters []*simProc
+	waiters waitList
 }
 
 func (b *simBarrier) Wait(p Proc) {
@@ -291,22 +336,13 @@ func (b *simBarrier) Wait(p Proc) {
 		release := b.maxT
 		b.arrived = 0
 		b.maxT = 0
-		b.s.mu.Lock()
-		for _, wp := range b.waiters {
-			b.s.wake(wp, release)
-		}
-		b.s.mu.Unlock()
-		b.waiters = b.waiters[:0]
+		b.waiters.wakeAll(release)
 		if sp.now < release {
 			sp.now = release
 		}
 		return
 	}
-	b.waiters = append(b.waiters, sp)
-	b.s.mu.Lock()
-	b.s.blocked[sp] = "barrier"
-	b.s.mu.Unlock()
-	sp.block()
+	b.waiters.block(sp, "barrier")
 }
 
 // NewResource returns a serially-shared timed resource.
@@ -322,14 +358,8 @@ type simResource struct {
 
 func (r *simResource) Acquire(p Proc, busy int64) int64 {
 	sp := r.s.asSim(p)
-	sp.Sync()
-	start := r.busy
-	if sp.now > start {
-		start = sp.now
-	}
-	r.busy = start + busy
-	sp.now = r.busy
-	return r.busy
+	sp.now = r.Schedule(sp, busy)
+	return sp.now
 }
 
 func (r *simResource) Schedule(p Proc, busy int64) int64 {

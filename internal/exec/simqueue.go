@@ -11,8 +11,11 @@ type simQueue[T any] struct {
 	head     int
 	capacity int
 	closed   bool
-	poppers  []*simProc
-	pushers  []*simProc
+	poppers  waitList
+	pushers  waitList
+	// first backs items until a third slot is needed: the one- and two-slot
+	// queues every bin owns (2 x BinCount per round) never allocate again.
+	first [2]timedItem[T]
 }
 
 type timedItem[T any] struct {
@@ -24,28 +27,20 @@ func newSimQueue[T any](s *Sim, capacity int) *simQueue[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &simQueue[T]{s: s, capacity: capacity}
+	q := &simQueue[T]{s: s, capacity: capacity}
+	q.items = q.first[:0]
+	return q
 }
 
 func (q *simQueue[T]) size() int { return len(q.items) - q.head }
 
-func (q *simQueue[T]) Push(p Proc, v T) bool {
-	return q.pushStamped(p, v, 0)
-}
+func (q *simQueue[T]) Push(p Proc, v T) bool { return q.PushAt(p, v, 0) }
 
 func (q *simQueue[T]) PushAt(p Proc, v T, at int64) bool {
-	return q.pushStamped(p, v, at)
-}
-
-func (q *simQueue[T]) pushStamped(p Proc, v T, at int64) bool {
 	sp := q.s.asSim(p)
 	sp.Sync()
 	for q.size() >= q.capacity && !q.closed {
-		q.pushers = append(q.pushers, sp)
-		q.s.mu.Lock()
-		q.s.blocked[sp] = "queue push (full)"
-		q.s.mu.Unlock()
-		sp.block()
+		q.pushers.block(sp, "queue push (full)")
 	}
 	if q.closed {
 		return false
@@ -55,7 +50,7 @@ func (q *simQueue[T]) pushStamped(p Proc, v T, at int64) bool {
 		t = at
 	}
 	q.items = append(q.items, timedItem[T]{v, t})
-	q.wakeOnePopper(t)
+	q.poppers.wakeOne(t)
 	return true
 }
 
@@ -64,7 +59,7 @@ func (q *simQueue[T]) pushStamped(p Proc, v T, at int64) bool {
 // engine's real-backend batching cannot change simulated figures.
 func (q *simQueue[T]) PushN(p Proc, vs []T) bool {
 	for _, v := range vs {
-		if !q.pushStamped(p, v, 0) {
+		if !q.PushAt(p, v, 0) {
 			return false
 		}
 	}
@@ -105,11 +100,7 @@ func (q *simQueue[T]) Pop(p Proc) (T, bool) {
 	sp := q.s.asSim(p)
 	sp.Sync()
 	for q.size() == 0 && !q.closed {
-		q.poppers = append(q.poppers, sp)
-		q.s.mu.Lock()
-		q.s.blocked[sp] = "queue pop (empty)"
-		q.s.mu.Unlock()
-		sp.block()
+		q.poppers.block(sp, "queue pop (empty)")
 	}
 	var zero T
 	if q.size() == 0 {
@@ -146,44 +137,16 @@ func (q *simQueue[T]) take(sp *simProc) T {
 	if it.t > sp.now {
 		sp.now = it.t
 	}
-	q.wakeOnePusher(sp.now)
+	q.pushers.wakeOne(sp.now)
 	return it.v
 }
 
-func (q *simQueue[T]) wakeOnePopper(at int64) {
-	if len(q.poppers) == 0 {
-		return
-	}
-	wp := q.poppers[0]
-	q.poppers = q.poppers[1:]
-	q.s.mu.Lock()
-	q.s.wake(wp, at)
-	q.s.mu.Unlock()
-}
-
-func (q *simQueue[T]) wakeOnePusher(at int64) {
-	if len(q.pushers) == 0 {
-		return
-	}
-	wp := q.pushers[0]
-	q.pushers = q.pushers[1:]
-	q.s.mu.Lock()
-	q.s.wake(wp, at)
-	q.s.mu.Unlock()
-}
-
+// Close rejects further pushes and wakes every blocked proc at its own
+// clock (no proc clock is below zero).
 func (q *simQueue[T]) Close() {
 	q.closed = true
-	q.s.mu.Lock()
-	for _, wp := range q.poppers {
-		q.s.wake(wp, wp.now)
-	}
-	for _, wp := range q.pushers {
-		q.s.wake(wp, wp.now)
-	}
-	q.s.mu.Unlock()
-	q.poppers = nil
-	q.pushers = nil
+	q.poppers.wakeAll(0)
+	q.pushers.wakeAll(0)
 }
 
 func (q *simQueue[T]) Len() int { return q.size() }
