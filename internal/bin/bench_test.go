@@ -21,26 +21,10 @@ func runStagerEmit(b *testing.B, tr *trace.Tracer) {
 	ctx := exec.NewReal()
 	ctx.Run("main", func(p exec.Proc) {
 		tr.Attach(p, trace.StageScatter, 0)
-		m := NewManager[int64](ctx, Config{
-			BinCount:    1024,
-			SpaceBytes:  1 << 30, // buffers never fill within one run
-			RecordBytes: 12,
-		})
-		m.Prime(p)
-		// A background gather recycles any buffer that does fill at very
-		// large b.N, so the pair protocol can never stall the benchmark.
-		ctx.Go("gather", func(gp exec.Proc) {
-			for {
-				buf, ok := m.Full.Pop(gp)
-				if !ok {
-					return
-				}
-				m.Return(gp, buf)
-			}
-		})
+		m := emitBenchManager(ctx, p)
 		st := m.NewStager()
-		// Warm the lazily-created stage slices so steady-state emits are
-		// measured, then reset the timer.
+		// Warm the lazily-made stage so steady-state emits are measured,
+		// then reset the timer.
 		for d := uint32(0); d < 4096; d++ {
 			st.Emit(p, d, 1)
 		}
@@ -57,6 +41,25 @@ func runStagerEmit(b *testing.B, tr *trace.Tracer) {
 	})
 }
 
+// emitBenchManager primes the Manager the emit benchmarks share: bin space
+// sized so buffers never fill within one run, and a background gather that
+// recycles any buffer that does fill at very large b.N, so the pair protocol
+// can never stall the benchmark. The caller ends the gather with CloseFull.
+func emitBenchManager(ctx exec.Context, p exec.Proc) *Manager[int64] {
+	m := NewManager[int64](ctx, Config{BinCount: 1024, SpaceBytes: 1 << 30, RecordBytes: 12})
+	m.Prime(p)
+	ctx.Go("gather", func(gp exec.Proc) {
+		for {
+			buf, ok := m.Full.Pop(gp)
+			if !ok {
+				return
+			}
+			m.Return(gp, buf)
+		}
+	})
+	return m
+}
+
 // BenchmarkStagerEmit is the untraced baseline: no ring attached.
 func BenchmarkStagerEmit(b *testing.B) {
 	runStagerEmit(b, nil)
@@ -70,4 +73,46 @@ func BenchmarkStagerEmitRingAttached(b *testing.B) {
 	tr := trace.New(trace.Config{})
 	tr.SetEnabled(false)
 	runStagerEmit(b, tr)
+}
+
+// BenchmarkStagerEmitContended is runStagerEmit's loop on two procs at once,
+// each with its own stager, sharing one Manager — what two scatter procs do
+// in EdgeMap. Every bin's slot and active buffer move between the two cores
+// about every other flush, which the single-producer benchmark cannot see:
+// compare ns/op here (per record, both procs counted) with twice
+// BenchmarkStagerEmit's.
+func BenchmarkStagerEmitContended(b *testing.B) {
+	b.ReportAllocs()
+	const procs = 2
+	ctx := exec.NewReal()
+	ctx.Run("main", func(p exec.Proc) {
+		m := emitBenchManager(ctx, p)
+		stagers := make([]*Stager[int64], procs)
+		for i := range stagers {
+			stagers[i] = m.NewStager()
+			for d := uint32(0); d < 4096; d++ {
+				stagers[i].Emit(p, d, 1)
+			}
+		}
+		wg := ctx.NewWaitGroup()
+		wg.Add(procs)
+		b.ResetTimer()
+		for i := range stagers {
+			st, n := stagers[i], (b.N+procs-1)/procs
+			ctx.Go("scatter", func(sp exec.Proc) {
+				// Odd multiplier: each proc walks all 4096 destinations in
+				// its own scrambled order, as hashed vertex IDs would.
+				for k := 0; k < n; k++ {
+					st.Emit(sp, uint32(k*(2*i+3))&4095, int64(k))
+				}
+				wg.Done(sp)
+			})
+		}
+		wg.Wait(p)
+		b.StopTimer()
+		for _, st := range stagers {
+			st.FlushAll(p)
+		}
+		m.CloseFull()
+	})
 }

@@ -14,13 +14,22 @@
 // the bin's spare buffer (blocking until the previous drain finished)
 // before publishing a newly filled one. Hence no two gather procs ever
 // update the same vertex concurrently, and gather functions need no
-// atomics. Exclusive fill access to a bin's active buffer is serialized by
-// a one-slot ownership queue instead of a mutex so the same code runs
-// under both the real and the virtual-time backends.
+// atomics.
+//
+// Ownership is two exec.Slots per bin. slot[b] holds the records of the
+// active half: a staging flush Takes them (exclusive fill access), appends
+// its run with one copy and Puts them back — under the real backend one
+// lock word and one slice header on one cache line, under virtual time the
+// capacity-1 queue the model was calibrated with, behind one code path.
+// empty[b] holds the spare half, Put there by the gather proc that drained
+// it. Staging is one flat binCount × StageCap array per scatter proc. A
+// Manager outlives its round: after a clean one every buffer is parked in
+// its slot and every active half is empty, which is the primed state but
+// for the instants the slots were last Put at, so engine.Pool keeps the
+// whole Manager and Reopens it.
 package bin
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"blaze/internal/exec"
@@ -42,17 +51,30 @@ type Record[V any] struct {
 type Buffer[V any] struct {
 	BinID   int
 	Records []Record[V]
+	// twin is the other half of the pair.
+	twin *Buffer[V]
 }
 
-// Manager owns all bins of one EdgeMap execution.
+// Manager owns all bins of one EdgeMap execution — or, retained by an
+// engine.Pool and Reopened each round, of every execution under one context
+// and configuration.
 type Manager[V any] struct {
+	ctx      exec.Context
+	cfg      Config // as given to NewManager; what Reopen matches
 	binCount int
-	bufCap   int
-	// slot[b] holds bin b's active buffer; popping it grants exclusive
-	// fill access.
-	slot []exec.Queue[*Buffer[V]]
-	// empty[b] returns drained buffers of bin b to the scatter side.
-	empty []exec.Queue[*Buffer[V]]
+	// mask is binCount-1 when binCount is a power of two (BinOf is then one
+	// AND), otherwise -1.
+	mask   int
+	bufCap int
+	// slot[b] holds the records of bin b's active half so far, capacity
+	// bufCap; taking them grants exclusive fill access. It is the slice
+	// itself, not its Buffer, so a flush touches one shared cache line (the
+	// slot) besides the records it writes.
+	slot []exec.Slot[[]Record[V]]
+	// empty[b] holds bin b's spare half whenever it is not on the gather
+	// side; a scatter proc that filled the active half blocks here until
+	// the previous drain of this bin has finished.
+	empty []exec.Slot[*Buffer[V]]
 	// Full is the full_bins MPMC queue consumed by gather procs.
 	Full exec.Queue[*Buffer[V]]
 
@@ -82,8 +104,8 @@ type Config struct {
 	// contribution.
 	StageCap int
 	// FlushCostNs is the virtual-time CPU cost charged per staging flush
-	// (costmodel.BinFlush); zero under the real-time backend, where the
-	// flush itself takes real time.
+	// (costmodel.BinFlush); it has no effect under the real-time backend,
+	// where the flush itself takes real time.
 	FlushCostNs int64
 }
 
@@ -93,8 +115,9 @@ func DefaultConfig(spaceBytes int64, recordBytes int) Config {
 	return Config{BinCount: 1024, SpaceBytes: spaceBytes, RecordBytes: recordBytes}
 }
 
-// NewManager builds the bins and their queues under ctx.
+// NewManager builds the bins, their slots and the full queue under ctx.
 func NewManager[V any](ctx exec.Context, cfg Config) *Manager[V] {
+	given := cfg
 	if cfg.BinCount < 1 {
 		cfg.BinCount = 1
 	}
@@ -112,75 +135,62 @@ func NewManager[V any](ctx exec.Context, cfg Config) *Manager[V] {
 	if stage < 1 {
 		stage = StageCap
 	}
-	m := &Manager[V]{
+	mask := -1
+	if cfg.BinCount&(cfg.BinCount-1) == 0 {
+		mask = cfg.BinCount - 1
+	}
+	return &Manager[V]{
+		ctx:       ctx,
+		cfg:       given,
 		binCount:  cfg.BinCount,
+		mask:      mask,
 		stageCap:  stage,
 		flushCost: cfg.FlushCostNs,
 		bufCap:    bufCap,
-		slot:      make([]exec.Queue[*Buffer[V]], cfg.BinCount),
-		empty:     make([]exec.Queue[*Buffer[V]], cfg.BinCount),
+		slot:      exec.NewSlots[[]Record[V]](ctx, cfg.BinCount),
+		empty:     exec.NewSlots[*Buffer[V]](ctx, cfg.BinCount),
 		Full:      exec.NewQueue[*Buffer[V]](ctx, cfg.BinCount+1),
 	}
-	for b := 0; b < cfg.BinCount; b++ {
-		m.slot[b] = exec.NewQueue[*Buffer[V]](ctx, 1)
-		m.empty[b] = exec.NewQueue[*Buffer[V]](ctx, 2)
-	}
-	return m
 }
 
-// Prime loads the initial buffer pair into every bin. It must run inside a
-// proc before any Emit.
+// Prime loads the initial buffer pair into every bin, all carved from one
+// allocation. It must run inside a proc before any Emit.
 func (m *Manager[V]) Prime(p exec.Proc) {
-	m.PrimeWith(p, nil)
-}
-
-// PrimeWith is Prime reusing buffers recycled by a previous Manager's
-// Drain: each bin's pair is taken from recycled (reset, not reallocated)
-// while supplies last, then allocated fresh. Recycled buffers whose
-// capacity does not match this Manager's sizing are discarded.
-func (m *Manager[V]) PrimeWith(p exec.Proc, recycled []*Buffer[V]) {
-	next := func(b int) *Buffer[V] {
-		for len(recycled) > 0 {
-			buf := recycled[len(recycled)-1]
-			recycled = recycled[:len(recycled)-1]
-			if cap(buf.Records) == m.bufCap {
-				buf.BinID = b
-				buf.Records = buf.Records[:0]
-				return buf
-			}
-		}
-		return &Buffer[V]{BinID: b, Records: make([]Record[V], 0, m.bufCap)}
-	}
+	bufs := make([]Buffer[V], 2*m.binCount)
+	recs := make([]Record[V], 2*m.binCount*m.bufCap)
 	for b := 0; b < m.binCount; b++ {
-		m.slot[b].Push(p, next(b))
-		m.empty[b].Push(p, next(b))
+		active, spare := &bufs[2*b], &bufs[2*b+1]
+		active.BinID, active.twin = b, spare
+		spare.BinID, spare.twin = b, active
+		spare.Records = recs[m.bufCap : m.bufCap : 2*m.bufCap]
+		m.slot[b].Put(p, recs[:0:m.bufCap])
+		m.empty[b].Put(p, spare)
+		recs = recs[2*m.bufCap:]
 	}
 }
 
-// Drain recovers every buffer parked in the slot and empty queues so a pool
-// can feed them to the next round's PrimeWith. Call it only after the
-// pipeline has fully quiesced (scatters flushed, Full closed and drained,
-// gathers returned their buffers); buffers still in flight are not
-// recovered.
-func (m *Manager[V]) Drain(p exec.Proc) []*Buffer[V] {
-	out := make([]*Buffer[V], 0, 2*m.binCount)
-	for b := 0; b < m.binCount; b++ {
-		for {
-			buf, ok := m.slot[b].TryPop(p)
-			if !ok {
-				break
-			}
-			out = append(out, buf)
-		}
-		for {
-			buf, ok := m.empty[b].TryPop(p)
-			if !ok {
-				break
-			}
-			out = append(out, buf)
-		}
+// Reopen readies a Manager retained from an earlier round for another one:
+// it reports whether m was built under ctx with exactly cfg, and if so puts
+// it back in the state Prime leaves a fresh one in — a new full queue, every
+// parked buffer re-offered by p as of now (a Sim Run restarts the clocks, so
+// the instants of the previous round's Puts must not survive into this
+// one), the round's counters zeroed. The earlier round must have run to a
+// clean end — FlushPartials, CloseFull, every gather returned its buffers —
+// which leaves every buffer parked in its slot and every active buffer
+// empty. A failed round skips FlushPartials and leaves records behind: drop
+// its Manager instead.
+func (m *Manager[V]) Reopen(ctx exec.Context, p exec.Proc, cfg Config) bool {
+	if m.ctx != ctx || m.cfg != cfg {
+		return false
 	}
-	return out
+	m.Full = exec.NewQueue[*Buffer[V]](ctx, m.binCount+1)
+	for b := range m.slot {
+		m.slot[b].Renew(p)
+		m.empty[b].Renew(p)
+	}
+	m.records.Store(0)
+	m.flushes.Store(0)
+	return true
 }
 
 // BinCount returns the number of bins.
@@ -189,8 +199,13 @@ func (m *Manager[V]) BinCount() int { return m.binCount }
 // BufCap returns the per-buffer record capacity.
 func (m *Manager[V]) BufCap() int { return m.bufCap }
 
-// BinOf maps a destination vertex to its bin.
-func (m *Manager[V]) BinOf(dst uint32) int { return int(dst) % m.binCount }
+// BinOf maps a destination vertex to its bin, dst % binCount.
+func (m *Manager[V]) BinOf(dst uint32) int {
+	if m.mask >= 0 {
+		return int(dst) & m.mask
+	}
+	return int(dst % uint32(m.binCount))
+}
 
 // Records returns the total records binned so far.
 func (m *Manager[V]) Records() int64 { return m.records.Load() }
@@ -205,64 +220,52 @@ func (m *Manager[V]) MemBytes(recordBytes int) int64 {
 
 // flushBin moves records into bin b, publishing buffers as they fill.
 func (m *Manager[V]) flushBin(p exec.Proc, b int, recs []Record[V]) {
-	p.Advance(m.flushCost)
-	buf, ok := m.slot[b].Pop(p)
-	if !ok {
-		panic(fmt.Sprintf("bin: slot queue of bin %d closed during flush", b))
+	if m.flushCost != 0 {
+		p.Advance(m.flushCost)
 	}
-	tr := trace.RingOf(p)
+	slot := m.slot[b]
+	fill := slot.Take(p)
 	for len(recs) > 0 {
-		space := m.bufCap - len(buf.Records)
-		n := len(recs)
-		if n > space {
-			n = space
-		}
-		buf.Records = append(buf.Records, recs[:n]...)
+		n := copy(fill[len(fill):m.bufCap], recs)
+		fill = fill[:len(fill)+n]
 		recs = recs[n:]
-		if len(buf.Records) == m.bufCap {
-			// Pair protocol: reclaim the spare first — this blocks until
-			// any previous drain of this bin finished, guaranteeing at
-			// most one buffer per bin on the gather side.
-			spare, ok := m.empty[b].Pop(p)
-			if !ok {
-				panic(fmt.Sprintf("bin: empty queue of bin %d closed during flush", b))
-			}
-			m.Full.Push(p, buf)
-			if tr.Active() {
+		if len(fill) == m.bufCap {
+			fill = m.publish(p, b, fill)
+			if tr := trace.RingOf(p); tr.Active() {
 				now := p.Now()
 				tr.Instant(trace.OpBinFlush, int32(b), now, int64(m.bufCap))
 				tr.Counter(trace.OpFullLen, 0, now, int64(m.Full.Len()))
 			}
-			spare.Records = spare.Records[:0]
-			buf = spare
 		}
 	}
-	m.slot[b].Push(p, buf)
+	slot.Put(p, fill)
+}
+
+// publish hands fill, the records of bin b's active half, to the gather
+// side and returns the spare half, emptied, to fill next. Pair protocol:
+// the spare is reclaimed first — this blocks until any previous drain of
+// this bin finished, guaranteeing at most one buffer per bin on the gather
+// side.
+func (m *Manager[V]) publish(p exec.Proc, b int, fill []Record[V]) []Record[V] {
+	spare := m.empty[b].Take(p)
+	spare.twin.Records = fill
+	m.Full.Push(p, spare.twin)
+	return spare.Records[:0]
 }
 
 // FlushPartials publishes every bin's non-empty active buffer. Call it from
 // the coordinating proc after all scatter procs have finished and flushed
 // their stagers; follow with CloseFull.
 func (m *Manager[V]) FlushPartials(p exec.Proc) {
-	for b := 0; b < m.binCount; b++ {
-		buf, ok := m.slot[b].Pop(p)
-		if !ok {
-			continue
+	for b, slot := range m.slot {
+		fill := slot.Take(p)
+		if n := len(fill); n > 0 {
+			fill = m.publish(p, b, fill)
+			if tr := trace.RingOf(p); tr.Active() {
+				tr.Instant(trace.OpBinFlush, int32(b), p.Now(), int64(n))
+			}
 		}
-		if len(buf.Records) == 0 {
-			m.slot[b].Push(p, buf)
-			continue
-		}
-		spare, ok := m.empty[b].Pop(p)
-		if !ok {
-			panic(fmt.Sprintf("bin: empty queue of bin %d closed during final flush", b))
-		}
-		m.Full.Push(p, buf)
-		if tr := trace.RingOf(p); tr.Active() {
-			tr.Instant(trace.OpBinFlush, int32(b), p.Now(), int64(len(buf.Records)))
-		}
-		spare.Records = spare.Records[:0]
-		m.slot[b].Push(p, spare)
+		slot.Put(p, fill)
 	}
 }
 
@@ -272,18 +275,23 @@ func (m *Manager[V]) CloseFull() { m.Full.Close() }
 // Return hands a drained buffer back to its bin; gather procs call it
 // after processing.
 func (m *Manager[V]) Return(p exec.Proc, buf *Buffer[V]) {
-	m.empty[buf.BinID].Push(p, buf)
+	m.empty[buf.BinID].Put(p, buf)
 }
 
 // Stager is one scatter proc's per-bin staging area (the per-CPU buffer of
 // §IV-A). It is not safe for concurrent use; create one per proc.
 //
+// The stage is one flat array, bin b's records at [b*stageCap, +count[b]),
+// made by the first Emit so that a scatter proc that never emits — most of
+// them, in a sparse round — allocates only the counts.
+//
 // Counters are proc-local: Emit and the flush path touch no shared state
-// beyond the queue protocol, and the totals reach the Manager in one atomic
+// beyond the slot protocol, and the totals reach the Manager in one atomic
 // add per FlushAll instead of one per record.
 type Stager[V any] struct {
 	m       *Manager[V]
-	stage   [][]Record[V]
+	recs    []Record[V]
+	count   []int32
 	emits   int64
 	flushes int64
 	// pubEmits/pubFlushes track what has already been published to the
@@ -294,23 +302,25 @@ type Stager[V any] struct {
 
 // NewStager returns a staging area for one scatter proc.
 func (m *Manager[V]) NewStager() *Stager[V] {
-	st := &Stager[V]{m: m, stage: make([][]Record[V], m.binCount)}
-	return st
+	return &Stager[V]{m: m, count: make([]int32, m.binCount)}
 }
 
 // Emit stages one record, flushing its bin's stage when full.
 func (s *Stager[V]) Emit(p exec.Proc, dst uint32, val V) {
-	b := s.m.BinOf(dst)
-	if s.stage[b] == nil {
-		s.stage[b] = make([]Record[V], 0, s.m.stageCap)
+	m := s.m
+	if s.recs == nil {
+		s.recs = make([]Record[V], m.binCount*m.stageCap)
 	}
-	s.stage[b] = append(s.stage[b], Record[V]{dst, val})
+	b := m.BinOf(dst)
+	row, n := b*m.stageCap, int(s.count[b])
+	s.recs[row+n] = Record[V]{dst, val}
 	s.emits++
-	if len(s.stage[b]) == s.m.stageCap {
-		s.m.flushBin(p, b, s.stage[b])
+	if n++; n == m.stageCap {
+		m.flushBin(p, b, s.recs[row:row+n])
 		s.flushes++
-		s.stage[b] = s.stage[b][:0]
+		n = 0
 	}
+	s.count[b] = int32(n)
 }
 
 // Emits returns the number of records this stager produced.
@@ -319,11 +329,11 @@ func (s *Stager[V]) Emits() int64 { return s.emits }
 // FlushAll drains every non-empty stage and publishes this stager's record
 // and flush counts to the Manager; call before the scatter proc exits.
 func (s *Stager[V]) FlushAll(p exec.Proc) {
-	for b, recs := range s.stage {
-		if len(recs) > 0 {
-			s.m.flushBin(p, b, recs)
+	for b, n := range s.count {
+		if n > 0 {
+			s.m.flushBin(p, b, s.recs[b*s.m.stageCap:][:n])
 			s.flushes++
-			s.stage[b] = recs[:0]
+			s.count[b] = 0
 		}
 	}
 	if d := s.emits - s.pubEmits; d != 0 {
@@ -334,24 +344,6 @@ func (s *Stager[V]) FlushAll(p exec.Proc) {
 		s.m.flushes.Add(d)
 		s.pubFlushes = s.flushes
 	}
-}
-
-// Rebind resets the stager for reuse against m (typically the next
-// EdgeMap round's Manager), keeping the per-bin stage slices allocated. It
-// reports false — leaving the stager untouched — when the stager's shape
-// does not match m; the caller should then build a fresh one.
-func (s *Stager[V]) Rebind(m *Manager[V]) bool {
-	if len(s.stage) != m.binCount || s.m.stageCap != m.stageCap {
-		return false
-	}
-	for b, recs := range s.stage {
-		if len(recs) > 0 {
-			s.stage[b] = recs[:0]
-		}
-	}
-	s.m = m
-	s.emits, s.flushes, s.pubEmits, s.pubFlushes = 0, 0, 0, 0
-	return true
 }
 
 // MemBytes returns the staging footprint of one stager.

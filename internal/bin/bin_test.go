@@ -2,6 +2,8 @@ package bin
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"blaze/internal/exec"
@@ -198,6 +200,143 @@ func TestEmitsCounter(t *testing.T) {
 		}
 		if st.Emits() != 25 {
 			t.Errorf("Emits = %d, want 25", st.Emits())
+		}
+	})
+}
+
+// TestOneBufferPerBinOnGatherSide is the no-synchronization guarantee as a
+// property, on both backends: with 4 scatter and 2 gather procs and buffers
+// so small that every staging flush publishes one, a gather proc holding a
+// buffer of bin b never overlaps another holding bin b's other half — the
+// scatter side cannot publish it before the first is Returned. Every record
+// still arrives exactly once.
+func TestOneBufferPerBinOnGatherSide(t *testing.T) {
+	const bins, nScatter, nGather, perScatter, vertices = 8, 4, 2, 4000, 64
+	for _, be := range []struct {
+		name string
+		ctx  exec.Context
+	}{{"sim", exec.NewSim()}, {"real", exec.NewReal()}} {
+		t.Run(be.name, func(t *testing.T) {
+			ctx := be.ctx
+			var onGather [bins]atomic.Int32
+			var sums [vertices]atomic.Int64
+			ctx.Run("main", func(p exec.Proc) {
+				// SpaceBytes 1 floors the buffer capacity at StageCap.
+				m := NewManager[int64](ctx, Config{BinCount: bins, SpaceBytes: 1, RecordBytes: 12})
+				m.Prime(p)
+				swg, gwg := ctx.NewWaitGroup(), ctx.NewWaitGroup()
+				swg.Add(nScatter)
+				gwg.Add(nGather)
+				for id := 0; id < nScatter; id++ {
+					ctx.Go(fmt.Sprintf("scatter%d", id), func(c exec.Proc) {
+						st := m.NewStager()
+						for j := 0; j < perScatter; j++ {
+							st.Emit(c, uint32(id*perScatter+j)%vertices, 1)
+							c.Advance(5)
+						}
+						st.FlushAll(c)
+						swg.Done(c)
+					})
+				}
+				for id := 0; id < nGather; id++ {
+					ctx.Go(fmt.Sprintf("gather%d", id), func(c exec.Proc) {
+						for {
+							buf, ok := m.Full.Pop(c)
+							if !ok {
+								break
+							}
+							if n := onGather[buf.BinID].Add(1); n != 1 {
+								t.Errorf("bin %d has %d buffers on the gather side", buf.BinID, n)
+							}
+							for _, r := range buf.Records {
+								if m.BinOf(r.Dst) != buf.BinID {
+									t.Errorf("record for dst %d in bin %d", r.Dst, buf.BinID)
+								}
+								sums[r.Dst].Add(r.Val)
+							}
+							// Linger, so a scatter proc that could publish
+							// this bin's other half would.
+							c.Advance(200)
+							runtime.Gosched()
+							onGather[buf.BinID].Add(-1)
+							m.Return(c, buf)
+						}
+						gwg.Done(c)
+					})
+				}
+				swg.Wait(p)
+				m.FlushPartials(p)
+				m.CloseFull()
+				gwg.Wait(p)
+			})
+			for v := range sums {
+				if got, want := sums[v].Load(), int64(nScatter*perScatter/vertices); got != want {
+					t.Fatalf("vertex %d gathered %d records, want %d", v, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestReopen: a Manager retained from a clean round serves another one
+// under the same context and configuration only, with its counters zeroed,
+// its full queue open again, and — in a later Run, whose clocks restart at
+// zero — none of the earlier round's instants left on its slots.
+func TestReopen(t *testing.T) {
+	ctx := exec.NewSim()
+	cfg := Config{BinCount: 4, SpaceBytes: 1 << 12, RecordBytes: 12}
+	m := NewManager[int64](ctx, cfg)
+	round := func(p exec.Proc, st *Stager[int64]) (got int) {
+		for i := 0; i < 100; i++ {
+			st.Emit(p, uint32(i), 1)
+		}
+		st.FlushAll(p)
+		m.FlushPartials(p)
+		m.CloseFull()
+		for {
+			buf, ok := m.Full.Pop(p)
+			if !ok {
+				return got
+			}
+			got += len(buf.Records)
+			m.Return(p, buf)
+		}
+	}
+	var st *Stager[int64]
+	ctx.Run("first", func(p exec.Proc) {
+		p.Advance(5000) // every Put of this round is stamped 5000
+		m.Prime(p)
+		st = m.NewStager()
+		if got := round(p, st); got != 100 {
+			t.Fatalf("first round gathered %d records, want 100", got)
+		}
+		other := cfg
+		other.BinCount = 8
+		if m.Reopen(ctx, p, other) {
+			t.Error("Reopen accepted a different BinCount")
+		}
+		if m.Reopen(exec.NewSim(), p, cfg) {
+			t.Error("Reopen accepted a different context")
+		}
+	})
+	ctx.Run("second", func(p exec.Proc) {
+		p.Advance(7)
+		if !m.Reopen(ctx, p, cfg) {
+			t.Fatal("Reopen refused the context and configuration it was built with")
+		}
+		if m.Records() != 0 || m.Flushes() != 0 {
+			t.Errorf("reopened with Records %d, Flushes %d, want 0, 0", m.Records(), m.Flushes())
+		}
+		if got := round(p, st); got != 100 {
+			t.Errorf("second round gathered %d records, want 100", got)
+		}
+		if m.Records() != 100 {
+			t.Errorf("Records = %d after the second round, want 100 (this round's only)", m.Records())
+		}
+		// The round charges no model time (FlushCostNs 0), so the clock can
+		// only have moved by inheriting a stamp from the first Run.
+		if p.Now() != 7 {
+			t.Errorf("clock after the reopened round = %d, want 7: a slot kept the previous Run's instant", p.Now())
 		}
 	})
 }

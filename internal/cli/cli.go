@@ -63,11 +63,11 @@ type Options struct {
 	AsyncWavePages int
 	// Scale-out knobs (-engine blaze-scaleout): machine count, link
 	// bandwidth, and per-message latency of the modeled interconnect.
-	Machines int
-	NetBW    float64
-	NetLatNs int64
-	InIndex  string
-	InAdj    string
+	Machines  int
+	NetBW     float64
+	NetLatNs  int64
+	InIndex   string
+	InAdj     string
 	IndexPath string
 	AdjPath   string
 
@@ -339,6 +339,7 @@ func Setup(o *Options) (*Env, error) {
 		NumDev:         o.Devices,
 		Profile:        prof,
 		Stats:          stats,
+		Pool:           engine.NewPool(),
 		BinCount:       o.BinCount,
 		PageCache:      cache,
 		DevOpts:        devOpts,

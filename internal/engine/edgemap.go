@@ -78,35 +78,17 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 		cfg.Mem.Set("io-buffers", fr.BufferBytes())
 	}
 
-	// Online bins (steps 6, 8).
+	// Online bins (steps 6, 8) and one stager per scatter proc, retained
+	// from the previous round when the pool holds a matching set.
 	recordBytes := 4 + approxValBytes[V]()
-	bm := bin.NewManager[V](ctx, bin.Config{
+	bins := openBins[V](pool, ctx, p, bin.Config{
 		BinCount:    cfg.BinCount,
 		SpaceBytes:  cfg.BinSpaceBytes,
 		RecordBytes: recordBytes,
 		StageCap:    cfg.StageCap,
 		FlushCostNs: m.BinFlush,
-	})
-	var pooledBins *binState[V]
-	if pool != nil {
-		pooledBins = takeBinState[V](pool)
-	}
-	if pooledBins != nil {
-		bm.PrimeWith(p, pooledBins.bufs)
-	} else {
-		bm.Prime(p)
-	}
-	// Per-scatter-proc stagers, rebound from the pool when their shape
-	// still matches the manager.
-	stagers := make([]*bin.Stager[V], cfg.ScatterProcs)
-	for i := range stagers {
-		if pooledBins != nil && i < len(pooledBins.stagers) &&
-			pooledBins.stagers[i] != nil && pooledBins.stagers[i].Rebind(bm) {
-			stagers[i] = pooledBins.stagers[i]
-		} else {
-			stagers[i] = bm.NewStager()
-		}
-	}
+	}, cfg.ScatterProcs)
+	bm := bins.bm
 	if cfg.Mem != nil {
 		cfg.Mem.Set("bin-space", bm.MemBytes(recordBytes))
 		cfg.Mem.Set("frontier", f.Bytes())
@@ -124,7 +106,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 		id := i
 		ctx.Go(fmt.Sprintf("scatter%d", id), func(sp exec.Proc) {
 			cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), cfg.TraceQuery())
-			stager := stagers[id]
+			stager := bins.stagers[id]
 			local := &scatStats[id]
 			fr.Drain(sp, func(buf *pipeline.Buffer) {
 				sg := sources[buf.Src]
@@ -205,11 +187,14 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	gatherWG.Wait(p)
 
 	// The pipeline has quiesced: every IO buffer is back in the free queue
-	// and every bin buffer is parked in its slot/empty queue. Stock the
-	// pool for the next round, then close the front half.
+	// and every bin buffer is parked in its slot. Stock the pool for the
+	// next round — the bins only when they are clean — then close the front
+	// half.
 	if pool != nil {
 		pool.putIOBuffers(cfg.MaxMergePages*ssd.PageSize, fr.Recover(p))
-		putBinState(pool, &binState[V]{bufs: bm.Drain(p), stagers: stagers})
+		if !fr.Failed() {
+			closeBins(pool, bins)
+		}
 	}
 	err = fr.Close(p)
 

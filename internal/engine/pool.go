@@ -1,23 +1,33 @@
 package engine
 
 import (
-	"fmt"
+	"reflect"
 	"sync"
 
 	"blaze/internal/bin"
+	"blaze/internal/exec"
 	"blaze/internal/pipeline"
 )
 
 // Pool retains the execution state EdgeMap would otherwise rebuild every
-// round: IO buffers, bin buffer pairs, and per-proc stagers. Iterative
-// algorithms (BFS, PageRank, WCC) call EdgeMap once per round, and without
-// the pool every round re-allocates the full IO-buffer budget and both
-// halves of every bin — pure GC churn, since the sizes never change within
-// one Runtime. A Runtime owns one Pool and threads it through Config.
+// round: IO buffers, and the whole bin Manager — slots, full queue, both
+// halves of every bin parked where the last round left them — with its
+// per-proc stagers. Iterative algorithms (BFS, PageRank, WCC) call EdgeMap
+// once per round, and without the pool every round re-allocates the full
+// IO-buffer budget and all of the bin space and rebuilds two slots per bin —
+// pure churn, since the sizes never change within one Runtime. A Runtime
+// owns one Pool and threads it through Config.
 //
-// The pool is a wall-clock optimization only: allocation costs are not
-// modeled, and recycled buffers pass through the same queue operations as
-// fresh ones, so virtual-time figures are the same with or without it.
+// The pool is a wall-clock optimization only. Allocation costs are not
+// modeled; recycled IO buffers pass through the same queue operations as
+// fresh ones; and priming every bin is a run of slot Puts the coordinator
+// makes back to back at the clock it already synchronised on when it
+// stocked the IO buffers, so no proc can observe them and all they leave
+// behind is that clock on every slot — which Manager.Reopen restores on a
+// retained Manager, whose slots would otherwise still carry the instants of
+// the previous round (and, after a new Sim Run restarted the clocks, carry
+// them into the future). Virtual-time figures are the same with or without
+// it.
 //
 // Ownership discipline: EdgeMap takes entire entries out of the pool at
 // round start and returns them at round end, so the pool's lock is touched
@@ -33,12 +43,12 @@ type Pool struct {
 	// perType holds bin-side state keyed by the EdgeMap value type: each
 	// instantiation of EdgeMap[V] has its own record layout, so buffers
 	// cannot be shared across types.
-	perType map[string]any
+	perType map[reflect.Type]any
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{perType: map[string]any{}}
+	return &Pool{perType: map[reflect.Type]any{}}
 }
 
 // takeIOBuffers removes up to n retained buffers of bufLen backing bytes.
@@ -72,33 +82,42 @@ func (pl *Pool) putIOBuffers(bufLen int, bufs []*pipeline.Buffer) {
 }
 
 // binState is the pooled bin-side state for one EdgeMap value type: the
-// drained bin buffer pairs and the per-scatter-proc stagers.
+// whole Manager of the last clean round, every buffer still parked in its
+// slot, and the per-scatter-proc stagers bound to it.
 type binState[V any] struct {
-	bufs    []*bin.Buffer[V]
+	bm      *bin.Manager[V]
 	stagers []*bin.Stager[V]
 }
 
-// typeKey names the value type V for the perType map. EdgeMap value types
-// are concrete (uint32, float64, ...), so %T of the zero value is unique.
-func typeKey[V any]() string {
-	var v V
-	return fmt.Sprintf("%T", v)
-}
-
-// takeBinState removes the pooled bin state for value type V, or returns
-// nil when none is stocked.
-func takeBinState[V any](pl *Pool) *binState[V] {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	key := typeKey[V]()
-	st, _ := pl.perType[key].(*binState[V])
-	delete(pl.perType, key)
+// openBins returns the bin state for one round under ctx: the pooled
+// Manager of value type V when it was built under the same ctx with the
+// same cfg, otherwise — no pool, nothing stocked, or a mismatch, which is
+// discarded — a fresh primed one. Either way it carries one stager per
+// scatter proc. The entry leaves the pool; closeBins puts it back.
+func openBins[V any](pl *Pool, ctx exec.Context, p exec.Proc, cfg bin.Config, scatterProcs int) *binState[V] {
+	var st *binState[V]
+	if pl != nil {
+		key := reflect.TypeFor[V]()
+		pl.mu.Lock()
+		st, _ = pl.perType[key].(*binState[V])
+		delete(pl.perType, key)
+		pl.mu.Unlock()
+	}
+	if st == nil || !st.bm.Reopen(ctx, p, cfg) {
+		st = &binState[V]{bm: bin.NewManager[V](ctx, cfg)}
+		st.bm.Prime(p)
+	}
+	for len(st.stagers) < scatterProcs {
+		st.stagers = append(st.stagers, st.bm.NewStager())
+	}
 	return st
 }
 
-// putBinState stocks the bin state for value type V for the next round.
-func putBinState[V any](pl *Pool, st *binState[V]) {
+// closeBins stocks st for the next round of value type V. Only a round
+// that ended cleanly may call it: a failed one drops its partial bins, so
+// its buffers and stagers still hold records.
+func closeBins[V any](pl *Pool, st *binState[V]) {
 	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.perType[typeKey[V]()] = st
+	pl.perType[reflect.TypeFor[V]()] = st
+	pl.mu.Unlock()
 }

@@ -1,9 +1,14 @@
 package engine
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"blaze/internal/bin"
 	"blaze/internal/exec"
+	"blaze/internal/fault"
 	"blaze/internal/frontier"
 	"blaze/internal/graph"
 	"blaze/internal/metrics"
@@ -12,8 +17,8 @@ import (
 
 // TestEdgeMapPooledRounds runs several EdgeMap rounds on the real backend
 // with a shared Pool and checks every round computes correct in-degrees:
-// pooled buffers, rebound stagers, and recycled bin pairs must not leak
-// state between rounds.
+// pooled IO buffers and the retained bin Manager with its stagers must not
+// leak state between rounds.
 func TestEdgeMapPooledRounds(t *testing.T) {
 	ctx := exec.NewReal()
 	stats := metrics.NewIOStats(2)
@@ -140,5 +145,224 @@ func TestPoolInvisibleInVirtualTime(t *testing.T) {
 	if endFresh != endPooled || bytesFresh != bytesPooled {
 		t.Errorf("pooled run ends at %d ns / %d bytes, unpooled at %d ns / %d bytes",
 			endPooled, bytesPooled, endFresh, bytesFresh)
+	}
+}
+
+// TestPoolInvisibleAcrossRuns is the same claim with one Run per round, as
+// blaze.Runtime.Run is used: every Run restarts the virtual clock at zero,
+// so a Manager retained from the previous Run must not carry that Run's
+// instants into this one — a slot still stamped with the old Put would drag
+// its first taker forward to the old end time.
+func TestPoolInvisibleAcrossRuns(t *testing.T) {
+	run := func(pool *Pool) (ends []int64, bytes int64) {
+		ctx := exec.NewSim()
+		stats := metrics.NewIOStats(2)
+		g, c := testGraph(ctx, 2, stats)
+		conf := DefaultConfig(c.E)
+		conf.Stats = stats
+		conf.Pool = pool
+		for round := 0; round < 3; round++ {
+			f := frontier.All(c.V)
+			if round > 0 {
+				f = frontier.Single(c.V, uint32(round)) // much shorter than the round before
+			}
+			ctx.Run("main", func(p exec.Proc) {
+				if _, _, err := EdgeMap(ctx, p, g, f,
+					func(s, d uint32) int64 { return 1 },
+					func(d uint32, v int64) bool { return true },
+					func(d uint32) bool { return true },
+					true, conf); err != nil {
+					t.Error(err)
+				}
+				// Sim.End is the maximum over every Run so far; the root
+				// proc's clock once the round has joined is this Run's own.
+				ends = append(ends, p.Now())
+			})
+		}
+		return ends, stats.TotalBytes()
+	}
+	endsFresh, bytesFresh := run(nil)
+	pool := NewPool()
+	endsPooled, bytesPooled := run(pool)
+	if !reflect.DeepEqual(endsFresh, endsPooled) || bytesFresh != bytesPooled {
+		t.Errorf("pooled Runs end at %v ns / %d bytes, unpooled at %v ns / %d bytes",
+			endsPooled, bytesPooled, endsFresh, bytesFresh)
+	}
+	if pooledManager[int64](pool) == nil {
+		t.Error("the pooled Runs retained no Manager: the test compared nothing")
+	}
+}
+
+// pooledManager peeks at the bin Manager pl holds for value type V.
+func pooledManager[V any](pl *Pool) *bin.Manager[V] {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	st, _ := pl.perType[reflect.TypeFor[V]()].(*binState[V])
+	if st == nil {
+		return nil
+	}
+	return st.bm
+}
+
+// weightedInDegree runs one full-frontier EdgeMap over g, every edge
+// carrying val, and returns the per-vertex sums.
+func weightedInDegree[V int64 | float64](t *testing.T, ctx exec.Context, p exec.Proc, g *Graph, val V, conf Config) ([]V, Stats, error) {
+	t.Helper()
+	got := make([]V, g.CSR.V)
+	_, st, err := EdgeMap(ctx, p, g, frontier.All(g.CSR.V),
+		func(s, d uint32) V { return val },
+		func(d uint32, v V) bool { got[d] += v; return false },
+		func(d uint32) bool { return true },
+		false, conf)
+	return got, st, err
+}
+
+// TestRetainedManagerCleanAfterFailedRound: a round that dies half way
+// drops its partial bins, so its Manager and stagers still hold records. The
+// pool must not hand them to the next round: after the failure a clean round
+// on the same Pool returns exactly the serial reference, on both backends,
+// and every proc of the failed round has joined.
+func TestRetainedManagerCleanAfterFailedRound(t *testing.T) {
+	for _, be := range []struct {
+		name string
+		mk   func() exec.Context
+	}{
+		{"sim", func() exec.Context { return exec.NewSim() }},
+		{"real", func() exec.Context { return exec.NewReal() }},
+	} {
+		t.Run(be.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx := be.mk()
+			// One dead page some way into each device, single-page requests
+			// and the minimum of two IO buffers per device: a reader can run
+			// only two pages ahead of the scatter procs, so they have staged
+			// and binned records by the time it reaches the dead page.
+			bad, c := faultyGraph(ctx, 2, nil, fault.Policy{Seed: 9, PermanentRate: 0.02})
+			good, _ := faultyGraph(ctx, 2, nil, fault.Policy{})
+			want := make([]int64, c.V)
+			for i := int64(0); i < c.E; i++ {
+				want[graph.GetEdge(c.Adj, i)]++
+			}
+			conf := DefaultConfig(c.E)
+			conf.Pool = NewPool()
+			conf.MaxMergePages, conf.IOBufferBytes = 1, 1
+			ctx.Run("main", func(p exec.Proc) {
+				check := func(when string) {
+					t.Helper()
+					got, st, err := weightedInDegree[int64](t, ctx, p, good, 1, conf)
+					if err != nil {
+						t.Fatalf("%s: clean round failed: %v", when, err)
+					}
+					if st.Records != c.E {
+						t.Errorf("%s: Records = %d, want %d", when, st.Records, c.E)
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("%s: in-degree(%d) = %d, want %d", when, v, got[v], want[v])
+						}
+					}
+				}
+				check("before any failure")
+				retained := pooledManager[int64](conf.Pool)
+				if retained == nil {
+					t.Fatal("a clean round left no Manager in the pool")
+				}
+				_, st, err := weightedInDegree[int64](t, ctx, p, bad, 1, conf)
+				if err == nil {
+					t.Fatal("the round over dead pages returned no error")
+				}
+				if st.EdgesScanned == 0 {
+					t.Fatal("the failed round scanned nothing: it cannot have left records behind")
+				}
+				if pooledManager[int64](conf.Pool) != nil {
+					t.Error("the failed round's Manager went back to the pool")
+				}
+				check("after the failed round")
+				if m := pooledManager[int64](conf.Pool); m == nil || m == retained {
+					t.Errorf("pool holds %p after recovery; the failed round used %p, which must be gone", m, retained)
+				}
+			})
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("goroutines leaked: %d before, %d after", before, n)
+			}
+		})
+	}
+}
+
+// poolRound runs one weighted in-degree round of value type V on pool,
+// checks it against want, and returns the Manager the pool holds afterwards,
+// after checking whether it is the one (last) the pool held before.
+func poolRound[V int64 | float64](t *testing.T, name string, ctx exec.Context, g *Graph, conf Config,
+	val V, want []int64, last *bin.Manager[V], wantKept bool) *bin.Manager[V] {
+	t.Helper()
+	var m *bin.Manager[V]
+	ctx.Run("main", func(p exec.Proc) {
+		got, _, err := weightedInDegree(t, ctx, p, g, val, conf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for v := range want {
+			if got[v] != val*V(want[v]) {
+				t.Fatalf("%s: sum(%d) = %v, want %v", name, v, got[v], val*V(want[v]))
+			}
+		}
+		m = pooledManager[V](conf.Pool)
+		if kept := m == last; kept != wantKept {
+			t.Errorf("%s: Manager reused = %v, want %v", name, kept, wantKept)
+		}
+		if m.BinCount() != conf.BinCount {
+			t.Errorf("%s: pooled Manager has %d bins, round asked for %d", name, m.BinCount(), conf.BinCount)
+		}
+	})
+	return m
+}
+
+// TestPoolDiscardsMismatchedManager alternates BinCount, value type and
+// context between rounds on one Pool: a retained Manager is reused only by
+// a round with the same value type, context and bin configuration; any
+// mismatch builds a fresh one (which then replaces it), and every round is
+// exact either way.
+func TestPoolDiscardsMismatchedManager(t *testing.T) {
+	ctxA, ctxB := exec.NewReal(), exec.NewReal()
+	gA, c := testGraph(ctxA, 1, nil)
+	gB, _ := testGraph(ctxB, 1, nil)
+	want := make([]int64, c.V)
+	for i := int64(0); i < c.E; i++ {
+		want[graph.GetEdge(c.Adj, i)]++
+	}
+	base := DefaultConfig(c.E)
+	base.Pool = NewPool()
+	wide := base
+	wide.BinCount = 2 * base.BinCount
+
+	var lastInt *bin.Manager[int64]
+	var lastFloat *bin.Manager[float64]
+	for _, step := range []struct {
+		name     string
+		ctx      exec.Context
+		g        *Graph
+		conf     Config
+		float    bool
+		wantKept bool // the Manager of this value type is the one already pooled
+	}{
+		{"first int64 round", ctxA, gA, base, false, false},
+		{"same again", ctxA, gA, base, false, true},
+		{"first float64 round", ctxA, gA, base, true, false},
+		{"int64 after float64", ctxA, gA, base, false, true},
+		{"other BinCount", ctxA, gA, wide, false, false},
+		{"BinCount back", ctxA, gA, base, false, false},
+		{"other context", ctxB, gB, base, false, false},
+		{"float64 untouched by all that", ctxA, gA, base, true, true},
+		{"float64 under the other context", ctxB, gB, base, true, false},
+	} {
+		if step.float {
+			lastFloat = poolRound(t, step.name, step.ctx, step.g, step.conf, 0.5, want, lastFloat, step.wantKept)
+		} else {
+			lastInt = poolRound(t, step.name, step.ctx, step.g, step.conf, int64(1), want, lastInt, step.wantKept)
+		}
 	}
 }

@@ -20,10 +20,11 @@
 // goroutine other than the running proc's is a data race.
 //
 // Engine code follows one rule: every interaction with state shared across
-// procs happens either through an exec primitive (Queue, WaitGroup, Barrier,
-// Resource) or after calling Proc.Sync, which in the Sim backend parks the
-// proc until it holds the minimum virtual clock. Blocking with primitives
-// outside this package (channels, sync.Cond) would deadlock the simulation.
+// procs happens either through an exec primitive (Queue, Slot, WaitGroup,
+// Barrier, Resource) or after calling Proc.Sync, which in the Sim backend
+// parks the proc until it holds the minimum virtual clock. Blocking with
+// primitives outside this package (channels, sync.Cond) would deadlock the
+// simulation.
 package exec
 
 import "blaze/internal/trace"

@@ -24,12 +24,19 @@ type timedItem[T any] struct {
 }
 
 func newSimQueue[T any](s *Sim, capacity int) *simQueue[T] {
+	q := new(simQueue[T])
+	q.init(s, capacity)
+	return q
+}
+
+// init prepares a zero simQueue in place, so NewSlots can build an array of
+// them with one allocation.
+func (q *simQueue[T]) init(s *Sim, capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	q := &simQueue[T]{s: s, capacity: capacity}
+	q.s, q.capacity = s, capacity
 	q.items = q.first[:0]
-	return q
 }
 
 func (q *simQueue[T]) size() int { return len(q.items) - q.head }
@@ -150,3 +157,17 @@ func (q *simQueue[T]) Close() {
 }
 
 func (q *simQueue[T]) Len() int { return q.size() }
+
+// A capacity-1 simQueue is the virtual-time Slot: Take and Put are Pop and
+// Push under their ownership names. Slots are never closed.
+func (q *simQueue[T]) Take(p Proc) T {
+	v, _ := q.Pop(p)
+	return v
+}
+
+func (q *simQueue[T]) Put(p Proc, v T) { q.PushAt(p, v, 0) }
+
+// Renew stamps the held item with p's clock, which is what a Put by p into
+// a fresh slot would have stamped it with. No Sync: nobody else is using
+// the slot, so there is no other proc to order against.
+func (q *simQueue[T]) Renew(p Proc) { q.items[q.head].t = q.s.asSim(p).now }

@@ -38,17 +38,43 @@ func NewRing[T any](capacity int) *Ring[T] {
 // ring was closed before the item could be enqueued.
 func (r *Ring[T]) Push(v T) bool {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for r.size == len(r.buf) && !r.closed {
 		r.notFull.Wait()
 	}
 	if r.closed {
+		r.mu.Unlock()
 		return false
 	}
-	r.buf[(r.head+r.size)%len(r.buf)] = v
+	r.put(v)
+	r.mu.Unlock()
+	return true
+}
+
+// put appends v and signals one consumer. Requires r.mu held and a free
+// slot. head+size is below 2*len(buf), so one conditional subtraction wraps
+// it without a division.
+func (r *Ring[T]) put(v T) {
+	i := r.head + r.size
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = v
 	r.size++
 	r.notEmpty.Signal()
-	return true
+}
+
+// take removes the oldest item and signals one producer. Requires r.mu held
+// and r.size > 0.
+func (r *Ring[T]) take() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.size--
+	r.notFull.Signal()
+	return v
 }
 
 // PushN appends all of vs in order under a single lock acquisition per
@@ -69,9 +95,13 @@ func (r *Ring[T]) PushN(vs []T) bool {
 		if n > len(vs) {
 			n = len(vs)
 		}
-		for i := 0; i < n; i++ {
-			r.buf[(r.head+r.size+i)%len(r.buf)] = vs[i]
+		tail := r.head + r.size
+		if tail >= len(r.buf) {
+			tail -= len(r.buf)
 		}
+		// At most two contiguous runs: up to the end of buf, then from 0.
+		k := copy(r.buf[tail:], vs[:n])
+		copy(r.buf, vs[k:n])
 		r.size += n
 		vs = vs[n:]
 		if n > 1 {
@@ -87,34 +117,26 @@ func (r *Ring[T]) PushN(vs []T) bool {
 // enqueued; false means the ring was full or closed.
 func (r *Ring[T]) TryPush(v T) bool {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || r.size == len(r.buf) {
-		return false
+	ok := !r.closed && r.size < len(r.buf)
+	if ok {
+		r.put(v)
 	}
-	r.buf[(r.head+r.size)%len(r.buf)] = v
-	r.size++
-	r.notEmpty.Signal()
-	return true
+	r.mu.Unlock()
+	return ok
 }
 
 // Pop removes the oldest item, blocking while the ring is empty. It reports
 // false once the ring is closed and drained.
-func (r *Ring[T]) Pop() (T, bool) {
+func (r *Ring[T]) Pop() (v T, ok bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for r.size == 0 && !r.closed {
 		r.notEmpty.Wait()
 	}
-	var zero T
-	if r.size == 0 {
-		return zero, false
+	if ok = r.size > 0; ok {
+		v = r.take()
 	}
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
-	r.size--
-	r.notFull.Signal()
-	return v, true
+	r.mu.Unlock()
+	return v, ok
 }
 
 // PopN fills dst, blocking until len(dst) items were delivered or the ring
@@ -165,7 +187,9 @@ func (r *Ring[T]) drainLocked(dst []T) int {
 	for i := 0; i < n; i++ {
 		dst[i] = r.buf[r.head]
 		r.buf[r.head] = zero
-		r.head = (r.head + 1) % len(r.buf)
+		if r.head++; r.head == len(r.buf) {
+			r.head = 0
+		}
 	}
 	r.size -= n
 	if n > 1 {
@@ -178,19 +202,13 @@ func (r *Ring[T]) drainLocked(dst []T) int {
 
 // TryPop removes the oldest item without blocking. It reports whether an
 // item was returned.
-func (r *Ring[T]) TryPop() (T, bool) {
+func (r *Ring[T]) TryPop() (v T, ok bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	var zero T
-	if r.size == 0 {
-		return zero, false
+	if ok = r.size > 0; ok {
+		v = r.take()
 	}
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
-	r.size--
-	r.notFull.Signal()
-	return v, true
+	r.mu.Unlock()
+	return v, ok
 }
 
 // Close marks the ring closed and wakes all blocked producers and
