@@ -7,9 +7,12 @@
 //	mkgraph -edges edges.txt -vertices 1000000 -out /mnt/nvme/custom
 //	mkgraph -edges huge.txt -maxMemMB 256 -out /mnt/nvme/huge
 //
-// With -maxMemMB the edge list is converted out of core: bounded-memory
-// sorted runs plus an external merge (internal/ingest), producing files
-// byte-identical to the in-memory build.
+// With -maxMemMB the edge list is converted out of core: radix-sorted runs
+// of budget/16 edges, then an external merge of both directions at once
+// (internal/ingest), producing files byte-identical to the in-memory build.
+// The budget covers the edge buffer and its sort scratch while runs form
+// and the run and output blocks while they merge; the two V-sized degree
+// arrays are outside it.
 package main
 
 import (
@@ -29,7 +32,7 @@ func main() {
 	scale := flag.Float64("scale", 512, "divide the paper's dataset size by this factor")
 	edges := flag.String("edges", "", "plain-text edge list ('src dst' per line) instead of a preset")
 	vertices := flag.Uint64("vertices", 0, "vertex count for -edges input (0 = max ID + 1)")
-	maxMemMB := flag.Int64("maxMemMB", 0, "external-sort -edges input under this edge-buffer budget (0 = build in memory)")
+	maxMemMB := flag.Int64("maxMemMB", 0, "external-sort -edges input under this budget: edge buffer + sort scratch (16 B/edge) while runs form, run and output blocks while they merge; V-sized degree arrays not counted (0 = build in memory)")
 	tmpDir := flag.String("tmpdir", "", "directory for external-sort run files (default: system temp)")
 	out := flag.String("out", "", "output base path (required)")
 	flag.Parse()

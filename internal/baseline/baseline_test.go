@@ -15,6 +15,7 @@ import (
 	"blaze/internal/baseline/graphene"
 	"blaze/internal/engine"
 	"blaze/internal/exec"
+	"blaze/internal/graph"
 	"blaze/internal/metrics"
 	"blaze/internal/ssd"
 	"blaze/internal/syncvar"
@@ -279,4 +280,53 @@ func TestGrapheneAmplification(t *testing.T) {
 		t.Errorf("Graphene read %d bytes < Blaze %d; gap merging should amplify IO",
 			statsG.TotalBytes(), statsB.TotalBytes())
 	}
+}
+
+// TestFlashGraphReadsCompactedGraph: FlashGraph's LRU is private to the
+// System, out of reach of the cache Dynamic invalidates. A System that read
+// a graph before compaction must read the compacted layout afterwards, not
+// the pages it cached under the graph's old identity.
+func TestFlashGraphReadsCompactedGraph(t *testing.T) {
+	ctx := exec.NewSim()
+	p := preset(31)
+	src, dst := p.Generate()
+	g := engine.FromCSR(ctx, "g", graph.MustBuild(p.V, src, dst), 1, ssd.OptaneSSD, nil, nil)
+	cfg := flashgraph.DefaultConfig()
+	cfg.ComputeWorkers = 4
+	sys := flashgraph.New(ctx, cfg)
+	dy := engine.NewDynamic(ctx, g, nil, ssd.OptaneSSD, nil, nil, nil)
+	ctx.Run("main", func(pp exec.Proc) {
+		if _, _, err := algo.BFSDepths(sys, pp, g, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		// Insertions at low vertex IDs shift every later vertex's edges to
+		// other page offsets.
+		rng := gen.NewRNG(7)
+		for i := 0; i < 2000; i++ {
+			s, d := uint32(rng.Intn(64)), uint32(rng.Intn(int(p.V)))
+			if err := dy.Add(s, d); err != nil {
+				t.Error(err)
+				return
+			}
+			src, dst = append(src, s), append(dst, d)
+		}
+		dy.Seal()
+		if err := dy.Compact(); err != nil {
+			t.Error(err)
+			return
+		}
+		got, _, err := algo.BFSDepths(sys, pp, g, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		want := algo.RefBFSDepth(graph.MustBuild(p.V, src, dst), 0)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Errorf("after compaction: depth(%d) = %d, reference on base + inserted edges says %d", v, got[v], want[v])
+				return
+			}
+		}
+	})
 }

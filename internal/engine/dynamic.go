@@ -34,6 +34,10 @@ type Dynamic struct {
 	opts  []ssd.DeviceOptions
 	cache *pagecache.Cache // invalidated on Compact; may be nil
 	seals int              // monotonic: segment names stay unique across compactions
+	// fwdName and trName are the names the graphs came with; compactions
+	// counts Compact calls. A compacted graph is renamed <name>#c<count>.
+	fwdName, trName string
+	compactions     int
 }
 
 // NewDynamic wraps fwd (and optionally its transpose tr) for mutation.
@@ -43,11 +47,16 @@ type Dynamic struct {
 func NewDynamic(ctx exec.Context, fwd, tr *Graph, prof ssd.Profile,
 	stats *metrics.IOStats, tl *metrics.Timeline, cache *pagecache.Cache,
 	opts ...ssd.DeviceOptions) *Dynamic {
-	return &Dynamic{
+	dy := &Dynamic{
 		Fwd: fwd, Tr: tr,
 		ctx: ctx, buf: graph.NewEdgeBuffer(fwd.CSR.V),
 		prof: prof, stats: stats, tl: tl, opts: opts, cache: cache,
+		fwdName: fwd.Name,
 	}
+	if tr != nil {
+		dy.trName = tr.Name
+	}
+	return dy
 }
 
 // Add buffers one edge insertion s→d.
@@ -89,22 +98,27 @@ func (dy *Dynamic) Seal() (src, dst []uint32) {
 // flattened to a single CSR (base edges first, then segments in seal
 // order — the same logical edge order queries were already observing), a
 // fresh striped array replaces the base's, and the segment list empties.
-// Stale cache pages — the base's, whose layout moved, and the dropped
-// segments' — are invalidated. Requires the base adjacency in memory
-// (graphs loaded index-only from files cannot compact in place).
+// The base's layout moved, so the graph stops answering to the name its
+// old pages were cached under: it is renamed with the compaction count, and
+// every page cache — the one handed to NewDynamic and any an engine keeps
+// privately — misses on the new identity instead of serving pre-compaction
+// pages. The handed cache additionally drops the old base's and the
+// segments' frames. Requires the base adjacency in memory (graphs loaded
+// index-only from files cannot compact in place).
 func (dy *Dynamic) Compact() error {
-	if err := dy.compactGraph(dy.Fwd); err != nil {
+	dy.compactions++
+	if err := dy.compactGraph(dy.Fwd, dy.fwdName); err != nil {
 		return err
 	}
 	if dy.Tr != nil {
-		if err := dy.compactGraph(dy.Tr); err != nil {
+		if err := dy.compactGraph(dy.Tr, dy.trName); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (dy *Dynamic) compactGraph(g *Graph) error {
+func (dy *Dynamic) compactGraph(g *Graph, name string) error {
 	if len(g.Segs) == 0 {
 		return nil
 	}
@@ -125,6 +139,7 @@ func (dy *Dynamic) compactGraph(g *Graph) error {
 		}
 	}
 	numDev := g.Arr.NumDevices()
+	g.Name = fmt.Sprintf("%s#c%d", name, dy.compactions)
 	g.CSR = flat
 	g.Arr = ssd.NewMemArray(dy.ctx, numDev, dy.prof, flat.Adj, dy.stats, dy.tl, dy.opts...)
 	g.Segs = nil

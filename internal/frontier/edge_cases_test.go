@@ -1,6 +1,9 @@
 package frontier
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestNReturnsUniverse(t *testing.T) {
 	if NewVertexSubset(42).N() != 42 {
@@ -62,5 +65,38 @@ func TestDensifyOnMergePastThreshold(t *testing.T) {
 	}
 	if a.Count() != 10 {
 		t.Errorf("count = %d", a.Count())
+	}
+}
+
+// Seal orders a sparse list either by walking the bitmap or by sorting the
+// list, by their relative sizes. Both must give the ascending members.
+func TestSealWalkAndSortAgree(t *testing.T) {
+	const n = 1 << 16 // 1024 bitmap words: the walk starts at 128 members
+	for _, members := range []int{2, 127, 128, 129, 2000} {
+		f := NewVertexSubset(n)
+		want := make([]uint32, 0, members)
+		for i := members; i > 0; i-- { // descending, so Seal has work to do
+			v := uint32(i) * 31 % n
+			f.Add(v)
+			f.Add(v) // duplicates leave no second copy behind
+			want = append(want, v)
+		}
+		if f.Dense() {
+			t.Fatalf("%d members of %d went dense", members, n)
+		}
+		walks := members*sealWalkRatio >= len(f.bits)
+		if walks != (members >= 128) {
+			t.Fatalf("%d members: walk = %v, threshold moved", members, walks)
+		}
+		f.Seal()
+		slices.Sort(want)
+		var got []uint32
+		f.ForEach(func(v uint32) { got = append(got, v) })
+		if !slices.Equal(got, want) {
+			t.Errorf("%d members (walk %v): sealed order differs from the sorted members", members, walks)
+		}
+		if f.Count() != int64(members) {
+			t.Errorf("%d members: Count = %d after Seal", members, f.Count())
+		}
 	}
 }

@@ -7,7 +7,7 @@ package frontier
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"blaze/internal/graph"
 )
@@ -15,6 +15,10 @@ import (
 // denseFraction is the Ligra-style switching threshold: a subset holding
 // more than 1/20 of all vertices is kept dense.
 const denseFraction = 20
+
+// sealWalkRatio is how many bitmap words Seal will scan per sparse member
+// before sorting the list is the cheaper way to order it.
+const sealWalkRatio = 8
 
 // VertexSubset is a set of vertex IDs out of n vertices. It is built by a
 // single writer (or by per-proc subsets later merged) and must be Sealed
@@ -95,13 +99,25 @@ func (f *VertexSubset) densify() {
 	f.dense = true
 }
 
-// Seal prepares the subset for reading: sparse subsets are sorted so Has
-// can binary-search and ForEach runs in ascending order.
+// Seal prepares the subset for reading: a sparse list is put in ascending
+// order so ForEach visits it that way. The bitmap already holds the same
+// members in order, so a list long enough to outweigh a scan of the bitmap
+// (one word per eight members) is rebuilt from it; a shorter one is sorted.
 func (f *VertexSubset) Seal() {
-	if !f.dense && !f.sorted {
-		sort.Slice(f.sparse, func(i, j int) bool { return f.sparse[i] < f.sparse[j] })
-		f.sorted = true
+	if f.dense || f.sorted {
+		return
 	}
+	if len(f.sparse)*sealWalkRatio >= len(f.bits) {
+		f.sparse = f.sparse[:0]
+		for w, word := range f.bits {
+			for ; word != 0; word &= word - 1 {
+				f.sparse = append(f.sparse, uint32(w*64+bits.TrailingZeros64(word)))
+			}
+		}
+	} else {
+		slices.Sort(f.sparse)
+	}
+	f.sorted = true
 }
 
 // Has reports membership.

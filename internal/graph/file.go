@@ -82,32 +82,50 @@ func WriteAdj(c *CSR, path string) (err error) {
 	return nil
 }
 
-// AdjWriter streams a .gr.adj.0 file one destination ID at a time, so the
+// AdjWriter streams a .gr.adj.0 file in destination order, so the
 // external-sort ingester can emit the adjacency directly off its merge
 // stream without ever materializing it. The byte stream is identical to
 // WriteAdj on the same edge order: packed little-endian uint32
 // destinations followed by zero padding to a whole page.
 type AdjWriter struct {
 	f     *os.File
-	w     *bufio.Writer
+	block []byte // encoded destinations not yet written; cap is the block size
 	edges int64
-	buf   [EdgeBytes]byte
 }
 
 // NewAdjWriter creates (truncates) path for streaming adjacency output.
-func NewAdjWriter(path string) (*AdjWriter, error) {
+// blockBytes is what the writer holds between writes to the file, at least
+// one page.
+func NewAdjWriter(path string, blockBytes int) (*AdjWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return &AdjWriter{f: f, w: bufio.NewWriterSize(f, 1<<20)}, nil
+	blockBytes = max(blockBytes, PageSize)
+	return &AdjWriter{f: f, block: make([]byte, 0, blockBytes-blockBytes%EdgeBytes)}, nil
 }
 
-// WriteEdge appends one destination ID.
-func (a *AdjWriter) WriteEdge(dst uint32) error {
-	binary.LittleEndian.PutUint32(a.buf[:], dst)
-	_, err := a.w.Write(a.buf[:])
-	a.edges++
+// WriteEdges appends a batch of destination IDs.
+func (a *AdjWriter) WriteEdges(dsts []uint32) error {
+	a.edges += int64(len(dsts))
+	for len(dsts) > 0 {
+		if len(a.block) == cap(a.block) {
+			if err := a.flush(); err != nil {
+				return err
+			}
+		}
+		n := min(len(dsts), (cap(a.block)-len(a.block))/EdgeBytes)
+		for _, d := range dsts[:n] {
+			a.block = binary.LittleEndian.AppendUint32(a.block, d)
+		}
+		dsts = dsts[n:]
+	}
+	return nil
+}
+
+func (a *AdjWriter) flush() error {
+	_, err := a.f.Write(a.block)
+	a.block = a.block[:0]
 	return err
 }
 
@@ -116,15 +134,11 @@ func (a *AdjWriter) Edges() int64 { return a.edges }
 
 // Close pads the file to a whole page (matching WriteAdj) and closes it.
 func (a *AdjWriter) Close() error {
-	adjBytes := a.edges * EdgeBytes
-	pages := (adjBytes + PageSize - 1) / PageSize
-	if pad := pages*PageSize - adjBytes; pad > 0 {
-		if _, err := a.w.Write(make([]byte, pad)); err != nil {
-			a.f.Close()
-			return err
-		}
+	err := a.flush()
+	if tail := a.edges * EdgeBytes % PageSize; err == nil && tail > 0 {
+		_, err = a.f.Write(make([]byte, PageSize-tail))
 	}
-	if err := a.w.Flush(); err != nil {
+	if err != nil {
 		a.f.Close()
 		return err
 	}

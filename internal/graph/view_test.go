@@ -160,12 +160,12 @@ func TestAdjWriterMatchesWriteAdj(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamed := filepath.Join(dir, "streamed.adj")
-	w, err := NewAdjWriter(streamed)
+	w, err := NewAdjWriter(streamed, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < c.E; i++ {
-		if err := w.WriteEdge(GetEdge(c.Adj, i)); err != nil {
+		if err := w.WriteEdges([]uint32{GetEdge(c.Adj, i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,5 +185,58 @@ func TestAdjWriterMatchesWriteAdj(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("streamed adjacency differs: %d vs %d bytes", len(got), len(want))
+	}
+}
+
+// WriteEdges must write what WriteAdj writes however the batches fall
+// against the writer's block and the page boundary: a batch that spans a
+// block, one that ends exactly on it, single edges, and a tail that needs
+// padding.
+func TestAdjWriterWriteEdgesAcrossPages(t *testing.T) {
+	const n = 2*EdgesPerPage + 37 // two whole pages and a padded third
+	src, dst := make([]uint32, n), make([]uint32, n)
+	for i := range dst {
+		src[i], dst[i] = uint32(i%5), uint32(i*7%n)
+	}
+	c := MustBuild(n, src, dst)
+	dir := t.TempDir()
+	batch := filepath.Join(dir, "batch.adj")
+	if err := WriteAdj(c, batch); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := make([]uint32, c.E)
+	for i := range edges {
+		edges[i] = GetEdge(c.Adj, int64(i))
+	}
+	for _, sizes := range [][]int{{n}, {EdgesPerPage - 1, 2, EdgesPerPage - 1, n}, {EdgesPerPage, EdgesPerPage, n}, {1, 0, 3}} {
+		streamed := filepath.Join(dir, "streamed.adj")
+		w, err := NewAdjWriter(streamed, PageSize) // one-page blocks
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rest, i := edges, 0; len(rest) > 0; i++ {
+			k := min(sizes[i%len(sizes)], len(rest))
+			if err := w.WriteEdges(rest[:k]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[k:]
+		}
+		if w.Edges() != c.E {
+			t.Errorf("batches %v: Edges = %d, want %d", sizes, w.Edges(), c.E)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(streamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("batches %v: streamed adjacency differs: %d vs %d bytes", sizes, len(got), len(want))
+		}
 	}
 }

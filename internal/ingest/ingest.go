@@ -1,29 +1,36 @@
 package ingest
 
 import (
-	"bufio"
-	"container/heap"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"blaze/internal/graph"
 )
 
-// recBytes is the in-memory and on-disk footprint of one buffered edge:
-// two uint32 endpoints. Config.MaxMemBytes budgets the run-formation
-// buffer in these units.
-const recBytes = 8
+const (
+	// recBytes is the footprint of one buffered edge, in memory and in a
+	// run file: the little-endian uint64 dst<<32 | src.
+	recBytes = 8
+	// edgeMemBytes is what run formation holds per buffered edge: the
+	// record and its slot in the radix sort's ping-pong scratch.
+	edgeMemBytes = 2 * recBytes
+	// A merge block is between one page and 1 MiB.
+	minBlockBytes = graph.PageSize
+	maxBlockBytes = 1 << 20
+)
 
 // Config bounds an out-of-core build.
 type Config struct {
-	// MaxMemBytes caps the run-formation edge buffer (8 B per edge).
-	// Everything else the builder holds is the semi-external minimum: two
-	// V-sized degree arrays, which are excluded from the budget exactly as
-	// the engine excludes its V-sized vertex data. 0 means 256 MiB.
+	// MaxMemBytes caps the edge-proportional memory of both phases. Run
+	// formation holds the edge buffer and the sort's scratch copy of it
+	// (16 B per buffered edge, so a run is MaxMemBytes/16 edges); the merge
+	// holds, for each of the two directions it emits at once, one block per
+	// run and one output block, each MaxMemBytes/(2·(runs+1)) bytes cut to
+	// whole pages and to [one page, 1 MiB]. Only the floors can exceed the
+	// cap: one edge per run, one page per block. Everything else the builder
+	// holds is the semi-external minimum: two V-sized degree arrays, which
+	// are excluded from the budget exactly as the engine excludes its
+	// V-sized vertex data. 0 means 256 MiB.
 	MaxMemBytes int64
 	// TmpDir hosts the sorted run files (default os.TempDir()); a private
 	// subdirectory is created and removed.
@@ -31,6 +38,25 @@ type Config struct {
 	// Vertices is the explicit vertex count; 0 derives maxID+1 (see
 	// VertexCount for the error cases).
 	Vertices uint32
+}
+
+func (c Config) budget() int64 {
+	if c.MaxMemBytes <= 0 {
+		return 256 << 20
+	}
+	return c.MaxMemBytes
+}
+
+// capEdges is the number of edges one run buffers under budget.
+func capEdges(budget int64) int64 {
+	return max(budget/edgeMemBytes, 1)
+}
+
+// blockBytes is the size of each of the 2·(runs+1) blocks the merge holds
+// under budget.
+func blockBytes(budget int64, runs int) int {
+	b := budget / int64(2*(runs+1))
+	return int(min(max(b-b%graph.PageSize, minBlockBytes), maxBlockBytes))
 }
 
 // Stats reports what a Build did.
@@ -48,59 +74,32 @@ type Stats struct {
 //
 // Identity argument: graph.Build keeps input (arrival) order within each
 // source bucket, so the forward file is the edge list in (src, seq) order.
-// Each run covers a contiguous arrival window; stable-sorting a run by src
-// yields (src, seq) within the run, and merging runs by (src, runIndex)
-// restores global (src, seq). Build(...).Transpose() orders each
-// destination bucket by forward-scan order, i.e. (src, seq) — so the
-// transpose file is the edge list in (dst, src, seq) order. Stable-sorting
-// the already src-sorted run by dst yields exactly that order within the
-// run, and merging by (dst, src, runIndex) restores it globally.
+// Build(...).Transpose() orders each destination bucket by forward-scan
+// order, i.e. (src, seq) — so the transpose file is the edge list in
+// (dst, src, seq) order. A run buffers a contiguous arrival window as
+// records dst<<32 | src and sorts it with one stable LSD radix sort over
+// the record's eight bytes: after the four source digits the buffer is in
+// (src, seq) order and is written as the forward run; after the four
+// destination digits it is in (dst, src, seq) order, because LSD stability
+// keeps the earlier digits' order within equal later ones, and is written
+// as the transpose run. Runs partition the input by arrival time, so
+// merging them by (src, runIndex), respectively (dst, src, runIndex),
+// restores the two global orders.
 func Build(src EdgeSource, outBase string, cfg Config) (Stats, error) {
-	budget := cfg.MaxMemBytes
-	if budget <= 0 {
-		budget = 256 << 20
-	}
-	capEdges := budget / recBytes
-	if capEdges < 1 {
-		capEdges = 1
-	}
 	tmp, err := os.MkdirTemp(cfg.TmpDir, "blaze-ingest-")
 	if err != nil {
 		return Stats{}, err
 	}
 	defer os.RemoveAll(tmp)
+	rf, err := newRunFormer(tmp, capEdges(cfg.budget()))
+	if err != nil {
+		return Stats{}, err
+	}
+	defer rf.close()
 
-	bufSrc := make([]uint32, 0, capEdges)
-	bufDst := make([]uint32, 0, capEdges)
 	var fwdDeg, trDeg []uint32
 	var maxID uint32
 	var edges int64
-	var fwdRuns, trRuns []string
-
-	flush := func() error {
-		if len(bufSrc) == 0 {
-			return nil
-		}
-		idx := len(fwdRuns)
-		// (src, seq) order for the forward run...
-		sort.Stable(pairSort{key: bufSrc, val: bufDst})
-		fp := filepath.Join(tmp, fmt.Sprintf("fwd.%06d", idx))
-		if err := writeRun(fp, bufSrc, bufDst); err != nil {
-			return err
-		}
-		fwdRuns = append(fwdRuns, fp)
-		// ...then (dst, src, seq) for the transpose run: a stable sort by
-		// dst over the src-sorted buffer.
-		sort.Stable(pairSort{key: bufDst, val: bufSrc})
-		tp := filepath.Join(tmp, fmt.Sprintf("tr.%06d", idx))
-		if err := writeRun(tp, bufDst, bufSrc); err != nil {
-			return err
-		}
-		trRuns = append(trRuns, tp)
-		bufSrc, bufDst = bufSrc[:0], bufDst[:0]
-		return nil
-	}
-
 	for {
 		s, d, ok, err := src.Next()
 		if err != nil {
@@ -109,23 +108,17 @@ func Build(src EdgeSource, outBase string, cfg Config) (Stats, error) {
 		if !ok {
 			break
 		}
-		if m := max32(s, d); m > maxID {
-			maxID = m
-		}
+		maxID = max(maxID, s, d)
 		fwdDeg = growDeg(fwdDeg, s)
 		fwdDeg[s]++
 		trDeg = growDeg(trDeg, d)
 		trDeg[d]++
-		bufSrc = append(bufSrc, s)
-		bufDst = append(bufDst, d)
 		edges++
-		if int64(len(bufSrc)) >= capEdges {
-			if err := flush(); err != nil {
-				return Stats{}, err
-			}
+		if err := rf.add(s, d); err != nil {
+			return Stats{}, err
 		}
 	}
-	if err := flush(); err != nil {
+	if err := rf.flush(); err != nil {
 		return Stats{}, err
 	}
 
@@ -133,16 +126,21 @@ func Build(src EdgeSource, outBase string, cfg Config) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	fwdDeg = padDeg(fwdDeg, n)
-	trDeg = padDeg(trDeg, n)
 
-	if err := emit(fwdDeg, fwdRuns, outBase+".gr", false); err != nil {
+	// The two directions share nothing but the run directory: merge the
+	// transpose on a second goroutine while this one merges the forward.
+	rf.release()
+	block := blockBytes(cfg.budget(), len(rf.runs))
+	trDone := make(chan error, 1)
+	go func() { trDone <- emit(padDeg(trDeg, n), rf.tr, rf.runs, block, outBase+".tgr", true) }()
+	fwdErr := emit(padDeg(fwdDeg, n), rf.fwd, rf.runs, block, outBase+".gr", false)
+	if err := <-trDone; err != nil {
 		return Stats{}, err
 	}
-	if err := emit(trDeg, trRuns, outBase+".tgr", true); err != nil {
-		return Stats{}, err
+	if fwdErr != nil {
+		return Stats{}, fwdErr
 	}
-	return Stats{Vertices: n, Edges: edges, Runs: len(fwdRuns)}, nil
+	return Stats{Vertices: n, Edges: edges, Runs: len(rf.runs)}, nil
 }
 
 // BuildFromFile runs Build over a plain-text edge list.
@@ -156,19 +154,18 @@ func BuildFromFile(path, outBase string, cfg Config) (Stats, error) {
 }
 
 // emit writes one direction: the index from its degree array, then the
-// adjacency by k-way merging the sorted runs straight into a streaming
-// page writer. byCol selects the transpose comparator (row, col, run)
-// over the forward comparator (row, run).
-func emit(deg []uint32, runs []string, base string, byCol bool) error {
+// adjacency by k-way merging the sorted runs of runFile straight into a
+// streaming page writer.
+func emit(deg []uint32, runFile *os.File, runs []int64, block int, base string, transpose bool) error {
 	c := graph.NewIndexOnly(deg)
 	if err := graph.WriteIndex(c, base+".index"); err != nil {
 		return err
 	}
-	w, err := graph.NewAdjWriter(base + ".adj.0")
+	w, err := graph.NewAdjWriter(base+".adj.0", block)
 	if err != nil {
 		return err
 	}
-	if err := mergeRuns(runs, byCol, w); err != nil {
+	if err := mergeRuns(runFile, runs, block, transpose, w); err != nil {
 		w.Close()
 		return err
 	}
@@ -179,24 +176,6 @@ func emit(deg []uint32, runs []string, base string, byCol bool) error {
 		return fmt.Errorf("ingest: merged %d edges, index says %d", w.Edges(), c.E)
 	}
 	return nil
-}
-
-// pairSort stable-sorts two parallel endpoint slices by the key slice,
-// permuting both together without materializing a struct-of-pairs copy.
-type pairSort struct{ key, val []uint32 }
-
-func (p pairSort) Len() int           { return len(p.key) }
-func (p pairSort) Less(i, j int) bool { return p.key[i] < p.key[j] }
-func (p pairSort) Swap(i, j int) {
-	p.key[i], p.key[j] = p.key[j], p.key[i]
-	p.val[i], p.val[j] = p.val[j], p.val[i]
-}
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func growDeg(deg []uint32, v uint32) []uint32 {
@@ -213,131 +192,4 @@ func padDeg(deg []uint32, n uint32) []uint32 {
 		deg = append(deg, 0)
 	}
 	return deg[:n]
-}
-
-// writeRun writes one sorted run as packed (row, col) uint32 LE pairs.
-func writeRun(path string, row, col []uint32) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var rec [recBytes]byte
-	for i := range row {
-		binary.LittleEndian.PutUint32(rec[0:], row[i])
-		binary.LittleEndian.PutUint32(rec[4:], col[i])
-		if _, err := w.Write(rec[:]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runReader streams one run's records.
-type runReader struct {
-	f   *os.File
-	r   *bufio.Reader
-	rec [recBytes]byte
-}
-
-func openRun(path string) (*runReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return &runReader{f: f, r: bufio.NewReaderSize(f, 1<<20)}, nil
-}
-
-func (rr *runReader) next() (row, col uint32, ok bool, err error) {
-	if _, err := io.ReadFull(rr.r, rr.rec[:]); err != nil {
-		if err == io.EOF {
-			return 0, 0, false, nil
-		}
-		return 0, 0, false, err
-	}
-	return binary.LittleEndian.Uint32(rr.rec[0:]), binary.LittleEndian.Uint32(rr.rec[4:]), true, nil
-}
-
-// mergeItem is one run's head record in the merge heap.
-type mergeItem struct {
-	row, col uint32
-	run      int
-	rr       *runReader
-}
-
-type mergeHeap struct {
-	items []mergeItem
-	byCol bool
-}
-
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.row != b.row {
-		return a.row < b.row
-	}
-	if h.byCol && a.col != b.col {
-		return a.col < b.col
-	}
-	// Runs partition the input by arrival time, so run index is the
-	// sequence-number tie-break that restores global arrival order.
-	return a.run < b.run
-}
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
-// mergeRuns k-way merges the runs and emits each record's col (the
-// adjacency destination) in merged order.
-func mergeRuns(runs []string, byCol bool, w *graph.AdjWriter) error {
-	h := &mergeHeap{byCol: byCol}
-	readers := make([]*runReader, 0, len(runs))
-	defer func() {
-		for _, rr := range readers {
-			rr.f.Close()
-		}
-	}()
-	for i, path := range runs {
-		rr, err := openRun(path)
-		if err != nil {
-			return err
-		}
-		readers = append(readers, rr)
-		row, col, ok, err := rr.next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			h.items = append(h.items, mergeItem{row: row, col: col, run: i, rr: rr})
-		}
-	}
-	heap.Init(h)
-	for h.Len() > 0 {
-		it := h.items[0]
-		if err := w.WriteEdge(it.col); err != nil {
-			return err
-		}
-		row, col, ok, err := it.rr.next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			h.items[0] = mergeItem{row: row, col: col, run: it.run, rr: it.rr}
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
-	return nil
 }
