@@ -73,8 +73,13 @@ type Blaze struct {
 	LastStats engine.Stats
 }
 
-// NewBlaze wraps the engine as a System.
+// NewBlaze wraps the engine as a System. An engine never runs without a
+// pool: a nil cfg.Pool is filled here, so rounds after the first reuse the
+// IO buffers and the bin Manager whoever built the config.
 func NewBlaze(ctx exec.Context, cfg engine.Config) *Blaze {
+	if cfg.Pool == nil {
+		cfg.Pool = engine.NewPool()
+	}
 	return &Blaze{Ctx: ctx, Cfg: cfg, IterLog: IterLog{Stats: cfg.Stats}}
 }
 
@@ -100,7 +105,7 @@ type AsyncBlaze struct {
 
 // NewAsyncBlaze wraps the engine as a barrier-free System.
 func NewAsyncBlaze(ctx exec.Context, cfg engine.Config) *AsyncBlaze {
-	return &AsyncBlaze{Blaze: Blaze{Ctx: ctx, Cfg: cfg, IterLog: IterLog{Stats: cfg.Stats}}}
+	return &AsyncBlaze{Blaze: *NewBlaze(ctx, cfg)}
 }
 
 // Name implements System.

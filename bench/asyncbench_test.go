@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestAsyncSnapshotGate: on the high-diameter crawl the barrier-free
 // driver must not lose to barrier rounds on BFS — the workload whose
@@ -8,26 +11,17 @@ import "testing"
 // the async driver.
 func TestAsyncSnapshotGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four measured runs; skipped in -short mode")
+		t.Skip("eighteen measured runs; skipped in -short mode")
 	}
-	entries, err := AsyncSnapshot(DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := AsyncSnapshot(DefaultScale)
 	var blazeNs, asyncNs int64
 	for _, e := range entries {
-		if e.Query != "bfs" {
-			continue
-		}
-		switch e.Engine {
-		case "blaze":
-			blazeNs = e.MakespanNs
-		case "blaze-async":
-			asyncNs = e.MakespanNs
+		if e.Query == "bfs" && e.CacheDiv == 0 {
+			blazeNs, asyncNs = e.BlazeNs, e.AsyncNs
 		}
 	}
 	if blazeNs == 0 || asyncNs == 0 {
-		t.Fatalf("snapshot missing bfs entries: %+v", entries)
+		t.Fatalf("suite missing the no-cache bfs pair: %+v", entries)
 	}
 	if float64(asyncNs) > AsyncBFSGate*float64(blazeNs) {
 		t.Errorf("async bfs makespan %dns exceeds %.2fx blaze (%dns) on %s",
@@ -35,27 +29,16 @@ func TestAsyncSnapshotGate(t *testing.T) {
 	}
 }
 
-// TestAsyncSnapshotDeterministic: the snapshot is a pure function of the
-// sim, so two runs produce identical measurements — the property that
-// lets CI diff BENCH_async.json against a stored baseline.
+// TestAsyncSnapshotDeterministic: the suite is a pure function of the
+// sim, so two runs agree to the nanosecond and the byte — below the
+// rounding of the committed CSV that TestExtExperimentsDeterministic
+// compares.
 func TestAsyncSnapshotDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eight measured runs; skipped in -short mode")
+		t.Skip("thirty-six measured runs; skipped in -short mode")
 	}
-	a, err := AsyncSnapshot(DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AsyncSnapshot(DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("entry %d differs across runs: %+v vs %+v", i, a[i], b[i])
-		}
+	a, b := AsyncSnapshot(DefaultScale), AsyncSnapshot(DefaultScale)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same inputs, different measurements:\n%+v\nvs\n%+v", a, b)
 	}
 }

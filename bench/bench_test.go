@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -138,13 +139,50 @@ func TestExperimentRegistry(t *testing.T) {
 		ids[e.ID] = true
 	}
 	for _, want := range []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4",
-		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12"} {
+		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+		"ext_pagecache", "ext_multiquery", "ext_serving", "ext_async", "ext_scaleout", "ext_ingest"} {
 		if !ids[want] {
 			t.Errorf("missing experiment %q", want)
 		}
 	}
 	if _, err := ExperimentByID("zzz"); err == nil {
 		t.Error("unknown experiment id did not error")
+	}
+}
+
+// TestExtExperimentsDeterministic: every extension suite is a pure function
+// of the sim, so running its experiment twice saves byte-identical CSVs —
+// the property that lets CI regenerate results/ext_*.csv and cmp them
+// against the committed files.
+func TestExtExperimentsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every extension suite twice; skipped in -short mode")
+	}
+	for _, id := range []string{"ext_pagecache", "ext_multiquery", "ext_serving",
+		"ext_async", "ext_scaleout", "ext_ingest"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := ExperimentByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var saved [2][]byte
+			for i := range saved {
+				tables := e.Run(2 * DefaultScale) // blaze-bench -scale 4096
+				if len(tables) != 1 || tables[0].ID != id || len(tables[0].Rows) == 0 {
+					t.Fatalf("%s should return its one non-empty table, got %+v", id, tables)
+				}
+				dir := t.TempDir()
+				if err := tables[0].SaveCSV(dir); err != nil {
+					t.Fatal(err)
+				}
+				if saved[i], err = os.ReadFile(filepath.Join(dir, id+".csv")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(saved[0], saved[1]) {
+				t.Errorf("two runs saved different CSVs:\n%s\nvs\n%s", saved[0], saved[1])
+			}
+		})
 	}
 }
 

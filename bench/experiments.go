@@ -17,7 +17,8 @@ type Experiment struct {
 	Run  func(scale float64) []Table
 }
 
-// Experiments lists every table and figure runner in paper order.
+// Experiments lists every table and figure runner in paper order, then
+// the extension suites.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", "Table I: seq vs rand 4kB read bandwidth of the four SSD profiles", Table1},
@@ -35,6 +36,12 @@ func Experiments() []Experiment {
 		{"ablation", "Extension: ablations of merge cap, staging buffers, page cache", Ablation},
 		{"scaleout", "Extension: scale-out Blaze across machines (paper SVI sketch)", ScaleOut},
 		{"incore", "Extension: out-of-core Blaze vs Ligra-style in-core engine", InCore},
+		{"ext_pagecache", "Extension: page cache on repeat scans, CLOCK vs LRU by budget", ExtPagecache},
+		{"ext_multiquery", "Extension: Q concurrent queries on one shared graph session", ExtMultiQuery},
+		{"ext_serving", "Extension: serving tail latency and goodput across an offered-load sweep", ExtServing},
+		{"ext_async", "Extension: barrier-free driver vs barrier rounds by page-cache size", ExtAsync},
+		{"ext_scaleout", "Extension: blaze-scaleout wire traffic and speedup at M=1/2/4", ExtScaleout},
+		{"ext_ingest", "Extension: incremental repair vs full recompute after an insertion batch", ExtIngest},
 	}
 }
 

@@ -100,30 +100,11 @@ func runWithEngine(d *Dataset, query string, mutate func(*engine.Config)) Result
 	sys := algo.NewBlaze(ctx, cfg)
 	res := Result{Graph: d.Preset.Short}
 	ctx.Run("main", func(p exec.Proc) {
-		runQuery(sys, p, query, out, in, d.Start)
+		algo.Must(runQuery(sys, p, query, out, in, d.Start, 15))
 	})
 	res.ElapsedNs = ctx.End
 	res.ReadBytes = stats.TotalBytes()
 	return res
-}
-
-func runQuery(sys algo.System, p exec.Proc, query string, out, in *engine.Graph, start uint32) {
-	switch query {
-	case "bfs":
-		algo.Must(algo.BFS(sys, p, out, start))
-	case "pr":
-		algo.Must(algo.PageRank(sys, p, out, 1e-9, 15))
-	case "pr1":
-		algo.Must(algo.PageRankOneIteration(sys, p, out))
-	case "wcc":
-		algo.Must(algo.WCC(sys, p, out, in))
-	case "spmv":
-		algo.Must(algo.SpMV(sys, p, out, make([]float64, out.NumVertices())))
-	case "bc":
-		algo.Must(algo.BC(sys, p, out, in, start))
-	default:
-		panic("bench: unknown query " + query)
-	}
 }
 
 // ScaleOut measures the paper's §VI future-work design: M one-Optane
@@ -149,7 +130,7 @@ func ScaleOut(scale float64) []Table {
 			cfg.Engine.Stats = stats
 			cl := cluster.New(ctx, cfg)
 			ctx.Run("main", func(p exec.Proc) {
-				runQuery(cl, p, w.q, out, in, d.Start)
+				algo.Must(runQuery(cl, p, w.q, out, in, d.Start, 15))
 			})
 			row = append(row, float64(ctx.End)/1e6)
 		}
@@ -181,7 +162,7 @@ func InCore(scale float64) []Table {
 		out, in := d.Graphs(ctx, 1, ssd.OptaneSSD, nil, nil)
 		sys := inmem.New(ctx, inmem.DefaultConfig())
 		ctx.Run("main", func(p exec.Proc) {
-			runQuery(sys, p, w.q, out, in, d.Start)
+			algo.Must(runQuery(sys, p, w.q, out, in, d.Start, 15))
 		})
 		inTime := ctx.End
 

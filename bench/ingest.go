@@ -11,12 +11,12 @@ import (
 	"blaze/internal/ssd"
 )
 
-// The ingest snapshot measures what incremental repair buys over full
+// The ingest suite measures what incremental repair buys over full
 // recomputation on a dynamic graph: after a batch of edge insertions
 // (1% of |E|) seals into delta segments, BFS depths and WCC labels are
 // re-converged twice over the same base+segment overlay — once from the
 // affected frontier (IncBFS/IncWCC.Repair) and once from scratch — and
-// the snapshot records both virtual-time costs side by side. Because
+// the suite records both virtual-time costs side by side. Because
 // both formulations are monotone with canonical fixed points, the two
 // paths end bit-identical; only the work differs.
 
@@ -25,29 +25,36 @@ import (
 // frontier must be at least this many times faster than recomputing.
 const IngestRepairSpeedupFloor = 2.0
 
-// IngestGraph is the dataset the ingest snapshot measures.
+// IngestGraph is the dataset the ingest suite measures.
 const IngestGraph = "r2"
 
 // IngestBatchFrac sizes the insertion batch as a fraction of |E|.
 const IngestBatchFrac = 0.01
 
+// IngestEntry pairs, for one query, the virtual-time cost of repairing
+// its answer after the insertion batch with the cost of recomputing it.
+type IngestEntry struct {
+	Query    string // "bfs", "wcc"
+	RepairNs int64
+	FullNs   int64
+}
+
 // IngestSnapshot builds the dynamic overlay, seals one 1% insertion
-// batch, and returns paired repair/full measurements per query under the
-// blaze engine, in the common SnapshotEntry shape ("bfs-repair" next to
-// "bfs-full", "wcc-repair" next to "wcc-full").
-func IngestSnapshot(scale float64) ([]SnapshotEntry, error) {
-	d, err := Load(IngestGraph, scale)
-	if err != nil {
-		return nil, err
-	}
+// batch, and returns paired repair/full measurements for BFS and WCC under
+// the blaze engine. Like Run, it treats a failed query as fatal.
+func IngestSnapshot(scale float64) []IngestEntry {
+	d := MustLoad(IngestGraph, scale)
 	ctx := exec.NewSim()
 	fwd, tr := d.Graphs(ctx, 1, ssd.OptaneSSD, nil, nil)
 	sys, err := registry.New("blaze", ctx, registry.Options{
 		Edges: d.CSR.E, Workers: 16, NumDev: 1, Profile: ssd.OptaneSSD,
 	})
-	if err != nil {
-		return nil, err
+	check := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("bench: ingest: %v", err))
+		}
 	}
+	check(err)
 	dy := engine.NewDynamic(ctx, fwd, tr, ssd.OptaneSSD, nil, nil, nil)
 
 	// Everything — initial convergence, sealing, repair, full recompute —
@@ -55,19 +62,12 @@ func IngestSnapshot(scale float64) ([]SnapshotEntry, error) {
 	// zero while device busy-timelines persist, so a measurement window
 	// that opens in a later Run would charge the clock catch-up on the
 	// first device read to whichever path runs first.
-	var bfsRepair, bfsFull, wccRepair, wccFull int64
-	var runErr error
+	bfsE, wccE := IngestEntry{Query: "bfs"}, IngestEntry{Query: "wcc"}
 	ctx.Run("main", func(p exec.Proc) {
 		bfs, _, err := algo.NewIncBFS(sys, p, fwd, d.Start)
-		if err != nil {
-			runErr = err
-			return
-		}
+		check(err)
 		wcc, _, err := algo.NewIncWCC(sys, p, fwd, tr)
-		if err != nil {
-			runErr = err
-			return
-		}
+		check(err)
 
 		// One sealed batch of 1% of |E| deterministic pseudo-random edges.
 		batch := int(float64(d.CSR.E) * IngestBatchFrac)
@@ -76,65 +76,53 @@ func IngestSnapshot(scale float64) ([]SnapshotEntry, error) {
 		}
 		r := gen.NewRNG(42)
 		for i := 0; i < batch; i++ {
-			if err := dy.Add(uint32(r.Intn(int(d.CSR.V))), uint32(r.Intn(int(d.CSR.V)))); err != nil {
-				runErr = err
-				return
-			}
+			check(dy.Add(uint32(r.Intn(int(d.CSR.V))), uint32(r.Intn(int(d.CSR.V)))))
 		}
 		es, ed := dy.Seal()
 
 		// Both paths run over the identical base+segment overlay;
 		// virtual-time deltas around each isolate the per-query cost.
 		t0 := p.Now()
-		if _, err := bfs.Repair(sys, p, fwd, es, ed); err != nil {
-			runErr = err
-			return
-		}
+		_, err = bfs.Repair(sys, p, fwd, es, ed)
+		check(err)
 		t1 := p.Now()
-		bfsRepair = t1 - t0
+		bfsE.RepairNs = t1 - t0
 		full, _, err := algo.BFSDepths(sys, p, fwd, d.Start)
-		if err != nil {
-			runErr = err
-			return
-		}
-		t2 := p.Now()
-		bfsFull = t2 - t1
+		check(err)
+		bfsE.FullNs = p.Now() - t1
 		for v := range full {
 			if bfs.Depth[v] != full[v] {
-				runErr = fmt.Errorf("bench: repaired bfs depth(%d) = %d, full recompute says %d", v, bfs.Depth[v], full[v])
-				return
+				check(fmt.Errorf("repaired bfs depth(%d) = %d, full recompute says %d", v, bfs.Depth[v], full[v]))
 			}
 		}
-		t2 = p.Now() // exclude the comparison sweep from the WCC window
-		if _, err := wcc.Repair(sys, p, fwd, tr, es, ed); err != nil {
-			runErr = err
-			return
-		}
+		t2 := p.Now() // after the comparison sweep, which no window charges
+		_, err = wcc.Repair(sys, p, fwd, tr, es, ed)
+		check(err)
 		t3 := p.Now()
-		wccRepair = t3 - t2
+		wccE.RepairNs = t3 - t2
 		fullWCC, _, err := algo.NewIncWCC(sys, p, fwd, tr)
-		if err != nil {
-			runErr = err
-			return
-		}
-		wccFull = p.Now() - t3
+		check(err)
+		wccE.FullNs = p.Now() - t3
 		for v := range fullWCC.IDs {
 			if wcc.IDs[v] != fullWCC.IDs[v] {
-				runErr = fmt.Errorf("bench: repaired wcc label(%d) = %d, full recompute says %d", v, wcc.IDs[v], fullWCC.IDs[v])
-				return
+				check(fmt.Errorf("repaired wcc label(%d) = %d, full recompute says %d", v, wcc.IDs[v], fullWCC.IDs[v]))
 			}
 		}
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
+	return []IngestEntry{bfsE, wccE}
+}
 
-	entries := []SnapshotEntry{
-		{Engine: "blaze", Query: "bfs-repair", Graph: d.Preset.Short, MakespanNs: bfsRepair},
-		{Engine: "blaze", Query: "bfs-full", Graph: d.Preset.Short, MakespanNs: bfsFull},
-		{Engine: "blaze", Query: "wcc-repair", Graph: d.Preset.Short, MakespanNs: wccRepair},
-		{Engine: "blaze", Query: "wcc-full", Graph: d.Preset.Short, MakespanNs: wccFull},
+// ExtIngest tabulates IngestSnapshot.
+func ExtIngest(scale float64) []Table {
+	t := Table{
+		ID:     "ext_ingest",
+		Title:  "Incremental repair vs full recompute after sealing a 1%-of-|E| insertion batch (blaze, rmat27 preset)",
+		Header: []string{"query", "repair ms", "full recompute ms", "repair speedup"},
 	}
-	SortSnapshot(entries)
-	return entries, nil
+	for _, e := range IngestSnapshot(scale) {
+		t.Add(e.Query, float64(e.RepairNs)/1e6, float64(e.FullNs)/1e6, float64(e.FullNs)/float64(e.RepairNs))
+	}
+	t.Notes = append(t.Notes,
+		"Both paths converge to bit-identical answers over the same base+segment overlay (checked on every run); only the work differs.")
+	return []Table{t}
 }

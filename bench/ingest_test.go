@@ -1,20 +1,20 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
-// ingestNs extracts the (repair, full) makespans for one query prefix.
-func ingestNs(t *testing.T, entries []SnapshotEntry, query string) (repair, full int64) {
+// ingestNs extracts the (repair, full) makespans for one query.
+func ingestNs(t *testing.T, entries []IngestEntry, query string) (repair, full int64) {
 	t.Helper()
 	for _, e := range entries {
-		switch e.Query {
-		case query + "-repair":
-			repair = e.MakespanNs
-		case query + "-full":
-			full = e.MakespanNs
+		if e.Query == query {
+			repair, full = e.RepairNs, e.FullNs
 		}
 	}
 	if repair == 0 || full == 0 {
-		t.Fatalf("snapshot missing %s entries: %+v", query, entries)
+		t.Fatalf("suite missing %s measurements: %+v", query, entries)
 	}
 	return repair, full
 }
@@ -27,10 +27,7 @@ func TestIngestSnapshotGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured runs; skipped in -short mode")
 	}
-	entries, err := IngestSnapshot(DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := IngestSnapshot(DefaultScale)
 	repair, full := ingestNs(t, entries, "bfs")
 	if float64(full) < IngestRepairSpeedupFloor*float64(repair) {
 		t.Errorf("bfs repair %dns is only %.2fx faster than full recompute %dns (floor %.1fx)",
@@ -43,27 +40,14 @@ func TestIngestSnapshotGate(t *testing.T) {
 	}
 }
 
-// TestIngestSnapshotDeterministic: the snapshot is a pure function of
-// the sim, so two runs measure identically — what lets CI diff
-// BENCH_ingest.json against a stored baseline.
+// TestIngestSnapshotDeterministic: the suite is a pure function of the
+// sim, so two runs measure identically to the nanosecond.
 func TestIngestSnapshotDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured runs; skipped in -short mode")
 	}
-	a, err := IngestSnapshot(DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := IngestSnapshot(DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("entry %d differs across runs: %+v vs %+v", i, a[i], b[i])
-		}
+	a, b := IngestSnapshot(DefaultScale), IngestSnapshot(DefaultScale)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same inputs, different measurements:\n%+v\nvs\n%+v", a, b)
 	}
 }

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 
-	"blaze/algo"
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/metrics"
@@ -16,30 +12,29 @@ import (
 	"blaze/internal/ssd"
 )
 
-// MultiQueryCounts are the concurrency levels the multiquery snapshot
+// MultiQueryCounts are the concurrency levels the multiquery suite
 // sweeps.
 var MultiQueryCounts = []int{1, 2, 4, 8}
 
 // MultiQueryEntry is one (engine, query, Q) measurement of the concurrent
-// graph-session snapshot: Q replicas of the query executed against one
+// graph-session suite: Q replicas of the query executed against one
 // shared session (shared page cache, per-device coalescing schedulers,
 // DRR bandwidth sharing) after one warmup run of the same query.
 type MultiQueryEntry struct {
-	Engine string `json:"engine"`
-	Query  string `json:"query"`
-	Graph  string `json:"graph"`
-	Q      int    `json:"q"`
+	Engine string
+	Query  string
+	Q      int
 	// MakespanNs is virtual time from concurrent launch to the last
 	// query's completion (warmup excluded).
-	MakespanNs int64 `json:"makespan_ns"`
+	MakespanNs int64
 	// ReadBytes are device bytes the Q queries read; CoalescedPages are
 	// page reads served by attaching to a peer's pending device read.
-	ReadBytes      int64 `json:"read_bytes"`
-	CoalescedPages int64 `json:"coalesced_pages"`
+	ReadBytes      int64
+	CoalescedPages int64
 	// AggThroughputScale is Q×makespan(1)/makespan(Q) — aggregate query
 	// throughput relative to the session's own Q=1 run (1.0 at Q=1; ideal
 	// sharing approaches Q).
-	AggThroughputScale float64 `json:"agg_throughput_scale"`
+	AggThroughputScale float64
 }
 
 // MultiQueryRun measures Q concurrent replicas of query on engine over
@@ -68,8 +63,8 @@ func MultiQueryRun(d *Dataset, engine, query string, q int) MultiQueryEntry {
 	if err != nil {
 		panic(fmt.Sprintf("bench: multiquery: %v", err))
 	}
-	body := multiQueryBody(d, out, in, query)
-	e := MultiQueryEntry{Engine: engine, Query: query, Graph: d.Preset.Short, Q: q}
+	body := sessionBody(d, out, in, query)
+	e := MultiQueryEntry{Engine: engine, Query: query, Q: q}
 	ctx.Run("main", func(p exec.Proc) {
 		// Warm the shared cache with one serial run of the same query.
 		if _, err := sess.Run(p, body); err != nil {
@@ -99,31 +94,15 @@ func MultiQueryRun(d *Dataset, engine, query string, q int) MultiQueryEntry {
 	return e
 }
 
-// multiQueryBody returns the session body that executes one replica of
-// the named query. Replicas are identical — the warmed repeat-analytics
-// workload where sharing pays most — and results are discarded (the
-// concurrent conformance tests check answers; this is the perf harness).
-func multiQueryBody(d *Dataset, out, in *engine.Graph, query string) session.Body {
+// sessionBody returns the session body that executes one replica of the
+// named query (PageRank capped at 5 iterations). Replicas are identical —
+// the warmed repeat-analytics workload where sharing pays most — and
+// results are discarded (the concurrent conformance tests check answers;
+// this is the perf harness).
+func sessionBody(d *Dataset, out, in *engine.Graph, query string) session.Body {
 	return func(p exec.Proc, q *session.Query) error {
-		switch query {
-		case "bfs":
-			_, err := algo.BFS(q.Sys, p, out, d.Start)
-			return err
-		case "pr":
-			_, err := algo.PageRank(q.Sys, p, out, 1e-9, 5)
-			return err
-		case "wcc":
-			_, err := algo.WCC(q.Sys, p, out, in)
-			return err
-		case "spmv":
-			x := make([]float64, out.NumVertices())
-			for i := range x {
-				x[i] = 1
-			}
-			_, err := algo.SpMV(q.Sys, p, out, x)
-			return err
-		}
-		return fmt.Errorf("bench: multiquery: unknown query %q", query)
+		_, err := runQuery(q.Sys, p, query, out, in, d.Start, 5)
+		return err
 	}
 }
 
@@ -131,11 +110,8 @@ func multiQueryBody(d *Dataset, out, in *engine.Graph, query string) session.Bod
 // engines' flagship workload (blaze bfs, plus blaze spmv as the
 // full-scan/maximal-coalescing case) and fills AggThroughputScale
 // relative to each sweep's Q=1 entry.
-func MultiQuerySnapshot(scale float64) ([]MultiQueryEntry, error) {
-	d, err := Load("r2", scale)
-	if err != nil {
-		return nil, err
-	}
+func MultiQuerySnapshot(scale float64) []MultiQueryEntry {
+	d := MustLoad("r2", scale)
 	var entries []MultiQueryEntry
 	for _, w := range []struct{ engine, query string }{
 		{"blaze", "bfs"},
@@ -153,31 +129,22 @@ func MultiQuerySnapshot(scale float64) ([]MultiQueryEntry, error) {
 			entries = append(entries, e)
 		}
 	}
-	SortMultiQuery(entries)
-	return entries, nil
+	return entries
 }
 
-// SortMultiQuery orders entries by (engine, query, q) so snapshot files
-// diff cleanly.
-func SortMultiQuery(entries []MultiQueryEntry) {
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
-		}
-		if a.Query != b.Query {
-			return a.Query < b.Query
-		}
-		return a.Q < b.Q
-	})
-}
-
-// WriteMultiQuerySnapshot writes the entries as indented JSON to path.
-func WriteMultiQuerySnapshot(path string, entries []MultiQueryEntry) error {
-	SortMultiQuery(entries)
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
+// ExtMultiQuery tabulates MultiQuerySnapshot.
+func ExtMultiQuery(scale float64) []Table {
+	t := Table{
+		ID:    "ext_multiquery",
+		Title: "Concurrent graph session: Q identical queries on one warmed shared session (rmat27 preset)",
+		Header: []string{"engine", "query", "Q", "makespan ms", "read MB", "coalesced pages",
+			"aggregate throughput vs Q=1"},
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	for _, e := range MultiQuerySnapshot(scale) {
+		t.Add(e.Engine, e.Query, e.Q, float64(e.MakespanNs)/1e6, float64(e.ReadBytes)/1e6,
+			e.CoalescedPages, e.AggThroughputScale)
+	}
+	t.Notes = append(t.Notes,
+		"Aggregate throughput is Q x makespan(1) / makespan(Q): ideal sharing approaches Q; TestMultiQueryScalingFloor holds BFS at Q=4 to at least 1.5x.")
+	return []Table{t}
 }

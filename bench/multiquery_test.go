@@ -1,13 +1,6 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"sort"
-	"testing"
-)
+import "testing"
 
 // TestMultiQueryScalingFloor is the CI concurrent-session gate: on the
 // warmed repeat-BFS workload, four concurrent replicas sharing one session
@@ -48,77 +41,7 @@ func TestMultiQueryCoalescingSavesReads(t *testing.T) {
 	}
 }
 
-// shuffledMultiQueryEntries covers all three sort keys out of order, with
-// the expected final position encoded in MakespanNs.
-func shuffledMultiQueryEntries() []MultiQueryEntry {
-	return []MultiQueryEntry{
-		{Engine: "flashgraph", Query: "bfs", Q: 1, MakespanNs: 5},
-		{Engine: "blaze", Query: "spmv", Q: 2, MakespanNs: 4},
-		{Engine: "blaze", Query: "bfs", Q: 4, MakespanNs: 2},
-		{Engine: "blaze", Query: "spmv", Q: 1, MakespanNs: 3},
-		{Engine: "blaze", Query: "bfs", Q: 1, MakespanNs: 1},
-	}
-}
-
-// TestSortMultiQuery pins the (engine, query, Q) ordering that makes
-// snapshot files diff cleanly run over run.
-func TestSortMultiQuery(t *testing.T) {
-	entries := shuffledMultiQueryEntries()
-	SortMultiQuery(entries)
-	if !sort.SliceIsSorted(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
-		}
-		if a.Query != b.Query {
-			return a.Query < b.Query
-		}
-		return a.Q < b.Q
-	}) {
-		t.Fatalf("SortMultiQuery left entries unsorted: %+v", entries)
-	}
-	for i, e := range entries {
-		if e.MakespanNs != int64(i+1) {
-			t.Fatalf("position %d holds entry %+v, want makespan %d", i, e, i+1)
-		}
-	}
-}
-
-// TestWriteMultiQuerySnapshotDeterministic: the same measurements in any
-// input order produce byte-identical snapshot files.
-func TestWriteMultiQuerySnapshotDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	shuffled := filepath.Join(dir, "shuffled.json")
-	ordered := filepath.Join(dir, "ordered.json")
-	if err := WriteMultiQuerySnapshot(shuffled, shuffledMultiQueryEntries()); err != nil {
-		t.Fatal(err)
-	}
-	pre := shuffledMultiQueryEntries()
-	SortMultiQuery(pre)
-	if err := WriteMultiQuerySnapshot(ordered, pre); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(ordered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("multiquery snapshot bytes depend on input order:\n%s\nvs\n%s", a, b)
-	}
-	var entries []MultiQueryEntry
-	if err := json.Unmarshal(a, &entries); err != nil {
-		t.Fatalf("multiquery snapshot is not valid JSON: %v", err)
-	}
-	if len(entries) != len(pre) || entries[0].Engine != "blaze" || entries[0].Q != 1 {
-		t.Fatalf("unexpected decoded snapshot head: %+v", entries[:1])
-	}
-}
-
-// TestMultiQuerySnapshotShape runs the real snapshot end to end at the
+// TestMultiQuerySnapshotShape runs the real suite end to end at the
 // default scale and checks the invariants the CI gate relies on: every
 // (engine, query) sweep has a Q=1 anchor at scale 1.0, scale grows with Q
 // past the 1.5x floor at Q=4, and concurrency coalesces reads.
@@ -126,10 +49,7 @@ func TestMultiQuerySnapshotShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight measured runs; skipped in -short mode")
 	}
-	entries, err := MultiQuerySnapshot(DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := MultiQuerySnapshot(DefaultScale)
 	if len(entries) != 2*len(MultiQueryCounts) {
 		t.Fatalf("got %d entries, want %d ({bfs,spmv} x Q sweep)", len(entries), 2*len(MultiQueryCounts))
 	}

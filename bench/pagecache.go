@@ -1,10 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"sort"
-
 	"blaze/internal/pagecache"
 	"blaze/internal/ssd"
 )
@@ -17,26 +13,22 @@ import (
 // cache, so the ideal rate is ~0.8; the floor leaves room for
 // merge-boundary misses while still catching accounting bugs (a cache that
 // double-counts or stops serving drops far below it). CI gates on this
-// constant (TestRepeatScanHitRateFloor and the workflow's cache-ablation
-// leg).
+// constant (TestRepeatScanHitRateFloor).
 const RepeatScanHitRateFloor = 0.7
 
-// CacheSnapshotEntry is one (policy, size, query) measurement in the
-// page-cache ablation snapshot: the modeled makespan and device traffic
-// plus the cache's own counters, the numbers a pagecache-layer change can
-// regress.
+// CacheSnapshotEntry is one (policy, size) measurement of the page-cache
+// suite: the modeled makespan and device traffic plus the cache's own
+// counters, the numbers a pagecache-layer change can regress.
 type CacheSnapshotEntry struct {
-	Policy     string  `json:"policy"` // "none", "clock", "lru"
-	CacheMB    int64   `json:"cache_mb"`
-	Query      string  `json:"query"`
-	Graph      string  `json:"graph"`
-	MakespanNs int64   `json:"makespan_ns"`
-	ReadBytes  int64   `json:"read_bytes"`
-	Hits       int64   `json:"hits"`
-	Misses     int64   `json:"misses"`
-	Evictions  int64   `json:"evictions"`
-	GhostHits  int64   `json:"ghost_hits"`
-	HitRate    float64 `json:"hit_rate"`
+	Policy     string // "none", "clock", "lru"
+	CacheKB    int64
+	MakespanNs int64
+	ReadBytes  int64
+	Hits       int64
+	Misses     int64
+	Evictions  int64
+	GhostHits  int64
+	HitRate    float64
 }
 
 // PagecacheSnapshot measures the blaze engine on the repeat-scan workload
@@ -47,17 +39,11 @@ type CacheSnapshotEntry struct {
 // ceiling where both policies converge (the headroom absorbs CLOCK's
 // per-shard hash imbalance, which at exactly-graph budgets evicts even
 // though the total fits).
-func PagecacheSnapshot(scale float64) ([]CacheSnapshotEntry, error) {
-	d, err := Load("r2", scale)
-	if err != nil {
-		return nil, err
-	}
-	const query = "pr"
-	base := Run(d, Opts{System: "blaze", Query: query, PRIters: 5})
+func PagecacheSnapshot(scale float64) []CacheSnapshotEntry {
+	d := MustLoad("r2", scale)
+	base := Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5})
 	entries := []CacheSnapshotEntry{{
 		Policy:     "none",
-		Query:      query,
-		Graph:      d.Preset.Short,
 		MakespanNs: base.ElapsedNs,
 		ReadBytes:  base.ReadBytes,
 	}}
@@ -65,13 +51,11 @@ func PagecacheSnapshot(scale float64) ([]CacheSnapshotEntry, error) {
 	for _, policy := range []pagecache.Policy{pagecache.PolicyCLOCK, pagecache.PolicyLRU} {
 		for _, budget := range []int64{pageBytes / 4, 2 * pageBytes} {
 			pc := pagecache.NewWithPolicy(budget, policy)
-			r := Run(d, Opts{System: "blaze", Query: query, PRIters: 5, PageCache: pc})
+			r := Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5, PageCache: pc})
 			st := pc.StatsDetail()
 			entries = append(entries, CacheSnapshotEntry{
 				Policy:     policy.String(),
-				CacheMB:    budget >> 20,
-				Query:      query,
-				Graph:      d.Preset.Short,
+				CacheKB:    budget >> 10,
 				MakespanNs: r.ElapsedNs,
 				ReadBytes:  r.ReadBytes,
 				Hits:       st.Hits,
@@ -82,32 +66,21 @@ func PagecacheSnapshot(scale float64) ([]CacheSnapshotEntry, error) {
 			})
 		}
 	}
-	SortCacheSnapshot(entries)
-	return entries, nil
+	return entries
 }
 
-// SortCacheSnapshot orders entries by (policy, cache size, query) so
-// snapshot files diff cleanly regardless of measurement order.
-func SortCacheSnapshot(entries []CacheSnapshotEntry) {
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Policy != b.Policy {
-			return a.Policy < b.Policy
-		}
-		if a.CacheMB != b.CacheMB {
-			return a.CacheMB < b.CacheMB
-		}
-		return a.Query < b.Query
-	})
-}
-
-// WriteCacheSnapshot writes the cache-ablation entries as indented JSON to
-// path, sorted for deterministic output.
-func WriteCacheSnapshot(path string, entries []CacheSnapshotEntry) error {
-	SortCacheSnapshot(entries)
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
+// ExtPagecache tabulates PagecacheSnapshot.
+func ExtPagecache(scale float64) []Table {
+	t := Table{
+		ID:     "ext_pagecache",
+		Title:  "Page cache on repeat scans: blaze PageRank (5 iterations, rmat27 preset) by policy and budget",
+		Header: []string{"policy", "cache KB", "time ms", "read MB", "hit rate", "evictions", "ghost hits"},
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	for _, e := range PagecacheSnapshot(scale) {
+		t.Add(e.Policy, e.CacheKB, float64(e.MakespanNs)/1e6, float64(e.ReadBytes)/1e6,
+			e.HitRate, e.Evictions, e.GhostHits)
+	}
+	t.Notes = append(t.Notes,
+		"Budgets are a quarter of the adjacency (every page is evicted before its next use: hit rate 0) and twice it (one cold pass, four cached: ~0.8).")
+	return []Table{t}
 }

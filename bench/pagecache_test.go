@@ -1,11 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"sort"
 	"testing"
 
 	"blaze/internal/pagecache"
@@ -36,80 +31,7 @@ func TestRepeatScanHitRateFloor(t *testing.T) {
 	}
 }
 
-// shuffledCacheEntries is a fixed worst-case ordering covering all three
-// sort keys, with the expected final position encoded in MakespanNs.
-func shuffledCacheEntries() []CacheSnapshotEntry {
-	return []CacheSnapshotEntry{
-		{Policy: "none", CacheMB: 0, Query: "pr", MakespanNs: 7},
-		{Policy: "clock", CacheMB: 8, Query: "pr", MakespanNs: 3},
-		{Policy: "lru", CacheMB: 1, Query: "bfs", MakespanNs: 4},
-		{Policy: "clock", CacheMB: 1, Query: "bfs", MakespanNs: 1},
-		{Policy: "clock", CacheMB: 1, Query: "pr", MakespanNs: 2},
-		{Policy: "lru", CacheMB: 8, Query: "pr", MakespanNs: 6},
-		{Policy: "lru", CacheMB: 1, Query: "pr", MakespanNs: 5},
-	}
-}
-
-// TestSortCacheSnapshot pins the (policy, cache size, query) ordering that
-// makes cache snapshot files diff cleanly run over run.
-func TestSortCacheSnapshot(t *testing.T) {
-	entries := shuffledCacheEntries()
-	SortCacheSnapshot(entries)
-	if !sort.SliceIsSorted(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Policy != b.Policy {
-			return a.Policy < b.Policy
-		}
-		if a.CacheMB != b.CacheMB {
-			return a.CacheMB < b.CacheMB
-		}
-		return a.Query < b.Query
-	}) {
-		t.Fatalf("SortCacheSnapshot left entries unsorted: %+v", entries)
-	}
-	for i, e := range entries {
-		if e.MakespanNs != int64(i+1) {
-			t.Fatalf("position %d holds entry %+v, want makespan %d", i, e, i+1)
-		}
-	}
-}
-
-// TestWriteCacheSnapshotDeterministic: writing the same measurements in any
-// input order produces byte-identical files, the property the CI
-// cache-ablation leg relies on to diff against a stored baseline.
-func TestWriteCacheSnapshotDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	shuffled := filepath.Join(dir, "shuffled.json")
-	ordered := filepath.Join(dir, "ordered.json")
-	if err := WriteCacheSnapshot(shuffled, shuffledCacheEntries()); err != nil {
-		t.Fatal(err)
-	}
-	pre := shuffledCacheEntries()
-	SortCacheSnapshot(pre)
-	if err := WriteCacheSnapshot(ordered, pre); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(ordered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("cache snapshot bytes depend on input order:\n%s\nvs\n%s", a, b)
-	}
-	var entries []CacheSnapshotEntry
-	if err := json.Unmarshal(a, &entries); err != nil {
-		t.Fatalf("cache snapshot is not valid JSON: %v", err)
-	}
-	if len(entries) != len(pre) || entries[0].Policy != "clock" || entries[0].CacheMB != 1 {
-		t.Fatalf("unexpected decoded snapshot head: %+v", entries[:1])
-	}
-}
-
-// TestPagecacheSnapshotShape runs the real snapshot end to end at the
+// TestPagecacheSnapshotShape runs the real suite end to end at the
 // default scale and checks the measured invariants the ablation is built
 // on: the cache-off leg and the thrash legs read the whole scan from the
 // device, the at-capacity legs read less, and every at-capacity leg clears
@@ -118,10 +40,7 @@ func TestPagecacheSnapshotShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five measured runs; skipped in -short mode")
 	}
-	entries, err := PagecacheSnapshot(DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := PagecacheSnapshot(DefaultScale)
 	if len(entries) != 5 {
 		t.Fatalf("got %d entries, want 5 (none + {clock,lru} x {1/4, 2x})", len(entries))
 	}
@@ -143,13 +62,13 @@ func TestPagecacheSnapshotShape(t *testing.T) {
 			atCapacity++
 			// At-capacity leg: the cache must have cut device traffic.
 			if e.ReadBytes >= base.ReadBytes {
-				t.Errorf("%s/%dMB: hit rate %.2f but read %d bytes >= uncached %d",
-					e.Policy, e.CacheMB, e.HitRate, e.ReadBytes, base.ReadBytes)
+				t.Errorf("%s/%dKB: hit rate %.2f but read %d bytes >= uncached %d",
+					e.Policy, e.CacheKB, e.HitRate, e.ReadBytes, base.ReadBytes)
 			}
 		}
 		if e.ReadBytes > base.ReadBytes {
-			t.Errorf("%s/%dMB: cached run read %d bytes > uncached %d",
-				e.Policy, e.CacheMB, e.ReadBytes, base.ReadBytes)
+			t.Errorf("%s/%dKB: cached run read %d bytes > uncached %d",
+				e.Policy, e.CacheKB, e.ReadBytes, base.ReadBytes)
 		}
 	}
 	if atCapacity != 2 {

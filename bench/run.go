@@ -6,6 +6,7 @@ import (
 	"blaze/algo"
 	"blaze/internal/cluster"
 	"blaze/internal/costmodel"
+	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/metrics"
 	"blaze/internal/pagecache"
@@ -39,16 +40,6 @@ type Opts struct {
 	PageCache *pagecache.Cache
 	// PRIters caps PageRank iterations (0 = 15).
 	PRIters int
-	// Driver forces the iteration driver: "" or "auto" defers to the
-	// engine's preference (barrier rounds everywhere except blaze-async),
-	// "round" forces barrier rounds, "async" forces barrier-free page
-	// waves fed by PageCache's heat signal.
-	Driver string
-	// ConvergeTol is handed to the driver's convergence contract
-	// (0 = iterate until the frontier empties or the cap hits).
-	ConvergeTol float64
-	// AsyncWavePages caps one async wave's page frontier (0 = default).
-	AsyncWavePages int
 	// TimelineBucketNs enables bandwidth timeline collection.
 	TimelineBucketNs int64
 	// Model overrides the cost model (zero value = Default).
@@ -141,23 +132,22 @@ func Run(d *Dataset, o Opts) Result {
 	}
 
 	ro := registry.Options{
-		Edges:          d.CSR.E,
-		Workers:        o.ComputeWorkers,
-		Ratio:          o.Ratio,
-		NumDev:         o.NumDev,
-		Profile:        o.Profile,
-		Model:          &model,
-		Stats:          stats,
-		Mem:            mem,
-		BinCount:       o.BinCount,
-		BinSpaceBytes:  o.BinSpace,
-		IOBufferBytes:  o.IOBufBytes,
-		PageCache:      o.PageCache,
-		Tracer:         o.Tracer,
-		AsyncWavePages: o.AsyncWavePages,
-		Machines:       o.Machines,
-		NetBandwidth:   o.NetBandwidth,
-		NetLatencyNs:   o.NetLatNs,
+		Edges:         d.CSR.E,
+		Workers:       o.ComputeWorkers,
+		Ratio:         o.Ratio,
+		NumDev:        o.NumDev,
+		Profile:       o.Profile,
+		Model:         &model,
+		Stats:         stats,
+		Mem:           mem,
+		BinCount:      o.BinCount,
+		BinSpaceBytes: o.BinSpace,
+		IOBufferBytes: o.IOBufBytes,
+		PageCache:     o.PageCache,
+		Tracer:        o.Tracer,
+		Machines:      o.Machines,
+		NetBandwidth:  o.NetBandwidth,
+		NetLatencyNs:  o.NetLatNs,
 	}
 	// FlashGraph's page cache (1 GB on the paper's testbed) must scale
 	// with the datasets, or it would swallow the scaled graphs whole
@@ -171,56 +161,13 @@ func Run(d *Dataset, o Opts) Result {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 
-	drv := algo.DriverFor(sys)
-	switch o.Driver {
-	case "", "auto":
-	case "round":
-		drv = algo.RoundDriver{}
-	case "async":
-		drv = &algo.AsyncDriver{Cache: o.PageCache, WavePages: o.AsyncWavePages}
-	default:
-		panic(fmt.Sprintf("bench: unknown driver %q", o.Driver))
-	}
-	cv := algo.Convergence{Tol: o.ConvergeTol}
-
 	res := Result{Opts: o, Graph: d.Preset.Short, Timeline: tl, Mem: mem}
 	ctx.Run("main", func(p exec.Proc) {
-		switch o.Query {
-		case "bfs":
-			parent := algo.Must2(algo.BFSDrive(drv, sys, p, out, d.Start, cv))
-			res.AlgoBytes = algo.AlgoMemoryBFS(out.NumVertices())
-			_ = parent
-		case "pr":
-			// eps keeps the frontier dense through the measured
-			// iterations, matching full-scale behaviour where PR-delta
-			// needs far more iterations to converge than the scaled
-			// datasets do.
-			prCv := cv
-			prCv.MaxIters = o.PRIters
-			algo.Must2(algo.PageRankDrive(drv, sys, p, out, 1e-9, prCv))
-			res.AlgoBytes = algo.AlgoMemoryPageRank(out.NumVertices())
-		case "pr1":
-			algo.Must(algo.PageRankOneIteration(sys, p, out))
-			res.AlgoBytes = algo.AlgoMemoryPageRank(out.NumVertices())
-		case "wcc":
-			algo.Must2(algo.WCCDrive(drv, sys, p, out, in, cv))
-			res.AlgoBytes = algo.AlgoMemoryWCC(out.NumVertices())
-		case "spmv":
-			x := make([]float64, out.NumVertices())
-			for i := range x {
-				x[i] = 1
-			}
-			algo.Must(algo.SpMV(sys, p, out, x))
-			res.AlgoBytes = algo.AlgoMemorySpMV(out.NumVertices())
-		case "bc":
-			algo.Must2(algo.BCDrive(drv, sys, p, out, in, d.Start, cv))
-			levels := len(sys.IterDeviceBytes())
-			res.Levels = levels
-			res.AlgoBytes = algo.AlgoMemoryBC(out.NumVertices(), levels)
-		default:
-			panic(fmt.Sprintf("bench: unknown query %q", o.Query))
-		}
+		res.AlgoBytes = algo.Must(runQuery(sys, p, o.Query, out, in, d.Start, o.PRIters))
 	})
+	if o.Query == "bc" {
+		res.Levels = len(sys.IterDeviceBytes())
+	}
 	res.ElapsedNs = ctx.End
 	res.ReadBytes = stats.TotalBytes()
 	res.IterBytes = sys.IterDeviceBytes()
@@ -231,6 +178,45 @@ func Run(d *Dataset, o Opts) Result {
 	}
 	mem.Set("algo-arrays", res.AlgoBytes)
 	return res
+}
+
+// runQuery executes the named query on sys under the system's preferred
+// driver and returns the footprint of the vertex arrays it allocated. It
+// is the one query-name dispatch in this package: Run, the engine-config
+// ablations, the cluster and in-core comparisons and the session bodies all
+// come through it, each with the PageRank iteration cap its committed CSV
+// was produced with. start seeds BFS and BC; SpMV multiplies the all-ones
+// vector.
+func runQuery(sys algo.System, p exec.Proc, query string, out, in *engine.Graph, start uint32, prIters int) (algoBytes int64, err error) {
+	n := out.NumVertices()
+	switch query {
+	case "bfs":
+		_, err = algo.BFS(sys, p, out, start)
+		return algo.AlgoMemoryBFS(n), err
+	case "pr", "pr1":
+		if query == "pr1" {
+			prIters = 1
+		}
+		// eps keeps the frontier dense through the measured iterations,
+		// matching full-scale behaviour where PR-delta needs far more
+		// iterations to converge than the scaled datasets do.
+		_, err = algo.PageRank(sys, p, out, 1e-9, prIters)
+		return algo.AlgoMemoryPageRank(n), err
+	case "wcc":
+		_, err = algo.WCC(sys, p, out, in)
+		return algo.AlgoMemoryWCC(n), err
+	case "spmv":
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 1
+		}
+		_, err = algo.SpMV(sys, p, out, x)
+		return algo.AlgoMemorySpMV(n), err
+	case "bc":
+		_, err = algo.BC(sys, p, out, in, start)
+		return algo.AlgoMemoryBC(n, len(sys.IterDeviceBytes())), err
+	}
+	return 0, fmt.Errorf("bench: unknown query %q", query)
 }
 
 // TraceRun executes one measurement like Run with tracing enabled and

@@ -1,21 +1,20 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"sort"
+	"fmt"
+	"strings"
 )
 
-// The scale-out snapshot measures what destination partitioning buys: M
+// The scale-out suite measures what destination partitioning buys: M
 // machines each hold 1/M of the edges on their own device array, so the
 // aggregate read bandwidth grows M-fold while the interconnect charges for
 // every exchanged frontier delta. On an IO-bound query the bandwidth win
 // must dominate the network cost — that is the whole point of the design —
-// and CI gates on it. The snapshot records makespan, wire traffic, and the
+// and CI gates on it. The suite records makespan, wire traffic, and the
 // per-machine read split for M=1/2/4 on the high-locality crawl.
 
-// ScaleoutGraph is the dataset the scale-out snapshot measures (the
-// crawl also used by the async snapshot; its dense adjacency makes the
+// ScaleoutGraph is the dataset the scale-out suite measures (the
+// crawl also used by the async suite; its dense adjacency makes the
 // IO-bound legs genuinely device-limited).
 const ScaleoutGraph = "sk"
 
@@ -28,39 +27,35 @@ const ScaleoutGateQuery = "spmv"
 // query at least this much faster than 1.
 const ScaleoutSpeedupFloor = 1.5
 
-// ScaleoutMachineCounts is the snapshot's M sweep.
+// ScaleoutMachineCounts is the suite's M sweep.
 var ScaleoutMachineCounts = []int{1, 2, 4}
 
 // scaleoutQueries are the measured queries: the IO-bound gate query plus
 // the two frontier-driven ones that actually exercise the interconnect.
 var scaleoutQueries = []string{"spmv", "bfs", "pr"}
 
-// ScaleoutEntry is one (query, machines) measurement in BENCH_scaleout.json.
+// ScaleoutEntry is one (machines, query) measurement of the scale-out
+// suite.
 type ScaleoutEntry struct {
-	Engine     string `json:"engine"`
-	Query      string `json:"query"`
-	Graph      string `json:"graph"`
-	Machines   int    `json:"machines"`
-	MakespanNs int64  `json:"makespan_ns"`
-	ReadBytes  int64  `json:"read_bytes"`
+	Query      string
+	Machines   int
+	MakespanNs int64
+	ReadBytes  int64
 	// NetBytes/NetMsgs/NetRetrans are the interconnect's wire counters
 	// (zero at M=1, where no exchange happens).
-	NetBytes   int64 `json:"net_bytes"`
-	NetMsgs    int64 `json:"net_msgs"`
-	NetRetrans int64 `json:"net_retrans"`
+	NetBytes   int64
+	NetMsgs    int64
+	NetRetrans int64
 	// PerMachineReadBytes is each machine's local-array read volume.
-	PerMachineReadBytes []int64 `json:"per_machine_read_bytes"`
+	PerMachineReadBytes []int64
 	// SpeedupVsM1 is the same query's M=1 makespan over this one.
-	SpeedupVsM1 float64 `json:"speedup_vs_m1"`
+	SpeedupVsM1 float64
 }
 
 // ScaleoutSnapshot sweeps blaze-scaleout over ScaleoutMachineCounts on the
-// crawl and returns one entry per (query, machines).
-func ScaleoutSnapshot(scale float64) ([]ScaleoutEntry, error) {
-	d, err := Load(ScaleoutGraph, scale)
-	if err != nil {
-		return nil, err
-	}
+// crawl and returns one entry per (machines, query).
+func ScaleoutSnapshot(scale float64) []ScaleoutEntry {
+	d := MustLoad(ScaleoutGraph, scale)
 	base := map[string]int64{}
 	var entries []ScaleoutEntry
 	for _, m := range ScaleoutMachineCounts {
@@ -73,9 +68,7 @@ func ScaleoutSnapshot(scale float64) ([]ScaleoutEntry, error) {
 				}
 			}
 			e := ScaleoutEntry{
-				Engine:              "blaze-scaleout",
 				Query:               query,
-				Graph:               d.Preset.Short,
 				Machines:            m,
 				MakespanNs:          res.ElapsedNs,
 				ReadBytes:           res.ReadBytes,
@@ -93,27 +86,28 @@ func ScaleoutSnapshot(scale float64) ([]ScaleoutEntry, error) {
 			entries = append(entries, e)
 		}
 	}
-	SortScaleout(entries)
-	return entries, nil
+	return entries
 }
 
-// SortScaleout orders entries by (query, machines) for deterministic files.
-func SortScaleout(entries []ScaleoutEntry) {
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Query != b.Query {
-			return a.Query < b.Query
-		}
-		return a.Machines < b.Machines
-	})
-}
-
-// WriteScaleoutSnapshot writes the entries as indented JSON to path.
-func WriteScaleoutSnapshot(path string, entries []ScaleoutEntry) error {
-	SortScaleout(entries)
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
+// ExtScaleout tabulates ScaleoutSnapshot.
+func ExtScaleout(scale float64) []Table {
+	t := Table{
+		ID:    "ext_scaleout",
+		Title: "blaze-scaleout on the sk2005 preset: one device per machine, 25 Gb/s interconnect",
+		Header: []string{"machines", "query", "time ms", "speedup vs M=1", "read MB", "net MB",
+			"net msgs", "retransmits", "read MB per machine"},
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	for _, e := range ScaleoutSnapshot(scale) {
+		per := make([]string, len(e.PerMachineReadBytes))
+		for i, b := range e.PerMachineReadBytes {
+			per[i] = formatFloat(float64(b) / 1e6)
+		}
+		t.Add(e.Machines, e.Query, float64(e.MakespanNs)/1e6, e.SpeedupVsM1,
+			float64(e.ReadBytes)/1e6, float64(e.NetBytes)/1e6, e.NetMsgs, e.NetRetrans,
+			strings.Join(per, "/"))
+	}
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("CI holds %s at M=4 to at least %.1fx of M=1 (TestScaleoutSnapshotGate): aggregate device bandwidth must outrun the wire.",
+			ScaleoutGateQuery, ScaleoutSpeedupFloor))
+	return []Table{t}
 }

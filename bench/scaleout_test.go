@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -13,10 +13,7 @@ func TestScaleoutSnapshotGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine measured runs; skipped in -short mode")
 	}
-	entries, err := ScaleoutSnapshot(DefaultScale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := ScaleoutSnapshot(DefaultScale)
 	var m1, m4 int64
 	for _, e := range entries {
 		if e.Query != ScaleoutGateQuery {
@@ -30,7 +27,7 @@ func TestScaleoutSnapshotGate(t *testing.T) {
 		}
 	}
 	if m1 == 0 || m4 == 0 {
-		t.Fatalf("snapshot missing %s entries: %+v", ScaleoutGateQuery, entries)
+		t.Fatalf("suite missing %s entries: %+v", ScaleoutGateQuery, entries)
 	}
 	if speedup := float64(m1) / float64(m4); speedup < ScaleoutSpeedupFloor {
 		t.Errorf("M=4 %s speedup %.2fx below the %.2fx floor (M=1 %dns, M=4 %dns) on %s",
@@ -45,10 +42,7 @@ func TestScaleoutSnapshotShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine measured runs; skipped in -short mode")
 	}
-	entries, err := ScaleoutSnapshot(DefaultScale / 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := ScaleoutSnapshot(DefaultScale / 4)
 	if want := len(ScaleoutMachineCounts) * len(scaleoutQueries); len(entries) != want {
 		t.Fatalf("%d entries, want %d", len(entries), want)
 	}
@@ -74,23 +68,14 @@ func TestScaleoutSnapshotShape(t *testing.T) {
 }
 
 // TestScaleoutSnapshotDeterministic: the sweep is a pure function of the
-// sim — two runs must agree on every field, network byte counts included,
-// which is what lets CI diff BENCH_scaleout.json against a baseline.
+// sim — two runs must agree on every field, network byte counts and the
+// per-machine read split included.
 func TestScaleoutSnapshotDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eighteen measured runs; skipped in -short mode")
 	}
-	a, err := ScaleoutSnapshot(DefaultScale / 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ScaleoutSnapshot(DefaultScale / 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
-		t.Errorf("snapshots differ across same-seed runs:\n%s\nvs\n%s", aj, bj)
+	a, b := ScaleoutSnapshot(DefaultScale/4), ScaleoutSnapshot(DefaultScale/4)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same inputs, different measurements:\n%+v\nvs\n%+v", a, b)
 	}
 }

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 
-	"blaze/algo"
 	"blaze/internal/exec"
 	"blaze/internal/loadgen"
 	"blaze/internal/pagecache"
@@ -16,7 +12,7 @@ import (
 	"blaze/internal/ssd"
 )
 
-// The serving snapshot drives the full serving stack — session, admission
+// The serving suite drives the full serving stack — session, admission
 // queue, priority dispatch, deadlines, open-loop load generator — under
 // the Sim backend and records per-class tail latency, goodput, and
 // rejection rate as the offered load sweeps from light to past capacity.
@@ -48,30 +44,28 @@ const (
 	ServingGateP99Factor = 6.0
 )
 
-// ServingEntry is one (load factor, class) row of the serving snapshot.
+// ServingEntry is one (load factor, class) row of the serving suite.
 type ServingEntry struct {
-	Engine string `json:"engine"`
-	Graph  string `json:"graph"`
 	// LoadFactor is offered/capacity; RatePerSec is the resulting open-loop
 	// arrival rate in model time.
-	LoadFactor float64 `json:"load_factor"`
-	RatePerSec float64 `json:"rate_per_sec"`
-	Class      string  `json:"class"`
+	LoadFactor float64
+	RatePerSec float64
+	Class      string
 	// ServiceNs is the class's serial (uncontended, warmed) service time,
 	// measured before the load is applied — the latency floor.
-	ServiceNs int64 `json:"service_ns"`
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	Late      int64 `json:"late"`
-	Rejected  int64 `json:"rejected"`
-	Expired   int64 `json:"expired"`
-	Failed    int64 `json:"failed"`
-	P50Ns     int64 `json:"p50_ns"`
-	P99Ns     int64 `json:"p99_ns"`
+	ServiceNs int64
+	Submitted int64
+	Completed int64
+	Late      int64
+	Rejected  int64
+	Expired   int64
+	Failed    int64
+	P50Ns     int64
+	P99Ns     int64
 	// GoodputPerSec counts on-time completions per second of model time;
 	// RejectRate is rejected over offered.
-	GoodputPerSec float64 `json:"goodput_per_sec"`
-	RejectRate    float64 `json:"reject_rate"`
+	GoodputPerSec float64
+	RejectRate    float64
 }
 
 // ServingRun measures one load point: it builds a fresh session and
@@ -98,18 +92,8 @@ func ServingRun(d *Dataset, loadFactor float64) []ServingEntry {
 	}
 	srv := server.New(ctx, sess, server.Config{Slots: ServingSlots, QueueDepth: ServingQueueDepth})
 
-	bfsBody := func(p exec.Proc, q *session.Query) error {
-		_, err := algo.BFS(q.Sys, p, out, d.Start)
-		return err
-	}
-	spmvBody := func(p exec.Proc, q *session.Query) error {
-		x := make([]float64, out.NumVertices())
-		for i := range x {
-			x[i] = 1
-		}
-		_, err := algo.SpMV(q.Sys, p, out, x)
-		return err
-	}
+	bfsBody := sessionBody(d, out, in, "bfs")
+	spmvBody := sessionBody(d, out, in, "spmv")
 
 	var entries []ServingEntry
 	ctx.Run("main", func(p exec.Proc) {
@@ -153,8 +137,6 @@ func ServingRun(d *Dataset, loadFactor float64) []ServingEntry {
 		svc := map[string]int64{"interactive": bfsNs, "batch": spmvNs}
 		for _, c := range rep.Classes {
 			entries = append(entries, ServingEntry{
-				Engine:        "blaze",
-				Graph:         d.Preset.Short,
 				LoadFactor:    loadFactor,
 				RatePerSec:    rate,
 				Class:         c.Class,
@@ -176,41 +158,30 @@ func ServingRun(d *Dataset, loadFactor float64) []ServingEntry {
 }
 
 // ServingSnapshot sweeps the offered load over ServingLoadFactors and
-// returns the per-class rows, sorted for stable diffs.
-func ServingSnapshot(scale float64) ([]ServingEntry, error) {
-	d, err := Load("r2", scale)
-	if err != nil {
-		return nil, err
-	}
+// returns the per-class rows.
+func ServingSnapshot(scale float64) []ServingEntry {
+	d := MustLoad("r2", scale)
 	var entries []ServingEntry
 	for _, lf := range ServingLoadFactors {
 		entries = append(entries, ServingRun(d, lf)...)
 	}
-	SortServing(entries)
-	return entries, nil
+	return entries
 }
 
-// SortServing orders entries by (engine, load factor, class) so snapshot
-// files diff cleanly.
-func SortServing(entries []ServingEntry) {
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
-		}
-		if a.LoadFactor != b.LoadFactor {
-			return a.LoadFactor < b.LoadFactor
-		}
-		return a.Class < b.Class
-	})
-}
-
-// WriteServingSnapshot writes the entries as indented JSON to path.
-func WriteServingSnapshot(path string, entries []ServingEntry) error {
-	SortServing(entries)
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
+// ExtServing tabulates ServingSnapshot.
+func ExtServing(scale float64) []Table {
+	t := Table{
+		ID:    "ext_serving",
+		Title: "Serving stack under open-loop load: blaze on the rmat27 preset, 4 slots, interactive BFS 3:1 batch SpMV",
+		Header: []string{"load x capacity", "rate /s", "class", "service ms", "p50 ms", "p99 ms",
+			"goodput /s", "reject %", "submitted", "completed", "late", "rejected", "expired", "failed"},
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	for _, e := range ServingSnapshot(scale) {
+		t.Add(e.LoadFactor, e.RatePerSec, e.Class, float64(e.ServiceNs)/1e6,
+			float64(e.P50Ns)/1e6, float64(e.P99Ns)/1e6, e.GoodputPerSec, 100*e.RejectRate,
+			e.Submitted, e.Completed, e.Late, e.Rejected, e.Expired, e.Failed)
+	}
+	t.Notes = append(t.Notes,
+		"The 1.2x row is deliberately past capacity: admission control sheds load there so that the admitted interactive tail stays bounded.")
+	return []Table{t}
 }

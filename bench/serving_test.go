@@ -1,12 +1,7 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -52,7 +47,7 @@ func TestServingP99Gate(t *testing.T) {
 
 // TestServingRunDeterministic: the same load point measured twice on fresh
 // stacks produces identical entries — every counter, every percentile.
-// This is the unit-level form of the snapshot's byte-identity guarantee.
+// This is the full-precision form of the committed CSV's byte identity.
 func TestServingRunDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full load points; skipped in -short mode")
@@ -62,75 +57,5 @@ func TestServingRunDeterministic(t *testing.T) {
 	e2 := ServingRun(d, ServingGateLoadFactor)
 	if !reflect.DeepEqual(e1, e2) {
 		t.Errorf("same seed, different serving measurements:\n%+v\nvs\n%+v", e1, e2)
-	}
-}
-
-// shuffledServingEntries covers all three sort keys out of order, with the
-// expected final position encoded in Submitted.
-func shuffledServingEntries() []ServingEntry {
-	return []ServingEntry{
-		{Engine: "flashgraph", LoadFactor: 0.2, Class: "batch", Submitted: 5},
-		{Engine: "blaze", LoadFactor: 0.8, Class: "batch", Submitted: 3},
-		{Engine: "blaze", LoadFactor: 0.2, Class: "interactive", Submitted: 2},
-		{Engine: "blaze", LoadFactor: 0.8, Class: "interactive", Submitted: 4},
-		{Engine: "blaze", LoadFactor: 0.2, Class: "batch", Submitted: 1},
-	}
-}
-
-// TestSortServing pins the (engine, load factor, class) ordering that
-// makes snapshot files diff cleanly run over run.
-func TestSortServing(t *testing.T) {
-	entries := shuffledServingEntries()
-	SortServing(entries)
-	if !sort.SliceIsSorted(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
-		}
-		if a.LoadFactor != b.LoadFactor {
-			return a.LoadFactor < b.LoadFactor
-		}
-		return a.Class < b.Class
-	}) {
-		t.Fatalf("SortServing left entries unsorted: %+v", entries)
-	}
-	for i, e := range entries {
-		if e.Submitted != int64(i+1) {
-			t.Fatalf("position %d holds entry %+v, want submitted %d", i, e, i+1)
-		}
-	}
-}
-
-// TestWriteServingSnapshotDeterministic: the same measurements in any
-// input order produce byte-identical snapshot files.
-func TestWriteServingSnapshotDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	shuffled := filepath.Join(dir, "shuffled.json")
-	ordered := filepath.Join(dir, "ordered.json")
-	if err := WriteServingSnapshot(shuffled, shuffledServingEntries()); err != nil {
-		t.Fatal(err)
-	}
-	pre := shuffledServingEntries()
-	SortServing(pre)
-	if err := WriteServingSnapshot(ordered, pre); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(ordered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("serving snapshot bytes depend on input order:\n%s\nvs\n%s", a, b)
-	}
-	var entries []ServingEntry
-	if err := json.Unmarshal(a, &entries); err != nil {
-		t.Fatalf("serving snapshot is not valid JSON: %v", err)
-	}
-	if len(entries) != len(pre) || entries[0].Engine != "blaze" || entries[0].Class != "batch" {
-		t.Fatalf("unexpected decoded snapshot head: %+v", entries[:1])
 	}
 }

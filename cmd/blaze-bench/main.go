@@ -1,5 +1,6 @@
-// Command blaze-bench regenerates the paper's tables and figures under the
-// deterministic virtual-time backend and writes one CSV per artifact.
+// Command blaze-bench regenerates the paper's tables and figures, and the
+// extension suites (ext_*), under the deterministic virtual-time backend
+// and writes one CSV per artifact. An experiment is the only unit it runs.
 //
 // Usage:
 //
@@ -8,12 +9,7 @@
 //	blaze-bench -exp fig9 -scale 512   # larger datasets (slower)
 //	blaze-bench -exp fig10 -cpuprofile cpu.out -memprofile mem.out
 //	blaze-bench -exp fig8 -faultTransientRate 0.001  # failure drill
-//	blaze-bench -snapshot BENCH_pipeline.json        # CI perf snapshot
-//	blaze-bench -snapshot-pagecache BENCH_pagecache.json  # cache ablation snapshot
-//	blaze-bench -snapshot-serving BENCH_serving.json      # serving latency-vs-load snapshot
-//	blaze-bench -snapshot-async BENCH_async.json          # barrier-free driver snapshot
-//	blaze-bench -snapshot-scaleout BENCH_scaleout.json    # machine-count sweep snapshot
-//	blaze-bench -snapshot-ingest BENCH_ingest.json        # incremental repair vs recompute snapshot
+//	blaze-bench -exp ext_serving       # an extension suite, same path
 //	blaze-bench -trace trace.json -stage-stats       # traced single run
 //	blaze-bench -list
 //
@@ -30,8 +26,10 @@
 // error (the harness treats query failure as fatal).
 //
 // Results print as aligned tables and are saved under -out (default
-// ./results). The -cpuprofile/-memprofile flags write pprof profiles of the
-// run for `go tool pprof`.
+// ./results). The committed results/*.csv are the repo's trajectory: CI
+// regenerates them and fails on any byte of difference. The
+// -cpuprofile/-memprofile flags write pprof profiles of the run for
+// `go tool pprof`.
 package main
 
 import (
@@ -55,17 +53,10 @@ func main() {
 // os.Exit inside main would skip them. The named return lets a failed heap
 // profile write flip an otherwise-successful exit to 1.
 func run() (code int) {
-	exp := flag.String("exp", "", "experiment id (table1, table2, fig1..fig12) or 'all'")
+	exp := flag.String("exp", "", "experiment id (see -list) or 'all'")
 	scale := flag.Float64("scale", bench.DefaultScale, "divide the paper's dataset sizes by this factor")
 	out := flag.String("out", "results", "output directory for CSV files")
 	list := flag.Bool("list", false, "list experiments and exit")
-	snapshot := flag.String("snapshot", "", "write a short-sim pipeline perf snapshot (makespan + allocs per engine) to this JSON file and exit")
-	snapshotPC := flag.String("snapshot-pagecache", "", "write a short-sim page-cache ablation snapshot (LRU vs CLOCK by cache size, with hit rates) to this JSON file and exit")
-	snapshotMQ := flag.String("snapshot-multiquery", "", "write a short-sim concurrent-session snapshot (aggregate throughput and coalesced reads at Q=1/2/4/8) to this JSON file and exit")
-	snapshotServe := flag.String("snapshot-serving", "", "write a short-sim serving snapshot (per-class p50/p99, goodput, reject rate across an arrival-rate sweep) to this JSON file and exit")
-	snapshotAsync := flag.String("snapshot-async", "", "write a short-sim async-driver snapshot (blaze vs blaze-async makespans on the high-diameter crawl) to this JSON file and exit")
-	snapshotScaleout := flag.String("snapshot-scaleout", "", "write a short-sim scale-out snapshot (blaze-scaleout makespan, network bytes, and per-machine IO at M=1/2/4) to this JSON file and exit")
-	snapshotIngest := flag.String("snapshot-ingest", "", "write a short-sim dynamic-ingest snapshot (incremental BFS/WCC repair vs full recompute after a 1% insertion batch) to this JSON file and exit")
 	traceOut := flag.String("trace", "", "run one traced measurement and write a Chrome trace_event JSON timeline (Perfetto-loadable) to this file")
 	stageStats := flag.Bool("stage-stats", false, "run one traced measurement and print the per-stage summary")
 	traceEngine := flag.String("trace-engine", "blaze", "engine for the traced run")
@@ -88,8 +79,8 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "note: fault injection / retry overrides active; outputs will diverge from the paper figures")
 	}
 
-	// Profiles cover whichever mode runs below: the traced run and the
-	// snapshot modes return early, so the set-up has to precede them.
+	// Profiles cover whichever mode runs below: the traced run returns
+	// early, so the set-up has to precede it.
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -147,140 +138,10 @@ func run() (code int) {
 		return 0
 	}
 
-	if *snapshot != "" {
-		entries, err := bench.Snapshot(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteSnapshot(*snapshot, entries); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-			return 1
-		}
-		for _, e := range entries {
-			fmt.Printf("%-12s %-4s makespan=%8.3fms read=%6.1fMB allocs=%d\n",
-				e.Engine, e.Query, float64(e.MakespanNs)/1e6, float64(e.ReadBytes)/1e6, e.Allocs)
-		}
-		fmt.Printf("snapshot written to %s\n", *snapshot)
-		return 0
-	}
-
-	if *snapshotPC != "" {
-		entries, err := bench.PagecacheSnapshot(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-pagecache: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteCacheSnapshot(*snapshotPC, entries); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-pagecache: %v\n", err)
-			return 1
-		}
-		for _, e := range entries {
-			fmt.Printf("%-6s cache=%4dMB %-4s makespan=%8.3fms read=%6.1fMB hitRate=%.3f evict=%d ghost=%d\n",
-				e.Policy, e.CacheMB, e.Query, float64(e.MakespanNs)/1e6,
-				float64(e.ReadBytes)/1e6, e.HitRate, e.Evictions, e.GhostHits)
-		}
-		fmt.Printf("snapshot written to %s\n", *snapshotPC)
-		return 0
-	}
-
-	if *snapshotMQ != "" {
-		entries, err := bench.MultiQuerySnapshot(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-multiquery: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteMultiQuerySnapshot(*snapshotMQ, entries); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-multiquery: %v\n", err)
-			return 1
-		}
-		for _, e := range entries {
-			fmt.Printf("%-8s %-5s Q=%d makespan=%8.3fms read=%6.1fMB coalesced=%6d pages aggScale=%.2fx\n",
-				e.Engine, e.Query, e.Q, float64(e.MakespanNs)/1e6,
-				float64(e.ReadBytes)/1e6, e.CoalescedPages, e.AggThroughputScale)
-		}
-		fmt.Printf("snapshot written to %s\n", *snapshotMQ)
-		return 0
-	}
-
-	if *snapshotServe != "" {
-		entries, err := bench.ServingSnapshot(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-serving: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteServingSnapshot(*snapshotServe, entries); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-serving: %v\n", err)
-			return 1
-		}
-		for _, e := range entries {
-			fmt.Printf("load=%.1fx rate=%6.0f/s %-11s p50=%8.3fms p99=%8.3fms goodput=%7.1f/s reject=%5.1f%% expired=%d\n",
-				e.LoadFactor, e.RatePerSec, e.Class, float64(e.P50Ns)/1e6,
-				float64(e.P99Ns)/1e6, e.GoodputPerSec, 100*e.RejectRate, e.Expired)
-		}
-		fmt.Printf("snapshot written to %s\n", *snapshotServe)
-		return 0
-	}
-
-	if *snapshotAsync != "" {
-		entries, err := bench.AsyncSnapshot(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-async: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteSnapshot(*snapshotAsync, entries); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-async: %v\n", err)
-			return 1
-		}
-		for _, e := range entries {
-			fmt.Printf("%-12s %-4s makespan=%8.3fms read=%6.1fMB\n",
-				e.Engine, e.Query, float64(e.MakespanNs)/1e6, float64(e.ReadBytes)/1e6)
-		}
-		fmt.Printf("snapshot written to %s\n", *snapshotAsync)
-		return 0
-	}
-
-	if *snapshotScaleout != "" {
-		entries, err := bench.ScaleoutSnapshot(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-scaleout: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteScaleoutSnapshot(*snapshotScaleout, entries); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-scaleout: %v\n", err)
-			return 1
-		}
-		for _, e := range entries {
-			fmt.Printf("%-5s M=%d makespan=%8.3fms read=%6.1fMB net=%6.2fMB msgs=%5d speedup=%.2fx\n",
-				e.Query, e.Machines, float64(e.MakespanNs)/1e6, float64(e.ReadBytes)/1e6,
-				float64(e.NetBytes)/1e6, e.NetMsgs, e.SpeedupVsM1)
-		}
-		fmt.Printf("snapshot written to %s\n", *snapshotScaleout)
-		return 0
-	}
-
-	if *snapshotIngest != "" {
-		entries, err := bench.IngestSnapshot(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-ingest: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteSnapshot(*snapshotIngest, entries); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot-ingest: %v\n", err)
-			return 1
-		}
-		for _, e := range entries {
-			fmt.Printf("%-8s %-10s makespan=%8.3fms\n",
-				e.Engine, e.Query, float64(e.MakespanNs)/1e6)
-		}
-		fmt.Printf("snapshot written to %s\n", *snapshotIngest)
-		return 0
-	}
-
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
 		for _, e := range bench.Experiments() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Desc)
+			fmt.Printf("  %-14s %s\n", e.ID, e.Desc)
 		}
 		if *exp == "" && !*list {
 			return 2

@@ -126,11 +126,19 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 	}
 	run("blaze-plot", "-in", resDir, "-out", filepath.Join(resDir, "plots"))
 
-	// Profiling flags must cover the modes that return before the
-	// experiment loop: a snapshot run leaves a non-empty CPU profile.
-	prof := filepath.Join(resDir, "snapshot.prof")
-	run("blaze-bench", "-snapshot", filepath.Join(resDir, "snapshot.json"), "-scale", "4096", "-cpuprofile", prof)
+	// An extension suite runs through the same -exp path as a figure.
+	if out := run("blaze-bench", "-exp", "ext_ingest", "-scale", "4096", "-out", resDir); !strings.Contains(out, "repair speedup") {
+		t.Errorf("blaze-bench -exp ext_ingest output: %s", out)
+	}
+	if _, err := os.Stat(filepath.Join(resDir, "ext_ingest.csv")); err != nil {
+		t.Errorf("ext_ingest.csv missing: %v", err)
+	}
+
+	// Profiling flags must cover the one mode that returns before the
+	// experiment loop: a traced run leaves a non-empty CPU profile.
+	prof := filepath.Join(resDir, "stage-stats.prof")
+	run("blaze-bench", "-stage-stats", "-scale", "4096", "-cpuprofile", prof)
 	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
-		t.Errorf("-snapshot -cpuprofile left no profile: %v", err)
+		t.Errorf("-stage-stats -cpuprofile left no profile: %v", err)
 	}
 }

@@ -339,7 +339,6 @@ func Setup(o *Options) (*Env, error) {
 		NumDev:         o.Devices,
 		Profile:        prof,
 		Stats:          stats,
-		Pool:           engine.NewPool(),
 		BinCount:       o.BinCount,
 		PageCache:      cache,
 		DevOpts:        devOpts,

@@ -36,6 +36,11 @@ type Proc interface {
 	// It is a no-op under the Real backend, where computation takes real
 	// time.
 	Advance(ns int64)
+	// Sleep blocks this proc for ns nanoseconds of model time without
+	// charging compute: the virtual clock jumps under Sim, the goroutine
+	// sleeps under Real. It is how pacing code (an open-loop arrival
+	// schedule, a fairness delay) waits the same way under both clocks.
+	Sleep(ns int64)
 	// Now returns this proc's clock in nanoseconds since Run started:
 	// virtual time under Sim, wall time under Real.
 	Now() int64
@@ -75,8 +80,6 @@ type Context interface {
 	// Run executes fn as the root proc and returns when fn and, under Sim,
 	// every proc it spawned have finished.
 	Run(name string, fn func(Proc))
-	// IsSim reports whether this context uses virtual time.
-	IsSim() bool
 }
 
 // WaitGroup mirrors sync.WaitGroup with proc-aware Done/Wait so the Sim

@@ -37,9 +37,6 @@ func (r *Real) Go(name string, fn func(Proc)) {
 	}()
 }
 
-// IsSim reports false.
-func (r *Real) IsSim() bool { return false }
-
 // NewWaitGroup returns a wait group backed by sync.WaitGroup.
 func (r *Real) NewWaitGroup() WaitGroup { return &realWG{} }
 
@@ -62,6 +59,7 @@ type realProc struct {
 }
 
 func (p *realProc) Advance(ns int64)           {}
+func (p *realProc) Sleep(ns int64)             { time.Sleep(time.Duration(ns)) }
 func (p *realProc) Sync()                      {}
 func (p *realProc) Name() string               { return p.name }
 func (p *realProc) Now() int64                 { return int64(time.Since(p.ctx.start)) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestSimPushAtDelaysAvailability: an item stamped in the future (an async
@@ -204,11 +205,30 @@ func TestProcName(t *testing.T) {
 	})
 }
 
-// TestIsSim distinguishes backends.
-func TestIsSim(t *testing.T) {
-	if !NewSim().IsSim() || NewReal().IsSim() {
-		t.Error("IsSim misreports backend")
+// TestSleepBlocksForModelTime: Sleep moves the proc's own clock by at
+// least ns on either backend — exactly ns under Sim, where it is a clock
+// jump that costs no host time, and by really waiting under Real, where
+// Advance would have been a no-op.
+func TestSleepBlocksForModelTime(t *testing.T) {
+	const ns = int64(2 * time.Millisecond)
+	s := NewSim()
+	s.Run("main", func(p Proc) {
+		p.Advance(100)
+		p.Sleep(ns)
+		if p.Now() != 100+ns {
+			t.Errorf("sim: Now = %d after Sleep(%d) at t=100", p.Now(), ns)
+		}
+	})
+	if s.End != 100+ns {
+		t.Errorf("sim: makespan %d, want %d", s.End, 100+ns)
 	}
+	NewReal().Run("main", func(p Proc) {
+		before := p.Now()
+		p.Sleep(ns)
+		if got := p.Now() - before; got < ns {
+			t.Errorf("real: Sleep(%d) returned after %d ns", ns, got)
+		}
+	})
 }
 
 // TestSimProcPanicPropagates: a panic inside any proc must surface on the

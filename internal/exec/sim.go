@@ -37,9 +37,6 @@ type Sim struct {
 // NewSim returns a fresh virtual-time context.
 func NewSim() *Sim { return &Sim{} }
 
-// IsSim reports true.
-func (s *Sim) IsSim() bool { return true }
-
 // Run executes fn as the root proc at virtual time zero and drives every
 // proc, on the caller's goroutine, until all have finished. It panics with a
 // diagnostic if all live procs block on each other (a simulated deadlock),
@@ -195,6 +192,7 @@ type simProc struct {
 }
 
 func (p *simProc) Advance(ns int64)           { p.now += ns }
+func (p *simProc) Sleep(ns int64)             { p.now += ns }
 func (p *simProc) Now() int64                 { return p.now }
 func (p *simProc) Name() string               { return p.name }
 func (p *simProc) TraceRing() *trace.Ring     { return p.ring }

@@ -34,7 +34,6 @@ package iosched
 
 import (
 	"sync"
-	"time"
 
 	"blaze/internal/exec"
 	"blaze/internal/metrics"
@@ -80,15 +79,14 @@ type Scheduler struct {
 	dev       *ssd.Device
 	cfg       Config
 	quantumNs int64 // quantum converted to service time at the seq rate
-	sim       bool
 
 	mu      sync.Mutex
 	flights []flight
 	queries map[int32]*queryState
 }
 
-// New returns a scheduler for dev under ctx's clock discipline.
-func New(ctx exec.Context, dev *ssd.Device, cfg Config) *Scheduler {
+// New returns a scheduler for dev.
+func New(dev *ssd.Device, cfg Config) *Scheduler {
 	if cfg.QuantumBytes <= 0 {
 		cfg.QuantumBytes = DefaultQuantumBytes
 	}
@@ -96,7 +94,6 @@ func New(ctx exec.Context, dev *ssd.Device, cfg Config) *Scheduler {
 		dev:       dev,
 		cfg:       cfg,
 		quantumNs: svcNs(dev.Profile(), cfg.QuantumBytes),
-		sim:       ctx.IsSim(),
 		queries:   map[int32]*queryState{},
 	}
 }
@@ -178,7 +175,7 @@ func (s *Scheduler) ScheduleRead(p exec.Proc, q int32, start int64, n int, buf [
 	s.mu.Unlock()
 
 	if delay > 0 {
-		s.wait(p, delay)
+		p.Sleep(delay)
 	}
 	done, err := s.dev.ScheduleRead(p, start, n, buf)
 	if err != nil {
@@ -274,17 +271,6 @@ func (s *Scheduler) drrDelay(q int32, now, bytes int64) int64 {
 	return delay
 }
 
-// wait blocks p for ns of model time: virtual under Sim, wall under Real
-// (where Advance is a no-op, matching how the real device resource paces
-// with sleeps).
-func (s *Scheduler) wait(p exec.Proc, ns int64) {
-	if s.sim {
-		p.Advance(ns)
-	} else {
-		time.Sleep(time.Duration(ns))
-	}
-}
-
 // Table maps devices to their schedulers across every array a session
 // serves. A session's forward and transpose graphs are distinct device
 // sets, so engines must look schedulers up by the device they are about
@@ -299,13 +285,13 @@ func NewTable() *Table { return &Table{m: map[*ssd.Device]*Scheduler{}} }
 
 // AddArray builds one scheduler per device of arr (devices already in the
 // table keep their existing scheduler).
-func (t *Table) AddArray(ctx exec.Context, arr *ssd.Array, cfg Config) {
+func (t *Table) AddArray(arr *ssd.Array, cfg Config) {
 	for d := 0; d < arr.NumDevices(); d++ {
 		dev := arr.Device(d)
 		if _, ok := t.m[dev]; ok {
 			continue
 		}
-		s := New(ctx, dev, cfg)
+		s := New(dev, cfg)
 		t.m[dev] = s
 		t.all = append(t.all, s)
 	}

@@ -27,7 +27,7 @@ func TestCoalesceAttach(t *testing.T) {
 	ctx := exec.NewSim()
 	dev, stats := memDevice(ctx, 64)
 	sessStats := metrics.NewIOStats(1)
-	s := New(ctx, dev, Config{Stats: sessStats})
+	s := New(dev, Config{Stats: sessStats})
 	q0 := metrics.NewIOStats(1)
 	q1 := metrics.NewIOStats(1)
 	s.Register(0, q0)
@@ -75,7 +75,7 @@ func TestCoalesceAttach(t *testing.T) {
 func TestNoCoalesceKnob(t *testing.T) {
 	ctx := exec.NewSim()
 	dev, stats := memDevice(ctx, 64)
-	s := New(ctx, dev, Config{NoCoalesce: true})
+	s := New(dev, Config{NoCoalesce: true})
 	ctx.Run("main", func(p exec.Proc) {
 		buf := make([]byte, 4*ssd.PageSize)
 		if _, err := s.ScheduleRead(p, 0, 8, 4, buf); err != nil {
@@ -96,7 +96,7 @@ func TestNoCoalesceKnob(t *testing.T) {
 func TestExpiredFlightNotAttached(t *testing.T) {
 	ctx := exec.NewSim()
 	dev, stats := memDevice(ctx, 64)
-	s := New(ctx, dev, Config{})
+	s := New(dev, Config{})
 	ctx.Run("main", func(p exec.Proc) {
 		buf := make([]byte, 4*ssd.PageSize)
 		done, err := s.ScheduleRead(p, 0, 8, 4, buf)
@@ -120,7 +120,7 @@ func TestDRRDelaysLeader(t *testing.T) {
 	elapsed := func(cfg Config, peers bool) int64 {
 		ctx := exec.NewSim()
 		dev, _ := memDevice(ctx, 4096)
-		s := New(ctx, dev, Config{QuantumBytes: 64 * ssd.PageSize, NoCoalesce: true, NoDRR: cfg.NoDRR})
+		s := New(dev, Config{QuantumBytes: 64 * ssd.PageSize, NoCoalesce: true, NoDRR: cfg.NoDRR})
 		s.Register(0, nil)
 		if peers {
 			s.Register(1, nil)
@@ -156,8 +156,8 @@ func TestTableLookup(t *testing.T) {
 	arrA := ssd.NewMemArray(ctx, 2, ssd.OptaneSSD, data, nil, nil)
 	arrB := ssd.NewMemArray(ctx, 2, ssd.OptaneSSD, data, nil, nil)
 	tab := NewTable()
-	tab.AddArray(ctx, arrA, Config{})
-	tab.AddArray(ctx, arrB, Config{})
+	tab.AddArray(arrA, Config{})
+	tab.AddArray(arrB, Config{})
 	if len(tab.All()) != 4 {
 		t.Fatalf("table has %d schedulers, want 4", len(tab.All()))
 	}
@@ -178,7 +178,7 @@ func TestTableLookup(t *testing.T) {
 		}
 	}
 	// Re-adding is idempotent.
-	tab.AddArray(ctx, arrA, Config{})
+	tab.AddArray(arrA, Config{})
 	if len(tab.All()) != 4 {
 		t.Errorf("re-AddArray grew the table to %d", len(tab.All()))
 	}
@@ -195,7 +195,7 @@ func TestTableLookup(t *testing.T) {
 func TestFinishRetiresQuery(t *testing.T) {
 	ctx := exec.NewSim()
 	dev, _ := memDevice(ctx, 64)
-	s := New(ctx, dev, Config{})
+	s := New(dev, Config{})
 	buf := make([]byte, ssd.PageSize)
 	ctx.Run("main", func(p exec.Proc) {
 		for q := int32(0); q < 200; q++ {
@@ -217,7 +217,7 @@ func TestFinishRetiresQuery(t *testing.T) {
 func TestFinishLeavesPeersUnpaced(t *testing.T) {
 	ctx := exec.NewSim()
 	dev, _ := memDevice(ctx, 64)
-	s := New(ctx, dev, Config{QuantumBytes: ssd.PageSize})
+	s := New(dev, Config{QuantumBytes: ssd.PageSize})
 	s.Register(0, nil)
 	s.Register(1, nil)
 	s.Finish(1)

@@ -26,7 +26,6 @@ package loadgen
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"blaze/internal/exec"
 	"blaze/internal/server"
@@ -259,15 +258,10 @@ func Run(p exec.Proc, srv *server.Server, cfg Config) (server.Report, error) {
 		return server.Report{}, err
 	}
 	arr := NewArrivals(cfg)
-	sim := srv.IsSim()
 	start := p.Now()
 	for i := 0; i < cfg.Requests; i++ {
 		waitNs, ci := arr.Next()
-		if sim {
-			p.Advance(waitNs)
-		} else {
-			time.Sleep(time.Duration(waitNs))
-		}
+		p.Sleep(waitNs)
 		c := &cfg.Classes[ci]
 		req := &server.Request{
 			Class:     c.Priority,

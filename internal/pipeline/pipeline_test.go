@@ -269,7 +269,7 @@ func TestFrontDeliversEveryPage(t *testing.T) {
 				t.Errorf("query counters: %d hits, %d misses, want %d each (one cold pass, one warm)",
 					qs.Hits, qs.Misses, c.NumPages())
 			}
-			if !ctx.IsSim() {
+			if _, sim := ctx.(*exec.Sim); !sim {
 				settle(t, before)
 			}
 		})
@@ -332,7 +332,7 @@ func TestFrontPermanentFault(t *testing.T) {
 				t.Errorf("error chain lost the injected fault: %v", o.err)
 			}
 			checkShutdown(t, "dead device", o)
-			if !ctx.IsSim() {
+			if _, sim := ctx.(*exec.Sim); !sim {
 				settle(t, before)
 			}
 		})

@@ -75,12 +75,8 @@ type Options struct {
 	// (0 = its 64 MB default).
 	CacheBytes int64
 	// PageCache optionally puts a shared page cache in front of the blaze
-	// engines; when nil and PageCacheBytes > 0, BlazeConfig constructs a
-	// fresh cache of that size with CachePolicy eviction (CLOCK by
-	// default, LRU for the ablation baseline).
-	PageCache      *pagecache.Cache
-	PageCacheBytes int64
-	CachePolicy    pagecache.Policy
+	// engines.
+	PageCache *pagecache.Cache
 	// Pool retains blaze IO/bin buffers across EdgeMap rounds.
 	Pool *engine.Pool
 	// DevOpts configures devices the engine builds itself (graphene).
@@ -147,9 +143,6 @@ func (o Options) BlazeConfig() engine.Config {
 	cfg.Mem = o.Mem
 	cfg.Pool = o.Pool
 	cfg.PageCache = o.PageCache
-	if cfg.PageCache == nil && o.PageCacheBytes > 0 {
-		cfg.PageCache = pagecache.NewWithPolicy(o.PageCacheBytes, o.CachePolicy)
-	}
 	if o.BinCount > 0 {
 		cfg.BinCount = o.BinCount
 	}

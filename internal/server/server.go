@@ -229,9 +229,6 @@ func (s *Server) QueueDepth() int { return s.cfg.QueueDepth }
 // Session returns the graph session the server executes against.
 func (s *Server) Session() *session.Session { return s.sess }
 
-// IsSim reports whether the server runs under the virtual-time backend.
-func (s *Server) IsSim() bool { return s.ctx.IsSim() }
-
 // Start spawns the worker procs. It must be called from a goroutine
 // inside ctx.Run (the root proc's body is the usual place) and exactly
 // once.

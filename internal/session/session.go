@@ -149,9 +149,9 @@ func New(ctx exec.Context, out, in *engine.Graph, cfg Config) (*Session, error) 
 		Stats:        cfg.Stats,
 	}
 	t := iosched.NewTable()
-	t.AddArray(ctx, out.Arr, icfg)
+	t.AddArray(out.Arr, icfg)
 	if in != nil {
-		t.AddArray(ctx, in.Arr, icfg)
+		t.AddArray(in.Arr, icfg)
 	}
 	s := &Session{Ctx: ctx, Out: out, In: in, cfg: cfg, scheds: t}
 	if cfg.Cache.Enabled() {
