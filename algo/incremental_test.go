@@ -20,7 +20,12 @@ var dynamicEngines = []string{"blaze", "blaze-async"}
 // engine over one sim context.
 func dynSetup(t *testing.T, name string, c *graph.CSR) (exec.Context, algo.System, *engine.Dynamic) {
 	t.Helper()
-	ctx := exec.NewSim()
+	return dynSetupOn(t, exec.NewSim(), name, c)
+}
+
+// dynSetupOn is dynSetup over a context of the caller's choosing.
+func dynSetupOn(t *testing.T, ctx exec.Context, name string, c *graph.CSR) (exec.Context, algo.System, *engine.Dynamic) {
+	t.Helper()
 	fwd := engine.FromCSR(ctx, "dyn", c, 1, ssd.OptaneSSD, nil, nil)
 	tr := engine.FromCSR(ctx, "dyn.t", c.Transpose(), 1, ssd.OptaneSSD, nil, nil)
 	sys, err := registry.New(name, ctx, registry.Options{Edges: c.E, Workers: 4, NumDev: 1, Profile: ssd.OptaneSSD})
@@ -141,6 +146,73 @@ func TestIncrementalWCCBitIdentical(t *testing.T) {
 						name, batch, v, q.IDs[v], ref[v])
 				}
 			}
+		}
+	}
+}
+
+// Tiering merges segments under a long-lived query state: across 32 seals
+// (sizes that trigger every cascade depth, the transpose mirrored), on
+// either backend, repaired BFS depths and WCC labels must stay bit-identical
+// to a full recompute over the tiered overlay and to the serial references
+// on the flat edge list.
+func TestIncrementalRepairAcrossTieredSeals(t *testing.T) {
+	for _, backend := range []struct {
+		name string
+		mk   func() exec.Context
+	}{{"sim", func() exec.Context { return exec.NewSim() }}, {"real", func() exec.Context { return exec.NewReal() }}} {
+		c := randomCSR(77, 500)
+		ctx, sys, dy := dynSetupOn(t, backend.mk(), "blaze", c)
+		r := gen.NewRNG(5)
+		allSrc := append([]uint32(nil), edgeList(c)...)
+		allDst := append([]uint32(nil), edgeListDst(c)...)
+		var bfs *algo.IncBFS
+		var wcc *algo.IncWCC
+		ctx.Run("main", func(p exec.Proc) {
+			var err error
+			if bfs, _, err = algo.NewIncBFS(sys, p, dy.Fwd, 0); err != nil {
+				t.Fatal(err)
+			}
+			if wcc, _, err = algo.NewIncWCC(sys, p, dy.Fwd, dy.Tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		maxSegs := 0
+		for seal := 1; seal <= 32; seal++ {
+			es, ed := insertBatch(t, dy, r, c.V, 6+seal%2, &allSrc, &allDst)
+			maxSegs = max(maxSegs, dy.Segments())
+			var fullBFS []int32
+			var fullWCC *algo.IncWCC
+			ctx.Run("main", func(p exec.Proc) {
+				if _, err := bfs.Repair(sys, p, dy.Fwd, es, ed); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := wcc.Repair(sys, p, dy.Fwd, dy.Tr, es, ed); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if fullBFS, _, err = algo.BFSDepths(sys, p, dy.Fwd, 0); err != nil {
+					t.Fatal(err)
+				}
+				if fullWCC, _, err = algo.NewIncWCC(sys, p, dy.Fwd, dy.Tr); err != nil {
+					t.Fatal(err)
+				}
+			})
+			flat := graph.MustBuild(c.V, allSrc, allDst)
+			refBFS, refWCC := algo.RefBFSDepth(flat, 0), algo.RefWCC(flat)
+			for v := range refBFS {
+				if bfs.Depth[v] != fullBFS[v] || bfs.Depth[v] != refBFS[v] {
+					t.Fatalf("%s seal %d (%d segments): depth(%d) repaired %d, recomputed %d, reference %d",
+						backend.name, seal, dy.Segments(), v, bfs.Depth[v], fullBFS[v], refBFS[v])
+				}
+				if wcc.IDs[v] != fullWCC.IDs[v] || wcc.IDs[v] != refWCC[v] {
+					t.Fatalf("%s seal %d (%d segments): label(%d) repaired %d, recomputed %d, reference %d",
+						backend.name, seal, dy.Segments(), v, wcc.IDs[v], fullWCC.IDs[v], refWCC[v])
+				}
+			}
+		}
+		if dy.Merges() == 0 || maxSegs > 6 || len(dy.Tr.Segs) != dy.Segments() {
+			t.Errorf("%s: %d merges, at most %d segments (want <= 6), %d forward vs %d transpose at the end",
+				backend.name, dy.Merges(), maxSegs, dy.Segments(), len(dy.Tr.Segs))
 		}
 	}
 }

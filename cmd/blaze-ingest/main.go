@@ -8,10 +8,12 @@
 //
 // Insertions come from -updates (a plain-text edge list applied in order)
 // or -randUpdates (deterministic pseudo-random endpoints). Every -batch
-// insertions the buffer seals into one sorted segment per direction and
-// both queries repair from the affected frontier. With -verify each batch
-// is followed by a full recompute and a bit-for-bit comparison of the
-// repaired state. -compactEvery folds segments back into the base CSR.
+// insertions the buffer seals into one sorted segment per direction —
+// merged with its neighbours while they are less than twice its size, so N
+// batches leave about log2 N live segments — and both queries repair from
+// the affected frontier. With -verify each batch is followed by a full
+// recompute and a bit-for-bit comparison of the repaired state.
+// -compactEvery folds segments back into the base CSR.
 package main
 
 import (
@@ -39,7 +41,7 @@ func main() {
 	updates := flag.String("updates", "", "edge list of insertions to stream in (endpoints must be < |V|)")
 	randUpdates := flag.Int("randUpdates", 0, "generate this many pseudo-random insertions instead of -updates")
 	seed := flag.Uint64("seed", 1, "seed for -randUpdates")
-	batch := flag.Int("batch", 1024, "insertions per sealed segment")
+	batch := flag.Int("batch", 1024, "insertions per seal")
 	compactEvery := flag.Int("compactEvery", 0, "compact segments into the base every N seals (0 = never)")
 	engineName := flag.String("engine", "blaze", "dynamic-capable engine: blaze, blaze-async")
 	workers := flag.Int("computeWorkers", 16, "number of computation workers")
@@ -167,7 +169,9 @@ func main() {
 					log.Fatal(err)
 				}
 			}
+			rewritten := dy.Rewritten()
 			es, ed := dy.Seal()
+			rewritten = dy.Rewritten() - rewritten
 			applied += n
 			seals++
 			t0 := p.Now()
@@ -180,8 +184,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("batch %d: +%d edges, %d segments; bfs repair %d iters %.3fms, wcc repair %d iters %.3fms\n",
-				seals, n, dy.Segments(), bi, float64(tb-t0)/1e6, wi, float64(p.Now()-tb)/1e6)
+			fmt.Printf("batch %d: +%d edges, %d live segments (%d edges rewritten by merging); bfs repair %d iters %.3fms, wcc repair %d iters %.3fms\n",
+				seals, n, dy.Segments(), rewritten, bi, float64(tb-t0)/1e6, wi, float64(p.Now()-tb)/1e6)
 			if *verify {
 				full, _, err := algo.BFSDepths(sys, p, fwd, uint32(*startNode))
 				if err != nil {
@@ -222,6 +226,6 @@ func main() {
 	for _, id := range wcc.IDs {
 		comp[id] = struct{}{}
 	}
-	fmt.Printf("final: |E|=%d (+%d ingested), %d segments, bfs reaches %d from %d, %d components\n",
-		c.E+int64(applied), applied, dy.Segments(), reach, *startNode, len(comp))
+	fmt.Printf("final: |E|=%d (+%d ingested), %d live segments after %d merges (%d edges rewritten), bfs reaches %d from %d, %d components\n",
+		c.E+int64(applied), applied, dy.Segments(), dy.Merges(), dy.Rewritten(), reach, *startNode, len(comp))
 }

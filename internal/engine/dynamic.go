@@ -12,12 +12,12 @@ import (
 
 // Dynamic maintains a mutable graph over the static engine: edge
 // insertions accumulate in an in-memory buffer, seal into immutable sorted
-// delta segments (small device-backed CSRs appended to Graph.Segs, which
-// EdgeMap iterates after the base), and periodically compact back into a
-// single base CSR. The forward graph and, when present, its transpose are
-// kept mirrored — every insertion s→d lands in the forward overlay as s→d
-// and in the transpose overlay as d→s — so undirected traversals (WCC)
-// observe insertions from both sides.
+// delta segments (device-backed CSRs on Graph.Segs, which EdgeMap iterates
+// after the base; Seal keeps their sizes geometric by merging neighbours),
+// and periodically compact back into a single base CSR. The forward graph
+// and, when present, its transpose are kept mirrored — every insertion s→d
+// lands in the forward overlay as s→d and in the transpose overlay as d→s
+// — so undirected traversals (WCC) observe insertions from both sides.
 //
 // Dynamic is not safe for concurrent use; the owner serializes Add, Seal,
 // and Compact against queries on the wrapped graphs (segments are
@@ -33,7 +33,10 @@ type Dynamic struct {
 	tl    *metrics.Timeline
 	opts  []ssd.DeviceOptions
 	cache *pagecache.Cache // invalidated on Compact; may be nil
-	seals int              // monotonic: segment names stay unique across compactions
+	seals int              // monotonic: segment names stay unique across merges and compactions
+	// merges and rewritten account for tiering, see Merges and Rewritten.
+	merges    int
+	rewritten int64
 	// fwdName and trName are the names the graphs came with; compactions
 	// counts Compact calls. A compacted graph is renamed <name>#c<count>.
 	fwdName, trName string
@@ -65,33 +68,80 @@ func (dy *Dynamic) Add(s, d uint32) error { return dy.buf.Add(s, d) }
 // Pending returns the number of buffered (unsealed) insertions.
 func (dy *Dynamic) Pending() int { return dy.buf.Len() }
 
-// Segments returns the sealed segment count on the forward graph.
+// Segments returns the live segment count on the forward graph.
 func (dy *Dynamic) Segments() int { return len(dy.Fwd.Segs) }
 
+// Merges returns how many seals folded older segments into the new one
+// (counted on the forward graph; a transpose mirror does the same again).
+func (dy *Dynamic) Merges() int { return dy.merges }
+
+// Rewritten returns how many edges of older segments those merges wrote a
+// second time, counted like Merges. Over the edges ever sealed it is the
+// tiering's write amplification.
+func (dy *Dynamic) Rewritten() int64 { return dy.rewritten }
+
 // Seal turns the buffered insertions into one immutable sorted segment
-// per direction and appends them to the wrapped graphs. It returns copies
-// of the sealed batch's edge list in arrival order — the seed set
-// incremental repair starts from — or nils when the buffer was empty.
+// per mirrored direction and returns the sealed batch's edge list in
+// arrival order — the seed set incremental repair starts from, now the
+// caller's — or nils when the buffer was empty.
+//
+// Segments are tiered so that they do not pile up: while the newest
+// segment before this seal holds fewer than twice the edges of the one
+// being added, it is folded in, oldest edges first per vertex. Only
+// adjacent segments ever merge and the older one's edges stay in front, so
+// a vertex's logical adjacency — base, then segments in seal order — is
+// the same sequence with or without tiering. What is left is strictly
+// geometric (every segment at least twice its successor), so N equal
+// batches leave popcount(N) ≤ ⌊log₂N⌋+1 segments for EdgeMap to open, not N.
 func (dy *Dynamic) Seal() (src, dst []uint32) {
-	bs, bd := dy.buf.Edges()
-	src = append([]uint32(nil), bs...)
-	dst = append([]uint32(nil), bd...)
-	fwd, tr := dy.buf.Seal()
+	src, dst = dy.buf.Edges()
+	fwd, tr := dy.buf.Seal(dy.Tr != nil)
 	if fwd == nil {
 		return nil, nil
 	}
 	id := dy.seals
 	dy.seals++
-	numDev := dy.Fwd.Arr.NumDevices()
-	fg := FromCSR(dy.ctx, fmt.Sprintf("%s.seg%d", dy.Fwd.Name, id), fwd, numDev, dy.prof, dy.stats, dy.tl, dy.opts...)
-	fg.Locality = dy.Fwd.Locality
-	dy.Fwd.Segs = append(dy.Fwd.Segs, fg)
+	if n := dy.push(dy.Fwd, fwd, id); n > 0 {
+		dy.merges++
+		dy.rewritten += n
+	}
 	if dy.Tr != nil {
-		tg := FromCSR(dy.ctx, fmt.Sprintf("%s.seg%d", dy.Tr.Name, id), tr, numDev, dy.prof, dy.stats, dy.tl, dy.opts...)
-		tg.Locality = dy.Tr.Locality
-		dy.Tr.Segs = append(dy.Tr.Segs, tg)
+		dy.push(dy.Tr, tr, id)
 	}
 	return src, dst
+}
+
+// push makes seg the newest segment of g after folding into it the
+// trailing segments the tiering rule covers, and returns how many of their
+// edges that rewrote. The result is named after this seal, a name no
+// segment has had, so no page cache can serve it a merged-away segment's
+// pages; the handed cache also drops those segments' frames, as Compact
+// does for a base.
+func (dy *Dynamic) push(g *Graph, seg *graph.CSR, id int) (rewritten int64) {
+	keep := len(g.Segs)
+	for keep > 0 && g.Segs[keep-1].CSR.E < 2*(seg.E+rewritten) {
+		keep--
+		rewritten += g.Segs[keep].CSR.E
+	}
+	if keep < len(g.Segs) {
+		parts := make([]*graph.CSR, 0, len(g.Segs)-keep+1)
+		for _, old := range g.Segs[keep:] {
+			parts = append(parts, old.CSR)
+			if dy.cache != nil {
+				dy.cache.DropGraph(old.Name)
+			}
+		}
+		var err error
+		if seg, err = graph.MergeSegments(append(parts, seg)...); err != nil {
+			panic(err) // sealed segments share V and keep their adjacency in memory
+		}
+	}
+	sg := FromCSR(dy.ctx, fmt.Sprintf("%s.seg%d", g.Name, id), seg, g.Arr.NumDevices(), dy.prof, dy.stats, dy.tl, dy.opts...)
+	sg.Locality = g.Locality
+	// Onto a fresh backing array, so the slice a caller read before this
+	// seal still lists the segments it listed then.
+	g.Segs = append(g.Segs[:keep:keep], sg)
+	return rewritten
 }
 
 // Compact folds every sealed segment back into its base: the overlay is

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"blaze/gen"
@@ -38,7 +41,8 @@ func TestEdgeMapIteratesSegments(t *testing.T) {
 		g, c := testGraph(ctx, numDev, stats)
 		dy := NewDynamic(ctx, g, nil, ssd.OptaneSSD, stats, nil, nil)
 
-		// Two sealed batches plus reference bookkeeping.
+		// Two sealed batches (equal, so tiering folds the second into the
+		// first) plus reference bookkeeping.
 		want := make([]int64, c.V)
 		for i := int64(0); i < c.E; i++ {
 			want[graph.GetEdge(c.Adj, i)]++
@@ -56,8 +60,8 @@ func TestEdgeMapIteratesSegments(t *testing.T) {
 				t.Fatalf("Seal returned %d/%d edges", len(src), len(dst))
 			}
 		}
-		if dy.Segments() != 2 {
-			t.Fatalf("segments = %d, want 2", dy.Segments())
+		if dy.Segments() != 1 || g.Segs[0].CSR.E != 1000 {
+			t.Fatalf("segments = %d, want the two batches tiered into 1", dy.Segments())
 		}
 
 		got := inDegrees(t, ctx, g, DefaultConfig(c.E))
@@ -193,6 +197,197 @@ func TestCompactDropsCachedPages(t *testing.T) {
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("post-compaction in-degree(%d) = %d, want %d", v, got[v], want[v])
+		}
+	}
+}
+
+// csrEdges lists c's edges in CSR order: the list Build maps back to c.
+func csrEdges(c *graph.CSR) (src, dst []uint32) {
+	for v := uint32(0); v < c.V; v++ {
+		for _, d := range c.Neighbors(v) {
+			src, dst = append(src, v), append(dst, d)
+		}
+	}
+	return src, dst
+}
+
+// flattened materializes g's base + segments overlay.
+func flattened(t *testing.T, g *Graph) *graph.CSR {
+	t.Helper()
+	v := graph.NewView(g.CSR)
+	for _, sg := range g.Segs {
+		if err := v.AddSeg(sg.CSR); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat, err := v.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flat
+}
+
+// Whatever the batch sizes — empty, one edge, skewed — tiering must leave
+// every segment at least twice its successor, never reuse a segment name,
+// account for exactly the edges its merges rewrote, and leave the logical
+// graph untouched: the overlay flattens to the bytes graph.Build produces
+// from all edges in arrival order, in both mirrored directions.
+func TestTieredSealsStayGeometric(t *testing.T) {
+	ctx := exec.NewSim()
+	c := graph.MustBuild(300, []uint32{0, 5, 5, 299}, []uint32{5, 1, 0, 7})
+	fwd := FromCSR(ctx, "t", c, 1, ssd.OptaneSSD, nil, nil)
+	trg := FromCSR(ctx, "t.t", c.Transpose(), 2, ssd.OptaneSSD, nil, nil)
+	dy := NewDynamic(ctx, fwd, trg, ssd.OptaneSSD, nil, nil, nil)
+	fs, fd := csrEdges(fwd.CSR)
+	ts, td := csrEdges(trg.CSR)
+
+	rng := rand.New(rand.NewSource(21))
+	sizes := []int{0, 1, 1, 1, 700, 3, 0, 2, 1, 40, 41, 39, 1, 500, 1}
+	for len(sizes) < 60 {
+		sizes = append(sizes, rng.Intn(1<<rng.Intn(9)))
+	}
+	seen := map[string]bool{}
+	var sealed, rewritten int64
+	for step, n := range sizes {
+		before := append([]*Graph(nil), fwd.Segs...)
+		for i := 0; i < n; i++ {
+			s, d := uint32(rng.Intn(int(c.V))), uint32(rng.Intn(int(c.V)))
+			if err := dy.Add(s, d); err != nil {
+				t.Fatal(err)
+			}
+			fs, fd = append(fs, s), append(fd, d)
+			ts, td = append(ts, d), append(td, s)
+		}
+		if es, _ := dy.Seal(); len(es) != n {
+			t.Fatalf("step %d: Seal returned %d edges of %d", step, len(es), n)
+		}
+		sealed += int64(n)
+		for _, g := range []*Graph{fwd, trg} {
+			var e int64
+			for i, sg := range g.Segs {
+				e += sg.CSR.E
+				if i > 0 && g.Segs[i-1].CSR.E < 2*sg.CSR.E {
+					t.Fatalf("step %d: %s segment %d holds %d edges, its successor %d", step, g.Name, i-1, g.Segs[i-1].CSR.E, sg.CSR.E)
+				}
+			}
+			if e != sealed {
+				t.Fatalf("step %d: %s segments hold %d edges, %d sealed", step, g.Name, e, sealed)
+			}
+		}
+		if len(trg.Segs) != len(fwd.Segs) {
+			t.Fatalf("step %d: %d forward segments, %d transpose", step, len(fwd.Segs), len(trg.Segs))
+		}
+		for i, sg := range fwd.Segs {
+			if i < len(before) && before[i] == sg {
+				continue
+			}
+			if seen[sg.Name] {
+				t.Fatalf("step %d: segment name %q reused", step, sg.Name)
+			}
+			seen[sg.Name] = true
+			for _, old := range before[i:] {
+				rewritten += old.CSR.E
+			}
+			break // at most one new segment per seal, always the last
+		}
+		if dy.Rewritten() != rewritten {
+			t.Fatalf("step %d: Rewritten = %d, segments merged away held %d", step, dy.Rewritten(), rewritten)
+		}
+		if step%7 == 0 || step == len(sizes)-1 {
+			for _, x := range []struct {
+				g        *Graph
+				src, dst []uint32
+			}{{fwd, fs, fd}, {trg, ts, td}} {
+				got, want := flattened(t, x.g), graph.MustBuild(c.V, x.src, x.dst)
+				if !bytes.Equal(got.Adj, want.Adj) {
+					t.Fatalf("step %d: %s overlay differs from Build over all edges in arrival order", step, x.g.Name)
+				}
+			}
+		}
+	}
+	if dy.Merges() == 0 || dy.Segments() > bits.Len64(uint64(sealed)) {
+		t.Errorf("%d merges left %d segments for %d edges", dy.Merges(), dy.Segments(), sealed)
+	}
+}
+
+// N equal batches leave popcount(N) segments: tiering is a binary counter.
+// A seal folds in every segment its carry chain covers in one merge, so 32
+// batches of 9 edges make 16 merges that rewrite 80 batches' worth of edges
+// — a write amplification of 2.5.
+func TestTierEqualBatchesCountBits(t *testing.T) {
+	ctx := exec.NewSim()
+	g, c := testGraph(ctx, 1, nil)
+	dy := NewDynamic(ctx, g, nil, ssd.OptaneSSD, nil, nil, nil)
+	for n := 1; n <= 40; n++ {
+		for i := 0; i < 9; i++ {
+			if err := dy.Add(uint32(n*31+i)%c.V, uint32(n+i*17)%c.V); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dy.Seal()
+		if want := bits.OnesCount(uint(n)); dy.Segments() != want {
+			t.Fatalf("after %d equal seals: %d segments, want %d", n, dy.Segments(), want)
+		}
+		if n == 32 && (dy.Merges() != 16 || dy.Rewritten() != 80*9) {
+			t.Errorf("after 32 equal seals: %d merges rewrote %d edges, want 16 and %d", dy.Merges(), dy.Rewritten(), 80*9)
+		}
+	}
+}
+
+// A merge retires its inputs: the handed cache drops their frames, and the
+// merged segment — new name, new layout — is read from its device, never
+// served the pages cached for a segment it replaced.
+func TestMergeDropsCachedPages(t *testing.T) {
+	ctx := exec.NewSim()
+	g, c := testGraph(ctx, 1, nil)
+	cache := pagecache.New(8 << 20)
+	conf := DefaultConfig(c.E)
+	conf.PageCache = cache
+	dy := NewDynamic(ctx, g, nil, ssd.OptaneSSD, nil, nil, cache)
+	seal := func(salt int) {
+		for i := 0; i < 3000; i++ {
+			dy.Add(uint32(i*salt)%c.V, uint32(i*7+salt)%c.V)
+		}
+		dy.Seal()
+	}
+	seal(3)
+	first := g.Segs[0]
+	inDegrees(t, ctx, g, conf) // caches the base's and the first segment's pages
+	basePages, firstPages := int(g.CSR.NumPages()), int(first.CSR.NumPages())
+	if cache.Len() != basePages+firstPages {
+		t.Fatalf("cache holds %d pages, want %d base + %d segment", cache.Len(), basePages, firstPages)
+	}
+
+	seal(5) // equal size: folds the first segment in
+	if len(g.Segs) != 1 || g.Segs[0].Name == first.Name {
+		t.Fatalf("second seal left %d segments, newest %q (first was %q)", len(g.Segs), g.Segs[0].Name, first.Name)
+	}
+	if cache.Len() != basePages {
+		t.Errorf("cache holds %d pages after the merge, want the base's %d", cache.Len(), basePages)
+	}
+	id := cache.GraphID(first.Name)
+	for p := int64(0); p < first.CSR.NumPages(); p++ {
+		if cache.Resident(pagecache.Key{Graph: id, Logical: p}) {
+			t.Fatalf("page %d of merged-away segment %q still cached", p, first.Name)
+		}
+	}
+
+	hits0, misses0 := cache.Stats()
+	got := inDegrees(t, ctx, g, conf)
+	hits, misses := cache.Stats()
+	if merged := g.Segs[0].CSR.NumPages(); hits-hits0 != int64(basePages) || misses-misses0 != merged {
+		t.Errorf("after the merge: %d hits, %d misses; want %d (base) and %d (every page of the merged segment)",
+			hits-hits0, misses-misses0, basePages, merged)
+	}
+	want := make([]int64, c.V)
+	for _, sg := range append([]*Graph{g}, g.Segs...) {
+		for i := int64(0); i < sg.CSR.E; i++ {
+			want[graph.GetEdge(sg.CSR.Adj, i)]++
+		}
+	}
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("post-merge in-degree(%d) = %d, want %d", v, got[v], want[v])
 		}
 	}
 }

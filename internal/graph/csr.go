@@ -64,8 +64,10 @@ func Build(n uint32, src, dst []uint32) (*CSR, error) {
 	c.buildGroupOffsets()
 	// Place destinations via counting sort.
 	cursor := make([]int64, n)
-	for v := uint32(0); v < n; v++ {
-		cursor[v] = c.Offset(v)
+	var off int64
+	for v, d := range c.Degrees {
+		cursor[v] = off
+		off += int64(d)
 	}
 	c.Adj = make([]byte, c.E*EdgeBytes)
 	for i, s := range src {

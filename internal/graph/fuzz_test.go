@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -56,6 +58,51 @@ func FuzzReadIndex(f *testing.F) {
 				}
 				prev = off
 			}
+		}
+	})
+}
+
+// FuzzMergeSegments: merging CSRs must equal Build over their edge lists
+// laid end to end, in every array. The input is read as a vertex count, a
+// part count and (part, src, dst) byte triples; an edge joins its part in
+// input order.
+func FuzzMergeSegments(f *testing.F) {
+	f.Add([]byte{8, 2, 0, 1, 2, 1, 1, 3, 0, 1, 4, 1, 7, 7})
+	f.Add([]byte{1, 1, 0, 0, 0})
+	f.Add([]byte{40, 2})  // three empty parts
+	big := []byte{200, 3} // four parts, enough edges to cross a page and several groups
+	for i := 0; i < 3*EdgesPerPage; i++ {
+		big = append(big, byte(i*7), byte(i*i), byte(i*13))
+	}
+	f.Add(big)
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 2 || raw[0] == 0 {
+			t.Skip()
+		}
+		n, k := uint32(raw[0]), int(raw[1]%4)+1
+		src, dst := make([][]uint32, k), make([][]uint32, k)
+		for e := raw[2:]; len(e) >= 3; e = e[3:] {
+			p := int(e[0]) % k
+			src[p] = append(src[p], uint32(e[1])%n)
+			dst[p] = append(dst[p], uint32(e[2])%n)
+		}
+		parts := make([]*CSR, k)
+		var allSrc, allDst []uint32
+		for p := range parts {
+			parts[p] = MustBuild(n, src[p], dst[p])
+			allSrc, allDst = append(allSrc, src[p]...), append(allDst, dst[p]...)
+		}
+		got, err := MergeSegments(parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := MustBuild(n, allSrc, allDst)
+		if got.V != want.V || got.E != want.E || !bytes.Equal(got.Adj, want.Adj) ||
+			!reflect.DeepEqual(got.Degrees, want.Degrees) ||
+			!reflect.DeepEqual(got.GroupOffsets, want.GroupOffsets) ||
+			!reflect.DeepEqual(got.PageBegin, want.PageBegin) {
+			t.Fatalf("merge of %d parts over %d vertices differs from Build over the concatenation", k, n)
 		}
 	})
 }

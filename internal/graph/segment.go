@@ -6,8 +6,9 @@ import "fmt"
 // insertions accumulate here in arrival order until the owner seals the
 // buffer into an immutable sorted segment (a small CSR over the same
 // vertex space, edges in (source, arrival) order — the order Build
-// produces). Sealed segments overlay the base through a View; periodic
-// compaction folds them back in.
+// produces). Sealed segments overlay the base through a View; the owner
+// merges adjacent ones as they pile up and periodic compaction folds them
+// back into the base, both through MergeSegments.
 //
 // EdgeBuffer is not safe for concurrent use; the owner serializes Add and
 // Seal (the engine's Dynamic wrapper does so on the coordinator proc).
@@ -37,21 +38,68 @@ func (b *EdgeBuffer) Add(s, d uint32) error {
 func (b *EdgeBuffer) Len() int { return len(b.src) }
 
 // Edges returns the buffered edge list in arrival order. The slices alias
-// the buffer; callers must not retain them past the next Add or Seal.
+// the buffer until the next Seal, which lets go of them: a caller that
+// takes them just before sealing owns them afterwards.
 func (b *EdgeBuffer) Edges() (src, dst []uint32) { return b.src, b.dst }
 
-// Seal builds the forward segment and its transpose from the buffered
-// edges and resets the buffer. The forward segment keeps arrival order
-// within each source bucket; the transpose mirrors every edge d→s so an
-// undirected traversal (WCC) sees insertions from both sides. Sealing an
-// empty buffer returns (nil, nil).
-func (b *EdgeBuffer) Seal() (fwd, tr *CSR) {
+// Seal builds the forward segment from the buffered edges — and, when
+// mirror is set, its transpose — and resets the buffer. The forward
+// segment keeps arrival order within each source bucket; the transpose
+// mirrors every edge d→s so an undirected traversal (WCC) sees insertions
+// from both sides. Sealing an empty buffer returns (nil, nil).
+func (b *EdgeBuffer) Seal(mirror bool) (fwd, tr *CSR) {
 	if len(b.src) == 0 {
 		return nil, nil
 	}
 	// Endpoints were validated by Add, so Build cannot fail.
 	fwd = MustBuild(b.n, b.src, b.dst)
-	tr = MustBuild(b.n, b.dst, b.src)
+	if mirror {
+		tr = MustBuild(b.n, b.dst, b.src)
+	}
 	b.src, b.dst = nil, nil
 	return fwd, tr
+}
+
+// MergeSegments concatenates CSRs over one vertex space into a single CSR:
+// a vertex's adjacency is its edges in parts[0], then those in parts[1],
+// and so on — byte for byte what Build produces from the parts' edge lists
+// laid end to end. It is the one concat-merge behind both tiered sealing
+// (adjacent delta segments, older first) and compaction (base, then every
+// segment): one pass over the vertices that advances a running offset per
+// part, so the cost is O(V·len(parts) + E) with no per-vertex index
+// lookups. Every part needs in-memory adjacency.
+func MergeSegments(parts ...*CSR) (*CSR, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("graph: merge of no segments")
+	}
+	c := &CSR{V: parts[0].V}
+	for i, p := range parts {
+		if p.V != c.V {
+			return nil, fmt.Errorf("graph: merge: part %d has %d vertices, part 0 has %d", i, p.V, c.V)
+		}
+		if p.Adj == nil {
+			return nil, fmt.Errorf("graph: merge: part %d has no in-memory adjacency", i)
+		}
+		c.E += p.E
+	}
+	c.Degrees = make([]uint32, c.V)
+	c.Adj = make([]byte, c.E*EdgeBytes)
+	from := make([]int64, len(parts)) // each part's running byte offset
+	var to int64
+	for u := range c.Degrees {
+		for i, p := range parts {
+			d := p.Degrees[u]
+			if d == 0 {
+				continue
+			}
+			nb := int64(d) * EdgeBytes
+			copy(c.Adj[to:to+nb], p.Adj[from[i]:from[i]+nb])
+			from[i] += nb
+			to += nb
+			c.Degrees[u] += d
+		}
+	}
+	c.buildGroupOffsets()
+	c.buildPageMap()
+	return c, nil
 }

@@ -73,37 +73,11 @@ func (v *View) Neighbors(u uint32) []uint32 {
 // (adjacency left on a device) cannot be compacted in memory and returns
 // an error.
 func (v *View) Flatten() (*CSR, error) {
-	if v.Base.Adj == nil {
-		return nil, fmt.Errorf("graph: Flatten requires in-memory base adjacency")
-	}
-	for i, s := range v.Segs {
-		if s.Adj == nil {
-			return nil, fmt.Errorf("graph: Flatten: segment %d has no adjacency", i)
-		}
-	}
 	if len(v.Segs) == 0 {
+		if v.Base.Adj == nil {
+			return nil, fmt.Errorf("graph: Flatten requires in-memory base adjacency")
+		}
 		return v.Base, nil
 	}
-	n := v.Base.V
-	c := &CSR{V: n}
-	c.Degrees = make([]uint32, n)
-	copy(c.Degrees, v.Base.Degrees)
-	for _, s := range v.Segs {
-		for u, d := range s.Degrees {
-			c.Degrees[u] += d
-		}
-	}
-	c.buildGroupOffsets()
-	c.Adj = make([]byte, c.E*EdgeBytes)
-	sources := append([]*CSR{v.Base}, v.Segs...)
-	var cursor int64
-	for u := uint32(0); u < n; u++ {
-		for _, s := range sources {
-			b, e := s.EdgeRange(u)
-			copy(c.Adj[cursor*EdgeBytes:], s.Adj[b*EdgeBytes:e*EdgeBytes])
-			cursor += e - b
-		}
-	}
-	c.buildPageMap()
-	return c, nil
+	return MergeSegments(append([]*CSR{v.Base}, v.Segs...)...)
 }

@@ -18,7 +18,7 @@ func TestViewOverlaysSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fwd, tr := buf.Seal()
+	fwd, tr := buf.Seal(true)
 	if fwd == nil || tr == nil {
 		t.Fatal("Seal of non-empty buffer returned nil")
 	}
@@ -55,9 +55,44 @@ func TestViewRejectsMismatchedSegment(t *testing.T) {
 }
 
 func TestSealEmptyBuffer(t *testing.T) {
-	fwd, tr := NewEdgeBuffer(4).Seal()
+	fwd, tr := NewEdgeBuffer(4).Seal(true)
 	if fwd != nil || tr != nil {
 		t.Error("Seal of empty buffer returned segments")
+	}
+}
+
+// A seal without a mirror builds no transpose, and the edge slices taken
+// just before it are the caller's afterwards: later Adds must not reach them.
+func TestSealForwardOnlyHandsOverEdges(t *testing.T) {
+	b := NewEdgeBuffer(4)
+	for _, e := range [][2]uint32{{2, 1}, {0, 3}} {
+		if err := b.Add(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, dst := b.Edges()
+	fwd, tr := b.Seal(false)
+	if fwd == nil || fwd.E != 2 || tr != nil {
+		t.Fatalf("Seal(false) = %v, %v; want a 2-edge forward segment and no transpose", fwd, tr)
+	}
+	if err := b.Add(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(src, []uint32{2, 0}) || !reflect.DeepEqual(dst, []uint32{1, 3}) {
+		t.Errorf("sealed batch changed under the caller: %v -> %v", src, dst)
+	}
+}
+
+func TestMergeSegmentsRejectsBadParts(t *testing.T) {
+	ok := MustBuild(4, []uint32{0}, []uint32{1})
+	if _, err := MergeSegments(); err == nil {
+		t.Error("merge of nothing accepted")
+	}
+	if _, err := MergeSegments(ok, MustBuild(5, nil, nil)); err == nil {
+		t.Error("parts over different vertex spaces accepted")
+	}
+	if _, err := MergeSegments(ok, NewIndexOnly([]uint32{0, 1, 0, 0})); err == nil {
+		t.Error("index-only part accepted")
 	}
 }
 
@@ -98,7 +133,7 @@ func TestFlattenMatchesRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		fwd, _ := buf.Seal()
+		fwd, _ := buf.Seal(false)
 		if err := v.AddSeg(fwd); err != nil {
 			t.Fatal(err)
 		}
