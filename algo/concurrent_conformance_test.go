@@ -248,200 +248,3 @@ func TestConcurrentConformancePermanentFault(t *testing.T) {
 		}
 	}
 }
-
-// asyncMixed runs the four-query mixed workload on blaze-async with a
-// forced wave budget — serially on private engines when sess is false,
-// concurrently through one shared session otherwise. PageRank runs to
-// convergence (maxIter 0): the async contract is the converged answer,
-// not a fixed-round trajectory.
-func asyncMixed(t *testing.T, c *graph.CSR, sess bool, pc *pagecache.Cache, devOpts ...ssd.DeviceOptions) (mixedResults, int64) {
-	t.Helper()
-	var res mixedResults
-	x := spmvInput(c)
-	base := registry.Options{
-		Edges:          c.E,
-		Workers:        4,
-		NumDev:         1,
-		Profile:        ssd.OptaneSSD,
-		DevOpts:        devOpts,
-		AsyncWavePages: 3,
-	}
-	if !sess {
-		run := func(body func(p exec.Proc, sys algo.System, g, in *engine.Graph)) {
-			ctx := exec.NewSim()
-			out := engine.FromCSR(ctx, "conf", c, 1, ssd.OptaneSSD, nil, nil, devOpts...)
-			in := engine.FromCSR(ctx, "conf.t", c.Transpose(), 1, ssd.OptaneSSD, nil, nil, devOpts...)
-			opts := base
-			opts.PageCache = pc
-			sys, err := registry.New("blaze-async", ctx, opts)
-			if err != nil {
-				t.Fatalf("registry.New(blaze-async): %v", err)
-			}
-			ctx.Run("main", func(p exec.Proc) { body(p, sys, out, in) })
-		}
-		run(func(p exec.Proc, sys algo.System, g, in *engine.Graph) {
-			res.parent = algo.Must(algo.BFS(sys, p, g, 0))
-		})
-		run(func(p exec.Proc, sys algo.System, g, in *engine.Graph) {
-			res.ids = algo.Must(algo.WCC(sys, p, g, in))
-		})
-		run(func(p exec.Proc, sys algo.System, g, in *engine.Graph) {
-			res.rank = algo.Must(algo.PageRank(sys, p, g, 1e-6, 0))
-		})
-		run(func(p exec.Proc, sys algo.System, g, in *engine.Graph) {
-			res.y = algo.Must(algo.SpMV(sys, p, g, x))
-		})
-		return res, 0
-	}
-	ctx := exec.NewSim()
-	out := engine.FromCSR(ctx, "conf", c, 1, ssd.OptaneSSD, nil, nil, devOpts...)
-	in := engine.FromCSR(ctx, "conf.t", c.Transpose(), 1, ssd.OptaneSSD, nil, nil, devOpts...)
-	s, err := session.New(ctx, out, in, session.Config{
-		Engine: "blaze-async",
-		Base:   base,
-		Cache:  pc,
-	})
-	if err != nil {
-		t.Fatalf("session.New(blaze-async): %v", err)
-	}
-	bodies := []session.Body{
-		func(p exec.Proc, q *session.Query) error {
-			r, err := algo.BFS(q.Sys, p, out, 0)
-			res.parent = r
-			return err
-		},
-		func(p exec.Proc, q *session.Query) error {
-			r, err := algo.WCC(q.Sys, p, out, in)
-			res.ids = r
-			return err
-		},
-		func(p exec.Proc, q *session.Query) error {
-			r, err := algo.PageRank(q.Sys, p, out, 1e-6, 0)
-			res.rank = r
-			return err
-		},
-		func(p exec.Proc, q *session.Query) error {
-			r, err := algo.SpMV(q.Sys, p, out, x)
-			res.y = r
-			return err
-		},
-	}
-	ctx.Run("main", func(p exec.Proc) {
-		qs, err := s.Run(p, bodies...)
-		if err != nil {
-			t.Errorf("blaze-async: session.Run: %v", err)
-		}
-		for _, q := range qs {
-			if q.Err != nil {
-				t.Errorf("blaze-async: query %d failed: %v", q.ID, q.Err)
-			}
-		}
-	})
-	return res, ctx.End
-}
-
-// TestConcurrentConformanceAsync: blaze-async queries sharing one
-// session. Without a cache, wave selection depends only on each query's
-// own active set, so the concurrent run is bit-identical to serial —
-// all four queries, floats included. With a shared cache the heat signal
-// couples wave order to the other queries' timing, so the exact queries
-// (BFS forest/depths, WCC labels, SpMV) must still match bit for bit
-// while PageRank must agree within convergence tolerance.
-func TestConcurrentConformanceAsync(t *testing.T) {
-	c := randomCSR(63, 8000)
-	refDepth := algo.RefBFSDepth(c, 0)
-	serial, _ := asyncMixed(t, c, false, nil)
-	conc, _ := asyncMixed(t, c, true, nil)
-	diffMixed(t, "blaze-async/uncached", serial, conc)
-
-	cached, _ := asyncMixed(t, c, true, pagecache.New(1<<30))
-	if v, ok := algo.CheckParents(c, 0, cached.parent, refDepth); !ok {
-		t.Errorf("blaze-async/cached: BFS forest invalid at vertex %d", v)
-	}
-	for v := range serial.ids {
-		if serial.ids[v] != cached.ids[v] {
-			t.Errorf("blaze-async/cached: wcc[%d] = %d serial, %d concurrent", v, serial.ids[v], cached.ids[v])
-			break
-		}
-	}
-	for v := range serial.y {
-		if serial.y[v] != cached.y[v] {
-			t.Errorf("blaze-async/cached: spmv y[%d] = %g serial, %g concurrent", v, serial.y[v], cached.y[v])
-			break
-		}
-	}
-	for v := range serial.rank {
-		if d := serial.rank[v] - cached.rank[v]; d > 1e-4*serial.rank[v]+1e-9 || -d > 1e-4*serial.rank[v]+1e-9 {
-			t.Errorf("blaze-async/cached: rank[%d] = %g serial, %g concurrent (beyond tolerance)", v, serial.rank[v], cached.rank[v])
-			break
-		}
-	}
-}
-
-// TestConcurrentConformanceAsyncDeterministic: two same-seed concurrent
-// async runs with a shared cache are bit-identical in results and
-// virtual makespan — the heat-signal coupling is deterministic under sim.
-func TestConcurrentConformanceAsyncDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full concurrent async sessions; skipped in -short mode")
-	}
-	c := randomCSR(63, 8000)
-	run1, end1 := asyncMixed(t, c, true, pagecache.New(1<<20))
-	run2, end2 := asyncMixed(t, c, true, pagecache.New(1<<20))
-	diffMixed(t, "blaze-async/same-seed", run1, run2)
-	if end1 != end2 {
-		t.Errorf("makespan %d ns run1, %d ns run2 (same-seed concurrent async must be deterministic)", end1, end2)
-	}
-}
-
-// TestConcurrentConformanceAsyncFaults: transient faults under the
-// shared session leave the uncached concurrent run bit-identical to
-// serial — retries change timing, never bytes. The injector re-faults a
-// healed page on its next fresh device read, so a multi-page run with k
-// faulty pages needs 2^k attempts to clear end-to-end; the leg raises
-// the retry budget above that so the coalesced session runs (which merge
-// more pages than any serial run) stay within budget. A permanently
-// unreadable device fails every async query with a clean error on its
-// handle.
-func TestConcurrentConformanceAsyncFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("faulted serial and concurrent async sessions; skipped in -short mode")
-	}
-	c := randomCSR(63, 8000)
-	transient := fault.Policy{Seed: 6, TransientRate: 0.2, TransientFails: 1}.DeviceOptions()
-	transient.Retry = &ssd.RetryPolicy{MaxRetries: 256, BackoffNs: 10_000}
-	serial, _ := asyncMixed(t, c, false, nil, transient)
-	conc, _ := asyncMixed(t, c, true, nil, transient)
-	diffMixed(t, "blaze-async/transient", serial, conc)
-
-	permanent := fault.Policy{Seed: 9, PermanentRate: 1}.DeviceOptions()
-	ctx := exec.NewSim()
-	out := engine.FromCSR(ctx, "conf", c, 1, ssd.OptaneSSD, nil, nil, permanent)
-	s, err := session.New(ctx, out, nil, session.Config{
-		Engine: "blaze-async",
-		Base: registry.Options{
-			Edges:          c.E,
-			Workers:        4,
-			NumDev:         1,
-			Profile:        ssd.OptaneSSD,
-			DevOpts:        []ssd.DeviceOptions{permanent},
-			AsyncWavePages: 3,
-		},
-	})
-	if err != nil {
-		t.Fatalf("session.New(blaze-async): %v", err)
-	}
-	body := func(p exec.Proc, q *session.Query) error {
-		_, err := algo.BFS(q.Sys, p, out, 0)
-		return err
-	}
-	var qs []*session.Query
-	ctx.Run("main", func(p exec.Proc) {
-		qs, _ = s.Run(p, body, body)
-	})
-	for _, q := range qs {
-		if q.Err == nil {
-			t.Errorf("blaze-async: query %d succeeded with every page permanently faulted", q.ID)
-		}
-	}
-}

@@ -23,15 +23,6 @@ import (
 // conformanceEngines are the registry entries under test.
 var conformanceEngines = []string{"blaze", "blaze-sync", "flashgraph", "graphene", "inmem"}
 
-// allEngines additionally includes blaze-async, for the legs whose
-// assertions are wave-order insensitive (BFS forests, WCC partitions,
-// single-pass SpMV, traced-vs-untraced identity, fault semantics). The
-// legs that pin a fixed-iteration PageRank trajectory or cached-vs-
-// uncached bit-identity keep conformanceEngines: async wave order is
-// intentionally cache dependent, and its PageRank contract is
-// convergence within tolerance (TestConformanceAsyncPageRank).
-var allEngines = []string{"blaze", "blaze-sync", "flashgraph", "graphene", "inmem", "blaze-async"}
-
 // randomCSR mirrors the in-package property tests' graph construction,
 // with an explicit 0→1 edge so source 0 always has work to do.
 func randomCSR(seed uint64, nEdges int) *graph.CSR {
@@ -82,7 +73,7 @@ func TestConformanceBFS(t *testing.T) {
 	for _, seed := range []uint64{1, 17, 202} {
 		c := randomCSR(seed, 800)
 		ref := algo.RefBFSDepth(c, 0)
-		for _, name := range allEngines {
+		for _, name := range conformanceEngines {
 			ctx, sys, g, _ := sysOn(t, name, c)
 			var parent []int64
 			ctx.Run("main", func(p exec.Proc) {
@@ -100,7 +91,7 @@ func TestConformanceWCC(t *testing.T) {
 	for _, seed := range []uint64{3, 91} {
 		c := randomCSR(seed, 500)
 		ref := algo.RefWCC(c)
-		for _, name := range allEngines {
+		for _, name := range conformanceEngines {
 			ctx, sys, g, in := sysOn(t, name, c)
 			var ids []uint32
 			ctx.Run("main", func(p exec.Proc) {
@@ -123,7 +114,7 @@ func TestConformanceSpMV(t *testing.T) {
 		x[i] = float64(r.Intn(100))
 	}
 	results := map[string][]float64{}
-	for _, name := range allEngines {
+	for _, name := range conformanceEngines {
 		ctx, sys, g, _ := sysOn(t, name, c)
 		var y []float64
 		ctx.Run("main", func(p exec.Proc) {
@@ -132,7 +123,7 @@ func TestConformanceSpMV(t *testing.T) {
 		results[name] = y
 	}
 	base := results["blaze"]
-	for _, name := range allEngines[1:] {
+	for _, name := range conformanceEngines[1:] {
 		y := results[name]
 		for v := range base {
 			if math.Abs(y[v]-base[v]) > 1e-6*math.Max(1, math.Abs(base[v])) {
@@ -278,7 +269,7 @@ func TestConformanceTraced(t *testing.T) {
 		{"transient", []ssd.DeviceOptions{transient}},
 	}
 	for _, tc := range cases {
-		for _, name := range allEngines {
+		for _, name := range conformanceEngines {
 			run := func(tr *trace.Tracer) ([]int64, int64) {
 				ctx, sys, g, _ := sysTraced(t, name, c, tr, tc.opts...)
 				var parent []int64
@@ -316,7 +307,7 @@ func TestConformanceTraced(t *testing.T) {
 func TestConformanceFaults(t *testing.T) {
 	c := randomCSR(5, 600)
 	opts := fault.Policy{Seed: 9, PermanentRate: 1}.DeviceOptions()
-	for _, name := range allEngines {
+	for _, name := range conformanceEngines {
 		ctx, sys, g, _ := sysOn(t, name, c, opts)
 		var err error
 		ctx.Run("main", func(p exec.Proc) {
@@ -331,167 +322,5 @@ func TestConformanceFaults(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: BFS succeeded with every page permanently faulted", name)
 		}
-	}
-}
-
-// sysAsync builds blaze-async with a forced wave budget (and an optional
-// page cache as its heat signal), over a graph large enough that the
-// active page frontier genuinely exceeds the budget — so these legs
-// exercise real wave splitting and deferral, not the degenerate
-// whole-frontier wave of the tiny conformance graphs.
-func sysAsync(t *testing.T, c *graph.CSR, wavePages int, pc *pagecache.Cache, devOpts ...ssd.DeviceOptions) (exec.Context, algo.System, *engine.Graph, *engine.Graph) {
-	t.Helper()
-	ctx := exec.NewSim()
-	out := engine.FromCSR(ctx, "conf", c, 1, ssd.OptaneSSD, nil, nil, devOpts...)
-	in := engine.FromCSR(ctx, "conf.t", c.Transpose(), 1, ssd.OptaneSSD, nil, nil, devOpts...)
-	sys, err := registry.New("blaze-async", ctx, registry.Options{
-		Edges:          c.E,
-		Workers:        4,
-		NumDev:         1,
-		Profile:        ssd.OptaneSSD,
-		DevOpts:        devOpts,
-		PageCache:      pc,
-		AsyncWavePages: wavePages,
-	})
-	if err != nil {
-		t.Fatalf("registry.New(blaze-async): %v", err)
-	}
-	return ctx, sys, out, in
-}
-
-// TestConformanceAsyncExact: blaze-async under forced wave splitting —
-// clean, with a live heat signal (page cache), and under transient
-// device faults — must reach exactly the serial blaze answers on the
-// order-insensitive queries: BFS depths (the relaxation fixpoint is the
-// exact BFS depth for every vertex) and WCC labels bit for bit.
-func TestConformanceAsyncExact(t *testing.T) {
-	c := randomCSR(63, 8000)
-	ref := algo.RefBFSDepth(c, 0)
-	var blazeIDs []uint32
-	{
-		ctx, sys, g, in := sysOn(t, "blaze", c)
-		ctx.Run("main", func(p exec.Proc) {
-			blazeIDs = algo.Must(algo.WCC(sys, p, g, in))
-		})
-	}
-	transient := fault.Policy{Seed: 8, TransientRate: 0.2, TransientFails: 1}.DeviceOptions()
-	cases := []struct {
-		label   string
-		pc      *pagecache.Cache
-		devOpts []ssd.DeviceOptions
-	}{
-		{"clean", nil, nil},
-		{"cached", pagecache.New(1 << 30), nil},
-		{"transient", nil, []ssd.DeviceOptions{transient}},
-	}
-	for _, tc := range cases {
-		ctx, sys, g, in := sysAsync(t, c, 3, tc.pc, tc.devOpts...)
-		var parent []int64
-		var ids []uint32
-		ctx.Run("main", func(p exec.Proc) {
-			parent = algo.Must(algo.BFS(sys, p, g, 0))
-			ids = algo.Must(algo.WCC(sys, p, g, in))
-		})
-		if v, ok := algo.CheckParents(c, 0, parent, ref); !ok {
-			t.Errorf("%s: async BFS forest invalid at vertex %d", tc.label, v)
-		}
-		for v := range ids {
-			if ids[v] != blazeIDs[v] {
-				t.Errorf("%s: wcc[%d] = %d async, %d blaze (must be bit-identical)", tc.label, v, ids[v], blazeIDs[v])
-				break
-			}
-		}
-		if tc.pc != nil {
-			if st := tc.pc.StatsDetail(); st.Hits == 0 {
-				t.Errorf("%s: heat-signal cache recorded no hits across repeat queries", tc.label)
-			}
-		}
-	}
-}
-
-// TestConformanceAsyncPageRank: the async PageRank contract is
-// convergence within tolerance, not trajectory identity — run both
-// engines to convergence (maxIter 0) and compare ranks relatively.
-func TestConformanceAsyncPageRank(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full PageRank convergence drives; skipped in -short mode")
-	}
-	c := randomCSR(63, 8000)
-	run := func(async bool) []float64 {
-		var ctx exec.Context
-		var sys algo.System
-		var g *engine.Graph
-		if async {
-			ctx, sys, g, _ = sysAsync(t, c, 3, pagecache.New(1<<30))
-		} else {
-			ctx, sys, g, _ = sysOn(t, "blaze", c)
-		}
-		var rank []float64
-		ctx.Run("main", func(p exec.Proc) {
-			rank = algo.Must(algo.PageRank(sys, p, g, 1e-6, 0))
-		})
-		return rank
-	}
-	base := run(false)
-	rank := run(true)
-	for v := range base {
-		if math.Abs(rank[v]-base[v]) > 1e-4*math.Max(1.0/float64(c.V), math.Abs(base[v])) {
-			t.Fatalf("rank[%d] = %g async, %g blaze (beyond convergence tolerance)", v, rank[v], base[v])
-		}
-	}
-}
-
-// TestConformanceAsyncFaults: with every page permanently unreadable the
-// async engine must return the device error through the query under
-// forced wave splitting — no panic, no hang, no partial success.
-func TestConformanceAsyncFaults(t *testing.T) {
-	c := randomCSR(63, 8000)
-	opts := fault.Policy{Seed: 9, PermanentRate: 1}.DeviceOptions()
-	ctx, sys, g, _ := sysAsync(t, c, 3, nil, opts)
-	var err error
-	ctx.Run("main", func(p exec.Proc) {
-		_, err = algo.BFS(sys, p, g, 0)
-	})
-	if err == nil {
-		t.Errorf("async BFS succeeded with every page permanently faulted")
-	}
-}
-
-// TestConformanceAsyncDeterministic: same-seed async runs under the sim
-// backend — wave splitting live, heat signal live — are bit-identical in
-// results and virtual makespan. Wave selection must depend only on
-// deterministic state (active set, degree mass, cache residency at the
-// wave boundary), never on host memory layout or map iteration order.
-func TestConformanceAsyncDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full async BFS+PageRank drives; skipped in -short mode")
-	}
-	c := randomCSR(77, 8000)
-	run := func() ([]int64, []float64, int64) {
-		ctx, sys, g, _ := sysAsync(t, c, 3, pagecache.New(1<<20))
-		var parent []int64
-		var rank []float64
-		ctx.Run("main", func(p exec.Proc) {
-			parent = algo.Must(algo.BFS(sys, p, g, 0))
-			rank = algo.Must(algo.PageRank(sys, p, g, 1e-5, 0))
-		})
-		return parent, rank, ctx.(*exec.Sim).End
-	}
-	parent1, rank1, end1 := run()
-	parent2, rank2, end2 := run()
-	for v := range parent1 {
-		if parent1[v] != parent2[v] {
-			t.Errorf("parent[%d] = %d run1, %d run2 (same-seed async must be deterministic)", v, parent1[v], parent2[v])
-			break
-		}
-	}
-	for v := range rank1 {
-		if rank1[v] != rank2[v] {
-			t.Errorf("rank[%d] = %g run1, %g run2 (same-seed async must be deterministic)", v, rank1[v], rank2[v])
-			break
-		}
-	}
-	if end1 != end2 {
-		t.Errorf("makespan %d ns run1, %d ns run2 (same-seed async must be deterministic)", end1, end2)
 	}
 }

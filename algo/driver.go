@@ -1,23 +1,16 @@
 package algo
 
 import (
-	"sort"
-
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
-	"blaze/internal/pagecache"
 )
 
 // Convergence is the driver layer's stopping contract, shared by every
 // query and every driver. The zero value means "run until the frontier
 // empties", which is exactly the classic hand-rolled loop.
 type Convergence struct {
-	// MaxIters bounds the iteration count (0 = unbounded). Barrier
-	// drivers count rounds; the async driver counts processed active
-	// mass, stopping once MaxIters x |initial frontier| vertices have
-	// been driven through waves — the barrier-free analogue of "at most
-	// MaxIters sweeps over the start set".
+	// MaxIters bounds the number of rounds (0 = unbounded).
 	MaxIters int
 	// Tol, when > 0, stops the drive once Residual() drops to Tol or
 	// below. Queries install a default Residual when the caller leaves
@@ -30,7 +23,7 @@ type Convergence struct {
 
 // Round executes one unit of query work on frontier f — typically one
 // EdgeMap (plus any VertexMap apply step) — and returns the next
-// activation set. iter is the zero-based iteration (wave) index.
+// activation set. iter is the zero-based iteration index.
 type Round func(p exec.Proc, f *frontier.VertexSubset, iter int) (*frontier.VertexSubset, error)
 
 // Driver owns iteration and convergence control for a query: it decides
@@ -38,12 +31,6 @@ type Round func(p exec.Proc, f *frontier.VertexSubset, iter int) (*frontier.Vert
 // done. Queries supply the per-round work; drivers supply the loop.
 type Driver interface {
 	Name() string
-	// Barrier reports whether every active vertex is processed before
-	// any newly activated one (today's BSP round semantics). Queries use
-	// it to pick a formulation: barrier drivers may rely on level-order
-	// processing, barrier-free drivers require monotone (label-correcting)
-	// updates.
-	Barrier() bool
 	// Drive runs round over start until the active set empties or cv
 	// stops it, calling sys.EndIteration after every round. It returns
 	// the number of rounds issued; on error the traversal state is
@@ -51,21 +38,9 @@ type Driver interface {
 	Drive(p exec.Proc, sys System, g *engine.Graph, start *frontier.VertexSubset, round Round, cv Convergence) (int, error)
 }
 
-// DriverProvider is implemented by systems that prefer a specific driver
-// (blaze-async prefers AsyncDriver); DriverFor consults it.
-type DriverProvider interface {
-	QueryDriver() Driver
-}
-
-// DriverFor resolves the driver a system wants its queries driven by:
-// the system's own preference when it implements DriverProvider, else
-// the barrier RoundDriver that reproduces the classic loop.
-func DriverFor(sys System) Driver {
-	if dp, ok := sys.(DriverProvider); ok {
-		return dp.QueryDriver()
-	}
-	return RoundDriver{}
-}
+// DriverFor resolves the driver a system's queries are driven by: the
+// barrier RoundDriver, for every system.
+func DriverFor(System) Driver { return RoundDriver{} }
 
 // RoundDriver is the bulk-synchronous driver: one Round per iteration
 // over the whole frontier, a barrier (EndIteration) after each. With a
@@ -75,9 +50,6 @@ type RoundDriver struct{}
 
 // Name implements Driver.
 func (RoundDriver) Name() string { return "round" }
-
-// Barrier implements Driver.
-func (RoundDriver) Barrier() bool { return true }
 
 // Drive implements Driver.
 func (RoundDriver) Drive(p exec.Proc, sys System, g *engine.Graph, start *frontier.VertexSubset, round Round, cv Convergence) (int, error) {
@@ -96,149 +68,4 @@ func (RoundDriver) Drive(p exec.Proc, sys System, g *engine.Graph, start *fronti
 		}
 	}
 	return iters, nil
-}
-
-// DefaultWavePages caps one async wave's page frontier when
-// AsyncDriver.WavePages is zero. A wave never reads more than this many
-// adjacency pages, so cold low-priority pages wait while their pending
-// activations accumulate and are later served by a single read.
-const DefaultWavePages = 256
-
-// AsyncDriver is the barrier-free driver (ACGraph-style): instead of
-// processing the whole frontier each round, it slices the active set
-// into priority-ordered waves of at most WavePages adjacency pages —
-// cache-resident ("hot") pages first, then by active degree mass — and
-// folds each wave's new activations straight back into the pending set.
-// There is no per-iteration barrier: a vertex activated by wave k can be
-// processed in wave k+1 while vertices deferred from wave k are still
-// waiting, and deferred pages coalesce the activations of many waves
-// into one eventual read. Termination comes from convergence detection
-// (empty active set, Convergence.Tol) rather than round counting, so it
-// is only safe for monotone/label-correcting formulations; queries pick
-// those via Driver.Barrier.
-type AsyncDriver struct {
-	// Cache supplies the heat signal: resident pages sort ahead of cold
-	// ones so waves ride what is already in memory. Nil or disabled
-	// falls back to pure degree-mass priority.
-	Cache *pagecache.Cache
-	// WavePages caps the page frontier one wave processes
-	// (0 = DefaultWavePages).
-	WavePages int
-}
-
-// Name implements Driver.
-func (*AsyncDriver) Name() string { return "async" }
-
-// Barrier implements Driver.
-func (*AsyncDriver) Barrier() bool { return false }
-
-// Drive implements Driver.
-func (d *AsyncDriver) Drive(p exec.Proc, sys System, g *engine.Graph, start *frontier.VertexSubset, round Round, cv Convergence) (int, error) {
-	hot := func(int64) bool { return false }
-	if d != nil && d.Cache.Enabled() {
-		cache := d.Cache
-		gid := cache.GraphID(g.Name)
-		hot = func(page int64) bool {
-			return cache.Resident(pagecache.Key{Graph: gid, Logical: page})
-		}
-	}
-	limit := DefaultWavePages
-	if d != nil && d.WavePages > 0 {
-		limit = d.WavePages
-	}
-	active := start
-	waves := 0
-	var processed, budget int64
-	if cv.MaxIters > 0 {
-		initial := active.Count()
-		if initial < 1 {
-			initial = 1
-		}
-		budget = int64(cv.MaxIters) * initial
-	}
-	for !active.Empty() {
-		if budget > 0 && processed >= budget {
-			break
-		}
-		wave, rest := splitWave(g, active, limit, hot)
-		nf, err := round(p, wave, waves)
-		if err != nil {
-			return waves, err
-		}
-		sys.EndIteration(p)
-		waves++
-		processed += wave.Count()
-		rest.Merge(nf)
-		active = rest
-		if cv.Tol > 0 && cv.Residual != nil && cv.Residual() <= cv.Tol {
-			break
-		}
-	}
-	return waves, nil
-}
-
-// splitWave partitions the active set into this wave's slice and the
-// deferred remainder. Vertices are grouped by the first adjacency page
-// they touch; when the group count fits the limit the whole set goes out
-// at once (the common narrow-frontier case, where async degenerates to
-// exactly one level per wave). Otherwise groups are ranked hot-first,
-// then by active degree mass, then by page id — the full tie-break keeps
-// wave selection deterministic under the sim backend.
-func splitWave(g *engine.Graph, active *frontier.VertexSubset, limit int, hot func(int64) bool) (wave, rest *frontier.VertexSubset) {
-	active.Seal()
-	type pageMass struct {
-		page int64 // first adjacency page; -1 groups the zero-degree vertices
-		mass int64 // active degree mass landing on the page
-		hot  bool
-	}
-	idx := make(map[int64]int)
-	var pages []pageMass
-	firstPage := func(v uint32) int64 {
-		first, _, ok := g.CSR.PageRange(v)
-		if !ok {
-			return -1
-		}
-		return first
-	}
-	active.ForEach(func(v uint32) {
-		pg := firstPage(v)
-		i, seen := idx[pg]
-		if !seen {
-			i = len(pages)
-			idx[pg] = i
-			pages = append(pages, pageMass{page: pg})
-		}
-		pages[i].mass += int64(g.CSR.Degree(v)) + 1
-	})
-	if len(pages) <= limit {
-		return active, frontier.NewVertexSubset(active.N())
-	}
-	for i := range pages {
-		// Zero-degree vertices cost no IO; always take them.
-		pages[i].hot = pages[i].page < 0 || hot(pages[i].page)
-	}
-	sort.Slice(pages, func(i, j int) bool {
-		if pages[i].hot != pages[j].hot {
-			return pages[i].hot
-		}
-		if pages[i].mass != pages[j].mass {
-			return pages[i].mass > pages[j].mass
-		}
-		return pages[i].page < pages[j].page
-	})
-	take := make(map[int64]bool, limit)
-	for _, pm := range pages[:limit] {
-		take[pm.page] = true
-	}
-	wave = frontier.NewVertexSubset(active.N())
-	rest = frontier.NewVertexSubset(active.N())
-	active.ForEach(func(v uint32) {
-		if take[firstPage(v)] {
-			wave.Add(v)
-		} else {
-			rest.Add(v)
-		}
-	})
-	wave.Seal()
-	return wave, rest
 }

@@ -1,6 +1,5 @@
 // Driver-layer unit tests: the convergence contract (max-iters cap,
-// tolerance stop), driver resolution, and driver/engine orthogonality —
-// the async driver is not welded to blaze-async but runs any System.
+// tolerance stop) and driver resolution.
 package algo_test
 
 import (
@@ -10,17 +9,15 @@ import (
 	"blaze/internal/exec"
 )
 
-// TestDriverFor: engines without a preference get the barrier
-// RoundDriver; blaze-async prefers the barrier-free AsyncDriver.
+// TestDriverFor: every engine's queries are driven by the barrier
+// RoundDriver.
 func TestDriverFor(t *testing.T) {
 	c := randomCSR(11, 500)
-	_, blazeSys, _, _ := sysOn(t, "blaze", c)
-	if drv := algo.DriverFor(blazeSys); !drv.Barrier() || drv.Name() != "round" {
-		t.Errorf("blaze resolved driver %q (barrier=%v), want round/barrier", drv.Name(), drv.Barrier())
-	}
-	_, asyncSys, _, _ := sysOn(t, "blaze-async", c)
-	if drv := algo.DriverFor(asyncSys); drv.Barrier() || drv.Name() != "async" {
-		t.Errorf("blaze-async resolved driver %q (barrier=%v), want async/barrier-free", drv.Name(), drv.Barrier())
+	for _, name := range conformanceEngines {
+		_, sys, _, _ := sysOn(t, name, c)
+		if drv := algo.DriverFor(sys); drv.Name() != "round" {
+			t.Errorf("%s resolved driver %q, want round", name, drv.Name())
+		}
 	}
 }
 
@@ -65,90 +62,16 @@ func TestConvergenceMaxIters(t *testing.T) {
 }
 
 // TestConvergenceTol: a tolerance far above the initial residual stops
-// PageRank after the first round on both drivers, using the default
-// residual (unpropagated rank mass) that PageRankDrive installs.
+// PageRank after the first round, using the default residual
+// (unpropagated rank mass) that PageRankDrive installs.
 func TestConvergenceTol(t *testing.T) {
 	c := randomCSR(19, 1500)
-	for _, name := range []string{"blaze", "blaze-async"} {
-		ctx, sys, g, _ := sysOn(t, name, c)
-		var iters int
-		ctx.Run("main", func(p exec.Proc) {
-			_, iters, _ = algo.PageRankDrive(algo.DriverFor(sys), sys, p, g, 1e-9, algo.Convergence{Tol: 1e12})
-		})
-		if iters != 1 {
-			t.Errorf("%s: PageRankDrive ran %d iterations, want 1 (Tol stop)", name, iters)
-		}
-	}
-}
-
-// TestAsyncDriverOnBarrierEngines: the async driver composes with any
-// System, not just blaze-async — forced single-page waves on the plain
-// blaze engine still converge to a valid BFS forest and the exact WCC
-// labels, because the queries switch to their monotone formulations.
-func TestAsyncDriverOnBarrierEngines(t *testing.T) {
-	c := randomCSR(33, 4000)
-	ref := algo.RefBFSDepth(c, 0)
-	var blazeIDs []uint32
-	{
-		ctx, sys, g, in := sysOn(t, "blaze", c)
-		ctx.Run("main", func(p exec.Proc) {
-			blazeIDs = algo.Must(algo.WCC(sys, p, g, in))
-		})
-	}
-	for _, name := range []string{"blaze", "blaze-sync", "inmem"} {
-		ctx, sys, g, in := sysOn(t, name, c)
-		drv := &algo.AsyncDriver{WavePages: 1}
-		var parent []int64
-		var ids []uint32
-		ctx.Run("main", func(p exec.Proc) {
-			var err error
-			parent, _, err = algo.BFSDrive(drv, sys, p, g, 0, algo.Convergence{})
-			if err != nil {
-				t.Fatalf("%s: async BFSDrive: %v", name, err)
-			}
-			ids, _, err = algo.WCCDrive(drv, sys, p, g, in, algo.Convergence{})
-			if err != nil {
-				t.Fatalf("%s: async WCCDrive: %v", name, err)
-			}
-		})
-		if v, ok := algo.CheckParents(c, 0, parent, ref); !ok {
-			t.Errorf("%s: async-driven BFS forest invalid at vertex %d", name, v)
-		}
-		for v := range ids {
-			if ids[v] != blazeIDs[v] {
-				t.Errorf("%s: async-driven wcc[%d] = %d, blaze rounds give %d", name, v, ids[v], blazeIDs[v])
-				break
-			}
-		}
-	}
-}
-
-// TestBCDriveBarrierFallback: BC is inherently level-synchronous; handing
-// it the async driver must fall back to barrier rounds and produce the
-// exact scores of the classic entry point.
-func TestBCDriveBarrierFallback(t *testing.T) {
-	c := randomCSR(47, 1200)
-	run := func(async bool) []float64 {
-		ctx, sys, g, in := sysOn(t, "blaze", c)
-		var delta []float64
-		ctx.Run("main", func(p exec.Proc) {
-			if async {
-				var err error
-				delta, _, err = algo.BCDrive(&algo.AsyncDriver{WavePages: 1}, sys, p, g, in, 0, algo.Convergence{})
-				if err != nil {
-					t.Errorf("async BCDrive: %v", err)
-				}
-			} else {
-				delta = algo.Must(algo.BC(sys, p, g, in, 0))
-			}
-		})
-		return delta
-	}
-	classic := run(false)
-	driven := run(true)
-	for v := range classic {
-		if classic[v] != driven[v] {
-			t.Fatalf("bc[%d] = %g classic, %g async-driven (must fall back to rounds bit-identically)", v, classic[v], driven[v])
-		}
+	ctx, sys, g, _ := sysOn(t, "blaze", c)
+	var iters int
+	ctx.Run("main", func(p exec.Proc) {
+		_, iters, _ = algo.PageRankDrive(algo.DriverFor(sys), sys, p, g, 1e-9, algo.Convergence{Tol: 1e12})
+	})
+	if iters != 1 {
+		t.Errorf("PageRankDrive ran %d iterations, want 1 (Tol stop)", iters)
 	}
 }

@@ -16,8 +16,7 @@ import (
 // recomputing from scratch. Because both formulations are monotone
 // (depths only decrease toward the true depth, labels only decrease
 // toward the component minimum), the repaired state is bit-identical to a
-// full recompute over the updated graph, under barrier rounds and
-// barrier-free waves alike.
+// full recompute over the updated graph.
 
 // bfsDepthFuncs returns the monotone depth-relaxation edge functions over
 // depth (-1 = unreachable, treated as infinity).

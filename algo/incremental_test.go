@@ -14,7 +14,7 @@ import (
 
 // dynamicEngines are the registry entries whose EdgeMap iterates delta
 // segments (registry.DynamicCapable).
-var dynamicEngines = []string{"blaze", "blaze-async"}
+var dynamicEngines = []string{"blaze"}
 
 // dynSetup builds a dynamic forward/transpose graph pair plus the named
 // engine over one sim context.

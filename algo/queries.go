@@ -1,15 +1,13 @@
 package algo
 
 import (
-	"math"
-
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
 )
 
-// BFS runs breadth-first search from src (paper Algorithm 1) under the
-// system's preferred driver and returns the parent array: Parent[v] =
+// BFS runs breadth-first search from src (paper Algorithm 1) under
+// DriverFor(sys) and returns the parent array: Parent[v] =
 // predecessor of v in the BFS tree, Parent[src] = src, and -1 for
 // unreachable vertices. A non-nil error means the engine failed
 // mid-traversal; the parent array is partial.
@@ -19,12 +17,8 @@ func BFS(sys System, p exec.Proc, g *engine.Graph, src uint32) ([]int64, error) 
 }
 
 // BFSDrive runs BFS under an explicit driver and convergence contract,
-// returning the parent array and the driver's iteration count. Barrier
-// drivers use the classic set-once formulation (identical rounds to the
-// original hand-rolled loop); barrier-free drivers use label-correcting
-// depth relaxation, whose converged depths equal BFS depths exactly. The
-// relaxed candidate packs (depth, parent) into the scattered float64 —
-// exact for depths below 2^21, far past any graph the engines run.
+// returning the parent array and the driver's iteration count: the
+// classic set-once formulation, one level per round.
 func BFSDrive(drv Driver, sys System, p exec.Proc, g *engine.Graph, src uint32, cv Convergence) ([]int64, int, error) {
 	n := g.NumVertices()
 	parent := make([]int64, n)
@@ -32,64 +26,18 @@ func BFSDrive(drv Driver, sys System, p exec.Proc, g *engine.Graph, src uint32, 
 		parent[i] = -1
 	}
 	parent[src] = int64(src)
-	if drv.Barrier() {
-		fns := EdgeFuncs{
-			Scatter: func(s, d uint32) float64 { return float64(s) },
-			Gather: func(d uint32, v float64) bool {
-				if parent[d] == -1 {
-					parent[d] = int64(v)
-					return true
-				}
-				return false
-			},
-			Cond: func(d uint32) bool { return parent[d] == -1 },
-		}
-		round := func(p exec.Proc, f *frontier.VertexSubset, _ int) (*frontier.VertexSubset, error) {
-			return sys.EdgeMap(p, g, f, fns, true)
-		}
-		iters, err := drv.Drive(p, sys, g, frontier.Single(n, src), round, cv)
-		return parent, iters, err
-	}
-	// Barrier-free: waves may process activations out of level order, so
-	// a visited bit is not enough — depths relax downward until no edge
-	// can improve one, at which point every depth is the exact BFS depth
-	// and every parent sits one level above its child.
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = -1
-	}
-	depth[src] = 0
-	var waveFloor int32
 	fns := EdgeFuncs{
-		Scatter: func(s, d uint32) float64 {
-			return float64(uint64(depth[s]+1)<<32 | uint64(s))
-		},
+		Scatter: func(s, d uint32) float64 { return float64(s) },
 		Gather: func(d uint32, v float64) bool {
-			enc := uint64(v)
-			nd := int32(enc >> 32)
-			if depth[d] == -1 || nd < depth[d] {
-				depth[d] = nd
-				parent[d] = int64(uint32(enc))
+			if parent[d] == -1 {
+				parent[d] = int64(v)
 				return true
 			}
 			return false
 		},
-		// No candidate in this wave is shallower than waveFloor, so a
-		// vertex already at or above it cannot improve.
-		Cond: func(d uint32) bool { return depth[d] == -1 || depth[d] > waveFloor },
+		Cond: func(d uint32) bool { return parent[d] == -1 },
 	}
 	round := func(p exec.Proc, f *frontier.VertexSubset, _ int) (*frontier.VertexSubset, error) {
-		f.Seal()
-		floor := int32(math.MaxInt32)
-		f.ForEach(func(v uint32) {
-			if dv := depth[v]; dv >= 0 && dv < floor {
-				floor = dv
-			}
-		})
-		if floor == math.MaxInt32 {
-			floor = 0
-		}
-		waveFloor = floor + 1
 		return sys.EdgeMap(p, g, f, fns, true)
 	}
 	iters, err := drv.Drive(p, sys, g, frontier.Single(n, src), round, cv)
@@ -99,8 +47,8 @@ func BFSDrive(drv Driver, sys System, p exec.Proc, g *engine.Graph, src uint32, 
 // AlgoMemoryBFS returns the algorithm-array bytes BFS allocates (Fig. 12).
 func AlgoMemoryBFS(n uint32) int64 { return int64(n) * 8 }
 
-// PageRank runs the PageRank-delta variant (paper Algorithm 2) under the
-// system's preferred driver: vertices stay active only while their rank
+// PageRank runs the PageRank-delta variant (paper Algorithm 2) under
+// DriverFor(sys): vertices stay active only while their rank
 // keeps changing by more than eps relative to their current rank. It
 // returns the rank vector (proportional to true PageRank; normalize
 // before comparing). maxIter bounds the iteration count (0 = until
@@ -114,104 +62,50 @@ func PageRank(sys System, p exec.Proc, g *engine.Graph, eps float64, maxIter int
 // convergence contract, returning the rank vector and the driver's
 // iteration count. When cv.Tol > 0 and cv.Residual is nil, a default
 // residual — the total unpropagated rank mass — is installed, so
-// tolerance-based convergence works out of the box on both drivers.
-// Barrier drivers run the paper's Jacobi-style rounds; barrier-free
-// drivers run an equivalent residual-push formulation (a vertex's pending
-// mass is taken exactly when it is processed, so no mass is lost or
-// double-counted across waves).
+// tolerance-based convergence works out of the box.
 func PageRankDrive(drv Driver, sys System, p exec.Proc, g *engine.Graph, eps float64, cv Convergence) ([]float64, int, error) {
 	n := g.NumVertices()
 	const damping = 0.85
-	if drv.Barrier() {
-		rank := make([]float64, n)
-		nghSum := make([]float64, n)
-		delta := make([]float64, n)
-		for i := range delta {
-			delta[i] = 1.0 / float64(n)
-			rank[i] = delta[i]
-		}
-		fns := EdgeFuncs{
-			Scatter: func(s, d uint32) float64 {
-				return delta[s] / float64(g.CSR.Degree(s))
-			},
-			Gather: func(d uint32, v float64) bool {
-				nghSum[d] += v
-				return true
-			},
-			Cond: func(d uint32) bool { return true },
-		}
-		var residual float64
-		applyFilter := func(i uint32) bool {
-			delta[i] = nghSum[i] * damping
-			nghSum[i] = 0
-			if abs(delta[i]) > eps*rank[i] {
-				rank[i] += delta[i]
-				residual += abs(delta[i])
-				return true
-			}
-			delta[i] = 0
-			return false
-		}
-		round := func(p exec.Proc, f *frontier.VertexSubset, _ int) (*frontier.VertexSubset, error) {
-			receivers, err := sys.EdgeMap(p, g, f, fns, true)
-			if err != nil {
-				return nil, err
-			}
-			residual = 0
-			return sys.VertexMap(p, receivers, applyFilter), nil
-		}
-		cv2 := cv
-		if cv2.Tol > 0 && cv2.Residual == nil {
-			cv2.Residual = func() float64 { return residual }
-		}
-		iters, err := drv.Drive(p, sys, g, frontier.All(n), round, cv2)
-		return rank, iters, err
-	}
-	// Barrier-free residual push: res holds mass received but not yet
-	// applied, carry the per-edge share a processed vertex is scattering
-	// this wave. Taking res at process time (not apply-on-gather) keeps
-	// the formulation exact under any wave order.
 	rank := make([]float64, n)
-	res := make([]float64, n)
-	carry := make([]float64, n)
-	for i := range res {
-		res[i] = 1.0 / float64(n)
+	nghSum := make([]float64, n)
+	delta := make([]float64, n)
+	for i := range delta {
+		delta[i] = 1.0 / float64(n)
+		rank[i] = delta[i]
 	}
 	fns := EdgeFuncs{
-		Scatter: func(s, d uint32) float64 { return carry[s] },
+		Scatter: func(s, d uint32) float64 {
+			return delta[s] / float64(g.CSR.Degree(s))
+		},
 		Gather: func(d uint32, v float64) bool {
-			res[d] += v
-			return abs(res[d]) > eps*rank[d]
+			nghSum[d] += v
+			return true
 		},
 		Cond: func(d uint32) bool { return true },
 	}
-	takeFilter := func(s uint32) bool {
-		take := res[s]
-		res[s] = 0
-		rank[s] += take
-		carry[s] = 0
-		if take == 0 {
-			return false
-		}
-		if deg := g.CSR.Degree(s); deg > 0 {
-			carry[s] = damping * take / float64(deg)
+	var residual float64
+	applyFilter := func(i uint32) bool {
+		delta[i] = nghSum[i] * damping
+		nghSum[i] = 0
+		if abs(delta[i]) > eps*rank[i] {
+			rank[i] += delta[i]
+			residual += abs(delta[i])
 			return true
 		}
+		delta[i] = 0
 		return false
 	}
 	round := func(p exec.Proc, f *frontier.VertexSubset, _ int) (*frontier.VertexSubset, error) {
-		h := sys.VertexMap(p, f, takeFilter)
-		return sys.EdgeMap(p, g, h, fns, true)
+		receivers, err := sys.EdgeMap(p, g, f, fns, true)
+		if err != nil {
+			return nil, err
+		}
+		residual = 0
+		return sys.VertexMap(p, receivers, applyFilter), nil
 	}
 	cv2 := cv
 	if cv2.Tol > 0 && cv2.Residual == nil {
-		cv2.Residual = func() float64 {
-			var total float64
-			for _, r := range res {
-				total += abs(r)
-			}
-			return total
-		}
+		cv2.Residual = func() float64 { return residual }
 	}
 	iters, err := drv.Drive(p, sys, g, frontier.All(n), round, cv2)
 	return rank, iters, err
@@ -228,7 +122,7 @@ func PageRankOneIteration(sys System, p exec.Proc, g *engine.Graph) ([]float64, 
 }
 
 // WCC computes weakly connected components with shortcutting label
-// propagation (paper Algorithm 3) under the system's preferred driver, on
+// propagation (paper Algorithm 3) under DriverFor(sys), on
 // the graph viewed as undirected, which is why it propagates over both
 // the forward graph outG and its transpose inG. It returns a label array
 // where two vertices have equal labels iff they are weakly connected.
@@ -239,9 +133,8 @@ func WCC(sys System, p exec.Proc, outG, inG *engine.Graph) ([]uint32, error) {
 
 // WCCDrive runs WCC under an explicit driver and convergence contract,
 // returning the label array and the driver's iteration count. Min-label
-// propagation is already monotone, so the same edge functions are exact
-// under both barrier rounds and barrier-free waves: either way the fixed
-// point assigns every vertex its component's minimum ID.
+// propagation is monotone: the fixed point assigns every vertex its
+// component's minimum ID.
 func WCCDrive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Graph, cv Convergence) ([]uint32, int, error) {
 	n := outG.NumVertices()
 	ids := make([]uint32, n)
@@ -330,15 +223,11 @@ func BC(sys System, p exec.Proc, outG, inG *engine.Graph, src uint32) ([]float64
 
 // BCDrive runs BC under an explicit driver and convergence contract,
 // returning the dependency scores and the total iteration count across
-// both phases. Brandes' phases are inherently level-synchronous — sigma
-// sums all same-level contributions before the next level, and the
-// backward sweep replays the recorded levels — so barrier-free drivers
-// fall back to barrier rounds here; cv (the iteration cap) still applies
-// to the forward phase.
+// both phases. Brandes' phases are level-synchronous — sigma sums all
+// same-level contributions before the next level, and the backward sweep
+// replays the recorded levels; cv (the iteration cap) applies to the
+// forward phase.
 func BCDrive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Graph, src uint32, cv Convergence) ([]float64, int, error) {
-	if !drv.Barrier() {
-		drv = RoundDriver{}
-	}
 	n := outG.NumVertices()
 	depth := make([]int32, n)
 	sigma := make([]float64, n)

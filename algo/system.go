@@ -93,30 +93,6 @@ func (b *Blaze) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset, 
 	return out, err
 }
 
-// AsyncBlaze is the barrier-free variant of Blaze ("blaze-async" in the
-// registry): the same online-binning EdgeMap pipeline, but driven by
-// AsyncDriver — priority-ordered page waves (cache-resident pages first,
-// then by active degree mass), vertex updates folded straight back into
-// the pending set with no round barrier, and convergence detection
-// instead of round counting (DESIGN.md §13).
-type AsyncBlaze struct {
-	Blaze
-}
-
-// NewAsyncBlaze wraps the engine as a barrier-free System.
-func NewAsyncBlaze(ctx exec.Context, cfg engine.Config) *AsyncBlaze {
-	return &AsyncBlaze{Blaze: *NewBlaze(ctx, cfg)}
-}
-
-// Name implements System.
-func (a *AsyncBlaze) Name() string { return "blaze-async" }
-
-// QueryDriver implements DriverProvider: the async driver, with the
-// engine's page cache (shared in session mode) as its heat signal.
-func (a *AsyncBlaze) QueryDriver() Driver {
-	return &AsyncDriver{Cache: a.Cfg.PageCache, WavePages: a.Cfg.AsyncWavePages}
-}
-
 // Must unwraps a (value, error) pair, panicking on a non-nil error. It is a
 // convenience for harnesses and tests running fault-free configurations,
 // where an EdgeMap failure indicates a programming error rather than an

@@ -140,7 +140,7 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	for _, want := range []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-		"ext_pagecache", "ext_multiquery", "ext_serving", "ext_async", "ext_scaleout", "ext_ingest"} {
+		"ext_pagecache", "ext_multiquery", "ext_serving", "ext_scaleout", "ext_ingest"} {
 		if !ids[want] {
 			t.Errorf("missing experiment %q", want)
 		}
@@ -159,7 +159,7 @@ func TestExtExperimentsDeterministic(t *testing.T) {
 		t.Skip("every extension suite twice; skipped in -short mode")
 	}
 	for _, id := range []string{"ext_pagecache", "ext_multiquery", "ext_serving",
-		"ext_async", "ext_scaleout", "ext_ingest"} {
+		"ext_scaleout", "ext_ingest"} {
 		t.Run(id, func(t *testing.T) {
 			e, err := ExperimentByID(id)
 			if err != nil {

@@ -36,10 +36,9 @@ func Experiments() []Experiment {
 		{"ablation", "Extension: ablations of merge cap, staging buffers, page cache", Ablation},
 		{"scaleout", "Extension: scale-out Blaze across machines (paper SVI sketch)", ScaleOut},
 		{"incore", "Extension: out-of-core Blaze vs Ligra-style in-core engine", InCore},
-		{"ext_pagecache", "Extension: page cache on repeat scans, CLOCK vs LRU by budget", ExtPagecache},
+		{"ext_pagecache", "Extension: page cache on repeat scans by budget", ExtPagecache},
 		{"ext_multiquery", "Extension: Q concurrent queries on one shared graph session", ExtMultiQuery},
 		{"ext_serving", "Extension: serving tail latency and goodput across an offered-load sweep", ExtServing},
-		{"ext_async", "Extension: barrier-free driver vs barrier rounds by page-cache size", ExtAsync},
 		{"ext_scaleout", "Extension: blaze-scaleout wire traffic and speedup at M=1/2/4", ExtScaleout},
 		{"ext_ingest", "Extension: incremental repair vs full recompute after an insertion batch", ExtIngest},
 	}

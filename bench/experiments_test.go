@@ -181,7 +181,7 @@ func TestAblationSmoke(t *testing.T) {
 	}
 	checkTable(t, tables[0], 2, 4)
 	checkTable(t, tables[1], 2, 4)
-	checkTable(t, tables[2], 6, 4)
+	checkTable(t, tables[2], 4, 4)
 	// Staging ablation: unbatched must be clearly slower.
 	unbatched, batched := parse(t, tables[1].Rows[0][1]), parse(t, tables[1].Rows[0][2])
 	if unbatched < 1.5*batched {

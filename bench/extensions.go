@@ -57,7 +57,7 @@ func Ablation(scale float64) []Table {
 
 	cache := Table{
 		ID:     "ablation_pagecache",
-		Title:  "Page-cache ablation on the high-locality sk2005 preset: BFS time (ms), LRU vs CLOCK by cache size",
+		Title:  "Page-cache ablation on the high-locality sk2005 preset: BFS time (ms) by cache size",
 		Header: []string{"system", "time ms", "hit rate %", "read MB"},
 	}
 	d := MustLoad("sk", scale)
@@ -68,23 +68,21 @@ func Ablation(scale float64) []Table {
 	// (eviction pressure) and twice the adjacency (capacity ceiling; the
 	// headroom absorbs CLOCK's per-shard hash imbalance).
 	pageBytes := d.CSR.NumPages() * int64(ssd.PageSize)
-	for _, policy := range []pagecache.Policy{pagecache.PolicyLRU, pagecache.PolicyCLOCK} {
-		for _, frac := range []struct {
-			name   string
-			budget int64
-		}{{"1/4 graph", pageBytes / 4}, {"2x graph", 2 * pageBytes}} {
-			pc := pagecache.NewWithPolicy(frac.budget, policy)
-			r := Run(d, Opts{System: "blaze", Query: "bfs", PageCache: pc})
-			st := pc.StatsDetail()
-			cache.Add(fmt.Sprintf("blaze + %s cache (%s)", policy, frac.name),
-				float64(r.ElapsedNs)/1e6, 100*st.HitRate(), float64(r.ReadBytes)/1e6)
-		}
+	for _, frac := range []struct {
+		name   string
+		budget int64
+	}{{"1/4 graph", pageBytes / 4}, {"2x graph", 2 * pageBytes}} {
+		pc := pagecache.New(frac.budget)
+		r := Run(d, Opts{System: "blaze", Query: "bfs", PageCache: pc})
+		st := pc.StatsDetail()
+		cache.Add(fmt.Sprintf("blaze + clock cache (%s)", frac.name),
+			float64(r.ElapsedNs)/1e6, 100*st.HitRate(), float64(r.ReadBytes)/1e6)
 	}
 	fg := Run(d, Opts{System: "flashgraph", Query: "bfs"})
 	cache.Add("flashgraph (LRU cache built in)", float64(fg.ElapsedNs)/1e6, 0.0, float64(fg.ReadBytes)/1e6)
 	cache.Notes = append(cache.Notes,
 		"The paper leaves better eviction policies as future work (SV-B); the extension closes the sk2005 gap to FlashGraph.",
-		"CLOCK's ghost list resists the traversal's scan pattern at partial capacity; with headroom the policies converge (nothing is ever evicted).")
+		"A quarter-adjacency budget reaches the same hit rate as the 2x budget, where nothing is ever evicted: what BFS re-reads it re-reads soon, so the pages a small cache evicts are not asked for again (and the ghost list never fires).")
 
 	return []Table{merge, staging, cache}
 }

@@ -13,9 +13,8 @@ import (
 // and CI gates on it. The suite records makespan, wire traffic, and the
 // per-machine read split for M=1/2/4 on the high-locality crawl.
 
-// ScaleoutGraph is the dataset the scale-out suite measures (the
-// crawl also used by the async suite; its dense adjacency makes the
-// IO-bound legs genuinely device-limited).
+// ScaleoutGraph is the dataset the scale-out suite measures (the crawl;
+// its dense adjacency makes the IO-bound legs genuinely device-limited).
 const ScaleoutGraph = "sk"
 
 // ScaleoutGateQuery is the IO-bound query the CI gate checks: SpMV reads

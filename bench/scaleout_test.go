@@ -2,8 +2,13 @@ package bench
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
+
+// scaleoutQuarter is the sweep at a quarter of the default scale, run once
+// for the shape test (and as one side of the determinism check).
+var scaleoutQuarter = sync.OnceValue(func() []ScaleoutEntry { return ScaleoutSnapshot(DefaultScale / 4) })
 
 // TestScaleoutSnapshotGate: the reason to scale out at all — 4 machines'
 // aggregate device bandwidth must clearly beat 1 machine on the IO-bound
@@ -42,7 +47,7 @@ func TestScaleoutSnapshotShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine measured runs; skipped in -short mode")
 	}
-	entries := ScaleoutSnapshot(DefaultScale / 4)
+	entries := scaleoutQuarter()
 	if want := len(ScaleoutMachineCounts) * len(scaleoutQueries); len(entries) != want {
 		t.Fatalf("%d entries, want %d", len(entries), want)
 	}
@@ -68,13 +73,13 @@ func TestScaleoutSnapshotShape(t *testing.T) {
 }
 
 // TestScaleoutSnapshotDeterministic: the sweep is a pure function of the
-// sim — two runs must agree on every field, network byte counts and the
-// per-machine read split included.
+// sim — a fresh run must agree with the memoised one on every field,
+// network byte counts and the per-machine read split included.
 func TestScaleoutSnapshotDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eighteen measured runs; skipped in -short mode")
+		t.Skip("nine more measured runs; skipped in -short mode")
 	}
-	a, b := ScaleoutSnapshot(DefaultScale/4), ScaleoutSnapshot(DefaultScale/4)
+	a, b := scaleoutQuarter(), ScaleoutSnapshot(DefaultScale/4)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same inputs, different measurements:\n%+v\nvs\n%+v", a, b)
 	}

@@ -2,8 +2,15 @@ package bench
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
+
+// servingGate is the gate load point, run once for the gate (and as one
+// side of the determinism check).
+var servingGate = sync.OnceValue(func() []ServingEntry {
+	return ServingRun(MustLoad("r2", DefaultScale), ServingGateLoadFactor)
+})
 
 // TestServingP99Gate is the CI tail-latency gate: at the fixed subcritical
 // load (ServingGateLoadFactor of capacity), interactive p99 must stay
@@ -11,8 +18,7 @@ import (
 // no queue expiries. A blowup here means priority dispatch, admission
 // control, or the session's sharing layers regressed under concurrency.
 func TestServingP99Gate(t *testing.T) {
-	d := MustLoad("r2", DefaultScale)
-	entries := ServingRun(d, ServingGateLoadFactor)
+	entries := servingGate()
 	var inter, batch *ServingEntry
 	for i := range entries {
 		switch entries[i].Class {
@@ -45,16 +51,15 @@ func TestServingP99Gate(t *testing.T) {
 	}
 }
 
-// TestServingRunDeterministic: the same load point measured twice on fresh
-// stacks produces identical entries — every counter, every percentile.
+// TestServingRunDeterministic: the same load point measured again on a
+// fresh stack produces identical entries — every counter, every percentile.
 // This is the full-precision form of the committed CSV's byte identity.
 func TestServingRunDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full load points; skipped in -short mode")
+		t.Skip("a second full load point; skipped in -short mode")
 	}
-	d := MustLoad("r2", DefaultScale)
-	e1 := ServingRun(d, ServingGateLoadFactor)
-	e2 := ServingRun(d, ServingGateLoadFactor)
+	e1 := servingGate()
+	e2 := ServingRun(MustLoad("r2", DefaultScale), ServingGateLoadFactor)
 	if !reflect.DeepEqual(e1, e2) {
 		t.Errorf("same seed, different serving measurements:\n%+v\nvs\n%+v", e1, e2)
 	}

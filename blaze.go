@@ -160,18 +160,6 @@ func WithDevices(n int, prof DeviceProfile) Option {
 	return func(rt *Runtime) { rt.numDev = n; rt.profile = prof }
 }
 
-// CachePolicy selects the page-cache eviction policy: CacheCLOCK (the
-// default sharded second-chance policy with a ghost list for scan
-// resistance) or CacheLRU (the single-shard global-recency ablation
-// baseline, as modeled for FlashGraph).
-type CachePolicy = pagecache.Policy
-
-// CacheCLOCK and CacheLRU are the WithPageCachePolicy policies.
-const (
-	CacheCLOCK = pagecache.PolicyCLOCK
-	CacheLRU   = pagecache.PolicyLRU
-)
-
 // WithPageCache enables a sharded CLOCK page cache of the given byte
 // capacity that persists across EdgeMap calls and can serve merged
 // multi-page reads fully or partially (trimming the device read to the
@@ -184,13 +172,7 @@ const (
 // runtime must use distinct names (a reload under the same name
 // deliberately reuses the previous entries).
 func WithPageCache(bytes int64) Option {
-	return WithPageCachePolicy(bytes, CacheCLOCK)
-}
-
-// WithPageCachePolicy is WithPageCache with an explicit eviction policy
-// (the pagecache ablation compares CacheLRU and CacheCLOCK head to head).
-func WithPageCachePolicy(bytes int64, policy CachePolicy) Option {
-	return func(rt *Runtime) { rt.cfg.PageCache = pagecache.NewWithPolicy(bytes, policy) }
+	return func(rt *Runtime) { rt.cfg.PageCache = pagecache.New(bytes) }
 }
 
 // FaultPolicy is a deterministic device-fault model for testing failure

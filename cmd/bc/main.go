@@ -26,7 +26,7 @@ func main() {
 	var maxDep float64
 	var qerr error
 	env.Ctx.Run("main", func(p exec.Proc) {
-		dep, _, err := algo.BCDrive(env.QueryDriver(env.Sys), env.Sys, p, env.Out, env.In, uint32(opts.StartNode), opts.Convergence())
+		dep, _, err := algo.BCDrive(algo.DriverFor(env.Sys), env.Sys, p, env.Out, env.In, uint32(opts.StartNode), opts.Convergence())
 		if err != nil {
 			qerr = err
 			return

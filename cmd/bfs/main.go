@@ -30,7 +30,7 @@ func main() {
 	reached := make([]int64, n)
 	qs, qerr := env.RunQueries(opts, func(p exec.Proc, sys algo.System, i int) error {
 		src := uint32((uint64(opts.StartNode) + uint64(i)) % uint64(env.Out.NumVertices()))
-		parent, _, err := algo.BFSDrive(env.QueryDriver(sys), sys, p, env.Out, src, opts.Convergence())
+		parent, _, err := algo.BFSDrive(algo.DriverFor(sys), sys, p, env.Out, src, opts.Convergence())
 		if err != nil {
 			return err
 		}

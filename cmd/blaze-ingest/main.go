@@ -33,6 +33,10 @@ import (
 	"blaze/internal/ssd"
 )
 
+// engineName is the one engine that iterates delta segments
+// (registry.DynamicCapable).
+const engineName = "blaze"
+
 func main() {
 	preset := flag.String("preset", "", "Table II dataset short or full name for the base graph")
 	scale := flag.Float64("scale", 512, "divide the paper's dataset size by this factor")
@@ -43,7 +47,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed for -randUpdates")
 	batch := flag.Int("batch", 1024, "insertions per seal")
 	compactEvery := flag.Int("compactEvery", 0, "compact segments into the base every N seals (0 = never)")
-	engineName := flag.String("engine", "blaze", "dynamic-capable engine: blaze, blaze-async")
 	workers := flag.Int("computeWorkers", 16, "number of computation workers")
 	devices := flag.Int("devices", 1, "number of SSDs to stripe base and segments over")
 	startNode := flag.Uint64("startNode", 0, "BFS source vertex")
@@ -53,9 +56,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: blaze-ingest (-preset NAME | -edges FILE) [-updates FILE | -randUpdates N] [flags]")
 		flag.PrintDefaults()
 		os.Exit(2)
-	}
-	if !registry.DynamicCapable(*engineName) {
-		log.Fatalf("blaze-ingest: engine %q does not iterate delta segments (need one of: blaze, blaze-async)", *engineName)
 	}
 	if *vertices > math.MaxUint32 {
 		log.Fatalf("blaze-ingest: -vertices %d exceeds uint32 range", *vertices)
@@ -129,7 +129,7 @@ func main() {
 	ctx := exec.NewSim()
 	fwd := engine.FromCSR(ctx, "dyn", c, *devices, ssd.OptaneSSD, nil, nil)
 	tr := engine.FromCSR(ctx, "dyn.t", c.Transpose(), *devices, ssd.OptaneSSD, nil, nil)
-	sys, err := registry.New(*engineName, ctx, registry.Options{
+	sys, err := registry.New(engineName, ctx, registry.Options{
 		Edges: c.E, Workers: *workers, NumDev: *devices, Profile: ssd.OptaneSSD,
 	})
 	if err != nil {

@@ -73,7 +73,6 @@ func parseFlags() *serveFlags {
 	fs.IntVar(&o.Devices, "devices", 1, "number of SSDs to stripe the graph over")
 	fs.StringVar(&o.Profile, "profile", "optane", "device profile: optane, nand, znand, vnand")
 	fs.IntVar(&o.PageCacheMB, "pageCache", 64, "shared page cache size in MB (0 = off)")
-	fs.StringVar(&o.PageCachePolicy, "pageCachePolicy", "clock", "page-cache eviction policy: clock or lru")
 	fs.IntVar(&o.BinCount, "binCount", 1024, "number of online bins")
 	fs.Float64Var(&o.BinningRatio, "binningRatio", 0.5, "scatter fraction of compute workers")
 	fs.IntVar(&o.MaxIters, "maxIters", 20, "iteration cap for pr queries")

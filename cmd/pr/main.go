@@ -23,7 +23,7 @@ func main() {
 	var rank []float64
 	var iters int
 	qs, qerr := env.RunQueries(opts, func(p exec.Proc, sys algo.System, i int) error {
-		r, it, err := algo.PageRankDrive(env.QueryDriver(sys), sys, p, env.Out, opts.Epsilon, opts.Convergence())
+		r, it, err := algo.PageRankDrive(algo.DriverFor(sys), sys, p, env.Out, opts.Epsilon, opts.Convergence())
 		if i == 0 {
 			rank, iters = r, it
 		}

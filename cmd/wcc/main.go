@@ -25,7 +25,7 @@ func main() {
 	var components int
 	var largest int
 	qs, qerr := env.RunQueries(opts, func(p exec.Proc, sys algo.System, i int) error {
-		ids, _, err := algo.WCCDrive(env.QueryDriver(sys), sys, p, env.Out, env.In, opts.Convergence())
+		ids, _, err := algo.WCCDrive(algo.DriverFor(sys), sys, p, env.Out, env.In, opts.Convergence())
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,9 @@ package flashgraph
 import (
 	"testing"
 	"testing/quick"
+
+	"blaze/internal/exec"
+	"blaze/internal/pagecache"
 )
 
 // TestOwnerCoversAllWorkers: range ownership must be monotone, total, and
@@ -59,5 +62,18 @@ func TestRangeOwnershipSkewOnLowIDMass(t *testing.T) {
 	}
 	if frac := float64(mass[0]) / float64(total); frac < 3.0/float64(workers) {
 		t.Errorf("owner 0 share %.2f not skewed (balanced = %.3f)", frac, 1.0/workers)
+	}
+}
+
+// TestPrivateCacheIsLRU: FlashGraph's model is the single-shard global
+// LRU (§III-A) — the one place PolicyLRU is chosen. At the default 64 MB
+// budget the blaze-family CLOCK cache would have 64 shards.
+func TestPrivateCacheIsLRU(t *testing.T) {
+	s := New(exec.NewSim(), DefaultConfig())
+	if n := s.cache.NumShards(); n != 1 {
+		t.Errorf("flashgraph cache has %d shards, want the single-shard LRU", n)
+	}
+	if clock := pagecache.New(DefaultConfig().CacheBytes); clock.NumShards() <= 1 {
+		t.Errorf("the CLOCK cache at the same budget has %d shards: the check above tells nothing", clock.NumShards())
 	}
 }

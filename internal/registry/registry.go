@@ -7,9 +7,6 @@
 // Registered engines:
 //
 //	blaze          the online-binning engine (the paper's system)
-//	blaze-async    blaze driven barrier-free: priority-ordered page waves
-//	               (cache-resident first) with convergence detection
-//	               instead of round counting (see algo.AsyncDriver)
 //	blaze-sync     the synchronization-based variant
 //	blaze-scaleout M destination-partitioned machines, each running the
 //	               blaze engine on its own device array, exchanging sparse
@@ -85,9 +82,6 @@ type Options struct {
 	// pipeline stages (see internal/trace); enable it to collect span
 	// timelines and stage statistics.
 	Tracer *trace.Tracer
-	// AsyncWavePages caps one blaze-async wave's page frontier
-	// (0 = algo.DefaultWavePages); the other engines ignore it.
-	AsyncWavePages int
 
 	// Machines, NetBandwidth and NetLatencyNs configure blaze-scaleout:
 	// the destination-partition count (default 1), each link direction's
@@ -153,7 +147,6 @@ func (o Options) BlazeConfig() engine.Config {
 		cfg.IOBufferBytes = o.IOBufferBytes
 	}
 	cfg.Tracer = o.Tracer
-	cfg.AsyncWavePages = o.AsyncWavePages
 	cfg.Scheds = o.Scheds
 	cfg.QueryID = o.QueryID
 	cfg.QueryCache = o.QueryCache
@@ -186,7 +179,7 @@ type Info struct {
 
 var engines = map[string]Info{}
 
-// Register adds an engine under name; a sixth engine needs only its sink
+// Register adds an engine under name; a new engine needs only its sink
 // implementation and this one call. Duplicate names panic at init time.
 func Register(name string, info Info) {
 	if _, dup := engines[name]; dup {
@@ -248,9 +241,6 @@ func Names() []string {
 func init() {
 	Register("blaze", Info{SessionCapable: true, DynamicCapable: true, New: func(ctx exec.Context, o Options) algo.System {
 		return algo.NewBlaze(ctx, o.BlazeConfig())
-	}})
-	Register("blaze-async", Info{SessionCapable: true, DynamicCapable: true, New: func(ctx exec.Context, o Options) algo.System {
-		return algo.NewAsyncBlaze(ctx, o.BlazeConfig())
 	}})
 	Register("blaze-sync", Info{SessionCapable: true, New: func(ctx exec.Context, o Options) algo.System {
 		return syncvar.New(ctx, o.BlazeConfig())

