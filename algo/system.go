@@ -69,8 +69,6 @@ type Blaze struct {
 	Ctx exec.Context
 	Cfg engine.Config
 	IterLog
-	// LastStats holds the engine stats of the most recent EdgeMap.
-	LastStats engine.Stats
 }
 
 // NewBlaze wraps the engine as a System. An engine never runs without a
@@ -88,8 +86,7 @@ func (b *Blaze) Name() string { return "blaze" }
 
 // EdgeMap implements System via the online-binning engine.
 func (b *Blaze) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset, fns EdgeFuncs, output bool) (*frontier.VertexSubset, error) {
-	out, st, err := engine.EdgeMap(b.Ctx, p, g, f, fns.Scatter, fns.Gather, fns.Cond, output, b.Cfg)
-	b.LastStats = st
+	out, _, err := engine.EdgeMap(b.Ctx, p, g, f, fns.Scatter, fns.Gather, fns.Cond, output, b.Cfg)
 	return out, err
 }
 
@@ -103,18 +100,6 @@ func Must[T any](v T, err error) T {
 	if err != nil {
 		panic("algo: " + err.Error())
 	}
-	return v
-}
-
-// Must2 is Must for the Drive entry points, which also return the
-// iteration count:
-//
-//	parent := algo.Must2(algo.BFSDrive(drv, sys, p, g, src, cv))
-func Must2[T any](v T, iters int, err error) T {
-	if err != nil {
-		panic("algo: " + err.Error())
-	}
-	_ = iters
 	return v
 }
 

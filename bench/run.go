@@ -111,7 +111,7 @@ func (o Opts) withDefaults() Opts {
 func Run(d *Dataset, o Opts) Result {
 	o = o.withDefaults()
 	ctx := exec.NewSim()
-	stats := metrics.NewIOStats(maxInt(o.NumDev*maxInt(o.Machines, 1), 8))
+	stats := metrics.NewIOStats(registry.Options{NumDev: o.NumDev, Machines: o.Machines}.StatDevices())
 	var tl *metrics.Timeline
 	if o.TimelineBucketNs > 0 {
 		tl = metrics.NewTimeline(o.TimelineBucketNs)
@@ -126,18 +126,13 @@ func Run(d *Dataset, o Opts) Result {
 		mem.Set("graph-index", d.CSR.IndexBytes())
 	}
 
-	model := costmodel.Default()
-	if o.Model != nil {
-		model = *o.Model
-	}
-
 	ro := registry.Options{
 		Edges:         d.CSR.E,
 		Workers:       o.ComputeWorkers,
 		Ratio:         o.Ratio,
 		NumDev:        o.NumDev,
 		Profile:       o.Profile,
-		Model:         &model,
+		Model:         o.Model,
 		Stats:         stats,
 		Mem:           mem,
 		BinCount:      o.BinCount,
@@ -180,43 +175,29 @@ func Run(d *Dataset, o Opts) Result {
 	return res
 }
 
-// runQuery executes the named query on sys under the system's preferred
-// driver and returns the footprint of the vertex arrays it allocated. It
-// is the one query-name dispatch in this package: Run, the engine-config
-// ablations, the cluster and in-core comparisons and the session bodies all
-// come through it, each with the PageRank iteration cap its committed CSV
-// was produced with. start seeds BFS and BC; SpMV multiplies the all-ones
-// vector.
+// runQuery executes the named catalogue query on sys and returns the
+// footprint of the vertex arrays it allocated. It is the one query dispatch
+// in this package: Run, the engine-config ablations, the cluster and in-core
+// comparisons and the session bodies all come through it, each with the
+// PageRank iteration cap its committed CSV was produced with ("pr1" is one
+// iteration). start seeds BFS and BC.
 func runQuery(sys algo.System, p exec.Proc, query string, out, in *engine.Graph, start uint32, prIters int) (algoBytes int64, err error) {
-	n := out.NumVertices()
-	switch query {
-	case "bfs":
-		_, err = algo.BFS(sys, p, out, start)
-		return algo.AlgoMemoryBFS(n), err
-	case "pr", "pr1":
-		if query == "pr1" {
-			prIters = 1
-		}
+	if query == "pr1" {
+		query, prIters = "pr", 1
+	}
+	q, ok := algo.QueryByName(query)
+	if !ok {
+		return 0, fmt.Errorf("bench: unknown query %q", query)
+	}
+	a := algo.Args{Start: start}
+	if query == "pr" {
 		// eps keeps the frontier dense through the measured iterations,
 		// matching full-scale behaviour where PR-delta needs far more
 		// iterations to converge than the scaled datasets do.
-		_, err = algo.PageRank(sys, p, out, 1e-9, prIters)
-		return algo.AlgoMemoryPageRank(n), err
-	case "wcc":
-		_, err = algo.WCC(sys, p, out, in)
-		return algo.AlgoMemoryWCC(n), err
-	case "spmv":
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = 1
-		}
-		_, err = algo.SpMV(sys, p, out, x)
-		return algo.AlgoMemorySpMV(n), err
-	case "bc":
-		_, err = algo.BC(sys, p, out, in, start)
-		return algo.AlgoMemoryBC(n, len(sys.IterDeviceBytes())), err
+		a.Eps, a.Conv = 1e-9, algo.Convergence{MaxIters: prIters}
 	}
-	return 0, fmt.Errorf("bench: unknown query %q", query)
+	ans, err := q.Run(sys, p, out, in, a)
+	return ans.AlgoBytes, err
 }
 
 // TraceRun executes one measurement like Run with tracing enabled and
@@ -229,11 +210,4 @@ func TraceRun(d *Dataset, o Opts) (Result, *trace.Trace) {
 	o.Tracer = t
 	res := Run(d, o)
 	return res, t.Collect()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

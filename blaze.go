@@ -45,7 +45,6 @@ import (
 
 	"blaze/algo"
 	"blaze/gen"
-	"blaze/internal/cluster"
 	"blaze/internal/costmodel"
 	"blaze/internal/engine"
 	"blaze/internal/exec"
@@ -54,6 +53,7 @@ import (
 	"blaze/internal/graph"
 	"blaze/internal/metrics"
 	"blaze/internal/pagecache"
+	"blaze/internal/registry"
 	"blaze/internal/session"
 	"blaze/internal/ssd"
 )
@@ -74,28 +74,18 @@ func Single(n, v uint32) *VertexSubset { return frontier.Single(n, v) }
 // All returns a frontier with every vertex active.
 func All(n uint32) *VertexSubset { return frontier.All(n) }
 
-// Runtime owns the execution context, devices, and engine configuration.
+// Runtime owns the execution context and the one option set every engine
+// it runs is assembled from (see internal/registry).
 type Runtime struct {
-	ctx     exec.Context
-	cfg     engine.Config
-	profile ssd.Profile
-	numDev  int
-	devOpts []ssd.DeviceOptions
-	stats   *metrics.IOStats
+	ctx exec.Context
+	// opts is what the With* options write into; Edges is filled per call
+	// from the graph it runs on (optsFor), as the query tools fill it.
+	opts    registry.Options
 	tl      *metrics.Timeline
-	mem     *metrics.MemAccount
 	elapsed int64
 
-	// Scale-out knobs (WithScaleout / WithNetwork).
-	machines int
-	netBW    float64
-	netLatNs int64
-
-	// Concurrent-session knobs (RunConcurrent).
+	// interleaveSeed is RunConcurrent's session seed.
 	interleaveSeed uint64
-	drrQuantum     int64
-	noCoalesce     bool
-	noDRR          bool
 }
 
 // Option configures a Runtime.
@@ -106,34 +96,34 @@ func WithSimulatedTime() Option {
 	return func(rt *Runtime) { rt.ctx = exec.NewSim() }
 }
 
-// WithComputeWorkers sets the computation proc count, split equally between
-// scatter and gather (the paper's default ratio).
+// WithComputeWorkers sets the computation proc count, split between
+// scatter and gather by WithBinningRatio (equally by default, the paper's
+// ratio).
 func WithComputeWorkers(n int) Option {
-	return func(rt *Runtime) { rt.cfg = rt.cfg.WithThreads(n, 0.5) }
+	return func(rt *Runtime) { rt.opts.Workers = n }
 }
 
 // WithBinningRatio splits compute workers between scatter and gather
 // (scatter fraction; 0.5 = equal).
 func WithBinningRatio(ratio float64) Option {
-	return func(rt *Runtime) {
-		rt.cfg = rt.cfg.WithThreads(rt.cfg.ScatterProcs+rt.cfg.GatherProcs, ratio)
-	}
+	return func(rt *Runtime) { rt.opts.Ratio = ratio }
 }
 
 // WithBinCount sets the number of online bins.
 func WithBinCount(n int) Option {
-	return func(rt *Runtime) { rt.cfg.BinCount = n }
+	return func(rt *Runtime) { rt.opts.BinCount = n }
 }
 
-// WithBinSpace sets the total bin memory budget in bytes.
+// WithBinSpace sets the total bin memory budget in bytes (default: one
+// byte per edge of the graph being processed, between 4 MB and 256 MB).
 func WithBinSpace(bytes int64) Option {
-	return func(rt *Runtime) { rt.cfg.BinSpaceBytes = bytes }
+	return func(rt *Runtime) { rt.opts.BinSpaceBytes = bytes }
 }
 
 // WithIOBufferSpace sets the static IO buffer budget in bytes (default
 // 64 MB, as in the paper).
 func WithIOBufferSpace(bytes int64) Option {
-	return func(rt *Runtime) { rt.cfg.IOBufferBytes = bytes }
+	return func(rt *Runtime) { rt.opts.IOBufferBytes = bytes }
 }
 
 // DeviceProfile describes an SSD's read-bandwidth envelope (Table I of the
@@ -157,7 +147,7 @@ func Samsung980Pro() DeviceProfile { return ssd.VNAND }
 // WithDevices sets the device count and bandwidth profile used for graphs
 // created by this runtime (default: one Optane SSD).
 func WithDevices(n int, prof DeviceProfile) Option {
-	return func(rt *Runtime) { rt.numDev = n; rt.profile = prof }
+	return func(rt *Runtime) { rt.opts.NumDev = n; rt.opts.Profile = prof }
 }
 
 // WithPageCache enables a sharded CLOCK page cache of the given byte
@@ -172,7 +162,7 @@ func WithDevices(n int, prof DeviceProfile) Option {
 // runtime must use distinct names (a reload under the same name
 // deliberately reuses the previous entries).
 func WithPageCache(bytes int64) Option {
-	return func(rt *Runtime) { rt.cfg.PageCache = pagecache.New(bytes) }
+	return func(rt *Runtime) { rt.opts.PageCache = pagecache.New(bytes) }
 }
 
 // FaultPolicy is a deterministic device-fault model for testing failure
@@ -186,7 +176,7 @@ type FaultPolicy = fault.Policy
 // surface as EdgeMap errors after a clean pipeline shutdown.
 func WithFaultPolicy(p FaultPolicy) Option {
 	return func(rt *Runtime) {
-		rt.devOpts = append(rt.devOpts, p.DeviceOptions())
+		rt.opts.DevOpts = append(rt.opts.DevOpts, p.DeviceOptions())
 	}
 }
 
@@ -195,7 +185,7 @@ func WithFaultPolicy(p FaultPolicy) Option {
 // backoffNs (charged as device busy time).
 func WithRetryPolicy(maxRetries int, backoffNs int64) Option {
 	return func(rt *Runtime) {
-		rt.devOpts = append(rt.devOpts, ssd.DeviceOptions{
+		rt.opts.DevOpts = append(rt.opts.DevOpts, ssd.DeviceOptions{
 			Retry: &ssd.RetryPolicy{MaxRetries: maxRetries, BackoffNs: backoffNs},
 		})
 	}
@@ -204,10 +194,10 @@ func WithRetryPolicy(maxRetries int, backoffNs int64) Option {
 // WithScaleout partitions built-in queries (Ctx.PageRank) across m
 // destination-partitioned machines, each with its own device array of
 // WithDevices size, exchanging sparse vertex deltas over a modeled
-// interconnect after every round (see internal/cluster). m <= 1 keeps the
-// single-machine engine.
+// interconnect after every round (the blaze-scaleout engine). m <= 1 keeps
+// the single-machine engine.
 func WithScaleout(m int) Option {
-	return func(rt *Runtime) { rt.machines = m }
+	return func(rt *Runtime) { rt.opts.Machines = m }
 }
 
 // WithNetwork sets the scale-out interconnect model: each link direction's
@@ -215,7 +205,7 @@ func WithScaleout(m int) Option {
 // (0 keeps the defaults, 25 Gb/s and 10 µs). Only meaningful together with
 // WithScaleout.
 func WithNetwork(bandwidthBytesPerSec float64, latencyNs int64) Option {
-	return func(rt *Runtime) { rt.netBW = bandwidthBytesPerSec; rt.netLatNs = latencyNs }
+	return func(rt *Runtime) { rt.opts.NetBandwidth = bandwidthBytesPerSec; rt.opts.NetLatencyNs = latencyNs }
 }
 
 // WithInterleaveSeed sets the deterministic interleave seed RunConcurrent
@@ -226,30 +216,9 @@ func WithInterleaveSeed(seed uint64) Option {
 	return func(rt *Runtime) { rt.interleaveSeed = seed }
 }
 
-// WithDRRQuantum sets the deficit-round-robin bandwidth-sharing quantum in
-// bytes for concurrent sessions (default 1 MB): how far one query may run
-// ahead of its most-starved peer on a backlogged device before its
-// submissions are delayed.
-func WithDRRQuantum(bytes int64) Option {
-	return func(rt *Runtime) { rt.drrQuantum = bytes }
-}
-
-// WithCoalescing toggles cross-query IO coalescing in concurrent sessions
-// (default on): overlapping page runs requested by different queries cost
-// one device read.
-func WithCoalescing(enabled bool) Option {
-	return func(rt *Runtime) { rt.noCoalesce = !enabled }
-}
-
-// WithDRRSharing toggles deficit-round-robin bandwidth sharing between
-// concurrent queries (default on).
-func WithDRRSharing(enabled bool) Option {
-	return func(rt *Runtime) { rt.noDRR = !enabled }
-}
-
 // WithCostModel overrides the virtual-time cost model.
 func WithCostModel(m costmodel.Model) Option {
-	return func(rt *Runtime) { rt.cfg.Model = m }
+	return func(rt *Runtime) { rt.opts.Model = &m }
 }
 
 // WithTimeline enables bandwidth timeline collection at the given bucket
@@ -259,32 +228,28 @@ func WithTimeline(bucketNs int64) Option {
 }
 
 // New returns a Runtime. Defaults: real-time backend, one simulated Optane
-// SSD, 16 compute workers split 8/8, 1024 bins, 64 MB IO buffers.
+// SSD, 16 compute workers split 8/8, 1024 bins, 64 MB IO buffers, bin space
+// sized from the graph each call runs on.
 func New(opts ...Option) *Runtime {
 	rt := &Runtime{
-		ctx:     exec.NewReal(),
-		cfg:     engine.DefaultConfig(1 << 22),
-		profile: ssd.OptaneSSD,
-		numDev:  1,
-		mem:     metrics.NewMemAccount(),
+		ctx: exec.NewReal(),
+		opts: registry.Options{
+			Workers: 16,
+			Ratio:   0.5,
+			NumDev:  1,
+			Profile: ssd.OptaneSSD,
+			Mem:     metrics.NewMemAccount(),
+			// The run pool retains IO buffers, bin buffer pairs, and stagers
+			// across EdgeMap rounds (reset, not reallocated) so iterative
+			// algorithms stop churning the GC. Allocation is not modeled, so
+			// virtual-time runs are unchanged by it.
+			Pool: engine.NewPool(),
+		},
 	}
 	for _, o := range opts {
 		o(rt)
 	}
-	statDevs := rt.numDev
-	if rt.machines > 1 {
-		// Scale-out graphs stripe each machine's partition over its own
-		// device array; device IDs run to machines*numDev.
-		statDevs *= rt.machines
-	}
-	rt.stats = metrics.NewIOStats(statDevs)
-	rt.cfg.Stats = rt.stats
-	rt.cfg.Mem = rt.mem
-	// The run pool retains IO buffers, bin buffer pairs, and stagers across
-	// EdgeMap rounds (reset, not reallocated) so iterative algorithms stop
-	// churning the GC. Allocation is not modeled, so virtual-time runs are
-	// unchanged by it.
-	rt.cfg.Pool = engine.NewPool()
+	rt.opts.Stats = metrics.NewIOStats(rt.opts.StatDevices())
 	return rt
 }
 
@@ -293,23 +258,33 @@ func New(opts ...Option) *Runtime {
 type Ctx struct {
 	rt *Runtime
 	P  exec.Proc
-	// cfg, when non-nil, is this Ctx's per-query engine config (concurrent
-	// sessions give every query its own identity, scheduler table, and
-	// attributed counters); nil falls back to the runtime config.
-	cfg *engine.Config
+	// sys, when non-nil, is this Ctx's own engine: concurrent sessions give
+	// every query its identity, scheduler table, and attributed counters.
+	// nil falls back to the runtime's options.
+	sys *algo.Blaze
 }
 
-func (c *Ctx) config() engine.Config {
-	if c.cfg != nil {
-		return *c.cfg
+// optsFor returns the runtime's options for work on a graph of the given
+// edge count, which is what bin space is sized from — per call, as the query
+// tools size it from the graph they run on (0: no graph, the floor).
+func (rt *Runtime) optsFor(edges int64) registry.Options {
+	o := rt.opts
+	o.Edges = edges
+	return o
+}
+
+func (c *Ctx) config(edges int64) engine.Config {
+	if c.sys != nil {
+		return c.sys.Cfg
 	}
-	return c.rt.cfg
+	return c.rt.optsFor(edges).BlazeConfig()
 }
 
-// Run executes fn under the runtime's clock and records the makespan.
-func (rt *Runtime) Run(fn func(*Ctx)) {
+// run executes fn as the root proc under the runtime's clock and records
+// the makespan.
+func (rt *Runtime) run(fn func(p exec.Proc)) {
 	rt.ctx.Run("main", func(p exec.Proc) {
-		fn(&Ctx{rt: rt, P: p})
+		fn(p)
 		rt.elapsed = p.Now()
 	})
 	if s, ok := rt.ctx.(*exec.Sim); ok {
@@ -317,8 +292,13 @@ func (rt *Runtime) Run(fn func(*Ctx)) {
 	}
 }
 
+// Run executes fn under the runtime's clock and records the makespan.
+func (rt *Runtime) Run(fn func(*Ctx)) {
+	rt.run(func(p exec.Proc) { fn(&Ctx{rt: rt, P: p}) })
+}
+
 // TotalReadBytes returns the bytes read from the devices so far.
-func (rt *Runtime) TotalReadBytes() int64 { return rt.stats.TotalBytes() }
+func (rt *Runtime) TotalReadBytes() int64 { return rt.opts.Stats.TotalBytes() }
 
 // CacheStats is the page cache's counter summary (see metrics.CacheStats).
 type CacheStats = metrics.CacheStats
@@ -327,14 +307,14 @@ type CacheStats = metrics.CacheStats
 // zero value when WithPageCache was not set. Misses include pages read
 // around the cache, so HitRate never overstates what the cache served.
 func (rt *Runtime) PageCacheStats() CacheStats {
-	if rt.cfg.PageCache == nil {
+	if rt.opts.PageCache == nil {
 		return CacheStats{}
 	}
-	return rt.cfg.PageCache.StatsDetail()
+	return rt.opts.PageCache.StatsDetail()
 }
 
 // ReadRequests returns the IO request count so far.
-func (rt *Runtime) ReadRequests() int64 { return rt.stats.Requests() }
+func (rt *Runtime) ReadRequests() int64 { return rt.opts.Stats.Requests() }
 
 // BandwidthSeries returns the read bandwidth per timeline bucket in
 // bytes/second, or nil when WithTimeline was not set.
@@ -354,7 +334,7 @@ type MemItem struct {
 // MemoryItems returns the tracked memory components (graph index, IO
 // buffers, bin space, frontier, algorithm arrays).
 func (rt *Runtime) MemoryItems() []MemItem {
-	items := rt.mem.Items()
+	items := rt.opts.Mem.Items()
 	out := make([]MemItem, len(items))
 	for i, it := range items {
 		out[i] = MemItem{it.Name, it.Bytes}
@@ -363,7 +343,7 @@ func (rt *Runtime) MemoryItems() []MemItem {
 }
 
 // MemoryBytes returns the total tracked memory footprint.
-func (rt *Runtime) MemoryBytes() int64 { return rt.mem.Total() }
+func (rt *Runtime) MemoryBytes() int64 { return rt.opts.Mem.Total() }
 
 // ElapsedNs returns the makespan of the last Run (virtual or wall ns).
 func (rt *Runtime) ElapsedNs() int64 { return rt.elapsed }
@@ -374,12 +354,12 @@ func (rt *Runtime) AvgReadBandwidth() float64 {
 	if rt.elapsed == 0 {
 		return 0
 	}
-	return float64(rt.stats.TotalBytes()) / (float64(rt.elapsed) / 1e9)
+	return float64(rt.opts.Stats.TotalBytes()) / (float64(rt.elapsed) / 1e9)
 }
 
 // MaxReadBandwidth returns the aggregate device bandwidth (the red line).
 func (rt *Runtime) MaxReadBandwidth() float64 {
-	return rt.profile.RandBytesPerSec * float64(rt.numDev)
+	return rt.opts.Profile.RandBytesPerSec * float64(rt.opts.NumDev)
 }
 
 // GraphFromEdges builds an in-memory graph from an edge list and stripes it
@@ -389,7 +369,8 @@ func (c *Ctx) GraphFromEdges(name string, n uint32, src, dst []uint32) (*Graph, 
 	if err != nil {
 		return nil, err
 	}
-	g := engine.FromCSR(c.rt.ctx, name, csr, c.rt.numDev, c.rt.profile, c.rt.stats, c.rt.tl, c.rt.devOpts...)
+	o := &c.rt.opts
+	g := engine.FromCSR(c.rt.ctx, name, csr, o.NumDev, o.Profile, o.Stats, c.rt.tl, o.DevOpts...)
 	c.accountGraph(g)
 	return g, nil
 }
@@ -397,7 +378,8 @@ func (c *Ctx) GraphFromEdges(name string, n uint32, src, dst []uint32) (*Graph, 
 // GraphFromPreset generates a Table II dataset preset (already Scaled) and
 // returns the forward and transpose graphs.
 func (c *Ctx) GraphFromPreset(p gen.Preset) (out, in *Graph) {
-	out, in = engine.BuildPreset(c.rt.ctx, p, c.rt.numDev, c.rt.profile, c.rt.stats, c.rt.tl, c.rt.devOpts...)
+	o := &c.rt.opts
+	out, in = engine.BuildPreset(c.rt.ctx, p, o.NumDev, o.Profile, o.Stats, c.rt.tl, o.DevOpts...)
 	c.accountGraph(out)
 	return out, in
 }
@@ -405,7 +387,8 @@ func (c *Ctx) GraphFromPreset(p gen.Preset) (out, in *Graph) {
 // LoadGraph opens an on-disk graph (<base>.gr.index / <base>.gr.adj.0 as
 // written by cmd/mkgraph) with the adjacency left on storage.
 func (c *Ctx) LoadGraph(name, indexPath, adjPath string) (*Graph, error) {
-	g, err := engine.FromFiles(c.rt.ctx, name, indexPath, adjPath, c.rt.numDev, c.rt.profile, c.rt.stats, c.rt.tl, c.rt.devOpts...)
+	o := &c.rt.opts
+	g, err := engine.FromFiles(c.rt.ctx, name, indexPath, adjPath, o.NumDev, o.Profile, o.Stats, c.rt.tl, o.DevOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -432,13 +415,13 @@ func (c *Ctx) SaveGraphPair(out, in *Graph, base string) error {
 }
 
 func (c *Ctx) accountGraph(g *Graph) {
-	c.rt.mem.Set("graph-index", g.CSR.IndexBytes())
+	c.rt.opts.Mem.Set("graph-index", g.CSR.IndexBytes())
 }
 
 // RegisterAlgoMemory records algorithm-specific vertex array bytes for the
 // memory-footprint accounting (Figure 12).
 func (c *Ctx) RegisterAlgoMemory(bytes int64) {
-	c.rt.mem.Set("algo-arrays", bytes)
+	c.rt.opts.Mem.Set("algo-arrays", bytes)
 }
 
 // EdgeMap applies scatter/gather/cond to the edges out of frontier f and
@@ -451,14 +434,14 @@ func EdgeMap[V any](c *Ctx, g *Graph, f *VertexSubset,
 	gather func(d uint32, v V) bool,
 	cond func(d uint32) bool,
 	output bool) (*VertexSubset, error) {
-	out, _, err := engine.EdgeMap(c.rt.ctx, c.P, g, f, scatter, gather, cond, output, c.config())
+	out, _, err := engine.EdgeMap(c.rt.ctx, c.P, g, f, scatter, gather, cond, output, c.config(g.NumEdges()))
 	return out, err
 }
 
 // VertexMap applies fn to every vertex in f, returning the vertices for
 // which fn was true.
 func VertexMap(c *Ctx, f *VertexSubset, fn func(v uint32) bool) *VertexSubset {
-	return engine.VertexMap(c.P, f, fn, c.config())
+	return engine.VertexMap(c.P, f, fn, c.config(0))
 }
 
 // Convergence is the iteration-driver stopping contract shared by the
@@ -481,28 +464,20 @@ func (c *Ctx) PageRank(g *Graph, eps float64, cv Convergence) ([]float64, int, e
 	return algo.PageRankDrive(algo.DriverFor(sys), sys, c.P, g, eps, cv)
 }
 
-// querySystem builds the algo.System the built-in queries run on: the
-// single-machine blaze engine by default, or a destination-partitioned
-// cluster when WithScaleout(m > 1) is set (the graph needs in-memory
-// adjacency for partitioning; EdgeMap surfaces an error otherwise).
+// querySystem returns the algo.System the built-in queries run on: the
+// query's own engine inside RunConcurrent, otherwise the registered blaze
+// engine, or blaze-scaleout when WithScaleout(m > 1) is set (the graph
+// needs in-memory adjacency for partitioning; EdgeMap surfaces an error
+// otherwise).
 func (c *Ctx) querySystem(g *Graph) algo.System {
-	if c.rt.machines <= 1 {
-		return algo.NewBlaze(c.rt.ctx, c.config())
+	if c.sys != nil {
+		return c.sys
 	}
-	cfg := cluster.DefaultConfig(c.rt.machines, g.NumEdges())
-	ecfg := c.config()
-	cfg.DevicesPerMachine = c.rt.numDev
-	cfg.Profile = c.rt.profile
-	cfg.ComputeWorkersPerMachine = ecfg.ScatterProcs + ecfg.GatherProcs
-	if c.rt.netBW > 0 {
-		cfg.NetBandwidth = c.rt.netBW
+	name := "blaze"
+	if c.rt.opts.Machines > 1 {
+		name = "blaze-scaleout"
 	}
-	if c.rt.netLatNs > 0 {
-		cfg.NetLatencyNs = c.rt.netLatNs
-	}
-	cfg.DevOpts = c.rt.devOpts
-	cfg.Engine = ecfg
-	return cluster.New(c.rt.ctx, cfg)
+	return algo.Must(registry.New(name, c.rt.ctx, c.rt.optsFor(g.NumEdges())))
 }
 
 // QueryReport summarizes one query of a RunConcurrent session: its
@@ -540,20 +515,18 @@ func (rt *Runtime) RunConcurrent(load func(*Ctx) (*Graph, error),
 
 	var reports []QueryReport
 	var retErr error
-	rt.ctx.Run("main", func(p exec.Proc) {
-		c := &Ctx{rt: rt, P: p}
-		g, err := load(c)
+	rt.run(func(p exec.Proc) {
+		g, err := load(&Ctx{rt: rt, P: p})
 		if err != nil {
 			retErr = err
 			return
 		}
 		sess, err := session.New(rt.ctx, g, nil, session.Config{
-			Cache:        rt.cfg.PageCache,
-			QuantumBytes: rt.drrQuantum,
-			NoCoalesce:   rt.noCoalesce,
-			NoDRR:        rt.noDRR,
-			Seed:         rt.interleaveSeed,
-			Stats:        rt.stats,
+			Engine: "blaze",
+			Base:   rt.optsFor(g.NumEdges()),
+			Cache:  rt.opts.PageCache,
+			Seed:   rt.interleaveSeed,
+			Stats:  rt.opts.Stats,
 		})
 		if err != nil {
 			retErr = err
@@ -563,19 +536,11 @@ func (rt *Runtime) RunConcurrent(load func(*Ctx) (*Graph, error),
 		for i := range queries {
 			body := queries[i]
 			bodies[i] = func(qp exec.Proc, q *session.Query) error {
-				qcfg := sess.EngineConfig(rt.cfg, q)
-				if rt.cfg.Pool != nil {
-					// The run pool is single-query state; concurrent queries
-					// each retain their own.
-					qcfg.Pool = engine.NewPool()
-				}
-				return body(&Ctx{rt: rt, P: qp, cfg: &qcfg}, g)
+				return body(&Ctx{rt: rt, P: qp, sys: q.Sys.(*algo.Blaze)}, g)
 			}
 		}
 		qs, runErr := sess.Run(p, bodies...)
-		if retErr == nil {
-			retErr = runErr
-		}
+		retErr = runErr
 		reports = make([]QueryReport, len(qs))
 		for i, q := range qs {
 			reports[i] = QueryReport{
@@ -588,15 +553,6 @@ func (rt *Runtime) RunConcurrent(load func(*Ctx) (*Graph, error),
 				Cache:           q.Cache.Snapshot(),
 			}
 		}
-		rt.elapsed = p.Now()
 	})
-	if s, ok := rt.ctx.(*exec.Sim); ok {
-		rt.elapsed = s.End
-	}
 	return reports, retErr
 }
-
-// CoalescedReadPages returns the total pages served by attaching to
-// another query's pending read across all RunConcurrent sessions so far
-// (0 outside concurrent runs).
-func (rt *Runtime) CoalescedReadPages() int64 { return rt.stats.CoalescedPages() }

@@ -1,11 +1,18 @@
 package blaze_test
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"blaze"
+	"blaze/algo"
 	"blaze/gen"
+	"blaze/internal/engine"
+	"blaze/internal/exec"
+	"blaze/internal/metrics"
+	"blaze/internal/registry"
+	"blaze/internal/ssd"
 )
 
 // bfsParents runs BFS through the public API and returns the parent array.
@@ -217,5 +224,182 @@ func TestDeviceProfileAccessors(t *testing.T) {
 	half := blaze.OptaneSSD().Scale(0.5)
 	if half.RandBytesPerSec != blaze.OptaneSSD().RandBytesPerSec/2 {
 		t.Error("profile scaling broken")
+	}
+}
+
+// TestEdgeMapSizesBinsLikeTheTools: the public API and the registry (what
+// every cmd tool goes through) assemble the same engine for the same graph.
+// Above the 4 MB floor bin space follows the loaded graph's edge count on
+// both paths, so one dense EdgeMap reports the same model time, the same
+// bytes read and the same bin-space footprint.
+func TestEdgeMapSizesBinsLikeTheTools(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: generates a 5M-edge graph twice")
+	}
+	p, _ := gen.PresetByShort("r2")
+	p = p.Scaled(400)
+	scatter := func(s, d uint32) float64 { return 1 }
+	cond := func(d uint32) bool { return true }
+	binSpace := func(items []blaze.MemItem) int64 {
+		for _, it := range items {
+			if it.Name == "bin-space" {
+				return it.Bytes
+			}
+		}
+		return 0
+	}
+
+	rt := blaze.New(blaze.WithSimulatedTime(), blaze.WithComputeWorkers(4))
+	var apiSum float64
+	rt.Run(func(c *blaze.Ctx) {
+		g, _ := c.GraphFromPreset(p)
+		if g.NumEdges() <= 4<<20 {
+			t.Fatalf("graph has %d edges, need more than the 4 MB bin-space floor", g.NumEdges())
+		}
+		if _, err := blaze.EdgeMap(c, g, blaze.All(g.NumVertices()), scatter,
+			func(d uint32, v float64) bool { apiSum += v; return false }, cond, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	ctx := exec.NewSim()
+	stats, mem := metrics.NewIOStats(1), metrics.NewMemAccount()
+	g, _ := engine.BuildPreset(ctx, p, 1, ssd.OptaneSSD, stats, nil)
+	sys, err := registry.New("blaze", ctx, registry.Options{Edges: g.NumEdges(), Workers: 4, Stats: stats, Mem: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var toolSum float64
+	ctx.Run("main", func(p exec.Proc) {
+		_, err = sys.EdgeMap(p, g, blaze.All(g.NumVertices()), algo.EdgeFuncs{Scatter: scatter,
+			Gather: func(d uint32, v float64) bool { toolSum += v; return false }, Cond: cond}, false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if apiSum != toolSum || int64(apiSum) != g.NumEdges() {
+		t.Errorf("edges seen: API %.0f, registry %.0f, graph %d", apiSum, toolSum, g.NumEdges())
+	}
+	if rt.ElapsedNs() != ctx.End {
+		t.Errorf("model time: API %d ns, registry %d ns", rt.ElapsedNs(), ctx.End)
+	}
+	if rt.TotalReadBytes() != stats.TotalBytes() {
+		t.Errorf("read bytes: API %d, registry %d", rt.TotalReadBytes(), stats.TotalBytes())
+	}
+	var toolItems []blaze.MemItem
+	for _, it := range mem.Items() {
+		toolItems = append(toolItems, blaze.MemItem{Name: it.Name, Bytes: it.Bytes})
+	}
+	if a, r := binSpace(rt.MemoryItems()), binSpace(toolItems); a != r || a <= 4<<20 {
+		t.Errorf("bin-space: API %d bytes, registry %d bytes, want equal and above the 4 MB floor", a, r)
+	}
+}
+
+// concurrentAnswers holds what TestRunConcurrent's mixed workload computes
+// — BFS depths from two sources and one SpMV — each body writing its own
+// slot. Both answers are independent of the order records reach a gather
+// (which parent claims a vertex first is not): a depth is the round number,
+// and the SpMV terms are multiples of 0.5 whose sums are exact.
+type concurrentAnswers struct {
+	depth [2][]int32
+	y     []float64
+}
+
+func (a *concurrentAnswers) bfs(slot int, root uint32) func(*blaze.Ctx, *blaze.Graph) error {
+	return func(c *blaze.Ctx, g *blaze.Graph) error {
+		n := g.NumVertices()
+		depth := make([]int32, n)
+		for i := range depth {
+			depth[i] = -1
+		}
+		depth[root] = 0
+		a.depth[slot] = depth
+		f := blaze.Single(n, root)
+		for level := int32(1); !f.Empty(); level++ {
+			var err error
+			f, err = blaze.EdgeMap(c, g, f,
+				func(s, d uint32) uint32 { return s },
+				func(d uint32, _ uint32) bool {
+					if depth[d] == -1 {
+						depth[d] = level
+						return true
+					}
+					return false
+				},
+				func(d uint32) bool { return depth[d] == -1 },
+				true)
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+func (a *concurrentAnswers) spmv(c *blaze.Ctx, g *blaze.Graph) error {
+	a.y = make([]float64, g.NumVertices())
+	_, err := blaze.EdgeMap(c, g, blaze.All(g.NumVertices()),
+		func(s, d uint32) float64 { return float64(s%7) + 0.5 },
+		func(d uint32, v float64) bool { a.y[d] += v; return false },
+		func(d uint32) bool { return true },
+		false)
+	return err
+}
+
+// TestRunConcurrent: three mixed queries sharing one session answer bit for
+// bit what the same bodies answer run one at a time; a fixed interleave seed
+// reproduces every per-query report; and the device reads attributed to the
+// queries add up to the runtime's total.
+func TestRunConcurrent(t *testing.T) {
+	p, _ := gen.PresetByShort("r2")
+	p = p.Scaled(20000)
+	load := func(c *blaze.Ctx) (*blaze.Graph, error) {
+		g, _ := c.GraphFromPreset(p)
+		return g, nil
+	}
+	newRT := func() *blaze.Runtime {
+		return blaze.New(blaze.WithSimulatedTime(), blaze.WithComputeWorkers(4),
+			blaze.WithPageCache(1<<20), blaze.WithInterleaveSeed(7))
+	}
+
+	var serial concurrentAnswers
+	for _, body := range []func(*blaze.Ctx, *blaze.Graph) error{serial.bfs(0, 0), serial.bfs(1, 1), serial.spmv} {
+		newRT().Run(func(c *blaze.Ctx) {
+			g, _ := load(c)
+			if err := body(c, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	concurrent := func() (*blaze.Runtime, concurrentAnswers, []blaze.QueryReport) {
+		rt := newRT()
+		var a concurrentAnswers
+		reports, err := rt.RunConcurrent(load, a.bfs(0, 0), a.bfs(1, 1), a.spmv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, a, reports
+	}
+	rt, conc, reports := concurrent()
+	if !reflect.DeepEqual(serial, conc) {
+		t.Error("concurrent answers differ from the serial runs'")
+	}
+	if len(reports) != 3 {
+		t.Fatalf("%d reports for 3 queries", len(reports))
+	}
+	var attributed int64
+	for i, r := range reports {
+		if r.Err != nil || r.ElapsedNs <= 0 {
+			t.Errorf("query %d report: %+v", i, r)
+		}
+		attributed += r.DeviceReadBytes
+	}
+	if attributed != rt.TotalReadBytes() || attributed == 0 {
+		t.Errorf("per-query device reads sum to %d, runtime read %d", attributed, rt.TotalReadBytes())
+	}
+	if _, _, again := concurrent(); !reflect.DeepEqual(reports, again) {
+		t.Errorf("same interleave seed, different reports:\n%+v\n%+v", reports, again)
 	}
 }

@@ -1,7 +1,10 @@
 // Command blaze-serve is the long-running query service over one resident
-// graph (ROADMAP item 1): it loads the graph once, keeps the shared page
-// cache and per-device IO schedulers warm across requests, and serves
-// queries through the admission-controlled front end in internal/server.
+// graph: it loads the graph once, keeps the shared page cache and per-device
+// IO schedulers warm across requests, and serves the algo.Queries catalogue
+// through the admission-controlled front end in internal/server. Its flags
+// are the query tools' (internal/cli: engine, devices, binning, -epsilon,
+// -maxIters and -converge-tol for every request, faults, tracing) plus ten of
+// its own; -pageCache defaults to 64 here.
 //
 // Real mode (default) runs an HTTP server:
 //
@@ -13,8 +16,11 @@
 //	              reject rate, queue state, cache and scheduler counters
 //	GET  /healthz liveness probe
 //
-// A full queue answers 503 immediately (load shedding, not queueing
-// collapse); SIGINT/SIGTERM drains gracefully — admission stops, queued
+// "query" is any catalogue name (bfs, pr, wcc, spmv, bc; wcc and bc need
+// the transpose flags). A request that cannot be served as asked answers
+// 400, a full queue 503 immediately (load shedding, not queueing collapse),
+// a deadline that passed in the queue 504, a failed query body 500;
+// SIGINT/SIGTERM drains gracefully — admission stops, queued
 // and in-flight queries finish, then the final report prints.
 //
 // Sim mode (-sim) replaces the HTTP front end with the seeded open-loop
@@ -29,12 +35,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -42,17 +48,20 @@ import (
 	"blaze/internal/cli"
 	"blaze/internal/exec"
 	"blaze/internal/loadgen"
-	"blaze/internal/registry"
 	"blaze/internal/server"
 	"blaze/internal/session"
 )
 
 func main() {
-	os.Exit(run())
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "blaze-serve: %v\n", err)
+		os.Exit(1)
+	}
 }
 
+// serveFlags is the query tools' flag set plus the server's own ten.
 type serveFlags struct {
-	cli.Options
+	*cli.Options
 	Addr          string
 	Slots         int
 	QueueDepth    int
@@ -67,56 +76,54 @@ type serveFlags struct {
 
 func parseFlags() *serveFlags {
 	o := &serveFlags{}
-	fs := flag.NewFlagSet("blaze-serve", flag.ExitOnError)
-	fs.StringVar(&o.Engine, "engine", "blaze", "execution engine: "+strings.Join(registry.SessionNames(), ", "))
-	fs.IntVar(&o.ComputeWorkers, "computeWorkers", 16, "computation workers per query")
-	fs.IntVar(&o.Devices, "devices", 1, "number of SSDs to stripe the graph over")
-	fs.StringVar(&o.Profile, "profile", "optane", "device profile: optane, nand, znand, vnand")
-	fs.IntVar(&o.PageCacheMB, "pageCache", 64, "shared page cache size in MB (0 = off)")
-	fs.IntVar(&o.BinCount, "binCount", 1024, "number of online bins")
-	fs.Float64Var(&o.BinningRatio, "binningRatio", 0.5, "scatter fraction of compute workers")
-	fs.IntVar(&o.MaxIters, "maxIters", 20, "iteration cap for pr queries")
-	fs.Float64Var(&o.Epsilon, "epsilon", 0.001, "PageRank-delta activation threshold")
-	fs.StringVar(&o.InIndex, "inIndexFilename", "", "transpose graph index file (enables wcc)")
-	fs.StringVar(&o.InAdj, "inAdjFilenames", "", "transpose graph adjacency file")
-	fs.Uint64Var(&o.InterleaveSeed, "interleaveSeed", 1, "deterministic interleave seed for -sim runs")
-	fs.BoolVar(&o.Sim, "sim", false, "run the seeded open-loop load generator under virtual time instead of serving HTTP")
-	fs.StringVar(&o.Addr, "addr", ":8080", "HTTP listen address (real mode)")
-	fs.IntVar(&o.Slots, "slots", 4, "concurrent query slots (worker procs)")
-	fs.IntVar(&o.QueueDepth, "queueDepth", 64, "admission queue bound; a full queue sheds with 503")
-	fs.Float64Var(&o.Rate, "rate", 1000, "-sim offered load in requests per second of model time")
-	fs.IntVar(&o.Requests, "requests", 500, "-sim arrival count")
-	fs.StringVar(&o.Process, "process", "poisson", "-sim arrival process: poisson or bursty")
-	fs.Float64Var(&o.BurstFactor, "burstFactor", 4, "-sim bursty peak-rate multiplier")
-	fs.Float64Var(&o.BurstFrac, "burstFrac", 0.125, "-sim fraction of each cycle spent bursting")
-	fs.Uint64Var(&o.Seed, "seed", 1, "-sim arrival-schedule seed")
-	fs.DurationVar(&o.LookupTimeout, "interactiveTimeout", 0, "-sim deadline for interactive requests (0 = 20x serial service time)")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: blaze-serve [flags] <graph.gr.index> <graph.gr.adj.0>\n")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(os.Args[1:])
-	args := fs.Args()
-	if len(args) != 2 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	o.IndexPath, o.AdjPath = args[0], args[1]
-	o.Concurrency = 1
-	o.Coalesce, o.DRR = true, true
-	o.RetryMax = -1
+	o.Options = cli.ParseFlags("blaze-serve", false, func(fs *flag.FlagSet) {
+		// A resident graph is served warm: the shared cache is on unless
+		// switched off.
+		cache := fs.Lookup("pageCache")
+		cache.DefValue = "64"
+		_ = cache.Value.Set(cache.DefValue)
+		fs.StringVar(&o.Addr, "addr", ":8080", "HTTP listen address (real mode)")
+		fs.IntVar(&o.Slots, "slots", 4, "concurrent query slots (worker procs)")
+		fs.IntVar(&o.QueueDepth, "queueDepth", 64, "admission queue bound; a full queue sheds with 503")
+		fs.Float64Var(&o.Rate, "rate", 1000, "-sim offered load in requests per second of model time")
+		fs.IntVar(&o.Requests, "requests", 500, "-sim arrival count")
+		fs.StringVar(&o.Process, "process", "poisson", "-sim arrival process: poisson or bursty")
+		fs.Float64Var(&o.BurstFactor, "burstFactor", 4, "-sim bursty peak-rate multiplier")
+		fs.Float64Var(&o.BurstFrac, "burstFrac", 0.125, "-sim fraction of each cycle spent bursting")
+		fs.Uint64Var(&o.Seed, "seed", 1, "-sim arrival-schedule seed")
+		fs.DurationVar(&o.LookupTimeout, "interactiveTimeout", 0, "-sim deadline for interactive requests (0 = 20x serial service time)")
+	})
 	return o
 }
 
-func run() int {
+func run() error {
 	o := parseFlags()
-	env, err := cli.Setup(&o.Options)
+	if o.Concurrency != 1 {
+		return errors.New("-concurrency is the query tools' replica count; a server's concurrency is -slots")
+	}
+	env, err := cli.Setup(o.Options)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "blaze-serve: %v\n", err)
-		return 1
+		return err
 	}
 	defer env.Close()
+	srv, err := newServer(env, o)
+	if err != nil {
+		return err
+	}
+	serve := httpServe
+	if o.Sim {
+		serve = simRun
+	}
+	env.Ctx.Run("main", func(p exec.Proc) { err = serve(p, o, env, srv) })
+	// The query tools' closing lines: device totals, faults, the cache, and
+	// what -trace and -stageStats asked for.
+	env.Report("blaze-serve", "")
+	return err
+}
 
+// newServer builds the resident session (-slots queries of -engine over the
+// loaded graph and the shared cache) and the admission front end over it.
+func newServer(env *cli.Env, o *serveFlags) (*server.Server, error) {
 	sess, err := session.New(env.Ctx, env.Out, env.In, session.Config{
 		Engine:     o.Engine,
 		Base:       env.RO,
@@ -125,28 +132,9 @@ func run() int {
 		MaxQueries: o.Slots,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "blaze-serve: %v\n", err)
-		return 1
+		return nil, err
 	}
-	srv := server.New(env.Ctx, sess, server.Config{Slots: o.Slots, QueueDepth: o.QueueDepth})
-
-	code := 0
-	if o.Sim {
-		env.Ctx.Run("main", func(p exec.Proc) {
-			if err := simRun(p, o, env, srv); err != nil {
-				fmt.Fprintf(os.Stderr, "blaze-serve: %v\n", err)
-				code = 1
-			}
-		})
-	} else {
-		env.Ctx.Run("main", func(p exec.Proc) {
-			if err := httpServe(p, o, env, srv); err != nil {
-				fmt.Fprintf(os.Stderr, "blaze-serve: %v\n", err)
-				code = 1
-			}
-		})
-	}
-	return code
+	return server.New(env.Ctx, sess, server.Config{Slots: o.Slots, QueueDepth: o.QueueDepth}), nil
 }
 
 // simRun drives the deterministic open-loop experiment: a 3:1 mix of
@@ -157,8 +145,14 @@ func simRun(p exec.Proc, o *serveFlags, env *cli.Env, srv *server.Server) error 
 	if err != nil {
 		return err
 	}
-	bfsBody := queryBody(env, o, queryRequest{Query: "bfs", Start: uint32(o.StartNode)}, nil)
-	spmvBody := queryBody(env, o, queryRequest{Query: "spmv"}, nil)
+	bfsBody, err := queryBody(env, o, queryRequest{Query: "bfs", Start: uint32(o.StartNode)}, nil)
+	if err != nil {
+		return err
+	}
+	spmvBody, err := queryBody(env, o, queryRequest{Query: "spmv"}, nil)
+	if err != nil {
+		return err
+	}
 
 	// Warm the cache and measure the interactive latency floor to size the
 	// default deadline. Warmups run serially so they fit any -slots value.
@@ -210,81 +204,26 @@ type queryRequest struct {
 	TimeoutMs int64  `json:"timeout_ms"`
 }
 
-// queryBody builds the session body for one request kind; summary (when
-// non-nil) receives a one-line result digest.
-func queryBody(env *cli.Env, o *serveFlags, req queryRequest, summary *string) session.Body {
-	digest := func(s string) {
+// queryBody builds the session body for one request out of the query
+// catalogue; summary (when non-nil) receives the answer's one-line digest.
+// An error means the request cannot be served as asked (a client error).
+func queryBody(env *cli.Env, o *serveFlags, req queryRequest, summary *string) (session.Body, error) {
+	q, ok := algo.QueryByName(req.Query)
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("unknown query %q", req.Query)
+	case q.Transpose && env.In == nil:
+		return nil, fmt.Errorf("query %q needs the transpose flags (-inIndexFilename, -inAdjFilenames)", req.Query)
+	case req.Start >= env.Out.NumVertices():
+		return nil, fmt.Errorf("start %d out of range (|V| = %d)", req.Start, env.Out.NumVertices())
+	}
+	return func(p exec.Proc, sq *session.Query) error {
+		ans, err := q.Run(sq.Sys, p, env.Out, env.In, o.Args(req.Start))
 		if summary != nil {
-			*summary = s
+			*summary = ans.Summary
 		}
-	}
-	switch req.Query {
-	case "bfs":
-		return func(p exec.Proc, q *session.Query) error {
-			dist, err := algo.BFS(q.Sys, p, env.Out, req.Start)
-			if err != nil {
-				return err
-			}
-			reached := 0
-			for _, d := range dist {
-				if d >= 0 {
-					reached++
-				}
-			}
-			digest(fmt.Sprintf("bfs from %d reached %d of %d vertices", req.Start, reached, len(dist)))
-			return nil
-		}
-	case "pr":
-		return func(p exec.Proc, q *session.Query) error {
-			ranks, err := algo.PageRank(q.Sys, p, env.Out, o.Epsilon, o.MaxIters)
-			if err != nil {
-				return err
-			}
-			var max float64
-			var arg int
-			for i, r := range ranks {
-				if r > max {
-					max, arg = r, i
-				}
-			}
-			digest(fmt.Sprintf("pagerank top vertex %d rank %.3g", arg, max))
-			return nil
-		}
-	case "spmv":
-		return func(p exec.Proc, q *session.Query) error {
-			x := make([]float64, env.Out.NumVertices())
-			for i := range x {
-				x[i] = 1
-			}
-			y, err := algo.SpMV(q.Sys, p, env.Out, x)
-			if err != nil {
-				return err
-			}
-			var sum float64
-			for _, v := range y {
-				sum += v
-			}
-			digest(fmt.Sprintf("spmv sum %.6g over %d vertices", sum, len(y)))
-			return nil
-		}
-	case "wcc":
-		if env.In == nil {
-			return nil
-		}
-		return func(p exec.Proc, q *session.Query) error {
-			comp, err := algo.WCC(q.Sys, p, env.Out, env.In)
-			if err != nil {
-				return err
-			}
-			seen := map[uint32]struct{}{}
-			for _, c := range comp {
-				seen[c] = struct{}{}
-			}
-			digest(fmt.Sprintf("wcc found %d components", len(seen)))
-			return nil
-		}
-	}
-	return nil
+		return err
+	}, nil
 }
 
 // queryResponse is the JSON reply of POST /query.
@@ -297,19 +236,17 @@ type queryResponse struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// httpServe runs the HTTP front end on the root proc until SIGINT/SIGTERM,
-// then drains and prints the final serving report.
-func httpServe(p exec.Proc, o *serveFlags, env *cli.Env, srv *server.Server) error {
-	srv.Start()
-	serveStart := time.Now()
-
+// newHandler returns the HTTP surface over a started server: /healthz,
+// /statsz and POST /query.
+func newHandler(env *cli.Env, o *serveFlags, srv *server.Server) http.Handler {
+	start := time.Now()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, srv.StatszText(int64(time.Since(serveStart))))
+		fmt.Fprint(w, srv.StatszText(int64(time.Since(start))))
 	})
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -326,10 +263,9 @@ func httpServe(p exec.Proc, o *serveFlags, env *cli.Env, srv *server.Server) err
 			class = server.Batch
 		}
 		var summary string
-		body := queryBody(env, o, qr, &summary)
-		if body == nil {
-			writeJSON(w, http.StatusBadRequest, queryResponse{Status: "error", Query: qr.Query,
-				Error: fmt.Sprintf("unknown or unavailable query %q (wcc needs the transpose flags)", qr.Query)})
+		body, err := queryBody(env, o, qr, &summary)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, queryResponse{Status: "error", Query: qr.Query, Error: err.Error()})
 			return
 		}
 		// The HTTP goroutine is not an exec proc: spawn one to submit, and
@@ -374,8 +310,15 @@ func httpServe(p exec.Proc, o *serveFlags, env *cli.Env, srv *server.Server) err
 			writeJSON(w, code, resp)
 		}
 	})
+	return mux
+}
 
-	hs := &http.Server{Addr: o.Addr, Handler: mux}
+// httpServe runs the HTTP front end on the root proc until SIGINT/SIGTERM,
+// then drains and prints the final serving report.
+func httpServe(p exec.Proc, o *serveFlags, env *cli.Env, srv *server.Server) error {
+	srv.Start()
+	serveStart := time.Now()
+	hs := &http.Server{Addr: o.Addr, Handler: newHandler(env, o, srv)}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {

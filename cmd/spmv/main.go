@@ -4,42 +4,6 @@
 //	spmv -computeWorkers 16 graph.gr.index graph.gr.adj.0
 package main
 
-import (
-	"fmt"
-	"log"
+import "blaze/internal/cli"
 
-	"blaze/algo"
-	"blaze/internal/cli"
-	"blaze/internal/exec"
-)
-
-func main() {
-	opts := cli.ParseFlags("spmv", false)
-	env, err := cli.Setup(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer env.Close()
-	var sum float64
-	qs, qerr := env.RunQueries(opts, func(p exec.Proc, sys algo.System, i int) error {
-		x := make([]float64, env.Out.NumVertices())
-		for j := range x {
-			x[j] = 1
-		}
-		y, err := algo.SpMV(sys, p, env.Out, x)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			for _, v := range y {
-				sum += v
-			}
-		}
-		return nil
-	})
-	if qerr != nil {
-		log.Fatalf("spmv: %v", qerr)
-	}
-	env.Report("spmv", fmt.Sprintf("sum(y) = %.0f (equals |E| for x = 1)", sum))
-	env.ReportQueries(qs)
-}
+func main() { cli.Main("spmv") }

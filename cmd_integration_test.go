@@ -85,6 +85,12 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 	if out := run("bc", "-sim", "-startNode", "0", "-inIndexFilename", tidx, "-inAdjFilenames", tadj, idx, adj); !strings.Contains(out, "dependency") {
 		t.Errorf("bc output: %s", out)
 	}
+	// Every tool is cli.Main over its catalogue entry, so -concurrency is
+	// honoured by all five: two bc replicas, two attribution lines.
+	if out := run("bc", "-sim", "-concurrency", "2", "-inIndexFilename", tidx, "-inAdjFilenames", tadj, idx, adj); strings.Count(out, "\nquery ") != 2 ||
+		!strings.Contains(out, "q1: highest dependency") {
+		t.Errorf("bc -concurrency 2 output: %s", out)
+	}
 
 	// Edge-list round trip: in-memory build and external merge-sort must
 	// produce byte-identical artifact files from the same input.

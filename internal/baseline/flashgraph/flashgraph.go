@@ -292,8 +292,5 @@ var debugMsgHist func([]int)
 // debugPhase, when set by tests, receives phase boundary timestamps.
 var debugPhase func(string, int64)
 
-// CacheLen exposes the cache size for tests.
-func (s *System) CacheLen() int { return s.cache.Len() }
-
 // CacheStats exposes the cache counters for tests and the ablation tables.
 func (s *System) CacheStats() metrics.CacheStats { return s.cache.StatsDetail() }

@@ -1,6 +1,7 @@
 // Package cli implements the shared command-line surface of the query
-// tools (cmd/bfs, cmd/pr, cmd/wcc, cmd/spmv, cmd/bc), mirroring the paper
-// artifact's binaries:
+// tools (cmd/bfs, cmd/pr, cmd/wcc, cmd/spmv, cmd/bc — each is Main over its
+// algo.Queries entry) and of blaze-serve, mirroring the paper artifact's
+// binaries:
 //
 //	bfs -computeWorkers 16 -startNode 0 graph.gr.index graph.gr.adj.0
 //	bc  -computeWorkers 16 -startNode 0 graph.gr.index graph.gr.adj.0 \
@@ -15,6 +16,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"strings"
 	"time"
@@ -48,9 +50,6 @@ type Options struct {
 	// Concurrent-session knobs (-concurrency > 1 runs the query that many
 	// times against one shared graph session; see internal/session).
 	Concurrency    int
-	DRRQuantum     int64
-	Coalesce       bool
-	DRR            bool
 	InterleaveSeed uint64
 	MaxIters       int
 	Epsilon        float64
@@ -114,11 +113,53 @@ func (o *Options) DeviceOptions() []ssd.DeviceOptions {
 	return opts
 }
 
-// ParseFlags parses the artifact-compatible flag set. needTranspose makes
-// the transpose inputs mandatory (bc, wcc).
-func ParseFlags(tool string, needTranspose bool) *Options {
+// Main is the whole of a query tool: parse the shared flags, build the
+// engine, run the algo.Queries entry named tool — -concurrency times against
+// one shared session when asked, replica i starting from startNode+i — and
+// print the run summary.
+func Main(tool string) {
+	q, ok := algo.QueryByName(tool)
+	if !ok {
+		log.Fatalf("%s: not a catalogue query", tool)
+	}
+	o := ParseFlags(tool, q.Transpose, nil)
+	env, err := Setup(o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer env.Close()
+	n := uint64(env.Out.NumVertices())
+	answers := make([]algo.Answer, max(o.Concurrency, 1))
+	qs, err := env.RunQueries(o, func(p exec.Proc, sys algo.System, i int) (err error) {
+		start := uint32((uint64(o.StartNode) + uint64(i)) % n)
+		answers[i], err = q.Run(sys, p, env.Out, env.In, o.Args(start))
+		return err
+	})
+	if err != nil {
+		log.Fatalf("%s: %v", tool, err)
+	}
+	extra := answers[0].Summary
+	if len(answers) > 1 {
+		lines := make([]string, len(answers))
+		for i, a := range answers {
+			lines[i] = fmt.Sprintf("q%d: %s", i, a.Summary)
+		}
+		extra = strings.Join(lines, "\n")
+	}
+	env.Report(tool, extra)
+	env.ReportQueries(qs)
+}
+
+// ParseFlags parses the artifact-compatible flag set and the two positional
+// graph files. needTranspose makes the transpose inputs mandatory (bc, wcc);
+// extra, when non-nil, adds a front end's own flags to the set (or changes a
+// shared flag's default) before parsing.
+func ParseFlags(tool string, needTranspose bool, extra func(*flag.FlagSet)) *Options {
 	o := &Options{}
 	fs := newFlagSet(tool, o, flag.ExitOnError)
+	if extra != nil {
+		extra(fs)
+	}
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] <graph.gr.index> <graph.gr.adj.0>\n", tool)
 		fs.PrintDefaults()
@@ -161,9 +202,6 @@ func newFlagSet(tool string, o *Options, onError flag.ErrorHandling) *flag.FlagS
 	fs.Int64Var(&o.NetLatNs, "netLatNs", 0, "scale-out per-message network latency in ns (0 = 10 µs)")
 	fs.IntVar(&o.PageCacheMB, "pageCache", 0, "page cache size in MB (0 = off, the paper's configuration); caches the blaze engines and overrides flashgraph's built-in budget")
 	fs.IntVar(&o.Concurrency, "concurrency", 1, "concurrent replicas of the query against one shared graph session (session-capable engines: "+strings.Join(registry.SessionNames(), ", ")+")")
-	fs.Int64Var(&o.DRRQuantum, "drrQuantum", 0, "DRR bandwidth-sharing quantum in bytes between concurrent queries (0 = 1 MB default)")
-	fs.BoolVar(&o.Coalesce, "coalesce", true, "coalesce overlapping device reads across concurrent queries")
-	fs.BoolVar(&o.DRR, "drr", true, "deficit-round-robin device bandwidth sharing between concurrent queries")
 	fs.Uint64Var(&o.InterleaveSeed, "interleaveSeed", 1, "deterministic interleave seed for concurrent -sim runs")
 	fs.StringVar(&o.Trace, "trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
 	fs.BoolVar(&o.StageStats, "stageStats", false, "print the per-stage trace summary after the query")
@@ -198,7 +236,6 @@ func (o *Options) DeviceProfile() (ssd.Profile, error) {
 // Env is the constructed runtime environment.
 type Env struct {
 	Ctx   exec.Context
-	Cfg   engine.Config
 	Stats *metrics.IOStats
 	Out   *engine.Graph
 	In    *engine.Graph // nil unless transpose inputs were given
@@ -220,10 +257,10 @@ type Env struct {
 	RO registry.Options
 }
 
-// Convergence assembles the -maxIters and -converge-tol flags into the
-// driver contract shared by every query tool.
-func (o *Options) Convergence() algo.Convergence {
-	return algo.Convergence{MaxIters: o.MaxIters, Tol: o.ConvergeTol}
+// Args assembles a start vertex and the -epsilon, -maxIters and
+// -converge-tol flags into the arguments every catalogue query takes.
+func (o *Options) Args(start uint32) algo.Args {
+	return algo.Args{Start: start, Eps: o.Epsilon, Conv: algo.Convergence{MaxIters: o.MaxIters, Tol: o.ConvergeTol}}
 }
 
 // Setup loads the graphs and builds the engine selected by -engine
@@ -242,14 +279,9 @@ func Setup(o *Options) (*Env, error) {
 	} else {
 		ctx = exec.NewReal()
 	}
-	// blaze-scaleout builds Machines*Devices devices (machine m's array is
-	// device IDs m*Devices..m*Devices+Devices-1), so its stats must cover
-	// them all; the graph files themselves still stripe over Devices.
-	statDevs := o.Devices
-	if o.Engine == "blaze-scaleout" && o.Machines > 1 {
-		statDevs = o.Devices * o.Machines
-	}
-	stats := metrics.NewIOStats(statDevs)
+	// The graph files stripe over Devices whatever the engine; the stats
+	// also cover the arrays blaze-scaleout builds for its -machines.
+	stats := metrics.NewIOStats(registry.Options{NumDev: o.Devices, Machines: o.Machines}.StatDevices())
 	devOpts := o.DeviceOptions()
 	out, err := engine.FromFiles(ctx, o.IndexPath, o.IndexPath, o.AdjPath, o.Devices, prof, stats, nil, devOpts...)
 	if err != nil {
@@ -288,9 +320,6 @@ func Setup(o *Options) (*Env, error) {
 		env.tracePath = o.Trace
 		env.stageStats = o.StageStats
 	}
-	// Env.Cfg mirrors the blaze-family configuration for callers that
-	// reach the engine layer directly; the registry builds each engine's
-	// own config from the same options.
 	ro := registry.Options{
 		Edges:        out.NumEdges(),
 		Workers:      o.ComputeWorkers,
@@ -314,7 +343,6 @@ func Setup(o *Options) (*Env, error) {
 	if o.BinSpaceMB > 0 {
 		ro.BinSpaceBytes = int64(o.BinSpaceMB) << 20
 	}
-	env.Cfg = ro.BlazeConfig()
 	env.RO = ro
 	sys, err := registry.New(o.Engine, ctx, ro)
 	if err != nil {
@@ -344,14 +372,11 @@ func (e *Env) RunQueries(o *Options, body func(p exec.Proc, sys algo.System, i i
 		return nil, err
 	}
 	sess, err := session.New(e.Ctx, e.Out, e.In, session.Config{
-		Engine:       o.Engine,
-		Base:         e.RO,
-		Cache:        e.Cache,
-		QuantumBytes: o.DRRQuantum,
-		NoCoalesce:   !o.Coalesce,
-		NoDRR:        !o.DRR,
-		Seed:         o.InterleaveSeed,
-		Stats:        e.Stats,
+		Engine: o.Engine,
+		Base:   e.RO,
+		Cache:  e.Cache,
+		Seed:   o.InterleaveSeed,
+		Stats:  e.Stats,
 	})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"blaze/algo"
 	"blaze/gen"
 	"blaze/internal/graph"
 )
@@ -60,11 +61,12 @@ func TestSetupAndReport(t *testing.T) {
 	if env.Out.NumVertices() != 1024 || env.In == nil {
 		t.Fatal("graphs not loaded")
 	}
-	if env.Cfg.ScatterProcs+env.Cfg.GatherProcs != 4 {
-		t.Errorf("compute workers = %d+%d", env.Cfg.ScatterProcs, env.Cfg.GatherProcs)
+	cfg := env.Sys.(*algo.Blaze).Cfg
+	if cfg.ScatterProcs+cfg.GatherProcs != 4 {
+		t.Errorf("compute workers = %d+%d", cfg.ScatterProcs, cfg.GatherProcs)
 	}
-	if env.Cfg.BinCount != 64 {
-		t.Errorf("BinCount = %d", env.Cfg.BinCount)
+	if cfg.BinCount != 64 {
+		t.Errorf("BinCount = %d", cfg.BinCount)
 	}
 	// Report must not panic on a run that did nothing.
 	devnull, _ := os.Open(os.DevNull)
@@ -99,12 +101,14 @@ func TestSetupErrors(t *testing.T) {
 	}
 }
 
-// TestRemovedFlagsRejected: the driver and cache-policy selections are
-// gone (DESIGN.md §10, §13), so their flags are undefined rather than
-// silently ignored. The names are spelled in halves so a grep for them
-// over the sources stays empty.
+// TestRemovedFlagsRejected: the driver and cache-policy selections
+// (DESIGN.md §10, §13) and the session's sharing ablation knobs (§11) are
+// gone, so their flags are undefined rather than silently ignored. The
+// names are spelled in halves so a grep for them over the sources stays
+// empty.
 func TestRemovedFlagsRejected(t *testing.T) {
-	for _, name := range []string{"driver", "async" + "WavePages", "pageCache" + "Policy"} {
+	for _, name := range []string{"driver", "async" + "WavePages", "pageCache" + "Policy",
+		"drr" + "Quantum", "coal" + "esce", "d" + "rr"} {
 		fs := newFlagSet("bfs", &Options{}, flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		err := fs.Parse([]string{"-" + name, "x"})
@@ -129,8 +133,8 @@ func TestPageCacheIsShardedCLOCK(t *testing.T) {
 	if n := env.Cache.NumShards(); n <= 1 {
 		t.Errorf("-pageCache 1 built a %d-shard cache, want sharded CLOCK", n)
 	}
-	if env.Cfg.PageCache != env.Cache {
-		t.Error("the blaze config does not carry the -pageCache cache")
+	if env.Sys.(*algo.Blaze).Cfg.PageCache != env.Cache {
+		t.Error("the blaze engine does not carry the -pageCache cache")
 	}
 }
 
@@ -144,7 +148,32 @@ func TestBinSpaceOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	if env.Cfg.BinSpaceBytes != 8<<20 {
-		t.Errorf("BinSpaceBytes = %d, want %d", env.Cfg.BinSpaceBytes, 8<<20)
+	if got := env.Sys.(*algo.Blaze).Cfg.BinSpaceBytes; got != 8<<20 {
+		t.Errorf("BinSpaceBytes = %d, want %d", got, 8<<20)
+	}
+}
+
+// TestEveryCatalogueQueryIsATool: a query tool is cli.Main over its
+// catalogue entry, so every algo.Queries name has a cmd/<name> whose main
+// is that one statement, and the shared flag set parses under its name.
+func TestEveryCatalogueQueryIsATool(t *testing.T) {
+	for _, q := range algo.Queries {
+		src, err := os.ReadFile(filepath.Join("..", "..", "cmd", q.Name, "main.go"))
+		if err != nil {
+			t.Errorf("catalogue query %q has no tool: %v", q.Name, err)
+			continue
+		}
+		if want := `func main() { cli.Main("` + q.Name + `") }`; !strings.Contains(string(src), want) {
+			t.Errorf("cmd/%s/main.go is not %s", q.Name, want)
+		}
+		o := &Options{}
+		fs := newFlagSet(q.Name, o, flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse([]string{"-concurrency", "2", "-converge-tol", "0.5", "idx", "adj"}); err != nil {
+			t.Errorf("%s: shared flags rejected: %v", q.Name, err)
+		}
+		if o.Concurrency != 2 || o.ConvergeTol != 0.5 || fs.NArg() != 2 {
+			t.Errorf("%s: parsed %+v with %d positional args", q.Name, o, fs.NArg())
+		}
 	}
 }

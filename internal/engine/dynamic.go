@@ -65,9 +65,6 @@ func NewDynamic(ctx exec.Context, fwd, tr *Graph, prof ssd.Profile,
 // Add buffers one edge insertion s→d.
 func (dy *Dynamic) Add(s, d uint32) error { return dy.buf.Add(s, d) }
 
-// Pending returns the number of buffered (unsealed) insertions.
-func (dy *Dynamic) Pending() int { return dy.buf.Len() }
-
 // Segments returns the live segment count on the forward graph.
 func (dy *Dynamic) Segments() int { return len(dy.Fwd.Segs) }
 

@@ -124,7 +124,7 @@ func testServer(t *testing.T, ctx exec.Context, slots, depth int) *server.Server
 		dst[i] = uint32(r.Intn(int(n)))
 	}
 	out := engine.FromCSR(ctx, "lg", graph.MustBuild(n, src, dst), 1, ssd.OptaneSSD, nil, nil)
-	sess, err := session.New(ctx, out, nil, session.Config{MaxQueries: slots})
+	sess, err := session.New(ctx, out, nil, session.Config{Engine: "blaze", MaxQueries: slots})
 	if err != nil {
 		t.Fatalf("session.New: %v", err)
 	}

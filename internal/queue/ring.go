@@ -231,9 +231,6 @@ func (r *Ring[T]) Len() int {
 	return r.size
 }
 
-// Cap returns the queue capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Closed reports whether Close has been called.
 func (r *Ring[T]) Closed() bool {
 	r.mu.Lock()

@@ -86,7 +86,7 @@ type Options struct {
 	// Machines, NetBandwidth and NetLatencyNs configure blaze-scaleout:
 	// the destination-partition count (default 1), each link direction's
 	// bandwidth in bytes/second (0 = 25 Gb/s) and the per-message latency
-	// (0 = 10 µs). Stats, when non-nil, must be sized to Machines*NumDev
+	// (0 = 10 µs). Stats, when non-nil, must be sized to StatDevices()
 	// devices. The other engines ignore all three.
 	Machines     int
 	NetBandwidth float64
@@ -119,6 +119,14 @@ func (o Options) withDefaults() Options {
 		o.Profile = ssd.OptaneSSD
 	}
 	return o
+}
+
+// StatDevices returns the device count Stats must cover: blaze-scaleout
+// gives each of its Machines an array of NumDev devices (machine m's are
+// device IDs m*NumDev … m*NumDev+NumDev-1); with Machines unset it is the
+// graph's one array.
+func (o Options) StatDevices() int {
+	return max(o.NumDev, 1) * max(o.Machines, 1)
 }
 
 func (o Options) model() costmodel.Model {
@@ -260,11 +268,7 @@ func init() {
 		return flashgraph.New(ctx, cfg)
 	}})
 	Register("blaze-scaleout", Info{NeedsAdjacency: true, New: func(ctx exec.Context, o Options) algo.System {
-		machines := o.Machines
-		if machines < 1 {
-			machines = 1
-		}
-		cfg := cluster.DefaultConfig(machines, o.Edges)
+		cfg := cluster.DefaultConfig(o.Machines, o.Edges)
 		cfg.DevicesPerMachine = o.NumDev
 		cfg.Profile = o.Profile
 		cfg.ComputeWorkersPerMachine = o.Workers
@@ -275,10 +279,9 @@ func init() {
 			cfg.NetLatencyNs = o.NetLatencyNs
 		}
 		cfg.DevOpts = o.DevOpts
-		cfg.Engine.Model = o.model()
-		cfg.Engine.Stats = o.Stats
-		cfg.Engine.Mem = o.Mem
-		cfg.Engine.Tracer = o.Tracer
+		// Every machine runs the blaze engine the options describe (bins, IO
+		// buffers, page cache, pool); the cluster splits its workers itself.
+		cfg.Engine = o.BlazeConfig()
 		return cluster.New(ctx, cfg)
 	}})
 	Register("graphene", Info{NeedsAdjacency: true, New: func(ctx exec.Context, o Options) algo.System {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"blaze/algo"
+	"blaze/internal/cluster"
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
@@ -92,5 +93,53 @@ func TestRemovedEngineIsUnknown(t *testing.T) {
 	want := "[blaze blaze-scaleout blaze-sync flashgraph graphene inmem]"
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not list the survivors %s", err, want)
+	}
+}
+
+// TestScaleoutHonoursBinningOptions: every machine of blaze-scaleout runs
+// the blaze engine the options describe, so the binning and IO-buffer
+// overrides reach Cluster.Cfg.Engine exactly as they reach a single-machine
+// blaze, and unset ones fall to the same defaults.
+func TestScaleoutHonoursBinningOptions(t *testing.T) {
+	ctx := exec.NewSim()
+	o := Options{Edges: 8 << 20, Machines: 2, BinCount: 64, BinSpaceBytes: 8 << 20, IOBufferBytes: 1 << 20}
+	sys, err := New("blaze-scaleout", ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sys.(*cluster.Cluster).Cfg.Engine
+	if got.BinCount != 64 || got.BinSpaceBytes != 8<<20 || got.IOBufferBytes != 1<<20 {
+		t.Errorf("per-machine engine: bins %d, bin space %d, IO buffers %d; the options asked for 64, 8 MB, 1 MB",
+			got.BinCount, got.BinSpaceBytes, got.IOBufferBytes)
+	}
+	single, err := New("blaze", ctx, Options{Edges: o.Edges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := New("blaze-scaleout", ctx, Options{Edges: o.Edges, Machines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, unset := single.(*algo.Blaze).Cfg, def.(*cluster.Cluster).Cfg.Engine
+	if unset.BinCount != want.BinCount || unset.BinSpaceBytes != want.BinSpaceBytes || unset.IOBufferBytes != want.IOBufferBytes {
+		t.Errorf("unset options: scale-out engine %d/%d/%d, blaze %d/%d/%d", unset.BinCount, unset.BinSpaceBytes,
+			unset.IOBufferBytes, want.BinCount, want.BinSpaceBytes, want.IOBufferBytes)
+	}
+}
+
+func TestStatDevices(t *testing.T) {
+	for _, c := range []struct {
+		o    Options
+		want int
+	}{
+		{Options{}, 1},
+		{Options{NumDev: 4}, 4},
+		{Options{NumDev: 2, Machines: 1}, 2},
+		{Options{NumDev: 2, Machines: 4}, 8},
+		{Options{Machines: 4}, 4},
+	} {
+		if got := c.o.StatDevices(); got != c.want {
+			t.Errorf("StatDevices(NumDev %d, Machines %d) = %d, want %d", c.o.NumDev, c.o.Machines, got, c.want)
+		}
 	}
 }

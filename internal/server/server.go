@@ -114,7 +114,7 @@ type Request struct {
 	// Name labels the request in outcomes (e.g. the query kind).
 	Name string
 	// Body is the work: it runs on a worker proc against a session query
-	// (q.Sys is the request's engine instance in registry-engine sessions).
+	// (q.Sys is the request's engine instance).
 	Body session.Body
 	// TimeoutNs is the relative deadline from admission in model time
 	// (virtual ns under Sim, wall ns under Real); 0 means none.

@@ -28,13 +28,13 @@ func testCSR(seed uint64, nEdges int) *graph.CSR {
 	return graph.MustBuild(n, src, dst)
 }
 
-// testSession builds a bring-your-own-engine session (Query.Sys nil), so
-// server tests drive pure queueing behavior with Advance-based bodies and
-// no graph traversal noise.
+// testSession builds a session whose queries' engines go unused: server
+// tests drive pure queueing behavior with Advance-based bodies and no graph
+// traversal noise.
 func testSession(t *testing.T, ctx exec.Context, maxQueries int) *session.Session {
 	t.Helper()
 	out := engine.FromCSR(ctx, "srv", testCSR(9, 400), 1, ssd.OptaneSSD, nil, nil)
-	s, err := session.New(ctx, out, nil, session.Config{MaxQueries: maxQueries})
+	s, err := session.New(ctx, out, nil, session.Config{Engine: "blaze", MaxQueries: maxQueries})
 	if err != nil {
 		t.Fatalf("session.New: %v", err)
 	}

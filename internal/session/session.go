@@ -59,24 +59,17 @@ const maxJitterNs = 1 << 16
 // Config parameterizes a Session.
 type Config struct {
 	// Engine is the registry name queries are built with (must be
-	// session-capable; see registry.SessionCapable). Empty selects
-	// bring-your-own-engine mode: NewQuery registers the query and
-	// allocates its counters but builds no system (Query.Sys nil) —
-	// callers construct their own engine from the query's identity, as
-	// blaze.Runtime.RunConcurrent does.
+	// session-capable; see registry.SessionCapable).
 	Engine string
 	// Base is the engine construction surface shared by every query
 	// (workers, binning, cost model, ...). Its session fields — Scheds,
-	// QueryID, QueryCache, PageCache, Stats — are overridden per query.
+	// QueryID, QueryCache, PageCache, Stats — are overridden per query, and
+	// Pool is dropped: a run pool is single-query state, so every query's
+	// engine retains its own.
 	Base registry.Options
 	// Cache is the shared page cache (nil or disabled = no caching; the
 	// flashgraph baseline ignores it and keeps its private per-query LRU).
 	Cache *pagecache.Cache
-	// QuantumBytes is the DRR quantum (0 = iosched.DefaultQuantumBytes);
-	// NoCoalesce and NoDRR are the sharing ablation knobs.
-	QuantumBytes int64
-	NoCoalesce   bool
-	NoDRR        bool
 	// Seed is the deterministic interleave seed (0 = 1).
 	Seed uint64
 	// MaxQueries bounds the live (created, not yet Finished) queries: the
@@ -93,8 +86,7 @@ type Config struct {
 // session.
 type Query struct {
 	ID int32
-	// Sys is the query's engine instance (nil in bring-your-own-engine
-	// sessions).
+	// Sys is the query's engine instance.
 	Sys algo.System
 	// IO receives the query's attributed device reads and coalesced
 	// attaches (per-device, from the shared schedulers).
@@ -135,19 +127,16 @@ func New(ctx exec.Context, out, in *engine.Graph, cfg Config) (*Session, error) 
 	if out == nil {
 		return nil, fmt.Errorf("session: nil graph")
 	}
-	if cfg.Engine != "" && !registry.SessionCapable(cfg.Engine) {
+	if !registry.SessionCapable(cfg.Engine) {
 		return nil, fmt.Errorf("session: engine %q cannot join a session (have %v)",
 			cfg.Engine, registry.SessionNames())
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	icfg := iosched.Config{
-		QuantumBytes: cfg.QuantumBytes,
-		NoCoalesce:   cfg.NoCoalesce,
-		NoDRR:        cfg.NoDRR,
-		Stats:        cfg.Stats,
-	}
+	// Coalescing and DRR sharing at iosched.DefaultQuantumBytes, always:
+	// iosched's own tests are where the mechanisms are switched off.
+	icfg := iosched.Config{Stats: cfg.Stats}
 	t := iosched.NewTable()
 	t.AddArray(out.Arr, icfg)
 	if in != nil {
@@ -160,17 +149,16 @@ func New(ctx exec.Context, out, in *engine.Graph, cfg Config) (*Session, error) 
 	return s, nil
 }
 
-// Scheds returns the session's device→scheduler table, for callers that
-// build their own per-query engine configs.
+// Scheds returns the session's device→scheduler table (the serving report
+// reads its counters).
 func (s *Session) Scheds() *iosched.Table { return s.scheds }
 
 // Cache returns the shared page cache (nil when the session has none).
 func (s *Session) Cache() *pagecache.Cache { return s.cfg.Cache }
 
 // NewQuery registers the next query: allocates its attributed counters,
-// constructs its engine instance through the registry (unless the session
-// is bring-your-own-engine), registers it with every device scheduler, and
-// recomputes the cache quota split. On failure nothing is left behind: the
+// constructs its engine instance through the registry, registers it with
+// every device scheduler, and recomputes the cache quota split. On failure nothing is left behind: the
 // reserved slot is released and no scheduler ever saw the id, so the
 // active count and quota splits of later queries are unaffected.
 func (s *Session) NewQuery() (*Query, error) {
@@ -189,22 +177,21 @@ func (s *Session) NewQuery() (*Query, error) {
 		IO:    metrics.NewIOStats(s.Out.Arr.NumDevices()),
 		Cache: &metrics.CacheCounters{},
 	}
-	if s.cfg.Engine != "" {
-		opts := s.cfg.Base
-		opts.Stats = q.IO
-		opts.PageCache = s.cfg.Cache
-		opts.Scheds = s.scheds
-		opts.QueryID = id
-		opts.QueryCache = q.Cache
-		sys, err := registry.New(s.cfg.Engine, s.Ctx, opts)
-		if err != nil {
-			s.mu.Lock()
-			s.active--
-			s.mu.Unlock()
-			return nil, err
-		}
-		q.Sys = sys
+	opts := s.cfg.Base
+	opts.Stats = q.IO
+	opts.PageCache = s.cfg.Cache
+	opts.Pool = nil
+	opts.Scheds = s.scheds
+	opts.QueryID = id
+	opts.QueryCache = q.Cache
+	sys, err := registry.New(s.cfg.Engine, s.Ctx, opts)
+	if err != nil {
+		s.mu.Lock()
+		s.active--
+		s.mu.Unlock()
+		return nil, err
 	}
+	q.Sys = sys
 	s.scheds.Register(id, q.IO)
 	s.mu.Lock()
 	s.queries = append(s.queries, q)
@@ -222,18 +209,6 @@ func (s *Session) Active() int {
 
 // Slots returns the session's query-slot bound (0 = unbounded).
 func (s *Session) Slots() int { return s.cfg.MaxQueries }
-
-// EngineConfig returns base rewired as q's session engine config: shared
-// scheduler table and page cache, the query's identity and attributed
-// counters. For bring-your-own-engine callers.
-func (s *Session) EngineConfig(base engine.Config, q *Query) engine.Config {
-	base.Scheds = s.scheds
-	base.QueryID = q.ID
-	base.QueryCache = q.Cache
-	base.PageCache = s.cfg.Cache
-	base.Stats = q.IO
-	return base
-}
 
 // rebalanceQuotas splits cache capacity evenly between active queries.
 // SetQuota only gates future admissions, so shares grow in place as
@@ -304,7 +279,7 @@ func (s *Session) Queries() []*Query {
 }
 
 // Body is one query's work: it runs on its own proc against the query's
-// engine (or a caller-built one in bring-your-own-engine sessions).
+// engine.
 type Body func(p exec.Proc, q *Query) error
 
 // Run executes the bodies concurrently, one proc per query, from the
