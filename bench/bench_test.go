@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"blaze/internal/registry"
 	"blaze/internal/ssd"
 )
 
@@ -190,8 +191,8 @@ func TestExtExperimentsDeterministic(t *testing.T) {
 // materially on a compute-heavy query (Fig. 9's premise).
 func TestThreadScalingMonotone(t *testing.T) {
 	d := MustLoad("r2", DefaultScale)
-	t2 := Run(d, Opts{System: "blaze", Query: "spmv", ComputeWorkers: 2})
-	t16 := Run(d, Opts{System: "blaze", Query: "spmv", ComputeWorkers: 16})
+	t2 := Run(d, Opts{System: "blaze", Query: "spmv", Options: registry.Options{Workers: 2}})
+	t16 := Run(d, Opts{System: "blaze", Query: "spmv", Options: registry.Options{Workers: 16}})
 	if float64(t16.ElapsedNs) > 0.8*float64(t2.ElapsedNs) {
 		t.Errorf("16 workers (%d ns) not clearly faster than 2 (%d ns)", t16.ElapsedNs, t2.ElapsedNs)
 	}

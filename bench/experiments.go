@@ -7,6 +7,7 @@ import (
 	"blaze/internal/costmodel"
 	"blaze/internal/exec"
 	"blaze/internal/metrics"
+	"blaze/internal/registry"
 	"blaze/internal/ssd"
 )
 
@@ -190,7 +191,7 @@ func Fig2(scale float64) []Table {
 			name string
 			prof ssd.Profile
 		}{{"nand", ssd.NANDSSD}, {"optane", ssd.OptaneSSD}} {
-			r := Run(d, Opts{System: "flashgraph", Query: q, Profile: dev.prof, TimelineBucketNs: 2e5})
+			r := Run(d, Opts{System: "flashgraph", Query: q, TimelineBucketNs: 2e5, Options: registry.Options{Profile: dev.prof}})
 			idle[dev.name] = r.Timeline.IdleFraction(0.05 * dev.prof.RandBytesPerSec)
 			series := Table{
 				ID:     fmt.Sprintf("fig2_%s_%s_timeline", q, dev.name),
@@ -220,7 +221,7 @@ func Fig3(scale float64) []Table {
 	}
 	for _, gname := range []string{"r3", "ur", "tw", "sk", "fr"} {
 		d := MustLoad(gname, scale)
-		r := Run(d, Opts{System: "graphene", Query: "bfs", NumDev: 8})
+		r := Run(d, Opts{System: "graphene", Query: "bfs", Options: registry.Options{NumDev: 8}})
 		series := Table{
 			ID:     "fig3_" + gname,
 			Title:  fmt.Sprintf("Graphene BFS on %s: per-iteration device IO skew", d.Preset.Name),
@@ -274,7 +275,7 @@ func Fig4(scale float64) []Table {
 		row := []any{q}
 		for _, gname := range []string{"r2", "ur", "tw", "sk"} {
 			d := MustLoad(gname, scale)
-			r := Run(d, Opts{System: "blaze", Query: q, Profile: fast, ComputeWorkers: 2})
+			r := Run(d, Opts{System: "blaze", Query: q, Options: registry.Options{Profile: fast, Workers: 2}})
 			row = append(row, r.AvgBW()/1e9)
 		}
 		row = append(row, ssd.NANDSSD.RandBytesPerSec/1e9, ssd.OptaneSSD.RandBytesPerSec/1e9)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"blaze/internal/graph"
+	"blaze/internal/registry"
 )
 
 func readEdge(d *Dataset, i int64) uint32 { return graph.GetEdge(d.CSR.Adj, i) }
@@ -93,7 +94,7 @@ func Fig9(scale float64) []Table {
 		for _, q := range Queries {
 			row := []any{q}
 			for _, n := range threads {
-				r := Run(d, Opts{System: "blaze", Query: q, ComputeWorkers: n})
+				r := Run(d, Opts{System: "blaze", Query: q, Options: registry.Options{Workers: n}})
 				row = append(row, float64(r.ElapsedNs)/1e6)
 			}
 			t.Add(row...)
@@ -120,7 +121,7 @@ func Fig10(scale float64) []Table {
 		row := []any{gname}
 		d := MustLoad(gname, scale)
 		for _, sz := range sizes {
-			r := Run(d, Opts{System: "blaze", Query: "spmv", BinSpace: sz})
+			r := Run(d, Opts{System: "blaze", Query: "spmv", Options: registry.Options{BinSpaceBytes: sz}})
 			row = append(row, r.AvgBW()/1e9)
 		}
 		t.Add(row...)
@@ -143,7 +144,7 @@ func Fig11(scale float64) []Table {
 	for _, q := range Queries {
 		row := []any{q}
 		for _, bc := range binCounts {
-			r := Run(d, Opts{System: "blaze", Query: q, BinCount: bc, BinSpace: 16 << 20})
+			r := Run(d, Opts{System: "blaze", Query: q, Options: registry.Options{BinCount: bc, BinSpaceBytes: 16 << 20}})
 			row = append(row, float64(r.ElapsedNs)/1e6)
 		}
 		counts.Add(row...)
@@ -160,7 +161,7 @@ func Fig11(scale float64) []Table {
 	for _, q := range Queries {
 		row := []any{q}
 		for _, ratio := range splits {
-			r := Run(d, Opts{System: "blaze", Query: q, Ratio: ratio})
+			r := Run(d, Opts{System: "blaze", Query: q, Options: registry.Options{Ratio: ratio}})
 			row = append(row, float64(r.ElapsedNs)/1e6)
 		}
 		ratios.Add(row...)
@@ -190,12 +191,10 @@ func Fig12(scale float64) []Table {
 			// Scale the fixed budgets (64 MB IO buffers, ~256 MB bin
 			// space on the testbed) like the datasets, so the footprint
 			// ratio is comparable to the paper's.
-			r := Run(d, Opts{
-				System:     "blaze",
-				Query:      q,
-				IOBufBytes: maxI64(128<<10, int64(64<<20/sc)),
-				BinSpace:   maxI64(64<<10, int64(256<<20/sc)),
-			})
+			r := Run(d, Opts{System: "blaze", Query: q, Options: registry.Options{
+				IOBufferBytes: maxI64(128<<10, int64(64<<20/sc)),
+				BinSpaceBytes: maxI64(64<<10, int64(256<<20/sc)),
+			}})
 			total := r.Mem.Total()
 			row = append(row, 100*float64(total)/float64(d.CSR.TotalBytes()))
 		}

@@ -4,12 +4,12 @@ import (
 	"fmt"
 
 	"blaze/algo"
-	"blaze/internal/cluster"
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/inmem"
 	"blaze/internal/metrics"
 	"blaze/internal/pagecache"
+	"blaze/internal/registry"
 	"blaze/internal/ssd"
 )
 
@@ -73,7 +73,7 @@ func Ablation(scale float64) []Table {
 		budget int64
 	}{{"1/4 graph", pageBytes / 4}, {"2x graph", 2 * pageBytes}} {
 		pc := pagecache.New(frac.budget)
-		r := Run(d, Opts{System: "blaze", Query: "bfs", PageCache: pc})
+		r := Run(d, Opts{System: "blaze", Query: "bfs", Options: registry.Options{PageCache: pc}})
 		st := pc.StatsDetail()
 		cache.Add(fmt.Sprintf("blaze + clock cache (%s)", frac.name),
 			float64(r.ElapsedNs)/1e6, 100*st.HitRate(), float64(r.ReadBytes)/1e6)
@@ -92,8 +92,7 @@ func runWithEngine(d *Dataset, query string, mutate func(*engine.Config)) Result
 	ctx := exec.NewSim()
 	stats := metrics.NewIOStats(1)
 	out, in := d.Graphs(ctx, 1, ssd.OptaneSSD, stats, nil)
-	cfg := engine.DefaultConfig(d.CSR.E)
-	cfg.Stats = stats
+	cfg := registry.Options{Edges: d.CSR.E, Stats: stats}.WithDefaults().BlazeConfig()
 	mutate(&cfg)
 	sys := algo.NewBlaze(ctx, cfg)
 	res := Result{Graph: d.Preset.Short}
@@ -121,16 +120,8 @@ func ScaleOut(scale float64) []Table {
 		d := MustLoad(w.gname, scale)
 		row := []any{fmt.Sprintf("%s/%s", w.gname, w.q)}
 		for _, m := range []int{1, 2, 4, 8} {
-			ctx := exec.NewSim()
-			stats := metrics.NewIOStats(m)
-			out, in := d.Graphs(ctx, 1, ssd.OptaneSSD, nil, nil)
-			cfg := cluster.DefaultConfig(m, d.CSR.E)
-			cfg.Engine.Stats = stats
-			cl := cluster.New(ctx, cfg)
-			ctx.Run("main", func(p exec.Proc) {
-				algo.Must(runQuery(cl, p, w.q, out, in, d.Start, 15))
-			})
-			row = append(row, float64(ctx.End)/1e6)
+			r := Run(d, Opts{System: "blaze-scaleout", Query: w.q, Options: registry.Options{Machines: m}})
+			row = append(row, float64(r.ElapsedNs)/1e6)
 		}
 		t.Add(row...)
 	}
@@ -155,14 +146,7 @@ func InCore(scale float64) []Table {
 	} {
 		d := MustLoad(w.gname, scale)
 		bl := Run(d, Opts{System: "blaze", Query: w.q})
-
-		ctx := exec.NewSim()
-		out, in := d.Graphs(ctx, 1, ssd.OptaneSSD, nil, nil)
-		sys := inmem.New(ctx, inmem.DefaultConfig())
-		ctx.Run("main", func(p exec.Proc) {
-			algo.Must(runQuery(sys, p, w.q, out, in, d.Start, 15))
-		})
-		inTime := ctx.End
+		inTime := Run(d, Opts{System: "inmem", Query: w.q}).ElapsedNs
 
 		// DRAM columns are the scale-free parts (vertex arrays + graph
 		// metadata, and for in-core the adjacency itself); the fixed
@@ -170,10 +154,10 @@ func InCore(scale float64) []Table {
 		// full-size graphs and are excluded so the ratio is comparable.
 		graphBytes := float64(d.CSR.TotalBytes())
 		blazeDRAM := float64(d.CSR.IndexBytes() + bl.AlgoBytes)
-		inDRAM := float64(inmem.MemBytes(out) + bl.AlgoBytes)
+		inDRAM := float64(inmem.MemBytes(d.CSR) + bl.AlgoBytes)
 		if w.q == "wcc" || w.q == "bc" {
 			blazeDRAM += float64(d.Tr.IndexBytes())
-			inDRAM += float64(inmem.MemBytes(in))
+			inDRAM += float64(inmem.MemBytes(d.Tr))
 		}
 		t.Add(fmt.Sprintf("%s/%s", w.gname, w.q),
 			float64(bl.ElapsedNs)/1e6, float64(inTime)/1e6,

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"blaze/internal/pagecache"
+	"blaze/internal/registry"
 	"blaze/internal/ssd"
 )
 
@@ -49,7 +50,7 @@ func PagecacheSnapshot(scale float64) []CacheSnapshotEntry {
 	pageBytes := d.CSR.NumPages() * int64(ssd.PageSize)
 	for _, budget := range []int64{pageBytes / 4, 2 * pageBytes} {
 		pc := pagecache.New(budget)
-		r := Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5, PageCache: pc})
+		r := Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5, Options: registry.Options{PageCache: pc}})
 		st := pc.StatsDetail()
 		entries = append(entries, CacheSnapshotEntry{
 			Policy:     "clock",

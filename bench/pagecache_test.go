@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"blaze/internal/pagecache"
+	"blaze/internal/registry"
 	"blaze/internal/ssd"
 )
 
@@ -18,7 +19,7 @@ func TestRepeatScanHitRateFloor(t *testing.T) {
 	d := MustLoad("r2", DefaultScale)
 	pageBytes := d.CSR.NumPages() * int64(ssd.PageSize)
 	pc := pagecache.New(2 * pageBytes)
-	Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5, PageCache: pc})
+	Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5, Options: registry.Options{PageCache: pc}})
 	st := pc.StatsDetail()
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("cache saw no traffic")

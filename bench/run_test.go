@@ -22,7 +22,7 @@ func TestRunRejectsUnknownQuery(t *testing.T) {
 
 func TestOptsDefaults(t *testing.T) {
 	o := Opts{}.withDefaults()
-	if o.NumDev != 1 || o.ComputeWorkers != 16 || o.Ratio != 0.5 || o.PRIters != 15 {
+	if o.NumDev != 1 || o.Workers != 16 || o.Ratio != 0.5 || o.PRIters != 15 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	if o.Profile.RandBytesPerSec == 0 {

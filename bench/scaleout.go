@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
+
+	"blaze/internal/registry"
 )
 
 // The scale-out suite measures what destination partitioning buys: M
@@ -59,7 +61,7 @@ func ScaleoutSnapshot(scale float64) []ScaleoutEntry {
 	var entries []ScaleoutEntry
 	for _, m := range ScaleoutMachineCounts {
 		for _, query := range scaleoutQueries {
-			res := Run(d, Opts{System: "blaze-scaleout", Query: query, Machines: m, PRIters: 5})
+			res := Run(d, Opts{System: "blaze-scaleout", Query: query, PRIters: 5, Options: registry.Options{Machines: m}})
 			per := make([]int64, m)
 			for dev, b := range res.DeviceBytes {
 				if dev < m { // one device per machine in this sweep

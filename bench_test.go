@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"blaze/bench"
+	"blaze/internal/registry"
 	"blaze/internal/ssd"
 )
 
@@ -74,7 +75,7 @@ func BenchmarkFig3GrapheneSkew(b *testing.B) {
 	d := bench.MustLoad("r2", benchScale)
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		r := bench.Run(d, bench.Opts{System: "graphene", Query: "bfs", NumDev: 8})
+		r := bench.Run(d, bench.Opts{System: "graphene", Query: "bfs", Options: registry.Options{NumDev: 8}})
 		peak = 0
 		for _, ep := range r.IterBytes {
 			min, max := int64(1)<<62, int64(0)
@@ -101,7 +102,7 @@ func BenchmarkFig4SingleThreadCompute(b *testing.B) {
 	fast := ssd.OptaneSSD.Scale(1000)
 	var gbs float64
 	for i := 0; i < b.N; i++ {
-		r := bench.Run(d, bench.Opts{System: "blaze", Query: "bfs", Profile: fast, ComputeWorkers: 2})
+		r := bench.Run(d, bench.Opts{System: "blaze", Query: "bfs", Options: registry.Options{Profile: fast, Workers: 2}})
 		gbs = r.AvgBW() / 1e9
 	}
 	report(b, "GB/s", gbs)
@@ -162,8 +163,8 @@ func BenchmarkFig9ThreadScaling(b *testing.B) {
 	d := bench.MustLoad("r2", benchScale)
 	var scaling float64
 	for i := 0; i < b.N; i++ {
-		t2 := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", ComputeWorkers: 2})
-		t16 := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", ComputeWorkers: 16})
+		t2 := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Options: registry.Options{Workers: 2}})
+		t16 := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Options: registry.Options{Workers: 16}})
 		scaling = float64(t2.ElapsedNs) / float64(t16.ElapsedNs)
 	}
 	report(b, "speedup-2to16", scaling)
@@ -175,8 +176,8 @@ func BenchmarkFig10BinSpace(b *testing.B) {
 	d := bench.MustLoad("r2", benchScale)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		big := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", BinSpace: 16 << 20})
-		tiny := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", BinSpace: 64 << 10})
+		big := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Options: registry.Options{BinSpaceBytes: 16 << 20}})
+		tiny := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Options: registry.Options{BinSpaceBytes: 64 << 10}})
 		ratio = big.AvgBW() / tiny.AvgBW()
 	}
 	report(b, "big/tiny-bw", ratio)
@@ -188,8 +189,8 @@ func BenchmarkFig11BinCount(b *testing.B) {
 	d := bench.MustLoad("r2", benchScale)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		mid := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", BinCount: 1024, BinSpace: 8 << 20})
-		ext := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", BinCount: 131072, BinSpace: 8 << 20})
+		mid := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Options: registry.Options{BinCount: 1024, BinSpaceBytes: 8 << 20}})
+		ext := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Options: registry.Options{BinCount: 131072, BinSpaceBytes: 8 << 20}})
 		ratio = float64(ext.ElapsedNs) / float64(mid.ElapsedNs)
 	}
 	report(b, "extreme/mid-time", ratio)
@@ -201,8 +202,8 @@ func BenchmarkFig11Ratio(b *testing.B) {
 	d := bench.MustLoad("r2", benchScale)
 	var penalty float64
 	for i := 0; i < b.N; i++ {
-		bal := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Ratio: 0.5})
-		skw := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Ratio: 15.0 / 16})
+		bal := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Options: registry.Options{Ratio: 0.5}})
+		skw := bench.Run(d, bench.Opts{System: "blaze", Query: "spmv", Options: registry.Options{Ratio: 15.0 / 16}})
 		penalty = float64(skw.ElapsedNs) / float64(bal.ElapsedNs)
 	}
 	report(b, "skewed/balanced-time", penalty)

@@ -234,11 +234,7 @@ func New(opts ...Option) *Runtime {
 	rt := &Runtime{
 		ctx: exec.NewReal(),
 		opts: registry.Options{
-			Workers: 16,
-			Ratio:   0.5,
-			NumDev:  1,
-			Profile: ssd.OptaneSSD,
-			Mem:     metrics.NewMemAccount(),
+			Mem: metrics.NewMemAccount(),
 			// The run pool retains IO buffers, bin buffer pairs, and stagers
 			// across EdgeMap rounds (reset, not reallocated) so iterative
 			// algorithms stop churning the GC. Allocation is not modeled, so
@@ -249,6 +245,7 @@ func New(opts ...Option) *Runtime {
 	for _, o := range opts {
 		o(rt)
 	}
+	rt.opts = rt.opts.WithDefaults()
 	rt.opts.Stats = metrics.NewIOStats(rt.opts.StatDevices())
 	return rt
 }

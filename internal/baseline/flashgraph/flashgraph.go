@@ -24,7 +24,6 @@ import (
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
-	"blaze/internal/iosched"
 	"blaze/internal/metrics"
 	"blaze/internal/pagecache"
 	"blaze/internal/pipeline"
@@ -39,33 +38,11 @@ type Config struct {
 	CacheBytes int64
 	// IOBufferBytes bounds in-flight IO buffers.
 	IOBufferBytes int64
-	Model         costmodel.Model
-	Stats         *metrics.IOStats
-	// Tracer, when non-nil, attaches per-proc trace rings to the pipeline
-	// stages (see internal/trace).
-	Tracer *trace.Tracer
-
-	// Scheds, when non-nil, switches the baseline into session mode: device
-	// reads route through the device's shared scheduler from this table
-	// (cross-query coalescing + DRR; see internal/iosched). The LRU page
-	// cache stays private to this instance, i.e. per query — FlashGraph's
+	// Common's Scheds switches the baseline into session mode: device reads
+	// route through the shared schedulers, while the LRU page cache stays
+	// private to this instance, i.e. per query — FlashGraph's
 	// per-application cache, faithfully.
-	Scheds *iosched.Table
-	// QueryID identifies this instance's query within the session
-	// (meaningful only with Scheds non-nil).
-	QueryID int32
-	// QueryCache, when non-nil, receives this query's attributed cache
-	// counters.
-	QueryCache *metrics.CacheCounters
-}
-
-// traceQuery returns the trace query dimension: QueryID in session mode,
-// -1 otherwise.
-func (c Config) traceQuery() int32 {
-	if c.Scheds != nil {
-		return c.QueryID
-	}
-	return -1
+	engine.Common
 }
 
 // DefaultConfig mirrors the paper's 16-thread comparison setup with a
@@ -75,7 +52,7 @@ func DefaultConfig() Config {
 		ComputeWorkers: 16,
 		CacheBytes:     64 << 20,
 		IOBufferBytes:  64 << 20,
-		Model:          costmodel.Default(),
+		Common:         engine.Common{Model: costmodel.Default()},
 	}
 }
 
@@ -171,7 +148,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 		ProbeSyncs:  true,
 		Scheds:      cfg.Scheds,
 		Tracer:      cfg.Tracer,
-		Query:       cfg.traceQuery(),
+		Query:       cfg.TraceQuery(),
 		ProcName:    "fg-io",
 	})
 	if fr == nil {
@@ -190,7 +167,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	for w := 0; w < workers; w++ {
 		id := w
 		ctx.Go(fmt.Sprintf("fg-scatter%d", id), func(sp exec.Proc) {
-			cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), cfg.traceQuery())
+			cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), cfg.TraceQuery())
 			local := make([][]message, workers)
 			flush := func(o int) {
 				if len(local[o]) == 0 {
@@ -250,7 +227,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	for w := 0; w < workers; w++ {
 		id := w
 		ctx.Go(fmt.Sprintf("fg-process%d", id), func(pp exec.Proc) {
-			ptr := cfg.Tracer.AttachQuery(pp, trace.StageGather, int32(id), cfg.traceQuery())
+			ptr := cfg.Tracer.AttachQuery(pp, trace.StageGather, int32(id), cfg.TraceQuery())
 			var out *frontier.VertexSubset
 			if output {
 				out = frontier.NewVertexSubset(c.V)

@@ -29,7 +29,6 @@ import (
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
 	"blaze/internal/graph"
-	"blaze/internal/metrics"
 	"blaze/internal/pipeline"
 	"blaze/internal/ssd"
 	"blaze/internal/trace"
@@ -53,15 +52,13 @@ type Config struct {
 	// BuffersPerPair bounds in-flight IO buffers per pair; the strict
 	// producer/consumer coupling is what starves fast devices.
 	BuffersPerPair int
-	Model          costmodel.Model
-	// Stats receives per-device read accounting (Fig. 3 uses EndEpoch).
-	Stats *metrics.IOStats
 	// DevOpts configures the baseline's own devices (fault injection,
 	// retry policy); empty means stock devices.
 	DevOpts []ssd.DeviceOptions
-	// Tracer, when non-nil, attaches per-proc trace rings to the pipeline
-	// stages (see internal/trace).
-	Tracer *trace.Tracer
+	// Common's Stats receives per-device read accounting (Fig. 3 uses
+	// EndEpoch). Graphene places its own devices, so it cannot join a
+	// session and ignores the session fields.
+	engine.Common
 }
 
 // DefaultConfig mirrors the paper's 16-thread setup on nssd devices.
@@ -73,7 +70,7 @@ func DefaultConfig(nssd int) Config {
 		MaxIOPages:        32,
 		GapMergePages:     2,
 		BuffersPerPair:    32,
-		Model:             costmodel.Default(),
+		Common:            engine.Common{Model: costmodel.Default()},
 	}
 }
 

@@ -52,9 +52,6 @@ type Config struct {
 	// DevicesPerMachine and Profile describe each machine's local array.
 	DevicesPerMachine int
 	Profile           ssd.Profile
-	// ComputeWorkersPerMachine is split equally between scatter and
-	// gather on each machine.
-	ComputeWorkersPerMachine int
 	// NetBandwidth is each link direction's bandwidth in bytes/second
 	// (default 25 Gb/s) and NetLatencyNs the per-message latency.
 	NetBandwidth float64
@@ -66,23 +63,22 @@ type Config struct {
 	// (fault injection wraps each machine's backings independently; the
 	// dev argument is the global device ID m*DevicesPerMachine+d).
 	DevOpts []ssd.DeviceOptions
-	// Engine carries the per-machine engine configuration (binning, cost
-	// model, IO buffers). Stats must be sized to at least
+	// Engine is the engine every machine runs: its scatter/gather split,
+	// binning, IO buffers and cost model. Stats must be sized to at least
 	// Machines*DevicesPerMachine devices (EdgeMap errors otherwise).
 	Engine engine.Config
 }
 
 // DefaultConfig returns an M-machine cluster of one-Optane machines with
-// 16 compute workers each and a 25 Gb/s network.
+// 16 compute workers each (8 scatter, 8 gather) and a 25 Gb/s network.
 func DefaultConfig(machines int, e int64) Config {
 	return Config{
-		Machines:                 machines,
-		DevicesPerMachine:        1,
-		Profile:                  ssd.OptaneSSD,
-		ComputeWorkersPerMachine: 16,
-		NetBandwidth:             25e9 / 8,
-		NetLatencyNs:             10_000,
-		Engine:                   engine.DefaultConfig(e),
+		Machines:          machines,
+		DevicesPerMachine: 1,
+		Profile:           ssd.OptaneSSD,
+		NetBandwidth:      25e9 / 8,
+		NetLatencyNs:      10_000,
+		Engine:            engine.DefaultConfig(e),
 	}
 }
 
@@ -102,9 +98,6 @@ type Cluster struct {
 func New(ctx exec.Context, cfg Config) *Cluster {
 	if cfg.Machines < 1 {
 		cfg.Machines = 1
-	}
-	if cfg.ComputeWorkersPerMachine < 2 {
-		cfg.ComputeWorkersPerMachine = 2
 	}
 	return &Cluster{
 		Ctx:     ctx,
@@ -288,9 +281,6 @@ func (cl *Cluster) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubse
 	M := cl.Cfg.Machines
 	f.Seal()
 
-	cfg := cl.Cfg.Engine
-	cfg = cfg.WithThreads(cl.Cfg.ComputeWorkersPerMachine, 0.5)
-
 	// The exchanged delta is (vertex, gathered value): capture each
 	// accepted gather's value so it can be serialized. Owners are disjoint
 	// and the engine runs at most one concurrent gather per destination,
@@ -321,7 +311,7 @@ func (cl *Cluster) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubse
 		machine := m
 		cl.Ctx.Go(fmt.Sprintf("machine%d", machine), func(mp exec.Proc) {
 			out, _, err := engine.EdgeMap(cl.Ctx, mp, parts[machine], f,
-				fns.Scatter, gather, fns.Cond, output, cfg)
+				fns.Scatter, gather, fns.Cond, output, cl.Cfg.Engine)
 			r := &res[machine]
 			r.out = out
 			if err != nil {
@@ -392,7 +382,8 @@ func (cl *Cluster) VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(uint
 			maxShare = n
 		}
 	}
-	p.Advance(cl.Cfg.Engine.Model.VertexOp * maxShare / int64(cl.Cfg.ComputeWorkersPerMachine))
+	e := cl.Cfg.Engine
+	p.Advance(e.Model.VertexOp * maxShare / int64(e.ScatterProcs+e.GatherProcs))
 	out.Seal()
 	return out
 }

@@ -17,7 +17,7 @@ func setup(ctx exec.Context, machines int, seed uint64, mut ...func(*cluster.Con
 	p := gen.Preset{Kind: gen.KindRMAT, A: 0.55, B: 0.2, C: 0.2, Seed: seed, V: 2048, E: 30000, Locality: 0.1}
 	out, in := engine.BuildPreset(ctx, p, 1, ssd.OptaneSSD, nil, nil)
 	cfg := cluster.DefaultConfig(machines, out.NumEdges())
-	cfg.ComputeWorkersPerMachine = 4
+	cfg.Engine = cfg.Engine.WithThreads(4, 0.5)
 	for _, m := range mut {
 		m(&cfg)
 	}

@@ -142,16 +142,27 @@ type Config struct {
 	// policies as future work; this is that extension (see the pagecache
 	// ablation experiment and DESIGN.md §10).
 	PageCache *pagecache.Cache
-	// Model is the virtual-time cost model.
-	Model costmodel.Model
-	// Stats and Mem receive measurements; either may be nil.
-	Stats *metrics.IOStats
-	Mem   *metrics.MemAccount
+	// Mem receives memory accounting; it may be nil.
+	Mem *metrics.MemAccount
 	// Pool, when non-nil, retains IO buffers, bin buffer pairs, and
 	// stagers across EdgeMap calls (reset, not reallocated). Allocation is
 	// not modeled, so under the virtual-time backend it changes host time
 	// only.
 	Pool *Pool
+	Common
+}
+
+// Common is the part of the configuration every engine takes the same way —
+// this one, the baselines, the in-core engine, and through Config each
+// machine of the scale-out cluster: the cost model, where measurements and
+// spans go, and the session identity. internal/registry fills it once per
+// engine from its options. Engines that do no IO ignore Stats, and engines
+// that cannot join a session ignore the last three fields.
+type Common struct {
+	// Model is the virtual-time cost model.
+	Model costmodel.Model
+	// Stats receives IO accounting; it may be nil.
+	Stats *metrics.IOStats
 	// Tracer, when non-nil, attaches per-proc trace rings to every pipeline
 	// stage (coordinator, IO readers, scatter, gather) so runs can emit
 	// span timelines and stage statistics (see internal/trace). A nil — or
@@ -197,7 +208,7 @@ func DefaultConfig(e int64) Config {
 		IOBufferBytes: 64 << 20,
 		BinCount:      1024,
 		BinSpaceBytes: space,
-		Model:         costmodel.Default(),
+		Common:        Common{Model: costmodel.Default()},
 	}
 }
 
@@ -221,7 +232,7 @@ func (c Config) WithThreads(computeWorkers int, ratio float64) Config {
 
 // TraceQuery returns the query dimension for this config's trace rings:
 // the QueryID in session mode, -1 (single-query) otherwise.
-func (c Config) TraceQuery() int32 {
+func (c Common) TraceQuery() int32 {
 	if c.Scheds != nil {
 		return c.QueryID
 	}
@@ -230,7 +241,7 @@ func (c Config) TraceQuery() int32 {
 
 // CacheOwner returns the page-cache admission owner for this config: the
 // QueryID in session mode (quota-accounted), NoOwner otherwise.
-func (c Config) CacheOwner() int32 {
+func (c Common) CacheOwner() int32 {
 	if c.Scheds != nil {
 		return c.QueryID
 	}

@@ -10,7 +10,10 @@
 //
 // Like Ligra, updates use compare-and-swap; the virtual-time cost model
 // therefore charges the same atomic and hot-line contention costs as the
-// synchronization-based Blaze variant.
+// synchronization-based Blaze variant. The updates themselves are the
+// user's plain gather, made safe only by the virtual-time backend running
+// one proc at a time, so internal/registry builds this engine under
+// exec.Sim only.
 package inmem
 
 import (
@@ -29,15 +32,15 @@ import (
 type Config struct {
 	// Workers is the computation proc count.
 	Workers int
-	Model   costmodel.Model
-	// Tracer, when non-nil, attaches per-proc trace rings to the compute
-	// workers (see internal/trace).
-	Tracer *trace.Tracer
+	// Common's Tracer attaches per-proc trace rings to the compute workers;
+	// the engine does no IO and cannot join a session, so it ignores Stats
+	// and the session fields.
+	engine.Common
 }
 
 // DefaultConfig matches the paper's 16-thread comparisons.
 func DefaultConfig() Config {
-	return Config{Workers: 16, Model: costmodel.Default()}
+	return Config{Workers: 16, Common: engine.Common{Model: costmodel.Default()}}
 }
 
 // System implements algo.System fully in memory.
@@ -58,10 +61,10 @@ func New(ctx exec.Context, cfg Config) *System {
 // Name implements algo.System.
 func (s *System) Name() string { return "ligra-incore" }
 
-// MemBytes returns the DRAM footprint of holding g in core: packed
+// MemBytes returns the DRAM footprint of holding c in core: packed
 // adjacency plus the index, the §II cost of in-core processing.
-func MemBytes(g *engine.Graph) int64 {
-	return g.CSR.AdjBytes() + g.CSR.IndexBytes()
+func MemBytes(c *graph.CSR) int64 {
+	return c.AdjBytes() + c.IndexBytes()
 }
 
 // EdgeMap implements algo.System: frontier vertices are chunked across

@@ -83,7 +83,7 @@ func TestInMemNoIO(t *testing.T) {
 func TestInMemMemoryCost(t *testing.T) {
 	ctx := exec.NewSim()
 	_, g, _ := setup(ctx, 63)
-	if inmem.MemBytes(g) < g.CSR.AdjBytes() {
+	if inmem.MemBytes(g.CSR) < g.CSR.AdjBytes() {
 		t.Error("in-core memory accounting below adjacency size")
 	}
 }

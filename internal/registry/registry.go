@@ -17,6 +17,9 @@
 //	graphene       the Graphene-style paired IO/compute baseline
 //	inmem          the Ligra-style in-core engine (no IO; needs adjacency
 //	               in memory, as do graphene's self-placed devices)
+//
+// blaze-sync, graphene and inmem model their atomic updates and are built
+// under the virtual-time backend only (Info.SimOnly).
 package registry
 
 import (
@@ -47,8 +50,8 @@ type Options struct {
 	// graph's edge count.
 	Edges int64
 	// Workers is the computation thread budget (split scatter/gather for
-	// blaze, message owners for flashgraph, halved into IO+compute pairs
-	// for graphene).
+	// blaze and for each blaze-scaleout machine, message owners for
+	// flashgraph, halved into IO+compute pairs for graphene).
 	Workers int
 	// Ratio is Blaze's scatter fraction of Workers.
 	Ratio float64
@@ -105,7 +108,11 @@ type Options struct {
 	QueryCache *metrics.CacheCounters
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults fills the zero fields that have an engine default: 16
+// workers, a 0.5 scatter ratio, one device and the Optane profile. New
+// applies it; a front end that sizes devices or IO stats from the options
+// before calling New applies it first.
+func (o Options) WithDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 16
 	}
@@ -129,19 +136,28 @@ func (o Options) StatDevices() int {
 	return max(o.NumDev, 1) * max(o.Machines, 1)
 }
 
-func (o Options) model() costmodel.Model {
+// common is the part of every engine's configuration that all engines take
+// the same way; each builder sets it in one assignment.
+func (o Options) common() engine.Common {
+	m := costmodel.Default()
 	if o.Model != nil {
-		return *o.Model
+		m = *o.Model
 	}
-	return costmodel.Default()
+	return engine.Common{
+		Model:      m,
+		Stats:      o.Stats,
+		Tracer:     o.Tracer,
+		Scheds:     o.Scheds,
+		QueryID:    o.QueryID,
+		QueryCache: o.QueryCache,
+	}
 }
 
 // BlazeConfig is the shared engine.Config construction for the blaze and
-// blaze-sync entries.
+// blaze-sync entries and for every machine of blaze-scaleout.
 func (o Options) BlazeConfig() engine.Config {
 	cfg := engine.DefaultConfig(o.Edges).WithThreads(o.Workers, o.Ratio)
-	cfg.Model = o.model()
-	cfg.Stats = o.Stats
+	cfg.Common = o.common()
 	cfg.Mem = o.Mem
 	cfg.Pool = o.Pool
 	cfg.PageCache = o.PageCache
@@ -154,10 +170,6 @@ func (o Options) BlazeConfig() engine.Config {
 	if o.IOBufferBytes > 0 {
 		cfg.IOBufferBytes = o.IOBufferBytes
 	}
-	cfg.Tracer = o.Tracer
-	cfg.Scheds = o.Scheds
-	cfg.QueryID = o.QueryID
-	cfg.QueryCache = o.QueryCache
 	return cfg
 }
 
@@ -183,6 +195,11 @@ type Info struct {
 	// their EdgeMap rejects a graph that carries segments
 	// (engine.Graph.RequireStatic).
 	DynamicCapable bool
+	// SimOnly marks engines whose procs call the user's gather inline and
+	// concurrently, modeling the atomic update rather than performing it.
+	// They are correct only under exec.Sim, which runs one proc at a time,
+	// so New refuses them on any other context.
+	SimOnly bool
 }
 
 var engines = map[string]Info{}
@@ -196,13 +213,17 @@ func Register(name string, info Info) {
 	engines[name] = info
 }
 
-// New constructs the named engine. Unknown names list the alternatives.
+// New constructs the named engine. Unknown names list the alternatives; a
+// SimOnly engine on a context other than exec.Sim is refused.
 func New(name string, ctx exec.Context, o Options) (algo.System, error) {
 	e, ok := engines[name]
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown engine %q (have %v)", name, Names())
 	}
-	return e.New(ctx, o.withDefaults()), nil
+	if _, sim := ctx.(*exec.Sim); e.SimOnly && !sim {
+		return nil, fmt.Errorf("registry: engine %q models its atomic updates and answers correctly only under the virtual-time backend (-sim)", name)
+	}
+	return e.New(ctx, o.WithDefaults()), nil
 }
 
 // NeedsAdjacency reports whether the named engine requires in-memory
@@ -250,28 +271,22 @@ func init() {
 	Register("blaze", Info{SessionCapable: true, DynamicCapable: true, New: func(ctx exec.Context, o Options) algo.System {
 		return algo.NewBlaze(ctx, o.BlazeConfig())
 	}})
-	Register("blaze-sync", Info{SessionCapable: true, New: func(ctx exec.Context, o Options) algo.System {
+	Register("blaze-sync", Info{SessionCapable: true, SimOnly: true, New: func(ctx exec.Context, o Options) algo.System {
 		return syncvar.New(ctx, o.BlazeConfig())
 	}})
 	Register("flashgraph", Info{SessionCapable: true, New: func(ctx exec.Context, o Options) algo.System {
 		cfg := flashgraph.DefaultConfig()
+		cfg.Common = o.common()
 		cfg.ComputeWorkers = o.Workers
-		cfg.Model = o.model()
-		cfg.Stats = o.Stats
 		if o.CacheBytes > 0 {
 			cfg.CacheBytes = o.CacheBytes
 		}
-		cfg.Tracer = o.Tracer
-		cfg.Scheds = o.Scheds
-		cfg.QueryID = o.QueryID
-		cfg.QueryCache = o.QueryCache
 		return flashgraph.New(ctx, cfg)
 	}})
 	Register("blaze-scaleout", Info{NeedsAdjacency: true, New: func(ctx exec.Context, o Options) algo.System {
 		cfg := cluster.DefaultConfig(o.Machines, o.Edges)
 		cfg.DevicesPerMachine = o.NumDev
 		cfg.Profile = o.Profile
-		cfg.ComputeWorkersPerMachine = o.Workers
 		if o.NetBandwidth > 0 {
 			cfg.NetBandwidth = o.NetBandwidth
 		}
@@ -279,28 +294,22 @@ func init() {
 			cfg.NetLatencyNs = o.NetLatencyNs
 		}
 		cfg.DevOpts = o.DevOpts
-		// Every machine runs the blaze engine the options describe (bins, IO
-		// buffers, page cache, pool); the cluster splits its workers itself.
+		// Every machine runs the blaze engine the options describe: Workers
+		// split by Ratio, bins, IO buffers, page cache, pool.
 		cfg.Engine = o.BlazeConfig()
 		return cluster.New(ctx, cfg)
 	}})
-	Register("graphene", Info{NeedsAdjacency: true, New: func(ctx exec.Context, o Options) algo.System {
+	Register("graphene", Info{NeedsAdjacency: true, SimOnly: true, New: func(ctx exec.Context, o Options) algo.System {
 		cfg := graphene.DefaultConfig(o.NumDev)
-		cfg.Pairs = o.Workers / 2
-		if cfg.Pairs < 1 {
-			cfg.Pairs = 1
-		}
-		cfg.Model = o.model()
-		cfg.Stats = o.Stats
+		cfg.Common = o.common()
+		cfg.Pairs = max(o.Workers/2, 1)
 		cfg.DevOpts = o.DevOpts
-		cfg.Tracer = o.Tracer
 		return graphene.New(ctx, cfg, o.Profile)
 	}})
-	Register("inmem", Info{NeedsAdjacency: true, New: func(ctx exec.Context, o Options) algo.System {
+	Register("inmem", Info{NeedsAdjacency: true, SimOnly: true, New: func(ctx exec.Context, o Options) algo.System {
 		cfg := inmem.DefaultConfig()
+		cfg.Common = o.common()
 		cfg.Workers = o.Workers
-		cfg.Model = o.model()
-		cfg.Tracer = o.Tracer
 		return inmem.New(ctx, cfg)
 	}})
 }

@@ -10,10 +10,10 @@
 // queues, drain-and-recycle shutdown) is pipeline.Open; this package only
 // contributes the inline-atomic compute sink.
 //
-// The variant runs under the virtual-time backend for measurement; under
-// the real-time backend the serialized gather-per-vertex guarantee does not
-// hold, so the benchmark harness always drives it through exec.Sim, where
-// proc execution is serialized and the atomic costs are modeled.
+// The variant runs under the virtual-time backend only: under the real-time
+// backend the serialized gather-per-vertex guarantee does not hold, so
+// internal/registry builds it under exec.Sim alone, where proc execution is
+// serialized and the atomic costs are modeled.
 package syncvar
 
 import (
