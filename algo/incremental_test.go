@@ -266,7 +266,7 @@ func TestBFSDepthsMatchesReference(t *testing.T) {
 }
 
 // edgeList / edgeListDst extract a CSR's edge list in CSR order (the
-// order Flatten and MustBuild preserve).
+// order MergeSegments and MustBuild preserve).
 func edgeList(c *graph.CSR) []uint32 {
 	out := make([]uint32, 0, c.E)
 	for v := uint32(0); v < c.V; v++ {

@@ -212,17 +212,28 @@ func genWindowed(r *rng, n uint32, src, dst []uint32, a, b, c float64, window fl
 	}
 }
 
-// rng is splitmix64: tiny, fast, stable across platforms.
-type rng struct{ state uint64 }
+// Golden is SplitMix64's stream increment, 2^64 divided by the golden ratio.
+const Golden = 0x9E3779B97F4A7C15
 
-func newRNG(seed uint64) *rng { return &rng{state: seed*0x9E3779B97F4A7C15 + 1} }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
+// Mix64 is the SplitMix64 finalizer: a cheap bijection whose output bits
+// each depend on every input bit. It is the one copy in the module; the
+// RNG below, internal/loadgen's RNG and the keyed hashes of internal/fault,
+// internal/msg, internal/session and internal/pagecache all call it, each
+// with its own seeding.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
+}
+
+// rng is splitmix64: tiny, fast, stable across platforms.
+type rng struct{ state uint64 }
+
+func newRNG(seed uint64) *rng { return &rng{state: seed*Golden + 1} }
+
+func (r *rng) next() uint64 {
+	r.state += Golden
+	return Mix64(r.state)
 }
 
 func (r *rng) float64() float64 {

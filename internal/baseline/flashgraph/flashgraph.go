@@ -87,16 +87,7 @@ func (s *System) Name() string { return "flashgraph" }
 
 // VertexMap implements algo.System.
 func (s *System) VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(uint32) bool) *frontier.VertexSubset {
-	f.Seal()
-	out := frontier.NewVertexSubset(f.N())
-	f.ForEach(func(v uint32) {
-		if fn(v) {
-			out.Add(v)
-		}
-	})
-	p.Advance(s.Cfg.Model.VertexOp * f.Count() / int64(s.Cfg.ComputeWorkers))
-	out.Seal()
-	return out
+	return engine.MapVertices(p, f, fn, s.Cfg.Model.VertexOp, s.Cfg.ComputeWorkers)
 }
 
 type message struct {

@@ -12,7 +12,10 @@
 //   - Large merged IO that also fetches gap pages within a threshold,
 //     inflating IO bytes (amplification) and submission time.
 //
-// Computation threads apply updates inline with atomic operations.
+// Computation threads apply updates inline with atomic operations: the
+// per-page step (engine.ApplyPage) and its price (costmodel's AtomicUpdate)
+// are blaze-sync's, so this package contributes only the placement and the
+// paired-thread sink topology.
 //
 // Placement detail: each device addresses pages by their logical page
 // number (partitions are contiguous logical page ranges, so intra-
@@ -113,14 +116,16 @@ func New(ctx exec.Context, cfg Config, prof ssd.Profile) *System {
 	}
 }
 
-// placementFor lazily builds the partition layout for one graph.
-func (s *System) placementFor(g *engine.Graph) *placement {
+// placementFor lazily builds the partition layout for one graph. The
+// partitions are copies of the in-memory adjacency, so an index-only graph
+// (adjacency left in its file) is refused.
+func (s *System) placementFor(g *engine.Graph) (*placement, error) {
 	if pl, ok := s.placements[g.CSR]; ok {
-		return pl
+		return pl, nil
 	}
 	c := g.CSR
 	if c.Adj == nil {
-		panic("graphene: graph must have in-memory adjacency")
+		return nil, fmt.Errorf("graphene: graph %q has no in-memory adjacency to place (load it with ReadAdj)", g.Name)
 	}
 	numParts := int64(s.Cfg.Pairs * s.Cfg.PartitionsPerPair)
 	pagesPerPart := (c.NumPages() + numParts - 1) / numParts
@@ -133,24 +138,15 @@ func (s *System) placementFor(g *engine.Graph) *placement {
 		pl.devs[d] = ssd.MergeDeviceOptions(s.Cfg.DevOpts).Build(s.Ctx, d, s.prof, &ssd.MemBacking{Data: c.Adj}, s.Cfg.Stats, nil)
 	}
 	s.placements[g.CSR] = pl
-	return pl
+	return pl, nil
 }
 
 // Name implements algo.System.
 func (s *System) Name() string { return "graphene" }
 
-// VertexMap implements algo.System.
+// VertexMap implements algo.System: both threads of every pair take part.
 func (s *System) VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(uint32) bool) *frontier.VertexSubset {
-	f.Seal()
-	out := frontier.NewVertexSubset(f.N())
-	f.ForEach(func(v uint32) {
-		if fn(v) {
-			out.Add(v)
-		}
-	})
-	p.Advance(s.Cfg.Model.VertexOp * f.Count() / int64(2*s.Cfg.Pairs))
-	out.Seal()
-	return out
+	return engine.MapVertices(p, f, fn, s.Cfg.Model.VertexOp, 2*s.Cfg.Pairs)
 }
 
 // pairOf returns the pair owning a logical page under a placement.
@@ -170,7 +166,10 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	cfg := s.Cfg
 	m := cfg.Model
 	c := g.CSR
-	pl := s.placementFor(g)
+	pl, err := s.placementFor(g)
+	if err != nil {
+		return nil, err
+	}
 
 	ctr := cfg.Tracer.Attach(p, trace.StageCoord, -1)
 	var t0 int64
@@ -199,11 +198,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 		perPair[pr] = append(perPair[pr], logical)
 	}
 
-	updCost := m.Update(m.RandomUpdate, g.Locality) + m.AtomicExtra
-	var hotExtra int64
-	if cfg.Pairs > 1 {
-		hotExtra = int64(g.HotFrac * float64(m.HotContention))
-	}
+	updCost := m.AtomicUpdate(m.RandomUpdate, g.Locality, g.HotFrac, cfg.Pairs)
 
 	ab := &exec.Latch{}
 	wg := ctx.NewWaitGroup()
@@ -249,18 +244,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 				for pg := 0; pg < buf.NumPages; pg++ {
 					logical := buf.Start + int64(pg)
 					pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]
-					var produced int64
-					cp.Sync()
-					vertices, edges := engine.ForEachActiveEdge(c, f, logical, pageData, func(src, d uint32) {
-						if fns.Cond(d) {
-							v := fns.Scatter(src, d)
-							if fns.Gather(d, v) && output {
-								out.Add(d)
-							}
-							produced++
-						}
-					})
-					cp.Advance(m.PageOverhead + m.VertexOp*vertices + m.EdgeScan*edges + (updCost+hotExtra)*produced)
+					engine.ApplyPage(cp, c, f, logical, pageData, fns.Scatter, fns.Gather, fns.Cond, out, m, updCost)
 				}
 			})
 			outFronts[pair] = out
@@ -287,12 +271,4 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 		ctr.Span(trace.OpPhase, -1, t0, p.Now(), int64(trace.PhaseMerge))
 	}
 	return merged, nil
-}
-
-// DeviceBytes exposes per-device totals (via Stats).
-func (s *System) DeviceBytes() []int64 {
-	if s.Cfg.Stats == nil {
-		return nil
-	}
-	return s.Cfg.Stats.DeviceBytes()
 }

@@ -1,11 +1,14 @@
 package graphene
 
 import (
+	"path/filepath"
 	"testing"
 
 	"blaze/gen"
 	"blaze/internal/engine"
 	"blaze/internal/exec"
+	"blaze/internal/frontier"
+	"blaze/internal/graph"
 	"blaze/internal/ssd"
 )
 
@@ -18,7 +21,10 @@ func TestPlacementPartitionsRoundRobin(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Pairs = 4
 	s := New(ctx, cfg, ssd.OptaneSSD)
-	pl := s.placementFor(out)
+	pl, err := s.placementFor(out)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pages := out.CSR.NumPages()
 	counts := make([]int64, cfg.Pairs)
 	for p := int64(0); p < pages; p++ {
@@ -35,7 +41,7 @@ func TestPlacementPartitionsRoundRobin(t *testing.T) {
 		}
 	}
 	// Lazy placement is cached.
-	if s.placementFor(out) != pl {
+	if again, _ := s.placementFor(out); again != pl {
 		t.Error("placement rebuilt for same graph")
 	}
 }
@@ -63,4 +69,27 @@ func TestGapMergingReadsExtraPages(t *testing.T) {
 	if gappy <= exact {
 		t.Errorf("gap merging read %d bytes <= exact %d; no amplification", gappy, exact)
 	}
+}
+
+// TestEdgeMapIndexOnlyGraphErrors: Graphene places copies of the in-memory
+// adjacency on its own devices, so a graph loaded index-only from files
+// cannot be placed; EdgeMap must return that as an error, not panic.
+func TestEdgeMapIndexOnlyGraphErrors(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "g")
+	if err := graph.WriteFiles(graph.MustBuild(4, []uint32{0, 1}, []uint32{1, 2}), nil, base); err != nil {
+		t.Fatal(err)
+	}
+	ctx := exec.NewSim()
+	g, err := engine.FromFiles(ctx, "g", base+".gr.index", base+".gr.adj.0", 1, ssd.OptaneSSD, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	s := New(ctx, DefaultConfig(1), ssd.OptaneSSD)
+	ctx.Run("main", func(p exec.Proc) {
+		out, err := s.EdgeMap(p, g, frontier.All(4), discardFuncs(), true)
+		if err == nil || out != nil {
+			t.Errorf("EdgeMap on an index-only graph = (%v, %v), want an error", out, err)
+		}
+	})
 }

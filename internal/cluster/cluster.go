@@ -32,7 +32,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"blaze/algo"
@@ -42,6 +41,7 @@ import (
 	"blaze/internal/graph"
 	"blaze/internal/metrics"
 	"blaze/internal/msg"
+	"blaze/internal/pipeline"
 	"blaze/internal/ssd"
 )
 
@@ -138,7 +138,8 @@ func (cl *Cluster) owner(v, n uint32) int {
 
 // partitionsFor lazily builds the destination partitions of one graph.
 // Machine m's partition keeps every edge (s,d) with owner(d) == m over the
-// full vertex ID space, placed on m's own device array.
+// full vertex ID space, placed on m's own striped device array, whose
+// devices take the global IDs m·D … m·D+D−1.
 func (cl *Cluster) partitionsFor(g *engine.Graph) ([]*engine.Graph, error) {
 	if ps, ok := cl.parts[g.CSR]; ok {
 		return ps, nil
@@ -163,25 +164,14 @@ func (cl *Cluster) partitionsFor(g *engine.Graph) ([]*engine.Graph, error) {
 			dsts[m] = append(dsts[m], d)
 		}
 	}
-	opts := ssd.MergeDeviceOptions(cl.Cfg.DevOpts)
+	D := cl.Cfg.DevicesPerMachine
 	ps := make([]*engine.Graph, M)
 	for m := 0; m < M; m++ {
 		sub := graph.MustBuild(c.V, srcs[m], dsts[m])
-		devs := make([]*ssd.Device, cl.Cfg.DevicesPerMachine)
-		for d := 0; d < cl.Cfg.DevicesPerMachine; d++ {
-			id := m*cl.Cfg.DevicesPerMachine + d
-			var backing ssd.Backing
-			if cl.Cfg.DevicesPerMachine == 1 {
-				backing = &ssd.MemBacking{Data: sub.Adj}
-			} else {
-				backing = &ssd.StripeView{Src: byteReaderAt(sub.Adj), SrcSize: int64(len(sub.Adj)), Dev: d, NumDev: cl.Cfg.DevicesPerMachine}
-			}
-			devs[d] = opts.Build(cl.Ctx, id, cl.Cfg.Profile, backing, cl.stats, nil)
-		}
 		ps[m] = &engine.Graph{
 			Name:     fmt.Sprintf("%s@m%d", g.Name, m),
 			CSR:      sub,
-			Arr:      ssd.NewArray(devs, sub.NumPages()),
+			Arr:      ssd.NewMemArray(cl.Ctx, m*D, D, cl.Cfg.Profile, sub.Adj, cl.stats, nil, cl.Cfg.DevOpts...),
 			Locality: g.Locality,
 			HotFrac:  g.HotFrac,
 		}
@@ -340,13 +330,11 @@ func (cl *Cluster) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubse
 	if !output {
 		return nil, nil
 	}
-	merged := frontier.NewVertexSubset(g.CSR.V)
-	merged.Merge(res[0].out)
+	// The coordinator is colocated with machine 0: its own updates are
+	// local, every other machine's arrive as decoded wire deltas (recv is
+	// nil on one machine).
+	merged := pipeline.MergeFrontiers(g.CSR.V, []*frontier.VertexSubset{res[0].out, res[0].recv})
 	if M > 1 {
-		// The coordinator is colocated with machine 0: its own updates are
-		// local, every other machine's arrive as decoded wire deltas.
-		merged.Merge(res[0].recv)
-		merged.Seal()
 		// Every machine must have assembled the same global update set
 		// (its own plus M-1 decoded messages); ownership makes the parts
 		// disjoint, so counts add. A mismatch means the exchange lost or
@@ -357,8 +345,6 @@ func (cl *Cluster) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubse
 				return nil, fmt.Errorf("cluster: machine %d assembled %d updates, coordinator %d", m, got, want)
 			}
 		}
-	} else {
-		merged.Seal()
 	}
 	return merged, nil
 }
@@ -386,23 +372,4 @@ func (cl *Cluster) VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(uint
 	p.Advance(e.Model.VertexOp * maxShare / int64(e.ScatterProcs+e.GatherProcs))
 	out.Seal()
 	return out
-}
-
-// byteReaderAt adapts a byte slice for StripeView, honoring the io.ReaderAt
-// contract: a read ending at or past the end returns io.EOF with however
-// many bytes were available.
-type byteReaderAt []byte
-
-func (b byteReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("cluster: negative read offset %d", off)
-	}
-	if off >= int64(len(b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
 }

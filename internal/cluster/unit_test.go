@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"io"
 	"testing"
 
 	"blaze/gen"
@@ -72,33 +71,6 @@ func TestOwnerEdgeBalanceProperty(t *testing.T) {
 					pr.Kind, pr.Seed, machines, ratio, share)
 			}
 		}
-	}
-}
-
-// TestByteReaderAtContract: the io.ReaderAt contract requires n < len(p)
-// to come with a non-nil error; the tail read used to return a short count
-// with a nil error, silently truncating the last stripe page.
-func TestByteReaderAtContract(t *testing.T) {
-	b := byteReaderAt(make([]byte, 10))
-	for i := range b {
-		b[i] = byte(i)
-	}
-	buf := make([]byte, 8)
-	if n, err := b.ReadAt(buf, 0); n != 8 || err != nil {
-		t.Errorf("full read: n=%d err=%v, want 8, nil", n, err)
-	}
-	// Tail read: only 2 of 8 bytes exist — the short count must be
-	// reported as io.EOF, not silence.
-	if n, err := b.ReadAt(buf, 8); n != 2 || err != io.EOF {
-		t.Errorf("tail read: n=%d err=%v, want 2, io.EOF", n, err)
-	} else if buf[0] != 8 || buf[1] != 9 {
-		t.Errorf("tail read bytes = %v", buf[:2])
-	}
-	if n, err := b.ReadAt(buf, 10); n != 0 || err != io.EOF {
-		t.Errorf("past-end read: n=%d err=%v, want 0, io.EOF", n, err)
-	}
-	if _, err := b.ReadAt(buf, -1); err == nil {
-		t.Error("negative offset must error")
 	}
 }
 

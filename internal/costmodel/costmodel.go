@@ -19,6 +19,14 @@
 //     the per-graph fraction of such updates is computed from the real
 //     in-degree distribution (see HotEdgeFraction in internal/graph).
 //
+// The rules that combine these costs live here as methods, once: Update
+// applies the locality discount to a scattered update, AtomicUpdate prices
+// an inline atomic update (discounted update, CAS, and hot-line contention
+// when procs run concurrently), IOSubmit prices an IO submission. An
+// engine names the base cost it pays and its proc count; it never
+// re-derives a rule, so two engines that differ only in their sink are
+// priced by the same arithmetic.
+//
 // Every experiment prints the model it used, so figures are reproducible
 // and the model is auditable. All costs are overridable.
 package costmodel
@@ -105,16 +113,6 @@ func Default() Model {
 	}
 }
 
-// ScatterEdge returns the cost of scanning one edge and (if produced)
-// binning one record.
-func (m Model) ScatterEdge(produced bool) int64 {
-	c := m.EdgeScan
-	if produced {
-		c += m.RecordAppend
-	}
-	return c
-}
-
 // Update returns the cost of one scattered vertex update with the given
 // graph locality in [0,1].
 func (m Model) Update(base int64, locality float64) int64 {
@@ -123,6 +121,21 @@ func (m Model) Update(base int64, locality float64) int64 {
 		f = 0
 	}
 	return int64(float64(base) * f)
+}
+
+// AtomicUpdate returns the cost of one inline compare-and-swap update of
+// base cost on a graph with the given locality, made by one of procs
+// concurrent updaters: the discounted update plus AtomicExtra, plus — when
+// two or more procs update concurrently — HotContention on the hotFrac
+// share of updates that hit a hot cache line. It is the one price of an
+// inline atomic update; every engine that updates without binning
+// (blaze-sync, graphene, the in-core engine) charges it.
+func (m Model) AtomicUpdate(base int64, locality, hotFrac float64, procs int) int64 {
+	c := m.Update(base, locality) + m.AtomicExtra
+	if procs > 1 {
+		c += int64(hotFrac * float64(m.HotContention))
+	}
+	return c
 }
 
 // IOSubmit returns the submission cost for a request of n pages.

@@ -17,13 +17,25 @@ func TestDefaultsAreOrdered(t *testing.T) {
 	}
 }
 
-func TestScatterEdge(t *testing.T) {
+func TestAtomicUpdate(t *testing.T) {
 	m := Default()
-	if m.ScatterEdge(false) != m.EdgeScan {
-		t.Error("non-producing scatter should cost only the scan")
-	}
-	if m.ScatterEdge(true) != m.EdgeScan+m.RecordAppend {
-		t.Error("producing scatter should add the record append")
+	for _, tc := range []struct {
+		name     string
+		base     int64
+		locality float64
+		hotFrac  float64
+		procs    int
+		want     int64
+	}{
+		{"one proc pays no contention", 100, 0, 0.5, 1, 100 + m.AtomicExtra},
+		{"no hot edges", 100, 0, 0, 8, 100 + m.AtomicExtra},
+		{"contended", 100, 0, 0.5, 2, 100 + m.AtomicExtra + m.HotContention/2},
+		{"locality discounts the update, not the CAS", 100, 1, 0, 4, m.Update(100, 1) + m.AtomicExtra},
+		{"hot share truncates", 18, 0.1, 0.013, 16, m.Update(18, 0.1) + m.AtomicExtra + int64(0.013*float64(m.HotContention))},
+	} {
+		if got := m.AtomicUpdate(tc.base, tc.locality, tc.hotFrac, tc.procs); got != tc.want {
+			t.Errorf("%s: AtomicUpdate = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

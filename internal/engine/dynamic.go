@@ -128,10 +128,7 @@ func (dy *Dynamic) push(g *Graph, seg *graph.CSR, id int) (rewritten int64) {
 				dy.cache.DropGraph(old.Name)
 			}
 		}
-		var err error
-		if seg, err = graph.MergeSegments(append(parts, seg)...); err != nil {
-			panic(err) // sealed segments share V and keep their adjacency in memory
-		}
+		seg = graph.MustMergeSegments(append(parts, seg)...)
 	}
 	sg := FromCSR(dy.ctx, fmt.Sprintf("%s.seg%d", g.Name, id), seg, g.Arr.NumDevices(), dy.prof, dy.stats, dy.tl, dy.opts...)
 	sg.Locality = g.Locality
@@ -141,9 +138,10 @@ func (dy *Dynamic) push(g *Graph, seg *graph.CSR, id int) (rewritten int64) {
 	return rewritten
 }
 
-// Compact folds every sealed segment back into its base: the overlay is
-// flattened to a single CSR (base edges first, then segments in seal
-// order — the same logical edge order queries were already observing), a
+// Compact folds every sealed segment back into its base: one
+// graph.MergeSegments of the base and its segments yields a single CSR
+// (base edges first, then segments in seal order — the same logical edge
+// order queries were already observing), a
 // fresh striped array replaces the base's, and the segment list empties.
 // The base's layout moved, so the graph stops answering to the name its
 // old pages were cached under: it is renamed with the compaction count, and
@@ -169,13 +167,11 @@ func (dy *Dynamic) compactGraph(g *Graph, name string) error {
 	if len(g.Segs) == 0 {
 		return nil
 	}
-	v := graph.NewView(g.CSR)
+	parts := []*graph.CSR{g.CSR}
 	for _, sg := range g.Segs {
-		if err := v.AddSeg(sg.CSR); err != nil {
-			return err
-		}
+		parts = append(parts, sg.CSR)
 	}
-	flat, err := v.Flatten()
+	flat, err := graph.MergeSegments(parts...)
 	if err != nil {
 		return fmt.Errorf("engine: compacting %q: %w", g.Name, err)
 	}
@@ -188,7 +184,7 @@ func (dy *Dynamic) compactGraph(g *Graph, name string) error {
 	numDev := g.Arr.NumDevices()
 	g.Name = fmt.Sprintf("%s#c%d", name, dy.compactions)
 	g.CSR = flat
-	g.Arr = ssd.NewMemArray(dy.ctx, numDev, dy.prof, flat.Adj, dy.stats, dy.tl, dy.opts...)
+	g.Arr = ssd.NewMemArray(dy.ctx, 0, numDev, dy.prof, flat.Adj, dy.stats, dy.tl, dy.opts...)
 	g.Segs = nil
 	return nil
 }

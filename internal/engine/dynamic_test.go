@@ -214,13 +214,11 @@ func csrEdges(c *graph.CSR) (src, dst []uint32) {
 // flattened materializes g's base + segments overlay.
 func flattened(t *testing.T, g *Graph) *graph.CSR {
 	t.Helper()
-	v := graph.NewView(g.CSR)
+	parts := []*graph.CSR{g.CSR}
 	for _, sg := range g.Segs {
-		if err := v.AddSeg(sg.CSR); err != nil {
-			t.Fatal(err)
-		}
+		parts = append(parts, sg.CSR)
 	}
-	flat, err := v.Flatten()
+	flat, err := graph.MergeSegments(parts...)
 	if err != nil {
 		t.Fatal(err)
 	}

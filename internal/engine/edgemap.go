@@ -238,6 +238,14 @@ func scanPage[V any](sp exec.Proc, g *Graph, f *frontier.VertexSubset, logical i
 // vertices for which fn returned true (§IV-B). It executes in memory; the
 // modeled cost assumes all compute procs participate.
 func VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, cfg Config) *frontier.VertexSubset {
+	return MapVertices(p, f, fn, cfg.Model.VertexOp, cfg.ScatterProcs+cfg.GatherProcs)
+}
+
+// MapVertices is the one vertex-map body of every engine that keeps vertex
+// data on one machine: it applies fn to every vertex in f, returns the
+// sealed subset for which fn returned true, and charges vertexOp per
+// frontier vertex split evenly over procs (at least one).
+func MapVertices(p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, vertexOp int64, procs int) *frontier.VertexSubset {
 	f.Seal()
 	out := frontier.NewVertexSubset(f.N())
 	f.ForEach(func(v uint32) {
@@ -245,11 +253,7 @@ func VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, cf
 			out.Add(v)
 		}
 	})
-	procs := cfg.ScatterProcs + cfg.GatherProcs
-	if procs < 1 {
-		procs = 1
-	}
-	p.Advance(cfg.Model.VertexOp * f.Count() / int64(procs))
+	p.Advance(vertexOp * f.Count() / int64(max(procs, 1)))
 	out.Seal()
 	return out
 }

@@ -224,6 +224,37 @@ func TestVertexMapFilters(t *testing.T) {
 	})
 }
 
+// MapVertices keeps what fn accepts, over the whole frontier, and charges
+// vertexOp per frontier vertex split over procs — at least one.
+func TestMapVerticesCost(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n        uint32
+		vertexOp int64
+		procs    int
+		wantNs   int64
+		wantKept int64
+	}{
+		{"one proc", 100, 3, 1, 300, 34},
+		{"split over procs", 100, 3, 16, 18, 34}, // 300/16 truncates
+		{"zero procs count as one", 100, 3, 0, 300, 34},
+		{"free vertex ops", 100, 0, 8, 0, 34},
+		{"empty frontier", 0, 3, 4, 0, 0},
+	} {
+		ctx := exec.NewSim()
+		ctx.Run("main", func(p exec.Proc) {
+			before := p.Now()
+			out := MapVertices(p, frontier.All(tc.n), func(v uint32) bool { return v%3 == 0 }, tc.vertexOp, tc.procs)
+			if got := p.Now() - before; got != tc.wantNs {
+				t.Errorf("%s: charged %d ns, want %d", tc.name, got, tc.wantNs)
+			}
+			if out.Count() != tc.wantKept || out.N() != tc.n {
+				t.Errorf("%s: kept %d of %d, want %d of %d", tc.name, out.Count(), out.N(), tc.wantKept, tc.n)
+			}
+		})
+	}
+}
+
 func TestWithThreadsSplit(t *testing.T) {
 	c := DefaultConfig(1000)
 	c = c.WithThreads(16, 0.5)

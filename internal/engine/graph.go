@@ -78,7 +78,7 @@ func FromCSR(ctx exec.Context, name string, c *graph.CSR, numDev int, prof ssd.P
 	if c.Adj == nil {
 		panic("engine: FromCSR requires in-memory adjacency")
 	}
-	arr := ssd.NewMemArray(ctx, numDev, prof, c.Adj, stats, tl, opts...)
+	arr := ssd.NewMemArray(ctx, 0, numDev, prof, c.Adj, stats, tl, opts...)
 	return &Graph{Name: name, CSR: c, Arr: arr}
 }
 

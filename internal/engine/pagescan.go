@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"blaze/internal/costmodel"
+	"blaze/internal/exec"
 	"blaze/internal/frontier"
 	"blaze/internal/graph"
 )
@@ -55,4 +57,29 @@ func ForEachActiveEdge(c *graph.CSR, f *frontier.VertexSubset, logical int64,
 		}
 	}
 	return vertices, edges
+}
+
+// ApplyPage is the inline-apply step of the engines that update without
+// binning (blaze-sync, graphene): it walks one fetched page with
+// ForEachActiveEdge and, for every edge whose destination passes cond,
+// applies gather(d, scatter(s, d)) on the spot, adding d to out (when out
+// is non-nil) if gather activates it. p.Sync() first orders the inline
+// updates across procs in virtual time; under Sim procs run one at a time,
+// so the unsynchronized user gather is safe while the model charges
+// updCost — an atomic-update price — per applied edge.
+func ApplyPage(p exec.Proc, c *graph.CSR, f *frontier.VertexSubset, logical int64, pageData []byte,
+	scatter func(s, d uint32) float64, gather func(d uint32, v float64) bool, cond func(d uint32) bool,
+	out *frontier.VertexSubset, m costmodel.Model, updCost int64) {
+
+	var applied int64
+	p.Sync()
+	vertices, edges := ForEachActiveEdge(c, f, logical, pageData, func(s, d uint32) {
+		if cond(d) {
+			if gather(d, scatter(s, d)) && out != nil {
+				out.Add(d)
+			}
+			applied++
+		}
+	})
+	p.Advance(m.PageOverhead + m.VertexOp*vertices + m.EdgeScan*edges + updCost*applied)
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sync"
 
+	"blaze/gen"
 	"blaze/internal/ssd"
 )
 
@@ -116,13 +117,9 @@ func New(p Policy, dev int, inner ssd.Backing) *Injector {
 	return &Injector{p: p, dev: dev, inner: inner, attempts: map[int64]int{}}
 }
 
-// mix is SplitMix64's finalizer — a cheap, well-distributed 64-bit hash.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// mix is one SplitMix64 step from state x: a cheap, well-distributed
+// 64-bit hash.
+func mix(x uint64) uint64 { return gen.Mix64(x + gen.Golden) }
 
 // roll returns a uniform [0,1) draw for (seed, dev, local, stream); the
 // stream separates the transient, permanent, and spike decisions so their

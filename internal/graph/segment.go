@@ -6,9 +6,13 @@ import "fmt"
 // insertions accumulate here in arrival order until the owner seals the
 // buffer into an immutable sorted segment (a small CSR over the same
 // vertex space, edges in (source, arrival) order — the order Build
-// produces). Sealed segments overlay the base through a View; the owner
-// merges adjacent ones as they pile up and periodic compaction folds them
-// back into the base, both through MergeSegments.
+// produces). The logical graph is the base followed by its sealed
+// segments, oldest first: a vertex's adjacency is its base edges, then
+// each segment's in seal order. The owner merges adjacent segments as they
+// pile up and periodic compaction folds them back into the base, both
+// through MergeSegments, which materializes exactly that order. The shape
+// follows the log-structured delta-segment designs the streaming-graph
+// literature uses on top of sort-based ingest.
 //
 // EdgeBuffer is not safe for concurrent use; the owner serializes Add and
 // Seal (the engine's Dynamic wrapper does so on the coordinator proc).
@@ -102,4 +106,16 @@ func MergeSegments(parts ...*CSR) (*CSR, error) {
 	c.buildGroupOffsets()
 	c.buildPageMap()
 	return c, nil
+}
+
+// MustMergeSegments is MergeSegments for parts that are valid by
+// construction — sealed segments and the base they overlay share one
+// vertex space and keep their adjacency in memory; it panics on the errors
+// MergeSegments reports, which there indicate a programming bug.
+func MustMergeSegments(parts ...*CSR) *CSR {
+	c, err := MergeSegments(parts...)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

@@ -9,11 +9,11 @@
 // memory footprint (the full graph, vs Blaze's 10-50%).
 //
 // Like Ligra, updates use compare-and-swap; the virtual-time cost model
-// therefore charges the same atomic and hot-line contention costs as the
-// synchronization-based Blaze variant. The updates themselves are the
-// user's plain gather, made safe only by the virtual-time backend running
-// one proc at a time, so internal/registry builds this engine under
-// exec.Sim only.
+// therefore charges the same atomic-update price (costmodel's
+// AtomicUpdate) as the synchronization-based Blaze variant. The updates
+// themselves are the user's plain gather, made safe only by the
+// virtual-time backend running one proc at a time, so internal/registry
+// builds this engine under exec.Sim only.
 package inmem
 
 import (
@@ -25,6 +25,7 @@ import (
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
 	"blaze/internal/graph"
+	"blaze/internal/pipeline"
 	"blaze/internal/trace"
 )
 
@@ -78,7 +79,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	}
 	c := g.CSR
 	if c.Adj == nil {
-		panic("inmem: graph must be fully in memory")
+		return nil, fmt.Errorf("inmem: graph %q has no in-memory adjacency (load it with ReadAdj)", g.Name)
 	}
 	f.Seal()
 	active := make([]uint32, 0, f.Count())
@@ -91,13 +92,9 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	}
 
 	m := s.Cfg.Model
-	updCost := m.Update(m.RandomUpdate, g.Locality) + m.AtomicExtra
-	var hotExtra int64
-	if s.Cfg.Workers > 1 {
-		hotExtra = int64(g.HotFrac * float64(m.HotContention))
-	}
-
 	workers := s.Cfg.Workers
+	updCost := m.AtomicUpdate(m.RandomUpdate, g.Locality, g.HotFrac, workers)
+
 	// Edge-balanced chunking: Ligra parallelizes over edges, so chunk
 	// boundaries follow the active degree prefix sum rather than vertex
 	// counts (vertex chunks would hand one worker all of a hub's edges).
@@ -151,7 +148,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 				}
 				edges += e - b
 			}
-			wp.Advance(m.EdgeScan*edges + (updCost+hotExtra)*produced +
+			wp.Advance(m.EdgeScan*edges + updCost*produced +
 				m.VertexOp*int64(hi-lo))
 			if wtr.Active() {
 				wtr.Span(trace.OpGatherBin, int32(id), from, wp.Now(), produced)
@@ -164,24 +161,10 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	if !output {
 		return nil, nil
 	}
-	merged := frontier.NewVertexSubset(c.V)
-	for _, o := range outs {
-		merged.Merge(o)
-	}
-	merged.Seal()
-	return merged, nil
+	return pipeline.MergeFrontiers(c.V, outs), nil
 }
 
 // VertexMap implements algo.System.
 func (s *System) VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(uint32) bool) *frontier.VertexSubset {
-	f.Seal()
-	out := frontier.NewVertexSubset(f.N())
-	f.ForEach(func(v uint32) {
-		if fn(v) {
-			out.Add(v)
-		}
-	})
-	p.Advance(s.Cfg.Model.VertexOp * f.Count() / int64(s.Cfg.Workers))
-	out.Seal()
-	return out
+	return engine.MapVertices(p, f, fn, s.Cfg.Model.VertexOp, s.Cfg.Workers)
 }

@@ -2,12 +2,15 @@ package inmem_test
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"blaze/algo"
 	"blaze/gen"
 	"blaze/internal/engine"
 	"blaze/internal/exec"
+	"blaze/internal/frontier"
+	"blaze/internal/graph"
 	"blaze/internal/inmem"
 	"blaze/internal/ssd"
 )
@@ -86,4 +89,31 @@ func TestInMemMemoryCost(t *testing.T) {
 	if inmem.MemBytes(g.CSR) < g.CSR.AdjBytes() {
 		t.Error("in-core memory accounting below adjacency size")
 	}
+}
+
+// TestInMemIndexOnlyGraphErrors: a graph loaded index-only from files keeps
+// its adjacency on the devices, which the in-core engine cannot walk; it
+// must say so through EdgeMap's error, not panic.
+func TestInMemIndexOnlyGraphErrors(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "g")
+	if err := graph.WriteFiles(graph.MustBuild(4, []uint32{0, 1}, []uint32{1, 2}), nil, base); err != nil {
+		t.Fatal(err)
+	}
+	ctx := exec.NewSim()
+	g, err := engine.FromFiles(ctx, "g", base+".gr.index", base+".gr.adj.0", 1, ssd.OptaneSSD, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	sys := inmem.New(ctx, inmem.DefaultConfig())
+	ctx.Run("main", func(p exec.Proc) {
+		out, err := sys.EdgeMap(p, g, frontier.All(4), algo.EdgeFuncs{
+			Scatter: func(s, d uint32) float64 { return 1 },
+			Gather:  func(d uint32, v float64) bool { return true },
+			Cond:    func(d uint32) bool { return true },
+		}, true)
+		if err == nil || out != nil {
+			t.Errorf("EdgeMap on an index-only graph = (%v, %v), want an error", out, err)
+		}
+	})
 }

@@ -17,7 +17,7 @@ func memDevice(ctx exec.Context, pages int) (*ssd.Device, *metrics.IOStats) {
 		data[i] = byte(i / ssd.PageSize)
 	}
 	stats := metrics.NewIOStats(1)
-	arr := ssd.NewMemArray(ctx, 1, ssd.OptaneSSD, data, stats, nil)
+	arr := ssd.NewMemArray(ctx, 0, 1, ssd.OptaneSSD, data, stats, nil)
 	return arr.Device(0), stats
 }
 
@@ -153,8 +153,8 @@ func TestDRRDelaysLeader(t *testing.T) {
 func TestTableLookup(t *testing.T) {
 	ctx := exec.NewSim()
 	data := make([]byte, 16*ssd.PageSize)
-	arrA := ssd.NewMemArray(ctx, 2, ssd.OptaneSSD, data, nil, nil)
-	arrB := ssd.NewMemArray(ctx, 2, ssd.OptaneSSD, data, nil, nil)
+	arrA := ssd.NewMemArray(ctx, 0, 2, ssd.OptaneSSD, data, nil, nil)
+	arrB := ssd.NewMemArray(ctx, 0, 2, ssd.OptaneSSD, data, nil, nil)
 	tab := NewTable()
 	tab.AddArray(arrA, Config{})
 	tab.AddArray(arrB, Config{})

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 
+	"blaze/gen"
 	"blaze/internal/exec"
 	"blaze/internal/server"
 	"blaze/internal/session"
@@ -47,11 +48,8 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next value of the SplitMix64 stream.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	r.state += gen.Golden
+	return gen.Mix64(r.state)
 }
 
 // Float64 returns a uniform draw in [0, 1).

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blaze/gen"
 	"blaze/internal/exec"
 )
 
@@ -263,13 +264,9 @@ func (n *Net) transferNs(bytes int64) int64 {
 	return int64(float64(bytes) / n.cfg.Bandwidth * 1e9)
 }
 
-// mix is SplitMix64's finalizer, the same keyed hash internal/fault uses.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// mix is one SplitMix64 step from state x: a cheap, well-distributed
+// 64-bit hash.
+func mix(x uint64) uint64 { return gen.Mix64(x + gen.Golden) }
 
 func (n *Net) link(from, to int) uint64 {
 	return uint64(from)*uint64(n.cfg.Machines) + uint64(to)

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blaze/gen"
 	"blaze/internal/graph"
 	"blaze/internal/metrics"
 )
@@ -639,12 +640,7 @@ func (c *Cache) DropGraph(name string) {
 
 // hash spreads (graph, logical) over the shards (splitmix64 finalizer).
 func (k Key) hash() uint64 {
-	x := uint64(k.Logical)*0x9E3779B97F4A7C15 + uint64(k.Graph)*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	return x ^ (x >> 31)
+	return gen.Mix64(uint64(k.Logical)*gen.Golden + uint64(k.Graph)*0xBF58476D1CE4E5B9)
 }
 
 func (c *Cache) shardOf(k Key) *shard { return c.shards[k.hash()&c.mask] }

@@ -106,7 +106,7 @@ func testCSR(seed int64) *graph.CSR {
 }
 
 func memSource(ctx exec.Context, name string, c *graph.CSR, numDev int, stats *metrics.IOStats, opts ...ssd.DeviceOptions) Source {
-	return Source{Name: name, CSR: c, Arr: ssd.NewMemArray(ctx, numDev, ssd.OptaneSSD, c.Adj, stats, nil, opts...)}
+	return Source{Name: name, CSR: c, Arr: ssd.NewMemArray(ctx, 0, numDev, ssd.OptaneSSD, c.Adj, stats, nil, opts...)}
 }
 
 func testSpec(srcs ...Source) Spec {

@@ -36,6 +36,7 @@ import (
 	"sync"
 
 	"blaze/algo"
+	"blaze/gen"
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/iosched"
@@ -331,9 +332,4 @@ func (s *Session) Run(p exec.Proc, bodies ...Body) ([]*Query, error) {
 
 // splitmix64 hashes (seed, i) to a well-mixed 64-bit value — the standard
 // SplitMix64 finalizer, giving decorrelated jitters from sequential ids.
-func splitmix64(seed, i uint64) uint64 {
-	z := seed + i*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func splitmix64(seed, i uint64) uint64 { return gen.Mix64(seed + i*gen.Golden) }

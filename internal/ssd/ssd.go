@@ -435,7 +435,11 @@ func (o DeviceOptions) Build(ctx exec.Context, id int, prof Profile, b Backing, 
 
 // NewMemArray builds an array of n devices with profile prof striped over
 // data, wiring stats and timeline (either may be nil) into every device.
-func NewMemArray(ctx exec.Context, n int, prof Profile, data []byte, stats *metrics.IOStats, tl *metrics.Timeline, opts ...DeviceOptions) *Array {
+// The devices take the IDs first … first+n-1 — in stats, in the timeline
+// and in the device options' WrapBacking — so several arrays (one per
+// machine of a cluster) can share one IOStats without colliding; the
+// stripe index within the array still runs 0 … n-1.
+func NewMemArray(ctx exec.Context, first, n int, prof Profile, data []byte, stats *metrics.IOStats, tl *metrics.Timeline, opts ...DeviceOptions) *Array {
 	o := MergeDeviceOptions(opts)
 	devs := make([]*Device, n)
 	for i := 0; i < n; i++ {
@@ -443,19 +447,23 @@ func NewMemArray(ctx exec.Context, n int, prof Profile, data []byte, stats *metr
 		if n == 1 {
 			b = &MemBacking{Data: data}
 		} else {
-			b = &StripeView{Src: readerAt(data), SrcSize: int64(len(data)), Dev: i, NumDev: n}
+			b = &StripeView{Src: sliceReaderAt(data), SrcSize: int64(len(data)), Dev: i, NumDev: n}
 		}
-		devs[i] = o.Build(ctx, i, prof, b, stats, tl)
+		devs[i] = o.Build(ctx, first+i, prof, b, stats, tl)
 	}
 	pages := (int64(len(data)) + PageSize - 1) / PageSize
 	return NewArray(devs, pages)
 }
 
+// sliceReaderAt serves a byte slice to StripeView under the io.ReaderAt
+// contract: a read ending at or past the end returns io.EOF with however
+// many bytes were available.
 type sliceReaderAt []byte
 
-func readerAt(b []byte) io.ReaderAt { return sliceReaderAt(b) }
-
 func (s sliceReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("ssd: negative read offset %d", off)
+	}
 	if off >= int64(len(s)) {
 		return 0, io.EOF
 	}

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestStripeViewMatchesLogicalLayout(t *testing.T) {
 	data := pattern(11 * PageSize)
 	buf := make([]byte, PageSize)
 	for dev := 0; dev < numDev; dev++ {
-		v := &StripeView{Src: readerAt(data), SrcSize: int64(len(data)), Dev: dev, NumDev: numDev}
+		v := &StripeView{Src: sliceReaderAt(data), SrcSize: int64(len(data)), Dev: dev, NumDev: numDev}
 		for local := int64(0); local < v.LocalPages(); local++ {
 			if err := v.ReadLocalPage(local, buf); err != nil {
 				t.Fatal(err)
@@ -81,7 +82,7 @@ func TestStripeViewPageCounts(t *testing.T) {
 	data := pattern(11 * PageSize)
 	want := []int64{3, 3, 3, 2}
 	for dev := 0; dev < 4; dev++ {
-		v := &StripeView{Src: readerAt(data), SrcSize: int64(len(data)), Dev: dev, NumDev: 4}
+		v := &StripeView{Src: sliceReaderAt(data), SrcSize: int64(len(data)), Dev: dev, NumDev: 4}
 		if v.LocalPages() != want[dev] {
 			t.Errorf("dev %d LocalPages = %d, want %d", dev, v.LocalPages(), want[dev])
 		}
@@ -242,7 +243,7 @@ func TestProfileScale(t *testing.T) {
 func TestMemArrayStripes(t *testing.T) {
 	s := exec.NewSim()
 	data := pattern(16 * PageSize)
-	a := NewMemArray(s, 4, OptaneSSD, data, nil, nil)
+	a := NewMemArray(s, 0, 4, OptaneSSD, data, nil, nil)
 	if a.NumDevices() != 4 || a.LogicalPages() != 16 {
 		t.Fatalf("array shape = (%d devs, %d pages)", a.NumDevices(), a.LogicalPages())
 	}
@@ -258,4 +259,67 @@ func TestMemArrayStripes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A second array built with a first device ID takes the IDs after the
+// first array's: reads land on their own IOStats slots, and WrapBacking
+// sees the global ID while the stripe index stays local.
+func TestMemArrayFirstDeviceID(t *testing.T) {
+	s := exec.NewSim()
+	data := pattern(8 * PageSize)
+	stats := metrics.NewIOStats(4)
+	var wrapped []int
+	wrap := DeviceOptions{WrapBacking: func(dev int, b Backing) Backing {
+		wrapped = append(wrapped, dev)
+		return b
+	}}
+	a := NewMemArray(s, 2, 2, OptaneSSD, data, stats, nil, wrap)
+	if a.Device(0).ID != 2 || a.Device(1).ID != 3 {
+		t.Fatalf("device IDs = %d, %d; want 2, 3", a.Device(0).ID, a.Device(1).ID)
+	}
+	if len(wrapped) != 2 || wrapped[0] != 2 || wrapped[1] != 3 {
+		t.Errorf("WrapBacking saw devices %v, want [2 3]", wrapped)
+	}
+	s.Run("main", func(p exec.Proc) {
+		buf := make([]byte, PageSize)
+		for logical := int64(0); logical < 8; logical++ {
+			dev, local := a.Map(logical)
+			if err := a.Device(dev).ReadPages(p, local, 1, buf); err != nil {
+				t.Fatal(err)
+			}
+			if buf[0] != data[logical*PageSize] {
+				t.Errorf("logical page %d: wrong data", logical)
+			}
+		}
+	})
+	if got := stats.DeviceBytes(); got[0] != 0 || got[1] != 0 || got[2] != 4*PageSize || got[3] != 4*PageSize {
+		t.Errorf("per-device bytes = %v, want reads on devices 2 and 3 only", got)
+	}
+}
+
+// TestSliceReaderAtContract: the io.ReaderAt contract requires n < len(p)
+// to come with a non-nil error; a tail read that returned a short count
+// with a nil error would silently truncate the last stripe page.
+func TestSliceReaderAtContract(t *testing.T) {
+	b := sliceReaderAt(make([]byte, 10))
+	for i := range b {
+		b[i] = byte(i)
+	}
+	buf := make([]byte, 8)
+	if n, err := b.ReadAt(buf, 0); n != 8 || err != nil {
+		t.Errorf("full read: n=%d err=%v, want 8, nil", n, err)
+	}
+	// Tail read: only 2 of 8 bytes exist — the short count must be
+	// reported as io.EOF, not silence.
+	if n, err := b.ReadAt(buf, 8); n != 2 || err != io.EOF {
+		t.Errorf("tail read: n=%d err=%v, want 2, io.EOF", n, err)
+	} else if buf[0] != 8 || buf[1] != 9 {
+		t.Errorf("tail read bytes = %v", buf[:2])
+	}
+	if n, err := b.ReadAt(buf, 10); n != 0 || err != io.EOF {
+		t.Errorf("past-end read: n=%d err=%v, want 0, io.EOF", n, err)
+	}
+	if _, err := b.ReadAt(buf, -1); err == nil {
+		t.Error("negative offset must error")
+	}
 }

@@ -7,8 +7,10 @@
 // computation-heavy queries — the effect online binning exists to remove.
 //
 // The storage side (page frontier, per-device readers, page cache, buffer
-// queues, drain-and-recycle shutdown) is pipeline.Open; this package only
-// contributes the inline-atomic compute sink.
+// queues, drain-and-recycle shutdown) is pipeline.Open, the per-page step
+// is engine.ApplyPage and the price is costmodel's AtomicUpdate; this
+// package only contributes the sink topology: every compute worker is a
+// combined scatter+apply proc draining the shared filled queue.
 //
 // The variant runs under the virtual-time backend only: under the real-time
 // backend the serialized gather-per-vertex guarantee does not hold, so
@@ -76,14 +78,8 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	}
 	fr.Start()
 
-	// Combined scatter+apply procs: every update pays the atomic penalty,
-	// plus modeled cache-line contention on the hot-edge fraction whenever
-	// more than one proc updates concurrently.
-	updCost := m.Update(m.GatherUpdate, g.Locality) + m.AtomicExtra
-	var hotExtra int64
-	if workers > 1 {
-		hotExtra = int64(g.HotFrac * float64(m.HotContention))
-	}
+	// Combined scatter+apply procs: every update pays the atomic price.
+	updCost := m.AtomicUpdate(m.GatherUpdate, g.Locality, g.HotFrac, workers)
 	wg := ctx.NewWaitGroup()
 	wg.Add(workers)
 	outFronts := make([]*frontier.VertexSubset, workers)
@@ -99,25 +95,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 				for pg := 0; pg < buf.NumPages; pg++ {
 					logical := g.Arr.Logical(buf.Dev, buf.Start+int64(pg))
 					pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]
-					var produced int64
-					// wp.Sync() orders the inline updates across procs in
-					// virtual time; under Sim procs run one at a time, so
-					// the unsynchronized user gather is safe while the
-					// model still charges the atomic cost.
-					wp.Sync()
-					vertices, edges := engine.ForEachActiveEdge(c, f, logical, pageData, func(s, d uint32) {
-						if fns.Cond(d) {
-							v := fns.Scatter(s, d)
-							if fns.Gather(d, v) && output {
-								out.Add(d)
-							}
-							produced++
-						}
-					})
-					wp.Advance(m.PageOverhead +
-						m.VertexOp*vertices +
-						m.EdgeScan*edges +
-						(updCost+hotExtra)*produced)
+					engine.ApplyPage(wp, c, f, logical, pageData, fns.Scatter, fns.Gather, fns.Cond, out, m, updCost)
 				}
 			})
 			outFronts[id] = out
