@@ -120,11 +120,22 @@ type IncWCC struct {
 	prev []uint32
 }
 
-// driveWCC runs min-label propagation with shortcutting over q's state
-// from the start frontier (the WCCDrive round shape, on externally owned
-// arrays).
+// newIncWCC returns the starting labelling: every vertex its own label.
+func newIncWCC(n uint32) *IncWCC {
+	q := &IncWCC{IDs: make([]uint32, n), prev: make([]uint32, n)}
+	for i := range q.IDs {
+		q.IDs[i] = uint32(i)
+		q.prev[i] = uint32(i)
+	}
+	return q
+}
+
+// drive runs min-label propagation with shortcutting over q's labels from
+// the start frontier, over both outG and its transpose inG. It is WCC's one
+// round shape: WCCDrive runs it from every vertex, Repair from the
+// endpoints an insertion relabelled.
 func (q *IncWCC) drive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Graph,
-	start *frontier.VertexSubset) (int, error) {
+	start *frontier.VertexSubset, cv Convergence) (int, error) {
 	ids, prev := q.IDs, q.prev
 	fns := EdgeFuncs{
 		Scatter: func(s, d uint32) float64 { return float64(ids[s]) },
@@ -138,6 +149,7 @@ func (q *IncWCC) drive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Gr
 		Cond: func(d uint32) bool { return true },
 	}
 	applyFilter := func(i uint32) bool {
+		// Shortcutting: pointer-jump the label chain.
 		if id := ids[ids[i]]; ids[i] != id {
 			ids[i] = id
 		}
@@ -157,22 +169,18 @@ func (q *IncWCC) drive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Gr
 			return nil, err
 		}
 		a.Merge(b)
-		a.Merge(f)
+		a.Merge(f) // shortcutting must also re-check prior frontier members
 		return sys.VertexMap(p, a, applyFilter), nil
 	}
-	return drv.Drive(p, sys, outG, start, round, Convergence{})
+	return drv.Drive(p, sys, outG, start, round, cv)
 }
 
 // NewIncWCC computes the initial labelling (equivalent to WCC, which
 // already converges to the canonical component-minimum labels).
 func NewIncWCC(sys System, p exec.Proc, outG, inG *engine.Graph) (*IncWCC, int, error) {
 	n := outG.NumVertices()
-	q := &IncWCC{IDs: make([]uint32, n), prev: make([]uint32, n)}
-	for i := range q.IDs {
-		q.IDs[i] = uint32(i)
-		q.prev[i] = uint32(i)
-	}
-	iters, err := q.drive(DriverFor(sys), sys, p, outG, inG, frontier.All(n))
+	q := newIncWCC(n)
+	iters, err := q.drive(DriverFor(sys), sys, p, outG, inG, frontier.All(n), Convergence{})
 	if err != nil {
 		return nil, iters, err
 	}
@@ -213,5 +221,5 @@ func (q *IncWCC) Repair(sys System, p exec.Proc, outG, inG *engine.Graph, es, ed
 	if seed.Empty() {
 		return 0, nil
 	}
-	return q.drive(DriverFor(sys), sys, p, outG, inG, seed)
+	return q.drive(DriverFor(sys), sys, p, outG, inG, seed, Convergence{})
 }

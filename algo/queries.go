@@ -137,49 +137,9 @@ func WCC(sys System, p exec.Proc, outG, inG *engine.Graph) ([]uint32, error) {
 // component's minimum ID.
 func WCCDrive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Graph, cv Convergence) ([]uint32, int, error) {
 	n := outG.NumVertices()
-	ids := make([]uint32, n)
-	prev := make([]uint32, n)
-	for i := range ids {
-		ids[i] = uint32(i)
-		prev[i] = uint32(i)
-	}
-	fns := EdgeFuncs{
-		Scatter: func(s, d uint32) float64 { return float64(ids[s]) },
-		Gather: func(d uint32, v float64) bool {
-			if uint32(v) < ids[d] {
-				ids[d] = uint32(v)
-				return true
-			}
-			return false
-		},
-		Cond: func(d uint32) bool { return true },
-	}
-	applyFilter := func(i uint32) bool {
-		// Shortcutting: pointer-jump the label chain.
-		if id := ids[ids[i]]; ids[i] != id {
-			ids[i] = id
-		}
-		if prev[i] != ids[i] {
-			prev[i] = ids[i]
-			return true
-		}
-		return false
-	}
-	round := func(p exec.Proc, f *frontier.VertexSubset, _ int) (*frontier.VertexSubset, error) {
-		a, err := sys.EdgeMap(p, outG, f, fns, true)
-		if err != nil {
-			return nil, err
-		}
-		b, err := sys.EdgeMap(p, inG, f, fns, true)
-		if err != nil {
-			return nil, err
-		}
-		a.Merge(b)
-		a.Merge(f) // shortcutting must also re-check prior frontier members
-		return sys.VertexMap(p, a, applyFilter), nil
-	}
-	iters, err := drv.Drive(p, sys, outG, frontier.All(n), round, cv)
-	return ids, iters, err
+	q := newIncWCC(n)
+	iters, err := q.drive(drv, sys, p, outG, inG, frontier.All(n), cv)
+	return q.IDs, iters, err
 }
 
 // AlgoMemoryWCC returns WCC's two ID arrays (Fig. 12).

@@ -288,6 +288,12 @@ func (m *Manager[V]) Return(p exec.Proc, buf *Buffer[V]) {
 // Counters are proc-local: Emit and the flush path touch no shared state
 // beyond the slot protocol, and the totals reach the Manager in one atomic
 // add per FlushAll instead of one per record.
+//
+// The struct fills two whole cache lines, so no two stagers share one. At
+// 88 bytes the allocator placed a Manager's stagers 96 bytes apart, and
+// whether one proc's Emit then invalidated a line the other read on every
+// Emit depended on the process's allocation history: BFS ran at two speeds
+// from one process to the next.
 type Stager[V any] struct {
 	m       *Manager[V]
 	recs    []Record[V]
@@ -298,6 +304,7 @@ type Stager[V any] struct {
 	// Manager, so repeated Emit/FlushAll cycles aggregate exactly once.
 	pubEmits   int64
 	pubFlushes int64
+	_          [40]byte // to 128 bytes, a size class of whole lines
 }
 
 // NewStager returns a staging area for one scatter proc.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"blaze/internal/exec"
 )
@@ -116,6 +117,30 @@ func TestBufCapSizing(t *testing.T) {
 	if m2.BufCap() < StageCap {
 		t.Errorf("BufCap = %d, want >= %d", m2.BufCap(), StageCap)
 	}
+}
+
+// heldStagers keeps the stagers TestStagersShareNoCacheLine makes on the
+// heap, where EdgeMap's pool keeps them; a stager that did not escape could
+// live on the test's stack, at any 8-byte offset.
+var heldStagers []*Stager[float64]
+
+// TestStagersShareNoCacheLine pins the Stager padding: every stager starts
+// on a 64-byte boundary and fills whole lines, so the stagers of two
+// scatter procs never share one whatever the heap's history.
+func TestStagersShareNoCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Stager[float64]{}); n%64 != 0 {
+		t.Fatalf("sizeof(Stager) = %d, want a multiple of 64", n)
+	}
+	m := NewManager[float64](exec.NewSim(), Config{BinCount: 16, SpaceBytes: 1 << 12, RecordBytes: 12})
+	for i := 0; i < 64; i++ {
+		heldStagers = append(heldStagers, m.NewStager())
+	}
+	for i, st := range heldStagers {
+		if a := uintptr(unsafe.Pointer(st)); a%64 != 0 {
+			t.Fatalf("stager %d at %#x, not on a cache line", i, a)
+		}
+	}
+	heldStagers = nil
 }
 
 func TestBinOfPartitionsVertices(t *testing.T) {
