@@ -1,7 +1,6 @@
 package algo
 
 import (
-	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/frontier"
 )
@@ -26,33 +25,22 @@ type Convergence struct {
 // activation set. iter is the zero-based iteration index.
 type Round func(p exec.Proc, f *frontier.VertexSubset, iter int) (*frontier.VertexSubset, error)
 
-// Driver owns iteration and convergence control for a query: it decides
-// how the active set is sliced into Round calls and when the drive is
-// done. Queries supply the per-round work; drivers supply the loop.
-type Driver interface {
-	Name() string
-	// Drive runs round over start until the active set empties or cv
-	// stops it, calling sys.EndIteration after every round. It returns
-	// the number of rounds issued; on error the traversal state is
-	// partial, as with a failed EdgeMap.
-	Drive(p exec.Proc, sys System, g *engine.Graph, start *frontier.VertexSubset, round Round, cv Convergence) (int, error)
-}
+// Driver owns iteration and convergence control for a query: one Round
+// per iteration over the whole frontier, a barrier (EndIteration) after
+// each. Queries supply the per-round work; the driver supplies the loop.
+// With a zero Convergence it reproduces the original hand-rolled query
+// loops call for call.
+type Driver struct{}
 
-// DriverFor resolves the driver a system's queries are driven by: the
-// barrier RoundDriver, for every system.
-func DriverFor(System) Driver { return RoundDriver{} }
+// DriverFor returns the driver a system's queries are driven by; every
+// system shares the one barrier driver.
+func DriverFor(System) Driver { return Driver{} }
 
-// RoundDriver is the bulk-synchronous driver: one Round per iteration
-// over the whole frontier, a barrier (EndIteration) after each. With a
-// zero Convergence it reproduces the original hand-rolled query loops
-// call for call.
-type RoundDriver struct{}
-
-// Name implements Driver.
-func (RoundDriver) Name() string { return "round" }
-
-// Drive implements Driver.
-func (RoundDriver) Drive(p exec.Proc, sys System, g *engine.Graph, start *frontier.VertexSubset, round Round, cv Convergence) (int, error) {
+// Drive runs round over start until the active set empties or cv stops
+// it, calling sys.EndIteration after every round. It returns the number of
+// rounds issued; on error the traversal state is partial, as with a failed
+// EdgeMap.
+func (Driver) Drive(p exec.Proc, sys System, start *frontier.VertexSubset, round Round, cv Convergence) (int, error) {
 	f := start
 	iters := 0
 	for !f.Empty() && (cv.MaxIters == 0 || iters < cv.MaxIters) {

@@ -9,20 +9,24 @@ import (
 	"blaze/internal/exec"
 )
 
-// TestDriverFor: every engine's queries are driven by the barrier
-// RoundDriver.
+// TestDriverFor: every engine's queries are driven by the barrier driver,
+// which issues exactly MaxIters rounds on each of them.
 func TestDriverFor(t *testing.T) {
 	c := randomCSR(11, 500)
 	for _, name := range conformanceEngines {
-		_, sys, _, _ := sysOn(t, name, c)
-		if drv := algo.DriverFor(sys); drv.Name() != "round" {
-			t.Errorf("%s resolved driver %q, want round", name, drv.Name())
+		ctx, sys, g, _ := sysOn(t, name, c)
+		var iters int
+		ctx.Run("main", func(p exec.Proc) {
+			_, iters, _ = algo.PageRankDrive(algo.DriverFor(sys), sys, p, g, 1e-9, algo.Convergence{MaxIters: 2})
+		})
+		if iters != 2 {
+			t.Errorf("%s: driver ran %d rounds, want 2", name, iters)
 		}
 	}
 }
 
 // TestRoundDriverMatchesClassicLoop: PageRankDrive under an explicit
-// RoundDriver with only MaxIters set must be bit-identical to the classic
+// round Driver with only MaxIters set must be bit-identical to the classic
 // PageRank entry point — the refactor moved the loop, not the semantics.
 func TestRoundDriverMatchesClassicLoop(t *testing.T) {
 	c := randomCSR(19, 1500)
@@ -31,7 +35,7 @@ func TestRoundDriverMatchesClassicLoop(t *testing.T) {
 		var rank []float64
 		ctx.Run("main", func(p exec.Proc) {
 			if viaDrive {
-				rank, _, _ = algo.PageRankDrive(algo.RoundDriver{}, sys, p, g, 1e-6, algo.Convergence{MaxIters: 5})
+				rank, _, _ = algo.PageRankDrive(algo.Driver{}, sys, p, g, 1e-6, algo.Convergence{MaxIters: 5})
 			} else {
 				rank = algo.Must(algo.PageRank(sys, p, g, 1e-6, 5))
 			}
@@ -54,7 +58,7 @@ func TestConvergenceMaxIters(t *testing.T) {
 	ctx, sys, g, _ := sysOn(t, "blaze", c)
 	var iters int
 	ctx.Run("main", func(p exec.Proc) {
-		_, iters, _ = algo.PageRankDrive(algo.RoundDriver{}, sys, p, g, 1e-9, algo.Convergence{MaxIters: 3})
+		_, iters, _ = algo.PageRankDrive(algo.Driver{}, sys, p, g, 1e-9, algo.Convergence{MaxIters: 3})
 	})
 	if iters != 3 {
 		t.Errorf("PageRankDrive ran %d rounds, want 3 (MaxIters)", iters)

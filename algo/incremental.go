@@ -43,7 +43,7 @@ func driveBFSDepths(drv Driver, sys System, p exec.Proc, g *engine.Graph,
 	round := func(p exec.Proc, f *frontier.VertexSubset, _ int) (*frontier.VertexSubset, error) {
 		return sys.EdgeMap(p, g, f, fns, true)
 	}
-	return drv.Drive(p, sys, g, start, round, Convergence{})
+	return drv.Drive(p, sys, start, round, Convergence{})
 }
 
 // BFSDepths runs BFS from src and returns the depth array (-1 =
@@ -172,7 +172,7 @@ func (q *IncWCC) drive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Gr
 		a.Merge(f) // shortcutting must also re-check prior frontier members
 		return sys.VertexMap(p, a, applyFilter), nil
 	}
-	return drv.Drive(p, sys, outG, start, round, cv)
+	return drv.Drive(p, sys, start, round, cv)
 }
 
 // NewIncWCC computes the initial labelling (equivalent to WCC, which

@@ -40,7 +40,7 @@ func BFSDrive(drv Driver, sys System, p exec.Proc, g *engine.Graph, src uint32, 
 	round := func(p exec.Proc, f *frontier.VertexSubset, _ int) (*frontier.VertexSubset, error) {
 		return sys.EdgeMap(p, g, f, fns, true)
 	}
-	iters, err := drv.Drive(p, sys, g, frontier.Single(n, src), round, cv)
+	iters, err := drv.Drive(p, sys, frontier.Single(n, src), round, cv)
 	return parent, iters, err
 }
 
@@ -107,19 +107,12 @@ func PageRankDrive(drv Driver, sys System, p exec.Proc, g *engine.Graph, eps flo
 	if cv2.Tol > 0 && cv2.Residual == nil {
 		cv2.Residual = func() float64 { return residual }
 	}
-	iters, err := drv.Drive(p, sys, g, frontier.All(n), round, cv2)
+	iters, err := drv.Drive(p, sys, frontier.All(n), round, cv2)
 	return rank, iters, err
 }
 
 // AlgoMemoryPageRank returns PageRank-delta's three float arrays (Fig. 12).
 func AlgoMemoryPageRank(n uint32) int64 { return 3 * int64(n) * 8 }
-
-// PageRankOneIteration runs exactly one EdgeMap+VertexMap round, the unit
-// the paper uses when comparing against Graphene (which lacks selective
-// scheduling for PR).
-func PageRankOneIteration(sys System, p exec.Proc, g *engine.Graph) ([]float64, error) {
-	return PageRank(sys, p, g, 1e-9, 1)
-}
 
 // WCC computes weakly connected components with shortcutting label
 // propagation (paper Algorithm 3) under DriverFor(sys), on
@@ -220,7 +213,7 @@ func BCDrive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Graph, src u
 		r = int32(iter) + 1
 		return sys.EdgeMap(p, outG, f, fwdFns, true)
 	}
-	iters, err := drv.Drive(p, sys, outG, frontier.Single(n, src), forward, cv)
+	iters, err := drv.Drive(p, sys, frontier.Single(n, src), forward, cv)
 	if err != nil || len(levels) <= 1 {
 		return delta, iters, err
 	}
@@ -247,7 +240,7 @@ func BCDrive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Graph, src u
 		}
 		return frontier.NewVertexSubset(n), nil
 	}
-	bIters, err := drv.Drive(p, sys, inG, levels[len(levels)-1], backward, Convergence{})
+	bIters, err := drv.Drive(p, sys, levels[len(levels)-1], backward, Convergence{})
 	return delta, iters + bIters, err
 }
 

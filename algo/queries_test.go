@@ -206,12 +206,15 @@ func TestIterLogRecordsEpochs(t *testing.T) {
 	}
 }
 
+// TestPageRankOneIteration: one EdgeMap+VertexMap round, the unit the
+// paper uses when comparing against Graphene (which lacks selective
+// scheduling for PR).
 func TestPageRankOneIteration(t *testing.T) {
 	ctx := exec.NewSim()
 	sys, g, _, c := testSetup(ctx, 8)
 	var rank []float64
 	ctx.Run("main", func(p exec.Proc) {
-		rank = Must(PageRankOneIteration(sys, p, g))
+		rank = Must(PageRank(sys, p, g, 1e-9, 1))
 	})
 	ref := RefPageRankDelta(c, 1e-9, 1)
 	for v := range rank {

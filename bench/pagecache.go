@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"blaze/internal/metrics"
 	"blaze/internal/pagecache"
 	"blaze/internal/registry"
 	"blaze/internal/ssd"
@@ -25,11 +26,7 @@ type CacheSnapshotEntry struct {
 	CacheKB    int64
 	MakespanNs int64
 	ReadBytes  int64
-	Hits       int64
-	Misses     int64
-	Evictions  int64
-	GhostHits  int64
-	HitRate    float64
+	metrics.CacheStats
 }
 
 // PagecacheSnapshot measures the blaze engine on the repeat-scan workload
@@ -51,17 +48,12 @@ func PagecacheSnapshot(scale float64) []CacheSnapshotEntry {
 	for _, budget := range []int64{pageBytes / 4, 2 * pageBytes} {
 		pc := pagecache.New(budget)
 		r := Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5, Options: registry.Options{PageCache: pc}})
-		st := pc.StatsDetail()
 		entries = append(entries, CacheSnapshotEntry{
 			Policy:     "clock",
 			CacheKB:    budget >> 10,
 			MakespanNs: r.ElapsedNs,
 			ReadBytes:  r.ReadBytes,
-			Hits:       st.Hits,
-			Misses:     st.Misses,
-			Evictions:  st.Evictions,
-			GhostHits:  st.GhostHits,
-			HitRate:    st.HitRate(),
+			CacheStats: pc.StatsDetail(),
 		})
 	}
 	return entries
@@ -76,7 +68,7 @@ func ExtPagecache(scale float64) []Table {
 	}
 	for _, e := range PagecacheSnapshot(scale) {
 		t.Add(e.Policy, e.CacheKB, float64(e.MakespanNs)/1e6, float64(e.ReadBytes)/1e6,
-			e.HitRate, e.Evictions, e.GhostHits)
+			e.HitRate(), e.Evictions, e.GhostHits)
 	}
 	t.Notes = append(t.Notes,
 		"Budgets are a quarter of the adjacency (a cyclic scan over 4x the budget evicts every page before its next use: hit rate 0, and the ghost list never fires) and twice it (one cold pass, four cached: ~0.8).")

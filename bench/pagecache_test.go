@@ -14,7 +14,7 @@ import (
 // serve at least RepeatScanHitRateFloor of the page lookups. One cold
 // iteration plus four cached ones puts the ideal rate at ~0.8; falling
 // under the floor means the cache stopped serving or the accounting went
-// untruthful (e.g. bypassed pages silently dropped from the denominator).
+// untruthful.
 func TestRepeatScanHitRateFloor(t *testing.T) {
 	d := MustLoad("r2", DefaultScale)
 	pageBytes := d.CSR.NumPages() * int64(ssd.PageSize)
@@ -25,8 +25,8 @@ func TestRepeatScanHitRateFloor(t *testing.T) {
 		t.Fatal("cache saw no traffic")
 	}
 	if hr := st.HitRate(); hr < RepeatScanHitRateFloor {
-		t.Errorf("repeat-scan hit rate %.3f under floor %.2f (hits=%d misses=%d bypassed=%d)",
-			hr, RepeatScanHitRateFloor, st.Hits, st.Misses, st.Bypassed)
+		t.Errorf("repeat-scan hit rate %.3f under floor %.2f (hits=%d misses=%d)",
+			hr, RepeatScanHitRateFloor, st.Hits, st.Misses)
 	}
 }
 
@@ -56,12 +56,12 @@ func TestPagecacheSnapshotShape(t *testing.T) {
 		if e.Policy == "none" {
 			continue
 		}
-		if e.HitRate >= RepeatScanHitRateFloor {
+		if e.HitRate() >= RepeatScanHitRateFloor {
 			atCapacity++
 			// At-capacity leg: the cache must have cut device traffic.
 			if e.ReadBytes >= base.ReadBytes {
 				t.Errorf("%s/%dKB: hit rate %.2f but read %d bytes >= uncached %d",
-					e.Policy, e.CacheKB, e.HitRate, e.ReadBytes, base.ReadBytes)
+					e.Policy, e.CacheKB, e.HitRate(), e.ReadBytes, base.ReadBytes)
 			}
 		}
 		if e.ReadBytes > base.ReadBytes {

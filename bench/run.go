@@ -8,6 +8,7 @@ import (
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/metrics"
+	"blaze/internal/msg"
 	"blaze/internal/registry"
 	"blaze/internal/trace"
 )
@@ -16,9 +17,11 @@ import (
 var Queries = []string{"bfs", "pr", "wcc", "spmv", "bc"}
 
 // Opts parameterizes one measured run: an engine, a query, and the engine's
-// options. Run overwrites four of the options whatever the caller set:
+// options. Run overwrites five of the options whatever the caller set:
 // Edges, Stats and Mem come from the dataset and the run's own accounting,
-// and CacheBytes scales FlashGraph's cache with a paper dataset; the other
+// DevOpts is the harness-wide DeviceOpts (so engines that build their own
+// devices run the same fault drill), and CacheBytes scales FlashGraph's
+// cache with a paper dataset; the other
 // fields reach registry.New as given, zero ones taking the registry
 // defaults. A PageCache keeps its hit-rate accounting for the caller after
 // the run, and a Tracer is left for the caller to collect (see TraceRun).
@@ -47,11 +50,9 @@ type Result struct {
 	// DeviceBytes is the per-device read split (device IDs are
 	// machine*NumDev+dev under blaze-scaleout).
 	DeviceBytes []int64
-	// NetBytes/NetMsgs/NetRetrans are the interconnect counters; zero for
-	// every engine but blaze-scaleout.
-	NetBytes   int64
-	NetMsgs    int64
-	NetRetrans int64
+	// Net is the interconnect's counters; zero for every engine but
+	// blaze-scaleout.
+	Net msg.NetStats
 }
 
 // AvgBW returns the run's average read bandwidth in bytes/second — total
@@ -92,7 +93,7 @@ func Run(d *Dataset, o Opts) Result {
 	}
 
 	ro := o.Options
-	ro.Edges, ro.Stats, ro.Mem = d.CSR.E, stats, mem
+	ro.Edges, ro.Stats, ro.Mem, ro.DevOpts = d.CSR.E, stats, mem, DeviceOpts
 	// FlashGraph's page cache (1 GB on the paper's testbed) must scale
 	// with the datasets, or it would swallow the scaled graphs whole
 	// and erase the out-of-core behaviour under study.
@@ -117,8 +118,7 @@ func Run(d *Dataset, o Opts) Result {
 	res.IterBytes = sys.IterDeviceBytes()
 	res.DeviceBytes = stats.DeviceBytes()
 	if cl, ok := sys.(*cluster.Cluster); ok {
-		ns := cl.NetStats()
-		res.NetBytes, res.NetMsgs, res.NetRetrans = ns.Bytes, ns.Messages, ns.Retransmits
+		res.Net = cl.NetStats()
 	}
 	mem.Set("algo-arrays", res.AlgoBytes)
 	return res

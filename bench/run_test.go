@@ -1,6 +1,12 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"blaze/internal/fault"
+	"blaze/internal/registry"
+	"blaze/internal/ssd"
+)
 
 func TestRunRejectsUnknownSystem(t *testing.T) {
 	defer func() {
@@ -61,5 +67,29 @@ func TestRunBCRecordsLevels(t *testing.T) {
 	r := Run(d, Opts{System: "blaze", Query: "bc"})
 	if r.Levels < 2 {
 		t.Errorf("BC recorded %d levels", r.Levels)
+	}
+}
+
+// TestRunFaultDrillReachesSelfPlacedDevices: the harness-wide DeviceOpts
+// reach the devices an engine builds itself, so under permanent faults
+// graphene and blaze-scaleout fail like blaze instead of running
+// fault-free.
+func TestRunFaultDrillReachesSelfPlacedDevices(t *testing.T) {
+	d := MustLoad("r2", coarse)
+	DeviceOpts = []ssd.DeviceOptions{fault.Policy{Seed: 1, PermanentRate: 1}.DeviceOptions()}
+	defer func() { DeviceOpts = nil }()
+	for _, o := range []Opts{
+		{System: "blaze", Query: "spmv"},
+		{System: "graphene", Query: "spmv"},
+		{System: "blaze-scaleout", Query: "spmv", Options: registry.Options{Machines: 2}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s completed with every page permanently unreadable", o.System)
+				}
+			}()
+			Run(d, o)
+		}()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"blaze/internal/msg"
 	"blaze/internal/registry"
 )
 
@@ -42,11 +43,9 @@ type ScaleoutEntry struct {
 	Machines   int
 	MakespanNs int64
 	ReadBytes  int64
-	// NetBytes/NetMsgs/NetRetrans are the interconnect's wire counters
-	// (zero at M=1, where no exchange happens).
-	NetBytes   int64
-	NetMsgs    int64
-	NetRetrans int64
+	// Net is the interconnect's wire counters (zero at M=1, where no
+	// exchange happens).
+	Net msg.NetStats
 	// PerMachineReadBytes is each machine's local-array read volume.
 	PerMachineReadBytes []int64
 	// SpeedupVsM1 is the same query's M=1 makespan over this one.
@@ -73,9 +72,7 @@ func ScaleoutSnapshot(scale float64) []ScaleoutEntry {
 				Machines:            m,
 				MakespanNs:          res.ElapsedNs,
 				ReadBytes:           res.ReadBytes,
-				NetBytes:            res.NetBytes,
-				NetMsgs:             res.NetMsgs,
-				NetRetrans:          res.NetRetrans,
+				Net:                 res.Net,
 				PerMachineReadBytes: per,
 			}
 			if m == 1 {
@@ -104,7 +101,7 @@ func ExtScaleout(scale float64) []Table {
 			per[i] = formatFloat(float64(b) / 1e6)
 		}
 		t.Add(e.Machines, e.Query, float64(e.MakespanNs)/1e6, e.SpeedupVsM1,
-			float64(e.ReadBytes)/1e6, float64(e.NetBytes)/1e6, e.NetMsgs, e.NetRetrans,
+			float64(e.ReadBytes)/1e6, float64(e.Net.Bytes)/1e6, e.Net.Messages, e.Net.Retransmits,
 			strings.Join(per, "/"))
 	}
 	t.Notes = append(t.Notes,

@@ -61,9 +61,9 @@ func TestScaleoutSnapshotShape(t *testing.T) {
 			}
 		}
 		switch {
-		case e.Machines == 1 && e.NetBytes != 0:
-			t.Errorf("%s M=1 moved %d network bytes; no peers exist", e.Query, e.NetBytes)
-		case e.Machines > 1 && e.Query == "bfs" && e.NetBytes == 0:
+		case e.Machines == 1 && e.Net.Bytes != 0:
+			t.Errorf("%s M=1 moved %d network bytes; no peers exist", e.Query, e.Net.Bytes)
+		case e.Machines > 1 && e.Query == "bfs" && e.Net.Bytes == 0:
 			t.Errorf("bfs M=%d exchanged no frontier deltas", e.Machines)
 		}
 		if e.MakespanNs <= 0 || e.ReadBytes <= 0 {

@@ -44,28 +44,17 @@ const (
 	ServingGateP99Factor = 6.0
 )
 
-// ServingEntry is one (load factor, class) row of the serving suite.
+// ServingEntry is one (load factor, class) row of the serving suite: the
+// server's own report for the class, plus the load it was measured under.
 type ServingEntry struct {
 	// LoadFactor is offered/capacity; RatePerSec is the resulting open-loop
 	// arrival rate in model time.
 	LoadFactor float64
 	RatePerSec float64
-	Class      string
 	// ServiceNs is the class's serial (uncontended, warmed) service time,
 	// measured before the load is applied — the latency floor.
 	ServiceNs int64
-	Submitted int64
-	Completed int64
-	Late      int64
-	Rejected  int64
-	Expired   int64
-	Failed    int64
-	P50Ns     int64
-	P99Ns     int64
-	// GoodputPerSec counts on-time completions per second of model time;
-	// RejectRate is rejected over offered.
-	GoodputPerSec float64
-	RejectRate    float64
+	server.ClassReport
 }
 
 // ServingRun measures one load point: it builds a fresh session and
@@ -136,22 +125,8 @@ func ServingRun(d *Dataset, loadFactor float64) []ServingEntry {
 
 		svc := map[string]int64{"interactive": bfsNs, "batch": spmvNs}
 		for _, c := range rep.Classes {
-			entries = append(entries, ServingEntry{
-				LoadFactor:    loadFactor,
-				RatePerSec:    rate,
-				Class:         c.Class,
-				ServiceNs:     svc[c.Class],
-				Submitted:     c.Submitted,
-				Completed:     c.Completed,
-				Late:          c.Late,
-				Rejected:      c.Rejected,
-				Expired:       c.Expired,
-				Failed:        c.Failed,
-				P50Ns:         c.P50Ns,
-				P99Ns:         c.P99Ns,
-				GoodputPerSec: c.GoodputPerSec,
-				RejectRate:    c.RejectRate,
-			})
+			entries = append(entries, ServingEntry{LoadFactor: loadFactor, RatePerSec: rate,
+				ServiceNs: svc[c.Class], ClassReport: c})
 		}
 	})
 	return entries

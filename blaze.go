@@ -323,21 +323,11 @@ func (rt *Runtime) BandwidthSeries() []float64 {
 }
 
 // MemItem is one named memory-footprint component.
-type MemItem struct {
-	Name  string
-	Bytes int64
-}
+type MemItem = metrics.MemItem
 
 // MemoryItems returns the tracked memory components (graph index, IO
 // buffers, bin space, frontier, algorithm arrays).
-func (rt *Runtime) MemoryItems() []MemItem {
-	items := rt.opts.Mem.Items()
-	out := make([]MemItem, len(items))
-	for i, it := range items {
-		out[i] = MemItem{it.Name, it.Bytes}
-	}
-	return out
-}
+func (rt *Runtime) MemoryItems() []MemItem { return rt.opts.Mem.Items() }
 
 // MemoryBytes returns the total tracked memory footprint.
 func (rt *Runtime) MemoryBytes() int64 { return rt.opts.Mem.Total() }

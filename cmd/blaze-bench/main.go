@@ -64,14 +64,7 @@ func run() (code int) {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	fo := &cli.Options{}
-	flag.Uint64Var(&fo.FaultSeed, "faultSeed", 1, "fault-injection seed (deterministic per page)")
-	flag.Float64Var(&fo.FaultTransientRate, "faultTransientRate", 0, "fraction of pages whose reads fail transiently (0 = off)")
-	flag.IntVar(&fo.FaultTransientFails, "faultTransientFails", 1, "failed attempts before a transient-faulty page heals")
-	flag.Float64Var(&fo.FaultPermanentRate, "faultPermanentRate", 0, "fraction of pages that are permanently unreadable (0 = off)")
-	flag.Float64Var(&fo.FaultSpikeRate, "faultSpikeRate", 0, "fraction of requests with extra modeled latency (0 = off)")
-	flag.Int64Var(&fo.FaultSpikeNs, "faultSpikeNs", 0, "extra latency per spiked request in ns")
-	flag.IntVar(&fo.RetryMax, "retryMax", -1, "max transient-error retries per read (-1 = device default)")
-	flag.Int64Var(&fo.RetryBackoffNs, "retryBackoffNs", 0, "initial retry backoff in ns, doubling per attempt (0 = device default)")
+	fo.FaultFlags(flag.CommandLine)
 	flag.Parse()
 
 	if fo.FaultPolicy().Enabled() || fo.RetryMax >= 0 || fo.RetryBackoffNs > 0 {

@@ -17,11 +17,12 @@
 //	GET  /healthz liveness probe
 //
 // "query" is any catalogue name (bfs, pr, wcc, spmv, bc; wcc and bc need
-// the transpose flags). A request that cannot be served as asked answers
-// 400, a full queue 503 immediately (load shedding, not queueing collapse),
-// a deadline that passed in the queue 504, a failed query body 500;
-// SIGINT/SIGTERM drains gracefully — admission stops, queued
-// and in-flight queries finish, then the final report prints.
+// the transpose flags), "class" interactive (the default) or batch, and
+// "timeout_ms" a deadline (0 = none). A request that cannot be served as
+// asked answers 400, a full queue 503 immediately (load shedding, not
+// queueing collapse), a deadline that passed in the queue 504, a failed
+// query body 500; SIGINT/SIGTERM drains gracefully — admission stops,
+// queued and in-flight queries finish, then the final report prints.
 //
 // Sim mode (-sim) replaces the HTTP front end with the seeded open-loop
 // load generator (internal/loadgen) and prints the per-class latency
@@ -258,12 +259,19 @@ func newHandler(env *cli.Env, o *serveFlags, srv *server.Server) http.Handler {
 			writeJSON(w, http.StatusBadRequest, queryResponse{Status: "error", Error: err.Error()})
 			return
 		}
-		class := server.Interactive
-		if qr.Class == "batch" {
-			class = server.Batch
-		}
 		var summary string
 		body, err := queryBody(env, o, qr, &summary)
+		class := server.Interactive
+		switch qr.Class {
+		case "", "interactive":
+		case "batch":
+			class = server.Batch
+		default:
+			err = fmt.Errorf("unknown class %q: want interactive or batch", qr.Class)
+		}
+		if qr.TimeoutMs < 0 {
+			err = fmt.Errorf("negative timeout_ms %d", qr.TimeoutMs)
+		}
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, queryResponse{Status: "error", Query: qr.Query, Error: err.Error()})
 			return

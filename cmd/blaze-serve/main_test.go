@@ -117,9 +117,11 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Errorf("bfs digest %q, class %q", resp.Summary, resp.Class)
 	}
 	for name, body := range map[string]string{
-		"unknown query": `{"query":"sssp"}`,
-		"bad JSON":      `{"query":`,
-		"start past V":  `{"query":"bfs","start":1024}`,
+		"unknown query":    `{"query":"sssp"}`,
+		"bad JSON":         `{"query":`,
+		"start past V":     `{"query":"bfs","start":1024}`,
+		"unknown class":    `{"query":"bfs","class":"bulk"}`,
+		"negative timeout": `{"query":"bfs","class":"batch","timeout_ms":-5}`,
 	} {
 		if code, resp, raw := s.do("POST", "/query", body); code != http.StatusBadRequest || resp.Status != "error" || resp.Error == "" {
 			t.Errorf("%s: %d %s", name, code, raw)

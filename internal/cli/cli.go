@@ -203,6 +203,13 @@ func newFlagSet(tool string, o *Options, onError flag.ErrorHandling) *flag.FlagS
 	fs.BoolVar(&o.StageStats, "stageStats", false, "print the per-stage trace summary after the query")
 	fs.StringVar(&o.InIndex, "inIndexFilename", "", "transpose graph index file")
 	fs.StringVar(&o.InAdj, "inAdjFilenames", "", "transpose graph adjacency file")
+	o.FaultFlags(fs)
+	return fs
+}
+
+// FaultFlags declares the fault-injection and retry flags over o on fs: the
+// query tools, blaze-serve and blaze-bench share them.
+func (o *Options) FaultFlags(fs *flag.FlagSet) {
 	fs.Uint64Var(&o.FaultSeed, "faultSeed", 1, "fault-injection seed (deterministic per page)")
 	fs.Float64Var(&o.FaultTransientRate, "faultTransientRate", 0, "fraction of pages whose reads fail transiently (0 = off)")
 	fs.IntVar(&o.FaultTransientFails, "faultTransientFails", 1, "failed attempts before a transient-faulty page heals")
@@ -211,7 +218,6 @@ func newFlagSet(tool string, o *Options, onError flag.ErrorHandling) *flag.FlagS
 	fs.Int64Var(&o.FaultSpikeNs, "faultSpikeNs", 0, "extra latency per spiked request in ns")
 	fs.IntVar(&o.RetryMax, "retryMax", -1, "max transient-error retries per read (-1 = device default)")
 	fs.Int64Var(&o.RetryBackoffNs, "retryBackoffNs", 0, "initial retry backoff in ns, doubling per attempt (0 = device default)")
-	return fs
 }
 
 // DeviceProfile resolves the -profile flag.
@@ -462,8 +468,8 @@ func printCacheStats(d metrics.CacheStats) {
 	if d.Hits+d.Misses == 0 {
 		return
 	}
-	fmt.Printf("page cache: hits=%d misses=%d hitRate=%.1f%% evictions=%d ghostHits=%d bypassed=%d\n",
-		d.Hits, d.Misses, 100*d.HitRate(), d.Evictions, d.GhostHits, d.Bypassed)
+	fmt.Printf("page cache: hits=%d misses=%d hitRate=%.1f%% evictions=%d ghostHits=%d\n",
+		d.Hits, d.Misses, 100*d.HitRate(), d.Evictions, d.GhostHits)
 }
 
 // WriteTrace writes tr to path in Chrome trace_event JSON format.

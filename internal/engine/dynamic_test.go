@@ -370,12 +370,13 @@ func TestMergeDropsCachedPages(t *testing.T) {
 		}
 	}
 
-	hits0, misses0 := cache.Stats()
+	before := cache.StatsDetail()
 	got := inDegrees(t, ctx, g, conf)
-	hits, misses := cache.Stats()
-	if merged := g.Segs[0].CSR.NumPages(); hits-hits0 != int64(basePages) || misses-misses0 != merged {
+	after := cache.StatsDetail()
+	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	if merged := g.Segs[0].CSR.NumPages(); hits != int64(basePages) || misses != merged {
 		t.Errorf("after the merge: %d hits, %d misses; want %d (base) and %d (every page of the merged segment)",
-			hits-hits0, misses-misses0, basePages, merged)
+			hits, misses, basePages, merged)
 	}
 	want := make([]int64, c.V)
 	for _, sg := range append([]*Graph{g}, g.Segs...) {

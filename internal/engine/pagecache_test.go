@@ -51,8 +51,7 @@ func TestEdgeMapWithPageCache(t *testing.T) {
 	if bytes2 != 0 {
 		t.Errorf("second traversal read %d bytes; cache covering the graph should eliminate IO", bytes2)
 	}
-	hits, _ := conf.PageCache.Stats()
-	if hits == 0 {
+	if conf.PageCache.StatsDetail().Hits == 0 {
 		t.Error("no cache hits recorded")
 	}
 }

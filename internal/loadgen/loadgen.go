@@ -124,11 +124,10 @@ type Config struct {
 	// BurstFactor is the burst-phase rate multiplier (Bursty only;
 	// default 4). BurstFrac is the fraction of each cycle spent bursting
 	// (default 1/8); BurstFactor*BurstFrac must stay below 1 so the off
-	// phase keeps a positive rate. BurstCycleNs is the cycle length
-	// (default: 64 mean interarrival times).
-	BurstFactor  float64
-	BurstFrac    float64
-	BurstCycleNs int64
+	// phase keeps a positive rate. A cycle lasts 64 mean interarrival
+	// times.
+	BurstFactor float64
+	BurstFrac   float64
 	// Seed keys the arrival and class-mix draws (0 = 1).
 	Seed uint64
 	// Classes is the workload mix (at least one, weights positive).
@@ -136,8 +135,8 @@ type Config struct {
 }
 
 func (cfg Config) validate() error {
-	if cfg.RatePerSec <= 0 {
-		return fmt.Errorf("loadgen: RatePerSec must be positive, got %g", cfg.RatePerSec)
+	if !(cfg.RatePerSec > 0) || math.IsInf(cfg.RatePerSec, 1) {
+		return fmt.Errorf("loadgen: RatePerSec must be positive and finite, got %g", cfg.RatePerSec)
 	}
 	if cfg.Requests <= 0 {
 		return fmt.Errorf("loadgen: Requests must be positive, got %d", cfg.Requests)
@@ -202,13 +201,11 @@ func NewArrivals(cfg Config) *Arrivals {
 	}
 	if cfg.Process == Bursty {
 		factor, frac := cfg.burstShape()
-		a.cycleNs = cfg.BurstCycleNs
-		if a.cycleNs <= 0 {
-			// Default cycle: 64 mean interarrival times, long enough that a
-			// burst holds several arrivals, short enough that a run of a few
-			// hundred requests sees many cycles.
-			a.cycleNs = int64(64e9 / cfg.RatePerSec)
-		}
+		// 64 mean interarrival times: long enough that a burst holds
+		// several arrivals, short enough that a run of a few hundred
+		// requests sees many cycles. Above 6.4e10 requests/s that rounds
+		// to 0 ns, so the cycle is held to at least 1 ns.
+		a.cycleNs = max(int64(64e9/cfg.RatePerSec), 1)
 		a.onRate = a.rate * factor
 		a.offRate = a.rate * (1 - factor*frac) / (1 - frac)
 	}

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -216,7 +217,9 @@ func TestInteractiveBeatsBatchUnderLoad(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	good := Config{RatePerSec: 100, Requests: 10, Seed: 1, Classes: testClasses(1, 1)}
 	bad := []Config{
-		{Requests: 10, Classes: good.Classes},                 // no rate
+		{Requests: 10, Classes: good.Classes}, // no rate
+		{RatePerSec: math.NaN(), Requests: 10, Classes: good.Classes},
+		{RatePerSec: math.Inf(1), Requests: 10, Classes: good.Classes},
 		{RatePerSec: 100, Classes: good.Classes},              // no requests
 		{RatePerSec: 100, Requests: 10},                       // no classes
 		{RatePerSec: 100, Requests: 10, Classes: []Class{{}}}, // zero weight
@@ -230,6 +233,19 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := good.validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
+	}
+}
+
+// TestBurstyRateAboveCycleResolution: above 6.4e10 requests/s the burst
+// cycle of 64 interarrival times rounds below one nanosecond; the schedule
+// must still draw arrivals instead of dividing by a zero-length cycle.
+func TestBurstyRateAboveCycleResolution(t *testing.T) {
+	a := NewArrivals(Config{RatePerSec: 1e11, Requests: 4, Process: Bursty, Seed: 3,
+		Classes: testClasses(1, 1)})
+	for i := 0; i < 4; i++ {
+		if wait, _ := a.Next(); wait < 1 {
+			t.Fatalf("arrival %d waits %d ns, want at least 1", i, wait)
+		}
 	}
 }
 

@@ -84,12 +84,6 @@ func (t *Timeline) Shard(dev int) *TimelineShard {
 	return &TimelineShard{tl: t, sh: sh}
 }
 
-// Add records bytes at timestamp now (ns) through shard 0, for callers
-// without a per-device handle.
-func (t *Timeline) Add(now, bytes int64) {
-	t.Shard(0).Add(now, bytes)
-}
-
 // BucketNs returns the bucket width.
 func (t *Timeline) BucketNs() int64 { return t.bucketNs }
 
@@ -138,18 +132,22 @@ func (t *Timeline) IdleFraction(thresholdBytesPerSec float64) float64 {
 	return float64(idle) / float64(last+1)
 }
 
-// devCounters is one device's read accounting, padded to a cache line so
-// per-device updates from different IO procs never false-share.
-type devCounters struct {
-	bytes     atomic.Int64
-	epoch     atomic.Int64
-	requests  atomic.Int64
-	pages     atomic.Int64
-	retries   atomic.Int64
-	errors    atomic.Int64
-	coalesced atomic.Int64 // bytes served by attaching to an in-flight read
-	coalPages atomic.Int64 // pages served by attaching to an in-flight read
-}
+// The per-device read counters, indexes into devCounters.
+const (
+	cBytes = iota
+	cEpoch // bytes since the last EndEpoch
+	cRequests
+	cPages
+	cRetries
+	cErrors
+	cCoalesced // bytes served by attaching to an in-flight read
+	cCoalPages // pages served by attaching to an in-flight read
+	nCounters
+)
+
+// devCounters is one device's read accounting: eight counters, one cache
+// line, so per-device updates from different IO procs never false-share.
+type devCounters [nCounters]atomic.Int64
 
 // IOStats aggregates per-device read counters for one execution, with an
 // epoch mechanism for per-iteration accounting (Figure 3). Recording is
@@ -167,10 +165,10 @@ func NewIOStats(n int) *IOStats {
 // pages.
 func (s *IOStats) AddRead(dev int, bytes int64, pages int) {
 	d := &s.dev[dev]
-	d.bytes.Add(bytes)
-	d.epoch.Add(bytes)
-	d.requests.Add(1)
-	d.pages.Add(int64(pages))
+	d[cBytes].Add(bytes)
+	d[cEpoch].Add(bytes)
+	d[cRequests].Add(1)
+	d[cPages].Add(int64(pages))
 }
 
 // AddCoalesced records pages delivered by attaching to another request's
@@ -180,29 +178,17 @@ func (s *IOStats) AddRead(dev int, bytes int64, pages int) {
 // actually served.
 func (s *IOStats) AddCoalesced(dev int, bytes int64, pages int) {
 	d := &s.dev[dev]
-	d.coalesced.Add(bytes)
-	d.coalPages.Add(int64(pages))
+	d[cCoalesced].Add(bytes)
+	d[cCoalPages].Add(int64(pages))
 }
 
 // CoalescedBytes returns the bytes delivered by attaching to in-flight
 // reads instead of issuing new device reads.
-func (s *IOStats) CoalescedBytes() int64 {
-	var t int64
-	for i := range s.dev {
-		t += s.dev[i].coalesced.Load()
-	}
-	return t
-}
+func (s *IOStats) CoalescedBytes() int64 { return s.sum(cCoalesced) }
 
 // CoalescedPages returns the pages delivered by attaching to in-flight
 // reads.
-func (s *IOStats) CoalescedPages() int64 {
-	var t int64
-	for i := range s.dev {
-		t += s.dev[i].coalPages.Load()
-	}
-	return t
-}
+func (s *IOStats) CoalescedPages() int64 { return s.sum(cCoalPages) }
 
 // NumDevices returns the device count the stats were sized for.
 func (s *IOStats) NumDevices() int { return len(s.dev) }
@@ -210,58 +196,37 @@ func (s *IOStats) NumDevices() int { return len(s.dev) }
 // AddRetry records one retried read attempt on device dev (a transient
 // device error that the retry policy absorbed).
 func (s *IOStats) AddRetry(dev int) {
-	s.dev[dev].retries.Add(1)
+	s.dev[dev][cRetries].Add(1)
 }
 
 // AddReadError records one unrecoverable read failure on device dev (a
 // permanent fault, or a transient one that exhausted its retry budget).
 func (s *IOStats) AddReadError(dev int) {
-	s.dev[dev].errors.Add(1)
+	s.dev[dev][cErrors].Add(1)
 }
 
 // Retries returns the number of read attempts that were retried after a
 // transient device error.
-func (s *IOStats) Retries() int64 {
-	var t int64
-	for i := range s.dev {
-		t += s.dev[i].retries.Load()
-	}
-	return t
-}
+func (s *IOStats) Retries() int64 { return s.sum(cRetries) }
 
 // ReadErrors returns the number of unrecoverable read failures surfaced to
 // the engine.
-func (s *IOStats) ReadErrors() int64 {
-	var t int64
-	for i := range s.dev {
-		t += s.dev[i].errors.Load()
-	}
-	return t
-}
+func (s *IOStats) ReadErrors() int64 { return s.sum(cErrors) }
 
 // TotalBytes returns the sum over all devices.
-func (s *IOStats) TotalBytes() int64 {
-	var t int64
-	for i := range s.dev {
-		t += s.dev[i].bytes.Load()
-	}
-	return t
-}
+func (s *IOStats) TotalBytes() int64 { return s.sum(cBytes) }
 
 // Requests returns the number of read requests issued.
-func (s *IOStats) Requests() int64 {
-	var t int64
-	for i := range s.dev {
-		t += s.dev[i].requests.Load()
-	}
-	return t
-}
+func (s *IOStats) Requests() int64 { return s.sum(cRequests) }
 
 // PagesRead returns the number of 4 kB pages read.
-func (s *IOStats) PagesRead() int64 {
+func (s *IOStats) PagesRead() int64 { return s.sum(cPages) }
+
+// sum totals one counter over all devices.
+func (s *IOStats) sum(c int) int64 {
 	var t int64
 	for i := range s.dev {
-		t += s.dev[i].pages.Load()
+		t += s.dev[i][c].Load()
 	}
 	return t
 }
@@ -270,7 +235,7 @@ func (s *IOStats) PagesRead() int64 {
 func (s *IOStats) DeviceBytes() []int64 {
 	out := make([]int64, len(s.dev))
 	for i := range s.dev {
-		out[i] = s.dev[i].bytes.Load()
+		out[i] = s.dev[i][cBytes].Load()
 	}
 	return out
 }
@@ -281,7 +246,7 @@ func (s *IOStats) DeviceBytes() []int64 {
 func (s *IOStats) EndEpoch() []int64 {
 	out := make([]int64, len(s.dev))
 	for i := range s.dev {
-		out[i] = s.dev[i].epoch.Swap(0)
+		out[i] = s.dev[i][cEpoch].Swap(0)
 	}
 	return out
 }
@@ -305,12 +270,10 @@ func Skew(devBytes []int64) int64 {
 
 // CacheStats is a point-in-time summary of a page cache's counters (the
 // pagecache package aggregates its per-shard padded counters into one of
-// these). Misses include bypassed pages, so HitRate never overstates how
-// much of the workload the cache actually served.
+// these).
 type CacheStats struct {
 	Hits      int64 // pages served from cache
-	Misses    int64 // pages read from the device (bypassed included)
-	Bypassed  int64 // pages read without probing the cache
+	Misses    int64 // pages read from the device
 	Evictions int64 // resident pages displaced
 	GhostHits int64 // evicted keys readmitted while still on the ghost list
 	Rejected  int64 // puts dropped for violating page-size strictness

@@ -8,10 +8,11 @@ import (
 
 func TestTimelineBuckets(t *testing.T) {
 	tl := NewTimeline(1000) // 1us buckets
-	tl.Add(0, 500)
-	tl.Add(999, 500)
-	tl.Add(1000, 1000)
-	tl.Add(5500, 2000)
+	sh := tl.Shard(0)
+	sh.Add(0, 500)
+	sh.Add(999, 500)
+	sh.Add(1000, 1000)
+	sh.Add(5500, 2000)
 	s := tl.Series()
 	if len(s) != 6 {
 		t.Fatalf("series length %d, want 6", len(s))
@@ -33,7 +34,7 @@ func TestTimelineBuckets(t *testing.T) {
 
 func TestTimelineNegativeClamped(t *testing.T) {
 	tl := NewTimeline(1000)
-	tl.Add(-5, 100) // must not panic
+	tl.Shard(0).Add(-5, 100) // must not panic
 	if tl.Series()[0] == 0 {
 		t.Error("negative timestamp dropped instead of clamped")
 	}
@@ -41,8 +42,9 @@ func TestTimelineNegativeClamped(t *testing.T) {
 
 func TestIdleFraction(t *testing.T) {
 	tl := NewTimeline(1000)
-	tl.Add(0, 1000)    // busy
-	tl.Add(3000, 1000) // busy; buckets 1,2 idle
+	sh := tl.Shard(0)
+	sh.Add(0, 1000)    // busy
+	sh.Add(3000, 1000) // busy; buckets 1,2 idle
 	got := tl.IdleFraction(0.5e9)
 	if got != 0.5 {
 		t.Errorf("IdleFraction = %g, want 0.5 (2 idle of 4)", got)

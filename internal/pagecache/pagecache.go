@@ -422,11 +422,6 @@ type Cache struct {
 
 	idMu sync.Mutex
 	ids  map[string]ID
-
-	// bypassed counts pages a cache-enabled engine read from the device
-	// without probing (see AddBypass); kept off the shards because it is
-	// not a shard event.
-	bypassed atomic.Int64
 }
 
 // shardCount picks the power-of-two shard count for capPages resident
@@ -742,16 +737,6 @@ func (c *Cache) ProbeRun(g ID, base, stride int64, n int, out []byte) (prefix, s
 	return prefix, suffix
 }
 
-// AddBypass records pages that a cache-enabled engine read from the device
-// without probing. The shared pipeline probes every run, so this only
-// fires in engines with private read paths; counting keeps Stats' miss
-// total — and so the ablation's hit rate — honest.
-func (c *Cache) AddBypass(pages int64) {
-	if c.Enabled() && pages > 0 {
-		c.bypassed.Add(pages)
-	}
-}
-
 // Len returns the number of resident pages.
 func (c *Cache) Len() int {
 	if c == nil {
@@ -764,14 +749,6 @@ func (c *Cache) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Stats returns hit and miss counts. Misses include bypassed pages: a
-// page the engine read from the device without asking the cache is a miss
-// the old accounting silently dropped.
-func (c *Cache) Stats() (hits, misses int64) {
-	d := c.StatsDetail()
-	return d.Hits, d.Misses
 }
 
 // StatsDetail returns the full counter set, aggregated over shards.
@@ -792,8 +769,6 @@ func (c *Cache) StatsDetail() metrics.CacheStats {
 		d.QuotaRejected += a.rejected.Load()
 	}
 	c.owners.mu.RUnlock()
-	d.Bypassed = c.bypassed.Load()
-	d.Misses += d.Bypassed
 	return d
 }
 
@@ -811,34 +786,4 @@ func (c *Cache) NumShards() int {
 		return 0
 	}
 	return len(c.shards)
-}
-
-// Reset drops every entry and returns the arena chunks to the shared pool.
-// Counters and interned identities are kept.
-func (c *Cache) Reset() {
-	if !c.Enabled() {
-		return
-	}
-	for i, s := range c.shards {
-		s.mu.Lock()
-		for _, ch := range s.arena {
-			if ch != nil {
-				chunkPool.Put(ch)
-			}
-		}
-		for fi := range s.frames {
-			if a := c.owners.get(s.frames[fi].owner); a != nil {
-				a.resident.Add(-1)
-			}
-		}
-		fresh := newShard(s.cap, s.policy, c.owners)
-		// Preserve the counter totals across the rebuild.
-		fresh.hits.Store(s.hits.Load())
-		fresh.misses.Store(s.misses.Load())
-		fresh.evictions.Store(s.evictions.Load())
-		fresh.ghostHits.Store(s.ghostHits.Load())
-		fresh.rejected.Store(s.rejected.Load())
-		c.shards[i] = fresh
-		s.mu.Unlock()
-	}
 }

@@ -27,9 +27,8 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if !c.Get(Key{g, 0}, out) || out[100] != 7 {
 		t.Fatal("miss or wrong data after Put")
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = (%d,%d), want (1,1)", hits, misses)
+	if d := c.StatsDetail(); d.Hits != 1 || d.Misses != 1 {
+		t.Errorf("stats = (%d,%d), want (1,1)", d.Hits, d.Misses)
 	}
 }
 
@@ -147,8 +146,8 @@ func TestResidentSideEffectFree(t *testing.T) {
 	if c.Resident(Key{g, 99}) {
 		t.Error("Resident true for a page never inserted")
 	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Errorf("Resident probes moved the hit/miss counters to (%d,%d), want (0,0)", h, m)
+	if d := c.StatsDetail(); d.Hits != 0 || d.Misses != 0 {
+		t.Errorf("Resident probes moved the hit/miss counters to (%d,%d), want (0,0)", d.Hits, d.Misses)
 	}
 	// Probe page 0 hard, then insert a new page: an unreferenced victim
 	// is evicted, and the probes must not have counted as references —
@@ -286,7 +285,6 @@ func TestDisabledCache(t *testing.T) {
 		if p, s := c.ProbeRun(0, 0, 1, 4, make([]byte, 4*graph.PageSize)); p != 0 || s != 0 {
 			t.Error("disabled cache served a run")
 		}
-		c.AddBypass(3) // must not panic
 		if c.Len() != 0 || c.Bytes() < 0 {
 			t.Error("disabled cache accounting")
 		}
@@ -334,28 +332,6 @@ func TestPageSizeStrict(t *testing.T) {
 	}
 	if short[0] != 99 {
 		t.Error("Get into a short destination wrote data")
-	}
-}
-
-// TestBypassAccounting: pages read around the cache count as misses in
-// Stats, so the reported hit rate cannot overstate what the cache served.
-func TestBypassAccounting(t *testing.T) {
-	c := New(4 * graph.PageSize)
-	g := c.GraphID("g")
-	c.Put(Key{g, 0}, page(1))
-	out := make([]byte, graph.PageSize)
-	c.Get(Key{g, 0}, out) // 1 hit
-	c.AddBypass(3)        // 3 pages read without probing
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 3 {
-		t.Errorf("stats = (%d,%d), want (1,3)", hits, misses)
-	}
-	d := c.StatsDetail()
-	if d.Bypassed != 3 {
-		t.Errorf("Bypassed = %d, want 3", d.Bypassed)
-	}
-	if got := d.HitRate(); got != 0.25 {
-		t.Errorf("HitRate = %v, want 0.25", got)
 	}
 }
 
@@ -418,7 +394,7 @@ func TestProbeRunPrefixSuffix(t *testing.T) {
 	if prefix != 0 || suffix != 0 {
 		t.Fatalf("interior pages served: (%d,%d)", prefix, suffix)
 	}
-	if _, misses := c2.Stats(); misses != 4 {
+	if misses := c2.StatsDetail().Misses; misses != 4 {
 		t.Errorf("interior-only probe counted %d misses, want 4", misses)
 	}
 }
@@ -432,9 +408,12 @@ func TestProbeRunAccounting(t *testing.T) {
 	c.Put(Key{g, 3}, page(3))
 	out := probeOut(4)
 	c.ProbeRun(g, 0, 1, 4, out) // prefix 1, suffix 1, 2 misses
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
-		t.Errorf("stats = (%d,%d), want (2,2)", hits, misses)
+	d := c.StatsDetail()
+	if d.Hits != 2 || d.Misses != 2 {
+		t.Errorf("stats = (%d,%d), want (2,2)", d.Hits, d.Misses)
+	}
+	if got := d.HitRate(); got != 0.5 {
+		t.Errorf("HitRate = %v, want 0.5", got)
 	}
 }
 
@@ -466,28 +445,6 @@ func TestShardCount(t *testing.T) {
 		if got := c.NumShards(); got&(got-1) != 0 {
 			t.Errorf("shard count %d not a power of two", got)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := New(8 * graph.PageSize)
-	g := c.GraphID("g")
-	for i := int64(0); i < 8; i++ {
-		c.Put(Key{g, i}, page(byte(i)))
-	}
-	hitsBefore, _ := c.Stats()
-	c.Reset()
-	if c.Len() != 0 {
-		t.Errorf("Len = %d after Reset", c.Len())
-	}
-	if hits, _ := c.Stats(); hits != hitsBefore {
-		t.Error("Reset dropped the counters")
-	}
-	// The cache still works after the arena round-trip.
-	c.Put(Key{g, 1}, page(42))
-	out := make([]byte, graph.PageSize)
-	if !c.Get(Key{g, 1}, out) || out[0] != 42 {
-		t.Error("cache broken after Reset")
 	}
 }
 

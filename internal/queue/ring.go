@@ -45,15 +45,8 @@ func (r *Ring[T]) Push(v T) bool {
 		r.mu.Unlock()
 		return false
 	}
-	r.put(v)
-	r.mu.Unlock()
-	return true
-}
-
-// put appends v and signals one consumer. Requires r.mu held and a free
-// slot. head+size is below 2*len(buf), so one conditional subtraction wraps
-// it without a division.
-func (r *Ring[T]) put(v T) {
+	// head+size is below 2*len(buf), so one conditional subtraction wraps
+	// it without a division.
 	i := r.head + r.size
 	if i >= len(r.buf) {
 		i -= len(r.buf)
@@ -61,6 +54,8 @@ func (r *Ring[T]) put(v T) {
 	r.buf[i] = v
 	r.size++
 	r.notEmpty.Signal()
+	r.mu.Unlock()
+	return true
 }
 
 // take removes the oldest item and signals one producer. Requires r.mu held
@@ -111,18 +106,6 @@ func (r *Ring[T]) PushN(vs []T) bool {
 		}
 	}
 	return true
-}
-
-// TryPush appends v without blocking. It reports whether the item was
-// enqueued; false means the ring was full or closed.
-func (r *Ring[T]) TryPush(v T) bool {
-	r.mu.Lock()
-	ok := !r.closed && r.size < len(r.buf)
-	if ok {
-		r.put(v)
-	}
-	r.mu.Unlock()
-	return ok
 }
 
 // Pop removes the oldest item, blocking while the ring is empty. It reports

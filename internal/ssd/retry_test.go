@@ -45,8 +45,7 @@ func TestDeviceRetriesTransient(t *testing.T) {
 	stats := metrics.NewIOStats(1)
 	b := &faultyBacking{failures: 2, transient: true}
 	s.Run("main", func(p exec.Proc) {
-		d := NewDevice(s, 0, OptaneSSD, b, stats, nil)
-		d.SetRetryPolicy(RetryPolicy{MaxRetries: 3, BackoffNs: 1000})
+		d := DeviceOptions{Retry: &RetryPolicy{MaxRetries: 3, BackoffNs: 1000}}.Build(s, 0, OptaneSSD, b, stats, nil)
 		buf := make([]byte, PageSize)
 		if err := d.ReadPages(p, 0, 1, buf); err != nil {
 			t.Fatalf("read within retry budget failed: %v", err)
@@ -74,8 +73,7 @@ func TestDeviceTransientBudgetExhausted(t *testing.T) {
 	stats := metrics.NewIOStats(1)
 	b := &faultyBacking{failures: -1, transient: true}
 	s.Run("main", func(p exec.Proc) {
-		d := NewDevice(s, 0, OptaneSSD, b, stats, nil)
-		d.SetRetryPolicy(RetryPolicy{MaxRetries: 3, BackoffNs: 100})
+		d := DeviceOptions{Retry: &RetryPolicy{MaxRetries: 3, BackoffNs: 100}}.Build(s, 0, OptaneSSD, b, stats, nil)
 		if err := d.ReadPages(p, 0, 1, make([]byte, PageSize)); err == nil {
 			t.Fatal("persistent transient error not surfaced")
 		}

@@ -151,9 +151,6 @@ func NewDevice(ctx exec.Context, id int, prof Profile, b Backing, stats *metrics
 // Profile returns the device's bandwidth profile.
 func (d *Device) Profile() Profile { return d.prof }
 
-// SetRetryPolicy overrides the device's transient-error retry policy.
-func (d *Device) SetRetryPolicy(rp RetryPolicy) { d.retry = rp }
-
 // transferNs returns the modeled duration of reading n pages starting at
 // local page start, and updates sequential-detection state. The state
 // update runs under the device lock: devices are shared by every proc that
@@ -419,7 +416,7 @@ func MergeDeviceOptions(opts []DeviceOptions) DeviceOptions {
 	return o
 }
 
-// / Build constructs one device honoring o: the backing is wrapped first (so
+// Build constructs one device honoring o: the backing is wrapped first (so
 // injected latency and faults are visible to the device) and the retry
 // policy applied.
 func (o DeviceOptions) Build(ctx exec.Context, id int, prof Profile, b Backing, stats *metrics.IOStats, tl *metrics.Timeline) *Device {

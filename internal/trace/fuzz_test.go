@@ -20,18 +20,17 @@ func (p *fakeProc) SetTraceRing(r *Ring) { p.ring = r }
 
 // FuzzTraceRing drives concurrent span emission (one writer goroutine per
 // ring) against a concurrent chunk drainer and checks the ring invariants:
-// no event is lost or duplicated when unsampled, kept+sampled always equals
-// emitted, per-proc timestamps stay in emission order, and none of it races
-// (the CI leg runs this under -race).
+// no event is lost or duplicated, per-proc timestamps stay in emission
+// order, and none of it races (the CI leg runs this under -race).
 func FuzzTraceRing(f *testing.F) {
-	f.Add(uint8(3), uint16(5000), uint8(0), false)
-	f.Add(uint8(1), uint16(4096), uint8(1), true) // exactly one chunk
-	f.Add(uint8(8), uint16(9000), uint8(4), true)
-	f.Add(uint8(2), uint16(1), uint8(7), false)
-	f.Fuzz(func(t *testing.T, procs uint8, perProc uint16, sample uint8, concurrentDrain bool) {
+	f.Add(uint8(3), uint16(5000), false)
+	f.Add(uint8(1), uint16(4096), true) // exactly one chunk
+	f.Add(uint8(8), uint16(9000), true)
+	f.Add(uint8(2), uint16(1), false)
+	f.Fuzz(func(t *testing.T, procs uint8, perProc uint16, concurrentDrain bool) {
 		np := int(procs)%8 + 1
 		n := int(perProc)%(3*chunkCap) + 1
-		tr := New(Config{Sample: uint64(sample)})
+		tr := New(Config{})
 
 		rings := make([]*Ring, np)
 		for i := 0; i < np; i++ {
@@ -90,21 +89,9 @@ func FuzzTraceRing(f *testing.F) {
 			}
 		}
 
-		s := int64(sample)
-		if s < 1 {
-			s = 1
-		}
 		for i := range rings {
-			kept := int64(len(drained[i]))
-			dropped := rings[i].Sampled()
-			if kept+dropped != int64(n) {
-				t.Fatalf("ring %d: kept %d + sampled %d != emitted %d", i, kept, dropped, n)
-			}
-			if s == 1 && kept != int64(n) {
-				t.Fatalf("ring %d: lost %d of %d unsampled events", i, int64(n)-kept, n)
-			}
-			if s > 1 && kept != int64(n)/s {
-				t.Fatalf("ring %d: 1-in-%d sampling kept %d of %d, want %d", i, s, kept, n, int64(n)/s)
+			if kept := len(drained[i]); kept != n {
+				t.Fatalf("ring %d: kept %d of %d events", i, kept, n)
 			}
 			last := int64(-1)
 			for k, e := range drained[i] {

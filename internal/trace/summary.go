@@ -128,9 +128,8 @@ type Summary struct {
 	Stages  []StageStats
 	Devices []DevIO
 	Queues  []QueueStats
-	// Events and SampledOut report collection coverage.
-	Events     int
-	SampledOut int64
+	// Events is the number of events collected.
+	Events int
 }
 
 // Summarize aggregates a collected trace.
@@ -142,7 +141,6 @@ func Summarize(tr *Trace) *Summary {
 	phases := map[Phase]*PhaseStats{}
 	var phaseNs int64
 	for _, p := range tr.Procs {
-		s.SampledOut += p.Sampled
 		st, ok := stages[p.Stage]
 		if !ok {
 			st = &StageStats{Stage: p.Stage}
@@ -260,11 +258,7 @@ func (s *Summary) pct(ns int64) string {
 // sum to the makespan exactly, so per-stage attribution can be checked
 // against the reported total.
 func (s *Summary) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "=== stage summary (makespan %s, %d events", ms(s.MakespanNs), s.Events)
-	if s.SampledOut > 0 {
-		fmt.Fprintf(w, ", %d sampled out", s.SampledOut)
-	}
-	fmt.Fprintf(w, ") ===\n\n")
+	fmt.Fprintf(w, "=== stage summary (makespan %s, %d events) ===\n\n", ms(s.MakespanNs), s.Events)
 
 	fmt.Fprintf(w, "phase breakdown (sums to makespan):\n")
 	fmt.Fprintf(w, "  %-10s %12s %8s %8s\n", "phase", "time", "share", "calls")

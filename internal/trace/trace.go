@@ -233,27 +233,16 @@ type Ring struct {
 
 	// active is writer-owned; no other goroutine touches it until Seal.
 	active []Event
-	// emitted counts events offered to the ring (including sampled-out
-	// ones), driving deterministic 1-in-N sampling.
-	emitted uint64
 
-	mu      sync.Mutex
-	done    [][]Event
-	sampled int64 // events dropped by sampling
-	sealed  bool
+	mu     sync.Mutex
+	done   [][]Event
+	sealed bool
 }
 
 // emit appends one event, handing the chunk off when full. Nil rings and
 // disabled tracers make this a no-op.
 func (r *Ring) emit(e Event) {
 	if r == nil || !r.t.enabled.Load() {
-		return
-	}
-	r.emitted++
-	if s := r.t.sample; s > 1 && r.emitted%s != 0 {
-		r.mu.Lock()
-		r.sampled++
-		r.mu.Unlock()
 		return
 	}
 	if r.active == nil {
@@ -318,13 +307,6 @@ func (r *Ring) Drain() [][]Event {
 	return chunks
 }
 
-// Sampled returns the number of events dropped by 1-in-N sampling.
-func (r *Ring) Sampled() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sampled
-}
-
 // RingOf returns p's attached ring (nil-safe); the one-liner every
 // emission site in the engines uses.
 func RingOf(p Proc) *Ring {
@@ -334,31 +316,23 @@ func RingOf(p Proc) *Ring {
 	return p.TraceRing()
 }
 
-// Config parameterizes a Tracer.
-type Config struct {
-	// Sample keeps one event in Sample (0 and 1 mean every event). The
-	// golden and conformance tests run unsampled; long real-time runs can
-	// sample to bound memory.
-	Sample uint64
-}
+// Config parameterizes a Tracer. It has no settings: every event is
+// recorded.
+type Config struct{}
 
 // Tracer owns the rings of one execution. Construct one per traced run,
 // thread it through the engine configuration (registry.Options.Tracer),
 // and Collect after the run's Context.Run returns.
 type Tracer struct {
 	enabled atomic.Bool
-	sample  uint64
 
 	mu    sync.Mutex
 	rings []*Ring
 }
 
 // New returns an enabled tracer.
-func New(cfg Config) *Tracer {
-	t := &Tracer{sample: cfg.Sample}
-	if t.sample == 0 {
-		t.sample = 1
-	}
+func New(Config) *Tracer {
+	t := &Tracer{}
 	t.enabled.Store(true)
 	return t
 }
@@ -410,9 +384,8 @@ type ProcTrace struct {
 	Stage Stage
 	Dev   int32
 	// Query is the owning query id in session mode, -1 otherwise.
-	Query   int32
-	Events  []Event
-	Sampled int64
+	Query  int32
+	Events []Event
 }
 
 // Trace is a fully collected execution trace.
@@ -440,11 +413,10 @@ func (t *Tracer) Collect() *Trace {
 		for _, c := range r.done {
 			events = append(events, c...)
 		}
-		sampled := r.sampled
 		r.mu.Unlock()
 		tr.Procs = append(tr.Procs, ProcTrace{
 			ID: r.id, Name: r.name, Stage: r.stage, Dev: r.dev, Query: r.query,
-			Events: events, Sampled: sampled,
+			Events: events,
 		})
 	}
 	sort.Slice(tr.Procs, func(i, j int) bool { return tr.Procs[i].ID < tr.Procs[j].ID })
