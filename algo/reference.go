@@ -34,8 +34,19 @@ func RefBFSDepth(c *graph.CSR, src uint32) []int32 {
 // CheckParents validates a parent array against a reference depth array:
 // every reachable vertex must have a parent one level above it connected by
 // a real edge; unreachable vertices must have parent -1. It returns the
-// first violated vertex and false, or (0, true).
+// first violated vertex and false, or (0, true). One pass over the edges
+// marks every vertex whose claimed parent has an edge to it, so the check
+// is O(V+E) whatever the degrees.
 func CheckParents(c *graph.CSR, src uint32, parent []int64, depth []int32) (uint32, bool) {
+	edge := make([]bool, c.V) // edge[v]: parent[v] -> v is an edge of c
+	for u := uint32(0); u < c.V; u++ {
+		b, e := c.EdgeRange(u)
+		for i := b; i < e; i++ {
+			if d := graph.GetEdge(c.Adj, i); parent[d] == int64(u) {
+				edge[d] = true
+			}
+		}
+	}
 	for v := uint32(0); v < c.V; v++ {
 		switch {
 		case v == src:
@@ -48,21 +59,7 @@ func CheckParents(c *graph.CSR, src uint32, parent []int64, depth []int32) (uint
 			}
 		default:
 			pv := parent[v]
-			if pv < 0 || pv >= int64(c.V) {
-				return v, false
-			}
-			if depth[pv] != depth[v]-1 {
-				return v, false
-			}
-			found := false
-			b, e := c.EdgeRange(uint32(pv))
-			for i := b; i < e; i++ {
-				if graph.GetEdge(c.Adj, i) == v {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if pv < 0 || pv >= int64(c.V) || depth[pv] != depth[v]-1 || !edge[v] {
 				return v, false
 			}
 		}

@@ -94,10 +94,15 @@ type Cluster struct {
 	vals  []float64 // gathered values, indexed by vertex (owners disjoint)
 }
 
-// New builds a cluster under ctx.
+// New builds a cluster under ctx. Every machine's EdgeMap runs on
+// cfg.Engine, so all of them draw from its one run pool; a nil Pool is
+// filled here, as algo.NewBlaze does for a single engine.
 func New(ctx exec.Context, cfg Config) *Cluster {
 	if cfg.Machines < 1 {
 		cfg.Machines = 1
+	}
+	if cfg.Engine.Pool == nil {
+		cfg.Engine.Pool = engine.NewPool()
 	}
 	return &Cluster{
 		Ctx:     ctx,

@@ -145,9 +145,10 @@ type Config struct {
 	// Mem receives memory accounting; it may be nil.
 	Mem *metrics.MemAccount
 	// Pool, when non-nil, retains IO buffers, bin buffer pairs, and
-	// stagers across EdgeMap calls (reset, not reallocated). Allocation is
-	// not modeled, so under the virtual-time backend it changes host time
-	// only.
+	// stagers across EdgeMap calls (reset, not reallocated), including
+	// calls that run at once on one pool (a session's queries, a cluster's
+	// machines). Allocation is not modeled, so under the virtual-time
+	// backend it changes host time only.
 	Pool *Pool
 	Common
 }

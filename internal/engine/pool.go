@@ -15,8 +15,10 @@ import (
 // per-proc stagers. Iterative algorithms (BFS, PageRank, WCC) call EdgeMap
 // once per round, and without the pool every round re-allocates the full
 // IO-buffer budget and all of the bin space and rebuilds two slots per bin —
-// pure churn, since the sizes never change within one Runtime. A Runtime
-// owns one Pool and threads it through Config.
+// pure churn, since the sizes never change under one owner. Each owner of
+// engines holds one Pool and threads it through Config: a Runtime, an
+// engine built by algo.NewBlaze, a cluster (every machine's EdgeMap draws
+// from it), and a session (every query's engine draws from it).
 //
 // The pool is a wall-clock optimization only. Allocation costs are not
 // modeled; recycled IO buffers pass through the same queue operations as
@@ -27,22 +29,25 @@ import (
 // retained Manager, whose slots would otherwise still carry the instants of
 // the previous round (and, after a new Sim Run restarted the clocks, carry
 // them into the future). Virtual-time figures are the same with or without
-// it.
+// it, and whichever retained state a taker happens to draw.
 //
 // Ownership discipline: EdgeMap takes entire entries out of the pool at
 // round start and returns them at round end, so the pool's lock is touched
 // twice per round, never on the per-edge or per-page path. Concurrent
-// EdgeMap calls on one Runtime are safe — a taker that finds the pool empty
-// simply allocates fresh state.
+// EdgeMap calls on one pool are safe: each taker owns what it drew until
+// it puts it back, and a taker that finds the pool empty allocates fresh
+// state. Bin state is a free list per value type, so K concurrent takers
+// each reopen a retained Manager once K have been built; the list never
+// holds more Managers than the peak number of concurrent takers.
 type Pool struct {
 	mu sync.Mutex
 	// ioBufs holds retained IO buffers; all share one backing length, and
 	// a size change (different MaxMergePages config) drops the stock.
 	ioBufs   []*pipeline.Buffer
 	ioBufLen int
-	// perType holds bin-side state keyed by the EdgeMap value type: each
-	// instantiation of EdgeMap[V] has its own record layout, so buffers
-	// cannot be shared across types.
+	// perType holds the free list of bin-side state, a *[]*binState[V],
+	// keyed by the EdgeMap value type: each instantiation of EdgeMap[V] has
+	// its own record layout, so buffers cannot be shared across types.
 	perType map[reflect.Type]any
 }
 
@@ -51,26 +56,27 @@ func NewPool() *Pool {
 	return &Pool{perType: map[reflect.Type]any{}}
 }
 
-// takeIOBuffers removes up to n retained buffers of bufLen backing bytes.
-// A pool stocked with a different buffer size is emptied: the config that
-// sized those buffers is gone.
-func (pl *Pool) takeIOBuffers(bufLen, n int) []*pipeline.Buffer {
+// takeIOBuffers moves up to n retained buffers of bufLen backing bytes
+// into dst and returns it. The buffers are copied out, never lent as a
+// subslice of the stock, so a later putIOBuffers cannot write over them
+// while their taker still reads dst. A pool stocked with a different buffer
+// size is emptied: the config that sized those buffers is gone.
+func (pl *Pool) takeIOBuffers(dst []*pipeline.Buffer, bufLen, n int) []*pipeline.Buffer {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	if pl.ioBufLen != bufLen {
 		pl.ioBufs = nil
 		pl.ioBufLen = bufLen
-		return nil
+		return dst
 	}
-	if n > len(pl.ioBufs) {
-		n = len(pl.ioBufs)
-	}
-	out := pl.ioBufs[len(pl.ioBufs)-n:]
-	pl.ioBufs = pl.ioBufs[:len(pl.ioBufs)-n]
-	return out
+	k := len(pl.ioBufs) - min(n, len(pl.ioBufs))
+	dst = append(dst, pl.ioBufs[k:]...)
+	pl.ioBufs = pl.ioBufs[:k]
+	return dst
 }
 
-// putIOBuffers returns buffers to the pool after a round.
+// putIOBuffers copies buffers back into the pool after a round; bufs
+// itself stays the caller's.
 func (pl *Pool) putIOBuffers(bufLen int, bufs []*pipeline.Buffer) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -89,7 +95,7 @@ type binState[V any] struct {
 	stagers []*bin.Stager[V]
 }
 
-// openBins returns the bin state for one round under ctx: the pooled
+// openBins returns the bin state for one round under ctx: the last pooled
 // Manager of value type V when it was built under the same ctx with the
 // same cfg, otherwise — no pool, nothing stocked, or a mismatch, which is
 // discarded — a fresh primed one. Either way it carries one stager per
@@ -99,8 +105,12 @@ func openBins[V any](pl *Pool, ctx exec.Context, p exec.Proc, cfg bin.Config, sc
 	if pl != nil {
 		key := reflect.TypeFor[V]()
 		pl.mu.Lock()
-		st, _ = pl.perType[key].(*binState[V])
-		delete(pl.perType, key)
+		if free, _ := pl.perType[key].(*[]*binState[V]); free != nil && len(*free) > 0 {
+			last := len(*free) - 1
+			st = (*free)[last]
+			(*free)[last] = nil
+			*free = (*free)[:last]
+		}
 		pl.mu.Unlock()
 	}
 	if st == nil || !st.bm.Reopen(ctx, p, cfg) {
@@ -113,11 +123,17 @@ func openBins[V any](pl *Pool, ctx exec.Context, p exec.Proc, cfg bin.Config, sc
 	return st
 }
 
-// closeBins stocks st for the next round of value type V. Only a round
-// that ended cleanly may call it: a failed one drops its partial bins, so
-// its buffers and stagers still hold records.
+// closeBins stocks st for a later round of value type V. Only a round that
+// ended cleanly may call it: a failed one drops its partial bins, so its
+// buffers and stagers still hold records.
 func closeBins[V any](pl *Pool, st *binState[V]) {
+	key := reflect.TypeFor[V]()
 	pl.mu.Lock()
-	pl.perType[reflect.TypeFor[V]()] = st
+	free, _ := pl.perType[key].(*[]*binState[V])
+	if free == nil {
+		free = new([]*binState[V])
+		pl.perType[key] = free
+	}
+	*free = append(*free, st)
 	pl.mu.Unlock()
 }

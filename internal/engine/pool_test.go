@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -100,14 +101,51 @@ func TestPoolRecycling(t *testing.T) {
 	pl := NewPool()
 	bufs := []*pipeline.Buffer{{Data: make([]byte, 8)}, {Data: make([]byte, 8)}}
 	pl.putIOBuffers(8, bufs)
-	if got := pl.takeIOBuffers(8, 1); len(got) != 1 {
+	if got := pl.takeIOBuffers(nil, 8, 1); len(got) != 1 {
 		t.Fatalf("take(8,1) = %d buffers, want 1", len(got))
 	}
-	if got := pl.takeIOBuffers(16, 4); len(got) != 0 {
+	if got := pl.takeIOBuffers(nil, 16, 4); len(got) != 0 {
 		t.Fatalf("take with mismatched size = %d buffers, want 0 (drop)", len(got))
 	}
-	if got := pl.takeIOBuffers(8, 4); len(got) != 0 {
+	if got := pl.takeIOBuffers(nil, 8, 4); len(got) != 0 {
 		t.Fatalf("pool not emptied after size change, got %d", len(got))
+	}
+}
+
+// TestPoolLenderDoesNotAlias: buffers a taker holds stay its own while
+// other takers put theirs back. Regression test: the lender returned the
+// tail of its own stock, and the next put appended into that same backing
+// array, so one buffer went to two rounds at once.
+func TestPoolLenderDoesNotAlias(t *testing.T) {
+	mk := func(n int) []*pipeline.Buffer {
+		bs := make([]*pipeline.Buffer, n)
+		for i := range bs {
+			bs[i] = &pipeline.Buffer{Data: make([]byte, 8)}
+		}
+		return bs
+	}
+	pl := NewPool()
+	pl.putIOBuffers(8, mk(4))
+	taken := pl.takeIOBuffers(make([]*pipeline.Buffer, 0, 2), 8, 2)
+	held := append([]*pipeline.Buffer(nil), taken...)
+	pl.putIOBuffers(8, mk(2))
+	for i := range held {
+		if taken[i] != held[i] {
+			t.Fatalf("a put overwrote buffer %d a taker still holds", i)
+		}
+	}
+	// The stock is the two untaken buffers and the two put back, none of
+	// them held.
+	rest := pl.takeIOBuffers(nil, 8, 10)
+	if len(rest) != 4 {
+		t.Fatalf("pool holds %d buffers, want 4", len(rest))
+	}
+	for _, b := range rest {
+		for _, h := range held {
+			if b == h {
+				t.Fatal("the pool lends a buffer a taker still holds")
+			}
+		}
 	}
 }
 
@@ -193,15 +231,30 @@ func TestPoolInvisibleAcrossRuns(t *testing.T) {
 	}
 }
 
-// pooledManager peeks at the bin Manager pl holds for value type V.
-func pooledManager[V any](pl *Pool) *bin.Manager[V] {
+// pooledManagers lists the bin Managers pl holds for value type V, in
+// free-list order: openBins takes the last.
+func pooledManagers[V any](pl *Pool) []*bin.Manager[V] {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	st, _ := pl.perType[reflect.TypeFor[V]()].(*binState[V])
-	if st == nil {
+	free, _ := pl.perType[reflect.TypeFor[V]()].(*[]*binState[V])
+	if free == nil {
 		return nil
 	}
-	return st.bm
+	ms := make([]*bin.Manager[V], len(*free))
+	for i, st := range *free {
+		ms[i] = st.bm
+	}
+	return ms
+}
+
+// pooledManager is the Manager the next round of value type V would
+// reopen, or nil.
+func pooledManager[V any](pl *Pool) *bin.Manager[V] {
+	ms := pooledManagers[V](pl)
+	if len(ms) == 0 {
+		return nil
+	}
+	return ms[len(ms)-1]
 }
 
 // weightedInDegree runs one full-frontier EdgeMap over g, every edge
@@ -364,5 +417,108 @@ func TestPoolDiscardsMismatchedManager(t *testing.T) {
 		} else {
 			lastInt = poolRound(t, step.name, step.ctx, step.g, step.conf, int64(1), want, lastInt, step.wantKept)
 		}
+	}
+}
+
+// TestPoolSharedByConcurrentTakers runs K concurrent EdgeMaps under Sim,
+// every one drawing from one pool, as a session's queries or a cluster's
+// machines do, each scanning a frontier of its own size. The first two
+// rounds start together: after the first the pool holds one Manager per
+// taker, and in the second every taker reopens one of those. Then the
+// takers run free, each doing some unsynchronised work of its own length
+// before every round, as an algorithm does between EdgeMaps, so one
+// taker's take overtakes another's put in host order. Results and the
+// virtual end must equal K unpooled runs throughout.
+func TestPoolSharedByConcurrentTakers(t *testing.T) {
+	const K, rounds = 4, 6
+	type sums [K][rounds][]int64
+	run := func(pool *Pool, afterTogether func(round int)) (got, want sums, end int64) {
+		ctx := exec.NewSim()
+		g, c := testGraph(ctx, 2, nil)
+		conf := DefaultConfig(c.E)
+		conf.Pool = pool
+		conf.ScatterProcs, conf.GatherProcs = 2, 2
+		var fronts [K][rounds]*frontier.VertexSubset
+		for i := range fronts {
+			for r := range fronts[i] {
+				f := frontier.NewVertexSubset(c.V)
+				want[i][r] = make([]int64, c.V)
+				for s := uint32(0); s < c.V; s += uint32(1 + (i+r)%K*7) {
+					f.Add(s)
+					b, e := c.EdgeRange(s)
+					for j := b; j < e; j++ {
+						want[i][r][graph.GetEdge(c.Adj, j)]++
+					}
+				}
+				fronts[i][r] = f
+			}
+		}
+		round := func(tp exec.Proc, i, r int) {
+			got[i][r] = make([]int64, c.V)
+			if _, _, err := EdgeMap(ctx, tp, g, fronts[i][r],
+				func(s, d uint32) int64 { return 1 },
+				func(d uint32, v int64) bool { got[i][r][d] += v; return false },
+				func(d uint32) bool { return true },
+				false, conf); err != nil {
+				t.Error(err)
+			}
+		}
+		takers := func(p exec.Proc, body func(tp exec.Proc, i int)) {
+			wg := ctx.NewWaitGroup()
+			wg.Add(K)
+			for i := 0; i < K; i++ {
+				ctx.Go(fmt.Sprintf("taker%d", i), func(tp exec.Proc) {
+					body(tp, i)
+					wg.Done(tp)
+				})
+			}
+			wg.Wait(p)
+		}
+		ctx.Run("main", func(p exec.Proc) {
+			for r := 0; r < 2; r++ {
+				takers(p, func(tp exec.Proc, i int) { round(tp, i, r) })
+				afterTogether(r)
+			}
+			takers(p, func(tp exec.Proc, i int) {
+				for r := 2; r < rounds; r++ {
+					tp.Advance(int64(i+1) * 30_000)
+					round(tp, i, r)
+				}
+			})
+		})
+		return got, want, ctx.End
+	}
+
+	gotFresh, want, endFresh := run(nil, func(int) {})
+	pool := NewPool()
+	var first map[*bin.Manager[int64]]bool
+	gotPooled, _, endPooled := run(pool, func(round int) {
+		held := map[*bin.Manager[int64]]bool{}
+		for _, m := range pooledManagers[int64](pool) {
+			held[m] = true
+		}
+		if len(held) != K {
+			t.Errorf("round %d: the pool holds %d distinct Managers, want one per taker (%d)", round, len(held), K)
+		}
+		if round == 1 && !reflect.DeepEqual(held, first) {
+			t.Error("round 1: a taker built a fresh Manager instead of reopening a retained one")
+		}
+		first = held
+	})
+	if n := len(pooledManagers[int64](pool)); n != K {
+		t.Errorf("the free list holds %d Managers after the free-running rounds, want %d: never more than the concurrent takers", n, K)
+	}
+	if !reflect.DeepEqual(gotFresh, want) {
+		t.Error("an unpooled taker's sums differ from the serial reference")
+	}
+	for i := range want {
+		for r := range want[i] {
+			if !reflect.DeepEqual(gotPooled[i][r], want[i][r]) {
+				t.Errorf("taker %d, round %d: pooled sums differ from the serial reference", i, r)
+			}
+		}
+	}
+	if endPooled != endFresh {
+		t.Errorf("pooled takers end at %d ns, unpooled at %d ns", endPooled, endFresh)
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"blaze/internal/costmodel"
 	"blaze/internal/exec"
@@ -40,10 +41,10 @@ type Spec struct {
 	// sizes the buffers; BufferBytes is the IO-buffer budget.
 	MergePages  int
 	BufferBytes int64
-	// Recycled, when non-nil, lends up to n buffers of bufLen bytes kept
-	// from an earlier Front's Recover; they are stocked before any are
-	// allocated.
-	Recycled func(bufLen, n int) []*Buffer
+	// Recycled, when non-nil, appends to dst up to n buffers of bufLen
+	// bytes kept from an earlier Front's Recover and returns the result,
+	// which stays the Front's; they are stocked before any are allocated.
+	Recycled func(dst []*Buffer, bufLen, n int) []*Buffer
 	// Cache, when enabled, sits in front of every device: admissions are
 	// charged to CacheOwner, and QueryCache (optional) receives the pages
 	// served, missed and quota-rejected. ProbeSyncs makes the probe itself
@@ -79,6 +80,9 @@ type Front struct {
 	readers      []*Reader
 	count        int
 	bufLen       int
+	// bufs is the one slice of this round's buffers: Spec.Recycled fills
+	// it at Open and Recover refills it.
+	bufs []*Buffer
 
 	// Phase spans on the coordinator's clock: source → pipeline → merge,
 	// back to back, so the trace summary's phase totals reconstruct the
@@ -125,12 +129,11 @@ func Open(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Fro
 	fr.bufLen = s.MergePages * ssd.PageSize
 	fr.count = BufferCount(s.BufferBytes, fr.bufLen, numReaders, pages)
 	fr.free, fr.filled = NewQueues(ctx, fr.count)
-	var recycled []*Buffer
 	if s.Recycled != nil {
-		recycled = s.Recycled(fr.bufLen, fr.count)
+		fr.bufs = s.Recycled(make([]*Buffer, 0, fr.count), fr.bufLen, fr.count)
 	}
-	fr.free.PushN(p, recycled)
-	Stock(p, fr.free, fr.count-len(recycled), fr.bufLen)
+	fr.free.PushN(p, fr.bufs)
+	Stock(p, fr.free, fr.count-len(fr.bufs), fr.bufLen)
 
 	merge := MergeRuns(s.MergePages)
 	fr.readers = make([]*Reader, 0, numReaders)
@@ -225,7 +228,7 @@ func (fr *Front) Failed() bool { return fr.latch.Failed() }
 // every sink has returned: the pipeline has quiesced and every buffer is
 // back in the free queue.
 func (fr *Front) Recover(p exec.Proc) []*Buffer {
-	bufs := make([]*Buffer, 0, fr.count)
+	bufs := slices.Grow(fr.bufs[:0], fr.count)
 	for {
 		buf, ok := fr.free.TryPop(p)
 		if !ok {

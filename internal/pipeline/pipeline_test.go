@@ -243,14 +243,14 @@ func TestFrontDeliversEveryPage(t *testing.T) {
 			// The warm round runs on the cold round's buffers: it asks the
 			// lender for exactly its count and allocates nothing new.
 			lent := map[*Buffer]bool{}
-			s.Recycled = func(bufLen, n int) []*Buffer {
+			s.Recycled = func(dst []*Buffer, bufLen, n int) []*Buffer {
 				if bufLen != 4*ssd.PageSize || n != cold.count {
 					t.Errorf("lender asked for %d buffers of %d bytes, want %d of %d", n, bufLen, cold.count, 4*ssd.PageSize)
 				}
 				for _, b := range cold.recovered {
 					lent[b] = true
 				}
-				return cold.recovered
+				return append(dst, cold.recovered...)
 			}
 			base := stats.PagesRead()
 			warm := runFront(t, ctx, s)

@@ -77,7 +77,8 @@ type Options struct {
 	// PageCache optionally puts a shared page cache in front of the blaze
 	// engines.
 	PageCache *pagecache.Cache
-	// Pool retains blaze IO/bin buffers across EdgeMap rounds.
+	// Pool retains blaze IO/bin buffers across EdgeMap rounds, and across
+	// engines that share it (a session sets its own on every query).
 	Pool *engine.Pool
 	// DevOpts configures devices the engine builds itself (graphene).
 	DevOpts []ssd.DeviceOptions

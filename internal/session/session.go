@@ -7,7 +7,7 @@
 // that extension on top of the engine's session hooks (engine.Config's
 // Scheds/QueryID/QueryCache surface).
 //
-// The sharing mechanisms live in three layers this package composes:
+// The sharing mechanisms live in four layers this package composes:
 //
 //   - internal/iosched: per-device schedulers that coalesce overlapping
 //     reads from different queries (one device read per page run) and
@@ -17,6 +17,9 @@
 //     cache capacity between active queries so one query's scan cannot
 //     evict another's working set beyond its share; the split is
 //     recomputed whenever a query joins or finishes.
+//   - internal/engine: one run pool (engine.Pool) for every query's
+//     engine, so IO buffers and bin Managers outlive the query that
+//     allocated them and the next query reopens them.
 //   - internal/metrics: per-query attributable IO and cache counters. A
 //     query's device reads are double-entered — once on the session-wide
 //     device stats (totals, unchanged accounting) and once on the query's
@@ -64,9 +67,10 @@ type Config struct {
 	Engine string
 	// Base is the engine construction surface shared by every query
 	// (workers, binning, cost model, ...). Its session fields — Scheds,
-	// QueryID, QueryCache, PageCache, Stats — are overridden per query, and
-	// Pool is dropped: a run pool is single-query state, so every query's
-	// engine retains its own.
+	// QueryID, QueryCache, PageCache, Stats and Pool — are overridden per
+	// query: every query's engine draws its IO buffers and bin Managers
+	// from the session's one run pool, so a query after the first reuses
+	// what an earlier one allocated.
 	Base registry.Options
 	// Cache is the shared page cache (nil or disabled = no caching; the
 	// flashgraph baseline ignores it and keeps its private per-query LRU).
@@ -112,6 +116,7 @@ type Session struct {
 
 	cfg      Config
 	scheds   *iosched.Table
+	pool     *engine.Pool
 	capPages int64
 
 	mu      sync.Mutex
@@ -143,7 +148,7 @@ func New(ctx exec.Context, out, in *engine.Graph, cfg Config) (*Session, error) 
 	if in != nil {
 		t.AddArray(in.Arr, icfg)
 	}
-	s := &Session{Ctx: ctx, Out: out, In: in, cfg: cfg, scheds: t}
+	s := &Session{Ctx: ctx, Out: out, In: in, cfg: cfg, scheds: t, pool: engine.NewPool()}
 	if cfg.Cache.Enabled() {
 		s.capPages = cfg.Cache.Bytes() / ssd.PageSize
 	}
@@ -181,7 +186,7 @@ func (s *Session) NewQuery() (*Query, error) {
 	opts := s.cfg.Base
 	opts.Stats = q.IO
 	opts.PageCache = s.cfg.Cache
-	opts.Pool = nil
+	opts.Pool = s.pool
 	opts.Scheds = s.scheds
 	opts.QueryID = id
 	opts.QueryCache = q.Cache

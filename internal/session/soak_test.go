@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"blaze/algo"
@@ -159,12 +160,15 @@ func TestQuotaSplitNeverOversubscribes(t *testing.T) {
 // TestSessionSoak: hundreds of sequential short queries through one
 // session leave bounded state everywhere — the scheduler query tables, the
 // session's live set, the cache owner quotas — and quota accounting stays
-// exact throughout.
+// exact throughout; every traversal after the first reuses the IO buffers
+// and bin Manager the first one left in the session's run pool.
 func TestSessionSoak(t *testing.T) {
 	ctx := exec.NewSim()
 	cache := pagecache.New(64 * ssd.PageSize)
 	s, out := newTestSession(t, ctx, Config{Cache: cache, MaxQueries: 4})
 	const rounds = 300
+	var ms runtime.MemStats
+	var allocs []uint64 // bytes each traversal allocated
 	ctx.Run("main", func(p exec.Proc) {
 		for i := 0; i < rounds; i++ {
 			q, err := s.NewQuery()
@@ -177,9 +181,13 @@ func TestSessionSoak(t *testing.T) {
 			// Run a real traversal through the engine every 32nd round so the
 			// scheduler and cache paths see actual IO, not just registration.
 			if i%32 == 0 {
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
 				if _, err := algo.BFS(q.Sys, p, out, 0); err != nil {
 					t.Fatalf("round %d: BFS: %v", i, err)
 				}
+				runtime.ReadMemStats(&ms)
+				allocs = append(allocs, ms.TotalAlloc-before)
 			}
 			s.Finish(q)
 			if quota, ok := cache.QuotaOf(q.ID); ok {
@@ -187,6 +195,17 @@ func TestSessionSoak(t *testing.T) {
 			}
 		}
 	})
+	// Every query's engine draws from the session's run pool, so only the
+	// first traversal builds IO buffers and a bin Manager (~7 MB here);
+	// later ones reopen them and allocate frontiers and per-round
+	// bookkeeping, ~30 kB. A sixteenth of the first leaves that room to grow
+	// twentyfold, and is far below what a query building its own costs.
+	for i, b := range allocs[1:] {
+		if 16*b > allocs[0] {
+			t.Errorf("traversal %d allocated %d bytes, more than 1/16 of the first's %d: it did not reuse the pooled state",
+				i+1, b, allocs[0])
+		}
+	}
 	if got := s.Active(); got != 0 {
 		t.Errorf("active = %d after soak, want 0", got)
 	}
