@@ -9,14 +9,24 @@
 // locality (sk2005 is highly local; uran27 has none), and diameter regime
 // (windowed generation yields the high-diameter structure of web crawls).
 //
-// Generation is deterministic: it uses a local splitmix64/xoshiro-style
-// generator rather than math/rand, so datasets are bit-identical across Go
-// versions and platforms.
+// Generation is deterministic: it uses a local splitmix64 generator rather
+// than math/rand, so datasets are bit-identical across Go versions and
+// platforms. It is also independent of GOMAXPROCS. Generate cuts the edge
+// list into contiguous chunks and draws them in parallel, and each chunk
+// jumps its generator to exactly the state the serial stream has at its
+// first edge. The jump is exact because splitmix64's state advances by the
+// constant Golden on every draw, so the state before draw j is
+// start + j·Golden (mod 2^64). Every edge of a preset takes the same number
+// of draws: one per level for R-MAT, that plus one for windowed, two for
+// uniform.
 package gen
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+
+	"blaze/internal/par"
 )
 
 // Kind selects the generator family.
@@ -124,92 +134,145 @@ func (p Preset) Scaled(factor float64) Preset {
 }
 
 // Generate produces the preset's edge list deterministically. The returned
-// slices have length p.E.
+// slices have length p.E. Large lists are drawn as contiguous chunks on up
+// to GOMAXPROCS goroutines; the output is the same at every GOMAXPROCS.
 func (p Preset) Generate() (src, dst []uint32) {
 	if p.V == 0 || p.E == 0 {
 		panic("gen: preset not scaled (V/E are zero)")
 	}
 	src = make([]uint32, p.E)
 	dst = make([]uint32, p.E)
-	r := newRNG(p.Seed)
-	switch p.Kind {
-	case KindRMAT:
-		d := 1 - p.A - p.B - p.C
-		genRMAT(r, p.V, src, dst, p.A, p.B, p.C, d)
-	case KindUniform:
-		for i := range src {
-			src[i] = uint32(r.next() % uint64(p.V))
-			dst[i] = uint32(r.next() % uint64(p.V))
-		}
-	case KindWindowed:
-		genWindowed(r, p.V, src, dst, p.A, p.B, p.C, p.Window)
-	}
+	p.fill(src, dst, par.Chunks(p.E, 0))
 	return src, dst
 }
 
-// genRMAT fills src/dst with R-MAT edges over n vertices.
-func genRMAT(r *rng, n uint32, src, dst []uint32, a, b, c, d float64) {
-	levels := 0
-	for (uint64(1) << levels) < uint64(n) {
-		levels++
+// fill draws the preset's edges into src and dst as k contiguous chunks.
+// Every edge consumes a fixed number of draws, so chunk w starts its stream
+// where the serial stream stands at its first edge, and the result does not
+// depend on k.
+func (p Preset) fill(src, dst []uint32, k int) {
+	levels := bits.Len32(p.V - 1) // the least levels with 2^levels >= V
+	g := drawer{
+		src: src, dst: dst, k: k, n: p.V, start: newRNG(p.Seed).state, levels: levels,
+		q: quadrants{thresh(p.A), thresh(p.A + p.B), thresh(p.A + p.B + p.C)},
 	}
-	ab := a + b
-	abc := a + b + c
-	_ = d
-	for i := range src {
-		var s, t uint64
-		for l := 0; l < levels; l++ {
-			u := r.float64()
-			switch {
-			case u < a:
-				// top-left: no bits set
-			case u < ab:
-				t |= 1 << l
-			case u < abc:
-				s |= 1 << l
-			default:
-				s |= 1 << l
-				t |= 1 << l
-			}
-		}
-		src[i] = uint32(s % uint64(n))
-		dst[i] = uint32(t % uint64(n))
+	switch p.Kind {
+	case KindRMAT:
+		g.draws = uint64(levels)
+		par.Run(k, g, drawer.rmat)
+	case KindUniform:
+		g.draws = 2
+		par.Run(k, g, drawer.uniform)
+	case KindWindowed:
+		g.draws = uint64(levels) + 1
+		g.window = max(uint64(float64(p.V)*p.Window), 4)
+		par.Run(k, g, drawer.windowed)
 	}
 }
 
-// genWindowed draws sources from an R-MAT-style skewed distribution but
-// places destinations within a window around the source, producing the
-// high-locality, high-diameter structure of web graphs.
-func genWindowed(r *rng, n uint32, src, dst []uint32, a, b, c float64, window float64) {
-	w := uint64(float64(n) * window)
-	if w < 4 {
-		w = 4
+// thresh returns the integer form of the quadrant test u < p on a 53-bit
+// draw k, where u = float64(k)/2^53: u < p exactly when k < thresh(p). Both
+// k/2^53 and p·2^53 are exact in float64 (scaling by a power of two), and k
+// is an integer, so k/2^53 < p ⟺ k < p·2^53 ⟺ k < ⌈p·2^53⌉.
+func thresh(p float64) uint64 {
+	switch {
+	case !(p > 0): // NaN included: u < NaN never holds
+		return 0
+	case p >= 1:
+		return 1 << 53
 	}
-	levels := 0
-	for (uint64(1) << levels) < uint64(n) {
-		levels++
-	}
-	ab := a + b
-	abc := a + b + c
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// drawer is one generation pass, copied to every chunk.
+type drawer struct {
+	src, dst []uint32
+	k        int    // chunks
+	n        uint32 // vertices
+	start    uint64 // the serial stream's initial state
+	draws    uint64 // draws per edge
+	levels   int
+	q        quadrants
+	window   uint64 // KindWindowed's destination window, in vertices
+}
+
+// chunk returns chunk w's slices of the edge list and the generator as the
+// serial stream stands at its first edge: splitmix64 adds Golden to its
+// state once per draw, so jumping lo·draws draws ahead is one multiply-add.
+func (g *drawer) chunk(w int) (src, dst []uint32, r rng) {
+	lo, hi := par.Bounds(int64(len(g.src)), g.k, w)
+	return g.src[lo:hi], g.dst[lo:hi], rng{state: g.start + uint64(lo)*g.draws*Golden}
+}
+
+// quadrants holds thresh of R-MAT's a, a+b and a+b+c.
+type quadrants struct{ a, ab, abc uint64 }
+
+// pick chooses an R-MAT quadrant for a draw without branches, returning
+// each bit as an all-ones or zero mask. With u the draw's float, the
+// serial switch sets no bit below a, the column bit t below a+b, the row
+// bit s below a+b+c and both above; so s is clear when u < a or u < a+b,
+// and t is clear when u < a or a+b ≤ u < a+b+c.
+func (q quadrants) pick(x uint64) (s, t uint64) {
+	k := x >> 11
+	// k < 2^53, so k-th wraps past 2^63, setting bit 63, exactly when k < th.
+	ltA := (k - q.a) >> 63
+	ltAB := (k - q.ab) >> 63
+	ltABC := (k - q.abc) >> 63
+	sClear := ltA | ltAB
+	tClear := ltA | ltABC&^ltAB
+	return sClear - 1, tClear - 1 // 1 → 0, 0 → all ones
+}
+
+// rmat fills chunk w with R-MAT edges: one draw per level picks the
+// quadrant, setting that level's source and destination bits.
+func (g drawer) rmat(w int) int64 {
+	src, dst, r := g.chunk(w)
+	q, n, top := g.q, uint64(g.n), uint64(1)<<g.levels
 	for i := range src {
-		// Skewed source (R-MAT row distribution).
+		var s, t uint64
+		for bit := uint64(1); bit < top; bit <<= 1 {
+			sm, tm := q.pick(r.next())
+			s |= sm & bit
+			t |= tm & bit
+		}
+		src[i] = uint32(s % n)
+		dst[i] = uint32(t % n)
+	}
+	return -1
+}
+
+// uniform fills chunk w with edges whose endpoints are uniform.
+func (g drawer) uniform(w int) int64 {
+	src, dst, r := g.chunk(w)
+	n := uint64(g.n)
+	for i := range src {
+		src[i] = uint32(r.next() % n)
+		dst[i] = uint32(r.next() % n)
+	}
+	return -1
+}
+
+// windowed fills chunk w with edges whose sources follow the R-MAT row
+// distribution and whose destinations lie within a window around the
+// source, producing the high-locality, high-diameter structure of web
+// graphs. The row bit is R-MAT's column bit: set in the top-right and
+// bottom-right quadrants.
+func (g drawer) windowed(w int) int64 {
+	src, dst, r := g.chunk(w)
+	q, n, top, win := g.q, int64(g.n), uint64(1)<<g.levels, g.window
+	for i := range src {
 		var s uint64
-		for l := 0; l < levels; l++ {
-			u := r.float64()
-			switch {
-			case u < a, u >= ab && u < abc:
-				// row bit clear
-			default:
-				s |= 1 << l
-			}
+		for bit := uint64(1); bit < top; bit <<= 1 {
+			_, row := q.pick(r.next())
+			s |= row & bit
 		}
 		s %= uint64(n)
 		// Destination within +/- window/2 of the source, wrapping.
-		off := int64(r.next()%w) - int64(w/2)
-		t := (int64(s) + off + int64(n)) % int64(n)
+		off := int64(r.next()%win) - int64(win/2)
 		src[i] = uint32(s)
-		dst[i] = uint32(t)
+		dst[i] = uint32((int64(s) + off + n) % n)
 	}
+	return -1
 }
 
 // Golden is SplitMix64's stream increment, 2^64 divided by the golden ratio.

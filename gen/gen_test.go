@@ -1,8 +1,13 @@
 package gen
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+
+	"blaze/internal/par"
 )
 
 func TestPresetsCoverTableII(t *testing.T) {
@@ -169,6 +174,196 @@ func TestIntn(t *testing.T) {
 		v := r.Intn(10)
 		if v < 0 || v >= 10 {
 			t.Fatalf("Intn out of range: %d", v)
+		}
+	}
+}
+
+// serialGenerate is the one-goroutine generator Generate replaced, kept as
+// its oracle: branchy per-level quadrant picks over one splitmix64 stream.
+func serialGenerate(p Preset) (src, dst []uint32) {
+	src = make([]uint32, p.E)
+	dst = make([]uint32, p.E)
+	r := newRNG(p.Seed)
+	switch p.Kind {
+	case KindRMAT:
+		serialRMAT(r, p.V, src, dst, p.A, p.B, p.C)
+	case KindUniform:
+		for i := range src {
+			src[i] = uint32(r.next() % uint64(p.V))
+			dst[i] = uint32(r.next() % uint64(p.V))
+		}
+	case KindWindowed:
+		serialWindowed(r, p.V, src, dst, p.A, p.B, p.C, p.Window)
+	}
+	return src, dst
+}
+
+func serialRMAT(r *rng, n uint32, src, dst []uint32, a, b, c float64) {
+	levels := 0
+	for (uint64(1) << levels) < uint64(n) {
+		levels++
+	}
+	ab := a + b
+	abc := a + b + c
+	for i := range src {
+		var s, t uint64
+		for l := 0; l < levels; l++ {
+			u := r.float64()
+			switch {
+			case u < a:
+				// top-left: no bits set
+			case u < ab:
+				t |= 1 << l
+			case u < abc:
+				s |= 1 << l
+			default:
+				s |= 1 << l
+				t |= 1 << l
+			}
+		}
+		src[i] = uint32(s % uint64(n))
+		dst[i] = uint32(t % uint64(n))
+	}
+}
+
+func serialWindowed(r *rng, n uint32, src, dst []uint32, a, b, c float64, window float64) {
+	w := uint64(float64(n) * window)
+	if w < 4 {
+		w = 4
+	}
+	levels := 0
+	for (uint64(1) << levels) < uint64(n) {
+		levels++
+	}
+	ab := a + b
+	abc := a + b + c
+	for i := range src {
+		// Skewed source (R-MAT row distribution).
+		var s uint64
+		for l := 0; l < levels; l++ {
+			u := r.float64()
+			switch {
+			case u < a, u >= ab && u < abc:
+				// row bit clear
+			default:
+				s |= 1 << l
+			}
+		}
+		s %= uint64(n)
+		// Destination within +/- window/2 of the source, wrapping.
+		off := int64(r.next()%w) - int64(w/2)
+		t := (int64(s) + off + int64(n)) % int64(n)
+		src[i] = uint32(s)
+		dst[i] = uint32(t)
+	}
+}
+
+// TestGenerateMatchesSerial: every preset, drawn in chunks on 1, 2, 3 and 8
+// procs, is the serial oracle's edge list.
+func TestGenerateMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range Presets() {
+		p = p.Scaled(p.PaperE * 1e6 / (5 * par.MinChunk)) // ~5 chunks at GOMAXPROCS 8
+		wantSrc, wantDst := serialGenerate(p)
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			if k := par.Chunks(p.E, 0); k < min(procs, 4) {
+				t.Fatalf("%s: %d edges run as %d chunks at GOMAXPROCS %d", p.Short, p.E, k, procs)
+			}
+			src, dst := p.Generate()
+			if !slices.Equal(src, wantSrc) || !slices.Equal(dst, wantDst) {
+				t.Errorf("%s at GOMAXPROCS %d: edge list differs from the serial generator", p.Short, procs)
+			}
+		}
+	}
+}
+
+// TestFillAnyChunkCount drives the kernels below the chunk cutoff, at chunk
+// counts that leave uneven and empty chunks.
+func TestFillAnyChunkCount(t *testing.T) {
+	for _, p := range Presets() {
+		p = p.Scaled(p.PaperE * 1e6 / 1000)
+		wantSrc, wantDst := serialGenerate(p)
+		for k := 1; k <= 9; k++ {
+			src, dst := make([]uint32, p.E), make([]uint32, p.E)
+			p.fill(src, dst, k)
+			if !slices.Equal(src, wantSrc) || !slices.Equal(dst, wantDst) {
+				t.Errorf("%s as %d chunks: edge list differs from the serial generator", p.Short, k)
+			}
+		}
+	}
+	// One edge per chunk and chunks with none.
+	p := Preset{Kind: KindRMAT, A: 0.57, B: 0.19, C: 0.19, Seed: 3, V: 1 << 10, E: 5}
+	wantSrc, wantDst := serialGenerate(p)
+	src, dst := make([]uint32, p.E), make([]uint32, p.E)
+	p.fill(src, dst, 8)
+	if !slices.Equal(src, wantSrc) || !slices.Equal(dst, wantDst) {
+		t.Error("5 edges as 8 chunks: edge list differs from the serial generator")
+	}
+}
+
+// TestThresh: on both sides of every preset's thresholds the integer test
+// on the 53-bit draw agrees with the float test it replaced, and the
+// branchless quadrant equals the serial switch.
+func TestThresh(t *testing.T) {
+	const one = 1 << 53
+	float := func(k uint64) float64 { return float64(k) / float64(one) }
+	for _, p := range Presets() {
+		qs := quadrants{thresh(p.A), thresh(p.A + p.B), thresh(p.A + p.B + p.C)}
+		for _, q := range []float64{p.A, p.A + p.B, p.A + p.B + p.C} {
+			th := thresh(q)
+			for _, k := range []uint64{th - 1, th} {
+				if k >= one {
+					continue
+				}
+				if (k < th) != (float(k) < q) {
+					t.Errorf("%s: p=%v k=%d: integer test %v, float test %v", p.Short, q, k, k < th, float(k) < q)
+				}
+				sm, tm := qs.pick(k << 11)
+				s, tb := sm&1, tm&1
+				if sm != -s || tm != -tb {
+					t.Errorf("%s: draw %d: masks %#x, %#x are not all ones or zero", p.Short, k, sm, tm)
+				}
+				ws, wt := serialQuadrant(float(k), p.A, p.A+p.B, p.A+p.B+p.C)
+				if s != ws || tb != wt {
+					t.Errorf("%s: draw %d picks quadrant (%d,%d), serial (%d,%d)", p.Short, k, s, tb, ws, wt)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		p    float64
+		want uint64
+	}{{0, 0}, {-1, 0}, {math.NaN(), 0}, {1, one}, {2, one}, {0.5, one / 2}, {math.SmallestNonzeroFloat64, 1}} {
+		if got := thresh(c.p); got != c.want {
+			t.Errorf("thresh(%v) = %d, want %d", c.p, got, c.want)
+		}
+	}
+}
+
+// serialQuadrant is serialRMAT's per-level switch.
+func serialQuadrant(u, a, ab, abc float64) (s, t uint64) {
+	switch {
+	case u < a:
+	case u < ab:
+		t = 1
+	case u < abc:
+		s = 1
+	default:
+		s, t = 1, 1
+	}
+	return s, t
+}
+
+// TestGenerateInlineAllocates: below the chunk cutoff Generate allocates
+// exactly what the serial generator did.
+func TestGenerateInlineAllocates(t *testing.T) {
+	for _, p := range Presets() {
+		p = p.Scaled(p.PaperE * 1e6 / 1000)
+		got := testing.AllocsPerRun(10, func() { p.Generate() })
+		want := testing.AllocsPerRun(10, func() { serialGenerate(p) })
+		if got != want {
+			t.Errorf("%s: Generate allocates %.0f times, the serial generator %.0f", p.Short, got, want)
 		}
 	}
 }

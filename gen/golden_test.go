@@ -23,11 +23,13 @@ func edgeHash(src, dst []uint32) uint64 {
 	return h.Sum64()
 }
 
-// TestGoldenDatasets pins the exact bits of every preset at 1/200000 scale.
-// The generator must stay bit-identical across platforms and Go versions —
-// EXPERIMENTS.md results are only reproducible if the inputs are. If a
-// deliberate generator change breaks this test, update the constants AND
-// rerun `blaze-bench -exp all` to refresh EXPERIMENTS.md.
+// TestGoldenDatasets pins the exact bits of every preset at 1/200000 scale,
+// and of five at 1/4096, where the edge lists are long enough to be drawn
+// as parallel chunks (the 1/4096 hashes were taken from the serial
+// generator). The generator must stay bit-identical across platforms, Go
+// versions and GOMAXPROCS — EXPERIMENTS.md results are only reproducible if
+// the inputs are. If a deliberate generator change breaks this test, update
+// the constants AND rerun `blaze-bench -exp all` to refresh EXPERIMENTS.md.
 func TestGoldenDatasets(t *testing.T) {
 	want := map[string]uint64{
 		"r2": 0xc370c3f3b8843859,
@@ -38,12 +40,27 @@ func TestGoldenDatasets(t *testing.T) {
 		"fr": 0xe7f947a15ba043f6,
 		"hy": 0x2a635fcfd7520537,
 	}
-	for _, p := range Presets() {
-		sp := p.Scaled(200000)
-		src, dst := sp.Generate()
-		got := edgeHash(src, dst)
-		if got != want[p.Short] {
-			t.Errorf("%s: edge hash %#x, want %#x — generator output changed", p.Short, got, want[p.Short])
+	want4096 := map[string]uint64{
+		"r2": 0xe3070f99c6cb4080,
+		"ur": 0xe011a0eccb4b3c85,
+		"sk": 0xfdda6e7c074081f2,
+		"tw": 0xcb69536592066557,
+		"fr": 0x511ca33692460575,
+	}
+	for _, c := range []struct {
+		scale float64
+		want  map[string]uint64
+	}{{200000, want}, {4096, want4096}} {
+		for _, p := range Presets() {
+			w, ok := c.want[p.Short]
+			if !ok {
+				continue
+			}
+			sp := p.Scaled(c.scale)
+			src, dst := sp.Generate()
+			if got := edgeHash(src, dst); got != w {
+				t.Errorf("%s at 1/%.0f: edge hash %#x, want %#x — generator output changed", p.Short, c.scale, got, w)
+			}
 		}
 	}
 }

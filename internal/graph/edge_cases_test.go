@@ -86,6 +86,41 @@ func TestOpenAdjRejectsTruncated(t *testing.T) {
 	}
 }
 
+// TestReadAdjRejectsOutOfRangeDestination: an adjacency naming a vertex
+// past V must not load, since the in-core engines index vertex arrays with
+// it.
+func TestReadAdjRejectsOutOfRangeDestination(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "g")
+	c := MustBuild(4, []uint32{0, 1, 2, 3}, []uint32{1, 2, 3, 0})
+	if err := WriteFiles(c, nil, base); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := ReadIndex(base + ".gr.index")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadAdj(base+".gr.adj.0", idx); err != nil {
+		t.Fatalf("valid adjacency rejected: %v", err)
+	}
+	f, err := openRW(base + ".gr.adj.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{100}, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	idx, err = ReadIndex(base + ".gr.index")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadAdj(base+".gr.adj.0", idx); err == nil {
+		t.Error("destination 100 of a 4-vertex graph accepted")
+	} else if idx.Adj != nil {
+		t.Error("rejected adjacency attached to the CSR")
+	}
+}
+
 func TestReadIndexRejectsOversizedHeader(t *testing.T) {
 	// A header claiming more vertices than the file could hold must be
 	// rejected before any large allocation (fuzz regression).

@@ -224,6 +224,8 @@ func ReadIndex(path string) (*CSR, error) {
 // index-only CSR (trimming page padding). Engines that need the adjacency
 // in DRAM — the in-core engine and graphene's self-placed devices — use
 // this; the out-of-core engines leave the adjacency on disk via OpenAdj.
+// Those engines index vertex arrays by destination, so a destination
+// outside [0, V) is an error here.
 func ReadAdj(path string, c *CSR) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -232,7 +234,13 @@ func ReadAdj(path string, c *CSR) error {
 	if int64(len(data)) < c.AdjBytes() {
 		return fmt.Errorf("graph: %s: size %d < adjacency %d", path, len(data), c.AdjBytes())
 	}
-	c.Adj = data[:c.AdjBytes()]
+	adj := data[:c.AdjBytes()]
+	for i := int64(0); i < c.E; i++ {
+		if d := GetEdge(adj, i); d >= c.V {
+			return fmt.Errorf("graph: %s: edge %d: destination %d out of range %d", path, i, d, c.V)
+		}
+	}
+	c.Adj = adj
 	return nil
 }
 
@@ -248,11 +256,9 @@ func OpenAdj(path string, c *CSR) (*os.File, int64, error) {
 		f.Close()
 		return nil, 0, err
 	}
-	want := c.NumPages() * PageSize
 	if st.Size() < c.AdjBytes() {
 		f.Close()
 		return nil, 0, fmt.Errorf("graph: %s: size %d < adjacency %d", path, st.Size(), c.AdjBytes())
 	}
-	_ = want
 	return f, c.AdjBytes(), nil
 }

@@ -62,6 +62,45 @@ func FuzzReadIndex(f *testing.F) {
 	})
 }
 
+// FuzzReadAdj: the adjacency loader accepts a file exactly when every
+// destination it holds is below V. The input is read as a vertex count and
+// the adjacency file's bytes; its whole edges are spread over the vertices
+// round-robin to make the index.
+func FuzzReadAdj(f *testing.F) {
+	f.Add([]byte{4, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{4, 100, 0, 0, 0})
+	f.Add([]byte{4, 0, 0, 0, 0, 4, 0, 0, 0}) // destination V
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{16, 0xff, 0xff, 0xff, 0xff, 1, 2})
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 1 || raw[0] == 0 {
+			t.Skip()
+		}
+		n, file := int(raw[0]), raw[1:]
+		degrees := make([]uint32, n)
+		for i := 0; i < len(file)/EdgeBytes; i++ {
+			degrees[i%n]++
+		}
+		path := filepath.Join(t.TempDir(), "fuzz.gr.adj.0")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Skip()
+		}
+		c := NewIndexOnly(degrees)
+		valid := true
+		for i := int64(0); i < c.E; i++ {
+			valid = valid && GetEdge(file, i) < c.V
+		}
+		err := ReadAdj(path, c)
+		if (err == nil) != valid {
+			t.Fatalf("every destination below %d: %v, ReadAdj error: %v", n, valid, err)
+		}
+		if err == nil && !bytes.Equal(c.Adj, file[:c.AdjBytes()]) {
+			t.Fatal("loaded adjacency differs from the file")
+		}
+	})
+}
+
 // FuzzMergeSegments: merging CSRs must equal Build over their edge lists
 // laid end to end, in every array. The input is read as a vertex count, a
 // part count and (part, src, dst) byte triples; an edge joins its part in
