@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"fmt"
+	"strconv"
 
 	"blaze/internal/bin"
 	"blaze/internal/exec"
@@ -10,6 +10,24 @@ import (
 	"blaze/internal/ssd"
 	"blaze/internal/trace"
 )
+
+// scatterNames and gatherNames name EdgeMap's first compute procs, built
+// once rather than formatted every round; procName formats any past them.
+var scatterNames, gatherNames = procNames("scatter"), procNames("gather")
+
+func procNames(prefix string) (names [64]string) {
+	for i := range names {
+		names[i] = prefix + strconv.Itoa(i)
+	}
+	return names
+}
+
+func procName(names *[64]string, prefix string, i int) string {
+	if i < len(names) {
+		return names[i]
+	}
+	return prefix + strconv.Itoa(i)
+}
 
 // Stats summarizes one EdgeMap execution.
 type Stats struct {
@@ -104,7 +122,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	scatStats := make([]Stats, cfg.ScatterProcs)
 	for i := 0; i < cfg.ScatterProcs; i++ {
 		id := i
-		ctx.Go(fmt.Sprintf("scatter%d", id), func(sp exec.Proc) {
+		ctx.Go(procName(&scatterNames, "scatter", id), func(sp exec.Proc) {
 			cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), cfg.TraceQuery())
 			stager := bins.stagers[id]
 			local := &scatStats[id]
@@ -124,18 +142,19 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 		})
 	}
 
-	// Gather procs (steps 8-9) with per-proc output frontiers.
+	// Gather procs (steps 8-9) with per-proc output frontiers: bitmaps
+	// taken from the pool, which gets them back once they are merged.
 	gatherWG := ctx.NewWaitGroup()
 	gatherWG.Add(cfg.GatherProcs)
 	outFronts := make([]*frontier.VertexSubset, cfg.GatherProcs)
+	if output {
+		pool.takeFrontiers(outFronts, c.V)
+	}
 	for i := 0; i < cfg.GatherProcs; i++ {
 		id := i
-		ctx.Go(fmt.Sprintf("gather%d", id), func(gp exec.Proc) {
+		ctx.Go(procName(&gatherNames, "gather", id), func(gp exec.Proc) {
 			gtr := cfg.Tracer.AttachQuery(gp, trace.StageGather, int32(id), cfg.TraceQuery())
-			var out *frontier.VertexSubset
-			if output {
-				out = frontier.NewVertexSubset(c.V)
-			}
+			out := outFronts[id]
 			updCost := m.Update(m.GatherUpdate, g.Locality)
 			// Full bins drain in batches under one lock acquisition (one
 			// per call under virtual time); each buffer still returns to
@@ -169,7 +188,6 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 					bm.Return(gp, bb)
 				}
 			}
-			outFronts[id] = out
 			gatherWG.Done(gp)
 		})
 	}
@@ -203,10 +221,17 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 		st.EdgesScanned += s.EdgesScanned
 	}
 	st.Records = bm.Records()
-	if err != nil || !output {
+	if !output {
 		return nil, st, err
 	}
-	merged := pipeline.MergeFrontiers(c.V, outFronts)
+	var merged *frontier.VertexSubset
+	if err == nil {
+		merged = pipeline.MergeFrontiers(c.V, outFronts)
+	}
+	pool.putFrontiers(c.V, outFronts)
+	if err != nil {
+		return nil, st, err
+	}
 	p.Advance(m.VertexOp * merged.Count() / int64(computeProcs))
 	fr.EndMerge(p)
 	st.VerticesMoved = merged.Count()
@@ -244,10 +269,14 @@ func VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, cf
 // MapVertices is the one vertex-map body of every engine that keeps vertex
 // data on one machine: it applies fn to every vertex in f, returns the
 // sealed subset for which fn returned true, and charges vertexOp per
-// frontier vertex split evenly over procs (at least one).
+// frontier vertex split evenly over procs (at least one). The output's list
+// is allocated once, for f's count (it can hold no more) up to the density
+// threshold. A dense f with a small output pays for a list it does not
+// fill, yet PageRank-delta's maps over dense frontiers allocate less this
+// way than by growing the list as it fills.
 func MapVertices(p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, vertexOp int64, procs int) *frontier.VertexSubset {
 	f.Seal()
-	out := frontier.NewVertexSubset(f.N())
+	out := frontier.NewSized(f.N(), f.Count())
 	f.ForEach(func(v uint32) {
 		if fn(v) {
 			out.Add(v)

@@ -6,19 +6,24 @@ import (
 
 	"blaze/internal/bin"
 	"blaze/internal/exec"
+	"blaze/internal/frontier"
 	"blaze/internal/pipeline"
 )
 
 // Pool retains the execution state EdgeMap would otherwise rebuild every
-// round: IO buffers, and the whole bin Manager — slots, full queue, both
+// round: IO buffers, the whole bin Manager — slots, full queue, both
 // halves of every bin parked where the last round left them — with its
-// per-proc stagers. Iterative algorithms (BFS, PageRank, WCC) call EdgeMap
-// once per round, and without the pool every round re-allocates the full
-// IO-buffer budget and all of the bin space and rebuilds two slots per bin —
-// pure churn, since the sizes never change under one owner. Each owner of
-// engines holds one Pool and threads it through Config: a Runtime, an
-// engine built by algo.NewBlaze, a cluster (every machine's EdgeMap draws
-// from it), and a session (every query's engine draws from it).
+// per-proc stagers, and the gather procs' output frontiers. Iterative
+// algorithms (BFS, PageRank, WCC) call EdgeMap once per round, and without
+// the pool every round re-allocates the full IO-buffer budget, all of the
+// bin space and one bitmap per gather proc, and rebuilds two slots per bin —
+// pure churn, since the sizes never change under one owner. With it, a
+// steady-state round allocates little beyond the frontier it returns, which
+// pipeline.MergeFrontiers builds fresh: a returned frontier is never one
+// the pool holds. Each owner of engines holds one Pool and threads it
+// through Config: a Runtime, an engine built by algo.NewBlaze, a cluster
+// (every machine's EdgeMap draws from it), and a session (every query's
+// engine draws from it).
 //
 // The pool is a wall-clock optimization only. Allocation costs are not
 // modeled; recycled IO buffers pass through the same queue operations as
@@ -33,12 +38,14 @@ import (
 //
 // Ownership discipline: EdgeMap takes entire entries out of the pool at
 // round start and returns them at round end, so the pool's lock is touched
-// twice per round, never on the per-edge or per-page path. Concurrent
-// EdgeMap calls on one pool are safe: each taker owns what it drew until
-// it puts it back, and a taker that finds the pool empty allocates fresh
-// state. Bin state is a free list per value type, so K concurrent takers
-// each reopen a retained Manager once K have been built; the list never
-// holds more Managers than the peak number of concurrent takers.
+// a fixed number of times per round (three takes, three puts), never on the
+// per-edge or per-page path. Concurrent EdgeMap calls on one pool are safe:
+// each taker owns what it drew until it puts it back, and a taker that
+// finds the pool empty allocates fresh state. Bin state is a free list per
+// value type, so K concurrent takers each reopen a retained Manager once K
+// have been built; the list never holds more Managers than the peak number
+// of concurrent takers. Gather frontiers are a stock per vertex count,
+// likewise never more than the peak number of gather procs at once.
 type Pool struct {
 	mu sync.Mutex
 	// ioBufs holds retained IO buffers; all share one backing length, and
@@ -49,11 +56,50 @@ type Pool struct {
 	// keyed by the EdgeMap value type: each instantiation of EdgeMap[V] has
 	// its own record layout, so buffers cannot be shared across types.
 	perType map[reflect.Type]any
+	// fronts holds retained gather output frontiers (frontier.NewBitmap
+	// subsets) by universe size.
+	fronts map[uint32][]*frontier.VertexSubset
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{perType: map[reflect.Type]any{}}
+	return &Pool{perType: map[reflect.Type]any{}, fronts: map[uint32][]*frontier.VertexSubset{}}
+}
+
+// takeFrontiers fills dst with empty bitmap frontiers over n vertices, one
+// per gather proc: retained ones, reset, as far as pl holds them, fresh
+// ones beyond that (all fresh when pl is nil). Each is the taker's own
+// until putFrontiers.
+func (pl *Pool) takeFrontiers(dst []*frontier.VertexSubset, n uint32) {
+	k := 0
+	if pl != nil {
+		pl.mu.Lock()
+		stock := pl.fronts[n]
+		k = min(len(dst), len(stock))
+		rest := len(stock) - k
+		copy(dst, stock[rest:])
+		clear(stock[rest:])
+		pl.fronts[n] = stock[:rest]
+		pl.mu.Unlock()
+	}
+	for i := range dst {
+		if i < k {
+			dst[i].Reset()
+		} else {
+			dst[i] = frontier.NewBitmap(n)
+		}
+	}
+}
+
+// putFrontiers stocks a round's gather frontiers over n vertices for a
+// later round; fs itself stays the caller's. A nil pool drops them.
+func (pl *Pool) putFrontiers(n uint32, fs []*frontier.VertexSubset) {
+	if pl == nil {
+		return
+	}
+	pl.mu.Lock()
+	pl.fronts[n] = append(pl.fronts[n], fs...)
+	pl.mu.Unlock()
 }
 
 // takeIOBuffers moves up to n retained buffers of bufLen backing bytes

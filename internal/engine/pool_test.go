@@ -257,6 +257,25 @@ func pooledManager[V any](pl *Pool) *bin.Manager[V] {
 	return ms[len(ms)-1]
 }
 
+// pooledFrontiers returns the gather frontiers pl holds, of every size.
+func pooledFrontiers(pl *Pool) map[*frontier.VertexSubset]bool {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	held := map[*frontier.VertexSubset]bool{}
+	for _, fs := range pl.fronts {
+		for _, f := range fs {
+			held[f] = true
+		}
+	}
+	return held
+}
+
+func frontierMembers(f *frontier.VertexSubset) []uint32 {
+	var vs []uint32
+	f.ForEach(func(v uint32) { vs = append(vs, v) })
+	return vs
+}
+
 // weightedInDegree runs one full-frontier EdgeMap over g, every edge
 // carrying val, and returns the per-vertex sums.
 func weightedInDegree[V int64 | float64](t *testing.T, ctx exec.Context, p exec.Proc, g *Graph, val V, conf Config) ([]V, Stats, error) {
@@ -427,12 +446,14 @@ func TestPoolDiscardsMismatchedManager(t *testing.T) {
 // taker, and in the second every taker reopens one of those. Then the
 // takers run free, each doing some unsynchronised work of its own length
 // before every round, as an algorithm does between EdgeMaps, so one
-// taker's take overtakes another's put in host order. Results and the
-// virtual end must equal K unpooled runs throughout.
+// taker's take overtakes another's put in host order. Results, returned
+// frontiers and the virtual end must equal K unpooled runs throughout, and
+// no frontier a round returns is ever one the pool still holds.
 func TestPoolSharedByConcurrentTakers(t *testing.T) {
 	const K, rounds = 4, 6
 	type sums [K][rounds][]int64
-	run := func(pool *Pool, afterTogether func(round int)) (got, want sums, end int64) {
+	type outs [K][rounds]*frontier.VertexSubset
+	run := func(pool *Pool, afterTogether func(round int)) (got, want sums, out outs, end int64) {
 		ctx := exec.NewSim()
 		g, c := testGraph(ctx, 2, nil)
 		conf := DefaultConfig(c.E)
@@ -455,13 +476,18 @@ func TestPoolSharedByConcurrentTakers(t *testing.T) {
 		}
 		round := func(tp exec.Proc, i, r int) {
 			got[i][r] = make([]int64, c.V)
-			if _, _, err := EdgeMap(ctx, tp, g, fronts[i][r],
+			res, _, err := EdgeMap(ctx, tp, g, fronts[i][r],
 				func(s, d uint32) int64 { return 1 },
-				func(d uint32, v int64) bool { got[i][r][d] += v; return false },
+				func(d uint32, v int64) bool { got[i][r][d] += v; return got[i][r][d] == v },
 				func(d uint32) bool { return true },
-				false, conf); err != nil {
+				true, conf)
+			if err != nil {
 				t.Error(err)
 			}
+			if pool != nil && pooledFrontiers(pool)[res] {
+				t.Errorf("taker %d, round %d: the returned frontier is one the pool holds", i, r)
+			}
+			out[i][r] = res
 		}
 		takers := func(p exec.Proc, body func(tp exec.Proc, i int)) {
 			wg := ctx.NewWaitGroup()
@@ -486,13 +512,13 @@ func TestPoolSharedByConcurrentTakers(t *testing.T) {
 				}
 			})
 		})
-		return got, want, ctx.End
+		return got, want, out, ctx.End
 	}
 
-	gotFresh, want, endFresh := run(nil, func(int) {})
+	gotFresh, want, outFresh, endFresh := run(nil, func(int) {})
 	pool := NewPool()
 	var first map[*bin.Manager[int64]]bool
-	gotPooled, _, endPooled := run(pool, func(round int) {
+	gotPooled, _, outPooled, endPooled := run(pool, func(round int) {
 		held := map[*bin.Manager[int64]]bool{}
 		for _, m := range pooledManagers[int64](pool) {
 			held[m] = true
@@ -511,10 +537,29 @@ func TestPoolSharedByConcurrentTakers(t *testing.T) {
 	if !reflect.DeepEqual(gotFresh, want) {
 		t.Error("an unpooled taker's sums differ from the serial reference")
 	}
+	held := pooledFrontiers(pool)
+	if len(held) == 0 {
+		t.Error("the pool retained no gather frontier: the test compared nothing")
+	}
 	for i := range want {
 		for r := range want[i] {
 			if !reflect.DeepEqual(gotPooled[i][r], want[i][r]) {
 				t.Errorf("taker %d, round %d: pooled sums differ from the serial reference", i, r)
+			}
+			// Every returned frontier still holds exactly the vertices its
+			// round reached, after every later round reused the pool.
+			var reached []uint32
+			for v, n := range want[i][r] {
+				if n > 0 {
+					reached = append(reached, uint32(v))
+				}
+			}
+			if held[outPooled[i][r]] {
+				t.Errorf("taker %d, round %d: the pool holds a returned frontier", i, r)
+			}
+			if m := frontierMembers(outPooled[i][r]); !reflect.DeepEqual(m, reached) ||
+				!reflect.DeepEqual(m, frontierMembers(outFresh[i][r])) {
+				t.Errorf("taker %d, round %d: the pooled frontier holds %d vertices, the round reached %d", i, r, len(m), len(reached))
 			}
 		}
 	}

@@ -100,3 +100,57 @@ func TestSealWalkAndSortAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestResetKeepsRepresentation: a reset dense subset is empty, keeps its
+// representation, and refills to the same state a fresh bitmap reaches; an
+// empty one is left as it is.
+func TestResetKeepsRepresentation(t *testing.T) {
+	const n = 1000
+	for _, f := range []*VertexSubset{NewBitmap(n), All(n)} {
+		for _, v := range []uint32{900, 3, 64, 3} {
+			f.Add(v)
+		}
+		f.Reset()
+		if !f.Empty() || f.Has(3) || f.Has(900) || !f.Dense() {
+			t.Fatalf("reset left count %d, Has(3) %v, dense %v", f.Count(), f.Has(3), f.Dense())
+		}
+		f.Reset()
+		fresh := NewBitmap(n)
+		for _, v := range []uint32{7, 5} {
+			f.Add(v)
+			fresh.Add(v)
+		}
+		f.Seal()
+		fresh.Seal()
+		var got, want []uint32
+		f.ForEach(func(v uint32) { got = append(got, v) })
+		fresh.ForEach(func(v uint32) { want = append(want, v) })
+		if !slices.Equal(got, want) || f.Count() != fresh.Count() || f.Bytes() != fresh.Bytes() {
+			t.Fatalf("refilled after Reset: %v, fresh: %v", got, want)
+		}
+	}
+}
+
+// TestNewSizedAllocatesOnce: a sized subset fills its list without
+// growing it, up to the density threshold, and behaves like a fresh one.
+func TestNewSizedAllocatesOnce(t *testing.T) {
+	const n = 2000
+	f := NewSized(n, 1<<20)
+	if cap(f.sparse) != n/denseFraction+1 {
+		t.Fatalf("list capacity %d, want the threshold %d + 1", cap(f.sparse), n/denseFraction)
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		f := NewSized(n, 50)
+		for v := uint32(0); v < 50; v++ {
+			f.Add(v * 7)
+		}
+	}); allocs > 3 {
+		t.Errorf("filling a sized list allocated %v times, want the subset, its list and its bitmap", allocs)
+	}
+	for v := uint32(0); v <= n/denseFraction; v++ {
+		f.Add(v)
+	}
+	if !f.Dense() || f.Count() != n/denseFraction+1 || f.Bytes() != int64(len(f.bits))*8 {
+		t.Fatalf("sized subset past the threshold: dense %v, count %d, bytes %d", f.Dense(), f.Count(), f.Bytes())
+	}
+}

@@ -24,7 +24,8 @@ const sealWalkRatio = 8
 // single writer (or by per-proc subsets later merged) and must be Sealed
 // before concurrent readers use Has/ForEach. Duplicate Adds are deduped: a
 // membership bitmap always backs the set, while the sparse ID list exists
-// only below the density threshold to drive cheap iteration.
+// only below the density threshold to drive cheap iteration (a NewBitmap
+// subset never keeps one).
 type VertexSubset struct {
 	n      uint32
 	dense  bool
@@ -37,6 +38,24 @@ type VertexSubset struct {
 // NewVertexSubset returns an empty sparse subset over n vertices.
 func NewVertexSubset(n uint32) *VertexSubset {
 	return &VertexSubset{n: n, sorted: true}
+}
+
+// NewSized returns an empty sparse subset over n vertices whose list is
+// allocated once, with room for max members or for as many as the list
+// holds before the subset turns dense, whichever is fewer: the output of a
+// map over a frontier of max members never grows its list by doubling.
+func NewSized(n uint32, max int64) *VertexSubset {
+	f := NewVertexSubset(n)
+	f.sparse = make([]uint32, 0, min(max, int64(n)/denseFraction+1))
+	return f
+}
+
+// NewBitmap returns an empty subset over n vertices kept as a bitmap
+// whatever its count, so Add only sets a bit. It is a per-proc output
+// frontier: Union reads nothing but its bitmap, so a sparse list would be
+// work no reader uses. The bitmap is allocated by the first Add.
+func NewBitmap(n uint32) *VertexSubset {
+	return &VertexSubset{n: n, dense: true, sorted: true}
 }
 
 // Single returns a subset holding only v.
@@ -173,6 +192,57 @@ func (f *VertexSubset) Merge(other *VertexSubset) {
 		return
 	}
 	other.ForEach(func(v uint32) { f.Add(v) })
+}
+
+// Reset empties a dense subset (a NewBitmap one, say) in place for reuse,
+// keeping its bitmap and its representation. An empty subset has no bit
+// set, so Reset clears nothing.
+func (f *VertexSubset) Reset() {
+	if f.count == 0 {
+		return
+	}
+	clear(f.bits)
+	f.count = 0
+}
+
+// Union returns a new sealed subset over n vertices holding every member of
+// parts; nil and empty parts are skipped and no part is modified or
+// aliased. Every non-empty subset has a bitmap, so the parts are ORed word
+// by word, the union is counted by popcount, and the result is built once,
+// in the representation Add would have left it in: dense iff the count
+// exceeds n/20, otherwise a sorted list of exactly count members read off
+// the ORed words in one ascending walk. An empty union allocates no bitmap.
+func Union(n uint32, parts []*VertexSubset) *VertexSubset {
+	out := NewVertexSubset(n)
+	for _, p := range parts {
+		if p == nil || p.count == 0 {
+			continue
+		}
+		if out.bits == nil {
+			out.bits = make([]uint64, len(p.bits))
+			copy(out.bits, p.bits)
+			continue
+		}
+		for w, word := range p.bits {
+			out.bits[w] |= word
+		}
+	}
+	for _, word := range out.bits {
+		out.count += int64(bits.OnesCount64(word))
+	}
+	if out.count > int64(n)/denseFraction {
+		out.dense = true
+		return out
+	}
+	if out.count > 0 {
+		out.sparse = make([]uint32, 0, out.count)
+		for w, word := range out.bits {
+			for ; word != 0; word &= word - 1 {
+				out.sparse = append(out.sparse, uint32(w*64+bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	return out
 }
 
 // Bytes returns the memory footprint of the current representation.

@@ -19,7 +19,10 @@ import (
 // holding its adjacency. Name is the graph's page-cache key space (interned
 // by name, so the cache never pins the index against GC, a reloaded graph
 // hits its previous incarnation's entries, and each delta segment gets its
-// own key space) and is what a failed read is attributed to.
+// own key space) and is what a failed read is attributed to. A source
+// whose CSR holds no in-memory adjacency is file-backed: its readers check
+// every page they read for destinations outside the vertex space and fail
+// the round, naming the page and the destination, on the first one.
 type Source struct {
 	Name string
 	CSR  *graph.CSR
@@ -154,6 +157,10 @@ func Open(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Fro
 				hitCost:    s.Model.PageOverhead / 2,
 			}
 		}
+		var check *pageCheck
+		if src.CSR.Adj == nil {
+			check = &pageCheck{csr: src.CSR, arr: src.Arr}
+		}
 		for d := 0; d < numDev; d++ {
 			name := fmt.Sprintf("%s%d", s.ProcName, d)
 			if k > 0 {
@@ -175,6 +182,7 @@ func Open(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Fro
 				SubmitCost: s.Model.IOSubmit,
 				WrapErr:    wrap,
 				cache:      cv,
+				check:      check,
 			})
 		}
 	}

@@ -86,17 +86,13 @@ func Stock(p exec.Proc, free exec.Queue[*Buffer], count, bufLen int) {
 	}
 }
 
-// MergeFrontiers folds per-proc output frontiers into one sealed subset
-// over n vertices. Nil entries (procs that produced no frontier) are
-// skipped.
+// MergeFrontiers folds per-proc output frontiers into one new sealed subset
+// over n vertices; nil entries (procs that produced no frontier) are
+// skipped. It is frontier.Union: the parts' bitmaps are ORed word by word
+// and the result is built once in its final representation — no per-vertex
+// re-insertion, and the only allocation is the returned subset, so the
+// parts stay the caller's to reuse (engine.Pool keeps EdgeMap's gather
+// frontiers across rounds).
 func MergeFrontiers(n uint32, fronts []*frontier.VertexSubset) *frontier.VertexSubset {
-	merged := frontier.NewVertexSubset(n)
-	for _, f := range fronts {
-		if f == nil {
-			continue
-		}
-		merged.Merge(f)
-	}
-	merged.Seal()
-	return merged
+	return frontier.Union(n, fronts)
 }

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -371,4 +373,83 @@ func TestOpenEmptyAndMismatched(t *testing.T) {
 			t.Errorf("mismatched segment: got front %v, err %v; want an error", fr != nil, err)
 		}
 	})
+}
+
+// TestFrontChecksFileBackedPages: a source without in-memory adjacency has
+// every page checked as it is read. Destinations up to V-1 and garbage
+// past the last edge pass; a destination of exactly V fails the round with
+// an error naming the source, the page and the destination, and the
+// shutdown conserves buffers and leaves no goroutine behind.
+func TestFrontChecksFileBackedPages(t *testing.T) {
+	c := testCSR(6)
+	last := c.E - 1
+	page := last / graph.EdgesPerPage
+	for _, tc := range []struct {
+		name    string
+		corrupt func(data []byte)
+		wantErr string
+	}{
+		{"clean", func([]byte) {}, ""},
+		{"largest vertex", func(data []byte) { binary.LittleEndian.PutUint32(data[last*graph.EdgeBytes:], c.V-1) }, ""},
+		{"past the last edge", func(data []byte) {
+			for i := c.E * graph.EdgeBytes; i < int64(len(data)); i++ {
+				data[i] = 0xff
+			}
+		}, ""},
+		{"one past the largest vertex", func(data []byte) { binary.LittleEndian.PutUint32(data[last*graph.EdgeBytes:], c.V) },
+			fmt.Sprintf("logical page %d, edge %d: destination %d", page, last, c.V)},
+	} {
+		for _, be := range backends {
+			t.Run(tc.name+"/"+be.name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				ctx := be.mk()
+				data := make([]byte, c.NumPages()*ssd.PageSize)
+				copy(data, c.Adj)
+				tc.corrupt(data)
+				index := *c
+				index.Adj = nil
+				s := testSpec(Source{Name: "file", CSR: &index, Arr: ssd.NewMemArray(ctx, 0, 2, ssd.OptaneSSD, data, nil, nil)})
+				o := runFront(t, ctx, s)
+				if tc.wantErr == "" {
+					if o.err != nil {
+						t.Fatalf("round failed: %v", o.err)
+					}
+					if !bytes.Equal(o.images[0], data) {
+						t.Error("delivered pages differ from the file")
+					}
+				} else if o.err == nil || !strings.Contains(o.err.Error(), `"file"`) || !strings.Contains(o.err.Error(), tc.wantErr) {
+					t.Errorf("error %v, want one naming %q and %q", o.err, "file", tc.wantErr)
+				}
+				checkShutdown(t, tc.name, o)
+				if _, sim := ctx.(*exec.Sim); !sim {
+					settle(t, before)
+				}
+			})
+		}
+	}
+}
+
+// TestAllBelowMatchesLaneByLane: the branchless screen agrees with a plain
+// lane-by-lane compare for bounds on both sides of 2^31, lane values on
+// both sides of the bound and of 2^31, and every length up to a page.
+func TestAllBelowMatchesLaneByLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, v := range []uint32{0, 1, 2, 199_000, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<32 - 1} {
+		near := []uint32{0, v - 1, v, v + 1, 1<<31 - 1, 1 << 31, 1<<32 - 1}
+		for trial := 0; trial < 300; trial++ {
+			data := make([]byte, 4*rng.Intn(ssd.PageSize/4+1))
+			want := true
+			for i := 0; i < len(data); i += 4 {
+				x := uint32(rng.Intn(int(min(v, 1<<30)) + 1))
+				if rng.Intn(64) == 0 {
+					x = near[rng.Intn(len(near))]
+				}
+				binary.LittleEndian.PutUint32(data[i:], x)
+				want = want && x < v
+			}
+			if got := allBelow(data, v); got != want {
+				t.Fatalf("v=%d, %d lanes: allBelow = %v, want %v", v, len(data)/4, got, want)
+			}
+		}
+	}
 }

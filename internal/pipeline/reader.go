@@ -1,7 +1,11 @@
 package pipeline
 
 import (
+	"encoding/binary"
+	"fmt"
+
 	"blaze/internal/exec"
+	"blaze/internal/graph"
 	"blaze/internal/iosched"
 	"blaze/internal/ssd"
 	"blaze/internal/trace"
@@ -103,6 +107,9 @@ type Reader struct {
 	// cache, when non-nil, is the page cache in front of Device (set by
 	// Open; see cacheView for the probe/fill contract).
 	cache *cacheView
+	// check, when non-nil, validates every page read from Device before it
+	// is cached or handed on (set by Open for file-backed sources).
+	check *pageCheck
 }
 
 // Run executes the reader loop on the given proc. It returns when the page
@@ -169,10 +176,13 @@ func (r *Reader) Run(io exec.Proc) {
 			done, err = r.Device.ScheduleRead(io, pages[i]+int64(lo), hi-lo,
 				buf.Data[lo*ssd.PageSize:hi*ssd.PageSize])
 		}
+		if err == nil && r.check != nil {
+			err = r.check.pages(buf, lo, hi)
+		}
 		if err != nil {
-			// Unrecoverable read (retries exhausted or permanent): latch
-			// the failure, hand the buffer back, and stop this device's
-			// stream.
+			// Unrecoverable read (retries exhausted or permanent) or a
+			// corrupt page: latch the failure, hand the buffer back, and
+			// stop this device's stream.
 			r.Latch.Fail(r.WrapErr(err))
 			bi--
 			break
@@ -189,4 +199,60 @@ func (r *Reader) Run(io exec.Proc) {
 	if bi < bn {
 		r.Free.PushN(io, batch[bi:bn])
 	}
+}
+
+// pageCheck validates the pages of a file-backed source as its reader hands
+// them on: every destination must name one of the graph's vertices. An
+// in-memory adjacency is checked once by graph.Build; a file's adjacency
+// stays on disk, and checking each page as it arrives costs neither a pass
+// over the whole file at load nor a branch per edge in the engines' scans.
+type pageCheck struct {
+	csr *graph.CSR
+	arr *ssd.Array
+}
+
+// pages checks pages [lo, hi) of buf: the edge slots of each page, up to
+// the graph's last edge, are screened without a branch per edge, and only a
+// page that fails the screen is searched for the edge to report.
+func (pc *pageCheck) pages(buf *Buffer, lo, hi int) error {
+	for pg := lo; pg < hi; pg++ {
+		logical := pc.arr.Logical(buf.Dev, buf.Start+int64(pg))
+		first := logical * graph.EdgesPerPage
+		n := min(graph.EdgesPerPage, pc.csr.E-first)
+		if n <= 0 {
+			continue
+		}
+		data := buf.Data[pg*ssd.PageSize:][:n*graph.EdgeBytes]
+		if allBelow(data, pc.csr.V) {
+			continue
+		}
+		for i := int64(0); i < n; i++ {
+			if d := graph.DecodeEdge(data, int(i)*graph.EdgeBytes); d >= pc.csr.V {
+				return fmt.Errorf("logical page %d, edge %d: destination %d out of range [0, %d)",
+					logical, first+i, d, pc.csr.V)
+			}
+		}
+	}
+	return nil
+}
+
+// allBelow reports whether every little-endian uint32 in data is below v,
+// with no branch per lane: a lane x plus 2^32-v carries into bit 32 exactly
+// when x >= v, so ORing the sums collects every lane out of range. Four
+// lanes per step keep the bounds checks out of the loop.
+func allBelow(data []byte, v uint32) bool {
+	c := 1<<32 - uint64(v)
+	var acc uint64
+	i := 0
+	for ; i+16 <= len(data); i += 16 {
+		w := data[i : i+16 : i+16]
+		acc |= (uint64(binary.LittleEndian.Uint32(w[0:])) + c) |
+			(uint64(binary.LittleEndian.Uint32(w[4:])) + c) |
+			(uint64(binary.LittleEndian.Uint32(w[8:])) + c) |
+			(uint64(binary.LittleEndian.Uint32(w[12:])) + c)
+	}
+	for ; i+4 <= len(data); i += 4 {
+		acc |= uint64(binary.LittleEndian.Uint32(data[i:])) + c
+	}
+	return acc>>32 == 0
 }
