@@ -40,6 +40,12 @@ func DriverFor(System) Driver { return Driver{} }
 // it, calling sys.EndIteration after every round. It returns the number of
 // rounds issued; on error the traversal state is partial, as with a failed
 // EdgeMap.
+//
+// Drive owns the frontiers the rounds return: each one it leaves behind —
+// replaced by the next round's, or the last when the drive stops — goes
+// back through sys.Release. The caller's start is never released, and
+// neither is a frontier a round returns unchanged. A query whose rounds
+// keep their inputs (BC's levels) drives a system whose Release is a no-op.
 func (Driver) Drive(p exec.Proc, sys System, start *frontier.VertexSubset, round Round, cv Convergence) (int, error) {
 	f := start
 	iters := 0
@@ -50,10 +56,22 @@ func (Driver) Drive(p exec.Proc, sys System, start *frontier.VertexSubset, round
 		}
 		sys.EndIteration(p)
 		iters++
+		if f != start && f != nf {
+			sys.Release(f)
+		}
 		f = nf
 		if cv.Tol > 0 && cv.Residual != nil && cv.Residual() <= cv.Tol {
 			break
 		}
 	}
+	if f != start {
+		sys.Release(f)
+	}
 	return iters, nil
 }
+
+// keeping is a System whose Release drops what it is handed: driving it
+// keeps every frontier a round saw alive for the query to read afterwards.
+type keeping struct{ System }
+
+func (keeping) Release(*frontier.VertexSubset) {}

@@ -7,6 +7,7 @@ import (
 
 	"blaze/algo"
 	"blaze/internal/exec"
+	"blaze/internal/frontier"
 )
 
 // TestDriverFor: every engine's queries are driven by the barrier driver,
@@ -77,5 +78,43 @@ func TestConvergenceTol(t *testing.T) {
 	})
 	if iters != 1 {
 		t.Errorf("PageRankDrive ran %d iterations, want 1 (Tol stop)", iters)
+	}
+}
+
+// TestDriveReleasesWhatItDrops: Drive hands back every frontier a round
+// returned once the next round replaced it, and the last one when it
+// stops; never the caller's start — not even when no round runs — and
+// never a frontier a round returned unchanged.
+func TestDriveReleasesWhatItDrops(t *testing.T) {
+	c := randomCSR(11, 500)
+	ctx, sys, _, _ := sysOn(t, "blaze", c)
+	rec := newRecorder(sys)
+	start := frontier.Single(c.V, 0)
+	made := []*frontier.VertexSubset{frontier.Single(c.V, 1), frontier.Single(c.V, 2)}
+	round := func(p exec.Proc, f *frontier.VertexSubset, iter int) (*frontier.VertexSubset, error) {
+		if iter == 2 { // hand the input straight back
+			return f, nil
+		}
+		if iter == 3 {
+			return frontier.NewVertexSubset(c.V), nil
+		}
+		rec.owned[made[iter]] = true
+		return made[iter], nil
+	}
+	var iters int
+	ctx.Run("main", func(p exec.Proc) {
+		iters, _ = algo.Driver{}.Drive(p, rec, start, round, algo.Convergence{})
+		algo.Driver{}.Drive(p, rec, frontier.NewVertexSubset(c.V), round, algo.Convergence{})
+	})
+	if iters != 4 {
+		t.Fatalf("drove %d rounds, want 4", iters)
+	}
+	if len(rec.released) != 3 || rec.released[0] != made[0] || rec.released[1] != made[1] || !rec.released[2].Empty() {
+		t.Errorf("released %v, want the two made frontiers once each, then the last (empty) one", rec.released)
+	}
+	for _, f := range rec.released {
+		if f == start {
+			t.Error("released the caller's start frontier")
+		}
 	}
 }

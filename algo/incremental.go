@@ -170,7 +170,10 @@ func (q *IncWCC) drive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Gr
 		}
 		a.Merge(b)
 		a.Merge(f) // shortcutting must also re-check prior frontier members
-		return sys.VertexMap(p, a, applyFilter), nil
+		next := sys.VertexMap(p, a, applyFilter)
+		sys.Release(a)
+		sys.Release(b)
+		return next, nil
 	}
 	return drv.Drive(p, sys, start, round, cv)
 }

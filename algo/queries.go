@@ -101,7 +101,9 @@ func PageRankDrive(drv Driver, sys System, p exec.Proc, g *engine.Graph, eps flo
 			return nil, err
 		}
 		residual = 0
-		return sys.VertexMap(p, receivers, applyFilter), nil
+		next := sys.VertexMap(p, receivers, applyFilter)
+		sys.Release(receivers)
+		return next, nil
 	}
 	cv2 := cv
 	if cv2.Tol > 0 && cv2.Residual == nil {
@@ -213,7 +215,9 @@ func BCDrive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Graph, src u
 		r = int32(iter) + 1
 		return sys.EdgeMap(p, outG, f, fwdFns, true)
 	}
-	iters, err := drv.Drive(p, sys, frontier.Single(n, src), forward, cv)
+	// levels outlive the forward drive: the backward one replays them, so
+	// neither drive may hand one back.
+	iters, err := drv.Drive(p, keeping{sys}, frontier.Single(n, src), forward, cv)
 	if err != nil || len(levels) <= 1 {
 		return delta, iters, err
 	}
@@ -240,7 +244,7 @@ func BCDrive(drv Driver, sys System, p exec.Proc, outG, inG *engine.Graph, src u
 		}
 		return frontier.NewVertexSubset(n), nil
 	}
-	bIters, err := drv.Drive(p, sys, levels[len(levels)-1], backward, Convergence{})
+	bIters, err := drv.Drive(p, keeping{sys}, levels[len(levels)-1], backward, Convergence{})
 	return delta, iters + bIters, err
 }
 

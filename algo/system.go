@@ -42,6 +42,12 @@ type System interface {
 	// EndIteration marks an algorithm iteration boundary (used for
 	// per-iteration IO accounting, Figure 3).
 	EndIteration(p exec.Proc)
+	// Release hands back f, a frontier this system's EdgeMap or VertexMap
+	// returned, once its holder will never read it again, so a later
+	// round can build its frontier in f's storage. Only the holder of the
+	// sole live reference may release it, and at most once. Systems
+	// without a frontier pool drop it.
+	Release(f *frontier.VertexSubset)
 	// IterDeviceBytes returns per-iteration per-device read bytes
 	// recorded at EndIteration calls.
 	IterDeviceBytes() [][]int64
@@ -63,6 +69,11 @@ func (l *IterLog) EndIteration(p exec.Proc) {
 
 // IterDeviceBytes returns the recorded epochs.
 func (l *IterLog) IterDeviceBytes() [][]int64 { return l.epochs }
+
+// Release drops f: it is the System method for every system that keeps no
+// frontier pool, which embeds IterLog and leaves f to the garbage
+// collector. Blaze overrides it.
+func (l *IterLog) Release(*frontier.VertexSubset) {}
 
 // Blaze is the paper's system: the online-binning EdgeMap engine.
 type Blaze struct {
@@ -102,6 +113,10 @@ func Must[T any](v T, err error) T {
 	}
 	return v
 }
+
+// Release implements System: f goes back to the engine's pool, where the
+// next merged or mapped frontier over as many vertices is built in it.
+func (b *Blaze) Release(f *frontier.VertexSubset) { b.Cfg.Pool.Release(f) }
 
 // VertexMap implements System.
 func (b *Blaze) VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(uint32) bool) *frontier.VertexSubset {

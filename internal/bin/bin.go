@@ -171,10 +171,11 @@ func (m *Manager[V]) Prime(p exec.Proc) {
 
 // Reopen readies a Manager retained from an earlier round for another one:
 // it reports whether m was built under ctx with exactly cfg, and if so puts
-// it back in the state Prime leaves a fresh one in — a new full queue, every
-// parked buffer re-offered by p as of now (a Sim Run restarts the clocks, so
-// the instants of the previous round's Puts must not survive into this
-// one), the round's counters zeroed. The earlier round must have run to a
+// it back in the state Prime leaves a fresh one in — the full queue
+// reopened (closed and drained by the earlier round's CloseFull and
+// gathers), every parked buffer re-offered by p as of now (a Sim Run
+// restarts the clocks, so the instants of the previous round's Puts must
+// not survive into this one), the round's counters zeroed. The earlier round must have run to a
 // clean end — FlushPartials, CloseFull, every gather returned its buffers —
 // which leaves every buffer parked in its slot and every active buffer
 // empty. A failed round skips FlushPartials and leaves records behind: drop
@@ -183,7 +184,7 @@ func (m *Manager[V]) Reopen(ctx exec.Context, p exec.Proc, cfg Config) bool {
 	if m.ctx != ctx || m.cfg != cfg {
 		return false
 	}
-	m.Full = exec.NewQueue[*Buffer[V]](ctx, m.binCount+1)
+	m.Full.Reopen(m.binCount + 1)
 	for b := range m.slot {
 		m.slot[b].Renew(p)
 		m.empty[b].Renew(p)

@@ -351,6 +351,11 @@ func (cl *Cluster) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubse
 			}
 		}
 	}
+	// Each machine's own frontier came from the shared pool and is read no
+	// more: the next round's machines build theirs in it.
+	for m := range res {
+		cl.Cfg.Engine.Pool.Release(res[m].out)
+	}
 	return merged, nil
 }
 

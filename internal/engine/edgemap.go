@@ -85,12 +85,14 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	if pool != nil {
 		spec.Recycled = pool.takeIOBuffers
 	}
-	fr, err := pipeline.Open(ctx, p, f, spec)
+	husk := pool.takeFront()
+	fr, err := pipeline.Reopen(husk, ctx, p, f, spec)
 	if fr == nil {
+		pool.putFront(husk)
 		if err != nil || !output {
 			return nil, st, err
 		}
-		return frontier.NewVertexSubset(c.V), st, nil
+		return frontier.Renew(pool.takeSpare(c.V), c.V), st, nil
 	}
 	if cfg.Mem != nil {
 		cfg.Mem.Set("io-buffers", fr.BufferBytes())
@@ -205,28 +207,33 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	gatherWG.Wait(p)
 
 	// The pipeline has quiesced: every IO buffer is back in the free queue
-	// and every bin buffer is parked in its slot. Stock the pool for the
-	// next round — the bins only when they are clean — then close the front
-	// half.
+	// and every bin buffer is parked in its slot. Read the bins' count, then
+	// stock the pool for the next round — the bins only when they are clean:
+	// once stocked, another taker may reopen them and zero the count. Then
+	// close the front half, whose queues are now closed and drained. It goes
+	// back to the pool only on return, after its last phase span: a Front in
+	// the pool is the next taker's, whose Reopen rewrites its trace ring and
+	// clock.
+	for _, s := range scatStats {
+		st.PagesRead += s.PagesRead
+		st.EdgesScanned += s.EdgesScanned
+	}
+	st.Records = bm.Records()
 	if pool != nil {
 		pool.putIOBuffers(cfg.MaxMergePages*ssd.PageSize, fr.Recover(p))
 		if !fr.Failed() {
 			closeBins(pool, bins)
 		}
 	}
+	defer pool.putFront(fr)
 	err = fr.Close(p)
 
-	for _, s := range scatStats {
-		st.PagesRead += s.PagesRead
-		st.EdgesScanned += s.EdgesScanned
-	}
-	st.Records = bm.Records()
 	if !output {
 		return nil, st, err
 	}
 	var merged *frontier.VertexSubset
 	if err == nil {
-		merged = pipeline.MergeFrontiers(c.V, outFronts)
+		merged = frontier.UnionFrom(pool.takeSpare(c.V), c.V, outFronts)
 	}
 	pool.putFrontiers(c.V, outFronts)
 	if err != nil {
@@ -260,10 +267,11 @@ func scanPage[V any](sp exec.Proc, g *Graph, f *frontier.VertexSubset, logical i
 }
 
 // VertexMap applies fn to every vertex in f and returns the subset of
-// vertices for which fn returned true (§IV-B). It executes in memory; the
-// modeled cost assumes all compute procs participate.
+// vertices for which fn returned true (§IV-B), built in a frontier handed
+// back to cfg.Pool when it holds one. It executes in memory; the modeled
+// cost assumes all compute procs participate.
 func VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, cfg Config) *frontier.VertexSubset {
-	return MapVertices(p, f, fn, cfg.Model.VertexOp, cfg.ScatterProcs+cfg.GatherProcs)
+	return mapVertices(cfg.Pool.takeSpare(f.N()), p, f, fn, cfg.Model.VertexOp, cfg.ScatterProcs+cfg.GatherProcs)
 }
 
 // MapVertices is the one vertex-map body of every engine that keeps vertex
@@ -275,8 +283,13 @@ func VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, cf
 // fill, yet PageRank-delta's maps over dense frontiers allocate less this
 // way than by growing the list as it fills.
 func MapVertices(p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, vertexOp int64, procs int) *frontier.VertexSubset {
+	return mapVertices(nil, p, f, fn, vertexOp, procs)
+}
+
+// mapVertices is MapVertices building its output in spare (nil allocates).
+func mapVertices(spare *frontier.VertexSubset, p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, vertexOp int64, procs int) *frontier.VertexSubset {
 	f.Seal()
-	out := frontier.NewSized(f.N(), f.Count())
+	out := frontier.NewSizedFrom(spare, f.N(), f.Count())
 	f.ForEach(func(v uint32) {
 		if fn(v) {
 			out.Add(v)

@@ -14,21 +14,29 @@ import (
 	"blaze/internal/ssd"
 )
 
-// roundOverheadBytes bounds what a warmed, pooled EdgeMap round may
-// allocate besides the frontier it returns: the round's queues, procs,
-// wait groups, page frontier and readers, whatever the vertex count (about
-// 19 KiB on amd64). One bitmap over the test graph's vertices is 32 KiB
-// more, so a round that still allocated a gather proc's output frontier,
-// or merged into a growing one, exceeds it.
-const roundOverheadBytes = 32 << 10
+// roundBytes bounds what a warmed, pooled EdgeMap round whose caller hands
+// back every frontier it returns may allocate in all: the round's procs,
+// their closures and wait groups, whatever the vertex count (3 to 6 KiB on
+// amd64, as the runtime happens to reuse goroutines). One bitmap over the
+// smaller test graph's 2^16 vertices is 8 KiB on its own, so a round that
+// still built its returned frontier or a gather proc's output frontier from
+// nothing exceeds it at either vertex count.
+const roundBytes = 8 << 10
 
 // TestPoolRoundAllocatesOnlyItsFrontier: once the pool is warm, a Real
-// round over a sparse frontier allocates the frontier it returns and a
-// small fixed remainder, measured by TotalAlloc over many rounds.
+// round over a sparse frontier whose caller hands the returned frontier
+// back allocates a small fixed remainder and nothing that grows with the
+// graph, measured by TotalAlloc over many rounds at two vertex counts.
 func TestPoolRoundAllocatesOnlyItsFrontier(t *testing.T) {
+	for _, v := range []uint32{1 << 16, 1 << 18} {
+		t.Run(fmt.Sprint(v), func(t *testing.T) { poolRoundAllocs(t, v) })
+	}
+}
+
+func poolRoundAllocs(t *testing.T, vertices uint32) {
 	const rounds = 40
 	ctx := exec.NewReal()
-	pr := gen.Preset{Kind: gen.KindRMAT, A: 0.57, B: 0.19, C: 0.19, Seed: 5, V: 1 << 18, E: 1 << 20}
+	pr := gen.Preset{Kind: gen.KindRMAT, A: 0.57, B: 0.19, C: 0.19, Seed: 5, V: vertices, E: 4 * int64(vertices)}
 	src, dst := pr.Generate()
 	c := graph.MustBuild(pr.V, src, dst)
 	g := FromCSR(ctx, "alloc", c, 1, ssd.OptaneSSD, nil, nil)
@@ -53,32 +61,33 @@ func TestPoolRoundAllocatesOnlyItsFrontier(t *testing.T) {
 		}
 		return out
 	}
-	var total, mallocs, frontiers uint64
-	var last *frontier.VertexSubset
+	var total, mallocs uint64
+	var count int64
+	var dense bool
 	ctx.Run("main", func(p exec.Proc) {
 		for i := 0; i < 3; i++ {
-			round(p)
+			conf.Pool.Release(round(p))
 		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := 0; i < rounds; i++ {
-			last = round(p)
-			frontiers += uint64(last.Bytes())
+			out := round(p)
+			count, dense = out.Count(), out.Dense()
+			conf.Pool.Release(out)
 		}
 		runtime.ReadMemStats(&after)
 		total = after.TotalAlloc - before.TotalAlloc
 		mallocs = after.Mallocs - before.Mallocs
 	})
-	if last.Dense() || last.Empty() {
-		t.Fatalf("the round returned %d of %d vertices: not a sparse frontier", last.Count(), c.V)
+	if dense || count == 0 {
+		t.Fatalf("the round returned %d of %d vertices: not a sparse frontier", count, c.V)
 	}
-	perRound := int64(total-frontiers) / rounds
-	t.Logf("per round: %d bytes besides a %d-byte frontier, %d allocations in all",
-		perRound, last.Bytes(), mallocs/rounds)
-	if perRound > roundOverheadBytes {
-		t.Errorf("a pooled round allocates %d bytes besides its %d-byte frontier, want at most %d",
-			perRound, last.Bytes(), roundOverheadBytes)
+	perRound := int64(total) / rounds
+	t.Logf("%d vertices: per round %d bytes and %d allocations in all, a %d-vertex frontier returned and handed back",
+		c.V, perRound, mallocs/rounds, count)
+	if perRound > roundBytes {
+		t.Errorf("%d vertices: a pooled round allocates %d bytes, want at most %d", c.V, perRound, roundBytes)
 	}
 }
 

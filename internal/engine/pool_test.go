@@ -14,6 +14,7 @@ import (
 	"blaze/internal/graph"
 	"blaze/internal/metrics"
 	"blaze/internal/pipeline"
+	"blaze/internal/trace"
 )
 
 // TestEdgeMapPooledRounds runs several EdgeMap rounds on the real backend
@@ -565,5 +566,106 @@ func TestPoolSharedByConcurrentTakers(t *testing.T) {
 	}
 	if endPooled != endFresh {
 		t.Errorf("pooled takers end at %d ns, unpooled at %d ns", endPooled, endFresh)
+	}
+}
+
+// TestPoolSharedByConcurrentTracedTakers: K queries run traced, pooled
+// rounds at once on the real backend, each handing its returned frontier
+// back, so Fronts, bin Managers and spare frontiers pass between them. A
+// round must be done with everything it puts back before another taker can
+// draw it: each round's Stats count its own records (the bins' counter,
+// which a reopening taker zeroes), each returned frontier holds exactly the
+// round's destinations, and each query's coordinator ring holds its own
+// source, pipeline and merge spans back to back, one triple a round — a
+// Front put back before its merge span would land that span on the next
+// taker's ring and clock. Under -race it also checks that no taker touches
+// what another drew.
+func TestPoolSharedByConcurrentTracedTakers(t *testing.T) {
+	const K, rounds = 3, 25
+	ctx := exec.NewReal()
+	g, c := testGraph(ctx, 1, nil)
+	conf := DefaultConfig(c.E)
+	conf.ScatterProcs, conf.GatherProcs = 1, 1
+	conf.Pool = NewPool()
+	conf.Tracer = trace.New(trace.Config{})
+
+	var fronts [K]*frontier.VertexSubset
+	var records [K]int64
+	var reached [K][]uint32
+	for i := range fronts {
+		fronts[i] = frontier.NewVertexSubset(c.V)
+		hit := make([]bool, c.V)
+		for s := uint32(i); s < c.V; s += 97 {
+			fronts[i].Add(s)
+			b, e := c.EdgeRange(s)
+			records[i] += int64(e - b)
+			for j := b; j < e; j++ {
+				hit[graph.GetEdge(c.Adj, j)] = true
+			}
+		}
+		for v, h := range hit {
+			if h {
+				reached[i] = append(reached[i], uint32(v))
+			}
+		}
+	}
+	ctx.Run("main", func(p exec.Proc) {
+		wg := ctx.NewWaitGroup()
+		wg.Add(K)
+		for i := 0; i < K; i++ {
+			ctx.Go(fmt.Sprintf("query%d", i), func(qp exec.Proc) {
+				for r := 0; r < rounds; r++ {
+					out, st, err := EdgeMap(ctx, qp, g, fronts[i],
+						func(s, d uint32) uint32 { return s },
+						func(d uint32, v uint32) bool { return true },
+						func(d uint32) bool { return true },
+						true, conf)
+					if err != nil {
+						t.Error(err)
+						break
+					}
+					if st.Records != records[i] {
+						t.Errorf("query %d, round %d: %d records, want %d", i, r, st.Records, records[i])
+					}
+					if m := frontierMembers(out); !reflect.DeepEqual(m, reached[i]) {
+						t.Errorf("query %d, round %d: returned %d vertices, want %d", i, r, len(m), len(reached[i]))
+					}
+					conf.Pool.Release(out)
+				}
+				wg.Done(qp)
+			})
+		}
+		wg.Wait(p)
+	})
+
+	coords := 0
+	for _, pt := range conf.Tracer.Collect().Procs {
+		if pt.Stage != trace.StageCoord {
+			continue
+		}
+		coords++
+		var spans []trace.Event
+		for _, e := range pt.Events {
+			if e.Op == trace.OpPhase {
+				spans = append(spans, e)
+			}
+		}
+		if len(spans) != 3*rounds {
+			t.Errorf("%s: %d phase spans, want 3 a round (%d)", pt.Name, len(spans), 3*rounds)
+			continue
+		}
+		for k, e := range spans {
+			if want := []trace.Phase{trace.PhaseSource, trace.PhasePipeline, trace.PhaseMerge}[k%3]; trace.Phase(e.Arg) != want {
+				t.Errorf("%s: span %d is a %v span, want %v", pt.Name, k, trace.Phase(e.Arg), want)
+				break
+			}
+			if k%3 > 0 && e.Start != spans[k-1].End() {
+				t.Errorf("%s: span %d starts at %d, its round's previous span ends at %d", pt.Name, k, e.Start, spans[k-1].End())
+				break
+			}
+		}
+	}
+	if coords != K {
+		t.Errorf("%d coordinator rings, want one a query (%d)", coords, K)
 	}
 }

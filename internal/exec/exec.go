@@ -135,9 +135,6 @@ type Queue[T any] interface {
 	// Pop removes the oldest item, blocking while empty; it reports false
 	// once the queue is closed and drained.
 	Pop(p Proc) (T, bool)
-	// PopN fills dst, blocking until len(dst) items arrived or the queue
-	// was closed and drained; it returns the number delivered.
-	PopN(p Proc, dst []T) int
 	// PopBatch blocks for at least one item, then drains up to len(dst)
 	// items without further blocking; 0 means closed and drained. The Real
 	// backend moves the whole batch under one lock acquisition. The Sim
@@ -151,6 +148,14 @@ type Queue[T any] interface {
 	Close()
 	// Len returns the current queue length.
 	Len() int
+	// Reopen readies a closed and drained queue for another round, reusing
+	// its storage: afterwards it is indistinguishable from
+	// NewQueue(ctx, capacity) — open, empty, nobody waiting and, under Sim,
+	// no item stamp left from an earlier Run. It is the queue's Slot.Renew:
+	// whoever keeps queues from one round to the next calls it once every
+	// proc that used the queue has returned. A queue that still holds an
+	// item or a waiter panics.
+	Reopen(capacity int)
 }
 
 // NewQueue returns a queue bound to ctx's backend with the given capacity.

@@ -148,8 +148,8 @@ func (q *realQueue[T]) Push(p Proc, v T) bool             { return q.r.Push(v) }
 func (q *realQueue[T]) PushAt(p Proc, v T, at int64) bool { return q.r.Push(v) }
 func (q *realQueue[T]) PushN(p Proc, vs []T) bool         { return q.r.PushN(vs) }
 func (q *realQueue[T]) Pop(p Proc) (T, bool)              { return q.r.Pop() }
-func (q *realQueue[T]) PopN(p Proc, dst []T) int          { return q.r.PopN(dst) }
 func (q *realQueue[T]) PopBatch(p Proc, dst []T) int      { return q.r.PopBatch(dst) }
 func (q *realQueue[T]) TryPop(p Proc) (T, bool)           { return q.r.TryPop() }
 func (q *realQueue[T]) Close()                            { q.r.Close() }
 func (q *realQueue[T]) Len() int                          { return q.r.Len() }
+func (q *realQueue[T]) Reopen(capacity int)               { q.r.Reopen(capacity) }

@@ -114,9 +114,9 @@ func schedulePinProgram(seed int64) string {
 			id := m
 			s.Go(fmt.Sprintf("m%d", id), func(c Proc) {
 				r := rng(100 + id)
-				buf := make([]int, 1+id%2) // m1 moves pairs through PopN
+				buf := make([]int, 1+id%2) // m1 moves pairs
 				for {
-					n := q1.PopN(c, buf)
+					n := popUpTo(c, q1, buf)
 					if n == 0 {
 						break
 					}
@@ -179,4 +179,17 @@ func TestSimReadyHeapOrder(t *testing.T) {
 			prev = p
 		}
 	}
+}
+
+// popUpTo fills buf by one Pop per item until it is full or q is closed and
+// drained, and returns the number of items delivered.
+func popUpTo(p Proc, q Queue[int], buf []int) int {
+	for i := range buf {
+		v, ok := q.Pop(p)
+		if !ok {
+			return i
+		}
+		buf[i] = v
+	}
+	return len(buf)
 }

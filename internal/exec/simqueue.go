@@ -73,20 +73,6 @@ func (q *simQueue[T]) PushN(p Proc, vs []T) bool {
 	return true
 }
 
-// PopN delivers exactly len(dst) items (fewer only when the queue closes),
-// popping one at a time so each item's availability timestamp advances the
-// popper's clock exactly as under the seed per-item protocol.
-func (q *simQueue[T]) PopN(p Proc, dst []T) int {
-	for i := range dst {
-		v, ok := q.Pop(p)
-		if !ok {
-			return i
-		}
-		dst[i] = v
-	}
-	return len(dst)
-}
-
 // PopBatch under virtual time transfers at most one item per call. Draining
 // several items at once would bump the popper's clock to the latest item's
 // availability before the earlier items were processed, changing the
@@ -157,6 +143,21 @@ func (q *simQueue[T]) Close() {
 }
 
 func (q *simQueue[T]) Len() int { return q.size() }
+
+// Reopen puts a closed, drained queue back in the state newSimQueue leaves
+// a new one in: open, empty, capacity reset, nobody waiting. An item
+// carries its stamp only while queued and a drained queue holds none, so no
+// instant of an earlier Run survives into the next.
+func (q *simQueue[T]) Reopen(capacity int) {
+	if q.size() != 0 || q.poppers.head != nil || q.pushers.head != nil {
+		panic("exec: Reopen of a queue still in use")
+	}
+	if capacity < 1 {
+		capacity = 1
+	}
+	clear(q.items[:cap(q.items)])
+	q.items, q.head, q.capacity, q.closed = q.items[:0], 0, capacity, false
+}
 
 // A capacity-1 simQueue is the virtual-time Slot: Take and Put are Pop and
 // Push under their ownership names. Slots are never closed.

@@ -135,12 +135,12 @@ func TestResetKeepsRepresentation(t *testing.T) {
 // growing it, up to the density threshold, and behaves like a fresh one.
 func TestNewSizedAllocatesOnce(t *testing.T) {
 	const n = 2000
-	f := NewSized(n, 1<<20)
+	f := NewSizedFrom(nil, n, 1<<20)
 	if cap(f.sparse) != n/denseFraction+1 {
 		t.Fatalf("list capacity %d, want the threshold %d + 1", cap(f.sparse), n/denseFraction)
 	}
 	if allocs := testing.AllocsPerRun(1, func() {
-		f := NewSized(n, 50)
+		f := NewSizedFrom(nil, n, 50)
 		for v := uint32(0); v < 50; v++ {
 			f.Add(v * 7)
 		}

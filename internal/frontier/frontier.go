@@ -40,14 +40,50 @@ func NewVertexSubset(n uint32) *VertexSubset {
 	return &VertexSubset{n: n, sorted: true}
 }
 
-// NewSized returns an empty sparse subset over n vertices whose list is
-// allocated once, with room for max members or for as many as the list
-// holds before the subset turns dense, whichever is fewer: the output of a
-// map over a frontier of max members never grows its list by doubling.
-func NewSized(n uint32, max int64) *VertexSubset {
-	f := NewVertexSubset(n)
-	f.sparse = make([]uint32, 0, min(max, int64(n)/denseFraction+1))
+// NewSizedFrom returns an empty sparse subset over n vertices whose list
+// has room for max members or for as many as the list holds before the
+// subset turns dense, whichever is fewer: the output of a map over a
+// frontier of max members never grows its list by doubling. It builds into
+// spare, a subset its owner no longer reads (nil allocates one): spare is
+// emptied and its bitmap and list are kept when they are large enough, so
+// a map whose output was handed back by an earlier round allocates nothing.
+func NewSizedFrom(spare *VertexSubset, n uint32, max int64) *VertexSubset {
+	f := Renew(spare, n)
+	f.sparse = reuse(f.sparse, int(min(max, int64(f.n)/denseFraction+1)))
 	return f
+}
+
+// Renew empties f for reuse as the subset NewVertexSubset(n) returns — no
+// member, sparse, sealed, 0 Bytes — keeping its bitmap and list storage for
+// the next Add or union to fill; a nil f is allocated. Only the owner of a
+// subset nobody else reads may renew it.
+func Renew(f *VertexSubset, n uint32) *VertexSubset {
+	if f == nil {
+		return NewVertexSubset(n)
+	}
+	*f = VertexSubset{n: n, bits: f.bits[:0], sparse: f.sparse[:0], sorted: true}
+	return f
+}
+
+// reuse returns s emptied when it has room for n elements, otherwise a new
+// slice with exactly that room.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// bitmap returns a cleared bitmap over f's n vertices, in f's retained
+// storage when it is large enough.
+func (f *VertexSubset) bitmap() []uint64 {
+	w := (int(f.n) + 63) / 64
+	if cap(f.bits) < w {
+		return make([]uint64, w)
+	}
+	b := f.bits[:w]
+	clear(b)
+	return b
 }
 
 // NewBitmap returns an empty subset over n vertices kept as a bitmap
@@ -82,8 +118,8 @@ func (f *VertexSubset) N() uint32 { return f.n }
 
 // Add inserts v, ignoring duplicates.
 func (f *VertexSubset) Add(v uint32) {
-	if f.bits == nil {
-		f.bits = make([]uint64, (int(f.n)+63)/64)
+	if len(f.bits) == 0 {
+		f.bits = f.bitmap()
 	}
 	w, b := v/64, uint64(1)<<(v%64)
 	if f.bits[w]&b != 0 {
@@ -108,8 +144,8 @@ func (f *VertexSubset) densify() {
 	if f.dense {
 		return
 	}
-	if f.bits == nil {
-		f.bits = make([]uint64, (int(f.n)+63)/64)
+	if len(f.bits) == 0 {
+		f.bits = f.bitmap()
 		for _, v := range f.sparse {
 			f.bits[v/64] |= 1 << (v % 64)
 		}
@@ -141,7 +177,7 @@ func (f *VertexSubset) Seal() {
 
 // Has reports membership.
 func (f *VertexSubset) Has(v uint32) bool {
-	if f.bits == nil {
+	if len(f.bits) == 0 {
 		return false
 	}
 	return f.bits[v/64]&(1<<(v%64)) != 0
@@ -213,14 +249,22 @@ func (f *VertexSubset) Reset() {
 // exceeds n/20, otherwise a sorted list of exactly count members read off
 // the ORed words in one ascending walk. An empty union allocates no bitmap.
 func Union(n uint32, parts []*VertexSubset) *VertexSubset {
-	out := NewVertexSubset(n)
+	return UnionFrom(nil, n, parts)
+}
+
+// UnionFrom is Union building into spare, a subset its owner no longer reads
+// (nil allocates one), whose bitmap and list are reused when they are large
+// enough. The result is observably the one Union returns — Count, Dense,
+// Has, ForEach order, sealed, Bytes (0 for an empty union) — and spare must
+// not be one of parts.
+func UnionFrom(spare *VertexSubset, n uint32, parts []*VertexSubset) *VertexSubset {
+	out := Renew(spare, n)
 	for _, p := range parts {
 		if p == nil || p.count == 0 {
 			continue
 		}
-		if out.bits == nil {
-			out.bits = make([]uint64, len(p.bits))
-			copy(out.bits, p.bits)
+		if len(out.bits) == 0 {
+			out.bits = append(reuse(out.bits, len(p.bits)), p.bits...)
 			continue
 		}
 		for w, word := range p.bits {
@@ -235,7 +279,7 @@ func Union(n uint32, parts []*VertexSubset) *VertexSubset {
 		return out
 	}
 	if out.count > 0 {
-		out.sparse = make([]uint32, 0, out.count)
+		out.sparse = reuse(out.sparse, int(out.count))
 		for w, word := range out.bits {
 			for ; word != 0; word &= word - 1 {
 				out.sparse = append(out.sparse, uint32(w*64+bits.TrailingZeros64(word)))
@@ -268,7 +312,24 @@ func (ps *PageSubset) Pages() int64 { return ps.total }
 // shared by adjacent vertices is emitted once: page ranges of ascending
 // vertices are monotonic, so a logical high-water mark dedups them.
 func PagesOf(f *VertexSubset, c *graph.CSR, numDev int) *PageSubset {
-	ps := &PageSubset{PerDev: make([][]int64, numDev)}
+	ps := new(PageSubset)
+	ps.Fill(f, c, numDev)
+	return ps
+}
+
+// Fill makes ps the page frontier PagesOf(f, c, numDev) returns, writing
+// each device's list over the one ps held before: an owner that keeps a
+// PageSubset from round to round grows its lists only when a frontier spans
+// more pages than any before it on that device.
+func (ps *PageSubset) Fill(f *VertexSubset, c *graph.CSR, numDev int) {
+	if cap(ps.PerDev) < numDev {
+		ps.PerDev = append(ps.PerDev[:cap(ps.PerDev)], make([][]int64, numDev-cap(ps.PerDev))...)
+	}
+	ps.PerDev = ps.PerDev[:numDev]
+	for d := range ps.PerDev {
+		ps.PerDev[d] = ps.PerDev[d][:0]
+	}
+	ps.total = 0
 	lastLogical := int64(-1)
 	f.ForEach(func(v uint32) {
 		first, last, ok := c.PageRange(v)
@@ -287,5 +348,4 @@ func PagesOf(f *VertexSubset, c *graph.CSR, numDev int) *PageSubset {
 			lastLogical = last
 		}
 	})
-	return ps
 }

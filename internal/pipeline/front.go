@@ -80,12 +80,15 @@ type Front struct {
 	tracer       *trace.Tracer
 	free, filled exec.Queue[*Buffer]
 	latch        exec.Latch
-	readers      []*Reader
+	readers      []Reader
 	count        int
 	bufLen       int
 	// bufs is the one slice of this round's buffers: Spec.Recycled fills
 	// it at Open and Recover refills it.
 	bufs []*Buffer
+	// pages holds one page frontier per source; the readers' page lists
+	// are its per-device lists.
+	pages []frontier.PageSubset
 
 	// Phase spans on the coordinator's clock: source → pipeline → merge,
 	// back to back, so the trace summary's phase totals reconstruct the
@@ -100,7 +103,22 @@ type Front struct {
 // nil error when f touches no page: there is nothing to read and nothing
 // to close.
 func Open(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Front, error) {
-	fr := &Front{ctx: ctx, name: s.ProcName, tracer: s.Tracer}
+	return Reopen(nil, ctx, p, f, s)
+}
+
+// Reopen is Open building into fr, a Front an earlier Open or Reopen under
+// ctx returned and Close then closed, once every proc of that round has
+// returned: its queue pair is reopened (exec.Queue.Reopen) and its page
+// lists, readers and buffer slice are written over rather than allocated.
+// A nil fr, or one built under another context, is replaced by a new
+// Front. The modeled charges, queue operations and procs are Open's, so
+// virtual time cannot tell the two apart. The caller keeps fr when Reopen
+// returns nil.
+func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Front, error) {
+	if fr == nil || fr.ctx != ctx {
+		fr = &Front{ctx: ctx}
+	}
+	fr.name, fr.tracer, fr.latch = s.ProcName, s.Tracer, exec.Latch{}
 	fr.ctr = s.Tracer.AttachQuery(p, trace.StageCoord, -1, s.Query)
 	if fr.ctr.Active() {
 		fr.t0 = p.Now()
@@ -114,12 +132,14 @@ func Open(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Fro
 		}
 	}
 	f.Seal()
-	pss := make([]*frontier.PageSubset, len(s.Sources))
+	if len(fr.pages) < len(s.Sources) {
+		fr.pages = append(fr.pages, make([]frontier.PageSubset, len(s.Sources)-len(fr.pages))...)
+	}
 	var pages int64
 	for k, src := range s.Sources {
-		pss[k] = frontier.PagesOf(f, src.CSR, numDev)
+		fr.pages[k].Fill(f, src.CSR, numDev)
 		p.Advance(s.Model.VertexOp * f.Count() / int64(s.Procs))
-		pages += pss[k].Pages()
+		pages += fr.pages[k].Pages()
 	}
 	fr.phase(p, trace.PhaseSource)
 	if pages == 0 {
@@ -131,15 +151,21 @@ func Open(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Fro
 	numReaders := numDev * len(s.Sources)
 	fr.bufLen = s.MergePages * ssd.PageSize
 	fr.count = BufferCount(s.BufferBytes, fr.bufLen, numReaders, pages)
-	fr.free, fr.filled = NewQueues(ctx, fr.count)
+	if fr.free == nil {
+		fr.free, fr.filled = NewQueues(ctx, fr.count)
+	} else {
+		fr.free.Reopen(fr.count)
+		fr.filled.Reopen(fr.count)
+	}
+	fr.bufs = slices.Grow(fr.bufs[:0], fr.count)
 	if s.Recycled != nil {
-		fr.bufs = s.Recycled(make([]*Buffer, 0, fr.count), fr.bufLen, fr.count)
+		fr.bufs = s.Recycled(fr.bufs, fr.bufLen, fr.count)
 	}
 	fr.free.PushN(p, fr.bufs)
 	Stock(p, fr.free, fr.count-len(fr.bufs), fr.bufLen)
 
 	merge := MergeRuns(s.MergePages)
-	fr.readers = make([]*Reader, 0, numReaders)
+	fr.readers = slices.Grow(fr.readers[:0], numReaders)
 	for k, src := range s.Sources {
 		wrap := func(err error) error {
 			return fmt.Errorf("pipeline: reading %q: %w", src.Name, err)
@@ -167,14 +193,14 @@ func Open(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Fro
 				name = fmt.Sprintf("%s%d.s%d", s.ProcName, d, k-1)
 			}
 			dev := src.Arr.Device(d)
-			fr.readers = append(fr.readers, &Reader{
+			fr.readers = append(fr.readers, Reader{
 				Name:       name,
 				Device:     dev,
 				Dev:        d,
 				Src:        k,
 				Sched:      s.Scheds.For(dev),
 				Query:      s.Query,
-				Pages:      pss[k].PerDev[d],
+				Pages:      fr.pages[k].PerDev[d],
 				Free:       fr.free,
 				Filled:     fr.filled,
 				Latch:      &fr.latch,
@@ -208,7 +234,8 @@ func (fr *Front) BufferBytes() int64 { return int64(fr.count) * int64(fr.bufLen)
 func (fr *Front) Start() {
 	wg := fr.ctx.NewWaitGroup()
 	wg.Add(len(fr.readers))
-	for _, r := range fr.readers {
+	for i := range fr.readers {
+		r := &fr.readers[i]
 		fr.ctx.Go(r.Name, func(io exec.Proc) {
 			fr.tracer.AttachQuery(io, trace.StageIO, int32(r.Dev), r.Query)
 			r.Run(io)
@@ -236,13 +263,13 @@ func (fr *Front) Failed() bool { return fr.latch.Failed() }
 // every sink has returned: the pipeline has quiesced and every buffer is
 // back in the free queue.
 func (fr *Front) Recover(p exec.Proc) []*Buffer {
-	bufs := slices.Grow(fr.bufs[:0], fr.count)
+	fr.bufs = slices.Grow(fr.bufs[:0], fr.count)
 	for {
 		buf, ok := fr.free.TryPop(p)
 		if !ok {
-			return bufs
+			return fr.bufs
 		}
-		bufs = append(bufs, buf)
+		fr.bufs = append(fr.bufs, buf)
 	}
 }
 

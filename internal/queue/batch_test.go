@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestPushNPopNOrder: a batch push followed by batch pops preserves FIFO
-// order across wrap-around.
-func TestPushNPopNOrder(t *testing.T) {
+// TestPushNPopBatchOrder: a batch push followed by batch pops preserves
+// FIFO order across wrap-around.
+func TestPushNPopBatchOrder(t *testing.T) {
 	r := NewRing[int](5)
 	for round := 0; round < 3; round++ { // wrap the ring several times
 		in := []int{round * 10, round*10 + 1, round*10 + 2, round*10 + 3}
@@ -19,8 +19,12 @@ func TestPushNPopNOrder(t *testing.T) {
 			}
 		}()
 		dst := make([]int, len(in))
-		if got := r.PopN(dst); got != len(in) {
-			t.Fatalf("PopN returned %d, want %d", got, len(in))
+		for got := 0; got < len(in); {
+			n := r.PopBatch(dst[got:])
+			if n == 0 {
+				t.Fatalf("PopBatch found the open ring closed after %d items", got)
+			}
+			got += n
 		}
 		<-done
 		for i, v := range dst {
@@ -93,8 +97,8 @@ func TestBatchClose(t *testing.T) {
 	if n := r.PopBatch(dst); n != 0 {
 		t.Fatalf("PopBatch on drained closed ring = %d, want 0", n)
 	}
-	if n := r.PopN(dst); n != 0 {
-		t.Fatalf("PopN on drained closed ring = %d, want 0", n)
+	if _, ok := r.Pop(); ok {
+		t.Fatal("Pop on drained closed ring delivered an item")
 	}
 }
 

@@ -122,24 +122,6 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 	return v, ok
 }
 
-// PopN fills dst, blocking until len(dst) items were delivered or the ring
-// was closed and drained. It returns the number of items written to dst.
-func (r *Ring[T]) PopN(dst []T) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	got := 0
-	for got < len(dst) {
-		for r.size == 0 && !r.closed {
-			r.notEmpty.Wait()
-		}
-		if r.size == 0 {
-			break
-		}
-		got += r.drainLocked(dst[got:])
-	}
-	return got
-}
-
 // PopBatch blocks until at least one item is available (or the ring is
 // closed and drained), then drains up to len(dst) items without further
 // blocking, all under one lock acquisition. It returns the number of items
@@ -192,6 +174,28 @@ func (r *Ring[T]) TryPop() (v T, ok bool) {
 	}
 	r.mu.Unlock()
 	return v, ok
+}
+
+// Reopen readies a closed, drained ring for another round as NewRing(capacity)
+// would return it: open, empty, with room for capacity items, reusing its
+// storage when that is large enough. No goroutine may be using the ring.
+func (r *Ring[T]) Reopen(capacity int) {
+	if capacity < 1 {
+		capacity = 1
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.size != 0 {
+		panic("queue: Reopen of a ring that still holds items")
+	}
+	if cap(r.buf) < capacity {
+		r.buf = make([]T, capacity)
+	} else {
+		r.buf = r.buf[:capacity]
+		clear(r.buf)
+	}
+	r.head = 0
+	r.closed = false
 }
 
 // Close marks the ring closed and wakes all blocked producers and
