@@ -17,6 +17,25 @@ import (
 )
 
 // EdgeFuncs bundles the user functions of one EdgeMap call.
+//
+// Under the Real backend a round's scatter procs run while its gather procs
+// apply records, so Scatter and Cond may read vertex state that a Gather of
+// the same round writes: WCC's Scatter reads ids[s] while a Gather lowers
+// ids[d]; BFS's Cond reads parent[d] and BC's forward Cond depth[d] while a
+// Gather sets them; IncBFS's Scatter reads depth[s] while a Gather lowers
+// depth[d]. These reads are unsynchronised by design, as in the paper, and
+// the answers still equal the serial references because every such state is
+// monotone. BFS's parent and BC's depth are written once, from -1: a Cond
+// that reads the stale -1 passes a record the Gather then rejects, and one
+// that reads the new value drops a record the Gather would have rejected
+// (BC's Cond passes both -1 and the round's depth). WCC's labels and
+// IncBFS's depths only fall: a Scatter that reads a value lowered this
+// round sends one that is still valid (a label of the same component, the
+// length of a real path), so the relaxation reaches the same fixed point,
+// at most in fewer rounds. This is why the -race Pool tests run PageRank
+// only under Real: its Scatter reads delta, which only the VertexMap between
+// rounds writes. ROADMAP item 9's schedule-jitter table is where this is to
+// be tested. DESIGN §6 has the argument at length.
 type EdgeFuncs struct {
 	// Scatter returns the value to propagate along edge s→d.
 	Scatter func(s, d uint32) float64

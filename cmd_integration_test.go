@@ -124,7 +124,7 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 		t.Errorf("blaze-ingest output: %s", out)
 	}
 
-	// blaze-bench on the quickest experiment, then render it.
+	// blaze-bench on the quickest experiment.
 	resDir := t.TempDir()
 	if out := run("blaze-bench", "-exp", "table1", "-out", resDir); !strings.Contains(out, "table1") {
 		t.Errorf("blaze-bench output: %s", out)
@@ -132,7 +132,6 @@ func TestCommandLineToolsEndToEnd(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(resDir, "table1.csv")); err != nil {
 		t.Errorf("table1.csv missing: %v", err)
 	}
-	run("blaze-plot", "-in", resDir, "-out", filepath.Join(resDir, "plots"))
 
 	// An extension suite runs through the same -exp path as a figure.
 	if out := run("blaze-bench", "-exp", "ext_ingest", "-scale", "4096", "-out", resDir); !strings.Contains(out, "repair speedup") {

@@ -81,14 +81,10 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	// segment-free graph is the single-source seed path, operation for
 	// operation.
 	sources := append([]*Graph{g}, g.Segs...)
-	spec := cfg.FrontSpec("io", sources...)
-	if pool != nil {
-		spec.Recycled = pool.takeIOBuffers
-	}
-	husk := pool.takeFront()
-	fr, err := pipeline.Reopen(husk, ctx, p, f, spec)
+	rd := pool.takeRound()
+	fr, err := pipeline.Reopen(rd.fr, ctx, p, f, cfg.FrontSpec("io", sources...))
 	if fr == nil {
-		pool.putFront(husk)
+		pool.putRound(rd)
 		if err != nil || !output {
 			return nil, st, err
 		}
@@ -145,18 +141,21 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	}
 
 	// Gather procs (steps 8-9) with per-proc output frontiers: bitmaps
-	// taken from the pool, which gets them back once they are merged.
+	// kept with the round, which goes back to the pool once they are merged.
 	gatherWG := ctx.NewWaitGroup()
 	gatherWG.Add(cfg.GatherProcs)
-	outFronts := make([]*frontier.VertexSubset, cfg.GatherProcs)
+	var outFronts []*frontier.VertexSubset
 	if output {
-		pool.takeFrontiers(outFronts, c.V)
+		outFronts = rd.gatherFrontiers(c.V, cfg.GatherProcs)
 	}
 	for i := 0; i < cfg.GatherProcs; i++ {
 		id := i
 		ctx.Go(procName(&gatherNames, "gather", id), func(gp exec.Proc) {
 			gtr := cfg.Tracer.AttachQuery(gp, trace.StageGather, int32(id), cfg.TraceQuery())
-			out := outFronts[id]
+			var out *frontier.VertexSubset
+			if output {
+				out = outFronts[id]
+			}
 			updCost := m.Update(m.GatherUpdate, g.Locality)
 			// Full bins drain in batches under one lock acquisition (one
 			// per call under virtual time); each buffer still returns to
@@ -208,37 +207,30 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 
 	// The pipeline has quiesced: every IO buffer is back in the free queue
 	// and every bin buffer is parked in its slot. Read the bins' count, then
-	// stock the pool for the next round — the bins only when they are clean:
-	// once stocked, another taker may reopen them and zero the count. Then
-	// close the front half, whose queues are now closed and drained. It goes
-	// back to the pool only on return, after its last phase span: a Front in
-	// the pool is the next taker's, whose Reopen rewrites its trace ring and
-	// clock.
+	// stock the pool with the bins, only when they are clean: once stocked,
+	// another taker may reopen them and zero the count. Then empty and close
+	// the front half. The round goes back to the pool only on return, after
+	// the merge and the last phase span: a round in the pool is the next
+	// taker's, whose Reopen rewrites its Front's trace ring and clock.
 	for _, s := range scatStats {
 		st.PagesRead += s.PagesRead
 		st.EdgesScanned += s.EdgesScanned
 	}
 	st.Records = bm.Records()
 	if pool != nil {
-		pool.putIOBuffers(cfg.MaxMergePages*ssd.PageSize, fr.Recover(p))
+		fr.Recover(p)
 		if !fr.Failed() {
 			closeBins(pool, bins)
 		}
 	}
-	defer pool.putFront(fr)
+	rd.fr = fr
+	defer pool.putRound(rd)
 	err = fr.Close(p)
 
-	if !output {
+	if err != nil || !output {
 		return nil, st, err
 	}
-	var merged *frontier.VertexSubset
-	if err == nil {
-		merged = frontier.UnionFrom(pool.takeSpare(c.V), c.V, outFronts)
-	}
-	pool.putFrontiers(c.V, outFronts)
-	if err != nil {
-		return nil, st, err
-	}
+	merged := frontier.UnionFrom(pool.takeSpare(c.V), c.V, outFronts)
 	p.Advance(m.VertexOp * merged.Count() / int64(computeProcs))
 	fr.EndMerge(p)
 	st.VerticesMoved = merged.Count()

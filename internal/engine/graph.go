@@ -251,8 +251,7 @@ func (c Common) CacheOwner() int32 {
 
 // FrontSpec returns the storage front half this config asks for over the
 // given graph sources (a base graph followed by its sealed segments), with
-// reader procs named after procName. The blaze engines share it; each adds
-// only what it alone has (the binning engine its recycled buffers).
+// reader procs named after procName. The blaze engines share it as is.
 func (c Config) FrontSpec(procName string, sources ...*Graph) pipeline.Spec {
 	srcs := make([]pipeline.Source, len(sources))
 	for i, g := range sources {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 
 	"blaze/internal/bin"
@@ -11,24 +12,25 @@ import (
 )
 
 // Pool retains the execution state EdgeMap would otherwise rebuild every
-// round: IO buffers, the storage front half's queue pair, page lists and
-// readers (a whole closed pipeline.Front), the whole bin Manager — slots,
-// full queue, both halves of every bin parked where the last round left
-// them — with its per-proc stagers, the gather procs' output frontiers, and
-// the frontiers handed back by Release. Iterative algorithms (BFS,
-// PageRank, WCC) call EdgeMap once per round, and without the pool every
-// round re-allocates the full IO-buffer budget, all of the bin space and one
-// bitmap per gather proc, rebuilds two slots per bin and three queues, and
-// builds the frontier it returns from nothing — pure churn, since the sizes
-// never change under one owner. With it, and with its owner handing back
-// each frontier it is done with, a steady-state round allocates only its
-// procs and their closures and wait groups. Each owner of engines holds one
-// Pool and threads it through Config: a Runtime, an engine built by
-// algo.NewBlaze, a cluster (every machine's EdgeMap draws from it), and a
+// round, in three stocks: closed rounds, bin state per value type, and the
+// frontiers handed back by Release. A closed round is a closed
+// pipeline.Front — its own IO buffers, queue pair, page lists and readers —
+// plus the round's gather output frontiers. Bin state is the whole bin
+// Manager — slots, full queue, both halves of every bin parked where the
+// last round left them — with its per-proc stagers. Iterative algorithms
+// (BFS, PageRank, WCC) call EdgeMap once per round, and without the pool
+// every round re-allocates the full IO-buffer budget, all of the bin space
+// and one bitmap per gather proc, rebuilds two slots per bin and three
+// queues, and builds the frontier it returns from nothing — pure churn,
+// since the sizes never change under one owner. With it, and with its owner
+// handing back each frontier it is done with, a steady-state round allocates
+// only its procs and their closures and wait groups. Each owner of engines
+// holds one Pool and threads it through Config: a Runtime, an engine built
+// by algo.NewBlaze, a cluster (every machine's EdgeMap draws from it), and a
 // session (every query's engine draws from it).
 //
 // The pool is a wall-clock optimization only. Allocation costs are not
-// modeled; recycled IO buffers pass through the same queue operations as
+// modeled; a Front's own buffers pass through the same queue operations as
 // fresh ones; a reopened queue is indistinguishable from a new one; and
 // priming every bin is a run of slot Puts the coordinator makes back to back
 // at the clock it already synchronised on when it stocked the IO buffers,
@@ -43,12 +45,16 @@ import (
 // round start and returns them at round end, so the pool's lock is touched
 // a fixed number of times per round, never on the per-edge or per-page
 // path. Concurrent EdgeMap calls on one pool are safe: each taker owns what
-// it drew until it puts it back, and a taker that finds the pool empty
-// allocates fresh state. Bin state and Fronts are free lists (bin state
-// per value type), so K concurrent takers each reopen retained ones once K
-// have been built; a list never holds more entries than the peak number of
-// concurrent takers. Gather frontiers are a stock per vertex count,
-// likewise never more than the peak number of gather procs at once.
+// it drew, IO buffers included, until it puts it back, and a taker that
+// finds the pool empty allocates fresh state. Rounds and bin state are free
+// lists (bin state per value type), so K concurrent takers each reopen
+// retained ones once K have been built; a list never holds more entries
+// than the peak number of concurrent takers. Rounds are shared by every
+// value type: one round's buffers serve an int64 EdgeMap and a float64 one.
+// A Front keeps as many buffers as the largest round it stocked, so K
+// concurrent takers come to hold K such sets, where buffers pooled apart
+// from their Fronts held only the peak concurrent demand; that never
+// shrank either, and reaches the same bound once K large rounds overlap.
 //
 // A frontier EdgeMap or VertexMap returns is drawn from the spare stock and
 // is its caller's; the pool never takes it back on its own. Release hands
@@ -59,28 +65,46 @@ import (
 // most as many frontiers as were drawn from it.
 type Pool struct {
 	mu sync.Mutex
-	// ioBufs holds retained IO buffers; all share one backing length, and
-	// a size change (different MaxMergePages config) drops the stock.
-	ioBufs   []*pipeline.Buffer
-	ioBufLen int
+	// rounds holds closed rounds for takeRound.
+	rounds []*round
 	// perType holds the free list of bin-side state, a *[]*binState[V],
 	// keyed by the EdgeMap value type: each instantiation of EdgeMap[V] has
 	// its own record layout, so buffers cannot be shared across types.
 	perType map[reflect.Type]any
-	// fronts holds retained gather output frontiers (frontier.NewBitmap
-	// subsets) by universe size.
-	fronts map[uint32][]*frontier.VertexSubset
 	// spare holds the frontiers handed back by Release, by universe size.
 	spare map[uint32][]*frontier.VertexSubset
-	// husks holds closed storage front halves for pipeline.Reopen.
-	husks []*pipeline.Front
+}
+
+// round is one closed EdgeMap round kept for the next: its storage front
+// half, which owns its IO buffers, and its gather procs' output frontiers.
+type round struct {
+	fr   *pipeline.Front
+	outs []*frontier.VertexSubset
+}
+
+// gatherFrontiers returns k empty bitmap frontiers over n vertices, one per
+// gather proc: rd's own, reset, as far as it holds them over n vertices,
+// fresh ones beyond that or in place of any over another count. They stay
+// rd's.
+func (rd *round) gatherFrontiers(n uint32, k int) []*frontier.VertexSubset {
+	if len(rd.outs) < k {
+		rd.outs = slices.Grow(rd.outs, k-len(rd.outs))[:k]
+	}
+	outs := rd.outs[:k]
+	for i, f := range outs {
+		if f != nil && f.N() == n {
+			f.Reset()
+		} else {
+			outs[i] = frontier.NewBitmap(n)
+		}
+	}
+	return outs
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
 	return &Pool{
 		perType: map[reflect.Type]any{},
-		fronts:  map[uint32][]*frontier.VertexSubset{},
 		spare:   map[uint32][]*frontier.VertexSubset{},
 	}
 }
@@ -113,15 +137,33 @@ func (pl *Pool) takeSpare(n uint32) *frontier.VertexSubset {
 	return f
 }
 
-// takeFront returns a closed Front for pipeline.Reopen, now the taker's,
-// or nil when the pool holds none (or is nil).
-func (pl *Pool) takeFront() *pipeline.Front {
-	if pl == nil {
-		return nil
+// takeRound returns a closed round, now the taker's: the last one pl
+// holds, or an empty one when it holds none (or is nil).
+func (pl *Pool) takeRound() *round {
+	var rd *round
+	if pl != nil {
+		pl.mu.Lock()
+		rd = pop(&pl.rounds)
+		pl.mu.Unlock()
+	}
+	if rd == nil {
+		rd = new(round)
+	}
+	return rd
+}
+
+// putRound stocks rd, its Front closed and with every proc of its round
+// returned, for a later round. The caller must be done with rd, its Front's
+// last phase span included: once stocked it is the next taker's. A nil pool
+// drops it, and so does any pool a round that never held a Front: stocked,
+// it could be drawn instead of one that holds buffers.
+func (pl *Pool) putRound(rd *round) {
+	if pl == nil || rd.fr == nil {
+		return
 	}
 	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pop(&pl.husks)
+	pl.rounds = append(pl.rounds, rd)
+	pl.mu.Unlock()
 }
 
 // pop removes the last entry of a free list and returns it, or nil when
@@ -135,86 +177,6 @@ func pop[T any](list *[]*T) *T {
 	(*list)[n-1] = nil
 	*list = (*list)[:n-1]
 	return v
-}
-
-// putFront stocks fr, closed and with every proc of its round returned,
-// for a later round's pipeline.Reopen. The caller must be done with fr,
-// its last phase span included: once stocked it is the next taker's. A nil
-// pool or Front is dropped.
-func (pl *Pool) putFront(fr *pipeline.Front) {
-	if pl == nil || fr == nil {
-		return
-	}
-	pl.mu.Lock()
-	pl.husks = append(pl.husks, fr)
-	pl.mu.Unlock()
-}
-
-// takeFrontiers fills dst with empty bitmap frontiers over n vertices, one
-// per gather proc: retained ones, reset, as far as pl holds them, fresh
-// ones beyond that (all fresh when pl is nil). Each is the taker's own
-// until putFrontiers.
-func (pl *Pool) takeFrontiers(dst []*frontier.VertexSubset, n uint32) {
-	k := 0
-	if pl != nil {
-		pl.mu.Lock()
-		stock := pl.fronts[n]
-		k = min(len(dst), len(stock))
-		rest := len(stock) - k
-		copy(dst, stock[rest:])
-		clear(stock[rest:])
-		pl.fronts[n] = stock[:rest]
-		pl.mu.Unlock()
-	}
-	for i := range dst {
-		if i < k {
-			dst[i].Reset()
-		} else {
-			dst[i] = frontier.NewBitmap(n)
-		}
-	}
-}
-
-// putFrontiers stocks a round's gather frontiers over n vertices for a
-// later round; fs itself stays the caller's. A nil pool drops them.
-func (pl *Pool) putFrontiers(n uint32, fs []*frontier.VertexSubset) {
-	if pl == nil {
-		return
-	}
-	pl.mu.Lock()
-	pl.fronts[n] = append(pl.fronts[n], fs...)
-	pl.mu.Unlock()
-}
-
-// takeIOBuffers moves up to n retained buffers of bufLen backing bytes
-// into dst and returns it. The buffers are copied out, never lent as a
-// subslice of the stock, so a later putIOBuffers cannot write over them
-// while their taker still reads dst. A pool stocked with a different buffer
-// size is emptied: the config that sized those buffers is gone.
-func (pl *Pool) takeIOBuffers(dst []*pipeline.Buffer, bufLen, n int) []*pipeline.Buffer {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.ioBufLen != bufLen {
-		pl.ioBufs = nil
-		pl.ioBufLen = bufLen
-		return dst
-	}
-	k := len(pl.ioBufs) - min(n, len(pl.ioBufs))
-	dst = append(dst, pl.ioBufs[k:]...)
-	pl.ioBufs = pl.ioBufs[:k]
-	return dst
-}
-
-// putIOBuffers copies buffers back into the pool after a round; bufs
-// itself stays the caller's.
-func (pl *Pool) putIOBuffers(bufLen int, bufs []*pipeline.Buffer) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.ioBufLen != bufLen {
-		pl.ioBufs = nil
-		pl.ioBufLen = bufLen
-	}
-	pl.ioBufs = append(pl.ioBufs, bufs...)
 }
 
 // binState is the pooled bin-side state for one EdgeMap value type: the

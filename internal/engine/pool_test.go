@@ -2,8 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"blaze/internal/graph"
 	"blaze/internal/metrics"
 	"blaze/internal/pipeline"
+	"blaze/internal/ssd"
 	"blaze/internal/trace"
 )
 
@@ -96,58 +99,124 @@ func TestEdgeMapPoolMixedValueTypes(t *testing.T) {
 	}
 }
 
-// TestPoolRecycling checks the take/put contract directly: matching sizes
-// restock, mismatched sizes drop.
-func TestPoolRecycling(t *testing.T) {
+// poolRounds sets up storage rounds on one pool the way EdgeMap runs them.
+// The returned round runs one round as taker i with the given merge size
+// and buffer count, and returns the buffers its sinks saw. A buffer that
+// two takers hold at once fails the test.
+func poolRounds(t *testing.T) (*exec.Real, *Pool, func(p exec.Proc, i, mergePages, buffers int) map[*pipeline.Buffer]bool) {
+	ctx := exec.NewReal()
+	g, c := testGraph(ctx, 1, nil)
 	pl := NewPool()
-	bufs := []*pipeline.Buffer{{Data: make([]byte, 8)}, {Data: make([]byte, 8)}}
-	pl.putIOBuffers(8, bufs)
-	if got := pl.takeIOBuffers(nil, 8, 1); len(got) != 1 {
-		t.Fatalf("take(8,1) = %d buffers, want 1", len(got))
+	var mu sync.Mutex
+	holder := map[*pipeline.Buffer]int{}
+	round := func(p exec.Proc, i, mergePages, buffers int) map[*pipeline.Buffer]bool {
+		conf := DefaultConfig(c.E)
+		conf.MaxMergePages = mergePages
+		conf.IOBufferBytes = int64(buffers * mergePages * ssd.PageSize)
+		seen := map[*pipeline.Buffer]bool{}
+		rd := pl.takeRound()
+		fr, err := pipeline.Reopen(rd.fr, ctx, p, frontier.All(c.V), conf.FrontSpec("io", g))
+		if fr == nil {
+			t.Errorf("taker %d: Reopen on a full frontier returned no front (err %v)", i, err)
+			return seen
+		}
+		fr.Start()
+		wg := ctx.NewWaitGroup()
+		wg.Add(2)
+		for range 2 {
+			ctx.Go("sink", func(sp exec.Proc) {
+				fr.Drain(sp, func(buf *pipeline.Buffer) {
+					mu.Lock()
+					if h, held := holder[buf]; held && h != i {
+						t.Errorf("takers %d and %d hold one buffer at once", h, i)
+					}
+					holder[buf], seen[buf] = i, true
+					mu.Unlock()
+				})
+				wg.Done(sp)
+			})
+		}
+		wg.Wait(p)
+		if n, want := fr.Recover(p), fr.BufferBytes()/int64(mergePages*ssd.PageSize); int64(n) != want {
+			t.Errorf("taker %d: recovered %d buffers, the round stocked %d", i, n, want)
+		}
+		mu.Lock()
+		for buf := range seen {
+			delete(holder, buf)
+		}
+		mu.Unlock()
+		if err := fr.Close(p); err != nil {
+			t.Error(err)
+		}
+		rd.fr = fr
+		pl.putRound(rd)
+		return seen
 	}
-	if got := pl.takeIOBuffers(nil, 16, 4); len(got) != 0 {
-		t.Fatalf("take with mismatched size = %d buffers, want 0 (drop)", len(got))
-	}
-	if got := pl.takeIOBuffers(nil, 8, 4); len(got) != 0 {
-		t.Fatalf("pool not emptied after size change, got %d", len(got))
-	}
+	return ctx, pl, round
 }
 
-// TestPoolLenderDoesNotAlias: buffers a taker holds stay its own while
-// other takers put theirs back. Regression test: the lender returned the
-// tail of its own stock, and the next put appended into that same backing
-// array, so one buffer went to two rounds at once.
-func TestPoolLenderDoesNotAlias(t *testing.T) {
-	mk := func(n int) []*pipeline.Buffer {
-		bs := make([]*pipeline.Buffer, n)
-		for i := range bs {
-			bs[i] = &pipeline.Buffer{Data: make([]byte, 8)}
+// TestPoolRecycling: the pool keeps whole closed rounds, and a round's IO
+// buffers are its Front's own. A reopened Front runs on them and allocates
+// none while its count fits, and drops them when the buffer length
+// changes. Every buffer a round stocks cycles through its sinks: the
+// frontier spans far more requests than buffers.
+func TestPoolRecycling(t *testing.T) {
+	ctx, pl, round := poolRounds(t)
+	ctx.Run("main", func(p exec.Proc) {
+		wide := round(p, 0, 4, 8)
+		if len(wide) != 8 {
+			t.Fatalf("the first round cycled %d buffers, want 8", len(wide))
 		}
-		return bs
-	}
-	pl := NewPool()
-	pl.putIOBuffers(8, mk(4))
-	taken := pl.takeIOBuffers(make([]*pipeline.Buffer, 0, 2), 8, 2)
-	held := append([]*pipeline.Buffer(nil), taken...)
-	pl.putIOBuffers(8, mk(2))
-	for i := range held {
-		if taken[i] != held[i] {
-			t.Fatalf("a put overwrote buffer %d a taker still holds", i)
+		narrow := round(p, 0, 4, 4)
+		if len(narrow) != 4 {
+			t.Errorf("a 4-buffer round cycled %d buffers", len(narrow))
 		}
-	}
-	// The stock is the two untaken buffers and the two put back, none of
-	// them held.
-	rest := pl.takeIOBuffers(nil, 8, 10)
-	if len(rest) != 4 {
-		t.Fatalf("pool holds %d buffers, want 4", len(rest))
-	}
-	for _, b := range rest {
-		for _, h := range held {
-			if b == h {
-				t.Fatal("the pool lends a buffer a taker still holds")
+		for buf := range narrow {
+			if !wide[buf] {
+				t.Error("a reopened Front allocated a buffer although it owned enough")
+				break
 			}
 		}
-	}
+		if again := round(p, 0, 4, 8); !maps.Equal(again, wide) {
+			t.Error("a reopened Front did not run on the buffers it owned")
+		}
+		if len(pl.rounds) != 1 {
+			t.Errorf("one taker left %d rounds in the pool, want 1", len(pl.rounds))
+		}
+		for buf := range round(p, 0, 2, 8) {
+			if wide[buf] || len(buf.Data) != 2*ssd.PageSize {
+				t.Fatal("a Front kept buffers of the old length after MergePages changed")
+			}
+		}
+	})
+}
+
+// TestPoolLenderDoesNotAlias: two concurrent Real takers on one pool never
+// hold the same IO buffer, while their rounds overlap and alternate buffer
+// counts, and the pool keeps no more rounds than there are takers.
+func TestPoolLenderDoesNotAlias(t *testing.T) {
+	ctx, pl, round := poolRounds(t)
+	ctx.Run("main", func(p exec.Proc) {
+		// The takers start together, so their rounds overlap.
+		const takers, rounds = 2, 100
+		start := make(chan struct{})
+		wg := ctx.NewWaitGroup()
+		wg.Add(takers)
+		for i := 1; i <= takers; i++ {
+			ctx.Go(fmt.Sprintf("taker%d", i), func(tp exec.Proc) {
+				<-start
+				for r := 0; r < rounds; r++ {
+					round(tp, i, 4, 4+r%2*4)
+				}
+				wg.Done(tp)
+			})
+		}
+		close(start)
+		wg.Wait(p)
+		if n := len(pl.rounds); n > takers {
+			t.Errorf("the pool holds %d rounds, more than the %d concurrent takers", n, takers)
+		}
+	})
 }
 
 // TestPoolInvisibleInVirtualTime pins why EdgeMap no longer drops the pool
@@ -258,13 +327,14 @@ func pooledManager[V any](pl *Pool) *bin.Manager[V] {
 	return ms[len(ms)-1]
 }
 
-// pooledFrontiers returns the gather frontiers pl holds, of every size.
+// pooledFrontiers returns the gather frontiers pl's rounds hold, of every
+// size.
 func pooledFrontiers(pl *Pool) map[*frontier.VertexSubset]bool {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	held := map[*frontier.VertexSubset]bool{}
-	for _, fs := range pl.fronts {
-		for _, f := range fs {
+	for _, rd := range pl.rounds {
+		for _, f := range rd.outs {
 			held[f] = true
 		}
 	}

@@ -44,10 +44,6 @@ type Spec struct {
 	// sizes the buffers; BufferBytes is the IO-buffer budget.
 	MergePages  int
 	BufferBytes int64
-	// Recycled, when non-nil, appends to dst up to n buffers of bufLen
-	// bytes kept from an earlier Front's Recover and returns the result,
-	// which stays the Front's; they are stocked before any are allocated.
-	Recycled func(dst []*Buffer, bufLen, n int) []*Buffer
 	// Cache, when enabled, sits in front of every device: admissions are
 	// charged to CacheOwner, and QueryCache (optional) receives the pages
 	// served, missed and quota-rejected. ProbeSyncs makes the probe itself
@@ -73,7 +69,8 @@ type Spec struct {
 // Front is an open storage front half: stocked buffer queues and one
 // reader per source and device, feeding whatever sinks the engine runs.
 // The coordinating proc calls Open, Start, (spawns its sinks, each calling
-// Drain, and waits for them), optionally Recover, then Close.
+// Drain, and waits for them), Recover when it will Reopen the Front, then
+// Close.
 type Front struct {
 	ctx          exec.Context
 	name         string
@@ -83,8 +80,8 @@ type Front struct {
 	readers      []Reader
 	count        int
 	bufLen       int
-	// bufs is the one slice of this round's buffers: Spec.Recycled fills
-	// it at Open and Recover refills it.
+	// bufs holds every IO buffer fr owns, each bufLen bytes: a round
+	// stocks its free queue with the first count of them.
 	bufs []*Buffer
 	// pages holds one page frontier per source; the readers' page lists
 	// are its per-device lists.
@@ -106,17 +103,23 @@ func Open(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Fro
 	return Reopen(nil, ctx, p, f, s)
 }
 
-// Reopen is Open building into fr, a Front an earlier Open or Reopen under
-// ctx returned and Close then closed, once every proc of that round has
-// returned: its queue pair is reopened (exec.Queue.Reopen) and its page
-// lists, readers and buffer slice are written over rather than allocated.
-// A nil fr, or one built under another context, is replaced by a new
-// Front. The modeled charges, queue operations and procs are Open's, so
-// virtual time cannot tell the two apart. The caller keeps fr when Reopen
-// returns nil.
+// Reopen is Open building into fr, a Front an earlier Open or Reopen
+// returned and Recover and Close then emptied and closed, once every proc
+// of that round has returned: its queue pair is reopened
+// (exec.Queue.Reopen), its page lists and readers are written over, and
+// its free queue is stocked with its own IO buffers, only the shortfall
+// allocated. Buffers of another length (MergePages changed) are dropped.
+// Queues belong to a context and buffers do not: a Front closed under
+// another context gets a new queue pair and keeps its buffers. A nil fr
+// starts empty. The modeled charges, queue operations and procs are Open's,
+// so virtual time cannot tell the two apart. The caller keeps fr when
+// Reopen returns nil.
 func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Front, error) {
-	if fr == nil || fr.ctx != ctx {
-		fr = &Front{ctx: ctx}
+	if fr == nil {
+		fr = new(Front)
+	}
+	if fr.ctx != ctx {
+		fr.ctx, fr.free, fr.filled = ctx, nil, nil
 	}
 	fr.name, fr.tracer, fr.latch = s.ProcName, s.Tracer, exec.Latch{}
 	fr.ctr = s.Tracer.AttachQuery(p, trace.StageCoord, -1, s.Query)
@@ -149,7 +152,9 @@ func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, 
 	// The buffer floor scales with the reader count (one reader per
 	// source × device).
 	numReaders := numDev * len(s.Sources)
-	fr.bufLen = s.MergePages * ssd.PageSize
+	if bufLen := s.MergePages * ssd.PageSize; bufLen != fr.bufLen {
+		fr.bufs, fr.bufLen = nil, bufLen
+	}
 	fr.count = BufferCount(s.BufferBytes, fr.bufLen, numReaders, pages)
 	if fr.free == nil {
 		fr.free, fr.filled = NewQueues(ctx, fr.count)
@@ -157,12 +162,13 @@ func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, 
 		fr.free.Reopen(fr.count)
 		fr.filled.Reopen(fr.count)
 	}
-	fr.bufs = slices.Grow(fr.bufs[:0], fr.count)
-	if s.Recycled != nil {
-		fr.bufs = s.Recycled(fr.bufs, fr.bufLen, fr.count)
+	if short := fr.count - len(fr.bufs); short > 0 {
+		fr.bufs = slices.Grow(fr.bufs, short)
+		for range short {
+			fr.bufs = append(fr.bufs, &Buffer{Data: make([]byte, fr.bufLen)})
+		}
 	}
-	fr.free.PushN(p, fr.bufs)
-	Stock(p, fr.free, fr.count-len(fr.bufs), fr.bufLen)
+	fr.free.PushN(p, fr.bufs[:fr.count])
 
 	merge := MergeRuns(s.MergePages)
 	fr.readers = slices.Grow(fr.readers[:0], numReaders)
@@ -258,18 +264,18 @@ func (fr *Front) Drain(p exec.Proc, process func(buf *Buffer)) {
 // sinks use it to skip work whose input is incomplete.
 func (fr *Front) Failed() bool { return fr.latch.Failed() }
 
-// Recover empties the free queue and returns every buffer of this round,
-// for a later round's Spec.Recycled to lend out again. Call it only once
-// every sink has returned: the pipeline has quiesced and every buffer is
-// back in the free queue.
-func (fr *Front) Recover(p exec.Proc) []*Buffer {
-	fr.bufs = slices.Grow(fr.bufs[:0], fr.count)
+// Recover empties the free queue, which a later Reopen of fr needs
+// drained, and returns how many buffers it popped: all of the round's count
+// when every buffer came back. Call it only once every sink has returned:
+// the pipeline has quiesced and every buffer is back in the free queue. The
+// buffers stay fr's.
+func (fr *Front) Recover(p exec.Proc) int {
+	n := 0
 	for {
-		buf, ok := fr.free.TryPop(p)
-		if !ok {
-			return fr.bufs
+		if _, ok := fr.free.TryPop(p); !ok {
+			return n
 		}
-		fr.bufs = append(fr.bufs, buf)
+		n++
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -129,21 +130,28 @@ func testSpec(srcs ...Source) Spec {
 type outcome struct {
 	images    [][]byte // per source: every delivered page at its logical offset
 	err       error
-	count     int       // buffers the round was sized for
-	recovered []*Buffer // what Recover handed back
-	freeShut  bool      // free refuses a push after Close
-	fillShut  bool      // filled is closed and drained after Close
+	front     *Front
+	count     int  // buffers the round was sized for
+	recovered int  // buffers Recover popped
+	freeShut  bool // free refuses a push after Close
+	fillShut  bool // filled is closed and drained after Close
 }
 
 // runFront drives one front with two sinks over the full frontier.
 func runFront(t *testing.T, ctx exec.Context, s Spec) outcome {
+	t.Helper()
+	return reopenFront(t, ctx, nil, s)
+}
+
+// reopenFront is runFront on fr, reopened (nil opens a new Front).
+func reopenFront(t *testing.T, ctx exec.Context, fr *Front, s Spec) outcome {
 	t.Helper()
 	var o outcome
 	for _, src := range s.Sources {
 		o.images = append(o.images, make([]byte, src.CSR.NumPages()*ssd.PageSize))
 	}
 	ctx.Run("main", func(p exec.Proc) {
-		fr, err := Open(ctx, p, frontier.All(s.Sources[0].CSR.V), s)
+		fr, err := Reopen(fr, ctx, p, frontier.All(s.Sources[0].CSR.V), s)
 		if fr == nil {
 			t.Errorf("Open on a full frontier returned no front (err %v)", err)
 			return
@@ -167,7 +175,7 @@ func runFront(t *testing.T, ctx exec.Context, s Spec) outcome {
 			})
 		}
 		wg.Wait(p)
-		o.count = fr.count
+		o.front, o.count = fr, fr.count
 		o.recovered = fr.Recover(p)
 		o.err = fr.Close(p)
 		o.freeShut = !fr.free.Push(p, &Buffer{})
@@ -189,8 +197,8 @@ func checkImages(t *testing.T, what string, s Spec, o outcome) {
 
 func checkShutdown(t *testing.T, what string, o outcome) {
 	t.Helper()
-	if len(o.recovered) != o.count {
-		t.Errorf("%s: recovered %d buffers, round was stocked with %d", what, len(o.recovered), o.count)
+	if o.recovered != o.count {
+		t.Errorf("%s: recovered %d buffers, round was stocked with %d", what, o.recovered, o.count)
 	}
 	if !o.freeShut || !o.fillShut {
 		t.Errorf("%s: queues left open after Close (free closed %v, filled closed %v)", what, o.freeShut, o.fillShut)
@@ -242,26 +250,14 @@ func TestFrontDeliversEveryPage(t *testing.T) {
 				t.Errorf("cold run cached %d pages, want %d", got, c.NumPages())
 			}
 
-			// The warm round runs on the cold round's buffers: it asks the
-			// lender for exactly its count and allocates nothing new.
-			lent := map[*Buffer]bool{}
-			s.Recycled = func(dst []*Buffer, bufLen, n int) []*Buffer {
-				if bufLen != 4*ssd.PageSize || n != cold.count {
-					t.Errorf("lender asked for %d buffers of %d bytes, want %d of %d", n, bufLen, cold.count, 4*ssd.PageSize)
-				}
-				for _, b := range cold.recovered {
-					lent[b] = true
-				}
-				return append(dst, cold.recovered...)
-			}
+			// The warm round reopens the cold round's Front and runs on its
+			// buffers, allocating none.
+			owned := slices.Clone(cold.front.bufs)
 			base := stats.PagesRead()
-			warm := runFront(t, ctx, s)
+			warm := reopenFront(t, ctx, cold.front, s)
 			checkImages(t, "cache warm", s, warm)
-			for _, b := range warm.recovered {
-				if !lent[b] {
-					t.Error("warm round allocated a buffer although the lender covered its count")
-					break
-				}
+			if warm.front != cold.front || !slices.Equal(warm.front.bufs, owned) {
+				t.Error("the reopened Front does not run on the buffers it owned")
 			}
 			checkShutdown(t, "cache warm", warm)
 			if got := stats.PagesRead() - base; got != 0 {
