@@ -74,8 +74,12 @@ type System interface {
 
 // IterLog provides the EndIteration bookkeeping shared by all systems.
 type IterLog struct {
-	Stats  *metrics.IOStats
-	epochs [][]int64
+	Stats *metrics.IOStats
+	// bytes is the log of iters epochs, each Stats' per-device bytes, one
+	// after another in one slice, so recording one allocates nothing once
+	// the slice has grown.
+	bytes []int64
+	iters int
 }
 
 // EndIteration snapshots the per-device bytes since the last call.
@@ -83,11 +87,22 @@ func (l *IterLog) EndIteration(p exec.Proc) {
 	if l.Stats == nil {
 		return
 	}
-	l.epochs = append(l.epochs, l.Stats.EndEpoch())
+	l.bytes = l.Stats.EndEpoch(l.bytes)
+	l.iters++
 }
 
-// IterDeviceBytes returns the recorded epochs.
-func (l *IterLog) IterDeviceBytes() [][]int64 { return l.epochs }
+// IterDeviceBytes returns the recorded epochs, one per-device slice each.
+func (l *IterLog) IterDeviceBytes() [][]int64 {
+	if l.iters == 0 {
+		return nil
+	}
+	n := len(l.bytes) / l.iters
+	epochs := make([][]int64, l.iters)
+	for i := range epochs {
+		epochs[i] = l.bytes[i*n : (i+1)*n : (i+1)*n]
+	}
+	return epochs
+}
 
 // Release drops f: it is the System method for every system that keeps no
 // frontier pool, which embeds IterLog and leaves f to the garbage

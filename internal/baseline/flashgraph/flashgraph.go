@@ -170,7 +170,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 				msgMu[o].Unlock()
 				local[o] = local[o][:0]
 			}
-			fr.Drain(sp, func(buf *pipeline.Buffer) {
+			fr.Drain(sp, new([pipeline.ClaimBatch]*pipeline.Buffer), func(buf *pipeline.Buffer) {
 				logical := g.Arr.Logical(buf.Dev, buf.Start)
 				var produced int64
 				vertices, edges := engine.ForEachActiveEdge(c, f, logical, buf.Data, func(src, d uint32) {

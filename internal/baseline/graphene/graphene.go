@@ -240,7 +240,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 			if output {
 				out = frontier.NewVertexSubset(c.V)
 			}
-			pipeline.Drain(cp, free, filled, ab, func(buf *pipeline.Buffer) {
+			pipeline.Drain(cp, free, filled, ab, new([pipeline.ClaimBatch]*pipeline.Buffer), func(buf *pipeline.Buffer) {
 				for pg := 0; pg < buf.NumPages; pg++ {
 					logical := buf.Start + int64(pg)
 					pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]

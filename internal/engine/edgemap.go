@@ -80,9 +80,10 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	// delta segments (Graph.Segs) iterates as [base, seg0, seg1, ...]; a
 	// segment-free graph is the single-source seed path, operation for
 	// operation.
-	sources := append([]*Graph{g}, g.Segs...)
 	rd := pool.takeRound()
-	fr, err := pipeline.Reopen(rd.fr, ctx, p, f, cfg.FrontSpec("io", sources...))
+	rd.sources = append(append(rd.sources[:0], g), g.Segs...)
+	cfg.fillSpec(&rd.spec, "io", rd.sources)
+	fr, err := pipeline.Reopen(rd.fr, ctx, p, f, rd.spec)
 	if fr == nil {
 		pool.putRound(rd)
 		if err != nil || !output {
@@ -90,6 +91,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 		}
 		return frontier.Renew(pool.takeSpare(c.V), c.V), st, nil
 	}
+	rd.fr = fr
 	if cfg.Mem != nil {
 		cfg.Mem.Set("io-buffers", fr.BufferBytes())
 	}
@@ -114,83 +116,26 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	// coordinator's queue operations is observable under virtual time.
 	fr.Start()
 
+	// The compute procs run on bodies the bin state keeps, over this call.
+	bins.call = edgeCall[V]{rd: rd, g: g, f: f, scatter: scatter, gather: gather, cond: cond, output: output, cfg: cfg}
+	bins.arm(cfg.ScatterProcs, cfg.GatherProcs)
+	rd.arm(ctx, cfg.ScatterProcs)
+
 	// Scatter procs (steps 5-7): the bin-scatter sink.
-	scatterWG := ctx.NewWaitGroup()
-	scatterWG.Add(cfg.ScatterProcs)
-	scatStats := make([]Stats, cfg.ScatterProcs)
+	rd.scatterWG.Add(cfg.ScatterProcs)
 	for i := 0; i < cfg.ScatterProcs; i++ {
-		id := i
-		ctx.Go(procName(&scatterNames, "scatter", id), func(sp exec.Proc) {
-			cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), cfg.TraceQuery())
-			stager := bins.stagers[id]
-			local := &scatStats[id]
-			fr.Drain(sp, func(buf *pipeline.Buffer) {
-				sg := sources[buf.Src]
-				for pg := 0; pg < buf.NumPages; pg++ {
-					logical := sg.Arr.Logical(buf.Dev, buf.Start+int64(pg))
-					pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]
-					scanPage[V](sp, sg, f, logical, pageData, stager, scatter, cond, cfg, local)
-				}
-				local.PagesRead += int64(buf.NumPages)
-			})
-			if !fr.Failed() {
-				stager.FlushAll(sp)
-			}
-			scatterWG.Done(sp)
-		})
+		ctx.Go(procName(&scatterNames, "scatter", i), bins.scatters[i])
 	}
 
 	// Gather procs (steps 8-9) with per-proc output frontiers: bitmaps
 	// kept with the round, which goes back to the pool once they are merged.
-	gatherWG := ctx.NewWaitGroup()
-	gatherWG.Add(cfg.GatherProcs)
+	rd.gatherWG.Add(cfg.GatherProcs)
 	var outFronts []*frontier.VertexSubset
 	if output {
 		outFronts = rd.gatherFrontiers(c.V, cfg.GatherProcs)
 	}
 	for i := 0; i < cfg.GatherProcs; i++ {
-		id := i
-		ctx.Go(procName(&gatherNames, "gather", id), func(gp exec.Proc) {
-			gtr := cfg.Tracer.AttachQuery(gp, trace.StageGather, int32(id), cfg.TraceQuery())
-			var out *frontier.VertexSubset
-			if output {
-				out = outFronts[id]
-			}
-			updCost := m.Update(m.GatherUpdate, g.Locality)
-			// Full bins drain in batches under one lock acquisition (one
-			// per call under virtual time); each buffer still returns to
-			// its bin right after processing so the pair protocol reclaims
-			// spares promptly.
-			var batch [pipeline.ClaimBatch]*bin.Buffer[V]
-			for {
-				n := bm.Full.PopBatch(gp, batch[:])
-				if n == 0 {
-					break
-				}
-				for _, bb := range batch[:n] {
-					// On failure the records are dropped unapplied, but the
-					// buffer still returns to its bin so scatter procs
-					// blocked in a flush wake and the drain completes.
-					if !fr.Failed() {
-						var from int64
-						if gtr.Active() {
-							from = gp.Now()
-						}
-						gp.Advance(m.BinDrain + int64(len(bb.Records))*updCost)
-						for _, r := range bb.Records {
-							if gather(r.Dst, r.Val) && output {
-								out.Add(r.Dst)
-							}
-						}
-						if gtr.Active() {
-							gtr.Span(trace.OpGatherBin, int32(bb.BinID), from, gp.Now(), int64(len(bb.Records)))
-						}
-					}
-					bm.Return(gp, bb)
-				}
-			}
-			gatherWG.Done(gp)
-		})
+		ctx.Go(procName(&gatherNames, "gather", i), bins.gathers[i])
 	}
 
 	// Coordinate shutdown: scatters finish -> publish partial bins ->
@@ -198,12 +143,12 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	// On failure the partial bins are dropped (their records come from an
 	// incomplete scan), but the drain order is unchanged so every proc
 	// joins and every buffer parks before the error is returned.
-	scatterWG.Wait(p)
+	rd.scatterWG.Wait(p)
 	if !fr.Failed() {
 		bm.FlushPartials(p)
 	}
 	bm.CloseFull()
-	gatherWG.Wait(p)
+	rd.gatherWG.Wait(p)
 
 	// The pipeline has quiesced: every IO buffer is back in the free queue
 	// and every bin buffer is parked in its slot. Read the bins' count, then
@@ -212,7 +157,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	// the front half. The round goes back to the pool only on return, after
 	// the merge and the last phase span: a round in the pool is the next
 	// taker's, whose Reopen rewrites its Front's trace ring and clock.
-	for _, s := range scatStats {
+	for _, s := range rd.scatStats[:cfg.ScatterProcs] {
 		st.PagesRead += s.PagesRead
 		st.EdgesScanned += s.EdgesScanned
 	}
@@ -223,7 +168,6 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 			closeBins(pool, bins)
 		}
 	}
-	rd.fr = fr
 	defer pool.putRound(rd)
 	err = fr.Close(p)
 
@@ -235,6 +179,83 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	fr.EndMerge(p)
 	st.VerticesMoved = merged.Count()
 	return merged, st, nil
+}
+
+// scatterBody is the body of scatter proc id (steps 5-7), serving whatever
+// call st is armed for: it drains filled IO buffers, scans their pages
+// through its stager into the bins, and flushes the stager unless the
+// round failed.
+func (st *binState[V]) scatterBody(id int) func(exec.Proc) {
+	return func(sp exec.Proc) {
+		c := &st.call
+		rd := c.rd
+		c.cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), c.cfg.TraceQuery())
+		stager := st.stagers[id]
+		local := &rd.scatStats[id]
+		rd.fr.Drain(sp, &rd.drains[id], func(buf *pipeline.Buffer) {
+			sg := rd.sources[buf.Src]
+			for pg := 0; pg < buf.NumPages; pg++ {
+				logical := sg.Arr.Logical(buf.Dev, buf.Start+int64(pg))
+				pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]
+				scanPage[V](sp, sg, c.f, logical, pageData, stager, c.scatter, c.cond, c.cfg, local)
+			}
+			local.PagesRead += int64(buf.NumPages)
+		})
+		if !rd.fr.Failed() {
+			stager.FlushAll(sp)
+		}
+		rd.scatterWG.Done(sp)
+	}
+}
+
+// gatherBody is the body of gather proc id (steps 8-9), serving whatever
+// call st is armed for: it applies full bins' records and, for an output
+// call, collects the activated vertices in the round's frontier id.
+func (st *binState[V]) gatherBody(id int) func(exec.Proc) {
+	return func(gp exec.Proc) {
+		c := &st.call
+		rd, fr, bm, gather, output := c.rd, c.rd.fr, st.bm, c.gather, c.output
+		gtr := c.cfg.Tracer.AttachQuery(gp, trace.StageGather, int32(id), c.cfg.TraceQuery())
+		var out *frontier.VertexSubset
+		if output {
+			out = rd.outs[id]
+		}
+		m := &c.cfg.Model
+		updCost := m.Update(m.GatherUpdate, c.g.Locality)
+		// Full bins drain in batches under one lock acquisition (one per
+		// call under virtual time); each buffer still returns to its bin
+		// right after processing so the pair protocol reclaims spares
+		// promptly.
+		batch := &st.batches[id]
+		for {
+			n := bm.Full.PopBatch(gp, batch[:])
+			if n == 0 {
+				break
+			}
+			for _, bb := range batch[:n] {
+				// On failure the records are dropped unapplied, but the
+				// buffer still returns to its bin so scatter procs blocked
+				// in a flush wake and the drain completes.
+				if !fr.Failed() {
+					var from int64
+					if gtr.Active() {
+						from = gp.Now()
+					}
+					gp.Advance(m.BinDrain + int64(len(bb.Records))*updCost)
+					for _, r := range bb.Records {
+						if gather(r.Dst, r.Val) && output {
+							out.Add(r.Dst)
+						}
+					}
+					if gtr.Active() {
+						gtr.Span(trace.OpGatherBin, int32(bb.BinID), from, gp.Now(), int64(len(bb.Records)))
+					}
+				}
+				bm.Return(gp, bb)
+			}
+		}
+		rd.gatherWG.Done(gp)
+	}
 }
 
 // scanPage applies the scatter step to one fetched page, binning a record

@@ -253,11 +253,19 @@ func (c Common) CacheOwner() int32 {
 // given graph sources (a base graph followed by its sealed segments), with
 // reader procs named after procName. The blaze engines share it as is.
 func (c Config) FrontSpec(procName string, sources ...*Graph) pipeline.Spec {
-	srcs := make([]pipeline.Source, len(sources))
-	for i, g := range sources {
-		srcs[i] = pipeline.Source{Name: g.Name, CSR: g.CSR, Arr: g.Arr}
+	var s pipeline.Spec
+	c.fillSpec(&s, procName, sources)
+	return s
+}
+
+// fillSpec writes FrontSpec's result into s, its Sources built in the
+// storage s already holds.
+func (c Config) fillSpec(s *pipeline.Spec, procName string, sources []*Graph) {
+	srcs := s.Sources[:0]
+	for _, g := range sources {
+		srcs = append(srcs, pipeline.Source{Name: g.Name, CSR: g.CSR, Arr: g.Arr})
 	}
-	return pipeline.Spec{
+	*s = pipeline.Spec{
 		Sources:     srcs,
 		Model:       c.Model,
 		Procs:       c.ScatterProcs + c.GatherProcs,

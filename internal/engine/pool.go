@@ -24,7 +24,8 @@ import (
 // queues, and builds the frontier it returns from nothing — pure churn,
 // since the sizes never change under one owner. With it, and with its owner
 // handing back each frontier it is done with, a steady-state round allocates
-// only its procs and their closures and wait groups. Each owner of engines
+// nothing: a round still spawns fresh procs, but from bodies, wait groups
+// and batches the round and the bin state keep. Each owner of engines
 // holds one Pool and threads it through Config: a Runtime, an engine built
 // by algo.NewBlaze, a cluster (every machine's EdgeMap draws from it), and a
 // session (every query's engine draws from it).
@@ -76,10 +77,39 @@ type Pool struct {
 }
 
 // round is one closed EdgeMap round kept for the next: its storage front
-// half, which owns its IO buffers, and its gather procs' output frontiers.
+// half, which owns its IO buffers, its gather procs' output frontiers, and
+// the value-type-free state its procs run on. The last is rewritten by the
+// taker, which holds the round exclusively from takeRound to putRound, and
+// read by the procs a round spawns; none of them touches it after its Done.
 type round struct {
 	fr   *pipeline.Front
 	outs []*frontier.VertexSubset
+
+	// sources are the graphs the round reads (the base, then its sealed
+	// segments) and spec the front half built over them.
+	sources []*Graph
+	spec    pipeline.Spec
+	// ctx is the context the wait groups belong to: reused once Wait has
+	// returned, and made again when a round runs under another context.
+	ctx                 exec.Context
+	scatterWG, gatherWG exec.WaitGroup
+	// scatStats and drains are scatter proc i's counters and the batch its
+	// Drain moves buffers through.
+	scatStats []Stats
+	drains    [][pipeline.ClaimBatch]*pipeline.Buffer
+}
+
+// arm readies rd's wait groups for ctx and its per-proc state for
+// scatterProcs scatter procs, counters zeroed.
+func (rd *round) arm(ctx exec.Context, scatterProcs int) {
+	if rd.ctx != ctx {
+		rd.ctx, rd.scatterWG, rd.gatherWG = ctx, ctx.NewWaitGroup(), ctx.NewWaitGroup()
+	}
+	if len(rd.scatStats) < scatterProcs {
+		rd.scatStats = make([]Stats, scatterProcs)
+		rd.drains = make([][pipeline.ClaimBatch]*pipeline.Buffer, scatterProcs)
+	}
+	clear(rd.scatStats[:scatterProcs])
 }
 
 // gatherFrontiers returns k empty bitmap frontiers over n vertices, one per
@@ -161,6 +191,8 @@ func (pl *Pool) putRound(rd *round) {
 	if pl == nil || rd.fr == nil {
 		return
 	}
+	clear(rd.sources)
+	clear(rd.spec.Sources)
 	pl.mu.Lock()
 	pl.rounds = append(pl.rounds, rd)
 	pl.mu.Unlock()
@@ -181,10 +213,45 @@ func pop[T any](list *[]*T) *T {
 
 // binState is the pooled bin-side state for one EdgeMap value type: the
 // whole Manager of the last clean round, every buffer still parked in its
-// slot, and the per-scatter-proc stagers bound to it.
+// slot, the per-scatter-proc stagers bound to it, and the proc bodies typed
+// in V. Each body is built once, for its proc index, and serves every call
+// the state is armed for: it reads the call's arguments from call, which
+// the taker sets before it spawns the procs and clears before it stocks the
+// state, and touches nothing after its Done.
 type binState[V any] struct {
-	bm      *bin.Manager[V]
-	stagers []*bin.Stager[V]
+	bm       *bin.Manager[V]
+	stagers  []*bin.Stager[V]
+	call     edgeCall[V]
+	scatters []func(exec.Proc)
+	gathers  []func(exec.Proc)
+	// batches[i] is the batch gather proc i drains full bins through.
+	batches [][pipeline.ClaimBatch]*bin.Buffer[V]
+}
+
+// edgeCall is the EdgeMap call a binState's proc bodies serve.
+type edgeCall[V any] struct {
+	rd      *round
+	g       *Graph
+	f       *frontier.VertexSubset
+	scatter func(s, d uint32) V
+	gather  func(d uint32, v V) bool
+	cond    func(d uint32) bool
+	output  bool
+	cfg     Config
+}
+
+// arm readies st's bodies and batches for scatterProcs scatter and
+// gatherProcs gather procs, building only those no earlier call built.
+func (st *binState[V]) arm(scatterProcs, gatherProcs int) {
+	for i := len(st.scatters); i < scatterProcs; i++ {
+		st.scatters = append(st.scatters, st.scatterBody(i))
+	}
+	for i := len(st.gathers); i < gatherProcs; i++ {
+		st.gathers = append(st.gathers, st.gatherBody(i))
+	}
+	if len(st.batches) < gatherProcs {
+		st.batches = make([][pipeline.ClaimBatch]*bin.Buffer[V], gatherProcs)
+	}
 }
 
 // openBins returns the bin state for one round under ctx: the last pooled
@@ -216,6 +283,7 @@ func openBins[V any](pl *Pool, ctx exec.Context, p exec.Proc, cfg bin.Config, sc
 // ended cleanly may call it: a failed one drops its partial bins, so its
 // buffers and stagers still hold records.
 func closeBins[V any](pl *Pool, st *binState[V]) {
+	st.call = edgeCall[V]{}
 	key := reflect.TypeFor[V]()
 	pl.mu.Lock()
 	free, _ := pl.perType[key].(*[]*binState[V])

@@ -14,19 +14,26 @@ import (
 	"blaze/internal/ssd"
 )
 
-// roundBytes bounds what a warmed, pooled EdgeMap round whose caller hands
-// back every frontier it returns may allocate in all: the round's procs,
-// their closures and wait groups, whatever the vertex count (3 to 6 KiB on
-// amd64, as the runtime happens to reuse goroutines). One bitmap over the
-// smaller test graph's 2^16 vertices is 8 KiB on its own, so a round that
-// still built its returned frontier or a gather proc's output frontier from
-// nothing exceeds it at either vertex count.
-const roundBytes = 8 << 10
+// roundBytes and roundMallocs bound what a warmed, pooled EdgeMap round
+// whose caller hands back every frontier it returns may allocate in all,
+// whatever the vertex count: its procs are spawned from state the pool
+// keeps, so what is left is the runtime's own, a goroutine descriptor or a
+// wait's sudog now and then (20 runs on amd64 stayed under 0.7 allocations
+// and 180 bytes a round). One bitmap over the smaller test graph's 2^16
+// vertices is 8 KiB on its own, and a round spawning its procs from nothing
+// makes over 40 allocations, so a round that still built its returned
+// frontier, a gather proc's output frontier or its procs' closures fails.
+const (
+	roundBytes   = 1 << 10
+	roundMallocs = 2
+)
 
 // TestPoolRoundAllocatesOnlyItsFrontier: once the pool is warm, a Real
 // round over a sparse frontier whose caller hands the returned frontier
-// back allocates a small fixed remainder and nothing that grows with the
-// graph, measured by TotalAlloc over many rounds at two vertex counts.
+// back allocates almost nothing, and nothing that grows with the graph,
+// measured by TotalAlloc and Mallocs over many rounds at two vertex counts.
+// The warm-up is long because the runtime's per-P free lists of goroutine
+// descriptors and sudogs fill over the first hundred-odd procs and waits.
 func TestPoolRoundAllocatesOnlyItsFrontier(t *testing.T) {
 	for _, v := range []uint32{1 << 16, 1 << 18} {
 		t.Run(fmt.Sprint(v), func(t *testing.T) { poolRoundAllocs(t, v) })
@@ -34,7 +41,7 @@ func TestPoolRoundAllocatesOnlyItsFrontier(t *testing.T) {
 }
 
 func poolRoundAllocs(t *testing.T, vertices uint32) {
-	const rounds = 40
+	const warm, rounds = 128, 40
 	ctx := exec.NewReal()
 	pr := gen.Preset{Kind: gen.KindRMAT, A: 0.57, B: 0.19, C: 0.19, Seed: 5, V: vertices, E: 4 * int64(vertices)}
 	src, dst := pr.Generate()
@@ -65,7 +72,7 @@ func poolRoundAllocs(t *testing.T, vertices uint32) {
 	var count int64
 	var dense bool
 	ctx.Run("main", func(p exec.Proc) {
-		for i := 0; i < 3; i++ {
+		for i := 0; i < warm; i++ {
 			conf.Pool.Release(round(p))
 		}
 		var before, after runtime.MemStats
@@ -83,11 +90,14 @@ func poolRoundAllocs(t *testing.T, vertices uint32) {
 	if dense || count == 0 {
 		t.Fatalf("the round returned %d of %d vertices: not a sparse frontier", count, c.V)
 	}
-	perRound := int64(total) / rounds
-	t.Logf("%d vertices: per round %d bytes and %d allocations in all, a %d-vertex frontier returned and handed back",
-		c.V, perRound, mallocs/rounds, count)
+	perRound, mallocsPerRound := int64(total)/rounds, float64(mallocs)/rounds
+	t.Logf("%d vertices: per round %d bytes and %.2f allocations in all, a %d-vertex frontier returned and handed back",
+		c.V, perRound, mallocsPerRound, count)
 	if perRound > roundBytes {
 		t.Errorf("%d vertices: a pooled round allocates %d bytes, want at most %d", c.V, perRound, roundBytes)
+	}
+	if mallocsPerRound > roundMallocs {
+		t.Errorf("%d vertices: a pooled round makes %.2f allocations, want at most %d", c.V, mallocsPerRound, roundMallocs)
 	}
 }
 

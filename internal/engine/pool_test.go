@@ -125,7 +125,7 @@ func poolRounds(t *testing.T) (*exec.Real, *Pool, func(p exec.Proc, i, mergePage
 		wg.Add(2)
 		for range 2 {
 			ctx.Go("sink", func(sp exec.Proc) {
-				fr.Drain(sp, func(buf *pipeline.Buffer) {
+				fr.Drain(sp, new([pipeline.ClaimBatch]*pipeline.Buffer), func(buf *pipeline.Buffer) {
 					mu.Lock()
 					if h, held := holder[buf]; held && h != i {
 						t.Errorf("takers %d and %d hold one buffer at once", h, i)

@@ -84,6 +84,11 @@ type Context interface {
 
 // WaitGroup mirrors sync.WaitGroup with proc-aware Done/Wait so the Sim
 // backend can propagate virtual completion times to waiters.
+//
+// A WaitGroup may be reused for another set of procs once Wait has
+// returned and no Done is pending: it is then indistinguishable from a new
+// one from the same context. Under Sim it keeps no clock and no waiter, so
+// a WaitGroup reused in a later Run carries nothing from an earlier one.
 type WaitGroup interface {
 	Add(delta int)
 	Done(p Proc)

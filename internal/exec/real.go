@@ -14,6 +14,10 @@ import (
 type Real struct {
 	start time.Time
 	wg    sync.WaitGroup
+	// free holds the procs whose goroutines have returned, for Go to hand
+	// to the next ones: a proc is its goroutine's only while it runs.
+	mu   sync.Mutex
+	free []*realProc
 }
 
 // NewReal returns a real-time execution context.
@@ -28,13 +32,23 @@ func (r *Real) Run(name string, fn func(Proc)) {
 	r.wg.Wait()
 }
 
-// Go starts fn on a new goroutine.
+// Go starts fn on a new goroutine, on a proc an exited goroutine left, if
+// any: a steady stream of procs allocates nothing once as many as ever ran
+// at once have been built.
 func (r *Real) Go(name string, fn func(Proc)) {
 	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		fn(&realProc{ctx: r, name: name})
-	}()
+	var p *realProc
+	r.mu.Lock()
+	if n := len(r.free); n > 0 {
+		p, r.free = r.free[n-1], r.free[:n-1]
+	}
+	r.mu.Unlock()
+	if p == nil {
+		p = &realProc{ctx: r}
+		p.start = p.run
+	}
+	p.name, p.fn = name, fn
+	go p.start()
 }
 
 // NewWaitGroup returns a wait group backed by sync.WaitGroup.
@@ -56,6 +70,24 @@ type realProc struct {
 	ctx  *Real
 	name string
 	ring *trace.Ring
+	// fn is the body Go was given; start is p.run, bound once when p is
+	// built, so that "go p.start()" wraps no closure around p.
+	fn    func(Proc)
+	start func()
+}
+
+// run is p's goroutine: fn, then p goes back on its context's free list
+// cleared of name, trace ring and body, and only then is the proc counted
+// as done (deferred, so a body that exits its goroutine is counted too).
+// Nothing here touches p once it is on the list.
+func (p *realProc) run() {
+	r := p.ctx
+	defer r.wg.Done()
+	p.fn(p)
+	p.name, p.ring, p.fn = "", nil, nil
+	r.mu.Lock()
+	r.free = append(r.free, p)
+	r.mu.Unlock()
 }
 
 func (p *realProc) Advance(ns int64)           {}

@@ -240,15 +240,15 @@ func (s *IOStats) DeviceBytes() []int64 {
 	return out
 }
 
-// EndEpoch returns the per-device bytes since the previous EndEpoch call
-// and resets the epoch counters. The engine calls it once per iteration to
-// produce Figure 3's per-iteration skew.
-func (s *IOStats) EndEpoch() []int64 {
-	out := make([]int64, len(s.dev))
+// EndEpoch appends to dst the per-device bytes since the previous EndEpoch
+// call, one entry per device, resets the epoch counters, and returns the
+// extended slice. The engine calls it once per iteration to produce Figure
+// 3's per-iteration skew.
+func (s *IOStats) EndEpoch(dst []int64) []int64 {
 	for i := range s.dev {
-		out[i] = s.dev[i][cEpoch].Swap(0)
+		dst = append(dst, s.dev[i][cEpoch].Swap(0))
 	}
-	return out
+	return dst
 }
 
 // Skew returns max-min of the slice — Figure 3's y-axis.

@@ -59,12 +59,12 @@ func TestIOStatsEpochs(t *testing.T) {
 	s := NewIOStats(3)
 	s.AddRead(0, 4096, 1)
 	s.AddRead(2, 8192, 2)
-	ep := s.EndEpoch()
+	ep := s.EndEpoch(nil)
 	if ep[0] != 4096 || ep[1] != 0 || ep[2] != 8192 {
 		t.Errorf("epoch = %v", ep)
 	}
 	// Epoch counters reset, totals persist.
-	ep2 := s.EndEpoch()
+	ep2 := s.EndEpoch(nil)
 	for _, b := range ep2 {
 		if b != 0 {
 			t.Error("epoch not reset")

@@ -87,11 +87,40 @@ type Front struct {
 	// are its per-device lists.
 	pages []frontier.PageSubset
 
+	// What a round's procs are spawned from, built once and kept, so a
+	// reopened Front spawns them without allocating: the readers' wait
+	// group (the closer waits on it; made again under another context),
+	// each reader proc's body and the closer's (they read the current
+	// round's fields: a body touches nothing after its Done, the closer
+	// nothing after Close), the reader and closer names (formatted again
+	// only when ProcName, the device count or the source count changes),
+	// the merge policy (rebuilt when MergePages changes), the request
+	// price, and each source's cache view and page check.
+	wg         exec.WaitGroup
+	runs       []func(exec.Proc)
+	closer     func(exec.Proc)
+	names      []string
+	closerName string
+	namesDev   int
+	merge      Merge
+	mergePages int
+	model      costmodel.Model
+	submit     func(int) int64
+	srcs       []sourceState
+
 	// Phase spans on the coordinator's clock: source → pipeline → merge,
 	// back to back, so the trace summary's phase totals reconstruct the
 	// makespan exactly (what Summary.PhaseCoverage checks).
 	ctr *trace.Ring
 	t0  int64
+}
+
+// sourceState is what a Front keeps per source for its readers: the page
+// cache in front of the source's devices and the check of a file-backed
+// source's pages.
+type sourceState struct {
+	cache cacheView
+	check pageCheck
 }
 
 // Open converts the vertex frontier f into one per-device page frontier
@@ -109,8 +138,9 @@ func Open(ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, s Spec) (*Fro
 // (exec.Queue.Reopen), its page lists and readers are written over, and
 // its free queue is stocked with its own IO buffers, only the shortfall
 // allocated. Buffers of another length (MergePages changed) are dropped.
-// Queues belong to a context and buffers do not: a Front closed under
-// another context gets a new queue pair and keeps its buffers. A nil fr
+// Queues and wait groups belong to a context and buffers do not: a Front
+// closed under another context gets a new queue pair and keeps its
+// buffers. What its procs are spawned from is kept too. A nil fr
 // starts empty. The modeled charges, queue operations and procs are Open's,
 // so virtual time cannot tell the two apart. The caller keeps fr when
 // Reopen returns nil.
@@ -119,9 +149,9 @@ func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, 
 		fr = new(Front)
 	}
 	if fr.ctx != ctx {
-		fr.ctx, fr.free, fr.filled = ctx, nil, nil
+		fr.ctx, fr.free, fr.filled, fr.wg = ctx, nil, nil, nil
 	}
-	fr.name, fr.tracer, fr.latch = s.ProcName, s.Tracer, exec.Latch{}
+	fr.tracer, fr.latch = s.Tracer, exec.Latch{}
 	fr.ctr = s.Tracer.AttachQuery(p, trace.StageCoord, -1, s.Query)
 	if fr.ctr.Active() {
 		fr.t0 = p.Now()
@@ -170,15 +200,23 @@ func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, 
 	}
 	fr.free.PushN(p, fr.bufs[:fr.count])
 
-	merge := MergeRuns(s.MergePages)
+	if fr.merge == nil || fr.mergePages != s.MergePages {
+		fr.merge, fr.mergePages = MergeRuns(s.MergePages), s.MergePages
+	}
+	if fr.submit == nil {
+		fr.submit = func(pages int) int64 { return fr.model.IOSubmit(pages) }
+	}
+	fr.model = s.Model
+	fr.nameReaders(s.ProcName, numDev, len(s.Sources))
+	if len(fr.srcs) < len(s.Sources) {
+		fr.srcs = make([]sourceState, len(s.Sources))
+	}
 	fr.readers = slices.Grow(fr.readers[:0], numReaders)
 	for k, src := range s.Sources {
-		wrap := func(err error) error {
-			return fmt.Errorf("pipeline: reading %q: %w", src.Name, err)
-		}
+		ss := &fr.srcs[k]
 		var cv *cacheView
 		if s.Cache.Enabled() {
-			cv = &cacheView{
+			ss.cache = cacheView{
 				cache:      s.Cache,
 				gid:        s.Cache.GraphID(src.Name),
 				arr:        src.Arr,
@@ -188,19 +226,17 @@ func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, 
 				probeSyncs: s.ProbeSyncs,
 				hitCost:    s.Model.PageOverhead / 2,
 			}
+			cv = &ss.cache
 		}
 		var check *pageCheck
 		if src.CSR.Adj == nil {
-			check = &pageCheck{csr: src.CSR, arr: src.Arr}
+			ss.check = pageCheck{csr: src.CSR, arr: src.Arr}
+			check = &ss.check
 		}
 		for d := 0; d < numDev; d++ {
-			name := fmt.Sprintf("%s%d", s.ProcName, d)
-			if k > 0 {
-				name = fmt.Sprintf("%s%d.s%d", s.ProcName, d, k-1)
-			}
 			dev := src.Arr.Device(d)
 			fr.readers = append(fr.readers, Reader{
-				Name:       name,
+				Name:       fr.names[len(fr.readers)],
 				Device:     dev,
 				Dev:        d,
 				Src:        k,
@@ -210,15 +246,34 @@ func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, 
 				Free:       fr.free,
 				Filled:     fr.filled,
 				Latch:      &fr.latch,
-				Merge:      merge,
-				SubmitCost: s.Model.IOSubmit,
-				WrapErr:    wrap,
+				Merge:      fr.merge,
+				SubmitCost: fr.submit,
+				source:     src.Name,
 				cache:      cv,
 				check:      check,
 			})
 		}
 	}
 	return fr, nil
+}
+
+// nameReaders formats the reader and closer proc names for procName over
+// numDev devices and numSrc sources, unless fr already holds them.
+func (fr *Front) nameReaders(procName string, numDev, numSrc int) {
+	if fr.names != nil && fr.name == procName && fr.namesDev == numDev && len(fr.names) == numDev*numSrc {
+		return
+	}
+	fr.name, fr.namesDev, fr.closerName = procName, numDev, procName+"-closer"
+	fr.names = fr.names[:0]
+	for k := range numSrc {
+		for d := range numDev {
+			name := fmt.Sprintf("%s%d", procName, d)
+			if k > 0 {
+				name = fmt.Sprintf("%s%d.s%d", procName, d, k-1)
+			}
+			fr.names = append(fr.names, name)
+		}
+	}
 }
 
 // phase closes the coordinator's current phase span at p's clock and
@@ -237,27 +292,37 @@ func (fr *Front) BufferBytes() int64 { return int64(fr.count) * int64(fr.bufLen)
 // Start spawns one proc per reader, in order (so virtual-time scheduling
 // is reproducible), and a closer proc that ends the filled stream once
 // every reader has finished, releasing sinks blocked on an empty queue.
+// The procs run on bodies and a wait group fr keeps from round to round.
 func (fr *Front) Start() {
-	wg := fr.ctx.NewWaitGroup()
-	wg.Add(len(fr.readers))
-	for i := range fr.readers {
-		r := &fr.readers[i]
-		fr.ctx.Go(r.Name, func(io exec.Proc) {
+	if fr.wg == nil {
+		fr.wg = fr.ctx.NewWaitGroup()
+	}
+	for i := len(fr.runs); i < len(fr.readers); i++ {
+		fr.runs = append(fr.runs, func(io exec.Proc) {
+			r := &fr.readers[i]
 			fr.tracer.AttachQuery(io, trace.StageIO, int32(r.Dev), r.Query)
 			r.Run(io)
-			wg.Done(io)
+			fr.wg.Done(io)
 		})
 	}
-	fr.ctx.Go(fr.name+"-closer", func(cp exec.Proc) {
-		wg.Wait(cp)
-		fr.filled.Close()
-	})
+	if fr.closer == nil {
+		fr.closer = func(cp exec.Proc) {
+			fr.wg.Wait(cp)
+			fr.filled.Close()
+		}
+	}
+	fr.wg.Add(len(fr.readers))
+	for i := range fr.readers {
+		fr.ctx.Go(fr.readers[i].Name, fr.runs[i])
+	}
+	fr.ctx.Go(fr.closerName, fr.closer)
 }
 
-// Drain runs the sink loop on a compute proc: process sees every filled
-// buffer until the stream ends, and none after a failure (see Drain).
-func (fr *Front) Drain(p exec.Proc, process func(buf *Buffer)) {
-	Drain(p, fr.free, fr.filled, &fr.latch, process)
+// Drain runs the sink loop on a compute proc, moving buffers through
+// batch: process sees every filled buffer until the stream ends, and none
+// after a failure (see Drain).
+func (fr *Front) Drain(p exec.Proc, batch *[ClaimBatch]*Buffer, process func(buf *Buffer)) {
+	Drain(p, fr.free, fr.filled, &fr.latch, batch, process)
 }
 
 // Failed reports whether a reader has latched an unrecoverable error;

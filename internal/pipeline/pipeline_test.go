@@ -162,7 +162,7 @@ func reopenFront(t *testing.T, ctx exec.Context, fr *Front, s Spec) outcome {
 		wg.Add(2)
 		for i := 0; i < 2; i++ {
 			ctx.Go("sink", func(sp exec.Proc) {
-				fr.Drain(sp, func(buf *Buffer) {
+				fr.Drain(sp, new([ClaimBatch]*Buffer), func(buf *Buffer) {
 					sp.Sync()
 					mu.Lock()
 					for pg := 0; pg < buf.NumPages; pg++ {

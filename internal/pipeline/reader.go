@@ -101,9 +101,15 @@ type Reader struct {
 	// SubmitCost charges model time for submitting an n-page request.
 	SubmitCost func(numPages int) int64
 	// WrapErr decorates an unrecoverable device error with the source that
-	// failed.
+	// failed. When nil, the error is wrapped with the name of the source
+	// the reader serves (set by Open), formatted only when one occurs.
 	WrapErr func(error) error
 
+	// source names the graph source the reader serves (set by Open).
+	source string
+	// batch holds the free buffers Run has claimed and not used yet: it is
+	// the reader's, so a kept reader claims without allocating.
+	batch [ClaimBatch]*Buffer
 	// cache, when non-nil, is the page cache in front of Device (set by
 	// Open; see cacheView for the probe/fill contract).
 	cache *cacheView
@@ -118,7 +124,7 @@ type Reader struct {
 func (r *Reader) Run(io exec.Proc) {
 	pages := r.Pages
 	tr := trace.RingOf(io)
-	var batch [ClaimBatch]*Buffer
+	batch := &r.batch
 	bn, bi := 0, 0
 	i := 0
 	for i < len(pages) && !r.Latch.Failed() {
@@ -183,7 +189,7 @@ func (r *Reader) Run(io exec.Proc) {
 			// Unrecoverable read (retries exhausted or permanent) or a
 			// corrupt page: latch the failure, hand the buffer back, and
 			// stop this device's stream.
-			r.Latch.Fail(r.WrapErr(err))
+			r.Latch.Fail(r.wrapErr(err))
 			bi--
 			break
 		}
@@ -199,6 +205,15 @@ func (r *Reader) Run(io exec.Proc) {
 	if bi < bn {
 		r.Free.PushN(io, batch[bi:bn])
 	}
+}
+
+// wrapErr decorates an unrecoverable read error: by WrapErr when set,
+// otherwise with the name of the source r serves.
+func (r *Reader) wrapErr(err error) error {
+	if r.WrapErr != nil {
+		return r.WrapErr(err)
+	}
+	return fmt.Errorf("pipeline: reading %q: %w", r.source, err)
 }
 
 // pageCheck validates the pages of a file-backed source as its reader hands

@@ -11,10 +11,10 @@ import (
 // failure, so readers blocked on an empty free queue always wake and the
 // pipeline drains instead of deadlocking. Items move in ClaimBatch groups
 // per lock acquisition on the real-time backend (the virtual-time queue
-// transfers one per call).
-func Drain(p exec.Proc, free, filled exec.Queue[*Buffer], latch *exec.Latch, process func(buf *Buffer)) {
+// transfers one per call), through batch, which the caller keeps so that a
+// sink it spawns again allocates nothing.
+func Drain(p exec.Proc, free, filled exec.Queue[*Buffer], latch *exec.Latch, batch *[ClaimBatch]*Buffer, process func(buf *Buffer)) {
 	tr := trace.RingOf(p)
-	var batch [ClaimBatch]*Buffer
 	for {
 		var waitFrom int64
 		if tr.Active() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"blaze/algo"
 	"blaze/internal/engine"
@@ -216,5 +217,39 @@ func TestSessionSoak(t *testing.T) {
 		if got := sched.Tracked(); got != 0 {
 			t.Errorf("scheduler %d tracks %d queries after soak, want 0", i, got)
 		}
+	}
+}
+
+// TestSessionNoProcOutlivesIt: under Real, a session that serves a few
+// concurrent BFS queries, twice over so the second batch runs on its run
+// pool, and finishes them all leaves no goroutine behind once each batch
+// returns: neither a query's proc nor any proc of its rounds. The count is
+// taken inside Run, whose own wait for every proc would otherwise hide one.
+func TestSessionNoProcOutlivesIt(t *testing.T) {
+	ctx := exec.NewReal()
+	cache := pagecache.New(64 * ssd.PageSize)
+	s, out := newTestSession(t, ctx, Config{Cache: cache, MaxQueries: 4})
+	bfs := func(p exec.Proc, q *Query) error {
+		_, err := algo.BFS(q.Sys, p, out, 0)
+		return err
+	}
+	ctx.Run("main", func(p exec.Proc) {
+		base := runtime.NumGoroutine()
+		for batch := range 2 {
+			if _, err := s.Run(p, bfs, bfs, bfs); err != nil {
+				t.Fatalf("batch %d: %v", batch, err)
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				n = runtime.NumGoroutine()
+			}
+			if n > base {
+				t.Errorf("batch %d: %d goroutines, %d before: a proc outlived its query", batch, n, base)
+			}
+		}
+	})
+	if got := s.Active(); got != 0 {
+		t.Errorf("active = %d after the session served its queries, want 0", got)
 	}
 }

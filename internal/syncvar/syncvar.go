@@ -91,7 +91,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 			if output {
 				out = frontier.NewVertexSubset(c.V)
 			}
-			fr.Drain(wp, func(buf *pipeline.Buffer) {
+			fr.Drain(wp, new([pipeline.ClaimBatch]*pipeline.Buffer), func(buf *pipeline.Buffer) {
 				for pg := 0; pg < buf.NumPages; pg++ {
 					logical := g.Arr.Logical(buf.Dev, buf.Start+int64(pg))
 					pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]
