@@ -236,9 +236,10 @@ func New(opts ...Option) *Runtime {
 		opts: registry.Options{
 			Mem: metrics.NewMemAccount(),
 			// The run pool retains IO buffers, bin buffer pairs, and stagers
-			// across EdgeMap rounds (reset, not reallocated) so iterative
-			// algorithms stop churning the GC. Allocation is not modeled, so
-			// virtual-time runs are unchanged by it.
+			// across EdgeMap rounds (reset, not reallocated), one set per
+			// EdgeMap value type, so iterative algorithms stop churning the
+			// GC. Allocation is not modeled, so virtual-time runs are
+			// unchanged by it.
 			Pool: engine.NewPool(),
 		},
 	}

@@ -221,11 +221,9 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 			Latch:  ab,
 			// Large IO: merge across gaps up to GapMergePages wide, capped
 			// at MaxIOPages, never across a partition boundary.
-			Merge:      pipeline.MergeGaps(cfg.MaxIOPages, cfg.GapMergePages, pl.pagesPerPart),
-			SubmitCost: m.IOSubmit,
-			WrapErr: func(err error) error {
-				return fmt.Errorf("graphene: edgemap on %q: %w", g.Name, err)
-			},
+			Merge:  pipeline.Merge{MaxPages: cfg.MaxIOPages, GapPages: cfg.GapMergePages, PartPages: pl.pagesPerPart},
+			Model:  &m,
+			Source: g.Name,
 		}
 		// No shared closer proc: each pair's IO proc ends its own filled
 		// stream, releasing exactly its paired compute proc.

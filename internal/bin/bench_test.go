@@ -23,7 +23,7 @@ func runStagerEmit(b *testing.B, tr *trace.Tracer) {
 		tr.Attach(p, trace.StageScatter, 0)
 		m := emitBenchManager(ctx, p)
 		st := m.NewStager()
-		// Warm the lazily-made stage so steady-state emits are measured,
+		// Touch every stage row once so steady-state emits are measured,
 		// then reset the timer.
 		for d := uint32(0); d < 4096; d++ {
 			st.Emit(p, d, 1)

@@ -80,12 +80,11 @@ type Manager[V any] struct {
 
 	stageCap  int
 	flushCost int64
-	// records and flushes are aggregated from per-stager counters at
-	// Stager.FlushAll time (one atomic add per stager per round, not one
-	// per record): the scatter hot path stays contention-free, as §IV-A's
-	// atomic-free claim requires.
+	// records is aggregated from per-stager counters at Stager.FlushAll
+	// time (one atomic add per stager per round, not one per record): the
+	// scatter hot path stays contention-free, as §IV-A's atomic-free claim
+	// requires.
 	records atomic.Int64
-	flushes atomic.Int64
 }
 
 // Config sizes a Manager.
@@ -107,12 +106,6 @@ type Config struct {
 	// (costmodel.BinFlush); it has no effect under the real-time backend,
 	// where the flush itself takes real time.
 	FlushCostNs int64
-}
-
-// DefaultConfig mirrors the paper's heuristics (§IV-A, §V-E): ~1000 bins
-// and bin space of about 5 bytes per edge, here supplied by the caller.
-func DefaultConfig(spaceBytes int64, recordBytes int) Config {
-	return Config{BinCount: 1024, SpaceBytes: spaceBytes, RecordBytes: recordBytes}
 }
 
 // NewManager builds the bins, their slots and the full queue under ctx.
@@ -175,11 +168,11 @@ func (m *Manager[V]) Prime(p exec.Proc) {
 // reopened (closed and drained by the earlier round's CloseFull and
 // gathers), every parked buffer re-offered by p as of now (a Sim Run
 // restarts the clocks, so the instants of the previous round's Puts must
-// not survive into this one), the round's counters zeroed. The earlier round must have run to a
-// clean end — FlushPartials, CloseFull, every gather returned its buffers —
-// which leaves every buffer parked in its slot and every active buffer
-// empty. A failed round skips FlushPartials and leaves records behind: drop
-// its Manager instead.
+// not survive into this one), the round's record count zeroed. The earlier
+// round must have run to a clean end — FlushPartials, CloseFull, every
+// gather returned its buffers — which leaves every buffer parked in its
+// slot and every active buffer empty. A failed round skips FlushPartials
+// and leaves records behind: drop its Manager instead.
 func (m *Manager[V]) Reopen(ctx exec.Context, p exec.Proc, cfg Config) bool {
 	if m.ctx != ctx || m.cfg != cfg {
 		return false
@@ -190,7 +183,6 @@ func (m *Manager[V]) Reopen(ctx exec.Context, p exec.Proc, cfg Config) bool {
 		m.empty[b].Renew(p)
 	}
 	m.records.Store(0)
-	m.flushes.Store(0)
 	return true
 }
 
@@ -210,9 +202,6 @@ func (m *Manager[V]) BinOf(dst uint32) int {
 
 // Records returns the total records binned so far.
 func (m *Manager[V]) Records() int64 { return m.records.Load() }
-
-// Flushes returns the number of staging flushes performed.
-func (m *Manager[V]) Flushes() int64 { return m.flushes.Load() }
 
 // MemBytes returns the bin-space footprint (both halves of every pair).
 func (m *Manager[V]) MemBytes(recordBytes int) int64 {
@@ -283,11 +272,12 @@ func (m *Manager[V]) Return(p exec.Proc, buf *Buffer[V]) {
 // §IV-A). It is not safe for concurrent use; create one per proc.
 //
 // The stage is one flat array, bin b's records at [b*stageCap, +count[b]),
-// made by the first Emit so that a scatter proc that never emits — most of
-// them, in a sparse round — allocates only the counts.
+// made with the stager: every EdgeMap owner pools its stagers, so the stage
+// is paid once per pooled round, never by a warm round whose proc emits for
+// the first time, and Emit tests nothing for it.
 //
-// Counters are proc-local: Emit and the flush path touch no shared state
-// beyond the slot protocol, and the totals reach the Manager in one atomic
+// The counter is proc-local: Emit and the flush path touch no shared state
+// beyond the slot protocol, and the total reaches the Manager in one atomic
 // add per FlushAll instead of one per record.
 //
 // The struct fills two whole cache lines, so no two stagers share one. At
@@ -296,36 +286,30 @@ func (m *Manager[V]) Return(p exec.Proc, buf *Buffer[V]) {
 // Emit depended on the process's allocation history: BFS ran at two speeds
 // from one process to the next.
 type Stager[V any] struct {
-	m       *Manager[V]
-	recs    []Record[V]
-	count   []int32
-	emits   int64
-	flushes int64
-	// pubEmits/pubFlushes track what has already been published to the
-	// Manager, so repeated Emit/FlushAll cycles aggregate exactly once.
-	pubEmits   int64
-	pubFlushes int64
-	_          [40]byte // to 128 bytes, a size class of whole lines
+	m     *Manager[V]
+	recs  []Record[V]
+	count []int32
+	emits int64
+	// pubEmits tracks what has already been published to the Manager, so
+	// repeated Emit/FlushAll cycles aggregate exactly once.
+	pubEmits int64
+	_        [56]byte // to 128 bytes, a size class of whole lines
 }
 
 // NewStager returns a staging area for one scatter proc.
 func (m *Manager[V]) NewStager() *Stager[V] {
-	return &Stager[V]{m: m, count: make([]int32, m.binCount)}
+	return &Stager[V]{m: m, recs: make([]Record[V], m.binCount*m.stageCap), count: make([]int32, m.binCount)}
 }
 
 // Emit stages one record, flushing its bin's stage when full.
 func (s *Stager[V]) Emit(p exec.Proc, dst uint32, val V) {
 	m := s.m
-	if s.recs == nil {
-		s.recs = make([]Record[V], m.binCount*m.stageCap)
-	}
 	b := m.BinOf(dst)
 	row, n := b*m.stageCap, int(s.count[b])
 	s.recs[row+n] = Record[V]{dst, val}
 	s.emits++
 	if n++; n == m.stageCap {
 		m.flushBin(p, b, s.recs[row:row+n])
-		s.flushes++
 		n = 0
 	}
 	s.count[b] = int32(n)
@@ -335,22 +319,17 @@ func (s *Stager[V]) Emit(p exec.Proc, dst uint32, val V) {
 func (s *Stager[V]) Emits() int64 { return s.emits }
 
 // FlushAll drains every non-empty stage and publishes this stager's record
-// and flush counts to the Manager; call before the scatter proc exits.
+// count to the Manager; call before the scatter proc exits.
 func (s *Stager[V]) FlushAll(p exec.Proc) {
 	for b, n := range s.count {
 		if n > 0 {
 			s.m.flushBin(p, b, s.recs[b*s.m.stageCap:][:n])
-			s.flushes++
 			s.count[b] = 0
 		}
 	}
 	if d := s.emits - s.pubEmits; d != 0 {
 		s.m.records.Add(d)
 		s.pubEmits = s.emits
-	}
-	if d := s.flushes - s.pubFlushes; d != 0 {
-		s.m.flushes.Add(d)
-		s.pubFlushes = s.flushes
 	}
 }
 

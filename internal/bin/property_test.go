@@ -95,19 +95,19 @@ func TestPipelinePropertyConservation(t *testing.T) {
 }
 
 // TestStageCapOverride: the configured staging capacity controls flush
-// granularity.
+// granularity, counted by the flush cost each flush charges.
 func TestStageCapOverride(t *testing.T) {
 	ctx := exec.NewSim()
 	ctx.Run("main", func(p exec.Proc) {
-		m := NewManager[int64](ctx, Config{BinCount: 1, SpaceBytes: 1 << 20, RecordBytes: 12, StageCap: 4})
+		m := NewManager[int64](ctx, Config{BinCount: 1, SpaceBytes: 1 << 20, RecordBytes: 12, StageCap: 4, FlushCostNs: 1000})
 		m.Prime(p)
 		st := m.NewStager()
 		for i := 0; i < 8; i++ {
 			st.Emit(p, 0, 1)
 		}
-		st.FlushAll(p) // counters publish at flush-time aggregation
-		if m.Flushes() != 2 {
-			t.Errorf("flushes = %d, want 2 (8 records / cap 4)", m.Flushes())
+		st.FlushAll(p) // nothing left staged: no third flush
+		if p.Now() != 2000 {
+			t.Errorf("clock = %d, want 2000: two flushes (8 records / cap 4)", p.Now())
 		}
 	})
 }

@@ -80,12 +80,12 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	// delta segments (Graph.Segs) iterates as [base, seg0, seg1, ...]; a
 	// segment-free graph is the single-source seed path, operation for
 	// operation.
-	rd := pool.takeRound()
+	rd := takeRound[V](pool)
+	defer putRound(pool, rd)
 	rd.sources = append(append(rd.sources[:0], g), g.Segs...)
 	cfg.fillSpec(&rd.spec, "io", rd.sources)
 	fr, err := pipeline.Reopen(rd.fr, ctx, p, f, rd.spec)
 	if fr == nil {
-		pool.putRound(rd)
 		if err != nil || !output {
 			return nil, st, err
 		}
@@ -97,16 +97,16 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	}
 
 	// Online bins (steps 6, 8) and one stager per scatter proc, retained
-	// from the previous round when the pool holds a matching set.
+	// from the round's previous call when they match.
 	recordBytes := 4 + approxValBytes[V]()
-	bins := openBins[V](pool, ctx, p, bin.Config{
+	rd.openBins(ctx, p, bin.Config{
 		BinCount:    cfg.BinCount,
 		SpaceBytes:  cfg.BinSpaceBytes,
 		RecordBytes: recordBytes,
 		StageCap:    cfg.StageCap,
 		FlushCostNs: m.BinFlush,
 	}, cfg.ScatterProcs)
-	bm := bins.bm
+	bm := rd.bm
 	if cfg.Mem != nil {
 		cfg.Mem.Set("bin-space", bm.MemBytes(recordBytes))
 		cfg.Mem.Set("frontier", f.Bytes())
@@ -116,15 +116,14 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	// coordinator's queue operations is observable under virtual time.
 	fr.Start()
 
-	// The compute procs run on bodies the bin state keeps, over this call.
-	bins.call = edgeCall[V]{rd: rd, g: g, f: f, scatter: scatter, gather: gather, cond: cond, output: output, cfg: cfg}
-	bins.arm(cfg.ScatterProcs, cfg.GatherProcs)
-	rd.arm(ctx, cfg.ScatterProcs)
+	// The compute procs run on bodies the round keeps, over this call.
+	rd.g, rd.f, rd.scatter, rd.gather, rd.cond, rd.output, rd.cfg = g, f, scatter, gather, cond, output, cfg
+	rd.arm(ctx, cfg.ScatterProcs, cfg.GatherProcs)
 
 	// Scatter procs (steps 5-7): the bin-scatter sink.
 	rd.scatterWG.Add(cfg.ScatterProcs)
 	for i := 0; i < cfg.ScatterProcs; i++ {
-		ctx.Go(procName(&scatterNames, "scatter", i), bins.scatters[i])
+		ctx.Go(procName(&scatterNames, "scatter", i), rd.scatters[i])
 	}
 
 	// Gather procs (steps 8-9) with per-proc output frontiers: bitmaps
@@ -135,7 +134,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 		outFronts = rd.gatherFrontiers(c.V, cfg.GatherProcs)
 	}
 	for i := 0; i < cfg.GatherProcs; i++ {
-		ctx.Go(procName(&gatherNames, "gather", i), bins.gathers[i])
+		ctx.Go(procName(&gatherNames, "gather", i), rd.gathers[i])
 	}
 
 	// Coordinate shutdown: scatters finish -> publish partial bins ->
@@ -151,24 +150,23 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	rd.gatherWG.Wait(p)
 
 	// The pipeline has quiesced: every IO buffer is back in the free queue
-	// and every bin buffer is parked in its slot. Read the bins' count, then
-	// stock the pool with the bins, only when they are clean: once stocked,
-	// another taker may reopen them and zero the count. Then empty and close
-	// the front half. The round goes back to the pool only on return, after
-	// the merge and the last phase span: a round in the pool is the next
-	// taker's, whose Reopen rewrites its Front's trace ring and clock.
+	// and every bin buffer is parked in its slot. A failed round forgets its
+	// Manager, whose stagers and active halves still hold records. Empty
+	// and close the front half. The round goes back to the pool only on
+	// return, after the merge and the last phase span: a round in the pool
+	// is the next taker's, whose Reopen rewrites its Front's trace ring and
+	// clock and whose bins zero the count read here.
 	for _, s := range rd.scatStats[:cfg.ScatterProcs] {
 		st.PagesRead += s.PagesRead
 		st.EdgesScanned += s.EdgesScanned
 	}
 	st.Records = bm.Records()
+	if fr.Failed() {
+		rd.bm = nil
+	}
 	if pool != nil {
 		fr.Recover(p)
-		if !fr.Failed() {
-			closeBins(pool, bins)
-		}
 	}
-	defer pool.putRound(rd)
 	err = fr.Close(p)
 
 	if err != nil || !output {
@@ -182,22 +180,19 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 }
 
 // scatterBody is the body of scatter proc id (steps 5-7), serving whatever
-// call st is armed for: it drains filled IO buffers, scans their pages
-// through its stager into the bins, and flushes the stager unless the
-// round failed.
-func (st *binState[V]) scatterBody(id int) func(exec.Proc) {
+// call rd runs: it drains filled IO buffers, scans their pages through its
+// stager into the bins, and flushes the stager unless the round failed.
+func (rd *round[V]) scatterBody(id int) func(exec.Proc) {
 	return func(sp exec.Proc) {
-		c := &st.call
-		rd := c.rd
-		c.cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), c.cfg.TraceQuery())
-		stager := st.stagers[id]
+		rd.cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), rd.cfg.TraceQuery())
+		stager := rd.stagers[id]
 		local := &rd.scatStats[id]
 		rd.fr.Drain(sp, &rd.drains[id], func(buf *pipeline.Buffer) {
 			sg := rd.sources[buf.Src]
 			for pg := 0; pg < buf.NumPages; pg++ {
 				logical := sg.Arr.Logical(buf.Dev, buf.Start+int64(pg))
 				pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]
-				scanPage[V](sp, sg, c.f, logical, pageData, stager, c.scatter, c.cond, c.cfg, local)
+				scanPage[V](sp, sg, rd.f, logical, pageData, stager, rd.scatter, rd.cond, rd.cfg, local)
 			}
 			local.PagesRead += int64(buf.NumPages)
 		})
@@ -209,24 +204,23 @@ func (st *binState[V]) scatterBody(id int) func(exec.Proc) {
 }
 
 // gatherBody is the body of gather proc id (steps 8-9), serving whatever
-// call st is armed for: it applies full bins' records and, for an output
-// call, collects the activated vertices in the round's frontier id.
-func (st *binState[V]) gatherBody(id int) func(exec.Proc) {
+// call rd runs: it applies full bins' records and, for an output call,
+// collects the activated vertices in the round's frontier id.
+func (rd *round[V]) gatherBody(id int) func(exec.Proc) {
 	return func(gp exec.Proc) {
-		c := &st.call
-		rd, fr, bm, gather, output := c.rd, c.rd.fr, st.bm, c.gather, c.output
-		gtr := c.cfg.Tracer.AttachQuery(gp, trace.StageGather, int32(id), c.cfg.TraceQuery())
+		fr, bm, gather, output := rd.fr, rd.bm, rd.gather, rd.output
+		gtr := rd.cfg.Tracer.AttachQuery(gp, trace.StageGather, int32(id), rd.cfg.TraceQuery())
 		var out *frontier.VertexSubset
 		if output {
 			out = rd.outs[id]
 		}
-		m := &c.cfg.Model
-		updCost := m.Update(m.GatherUpdate, c.g.Locality)
+		m := &rd.cfg.Model
+		updCost := m.Update(m.GatherUpdate, rd.g.Locality)
 		// Full bins drain in batches under one lock acquisition (one per
 		// call under virtual time); each buffer still returns to its bin
 		// right after processing so the pair protocol reclaims spares
 		// promptly.
-		batch := &st.batches[id]
+		batch := &rd.batches[id]
 		for {
 			n := bm.Full.PopBatch(gp, batch[:])
 			if n == 0 {

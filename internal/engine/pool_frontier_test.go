@@ -114,8 +114,9 @@ type frontierRound struct {
 }
 
 // TestPoolFrontiersInvisible: on one pool, dense PageRank-style rounds
-// alternate with sparse BFS rounds, so the retained gather frontiers go
-// from nearly full bitmaps to a few members and back. On both backends
+// alternate with sparse BFS rounds, both propagating float64 so they draw
+// one pooled round, and the retained gather frontiers go from nearly full
+// bitmaps to a few members and back. On both backends
 // every returned frontier equals the unpooled run's — Count, Dense, ForEach
 // order, Bytes — and under Sim so do the virtual clock and Mem["frontier"]
 // after every round.
@@ -158,8 +159,8 @@ func TestPoolFrontiersInvisible(t *testing.T) {
 				}
 				record(p, dense)
 				next, _, err := EdgeMap(ctx, p, g, bfs,
-					func(s, d uint32) uint32 { return s },
-					func(d uint32, v uint32) bool {
+					func(s, d uint32) float64 { return float64(s) },
+					func(d uint32, v float64) bool {
 						if visited[d] {
 							return false
 						}
@@ -204,7 +205,7 @@ func TestPoolFrontiersInvisible(t *testing.T) {
 			if sparse == 0 || dense == 0 {
 				t.Errorf("%d sparse and %d dense rounds: the test must return both", sparse, dense)
 			}
-			if len(pooledFrontiers(pool)) == 0 {
+			if len(pooledFrontiers[float64](pool)) == 0 {
 				t.Error("the pool retained no gather frontier: the test compared nothing")
 			}
 		})

@@ -5,9 +5,11 @@ import (
 	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"blaze/internal/bin"
 	"blaze/internal/exec"
@@ -59,8 +61,11 @@ func TestEdgeMapPooledRounds(t *testing.T) {
 }
 
 // TestEdgeMapPoolMixedValueTypes interleaves EdgeMap instantiations with
-// different value types over one pool: type-keyed bin state must never
-// cross between them.
+// different value types over one pool: each type draws rounds of its own,
+// so bins and IO buffers never cross between them. After the interleaved
+// rounds the pool holds one round per type, with distinct Fronts and
+// Managers, and a further round of each type reopens its own Front and
+// Manager without allocating another set of IO buffers.
 func TestEdgeMapPoolMixedValueTypes(t *testing.T) {
 	ctx := exec.NewReal()
 	stats := metrics.NewIOStats(1)
@@ -73,21 +78,24 @@ func TestEdgeMapPoolMixedValueTypes(t *testing.T) {
 	for i := int64(0); i < c.E; i++ {
 		want[graph.GetEdge(c.Adj, i)]++
 	}
-	for round := 0; round < 2; round++ {
-		gotI := make([]int64, c.V)
-		gotF := make([]float64, c.V)
-		ctx.Run("main", func(p exec.Proc) {
-			EdgeMap(ctx, p, g, frontier.All(c.V),
-				func(s, d uint32) int64 { return 1 },
-				func(d uint32, v int64) bool { gotI[d] += v; return false },
-				func(d uint32) bool { return true },
-				false, conf)
-			EdgeMap(ctx, p, g, frontier.All(c.V),
-				func(s, d uint32) float64 { return 0.5 },
-				func(d uint32, v float64) bool { gotF[d] += v; return false },
-				func(d uint32) bool { return true },
-				false, conf)
-		})
+	gotI := make([]int64, c.V)
+	gotF := make([]float64, c.V)
+	rounds := func(p exec.Proc) {
+		clear(gotI)
+		clear(gotF)
+		EdgeMap(ctx, p, g, frontier.All(c.V),
+			func(s, d uint32) int64 { return 1 },
+			func(d uint32, v int64) bool { gotI[d] += v; return false },
+			func(d uint32) bool { return true },
+			false, conf)
+		EdgeMap(ctx, p, g, frontier.All(c.V),
+			func(s, d uint32) float64 { return 0.5 },
+			func(d uint32, v float64) bool { gotF[d] += v; return false },
+			func(d uint32) bool { return true },
+			false, conf)
+	}
+	check := func(round int) {
+		t.Helper()
 		for v := range want {
 			if gotI[v] != want[v] {
 				t.Fatalf("round %d: int in-degree(%d) = %d, want %d", round, v, gotI[v], want[v])
@@ -96,6 +104,37 @@ func TestEdgeMapPoolMixedValueTypes(t *testing.T) {
 				t.Fatalf("round %d: float sum(%d) = %g, want %g", round, v, gotF[v], float64(want[v])*0.5)
 			}
 		}
+	}
+	for round := 0; round < 2; round++ {
+		ctx.Run("main", rounds)
+		check(round)
+	}
+	ri, rf := pooledRounds[int64](conf.Pool), pooledRounds[float64](conf.Pool)
+	if len(ri) != 1 || len(rf) != 1 {
+		t.Fatalf("the pool holds %d int64 and %d float64 rounds, want one of each", len(ri), len(rf))
+	}
+	fi, ff := ri[0].fr, rf[0].fr
+	if fi == nil || ff == nil || fi == ff {
+		t.Errorf("the int64 and float64 rounds hold Fronts %p and %p, want two", fi, ff)
+	}
+	mi, mf := ri[0].bm, rf[0].bm
+	if mi == nil || mf == nil || unsafe.Pointer(mi) == unsafe.Pointer(mf) {
+		t.Errorf("the int64 and float64 rounds hold Managers %p and %p, want two", mi, mf)
+	}
+
+	var before, after runtime.MemStats
+	ctx.Run("main", func(p exec.Proc) {
+		runtime.ReadMemStats(&before)
+		rounds(p)
+		runtime.ReadMemStats(&after)
+	})
+	check(2)
+	ri, rf = pooledRounds[int64](conf.Pool), pooledRounds[float64](conf.Pool)
+	if len(ri) != 1 || len(rf) != 1 || ri[0].fr != fi || rf[0].fr != ff || ri[0].bm != mi || rf[0].bm != mf {
+		t.Error("a further round of each type did not reopen its own Front and Manager")
+	}
+	if grown, set := after.TotalAlloc-before.TotalAlloc, min(fi.BufferBytes(), ff.BufferBytes()); grown >= uint64(set) {
+		t.Errorf("a further round of each type allocated %d bytes, as much as a set of IO buffers (%d): a Front did not run on its own", grown, set)
 	}
 }
 
@@ -114,7 +153,7 @@ func poolRounds(t *testing.T) (*exec.Real, *Pool, func(p exec.Proc, i, mergePage
 		conf.MaxMergePages = mergePages
 		conf.IOBufferBytes = int64(buffers * mergePages * ssd.PageSize)
 		seen := map[*pipeline.Buffer]bool{}
-		rd := pl.takeRound()
+		rd := takeRound[int64](pl)
 		fr, err := pipeline.Reopen(rd.fr, ctx, p, frontier.All(c.V), conf.FrontSpec("io", g))
 		if fr == nil {
 			t.Errorf("taker %d: Reopen on a full frontier returned no front (err %v)", i, err)
@@ -149,7 +188,7 @@ func poolRounds(t *testing.T) (*exec.Real, *Pool, func(p exec.Proc, i, mergePage
 			t.Error(err)
 		}
 		rd.fr = fr
-		pl.putRound(rd)
+		putRound(pl, rd)
 		return seen
 	}
 	return ctx, pl, round
@@ -180,8 +219,8 @@ func TestPoolRecycling(t *testing.T) {
 		if again := round(p, 0, 4, 8); !maps.Equal(again, wide) {
 			t.Error("a reopened Front did not run on the buffers it owned")
 		}
-		if len(pl.rounds) != 1 {
-			t.Errorf("one taker left %d rounds in the pool, want 1", len(pl.rounds))
+		if n := len(pooledRounds[int64](pl)); n != 1 {
+			t.Errorf("one taker left %d rounds in the pool, want 1", n)
 		}
 		for buf := range round(p, 0, 2, 8) {
 			if wide[buf] || len(buf.Data) != 2*ssd.PageSize {
@@ -213,7 +252,7 @@ func TestPoolLenderDoesNotAlias(t *testing.T) {
 		}
 		close(start)
 		wg.Wait(p)
-		if n := len(pl.rounds); n > takers {
+		if n := len(pooledRounds[int64](pl)); n > takers {
 			t.Errorf("the pool holds %d rounds, more than the %d concurrent takers", n, takers)
 		}
 	})
@@ -301,18 +340,24 @@ func TestPoolInvisibleAcrossRuns(t *testing.T) {
 	}
 }
 
-// pooledManagers lists the bin Managers pl holds for value type V, in
-// free-list order: openBins takes the last.
-func pooledManagers[V any](pl *Pool) []*bin.Manager[V] {
+// pooledRounds lists the rounds of value type V pl holds, in free-list
+// order: takeRound takes the last.
+func pooledRounds[V any](pl *Pool) []*round[V] {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	free, _ := pl.perType[reflect.TypeFor[V]()].(*[]*binState[V])
+	free, _ := pl.rounds[reflect.TypeFor[V]()].(*[]*round[V])
 	if free == nil {
 		return nil
 	}
-	ms := make([]*bin.Manager[V], len(*free))
-	for i, st := range *free {
-		ms[i] = st.bm
+	return slices.Clone(*free)
+}
+
+// pooledManagers lists the bin Managers of the rounds of value type V pl
+// holds, in free-list order; a round whose last call failed holds none.
+func pooledManagers[V any](pl *Pool) []*bin.Manager[V] {
+	var ms []*bin.Manager[V]
+	for _, rd := range pooledRounds[V](pl) {
+		ms = append(ms, rd.bm)
 	}
 	return ms
 }
@@ -327,13 +372,11 @@ func pooledManager[V any](pl *Pool) *bin.Manager[V] {
 	return ms[len(ms)-1]
 }
 
-// pooledFrontiers returns the gather frontiers pl's rounds hold, of every
-// size.
-func pooledFrontiers(pl *Pool) map[*frontier.VertexSubset]bool {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
+// pooledFrontiers returns the gather frontiers pl's rounds of value type V
+// hold, of every size.
+func pooledFrontiers[V any](pl *Pool) map[*frontier.VertexSubset]bool {
 	held := map[*frontier.VertexSubset]bool{}
-	for _, rd := range pl.rounds {
+	for _, rd := range pooledRounds[V](pl) {
 		for _, f := range rd.outs {
 			held[f] = true
 		}
@@ -555,7 +598,7 @@ func TestPoolSharedByConcurrentTakers(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			if pool != nil && pooledFrontiers(pool)[res] {
+			if pool != nil && pooledFrontiers[int64](pool)[res] {
 				t.Errorf("taker %d, round %d: the returned frontier is one the pool holds", i, r)
 			}
 			out[i][r] = res
@@ -608,7 +651,7 @@ func TestPoolSharedByConcurrentTakers(t *testing.T) {
 	if !reflect.DeepEqual(gotFresh, want) {
 		t.Error("an unpooled taker's sums differ from the serial reference")
 	}
-	held := pooledFrontiers(pool)
+	held := pooledFrontiers[int64](pool)
 	if len(held) == 0 {
 		t.Error("the pool retained no gather frontier: the test compared nothing")
 	}

@@ -94,18 +94,15 @@ type Front struct {
 	// round's fields: a body touches nothing after its Done, the closer
 	// nothing after Close), the reader and closer names (formatted again
 	// only when ProcName, the device count or the source count changes),
-	// the merge policy (rebuilt when MergePages changes), the request
-	// price, and each source's cache view and page check.
+	// the model the readers price requests by, and each source's cache
+	// view and page check.
 	wg         exec.WaitGroup
 	runs       []func(exec.Proc)
 	closer     func(exec.Proc)
 	names      []string
 	closerName string
 	namesDev   int
-	merge      Merge
-	mergePages int
 	model      costmodel.Model
-	submit     func(int) int64
 	srcs       []sourceState
 
 	// Phase spans on the coordinator's clock: source → pipeline → merge,
@@ -200,12 +197,6 @@ func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, 
 	}
 	fr.free.PushN(p, fr.bufs[:fr.count])
 
-	if fr.merge == nil || fr.mergePages != s.MergePages {
-		fr.merge, fr.mergePages = MergeRuns(s.MergePages), s.MergePages
-	}
-	if fr.submit == nil {
-		fr.submit = func(pages int) int64 { return fr.model.IOSubmit(pages) }
-	}
 	fr.model = s.Model
 	fr.nameReaders(s.ProcName, numDev, len(s.Sources))
 	if len(fr.srcs) < len(s.Sources) {
@@ -236,21 +227,21 @@ func Reopen(fr *Front, ctx exec.Context, p exec.Proc, f *frontier.VertexSubset, 
 		for d := 0; d < numDev; d++ {
 			dev := src.Arr.Device(d)
 			fr.readers = append(fr.readers, Reader{
-				Name:       fr.names[len(fr.readers)],
-				Device:     dev,
-				Dev:        d,
-				Src:        k,
-				Sched:      s.Scheds.For(dev),
-				Query:      s.Query,
-				Pages:      fr.pages[k].PerDev[d],
-				Free:       fr.free,
-				Filled:     fr.filled,
-				Latch:      &fr.latch,
-				Merge:      fr.merge,
-				SubmitCost: fr.submit,
-				source:     src.Name,
-				cache:      cv,
-				check:      check,
+				Name:   fr.names[len(fr.readers)],
+				Device: dev,
+				Dev:    d,
+				Src:    k,
+				Sched:  s.Scheds.For(dev),
+				Query:  s.Query,
+				Pages:  fr.pages[k].PerDev[d],
+				Free:   fr.free,
+				Filled: fr.filled,
+				Latch:  &fr.latch,
+				Merge:  Merge{MaxPages: s.MergePages},
+				Model:  &fr.model,
+				Source: src.Name,
+				cache:  cv,
+				check:  check,
 			})
 		}
 	}

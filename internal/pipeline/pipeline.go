@@ -16,9 +16,12 @@
 //     the device, and the failure latch. The returned Front starts the
 //     readers, runs the sink loop, and closes the pipeline; an engine
 //     contributes the function that processes one filled buffer.
-//   - Reader is the per-device IO proc loop (merge policy, retry-aware
-//     ScheduleRead, failure-latch drain-and-recycle) and Drain the sink
-//     loop that recycles every buffer even after a failure. Graphene,
+//   - Reader is the per-device IO proc loop (retry-aware ScheduleRead,
+//     failure-latch drain-and-recycle) and Drain the sink loop that
+//     recycles every buffer even after a failure. A Reader's policies are
+//     plain data: one Merge rule whose settings give Blaze's contiguous
+//     runs and Graphene's gap-and-partition windows, the cost Model that
+//     prices each request, and the Source a read error names. Graphene,
 //     whose topology is one private queue pair per IO/compute pair, builds
 //     its Readers from these directly.
 //   - MergeFrontiers folds the sinks' per-proc output frontiers.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -23,48 +24,140 @@ import (
 	"blaze/internal/ssd"
 )
 
-func TestMergeRuns(t *testing.T) {
-	pages := []int64{0, 1, 2, 3, 4, 6, 7, 10}
-	cases := []struct {
-		max, i      int
-		wantN, next int
-	}{
-		{4, 0, 4, 4}, // cap stops a longer run
-		{4, 4, 1, 5}, // gap after 4 ends the run
-		{4, 5, 2, 7}, // 6,7 then a gap
-		{4, 7, 1, 8}, // list end
-		{1, 0, 1, 1}, // single-page requests
-		{8, 0, 5, 5}, // whole contiguous prefix under a wide cap
+// mergeRuns and mergeGaps are the two request-coalescing rules Merge
+// replaced, kept as its oracles: Blaze's device-contiguous runs of up to max
+// pages, and Graphene's windows that read through gaps up to gapPages wide,
+// capped at maxPages, never across a partition of pagesPerPart pages.
+func mergeRuns(max int) func(pages []int64, i int) (int, int) {
+	return func(pages []int64, i int) (int, int) {
+		run := 1
+		for run < max && i+run < len(pages) && pages[i+run] == pages[i]+int64(run) {
+			run++
+		}
+		return run, i + run
 	}
+}
+
+func mergeGaps(maxPages, gapPages int, pagesPerPart int64) func(pages []int64, i int) (int, int) {
+	return func(pages []int64, i int) (int, int) {
+		start := pages[i]
+		end := start // inclusive last page
+		part := start / pagesPerPart
+		j := i + 1
+		for j < len(pages) {
+			next := pages[j]
+			if next/pagesPerPart != part {
+				break
+			}
+			if next-end-1 > int64(gapPages) {
+				break
+			}
+			if next-start+1 > int64(maxPages) {
+				break
+			}
+			end = next
+			j++
+		}
+		return int(end - start + 1), j
+	}
+}
+
+type mergeCase struct {
+	name                string
+	pages               []int64
+	i                   int
+	m                   Merge
+	wantPages, wantNext int
+}
+
+func checkRequests(t *testing.T, cases []mergeCase) {
+	t.Helper()
 	for _, c := range cases {
-		n, next := MergeRuns(c.max)(pages, c.i)
-		if n != c.wantN || next != c.next {
-			t.Errorf("MergeRuns(%d) at %d = (%d, %d), want (%d, %d)", c.max, c.i, n, next, c.wantN, c.next)
+		if n, next := c.m.next(c.pages, c.i); n != c.wantPages || next != c.wantNext {
+			t.Errorf("%s: %+v at %d = (%d pages, next %d), want (%d, %d)", c.name, c.m, c.i, n, next, c.wantPages, c.wantNext)
 		}
 	}
 }
 
+// TestMergeRuns: Merge at Blaze's settings (GapPages 0, no partitions)
+// coalesces device-contiguous runs of up to MaxPages pages.
+func TestMergeRuns(t *testing.T) {
+	runs := []int64{0, 1, 2, 3, 4, 6, 7, 10}
+	checkRequests(t, []mergeCase{
+		{"cap stops a longer run", runs, 0, Merge{MaxPages: 4}, 4, 4},
+		{"gap after a run ends it", runs, 4, Merge{MaxPages: 4}, 1, 5},
+		{"run then a gap", runs, 5, Merge{MaxPages: 4}, 2, 7},
+		{"list end", runs, 7, Merge{MaxPages: 4}, 1, 8},
+		{"single-page requests", runs, 0, Merge{MaxPages: 1}, 1, 1},
+		{"whole contiguous prefix under a wide cap", runs, 0, Merge{MaxPages: 8}, 5, 5},
+	})
+}
+
+// TestMergeGaps: Merge at Graphene's settings reads through gaps up to
+// GapPages wide, capped at MaxPages, never across a partition.
 func TestMergeGaps(t *testing.T) {
-	cases := []struct {
-		name                string
-		pages               []int64
-		maxPages, gap       int
-		perPart             int64
-		wantPages, wantNext int
-	}{
-		{"gap within width is read through", []int64{0, 2, 3}, 16, 1, 100, 4, 3},
-		{"gap wider than width splits", []int64{0, 3, 4}, 16, 1, 100, 1, 1},
-		{"cap counts amplified pages", []int64{0, 2, 4, 6}, 5, 1, 100, 5, 3},
-		{"cap excludes the page that would exceed it", []int64{0, 2, 4, 6}, 4, 1, 100, 3, 2},
-		{"partition boundary splits adjacent pages", []int64{6, 7, 8, 9}, 16, 4, 8, 2, 2},
-		{"zero gap is run merging", []int64{5, 6, 8}, 16, 0, 100, 2, 2},
-	}
-	for _, c := range cases {
-		n, next := MergeGaps(c.maxPages, c.gap, c.perPart)(c.pages, 0)
-		if n != c.wantPages || next != c.wantNext {
-			t.Errorf("%s: got (%d pages, next %d), want (%d, %d)", c.name, n, next, c.wantPages, c.wantNext)
+	checkRequests(t, []mergeCase{
+		{"gap within width is read through", []int64{0, 2, 3}, 0, Merge{16, 1, 100}, 4, 3},
+		{"gap wider than width splits", []int64{0, 3, 4}, 0, Merge{16, 1, 100}, 1, 1},
+		{"cap counts amplified pages", []int64{0, 2, 4, 6}, 0, Merge{5, 1, 100}, 5, 3},
+		{"cap excludes the page that would exceed it", []int64{0, 2, 4, 6}, 0, Merge{4, 1, 100}, 3, 2},
+		{"partition boundary splits adjacent pages", []int64{6, 7, 8, 9}, 0, Merge{16, 4, 8}, 2, 2},
+		{"zero gap is run merging", []int64{5, 6, 8}, 0, Merge{16, 0, 100}, 2, 2},
+	})
+}
+
+// FuzzMergeRequests walks a random sorted page list request by request
+// under random settings: every request equals the old rule's it stands for,
+// the requests cover every active page exactly once, and none exceeds
+// MaxPages, reads through a gap wider than GapPages or crosses a partition.
+func FuzzMergeRequests(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 2}, uint8(4), uint8(0), uint8(0))
+	f.Add([]byte{0, 1, 0, 2, 0, 0, 5, 0}, uint8(16), uint8(1), uint8(8))
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(0), uint8(3), uint8(4))
+	f.Fuzz(func(t *testing.T, gaps []byte, maxPages, gapPages, partPages uint8) {
+		var pages []int64
+		page := int64(-1)
+		for _, g := range gaps {
+			page += 1 + int64(g%16)
+			pages = append(pages, page)
 		}
-	}
+		m := Merge{MaxPages: int(maxPages % 32), GapPages: int(gapPages % 8), PartPages: int64(partPages % 32)}
+		perPart := m.PartPages
+		if perPart == 0 {
+			perPart = math.MaxInt64
+		}
+		oracles := []func([]int64, int) (int, int){mergeGaps(m.MaxPages, m.GapPages, perPart)}
+		if m.GapPages == 0 && m.PartPages == 0 {
+			oracles = append(oracles, mergeRuns(m.MaxPages))
+		}
+		for i := 0; i < len(pages); {
+			n, next := m.next(pages, i)
+			for _, oracle := range oracles {
+				if wn, wnext := oracle(pages, i); n != wn || next != wnext {
+					t.Fatalf("%+v at %d of %v = (%d, %d), the old rule gives (%d, %d)", m, i, pages, n, next, wn, wnext)
+				}
+			}
+			start, end := pages[i], pages[i]+int64(n) // [start, end)
+			if next <= i || pages[next-1] != end-1 {
+				t.Fatalf("%+v at %d of %v: (%d, %d) does not end on the last active page it takes in", m, i, pages, n, next)
+			}
+			if next < len(pages) && pages[next] < end {
+				t.Fatalf("%+v at %d of %v: the request covers active page %d, left for the next one", m, i, pages, pages[next])
+			}
+			if n > max(m.MaxPages, 1) {
+				t.Fatalf("%+v at %d of %v: %d pages", m, i, pages, n)
+			}
+			for k := i + 1; k < next; k++ {
+				if gap := pages[k] - pages[k-1] - 1; gap > int64(m.GapPages) {
+					t.Fatalf("%+v at %d of %v: reads through a %d-page gap", m, i, pages, gap)
+				}
+			}
+			if m.PartPages > 0 && start/m.PartPages != (end-1)/m.PartPages {
+				t.Fatalf("%+v at %d of %v: [%d, %d) crosses a partition", m, i, pages, start, end)
+			}
+			i = next
+		}
+	})
 }
 
 func TestBufferCount(t *testing.T) {

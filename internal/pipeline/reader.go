@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"blaze/internal/costmodel"
 	"blaze/internal/exec"
 	"blaze/internal/graph"
 	"blaze/internal/iosched"
@@ -11,59 +12,45 @@ import (
 	"blaze/internal/trace"
 )
 
-// Merge is a reader's request-coalescing policy: given the sorted page
-// list and the current position i, it returns the number of pages the next
-// request covers (starting at pages[i] in the device's address space) and
-// the next position in the list. A gap-merging policy may cover more pages
-// than it consumes list entries (IO amplification); a run-merging policy
-// never does. Merge must be pure computation — it is called outside any
-// model-time charge.
-type Merge func(pages []int64, i int) (numPages, next int)
-
-// MergeRuns coalesces device-contiguous pages into one request, up to max
-// pages, never across gaps (§IV-C: Blaze merges up to four 4 kB pages).
-func MergeRuns(max int) Merge {
-	return func(pages []int64, i int) (int, int) {
-		run := 1
-		for run < max && i+run < len(pages) && pages[i+run] == pages[i]+int64(run) {
-			run++
-		}
-		return run, i + run
-	}
+// Merge is a reader's request-coalescing rule (§IV-C, §III): a request
+// starts at an active page and takes in the next active pages of the sorted
+// list while the request stays within MaxPages pages, no gap of inactive
+// pages it would read through is wider than GapPages, and — when PartPages
+// is set — it stays inside one partition of PartPages pages. Blaze merges
+// device-contiguous runs of up to four pages (GapPages 0); Graphene's large
+// IOs also read inactive gap pages inside a partition, and the pages a
+// request covers include those gaps (the amplification the paper
+// measures). A request always covers at least its first page.
+type Merge struct {
+	MaxPages  int
+	GapPages  int
+	PartPages int64
 }
 
-// MergeGaps is the Graphene-style large-IO policy: requests also fetch
-// inactive gap pages up to gapPages wide, capped at maxPages, never across
-// a partition boundary of pagesPerPart pages. The covered page count
-// includes the gaps (the amplification the paper measures).
-func MergeGaps(maxPages, gapPages int, pagesPerPart int64) Merge {
-	return func(pages []int64, i int) (int, int) {
-		start := pages[i]
-		end := start // inclusive last page
-		part := start / pagesPerPart
-		j := i + 1
-		for j < len(pages) {
-			next := pages[j]
-			if next/pagesPerPart != part {
-				break
-			}
-			if next-end-1 > int64(gapPages) {
-				break
-			}
-			if next-start+1 > int64(maxPages) {
-				break
-			}
-			end = next
-			j++
+// next returns the number of pages the request starting at pages[i]
+// covers, in the device's address space, and the position in pages after
+// the last active page it takes in. It is pure computation: it is called
+// outside any model-time charge.
+func (m Merge) next(pages []int64, i int) (numPages, next int) {
+	start := pages[i]
+	end := start // inclusive last page
+	j := i + 1
+	for ; j < len(pages); j++ {
+		p := pages[j]
+		if p-end-1 > int64(m.GapPages) || p-start+1 > int64(m.MaxPages) ||
+			(m.PartPages > 0 && p/m.PartPages != start/m.PartPages) {
+			break
 		}
-		return int(end - start + 1), j
+		end = p
 	}
+	return int(end - start + 1), j
 }
 
 // Reader is one per-device IO stage: it walks its page list, claims free
-// buffers, coalesces requests with Merge, probes the page cache when one
-// sits in front of the device, schedules retry-aware asynchronous reads,
-// and hands filled buffers downstream stamped with their completion time.
+// buffers, coalesces requests by its Merge rule, probes the page cache when
+// one sits in front of the device, schedules retry-aware asynchronous
+// reads, and hands filled buffers downstream stamped with their completion
+// time.
 // On the first unrecoverable device error it latches the failure, recycles
 // its claimed buffers, and stops issuing IO; it also degrades to a clean
 // stop whenever another stage has latched first.
@@ -96,17 +83,14 @@ type Reader struct {
 	Free, Filled exec.Queue[*Buffer]
 	// Latch is the pipeline's shared failure latch.
 	Latch *exec.Latch
-	// Merge is the request-coalescing policy.
+	// Merge is the request-coalescing rule.
 	Merge Merge
-	// SubmitCost charges model time for submitting an n-page request.
-	SubmitCost func(numPages int) int64
-	// WrapErr decorates an unrecoverable device error with the source that
-	// failed. When nil, the error is wrapped with the name of the source
-	// the reader serves (set by Open), formatted only when one occurs.
-	WrapErr func(error) error
+	// Model prices submitting each request (IOSubmit).
+	Model *costmodel.Model
+	// Source names the graph source the reader serves: an unrecoverable
+	// read error is reported as reading it.
+	Source string
 
-	// source names the graph source the reader serves (set by Open).
-	source string
 	// batch holds the free buffers Run has claimed and not used yet: it is
 	// the reader's, so a kept reader claims without allocating.
 	batch [ClaimBatch]*Buffer
@@ -151,7 +135,7 @@ func (r *Reader) Run(io exec.Proc) {
 		buf.Dev = r.Dev
 		buf.Src = r.Src
 		buf.Start = pages[i]
-		n, next := r.Merge(pages, i)
+		n, next := r.Merge.next(pages, i)
 		buf.NumPages = n
 		// Page-cache probe over the whole merged run: a full hit serves
 		// every page from memory with no device time; a partial hit trims
@@ -172,7 +156,7 @@ func (r *Reader) Run(io exec.Proc) {
 				}
 			}
 		}
-		io.Advance(r.SubmitCost(hi - lo))
+		io.Advance(r.Model.IOSubmit(hi - lo))
 		var done int64
 		var err error
 		if r.Sched != nil {
@@ -189,7 +173,7 @@ func (r *Reader) Run(io exec.Proc) {
 			// Unrecoverable read (retries exhausted or permanent) or a
 			// corrupt page: latch the failure, hand the buffer back, and
 			// stop this device's stream.
-			r.Latch.Fail(r.wrapErr(err))
+			r.Latch.Fail(fmt.Errorf("pipeline: reading %q: %w", r.Source, err))
 			bi--
 			break
 		}
@@ -205,15 +189,6 @@ func (r *Reader) Run(io exec.Proc) {
 	if bi < bn {
 		r.Free.PushN(io, batch[bi:bn])
 	}
-}
-
-// wrapErr decorates an unrecoverable read error: by WrapErr when set,
-// otherwise with the name of the source r serves.
-func (r *Reader) wrapErr(err error) error {
-	if r.WrapErr != nil {
-		return r.WrapErr(err)
-	}
-	return fmt.Errorf("pipeline: reading %q: %w", r.source, err)
 }
 
 // pageCheck validates the pages of a file-backed source as its reader hands
