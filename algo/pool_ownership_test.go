@@ -134,9 +134,16 @@ func check(t *testing.T, err error) {
 	}
 }
 
+// unpooled is the blaze system with nothing carried between calls: its
+// config holds no pool, so every EdgeMap and VertexMap runs on an empty
+// pool of its own, and it drops every frontier handed back.
+type unpooled struct{ *algo.Blaze }
+
+func (unpooled) Release(*frontier.VertexSubset) {}
+
 // runOwnership runs every ownership query in turn on one blaze system over
-// a fresh context and graphs, pooled (algo.NewBlaze) or with no pool at
-// all, and returns each query's outcome.
+// a fresh context and graphs, pooled (algo.NewBlaze) or unpooled, and
+// returns each query's outcome.
 func runOwnership(t *testing.T, mk func() exec.Context, c *graph.CSR, pooled bool, queries []string) []ownershipRun {
 	ctx := mk()
 	out := engine.FromCSR(ctx, "own", c, 2, ssd.OptaneSSD, nil, nil)
@@ -148,7 +155,7 @@ func runOwnership(t *testing.T, mk func() exec.Context, c *graph.CSR, pooled boo
 	cfg := engine.DefaultConfig(c.E)
 	cfg.ScatterProcs, cfg.GatherProcs = 2, 3
 	cfg.Mem = metrics.NewMemAccount()
-	blz := &algo.Blaze{Ctx: ctx, Cfg: cfg}
+	var blz algo.System = unpooled{&algo.Blaze{Ctx: ctx, Cfg: cfg}}
 	if pooled {
 		blz = algo.NewBlaze(ctx, cfg)
 	}
@@ -177,8 +184,8 @@ func runOwnership(t *testing.T, mk func() exec.Context, c *graph.CSR, pooled boo
 // TestPoolOwnershipInvisible: the catalogue's queries and an incremental
 // repair, run one after another on one pooled blaze system — so every
 // frontier the driver and the rounds hand back is rebuilt in by a later
-// round, query after query — give what the same queries give on a system
-// with no pool: bit-identical answers (PageRank and BC, whose gathers sum
+// round, query after query — give what the same queries give on an
+// unpooled one: bit-identical answers (PageRank and BC, whose gathers sum
 // floats in arrival order under Real, within reassociation tolerance there)
 // and, under Sim, the same frontier at every EdgeMap, the same makespan and
 // the same Mem["frontier"]. The pooled run must recycle, must hand back
@@ -288,8 +295,8 @@ func checkOwnership(t *testing.T, where, name string, r ownershipRun) {
 // TestPoolOwnershipConcurrentTakers: three PageRank queries run at once on
 // the real backend, each on its own blaze system over one shared pool (a
 // session's shape), twice over, hand back only frontiers their own system
-// returned and give the ranks the same queries give one after another with
-// no pool, within reassociation tolerance. PageRank's edge functions share
+// returned and give the ranks the same queries give one after another
+// unpooled, within reassociation tolerance. PageRank's edge functions share
 // no vertex state between scatter and gather, so the race detector sees
 // only the pool's own concurrency.
 func TestPoolOwnershipConcurrentTakers(t *testing.T) {
@@ -303,7 +310,7 @@ func TestPoolOwnershipConcurrentTakers(t *testing.T) {
 	cfg.ScatterProcs, cfg.GatherProcs = 2, 2
 
 	want := make([][]float64, len(eps))
-	plain := &algo.Blaze{Ctx: ctx, Cfg: cfg}
+	plain := unpooled{&algo.Blaze{Ctx: ctx, Cfg: cfg}}
 	ctx.Run("serial", func(p exec.Proc) {
 		for i, e := range eps {
 			rank, _, err := algo.PageRankDrive(algo.DriverFor(plain), plain, p, g, e, algo.Convergence{MaxIters: 15})

@@ -235,11 +235,8 @@ func New(opts ...Option) *Runtime {
 		ctx: exec.NewReal(),
 		opts: registry.Options{
 			Mem: metrics.NewMemAccount(),
-			// The run pool retains IO buffers, bin buffer pairs, and stagers
-			// across EdgeMap rounds (reset, not reallocated), one set per
-			// EdgeMap value type, so iterative algorithms stop churning the
-			// GC. Allocation is not modeled, so virtual-time runs are
-			// unchanged by it.
+			// The run pool carries each EdgeMap value type's IO buffers and
+			// bins from round to round (engine.Pool).
 			Pool: engine.NewPool(),
 		},
 	}

@@ -186,9 +186,6 @@ func (m *Manager[V]) Reopen(ctx exec.Context, p exec.Proc, cfg Config) bool {
 	return true
 }
 
-// BinCount returns the number of bins.
-func (m *Manager[V]) BinCount() int { return m.binCount }
-
 // BufCap returns the per-buffer record capacity.
 func (m *Manager[V]) BufCap() int { return m.bufCap }
 

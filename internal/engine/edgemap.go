@@ -73,7 +73,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	m := cfg.Model
 	c := g.CSR
 	computeProcs := cfg.ScatterProcs + cfg.GatherProcs
-	pool := cfg.Pool
+	pool := cfg.pool()
 
 	// Steps 1-4: vertex frontier -> per-device page frontiers -> stocked IO
 	// buffers and one reader per source and device. A graph with sealed
@@ -164,9 +164,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	if fr.Failed() {
 		rd.bm = nil
 	}
-	if pool != nil {
-		fr.Recover(p)
-	}
+	fr.Recover(p)
 	err = fr.Close(p)
 
 	if err != nil || !output {
@@ -275,10 +273,10 @@ func scanPage[V any](sp exec.Proc, g *Graph, f *frontier.VertexSubset, logical i
 
 // VertexMap applies fn to every vertex in f and returns the subset of
 // vertices for which fn returned true (§IV-B), built in a frontier handed
-// back to cfg.Pool when it holds one. It executes in memory; the modeled
-// cost assumes all compute procs participate.
+// back to the config's pool when it holds one. It executes in memory; the
+// modeled cost assumes all compute procs participate.
 func VertexMap(p exec.Proc, f *frontier.VertexSubset, fn func(v uint32) bool, cfg Config) *frontier.VertexSubset {
-	return mapVertices(cfg.Pool.takeSpare(f.N()), p, f, fn, cfg.Model.VertexOp, cfg.ScatterProcs+cfg.GatherProcs)
+	return mapVertices(cfg.pool().takeSpare(f.N()), p, f, fn, cfg.Model.VertexOp, cfg.ScatterProcs+cfg.GatherProcs)
 }
 
 // MapVertices is the one vertex-map body of every engine that keeps vertex

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"blaze/gen"
 	"blaze/internal/exec"
@@ -28,15 +27,7 @@ func faultyGraph(ctx exec.Context, numDev int, stats *metrics.IOStats, fp fault.
 // unreadable, EdgeMap must return an error — not panic — on both backends,
 // join all pipeline procs, and leave the pool reusable for further rounds.
 func TestEdgeMapPermanentFaultReturnsError(t *testing.T) {
-	backends := []struct {
-		name string
-		mk   func() exec.Context
-	}{
-		{"sim", func() exec.Context { return exec.NewSim() }},
-		{"real", func() exec.Context { return exec.NewReal() }},
-	}
 	for _, be := range backends {
-		be := be
 		t.Run(be.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx := be.mk()
@@ -72,13 +63,7 @@ func TestEdgeMapPermanentFaultReturnsError(t *testing.T) {
 			// All pipeline procs must have joined: under Sim, Run returning
 			// proves it (leaked procs deadlock the scheduler); under Real,
 			// check the goroutine count settles back.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Errorf("goroutines leaked: %d before, %d after", before, n)
-			}
+			settleGoroutines(t, before, "a failed round")
 		})
 	}
 }

@@ -144,11 +144,11 @@ type Config struct {
 	PageCache *pagecache.Cache
 	// Mem receives memory accounting; it may be nil.
 	Mem *metrics.MemAccount
-	// Pool, when non-nil, retains IO buffers, bin buffer pairs, and
-	// stagers across EdgeMap calls (reset, not reallocated), including
-	// calls that run at once on one pool (a session's queries, a cluster's
-	// machines). Allocation is not modeled, so under the virtual-time
-	// backend it changes host time only.
+	// Pool retains IO buffers, bin buffer pairs, and stagers across
+	// EdgeMap calls (reset, not reallocated), including calls that run at
+	// once on one pool (a session's queries, a cluster's machines). With
+	// none, each call runs on an empty pool of its own. Allocation is not
+	// modeled, so under the virtual-time backend it changes host time only.
 	Pool *Pool
 	Common
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"slices"
 	"sync"
 
@@ -14,64 +13,46 @@ import (
 // Pool retains the execution state EdgeMap would otherwise rebuild every
 // round, in two stocks: closed rounds, one free list per value type, and
 // the frontiers handed back by Release. A closed round holds a closed
-// pipeline.Front (its own IO buffers, queue pair, page lists and readers);
-// the whole bin Manager (slots, full queue, both halves of every bin parked
-// where the last round left them) with its per-proc stagers; the round's
+// pipeline.Front with its own IO buffers, queue pair, page lists and
+// readers; the whole bin Manager with its per-proc stagers; the round's
 // gather output frontiers; and the bodies, wait groups and batches its
-// procs run on. Iterative algorithms (BFS, PageRank, WCC) call EdgeMap
-// once per round, and without the pool every round re-allocates the full
-// IO-buffer budget, all of the bin space and one bitmap per gather proc,
-// rebuilds two slots per bin and three queues, and builds the frontier it
-// returns from nothing — pure churn, since the sizes never change under one
-// owner. With it, and with its owner handing back each frontier it is done
-// with, a steady-state round allocates nothing: a round still spawns fresh
-// procs, but from state the round keeps. Each owner of engines holds one
-// Pool and threads it through Config: a Runtime, an engine built by
-// algo.NewBlaze, a cluster (every machine's EdgeMap draws from it), and a
-// session (every query's engine draws from it).
+// procs run on. So a warm round whose owner hands back each frontier it is
+// done with allocates nothing: it still spawns fresh procs, but from state
+// the round keeps. Each owner of engines holds one Pool and threads it
+// through Config: a Runtime, an engine built by algo.NewBlaze, a cluster
+// (every machine draws from it) and a session (every query draws from it).
+// The zero Pool is empty and ready to use, and a call whose Config has no
+// Pool runs on an empty one of its own: there is no unpooled path. The
+// pool is a wall-clock optimization only: virtual time cannot tell which
+// retained state a taker drew, or whether it drew any (DESIGN §6).
 //
-// The pool is a wall-clock optimization only. Allocation costs are not
-// modeled; a Front's own buffers pass through the same queue operations as
-// fresh ones; a reopened queue is indistinguishable from a new one; and
-// priming every bin is a run of slot Puts the coordinator makes back to back
-// at the clock it already synchronised on when it stocked the IO buffers,
-// so no proc can observe them and all they leave behind is that clock on
-// every slot — which Manager.Reopen restores on a retained Manager, whose
-// slots would otherwise still carry the instants of the previous round
-// (and, after a new Sim Run restarted the clocks, carry them into the
-// future). Virtual-time figures are the same with or without it, and
-// whichever retained state a taker happens to draw.
+// EdgeMap takes one round at its start, puts it back at its end, and draws
+// the frontier it returns from the spare stock, so the lock is taken three
+// times per round (two without output), never per edge or page. Concurrent
+// takers are safe: each owns the round it drew, IO buffers included, until
+// it puts it back, and one that finds the pool empty builds a fresh round,
+// so a list never holds more rounds than the peak number of concurrent
+// takers. A Front keeps as many buffers as the largest round it stocked,
+// so K concurrent takers come to hold K such sets. Each value type keeps
+// rounds of its own: every query in the catalogue propagates float64, so
+// sharing buffers across types would serve only a caller that mixes types
+// on one owner.
 //
-// Ownership discipline: EdgeMap takes one round out of the pool at its
-// start and puts it back at its end, and draws the frontier it returns
-// from the spare stock, so the pool's lock is taken three times per round
-// (two without output), never on the per-edge or per-page path. Concurrent
-// EdgeMap calls on one pool are safe: each taker owns the round it drew,
-// IO buffers included, until it puts it back, and a taker that finds the
-// pool empty builds a fresh one. Rounds are free lists per value type, so K
-// concurrent takers of one type each reopen retained rounds once K have
-// been built; a list never holds more rounds than the peak number of
-// concurrent takers. An EdgeMap of another value type keeps rounds of its
-// own, IO buffers included: every query in the catalogue propagates
-// float64, so sharing buffers across types would serve only a caller that
-// mixes types on one owner. A Front keeps as many buffers as the largest
-// round it stocked, so K concurrent takers come to hold K such sets.
-//
-// A frontier EdgeMap or VertexMap returns is drawn from the spare stock and
-// is its caller's; the pool never takes it back on its own. Release hands
-// it back once nobody reads it any more (algo.Driver does so for the
-// frontiers a traversal leaves behind), and the next merged or mapped
-// frontier over as many vertices is built in its storage. A frontier that
-// is never released is simply not recycled, so the spare stock holds at
-// most as many frontiers as were drawn from it.
+// A frontier EdgeMap or VertexMap returns is its caller's; the pool never
+// takes it back on its own. Release hands it back once nobody reads it any
+// more (algo.Driver does so for the frontiers a traversal leaves behind),
+// and a later merged or mapped frontier over as many vertices is built in
+// its storage, so the spare stock holds at most as many frontiers as were
+// drawn from it.
 type Pool struct {
 	mu sync.Mutex
-	// rounds holds the free list of closed rounds, a *[]*round[V], keyed
-	// by the EdgeMap value type: each instantiation of EdgeMap[V] has its
-	// own record layout, so bins cannot be shared across types.
-	rounds map[reflect.Type]any
-	// spare holds the frontiers handed back by Release, by universe size.
-	spare map[uint32][]*frontier.VertexSubset
+	// rounds holds one free list of closed rounds per EdgeMap value type,
+	// a *[]*round[V] each: each instantiation of EdgeMap[V] has its own
+	// record layout, so bins cannot be shared across types. spare holds
+	// the frontiers handed back by Release, of every universe size (one
+	// owner's graphs mostly share one).
+	rounds []any
+	spare  []*frontier.VertexSubset
 }
 
 // round is one closed EdgeMap round of value type V kept for the next: its
@@ -170,93 +151,89 @@ func (rd *round[V]) gatherFrontiers(n uint32, k int) []*frontier.VertexSubset {
 	return outs
 }
 
-// NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{
-		rounds: map[reflect.Type]any{},
-		spare:  map[uint32][]*frontier.VertexSubset{},
+// NewPool returns an empty pool, as new(Pool) does. It stays because the
+// benchmark harness builds its pool through it.
+func NewPool() *Pool { return new(Pool) }
+
+// pool returns the pool c's calls draw from: c.Pool, or else an empty one
+// of the call's own.
+func (c Config) pool() *Pool {
+	if c.Pool == nil {
+		return new(Pool)
 	}
+	return c.Pool
 }
 
 // Release hands back f, a frontier over f.N() vertices that its owner —
 // whoever EdgeMap or VertexMap returned it to — will never read again: a
 // later round builds its merged or mapped frontier in f's storage. The
 // caller must hold the only reference it will use; releasing a frontier
-// twice, or one still in use, hands it to two owners. A nil pool drops it.
+// twice, or one still in use, hands it to two owners.
 func (pl *Pool) Release(f *frontier.VertexSubset) {
-	if pl == nil || f == nil {
+	if f == nil {
 		return
 	}
 	pl.mu.Lock()
-	pl.spare[f.N()] = append(pl.spare[f.N()], f)
+	pl.spare = append(pl.spare, f)
 	pl.mu.Unlock()
 }
 
-// takeSpare returns a released frontier over n vertices, now the taker's,
-// or nil when the pool holds none (or is nil).
+// takeSpare returns the frontier over n vertices released last, now the
+// taker's, or nil when the pool holds none.
 func (pl *Pool) takeSpare(n uint32) *frontier.VertexSubset {
-	if pl == nil {
-		return nil
-	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	stock := pl.spare[n]
-	f := pop(&stock)
-	pl.spare[n] = stock
-	return f
+	for i := len(pl.spare) - 1; i >= 0; i-- {
+		if f := pl.spare[i]; f.N() == n {
+			pl.spare = slices.Delete(pl.spare, i, i+1)
+			return f
+		}
+	}
+	return nil
 }
 
 // takeRound returns a closed round of value type V, now the taker's: the
-// last one pl holds, or an empty one when it holds none (or is nil).
+// last one pl holds, or an empty one when it holds none.
 func takeRound[V any](pl *Pool) *round[V] {
-	var rd *round[V]
-	if pl != nil {
-		key := reflect.TypeFor[V]()
-		pl.mu.Lock()
-		if free, _ := pl.rounds[key].(*[]*round[V]); free != nil {
-			rd = pop(free)
-		}
-		pl.mu.Unlock()
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	free := freeRounds[V](pl)
+	n := len(*free)
+	if n == 0 {
+		return new(round[V])
 	}
-	if rd == nil {
-		rd = new(round[V])
-	}
+	rd := (*free)[n-1]
+	*free = slices.Delete(*free, n-1, n)
 	return rd
 }
 
 // putRound clears rd's call and stocks rd, its Front closed and with every
 // proc of its round returned, for a later round of value type V. The
 // caller must be done with rd, its Front's last phase span included: once
-// stocked it is the next taker's. A nil pool drops it, and so does any pool
-// a round that never held a Front: stocked, it could be drawn instead of
-// one that holds buffers.
+// stocked it is the next taker's. A round that never held a Front is
+// dropped: stocked, it could be drawn instead of one that holds buffers.
 func putRound[V any](pl *Pool, rd *round[V]) {
-	if pl == nil || rd.fr == nil {
+	if rd.fr == nil {
 		return
 	}
 	rd.g, rd.f, rd.scatter, rd.gather, rd.cond, rd.cfg = nil, nil, nil, nil, nil, Config{}
 	clear(rd.sources)
 	clear(rd.spec.Sources)
-	key := reflect.TypeFor[V]()
 	pl.mu.Lock()
-	free, _ := pl.rounds[key].(*[]*round[V])
-	if free == nil {
-		free = new([]*round[V])
-		pl.rounds[key] = free
-	}
+	free := freeRounds[V](pl)
 	*free = append(*free, rd)
 	pl.mu.Unlock()
 }
 
-// pop removes the last entry of a free list and returns it, or nil when
-// the list is empty; the slot it leaves no longer references it.
-func pop[T any](list *[]*T) *T {
-	n := len(*list)
-	if n == 0 {
-		return nil
+// freeRounds returns pl's free list of rounds of value type V, made on
+// first use. The caller holds pl.mu.
+func freeRounds[V any](pl *Pool) *[]*round[V] {
+	for _, l := range pl.rounds {
+		if free, ok := l.(*[]*round[V]); ok {
+			return free
+		}
 	}
-	v := (*list)[n-1]
-	(*list)[n-1] = nil
-	*list = (*list)[:n-1]
-	return v
+	free := new([]*round[V])
+	pl.rounds = append(pl.rounds, free)
+	return free
 }
