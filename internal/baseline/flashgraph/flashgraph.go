@@ -36,8 +36,6 @@ type Config struct {
 	ComputeWorkers int
 	// CacheBytes is the LRU page cache budget.
 	CacheBytes int64
-	// IOBufferBytes bounds in-flight IO buffers.
-	IOBufferBytes int64
 	// Common's Scheds switches the baseline into session mode: device reads
 	// route through the shared schedulers, while the LRU page cache stays
 	// private to this instance, i.e. per query — FlashGraph's
@@ -45,13 +43,15 @@ type Config struct {
 	engine.Common
 }
 
+// ioBufferBytes bounds in-flight IO buffers.
+const ioBufferBytes = 64 << 20
+
 // DefaultConfig mirrors the paper's 16-thread comparison setup with a
 // 64 MB page cache.
 func DefaultConfig() Config {
 	return Config{
 		ComputeWorkers: 16,
 		CacheBytes:     64 << 20,
-		IOBufferBytes:  64 << 20,
 		Common:         engine.Common{Model: costmodel.Default()},
 	}
 }
@@ -132,7 +132,7 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 		Model:       m,
 		Procs:       workers,
 		MergePages:  1,
-		BufferBytes: cfg.IOBufferBytes,
+		BufferBytes: ioBufferBytes,
 		Cache:       s.cache,
 		CacheOwner:  pagecache.NoOwner,
 		QueryCache:  cfg.QueryCache,

@@ -44,17 +44,6 @@ type Config struct {
 	Pairs int
 	// NumSSDs is the device count.
 	NumSSDs int
-	// PartitionsPerPair controls partition granularity: total partitions
-	// = Pairs * PartitionsPerPair, each a contiguous equal-edge range.
-	PartitionsPerPair int
-	// MaxIOPages is the large-IO size cap in pages.
-	MaxIOPages int
-	// GapMergePages merges requests across up to this many inactive
-	// pages, reading them anyway (IO amplification).
-	GapMergePages int
-	// BuffersPerPair bounds in-flight IO buffers per pair; the strict
-	// producer/consumer coupling is what starves fast devices.
-	BuffersPerPair int
 	// DevOpts configures the baseline's own devices (fault injection,
 	// retry policy); empty means stock devices.
 	DevOpts []ssd.DeviceOptions
@@ -64,16 +53,27 @@ type Config struct {
 	engine.Common
 }
 
+// The baseline's fixed IO shape.
+const (
+	// partitionsPerPair controls partition granularity: total partitions
+	// = Pairs * partitionsPerPair, each a contiguous equal-edge range.
+	partitionsPerPair = 4
+	// maxIOPages is the large-IO size cap in pages.
+	maxIOPages = 32
+	// gapMergePages merges requests across up to this many inactive
+	// pages, reading them anyway (IO amplification).
+	gapMergePages = 2
+	// buffersPerPair bounds in-flight IO buffers per pair; the strict
+	// producer/consumer coupling is what starves fast devices.
+	buffersPerPair = 32
+)
+
 // DefaultConfig mirrors the paper's 16-thread setup on nssd devices.
 func DefaultConfig(nssd int) Config {
 	return Config{
-		Pairs:             8,
-		NumSSDs:           nssd,
-		PartitionsPerPair: 4,
-		MaxIOPages:        32,
-		GapMergePages:     2,
-		BuffersPerPair:    32,
-		Common:            engine.Common{Model: costmodel.Default()},
+		Pairs:   8,
+		NumSSDs: nssd,
+		Common:  engine.Common{Model: costmodel.Default()},
 	}
 }
 
@@ -104,9 +104,6 @@ func New(ctx exec.Context, cfg Config, prof ssd.Profile) *System {
 	if cfg.NumSSDs < 1 {
 		cfg.NumSSDs = 1
 	}
-	if cfg.BuffersPerPair < 2 {
-		cfg.BuffersPerPair = 2
-	}
 	return &System{
 		Ctx:        ctx,
 		Cfg:        cfg,
@@ -127,7 +124,7 @@ func (s *System) placementFor(g *engine.Graph) (*placement, error) {
 	if c.Adj == nil {
 		return nil, fmt.Errorf("graphene: graph %q has no in-memory adjacency to place (load it with ReadAdj)", g.Name)
 	}
-	numParts := int64(s.Cfg.Pairs * s.Cfg.PartitionsPerPair)
+	numParts := int64(s.Cfg.Pairs * partitionsPerPair)
 	pagesPerPart := (c.NumPages() + numParts - 1) / numParts
 	if pagesPerPart < 1 {
 		pagesPerPart = 1
@@ -208,9 +205,9 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 	for pr := 0; pr < cfg.Pairs; pr++ {
 		pair := pr
 		// Per-pair buffer queues: the strict 1 IO : 1 compute coupling.
-		free, filled := pipeline.NewQueues(ctx, cfg.BuffersPerPair)
+		free, filled := pipeline.NewQueues(ctx, buffersPerPair)
 		frees[pr] = free
-		pipeline.Stock(p, free, cfg.BuffersPerPair, cfg.MaxIOPages*ssd.PageSize)
+		pipeline.Stock(p, free, buffersPerPair, maxIOPages*ssd.PageSize)
 		r := &pipeline.Reader{
 			Name:   fmt.Sprintf("gr-io%d", pair),
 			Device: pl.devs[pair%cfg.NumSSDs],
@@ -219,9 +216,9 @@ func (s *System) EdgeMap(p exec.Proc, g *engine.Graph, f *frontier.VertexSubset,
 			Free:   free,
 			Filled: filled,
 			Latch:  ab,
-			// Large IO: merge across gaps up to GapMergePages wide, capped
-			// at MaxIOPages, never across a partition boundary.
-			Merge:  pipeline.Merge{MaxPages: cfg.MaxIOPages, GapPages: cfg.GapMergePages, PartPages: pl.pagesPerPart},
+			// Large IO: merge across gaps up to gapMergePages wide, capped
+			// at maxIOPages, never across a partition boundary.
+			Merge:  pipeline.Merge{MaxPages: maxIOPages, GapPages: gapMergePages, PartPages: pl.pagesPerPart},
 			Model:  &m,
 			Source: g.Name,
 		}

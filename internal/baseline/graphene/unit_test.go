@@ -47,27 +47,23 @@ func TestPlacementPartitionsRoundRobin(t *testing.T) {
 }
 
 // TestGapMergingReadsExtraPages: with gaps within the threshold the IO
-// bytes exceed the strictly needed pages (amplification, §III-B).
+// bytes exceed the pages the frontier's edge ranges cover (amplification,
+// §III-B).
 func TestGapMergingReadsExtraPages(t *testing.T) {
-	run := func(gap int) int64 {
-		ctx := exec.NewSim()
-		pr := gen.Preset{Kind: gen.KindRMAT, A: 0.57, B: 0.19, C: 0.19, Seed: 10, V: 8192, E: 200_000, Locality: 0.1}
-		out, _ := engine.BuildPreset(ctx, pr, 1, ssd.OptaneSSD, nil, nil)
-		stats := metricsStats(1)
-		cfg := DefaultConfig(1)
-		cfg.GapMergePages = gap
-		cfg.Stats = stats
-		s := New(ctx, cfg, ssd.OptaneSSD)
-		ctx.Run("main", func(p exec.Proc) {
-			// Sparse frontier -> gappy page lists.
-			f := sparseFrontier(out.CSR, 200)
-			s.EdgeMap(p, out, f, discardFuncs(), false)
-		})
-		return stats.TotalBytes()
-	}
-	exact, gappy := run(0), run(4)
-	if gappy <= exact {
-		t.Errorf("gap merging read %d bytes <= exact %d; no amplification", gappy, exact)
+	ctx := exec.NewSim()
+	pr := gen.Preset{Kind: gen.KindRMAT, A: 0.57, B: 0.19, C: 0.19, Seed: 10, V: 8192, E: 200_000, Locality: 0.1}
+	out, _ := engine.BuildPreset(ctx, pr, 1, ssd.OptaneSSD, nil, nil)
+	cfg := DefaultConfig(1)
+	cfg.Stats = metricsStats(1)
+	s := New(ctx, cfg, ssd.OptaneSSD)
+	// Sparse frontier -> gappy page lists.
+	f := sparseFrontier(out.CSR, 200)
+	ctx.Run("main", func(p exec.Proc) {
+		s.EdgeMap(p, out, f, discardFuncs(), false)
+	})
+	exact := frontier.PagesOf(f, out.CSR, 1).Pages() * ssd.PageSize
+	if gappy := cfg.Stats.TotalBytes(); gappy <= exact {
+		t.Errorf("gap merging read %d bytes <= the %d the frontier's pages hold; no amplification", gappy, exact)
 	}
 }
 

@@ -364,8 +364,9 @@ func TestMergeDropsCachedPages(t *testing.T) {
 		t.Errorf("cache holds %d pages after the merge, want the base's %d", cache.Len(), basePages)
 	}
 	id := cache.GraphID(first.Name)
+	buf := make([]byte, graph.PageSize)
 	for p := int64(0); p < first.CSR.NumPages(); p++ {
-		if cache.Resident(pagecache.Key{Graph: id, Logical: p}) {
+		if prefix, _ := cache.ProbeRun(id, p, 1, 1, buf); prefix == 1 {
 			t.Fatalf("page %d of merged-away segment %q still cached", p, first.Name)
 		}
 	}

@@ -109,7 +109,7 @@ func TestProbeRunTrimsDeviceReads(t *testing.T) {
 		if l%int64(conf.MaxMergePages) == 0 {
 			continue // run heads stay cold
 		}
-		if !warm.Get(pagecache.Key{Graph: warmID, Logical: l}, page) {
+		if prefix, _ := warm.ProbeRun(warmID, l, 1, 1, page); prefix != 1 {
 			t.Fatalf("page %d missing from covering cache after cold pass", l)
 		}
 		tails.Put(pagecache.Key{Graph: tailsID, Logical: l}, page)

@@ -105,9 +105,6 @@ func svcNs(pr ssd.Profile, bytes int64) int64 {
 	return int64(float64(bytes) * 1e9 / pr.SeqBytesPerSec)
 }
 
-// Device returns the wrapped device.
-func (s *Scheduler) Device() *ssd.Device { return s.dev }
-
 // Register adds query q to the active set; stats (which may be nil)
 // receives the query's attributed device-read and coalescing counters.
 // Registering an existing id resets its state.

@@ -70,6 +70,26 @@ func TestCoalesceAttach(t *testing.T) {
 	}
 }
 
+// TestPartialOverlapNotAttached: a request that overlaps a pending read
+// but starts before it or runs past it is a device read of its own: the
+// flight does not hold all its pages.
+func TestPartialOverlapNotAttached(t *testing.T) {
+	ctx := exec.NewSim()
+	dev, stats := memDevice(ctx, 64)
+	s := New(dev, Config{})
+	ctx.Run("main", func(p exec.Proc) {
+		buf := make([]byte, 4*ssd.PageSize)
+		for q, start := range []int64{8, 6, 10} {
+			if _, err := s.ScheduleRead(p, int32(q), start, 4, buf); err != nil {
+				t.Errorf("read of [%d, %d): %v", start, start+4, err)
+			}
+		}
+	})
+	if got := stats.Requests(); got != 3 {
+		t.Errorf("device requests = %d, want 3: neither [6, 10) nor [10, 14) lies inside the pending [8, 12)", got)
+	}
+}
+
 // TestNoCoalesceKnob: with coalescing disabled the same pair costs two
 // device reads.
 func TestNoCoalesceKnob(t *testing.T) {
@@ -148,13 +168,15 @@ func TestDRRDelaysLeader(t *testing.T) {
 	}
 }
 
-// TestTableLookup: Table routes by device identity across arrays and
-// registers queries on every scheduler.
+// TestTableLookup: Table routes by device identity across arrays — a read
+// through the scheduler For(dev) returns reads dev and no other device —
+// and registers queries on every scheduler.
 func TestTableLookup(t *testing.T) {
 	ctx := exec.NewSim()
 	data := make([]byte, 16*ssd.PageSize)
-	arrA := ssd.NewMemArray(ctx, 0, 2, ssd.OptaneSSD, data, nil, nil)
-	arrB := ssd.NewMemArray(ctx, 0, 2, ssd.OptaneSSD, data, nil, nil)
+	statsA, statsB := metrics.NewIOStats(2), metrics.NewIOStats(2)
+	arrA := ssd.NewMemArray(ctx, 0, 2, ssd.OptaneSSD, data, statsA, nil)
+	arrB := ssd.NewMemArray(ctx, 0, 2, ssd.OptaneSSD, data, statsB, nil)
 	tab := NewTable()
 	tab.AddArray(arrA, Config{})
 	tab.AddArray(arrB, Config{})
@@ -162,21 +184,38 @@ func TestTableLookup(t *testing.T) {
 		t.Fatalf("table has %d schedulers, want 4", len(tab.All()))
 	}
 	seen := map[*Scheduler]bool{}
-	for _, arr := range []*ssd.Array{arrA, arrB} {
-		for d := 0; d < arr.NumDevices(); d++ {
-			s := tab.For(arr.Device(d))
-			if s == nil {
-				t.Fatalf("no scheduler for array device %d", d)
+	ctx.Run("main", func(p exec.Proc) {
+		buf := make([]byte, ssd.PageSize)
+		for k, arr := range []*ssd.Array{arrA, arrB} {
+			for d := 0; d < arr.NumDevices(); d++ {
+				s := tab.For(arr.Device(d))
+				if s == nil {
+					t.Fatalf("no scheduler for array device %d", d)
+				}
+				if seen[s] {
+					t.Error("two devices share a scheduler")
+				}
+				seen[s] = true
+				before := [][]int64{statsA.DeviceBytes(), statsB.DeviceBytes()}
+				if _, err := s.ScheduleRead(p, 0, 0, 1, buf); err != nil {
+					t.Fatal(err)
+				}
+				after := [][]int64{statsA.DeviceBytes(), statsB.DeviceBytes()}
+				for j := range after {
+					for e := range after[j] {
+						want := before[j][e]
+						if j == k && e == d {
+							want += ssd.PageSize
+						}
+						if after[j][e] != want {
+							t.Errorf("a read through array %d device %d's scheduler moved array %d device %d by %d bytes",
+								k, d, j, e, after[j][e]-before[j][e])
+						}
+					}
+				}
 			}
-			if s.Device() != arr.Device(d) {
-				t.Error("scheduler wraps a different device")
-			}
-			if seen[s] {
-				t.Error("two devices share a scheduler")
-			}
-			seen[s] = true
 		}
-	}
+	})
 	// Re-adding is idempotent.
 	tab.AddArray(arrA, Config{})
 	if len(tab.All()) != 4 {

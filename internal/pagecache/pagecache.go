@@ -640,43 +640,10 @@ func (k Key) hash() uint64 {
 
 func (c *Cache) shardOf(k Key) *shard { return c.shards[k.hash()&c.mask] }
 
-// Get copies the cached page into out and reports a hit. It is
-// page-size-strict: out must hold at least graph.PageSize bytes or the
-// call is a miss (a shorter destination would silently keep a stale
-// tail).
-func (c *Cache) Get(key Key, out []byte) bool {
-	if !c.Enabled() || len(out) < graph.PageSize {
-		return false
-	}
-	s := c.shardOf(key)
-	if s.get(key, out) {
-		s.hits.Add(1)
-		return true
-	}
-	s.misses.Add(1)
-	return false
-}
-
-// Resident reports whether key is currently cached, without copying the
-// page, counting a hit or miss, or touching the eviction state (CLOCK
-// reference bits, LRU recency): a Get-shaped probe would both distort
-// the hit-rate accounting and promote pages the prober never reads.
-// Tests use it to check which frames a seal or merge left behind.
-func (c *Cache) Resident(key Key) bool {
-	if !c.Enabled() {
-		return false
-	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	_, ok := s.items[key]
-	s.mu.Unlock()
-	return ok
-}
-
 // Put inserts a copy of data, evicting per the shard policy as needed. It
 // is page-size-strict: data must be exactly graph.PageSize bytes, or the
 // put is rejected (and counted) — caching a short entry would leave a
-// later Get's destination with a stale tail.
+// later probe's destination with a stale tail.
 func (c *Cache) Put(key Key, data []byte) PutResult {
 	return c.PutOwned(key, data, NoOwner)
 }

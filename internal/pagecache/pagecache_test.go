@@ -16,15 +16,22 @@ func page(fill byte) []byte {
 	return b
 }
 
+// get probes the one page k through ProbeRun, the call every engine makes,
+// and reports a hit.
+func get(c *Cache, k Key, out []byte) bool {
+	prefix, _ := c.ProbeRun(k.Graph, k.Logical, 1, 1, out)
+	return prefix == 1
+}
+
 func TestGetPutRoundTrip(t *testing.T) {
 	c := New(4 * graph.PageSize)
 	g := c.GraphID("g")
 	out := make([]byte, graph.PageSize)
-	if c.Get(Key{g, 0}, out) {
+	if get(c, Key{g, 0}, out) {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put(Key{g, 0}, page(7))
-	if !c.Get(Key{g, 0}, out) || out[100] != 7 {
+	if !get(c, Key{g, 0}, out) || out[100] != 7 {
 		t.Fatal("miss or wrong data after Put")
 	}
 	if d := c.StatsDetail(); d.Hits != 1 || d.Misses != 1 {
@@ -41,15 +48,15 @@ func TestLRUEviction(t *testing.T) {
 	c.Put(Key{g, 1}, page(1))
 	c.Put(Key{g, 2}, page(2))
 	out := make([]byte, graph.PageSize)
-	c.Get(Key{g, 1}, out)     // touch 1; 2 becomes LRU
+	get(c, Key{g, 1}, out)    // touch 1; 2 becomes LRU
 	c.Put(Key{g, 3}, page(3)) // evicts 2
-	if !c.Get(Key{g, 1}, out) {
+	if !get(c, Key{g, 1}, out) {
 		t.Error("recently used page evicted")
 	}
-	if c.Get(Key{g, 2}, out) {
+	if get(c, Key{g, 2}, out) {
 		t.Error("LRU page not evicted")
 	}
-	if !c.Get(Key{g, 3}, out) {
+	if !get(c, Key{g, 3}, out) {
 		t.Error("new page missing")
 	}
 	if c.Len() != 2 {
@@ -73,7 +80,7 @@ func TestCLOCKSecondChance(t *testing.T) {
 		c.Put(Key{g, i}, page(byte(i)))
 	}
 	// Reference page 3: its bit is set, everything else is unreferenced.
-	if !c.Get(Key{g, 3}, out) {
+	if !get(c, Key{g, 3}, out) {
 		t.Fatal("resident page missing")
 	}
 	// Insert cap-1 new pages: each evicts an unreferenced victim; page 3's
@@ -82,7 +89,7 @@ func TestCLOCKSecondChance(t *testing.T) {
 	for i := int64(100); i < 100+cap-1; i++ {
 		c.Put(Key{g, i}, page(byte(i)))
 	}
-	if !c.Get(Key{g, 3}, out) {
+	if !get(c, Key{g, 3}, out) {
 		t.Error("referenced page evicted before every unreferenced page (no second chance)")
 	}
 	// One more insert: page 3's bit was cleared by the sweep, so it is now
@@ -105,7 +112,7 @@ func TestCLOCKEverybodyGetsOneChance(t *testing.T) {
 		c.Put(Key{g, i}, page(byte(i)))
 	}
 	for i := int64(0); i < cap; i++ {
-		c.Get(Key{g, i}, out)
+		get(c, Key{g, i}, out)
 	}
 	c.Put(Key{g, 50}, page(50))
 	if c.Len() != cap {
@@ -113,58 +120,12 @@ func TestCLOCKEverybodyGetsOneChance(t *testing.T) {
 	}
 	resident := 0
 	for i := int64(0); i < cap; i++ {
-		if c.Get(Key{g, i}, out) {
+		if get(c, Key{g, i}, out) {
 			resident++
 		}
 	}
 	if resident != cap-1 {
 		t.Errorf("%d of the original pages resident, want %d (exactly one evicted)", resident, cap-1)
-	}
-}
-
-// TestResidentSideEffectFree: Resident answers presence without any of
-// Get's side effects — no hit/miss accounting, no data copy, and no
-// CLOCK reference bit, so a heavily probed page is evicted exactly as if
-// it had never been probed. The async driver's wave ordering leans on
-// this: it probes every frontier page each wave, and a probe that set
-// reference bits would pin the whole frontier in cache.
-func TestResidentSideEffectFree(t *testing.T) {
-	const cap = 4
-	c := NewWithPolicy(cap*graph.PageSize, PolicyCLOCK)
-	g := c.GraphID("g")
-	if c.Resident(Key{g, 0}) {
-		t.Fatal("Resident true on empty cache")
-	}
-	for i := int64(0); i < cap; i++ {
-		c.Put(Key{g, i}, page(byte(i)))
-	}
-	for i := int64(0); i < cap; i++ {
-		if !c.Resident(Key{g, i}) {
-			t.Fatalf("page %d just inserted but not Resident", i)
-		}
-	}
-	if c.Resident(Key{g, 99}) {
-		t.Error("Resident true for a page never inserted")
-	}
-	if d := c.StatsDetail(); d.Hits != 0 || d.Misses != 0 {
-		t.Errorf("Resident probes moved the hit/miss counters to (%d,%d), want (0,0)", d.Hits, d.Misses)
-	}
-	// Probe page 0 hard, then insert a new page: an unreferenced victim
-	// is evicted, and the probes must not have counted as references —
-	// page 0 (the first CLOCK hand candidate) goes, probes or not.
-	for i := 0; i < 100; i++ {
-		c.Resident(Key{g, 0})
-	}
-	c.Put(Key{g, 50}, page(50))
-	if c.Resident(Key{g, 0}) {
-		t.Error("probed page survived the sweep: Resident set a reference bit")
-	}
-	if c.Len() != cap {
-		t.Errorf("Len = %d, want %d", c.Len(), cap)
-	}
-	var disabled *Cache
-	if disabled.Resident(Key{g, 0}) {
-		t.Error("nil cache reports a resident page")
 	}
 }
 
@@ -181,7 +142,7 @@ func TestGhostListScanResistance(t *testing.T) {
 	for i := int64(10); i < 10+cap; i++ {
 		c.Put(Key{g, i}, page(byte(i)))
 	}
-	if c.Get(Key{g, 0}, out) {
+	if get(c, Key{g, 0}, out) {
 		t.Fatal("page 0 should have been scanned out")
 	}
 	// Page 0 returns while on the ghost list: readmitted referenced.
@@ -194,7 +155,7 @@ func TestGhostListScanResistance(t *testing.T) {
 	for i := int64(30); i < 30+cap-1; i++ {
 		c.Put(Key{g, i}, page(byte(i)))
 	}
-	if !c.Get(Key{g, 0}, out) {
+	if !get(c, Key{g, 0}, out) {
 		t.Error("ghost-readmitted page displaced by a scan (no scan resistance)")
 	}
 }
@@ -219,7 +180,7 @@ func TestGraphReloadReusesEntries(t *testing.T) {
 	}
 	out := make([]byte, graph.PageSize)
 	for i := int64(0); i < 8; i++ {
-		if !c.Get(Key{id2, i}, out) || out[0] != byte(i) {
+		if !get(c, Key{id2, i}, out) || out[0] != byte(i) {
 			t.Fatalf("reloaded graph missed page %d", i)
 		}
 		c.Put(Key{id2, i}, page(byte(i)))
@@ -239,10 +200,10 @@ func TestDropGraph(t *testing.T) {
 	c.DropGraph("a")
 	out := make([]byte, graph.PageSize)
 	for i := int64(0); i < 4; i++ {
-		if c.Get(Key{a, i}, out) {
+		if get(c, Key{a, i}, out) {
 			t.Errorf("dropped graph page %d still resident", i)
 		}
-		if !c.Get(Key{b, i}, out) || out[0] != 2 {
+		if !get(c, Key{b, i}, out) || out[0] != 2 {
 			t.Errorf("survivor graph lost page %d", i)
 		}
 	}
@@ -263,11 +224,11 @@ func TestGraphsDoNotCollide(t *testing.T) {
 	c.Put(Key{g1, 5}, page(1))
 	c.Put(Key{g2, 5}, page(2))
 	out := make([]byte, graph.PageSize)
-	c.Get(Key{g1, 5}, out)
+	get(c, Key{g1, 5}, out)
 	if out[0] != 1 {
 		t.Error("graph 1 page corrupted by graph 2")
 	}
-	c.Get(Key{g2, 5}, out)
+	get(c, Key{g2, 5}, out)
 	if out[0] != 2 {
 		t.Error("graph 2 page wrong")
 	}
@@ -279,7 +240,7 @@ func TestDisabledCache(t *testing.T) {
 			t.Error("cache should be disabled")
 		}
 		c.Put(Key{0, 0}, page(1)) // must not panic
-		if c.Get(Key{0, 0}, page(0)) {
+		if get(c, Key{0, 0}, page(0)) {
 			t.Error("disabled cache hit")
 		}
 		if p, s := c.ProbeRun(0, 0, 1, 4, make([]byte, 4*graph.PageSize)); p != 0 || s != 0 {
@@ -297,7 +258,7 @@ func TestPutUpdatesInPlace(t *testing.T) {
 	c.Put(Key{g, 1}, page(1))
 	c.Put(Key{g, 1}, page(9))
 	out := make([]byte, graph.PageSize)
-	c.Get(Key{g, 1}, out)
+	get(c, Key{g, 1}, out)
 	if out[0] != 9 {
 		t.Error("re-Put did not update data")
 	}
@@ -307,8 +268,8 @@ func TestPutUpdatesInPlace(t *testing.T) {
 }
 
 // TestPageSizeStrict: short or long Puts are rejected (a short cached
-// entry would leave a later Get's destination with a stale tail), and a
-// Get into a short destination is a miss, not a partial copy.
+// entry would leave a later probe's destination with a stale tail), and a
+// probe into a short destination is a miss, not a partial copy.
 func TestPageSizeStrict(t *testing.T) {
 	c := New(4 * graph.PageSize)
 	g := c.GraphID("g")
@@ -327,11 +288,11 @@ func TestPageSizeStrict(t *testing.T) {
 	c.Put(Key{g, 3}, page(7))
 	short := make([]byte, graph.PageSize-1)
 	short[0] = 99
-	if c.Get(Key{g, 3}, short) {
-		t.Error("Get into a short destination reported a hit")
+	if get(c, Key{g, 3}, short) {
+		t.Error("a probe into a short destination reported a hit")
 	}
 	if short[0] != 99 {
-		t.Error("Get into a short destination wrote data")
+		t.Error("a probe into a short destination wrote data")
 	}
 }
 
@@ -448,7 +409,7 @@ func TestShardCount(t *testing.T) {
 	}
 }
 
-// TestConcurrentStress hammers Get/Put/ProbeRun/evict across shards and
+// TestConcurrentStress hammers ProbeRun/Put/evict across shards and
 // graphs from many goroutines; run under -race it is the concurrency
 // regression test for the sharded design. Capacity is far below the key
 // range so eviction runs continuously.
@@ -474,7 +435,7 @@ func TestConcurrentStress(t *testing.T) {
 						switch i % 3 {
 						case 0:
 							k := Key{g, logical}
-							if !c.Get(k, out) {
+							if !get(c, k, out) {
 								c.Put(k, page(byte(logical)))
 							}
 						case 1:
@@ -499,7 +460,7 @@ func TestConcurrentStress(t *testing.T) {
 			out := make([]byte, graph.PageSize)
 			for _, g := range ids {
 				for logical := int64(0); logical < 1024; logical++ {
-					if c.Get(Key{g, logical}, out) && out[0] != byte(logical) {
+					if get(c, Key{g, logical}, out) && out[0] != byte(logical) {
 						t.Fatalf("resident page (%d,%d) holds %d, want %d",
 							g, logical, out[0], byte(logical))
 					}
@@ -522,7 +483,7 @@ func TestConcurrentAccess(t *testing.T) {
 			out := make([]byte, graph.PageSize)
 			for i := 0; i < 500; i++ {
 				k := Key{g, int64((id*31 + i) % 100)}
-				if !c.Get(k, out) {
+				if !get(c, k, out) {
 					c.Put(k, page(byte(k.Logical)))
 				}
 			}
@@ -534,9 +495,9 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// BenchmarkGetHit measures the sharded hit path (copy + touch under one
-// shard mutex).
-func BenchmarkGetHit(b *testing.B) {
+// BenchmarkProbeHit measures the sharded one-page hit path (copy + touch
+// under one shard mutex).
+func BenchmarkProbeHit(b *testing.B) {
 	c := New(1024 * graph.PageSize)
 	g := c.GraphID("g")
 	for i := int64(0); i < 1024; i++ {
@@ -546,13 +507,13 @@ func BenchmarkGetHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Get(Key{g, int64(i) % 1024}, out)
+		get(c, Key{g, int64(i) % 1024}, out)
 	}
 }
 
-// BenchmarkGetHitParallel measures shard-level contention relief: all
+// BenchmarkProbeHitParallel measures shard-level contention relief: all
 // procs hammer the cache at once.
-func BenchmarkGetHitParallel(b *testing.B) {
+func BenchmarkProbeHitParallel(b *testing.B) {
 	c := New(1024 * graph.PageSize)
 	g := c.GraphID("g")
 	for i := int64(0); i < 1024; i++ {
@@ -564,7 +525,7 @@ func BenchmarkGetHitParallel(b *testing.B) {
 		out := make([]byte, graph.PageSize)
 		var i int64
 		for pb.Next() {
-			c.Get(Key{g, i % 1024}, out)
+			get(c, Key{g, i % 1024}, out)
 			i++
 		}
 	})

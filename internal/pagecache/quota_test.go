@@ -23,13 +23,13 @@ func TestQuotaRejectsOverAdmission(t *testing.T) {
 	// may only recycle owner 1's own frames, never owner 2's.
 	res := c.PutOwned(Key{g, 14}, page(5), 1)
 	out := make([]byte, graph.PageSize)
-	if !c.Get(Key{g, 10}, out) || !c.Get(Key{g, 11}, out) {
+	if !get(c, Key{g, 10}, out) || !get(c, Key{g, 11}, out) {
 		t.Fatal("owner 1 over quota displaced owner 2's frames")
 	}
 	if res&PutQuotaRejected != 0 {
 		// Rejected outright is also legal when no own frame was
 		// recyclable; then the new page must be absent.
-		if c.Get(Key{g, 14}, out) {
+		if get(c, Key{g, 14}, out) {
 			t.Fatal("rejected put is resident")
 		}
 		if c.OwnerRejected(1) == 0 {
@@ -37,10 +37,10 @@ func TestQuotaRejectsOverAdmission(t *testing.T) {
 		}
 	} else {
 		// Self-eviction: one of owner 1's earlier pages made room.
-		if !c.Get(Key{g, 14}, out) {
+		if !get(c, Key{g, 14}, out) {
 			t.Fatal("self-evicting put not resident")
 		}
-		if c.Get(Key{g, 12}, out) && c.Get(Key{g, 13}, out) {
+		if get(c, Key{g, 12}, out) && get(c, Key{g, 13}, out) {
 			t.Fatal("self-eviction kept all of owner 1's pages")
 		}
 	}
@@ -83,7 +83,7 @@ func TestQuotaGrowsWhenRaised(t *testing.T) {
 		t.Fatal("put rejected after raising quota")
 	}
 	out := make([]byte, graph.PageSize)
-	if !c.Get(Key{g, 4}, out) {
+	if !get(c, Key{g, 4}, out) {
 		t.Fatal("admitted page not resident")
 	}
 }

@@ -217,10 +217,3 @@ func (r *Ring[T]) Len() int {
 	defer r.mu.Unlock()
 	return r.size
 }
-
-// Closed reports whether Close has been called.
-func (r *Ring[T]) Closed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}

@@ -56,8 +56,8 @@ func TestRingCloseSemantics(t *testing.T) {
 		t.Error("Pop returned ok on closed drained ring")
 	}
 	r.Close() // idempotent
-	if !r.Closed() {
-		t.Error("Closed() = false after Close")
+	if r.Push("c") {
+		t.Error("Push succeeded after a second Close")
 	}
 }
 

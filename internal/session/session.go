@@ -277,13 +277,6 @@ func (s *Session) Finish(q *Query) {
 	s.rebalanceQuotas()
 }
 
-// Queries returns the live (not yet Finished) queries, in creation order.
-func (s *Session) Queries() []*Query {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Query(nil), s.queries...)
-}
-
 // Body is one query's work: it runs on its own proc against the query's
 // engine.
 type Body func(p exec.Proc, q *Query) error

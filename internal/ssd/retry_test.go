@@ -89,6 +89,49 @@ func TestDeviceTransientBudgetExhausted(t *testing.T) {
 	}
 }
 
+// onceFaultyBacking fails each page's first read with a transient error,
+// then serves it. Safe for concurrent procs.
+type onceFaultyBacking struct {
+	mu     sync.Mutex
+	failed map[int64]bool
+	reads  int
+}
+
+func (b *onceFaultyBacking) ReadLocalPage(local int64, buf []byte) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.reads++
+	if !b.failed[local] {
+		b.failed[local] = true
+		return &injectedErr{transient: true}
+	}
+	return nil
+}
+
+func (b *onceFaultyBacking) LocalPages() int64 { return 64 }
+
+// TestDeviceRetriesEachPageOfARun: a multi-page read resumes at the page
+// that failed, and the retry budget is per page, so a run whose every page
+// fails once is read with one retry each, and no page is read after it was
+// served.
+func TestDeviceRetriesEachPageOfARun(t *testing.T) {
+	s := exec.NewSim()
+	stats := metrics.NewIOStats(1)
+	b := &onceFaultyBacking{failed: map[int64]bool{}}
+	s.Run("main", func(p exec.Proc) {
+		d := DeviceOptions{Retry: &RetryPolicy{MaxRetries: 1, BackoffNs: 100}}.Build(s, 0, OptaneSSD, b, stats, nil)
+		if err := d.ReadPages(p, 0, 4, make([]byte, 4*PageSize)); err != nil {
+			t.Fatalf("a run of once-faulty pages failed: %v", err)
+		}
+	})
+	if got := stats.Retries(); got != 4 {
+		t.Errorf("Retries = %d, want 4 (one a page)", got)
+	}
+	if b.reads != 8 {
+		t.Errorf("backing saw %d reads, want 8 (two a page)", b.reads)
+	}
+}
+
 // TestDevicePermanentNoRetry: non-transient errors are never retried.
 func TestDevicePermanentNoRetry(t *testing.T) {
 	s := exec.NewSim()

@@ -57,8 +57,9 @@ type LatencyInjector interface {
 // under the real one — and doubles per retry. With no faults injected the
 // retry path never executes, so figures are unchanged.
 type RetryPolicy struct {
-	// MaxRetries is the number of re-attempts after the first failed read;
-	// a transient error that persists past the budget becomes permanent.
+	// MaxRetries is the number of re-attempts of one page after its first
+	// failed read; a transient error that persists past the budget becomes
+	// permanent.
 	MaxRetries int
 	// BackoffNs is the device busy time charged before the first retry;
 	// each subsequent retry doubles it.
@@ -178,13 +179,13 @@ func (d *Device) transferNs(start int64, n int) int64 {
 }
 
 // copyPages moves the data; it is identical under both clocks.
-func (d *Device) copyPages(start int64, n int, buf []byte) error {
+func (d *Device) copyPages(start int64, n int, buf []byte) (int, error) {
 	for i := 0; i < n; i++ {
 		if err := d.backing.ReadLocalPage(start+int64(i), buf[i*PageSize:(i+1)*PageSize]); err != nil {
-			return fmt.Errorf("ssd%d: page %d: %w", d.ID, start+int64(i), err)
+			return i, fmt.Errorf("ssd%d: page %d: %w", d.ID, start+int64(i), err)
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // account records the completed request in stats and timeline.
@@ -198,17 +199,23 @@ func (d *Device) account(at int64, n int) {
 	}
 }
 
-// copyPagesRetry is copyPages under the device's retry policy: transient
-// errors are retried with exponential backoff charged as device busy time,
-// so the stall is visible under both clocks; permanent errors (and
-// transient ones that exhaust the budget) are recorded in stats and
-// surfaced to the caller.
+// copyPagesRetry is copyPages under the device's retry policy: a transient
+// error is retried from the page that failed, with exponential backoff
+// charged as device busy time, so the stall is visible under both clocks.
+// The budget and the backoff start afresh at each page: a run of several
+// faulty pages is read as long as no one page fails more than MaxRetries
+// times in a row. Permanent errors (and transient ones that exhaust the
+// budget) are recorded in stats and surfaced to the caller.
 func (d *Device) copyPagesRetry(p exec.Proc, start int64, n int, buf []byte) error {
 	backoff := d.retry.BackoffNs
-	for attempt := 0; ; attempt++ {
-		err := d.copyPages(start, n, buf)
+	for attempt, done := 0, 0; ; attempt++ {
+		k, err := d.copyPages(start+int64(done), n-done, buf[done*PageSize:])
 		if err == nil {
 			return nil
+		}
+		if k > 0 {
+			done += k
+			attempt, backoff = 0, d.retry.BackoffNs
 		}
 		if !IsTransient(err) || attempt >= d.retry.MaxRetries {
 			if d.stats != nil {

@@ -38,8 +38,12 @@ type System struct {
 }
 
 // New returns the variant configured like a Blaze instance: all compute
-// workers become combined scatter+apply procs.
+// workers become combined scatter+apply procs. A config without a pool gets
+// one of its own, as algo.NewBlaze gives it, so calls share it.
 func New(ctx exec.Context, cfg engine.Config) *System {
+	if cfg.Pool == nil {
+		cfg.Pool = engine.NewPool()
+	}
 	return &System{Ctx: ctx, Cfg: cfg, IterLog: algo.IterLog{Stats: cfg.Stats}}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"blaze/algo"
 	"blaze/gen"
+	"blaze/internal/alloctest"
 	"blaze/internal/engine"
 	"blaze/internal/exec"
 	"blaze/internal/fault"
@@ -111,5 +112,35 @@ func TestSyncPermanentFaultReturnsError(t *testing.T) {
 	})
 	if stats.ReadErrors() == 0 {
 		t.Error("unrecoverable errors not recorded in IOStats")
+	}
+}
+
+// TestVertexMapAllocatesNoPool: a VertexMap on the variant built without a
+// pool, as the registry builds it, allocates no more than the same call on
+// one built with a pool: New gives the config a pool, so no call makes an
+// empty one of its own.
+func TestVertexMapAllocatesNoPool(t *testing.T) {
+	ctx := exec.NewSim()
+	f := frontier.NewVertexSubset(1024)
+	for v := uint32(0); v < 1024; v += 3 {
+		f.Add(v)
+	}
+	f.Seal()
+	even := func(v uint32) bool { return v%2 == 0 }
+	measure := func(cfg engine.Config) (n, b uint64) {
+		cfg.ScatterProcs, cfg.GatherProcs = 2, 2
+		sys := syncvar.New(ctx, cfg)
+		ctx.Run("main", func(p exec.Proc) {
+			n, b = alloctest.Min(5, func() { sys.VertexMap(p, f, even) })
+		})
+		return n, b
+	}
+	bare := engine.DefaultConfig(1 << 20)
+	pooled := bare
+	pooled.Pool = engine.NewPool()
+	bn, bb := measure(bare)
+	pn, pb := measure(pooled)
+	if bn > pn || bb > pb {
+		t.Errorf("VertexMap without a pool allocates %d objects, %d bytes; with one %d, %d", bn, bb, pn, pb)
 	}
 }

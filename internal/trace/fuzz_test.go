@@ -19,15 +19,15 @@ func (p *fakeProc) TraceRing() *Ring     { return p.ring }
 func (p *fakeProc) SetTraceRing(r *Ring) { p.ring = r }
 
 // FuzzTraceRing drives concurrent span emission (one writer goroutine per
-// ring) against a concurrent chunk drainer and checks the ring invariants:
-// no event is lost or duplicated, per-proc timestamps stay in emission
-// order, and none of it races (the CI leg runs this under -race).
+// ring) and checks the trace Collect returns once the writers have finished:
+// every ring's events come back once each, in emission order, across chunk
+// boundaries, and none of it races (the CI leg runs this under -race).
 func FuzzTraceRing(f *testing.F) {
-	f.Add(uint8(3), uint16(5000), false)
-	f.Add(uint8(1), uint16(4096), true) // exactly one chunk
-	f.Add(uint8(8), uint16(9000), true)
-	f.Add(uint8(2), uint16(1), false)
-	f.Fuzz(func(t *testing.T, procs uint8, perProc uint16, concurrentDrain bool) {
+	f.Add(uint8(3), uint16(5000))
+	f.Add(uint8(1), uint16(4096)) // exactly one chunk
+	f.Add(uint8(8), uint16(9000))
+	f.Add(uint8(2), uint16(1))
+	f.Fuzz(func(t *testing.T, procs uint8, perProc uint16) {
 		np := int(procs)%8 + 1
 		n := int(perProc)%(3*chunkCap) + 1
 		tr := New(Config{})
@@ -41,34 +41,8 @@ func FuzzTraceRing(f *testing.F) {
 			}
 		}
 
-		// drained[i] accumulates ring i's chunks in hand-off order; only the
-		// collector goroutine (then the final drain, after it stopped)
-		// appends, so the slices need no lock.
-		drained := make([][]Event, np)
-		stop := make(chan struct{})
-		var collector sync.WaitGroup
-		if concurrentDrain {
-			collector.Add(1)
-			go func() {
-				defer collector.Done()
-				for {
-					for i, r := range rings {
-						for _, c := range r.Drain() {
-							drained[i] = append(drained[i], c...)
-						}
-					}
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-			}()
-		}
-
 		var writers sync.WaitGroup
 		for i := 0; i < np; i++ {
-			i := i
 			writers.Add(1)
 			go func() {
 				defer writers.Done()
@@ -77,28 +51,25 @@ func FuzzTraceRing(f *testing.F) {
 					now += int64(j%7) + 1
 					rings[i].Span(OpSinkBuf, int32(i), now-1, now, int64(j))
 				}
-				rings[i].Seal()
 			}()
 		}
 		writers.Wait()
-		close(stop)
-		collector.Wait()
-		for i, r := range rings {
-			for _, c := range r.Drain() {
-				drained[i] = append(drained[i], c...)
-			}
-		}
 
-		for i := range rings {
-			if kept := len(drained[i]); kept != n {
+		got := tr.Collect()
+		if len(got.Procs) != np {
+			t.Fatalf("collected %d rings, want %d", len(got.Procs), np)
+		}
+		for i, pt := range got.Procs {
+			if pt.ID != i || pt.Dev != int32(i) {
+				t.Fatalf("ring %d collected as ID %d, dev %d", i, pt.ID, pt.Dev)
+			}
+			if kept := len(pt.Events); kept != n {
 				t.Fatalf("ring %d: kept %d of %d events", i, kept, n)
 			}
-			last := int64(-1)
-			for k, e := range drained[i] {
-				if e.Start < last {
-					t.Fatalf("ring %d: event %d start %d < previous %d", i, k, e.Start, last)
+			for k, e := range pt.Events {
+				if e.Arg != int64(k) {
+					t.Fatalf("ring %d: event %d carries %d: lost, duplicated or reordered", i, k, e.Arg)
 				}
-				last = e.Start
 			}
 		}
 	})
@@ -131,9 +102,6 @@ func TestTraceRingDisabled(t *testing.T) {
 	}
 
 	var nilTracer *Tracer
-	if nilTracer.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	nilTracer.SetEnabled(true) // must not panic
 	if got := nilTracer.Collect().Events(); got != 0 {
 		t.Fatalf("nil tracer collected %d events", got)
@@ -166,9 +134,6 @@ func TestTraceSummarize(t *testing.T) {
 	}
 	if phases+s.OtherNs != s.MakespanNs {
 		t.Fatalf("phases %d + other %d != makespan %d", phases, s.OtherNs, s.MakespanNs)
-	}
-	if cov := s.PhaseCoverage(); cov < 0.99 {
-		t.Fatalf("phase coverage %.3f, want >= 0.99", cov)
 	}
 	var dev *DevIO
 	for i := range s.Devices {

@@ -227,21 +227,6 @@ func devIO(m map[int32]*DevIO, dev int32) *DevIO {
 	return d
 }
 
-// PhaseCoverage returns the fraction of the makespan covered by phase
-// spans plus the explicit "other" remainder — 1.0 by construction, the
-// invariant the acceptance check asserts (phase totals + other == makespan
-// to within rounding).
-func (s *Summary) PhaseCoverage() float64 {
-	if s.MakespanNs == 0 {
-		return 1
-	}
-	var total int64
-	for _, p := range s.Phases {
-		total += p.NS
-	}
-	return float64(total+s.OtherNs) / float64(s.MakespanNs)
-}
-
 // ms renders nanoseconds as milliseconds.
 func ms(ns int64) string { return fmt.Sprintf("%.3fms", float64(ns)/1e6) }
 

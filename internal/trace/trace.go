@@ -15,11 +15,12 @@
 //     (SetEnabled(false)) every emission is one atomic load. The CI gate on
 //     BenchmarkStagerEmit holds the disabled path to within 5% of the
 //     untraced path.
-//   - No locks on the hot path. A ring has exactly one writer (its proc);
-//     events append to a writer-owned chunk, and only the chunk hand-off —
-//     once every chunkCap events — takes the ring mutex. Collection drains
-//     completed chunks under that mutex, so concurrent emission and
-//     collection lose no events and share no unsynchronized state.
+//   - No locks on the hot path. A ring has exactly one writer (its proc)
+//     and belongs to it until Collect, which runs after the execution
+//     context's Run has returned, when every proc has finished: events
+//     append to a writer-owned chunk, a full chunk joins the ring's list of
+//     completed chunks once every chunkCap events, and nothing else
+//     touches the ring while the run lasts.
 //   - Deterministic under virtual time. Timestamps come from exec.Proc
 //     clocks, emission performs no exec primitive operations (no queue ops,
 //     no Sync, no Advance), and ring registration follows proc start order,
@@ -215,14 +216,14 @@ type Event struct {
 // End returns the span's end timestamp.
 func (e Event) End() int64 { return e.Start + e.Dur }
 
-// chunkCap is the ring chunk size in events: large enough that the chunk
-// hand-off mutex is amortized to noise (one acquisition per 4096 events),
-// small enough that a drain-while-running collector sees fresh data.
+// chunkCap is the ring chunk size in events: a full chunk is kept as it is
+// and a new one started, so a traced proc allocates once every 4096
+// events rather than copying a growing slice.
 const chunkCap = 4096
 
-// Ring is one proc's private event buffer: a writer-owned active chunk plus
-// a mutex-guarded list of completed chunks. Exactly one goroutine may emit
-// into a Ring; any goroutine may Drain completed chunks concurrently.
+// Ring is one proc's private event buffer: the chunk being written plus the
+// completed ones. Exactly one goroutine emits into a Ring, and Collect reads
+// it after that goroutine has finished.
 type Ring struct {
 	t     *Tracer
 	id    int
@@ -231,16 +232,12 @@ type Ring struct {
 	dev   int32
 	query int32 // owning query id in session mode; -1 when single-query
 
-	// active is writer-owned; no other goroutine touches it until Seal.
 	active []Event
-
-	mu     sync.Mutex
 	done   [][]Event
-	sealed bool
 }
 
-// emit appends one event, handing the chunk off when full. Nil rings and
-// disabled tracers make this a no-op.
+// emit appends one event, starting a new chunk when the active one is
+// full. Nil rings and disabled tracers make this a no-op.
 func (r *Ring) emit(e Event) {
 	if r == nil || !r.t.enabled.Load() {
 		return
@@ -250,9 +247,7 @@ func (r *Ring) emit(e Event) {
 	}
 	r.active = append(r.active, e)
 	if len(r.active) == chunkCap {
-		r.mu.Lock()
 		r.done = append(r.done, r.active)
-		r.mu.Unlock()
 		r.active = nil
 	}
 }
@@ -277,34 +272,6 @@ func (r *Ring) Counter(op Op, dev int32, now, val int64) {
 // of them.
 func (r *Ring) Active() bool {
 	return r != nil && r.t.enabled.Load()
-}
-
-// Seal publishes the writer's active chunk to the collector. The ring's
-// proc must call it (or Tracer.Collect must run after the proc finished;
-// Collect seals quiescent rings itself).
-func (r *Ring) Seal() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if len(r.active) > 0 {
-		r.done = append(r.done, r.active)
-		r.active = nil
-	}
-	r.sealed = true
-	r.mu.Unlock()
-}
-
-// Drain removes and returns the completed chunks accumulated so far. It is
-// safe to call concurrently with the writer; the writer's active chunk is
-// not visible until it fills or the ring is sealed, so Drain never reads
-// unsynchronized data.
-func (r *Ring) Drain() [][]Event {
-	r.mu.Lock()
-	chunks := r.done
-	r.done = nil
-	r.mu.Unlock()
-	return chunks
 }
 
 // RingOf returns p's attached ring (nil-safe); the one-liner every
@@ -344,10 +311,6 @@ func (t *Tracer) SetEnabled(on bool) {
 		t.enabled.Store(on)
 	}
 }
-
-// Enabled reports whether the tracer records events; nil tracers report
-// false.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
 // Attach gives p a ring registered under the given stage and lane and
 // returns it. It is idempotent: a proc that already carries a ring keeps
@@ -393,10 +356,9 @@ type Trace struct {
 	Procs []ProcTrace
 }
 
-// Collect seals every ring and returns the full trace in registration
-// order. Call it after the execution context's Run returned (all procs
-// finished); for a concurrent snapshot of a live run use Ring.Drain
-// per ring instead.
+// Collect returns the full trace in registration order. Call it after the
+// execution context's Run returned, when every proc has finished and no
+// ring has a writer left.
 func (t *Tracer) Collect() *Trace {
 	if t == nil {
 		return &Trace{}
@@ -407,13 +369,11 @@ func (t *Tracer) Collect() *Trace {
 	t.mu.Unlock()
 	tr := &Trace{Procs: make([]ProcTrace, 0, len(rings))}
 	for _, r := range rings {
-		r.Seal()
 		var events []Event
-		r.mu.Lock()
 		for _, c := range r.done {
 			events = append(events, c...)
 		}
-		r.mu.Unlock()
+		events = append(events, r.active...)
 		tr.Procs = append(tr.Procs, ProcTrace{
 			ID: r.id, Name: r.name, Stage: r.stage, Dev: r.dev, Query: r.query,
 			Events: events,
