@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,42 +150,6 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestExtExperimentsDeterministic: every extension suite is a pure function
-// of the sim, so running its experiment twice saves byte-identical CSVs —
-// the property that lets CI regenerate results/ext_*.csv and cmp them
-// against the committed files.
-func TestExtExperimentsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("every extension suite twice; skipped in -short mode")
-	}
-	for _, id := range []string{"ext_pagecache", "ext_multiquery", "ext_serving",
-		"ext_scaleout", "ext_ingest"} {
-		t.Run(id, func(t *testing.T) {
-			e, err := ExperimentByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var saved [2][]byte
-			for i := range saved {
-				tables := e.Run(2 * DefaultScale) // blaze-bench -scale 4096
-				if len(tables) != 1 || tables[0].ID != id || len(tables[0].Rows) == 0 {
-					t.Fatalf("%s should return its one non-empty table, got %+v", id, tables)
-				}
-				dir := t.TempDir()
-				if err := tables[0].SaveCSV(dir); err != nil {
-					t.Fatal(err)
-				}
-				if saved[i], err = os.ReadFile(filepath.Join(dir, id+".csv")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !bytes.Equal(saved[0], saved[1]) {
-				t.Errorf("two runs saved different CSVs:\n%s\nvs\n%s", saved[0], saved[1])
-			}
-		})
-	}
-}
-
 // TestThreadScalingMonotone: more compute procs must never slow Blaze down
 // materially on a compute-heavy query (Fig. 9's premise).
 func TestThreadScalingMonotone(t *testing.T) {
@@ -196,10 +159,4 @@ func TestThreadScalingMonotone(t *testing.T) {
 	if float64(t16.ElapsedNs) > 0.8*float64(t2.ElapsedNs) {
 		t.Errorf("16 workers (%d ns) not clearly faster than 2 (%d ns)", t16.ElapsedNs, t2.ElapsedNs)
 	}
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	DropCache()
-	os.Exit(code)
 }

@@ -80,14 +80,6 @@ func MustLoad(short string, scale float64) *Dataset {
 	return d
 }
 
-// DropCache releases all cached datasets (tests and memory-constrained
-// sweeps).
-func DropCache() {
-	dsMu.Lock()
-	defer dsMu.Unlock()
-	dsCache = map[string]*Dataset{}
-}
-
 // DeviceOpts is applied to every device the harness builds. It is empty by
 // default — figure runs must stay byte-identical — and is populated by
 // blaze-bench's -fault*/-retry* flags for failure-injection drills.

@@ -37,12 +37,17 @@ func Experiments() []Experiment {
 		{"ablation", "Extension: ablations of merge cap, staging buffers, page cache", Ablation},
 		{"scaleout", "Extension: scale-out Blaze across machines (paper SVI sketch)", ScaleOut},
 		{"incore", "Extension: out-of-core Blaze vs Ligra-style in-core engine", InCore},
-		{"ext_pagecache", "Extension: page cache on repeat scans by budget", ExtPagecache},
-		{"ext_multiquery", "Extension: Q concurrent queries on one shared graph session", ExtMultiQuery},
-		{"ext_serving", "Extension: serving tail latency and goodput across an offered-load sweep", ExtServing},
-		{"ext_scaleout", "Extension: blaze-scaleout wire traffic and speedup at M=1/2/4", ExtScaleout},
-		{"ext_ingest", "Extension: incremental repair vs full recompute after an insertion batch", ExtIngest},
+		{"ext_pagecache", "Extension: page cache on repeat scans by budget", tabulate(PagecacheSnapshot, pagecacheTable)},
+		{"ext_multiquery", "Extension: Q concurrent queries on one shared graph session", tabulate(MultiQuerySnapshot, multiQueryTable)},
+		{"ext_serving", "Extension: serving tail latency and goodput across an offered-load sweep", tabulate(ServingSnapshot, servingTable)},
+		{"ext_scaleout", "Extension: blaze-scaleout wire traffic and speedup at M=1/2/4", tabulate(ScaleoutSnapshot, scaleoutTable)},
+		{"ext_ingest", "Extension: incremental repair vs full recompute after an insertion batch", tabulate(IngestSnapshot, ingestTable)},
 	}
+}
+
+// tabulate is an extension suite's runner: its measurement, then its table.
+func tabulate[E any](measure func(scale float64) E, table func(E) []Table) func(float64) []Table {
+	return func(scale float64) []Table { return table(measure(scale)) }
 }
 
 // ExperimentByID finds a runner.

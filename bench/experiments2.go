@@ -192,8 +192,8 @@ func Fig12(scale float64) []Table {
 			// space on the testbed) like the datasets, so the footprint
 			// ratio is comparable to the paper's.
 			r := Run(d, Opts{System: "blaze", Query: q, Options: registry.Options{
-				IOBufferBytes: maxI64(128<<10, int64(64<<20/sc)),
-				BinSpaceBytes: maxI64(64<<10, int64(256<<20/sc)),
+				IOBufferBytes: max(128<<10, int64(64<<20/sc)),
+				BinSpaceBytes: max(64<<10, int64(256<<20/sc)),
 			}})
 			total := r.Mem.Total()
 			row = append(row, 100*float64(total)/float64(d.CSR.TotalBytes()))
@@ -203,11 +203,4 @@ func Fig12(scale float64) []Table {
 	t.Notes = append(t.Notes,
 		"Expected shape: 10-34% depending on query; BFS smallest (one array), PR three float arrays, BC largest due to per-level frontiers (paper Fig. 12 / §V-F).")
 	return []Table{t}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

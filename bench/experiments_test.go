@@ -1,7 +1,13 @@
 package bench
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -64,17 +70,6 @@ func TestFig2Smoke(t *testing.T) {
 	for _, tb := range tables[1:] {
 		if len(tb.Rows) == 0 {
 			t.Errorf("%s: empty timeline", tb.ID)
-		}
-	}
-}
-
-func TestFig3Smoke(t *testing.T) {
-	tables := Fig3(smokeScale)
-	checkTable(t, tables[0], 5, 4)
-	// Every per-graph series must account all its iterations.
-	for _, tb := range tables[1:] {
-		if len(tb.Rows) == 0 {
-			t.Errorf("%s: no iterations", tb.ID)
 		}
 	}
 }
@@ -174,21 +169,6 @@ func TestTable2Smoke(t *testing.T) {
 	}
 }
 
-func TestAblationSmoke(t *testing.T) {
-	tables := Ablation(smokeScale)
-	if len(tables) != 3 {
-		t.Fatalf("ablation yielded %d tables, want 3", len(tables))
-	}
-	checkTable(t, tables[0], 2, 4)
-	checkTable(t, tables[1], 2, 4)
-	checkTable(t, tables[2], 4, 4)
-	// Staging ablation: unbatched must be clearly slower.
-	unbatched, batched := parse(t, tables[1].Rows[0][1]), parse(t, tables[1].Rows[0][2])
-	if unbatched < 1.5*batched {
-		t.Errorf("staging ablation: unbatched %g not clearly slower than batched %g", unbatched, batched)
-	}
-}
-
 func TestScaleOutSmoke(t *testing.T) {
 	tables := ScaleOut(smokeScale)
 	checkTable(t, tables[0], 4, 5)
@@ -196,5 +176,138 @@ func TestScaleOutSmoke(t *testing.T) {
 	one, eight := parse(t, tables[0].Rows[0][1]), parse(t, tables[0].Rows[0][4])
 	if eight >= one {
 		t.Errorf("scale-out spmv: 8 machines (%g ms) not faster than 1 (%g ms)", eight, one)
+	}
+}
+
+// memoAt holds measure(k) for each key, run once per test process on
+// first use: a gate measures only the points it reads, and the
+// committed-results comparison reads the same ones.
+func memoAt[K comparable, V any](keys []K, measure func(K) V) map[K]func() V {
+	m := make(map[K]func() V, len(keys))
+	for _, k := range keys {
+		m[k] = sync.OnceValue(func() V { return measure(k) })
+	}
+	return m
+}
+
+// measureAll returns memo's values for keys, in order, measuring the
+// missing ones concurrently: each is an independent Sim run.
+func measureAll[K comparable, V any](memo map[K]func() V, keys []K) []V {
+	vs := make([]V, len(keys))
+	var wg sync.WaitGroup
+	for i, k := range keys {
+		wg.Add(1)
+		go func() { defer wg.Done(); vs[i] = memo[k]() }()
+	}
+	wg.Wait()
+	return vs
+}
+
+// ablationDefault is the ablation suite at the default scale, run once for
+// the committed-results comparison and the staging check.
+var ablationDefault = sync.OnceValue(func() []Table { return Ablation(DefaultScale) })
+
+// TestCommittedResults is the figure harness's oracle: each experiment
+// below runs once at the default scale (an extension suite from the
+// entries its gates read) and every table it returns must save the bytes
+// of its committed results/<table>.csv, so a change that moves a model
+// clock fails here. fig3 runs Graphene's gap-and-partition merge rule
+// across 8 devices, and ablation_staging drives StageCap 1/8/64 through
+// the stager. CI's Figure identity step checks the slower figures (fig1,
+// fig8, fig10) the same way.
+func TestCommittedResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seven experiments at the default scale; skipped in -short mode")
+	}
+	for _, c := range []struct {
+		id     string
+		tables func() []Table
+	}{
+		{"fig3", func() []Table { return Fig3(DefaultScale) }},
+		{"ablation", ablationDefault},
+		{"ext_pagecache", func() []Table { return pagecacheTable(measureAll(pagecacheAt, pagecacheBudgets)) }},
+		{"ext_multiquery", func() []Table { return multiQueryTable(multiQueryDefault()) }},
+		{"ext_serving", func() []Table { return servingTable(slices.Concat(measureAll(servingAt, ServingLoadFactors)...)) }},
+		{"ext_scaleout", func() []Table { return scaleoutTable(scaleoutDefault()) }},
+		{"ext_ingest", func() []Table { return ingestTable(ingestDefault()) }},
+	} {
+		t.Run(c.id, func(t *testing.T) {
+			t.Parallel() // independent Sim runs over the mutex-guarded dataset cache
+			dir := t.TempDir()
+			for _, tb := range c.tables() {
+				if err := tb.SaveCSV(dir); err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(dir, tb.ID+".csv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				committed := filepath.Join("..", "results", tb.ID+".csv")
+				want, err := os.ReadFile(committed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(got, want) {
+					continue
+				}
+				g, w := strings.Split(string(got)+"\n", "\n"), strings.Split(string(want)+"\n", "\n")
+				i := 0
+				for i < len(g)-1 && i < len(w)-1 && g[i] == w[i] {
+					i++
+				}
+				t.Errorf("%s line %d:\n got  %q\n want %q\nif the change is meant, regenerate with: go run ./cmd/blaze-bench -exp %s",
+					committed, i+1, g[i], w[i], c.id)
+			}
+		})
+	}
+}
+
+// TestExtExperimentsDeterministic: every extension suite is a pure function
+// of the sim, so running its experiment twice in one process saves
+// byte-identical CSVs. TestCommittedResults runs each suite once per
+// process and cannot see state one run leaves for the next (pooled rounds,
+// the dataset cache); this runs each twice, at smokeScale to stay cheap.
+func TestExtExperimentsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every extension suite twice; skipped in -short mode")
+	}
+	for _, id := range []string{"ext_pagecache", "ext_multiquery", "ext_serving",
+		"ext_scaleout", "ext_ingest"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := ExperimentByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var saved [2][]byte
+			for i := range saved {
+				tables := e.Run(smokeScale)
+				if len(tables) != 1 || tables[0].ID != id || len(tables[0].Rows) == 0 {
+					t.Fatalf("%s should return its one non-empty table, got %+v", id, tables)
+				}
+				dir := t.TempDir()
+				if err := tables[0].SaveCSV(dir); err != nil {
+					t.Fatal(err)
+				}
+				if saved[i], err = os.ReadFile(filepath.Join(dir, id+".csv")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(saved[0], saved[1]) {
+				t.Errorf("two runs saved different CSVs:\n%s\nvs\n%s", saved[0], saved[1])
+			}
+		})
+	}
+}
+
+// TestAblationStagingBatches: the staging ablation's unbatched run must be
+// clearly slower than the paper's batched one.
+func TestAblationStagingBatches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the ablation suite at the default scale; skipped in -short mode")
+	}
+	for _, row := range ablationDefault()[1].Rows { // ablation_staging
+		if unbatched, batched := parse(t, row[1]), parse(t, row[2]); unbatched < 1.5*batched {
+			t.Errorf("staging ablation %s: unbatched %g not clearly slower than batched %g", row[0], unbatched, batched)
+		}
 	}
 }

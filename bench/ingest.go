@@ -177,15 +177,15 @@ func IngestSnapshot(scale float64) []IngestEntry {
 	return out
 }
 
-// ExtIngest tabulates IngestSnapshot.
-func ExtIngest(scale float64) []Table {
+// ingestTable tabulates IngestSnapshot.
+func ingestTable(entries []IngestEntry) []Table {
 	t := Table{
 		ID:    "ext_ingest",
 		Title: "Incremental repair vs full recompute after sealing a 1%-of-|E| insertion batch, and after 32 tiered seals (blaze, rmat27 preset)",
 		Header: []string{"query", "repair ms", "full recompute ms", "repair speedup",
 			"seals", "segments", "compacted recompute ms", "rewritten/sealed edges"},
 	}
-	for _, e := range IngestSnapshot(scale) {
+	for _, e := range entries {
 		compacted := any("-") // not taken: compacting would end the stream's segments
 		if e.CompactedNs != 0 {
 			compacted = float64(e.CompactedNs) / 1e6

@@ -7,7 +7,7 @@ import (
 )
 
 // ingestDefault is the suite at the default scale, run once for the gates
-// (and as one side of the determinism check).
+// and the committed-results comparison.
 var ingestDefault = sync.OnceValue(func() []IngestEntry { return IngestSnapshot(DefaultScale) })
 
 // ingestEntry extracts one query's measurements after the given number of
@@ -67,12 +67,12 @@ func TestIngestTieringGate(t *testing.T) {
 }
 
 // TestIngestSnapshotDeterministic: the suite is a pure function of the
-// sim, so two runs measure identically to the nanosecond.
+// sim, so two runs in one process measure identically to the nanosecond.
 func TestIngestSnapshotDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured runs; skipped in -short mode")
 	}
-	if a, b := ingestDefault(), IngestSnapshot(DefaultScale); !reflect.DeepEqual(a, b) {
+	if a, b := IngestSnapshot(smokeScale), IngestSnapshot(smokeScale); !reflect.DeepEqual(a, b) {
 		t.Errorf("same inputs, different measurements:\n%+v\nvs\n%+v", a, b)
 	}
 }

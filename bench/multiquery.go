@@ -106,20 +106,26 @@ func sessionBody(d *Dataset, out, in *engine.Graph, query string) session.Body {
 	}
 }
 
-// MultiQuerySnapshot sweeps Q over MultiQueryCounts for the session
-// engines' flagship workload (blaze bfs, plus blaze spmv as the
-// full-scan/maximal-coalescing case) and fills AggThroughputScale
-// relative to each sweep's Q=1 entry.
+// multiQueryWorkloads are the (engine, query) pairs the suite sweeps: the
+// session engines' flagship, plus spmv as the maximal-coalescing case.
+var multiQueryWorkloads = [][2]string{{"blaze", "bfs"}, {"blaze", "spmv"}}
+
+// MultiQuerySnapshot sweeps Q over MultiQueryCounts for each workload.
 func MultiQuerySnapshot(scale float64) []MultiQueryEntry {
 	d := MustLoad("r2", scale)
+	return multiQuerySweep(func(engine, query string, q int) MultiQueryEntry {
+		return MultiQueryRun(d, engine, query, q)
+	})
+}
+
+// multiQuerySweep collects run's measurement of every (workload, Q) point
+// and fills AggThroughputScale relative to each sweep's Q=1 entry.
+func multiQuerySweep(run func(engine, query string, q int) MultiQueryEntry) []MultiQueryEntry {
 	var entries []MultiQueryEntry
-	for _, w := range []struct{ engine, query string }{
-		{"blaze", "bfs"},
-		{"blaze", "spmv"},
-	} {
+	for _, w := range multiQueryWorkloads {
 		var base int64
 		for _, q := range MultiQueryCounts {
-			e := MultiQueryRun(d, w.engine, w.query, q)
+			e := run(w[0], w[1], q)
 			if q == 1 {
 				base = e.MakespanNs
 			}
@@ -132,15 +138,15 @@ func MultiQuerySnapshot(scale float64) []MultiQueryEntry {
 	return entries
 }
 
-// ExtMultiQuery tabulates MultiQuerySnapshot.
-func ExtMultiQuery(scale float64) []Table {
+// multiQueryTable tabulates MultiQuerySnapshot.
+func multiQueryTable(entries []MultiQueryEntry) []Table {
 	t := Table{
 		ID:    "ext_multiquery",
 		Title: "Concurrent graph session: Q identical queries on one warmed shared session (rmat27 preset)",
 		Header: []string{"engine", "query", "Q", "makespan ms", "read MB", "coalesced pages",
 			"aggregate throughput vs Q=1"},
 	}
-	for _, e := range MultiQuerySnapshot(scale) {
+	for _, e := range entries {
 		t.Add(e.Engine, e.Query, e.Q, float64(e.MakespanNs)/1e6, float64(e.ReadBytes)/1e6,
 			e.CoalescedPages, e.AggThroughputScale)
 	}

@@ -2,6 +2,34 @@ package bench
 
 import "testing"
 
+// multiQueryPoint is one (engine, query, Q) measurement of the suite.
+type multiQueryPoint struct {
+	engine, query string
+	q             int
+}
+
+// multiQueryPoints are the points of the suite.
+var multiQueryPoints = func() (ps []multiQueryPoint) {
+	for _, w := range multiQueryWorkloads {
+		for _, q := range MultiQueryCounts {
+			ps = append(ps, multiQueryPoint{w[0], w[1], q})
+		}
+	}
+	return ps
+}()
+
+// multiQueryAt holds each point of the suite at the default scale.
+var multiQueryAt = memoAt(multiQueryPoints, func(p multiQueryPoint) MultiQueryEntry {
+	return MultiQueryRun(MustLoad("r2", DefaultScale), p.engine, p.query, p.q)
+})
+
+// multiQueryDefault is MultiQuerySnapshot(DefaultScale) over multiQueryAt.
+func multiQueryDefault() []MultiQueryEntry {
+	return multiQuerySweep(func(engine, query string, q int) MultiQueryEntry {
+		return multiQueryAt[multiQueryPoint{engine, query, q}]()
+	})
+}
+
 // TestMultiQueryScalingFloor is the CI concurrent-session gate: on the
 // warmed repeat-BFS workload, four concurrent replicas sharing one session
 // must deliver at least 1.5x the aggregate throughput of running them one
@@ -9,9 +37,8 @@ import "testing"
 // paying for itself (coalescing broken, DRR over-throttling, or the quota
 // evicting the shared working set).
 func TestMultiQueryScalingFloor(t *testing.T) {
-	d := MustLoad("r2", DefaultScale)
-	base := MultiQueryRun(d, "blaze", "bfs", 1)
-	q4 := MultiQueryRun(d, "blaze", "bfs", 4)
+	base := multiQueryAt[multiQueryPoint{"blaze", "bfs", 1}]()
+	q4 := multiQueryAt[multiQueryPoint{"blaze", "bfs", 4}]()
 	if base.MakespanNs == 0 || q4.MakespanNs == 0 {
 		t.Fatalf("empty makespans: Q=1 %dns, Q=4 %dns", base.MakespanNs, q4.MakespanNs)
 	}
@@ -27,11 +54,10 @@ func TestMultiQueryScalingFloor(t *testing.T) {
 
 // TestMultiQueryCoalescingSavesReads: two concurrent BFS replicas against
 // one session must issue measurably fewer device reads than two serial
-// runs of the same query — the ISSUE's headline acceptance criterion.
+// runs of the same query — what sharing one session is for.
 func TestMultiQueryCoalescingSavesReads(t *testing.T) {
-	d := MustLoad("r2", DefaultScale)
-	q1 := MultiQueryRun(d, "blaze", "bfs", 1)
-	q2 := MultiQueryRun(d, "blaze", "bfs", 2)
+	q1 := multiQueryAt[multiQueryPoint{"blaze", "bfs", 1}]()
+	q2 := multiQueryAt[multiQueryPoint{"blaze", "bfs", 2}]()
 	if q1.ReadBytes == 0 {
 		t.Skip("warmed single BFS reads nothing from the device; coalescing unmeasurable")
 	}
@@ -41,19 +67,15 @@ func TestMultiQueryCoalescingSavesReads(t *testing.T) {
 	}
 }
 
-// TestMultiQuerySnapshotShape runs the real suite end to end at the
-// default scale and checks the invariants the CI gate relies on: every
-// (engine, query) sweep has a Q=1 anchor at scale 1.0, scale grows with Q
-// past the 1.5x floor at Q=4, and concurrency coalesces reads.
+// TestMultiQuerySnapshotShape checks the invariants the CI gate relies on
+// across the whole suite: every (engine, query) sweep has a Q=1 anchor at
+// scale 1.0, scale grows with Q past the 1.5x floor at Q=4, and
+// concurrency coalesces reads.
 func TestMultiQuerySnapshotShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eight measured runs; skipped in -short mode")
+		t.Skip("the suite's other five points; skipped in -short mode")
 	}
-	entries := MultiQuerySnapshot(DefaultScale)
-	if len(entries) != 2*len(MultiQueryCounts) {
-		t.Fatalf("got %d entries, want %d ({bfs,spmv} x Q sweep)", len(entries), 2*len(MultiQueryCounts))
-	}
-	for _, e := range entries {
+	for _, e := range multiQueryDefault() {
 		if e.Q == 1 {
 			if e.AggThroughputScale != 1.0 {
 				t.Errorf("%s/%s Q=1 scale %.3f, want 1.0", e.Engine, e.Query, e.AggThroughputScale)

@@ -3,7 +3,6 @@ package bench
 import (
 	"blaze/internal/metrics"
 	"blaze/internal/pagecache"
-	"blaze/internal/registry"
 	"blaze/internal/ssd"
 )
 
@@ -29,6 +28,10 @@ type CacheSnapshotEntry struct {
 	metrics.CacheStats
 }
 
+// pagecacheBudgets are the page-cache suite's cache budgets, as multiples
+// of the adjacency; 0 runs without a cache.
+var pagecacheBudgets = []float64{0, 0.25, 2}
+
 // PagecacheSnapshot measures the blaze engine on the repeat-scan workload
 // (PageRank with dense iterations on the rmat27 preset) without a cache and
 // with the blaze cache (sharded CLOCK) at quarter-graph and double-graph
@@ -38,35 +41,34 @@ type CacheSnapshotEntry struct {
 // exactly-graph budgets evicts even though the total fits).
 func PagecacheSnapshot(scale float64) []CacheSnapshotEntry {
 	d := MustLoad("r2", scale)
-	base := Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5})
-	entries := []CacheSnapshotEntry{{
-		Policy:     "none",
-		MakespanNs: base.ElapsedNs,
-		ReadBytes:  base.ReadBytes,
-	}}
-	pageBytes := d.CSR.NumPages() * int64(ssd.PageSize)
-	for _, budget := range []int64{pageBytes / 4, 2 * pageBytes} {
-		pc := pagecache.New(budget)
-		r := Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5, Options: registry.Options{PageCache: pc}})
-		entries = append(entries, CacheSnapshotEntry{
-			Policy:     "clock",
-			CacheKB:    budget >> 10,
-			MakespanNs: r.ElapsedNs,
-			ReadBytes:  r.ReadBytes,
-			CacheStats: pc.StatsDetail(),
-		})
+	var entries []CacheSnapshotEntry
+	for _, adjs := range pagecacheBudgets {
+		entries = append(entries, pagecacheRun(d, adjs))
 	}
 	return entries
 }
 
-// ExtPagecache tabulates PagecacheSnapshot.
-func ExtPagecache(scale float64) []Table {
+// pagecacheRun measures the suite's leg with a cache of adjs adjacencies.
+func pagecacheRun(d *Dataset, adjs float64) CacheSnapshotEntry {
+	o := Opts{System: "blaze", Query: "pr", PRIters: 5}
+	e := CacheSnapshotEntry{Policy: "none"}
+	if adjs > 0 {
+		budget := int64(adjs * float64(d.CSR.NumPages()*int64(ssd.PageSize)))
+		e.Policy, e.CacheKB, o.PageCache = "clock", budget>>10, pagecache.New(budget)
+	}
+	r := Run(d, o)
+	e.MakespanNs, e.ReadBytes, e.CacheStats = r.ElapsedNs, r.ReadBytes, o.PageCache.StatsDetail() // nil: zero stats
+	return e
+}
+
+// pagecacheTable tabulates PagecacheSnapshot.
+func pagecacheTable(entries []CacheSnapshotEntry) []Table {
 	t := Table{
 		ID:     "ext_pagecache",
 		Title:  "Page cache on repeat scans: blaze PageRank (5 iterations, rmat27 preset) by cache budget",
 		Header: []string{"policy", "cache KB", "time ms", "read MB", "hit rate", "evictions", "ghost hits"},
 	}
-	for _, e := range PagecacheSnapshot(scale) {
+	for _, e := range entries {
 		t.Add(e.Policy, e.CacheKB, float64(e.MakespanNs)/1e6, float64(e.ReadBytes)/1e6,
 			e.HitRate(), e.Evictions, e.GhostHits)
 	}

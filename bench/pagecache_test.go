@@ -1,12 +1,11 @@
 package bench
 
-import (
-	"testing"
+import "testing"
 
-	"blaze/internal/pagecache"
-	"blaze/internal/registry"
-	"blaze/internal/ssd"
-)
+// pagecacheAt holds each budget's leg of the suite at the default scale.
+var pagecacheAt = memoAt(pagecacheBudgets, func(adjs float64) CacheSnapshotEntry {
+	return pagecacheRun(MustLoad("r2", DefaultScale), adjs)
+})
 
 // TestRepeatScanHitRateFloor is the CI hit-rate sanity gate: on the
 // repeat-scan workload (dense PageRank iterations with a cache that holds
@@ -16,11 +15,7 @@ import (
 // under the floor means the cache stopped serving or the accounting went
 // untruthful.
 func TestRepeatScanHitRateFloor(t *testing.T) {
-	d := MustLoad("r2", DefaultScale)
-	pageBytes := d.CSR.NumPages() * int64(ssd.PageSize)
-	pc := pagecache.New(2 * pageBytes)
-	Run(d, Opts{System: "blaze", Query: "pr", PRIters: 5, Options: registry.Options{PageCache: pc}})
-	st := pc.StatsDetail()
+	st := pagecacheAt[2]().CacheStats // a budget of twice the adjacency
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("cache saw no traffic")
 	}
@@ -30,46 +25,23 @@ func TestRepeatScanHitRateFloor(t *testing.T) {
 	}
 }
 
-// TestPagecacheSnapshotShape runs the real suite end to end at the
-// default scale and checks the measured invariants the table is built
-// on: the cache-off leg and the thrash leg read the whole scan from the
-// device, the at-capacity leg reads less and clears the hit-rate floor.
+// TestPagecacheSnapshotShape checks the measured invariants the table is
+// built on: the cache-off leg and the quarter-graph leg, whose cache
+// thrashes, read the whole scan from the device, while the 2x-graph leg
+// reads less and is the only one to clear the hit-rate floor.
 func TestPagecacheSnapshotShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three measured runs; skipped in -short mode")
+		t.Skip("the suite's other two legs; skipped in -short mode")
 	}
-	entries := PagecacheSnapshot(DefaultScale)
-	if len(entries) != 3 {
-		t.Fatalf("got %d entries, want 3 (none + clock x {1/4, 2x})", len(entries))
+	base, thrash, atCapacity := pagecacheAt[0](), pagecacheAt[0.25](), pagecacheAt[2]()
+	if base.Policy != "none" || base.ReadBytes == 0 {
+		t.Fatalf("cache-off baseline missing or read nothing: %+v", base)
 	}
-	var base CacheSnapshotEntry
-	for _, e := range entries {
-		if e.Policy == "none" {
-			base = e
-		}
+	if thrash.ReadBytes != base.ReadBytes || thrash.HitRate() >= RepeatScanHitRateFloor {
+		t.Errorf("1/4-graph cache read %d bytes at hit rate %.2f, want the whole scan (%d bytes) and no floor",
+			thrash.ReadBytes, thrash.HitRate(), base.ReadBytes)
 	}
-	if base.ReadBytes == 0 {
-		t.Fatal("cache-off baseline read nothing")
-	}
-	atCapacity := 0
-	for _, e := range entries {
-		if e.Policy == "none" {
-			continue
-		}
-		if e.HitRate() >= RepeatScanHitRateFloor {
-			atCapacity++
-			// At-capacity leg: the cache must have cut device traffic.
-			if e.ReadBytes >= base.ReadBytes {
-				t.Errorf("%s/%dKB: hit rate %.2f but read %d bytes >= uncached %d",
-					e.Policy, e.CacheKB, e.HitRate(), e.ReadBytes, base.ReadBytes)
-			}
-		}
-		if e.ReadBytes > base.ReadBytes {
-			t.Errorf("%s/%dKB: cached run read %d bytes > uncached %d",
-				e.Policy, e.CacheKB, e.ReadBytes, base.ReadBytes)
-		}
-	}
-	if atCapacity != 1 {
-		t.Errorf("%d at-capacity legs cleared the floor, want 1 (clock at 2x graph)", atCapacity)
+	if atCapacity.ReadBytes >= base.ReadBytes {
+		t.Errorf("2x-graph cache read %d bytes >= uncached %d", atCapacity.ReadBytes, base.ReadBytes)
 	}
 }

@@ -87,15 +87,15 @@ func ScaleoutSnapshot(scale float64) []ScaleoutEntry {
 	return entries
 }
 
-// ExtScaleout tabulates ScaleoutSnapshot.
-func ExtScaleout(scale float64) []Table {
+// scaleoutTable tabulates ScaleoutSnapshot.
+func scaleoutTable(entries []ScaleoutEntry) []Table {
 	t := Table{
 		ID:    "ext_scaleout",
 		Title: "blaze-scaleout on the sk2005 preset: one device per machine, 25 Gb/s interconnect",
 		Header: []string{"machines", "query", "time ms", "speedup vs M=1", "read MB", "net MB",
 			"net msgs", "retransmits", "read MB per machine"},
 	}
-	for _, e := range ScaleoutSnapshot(scale) {
+	for _, e := range entries {
 		per := make([]string, len(e.PerMachineReadBytes))
 		for i, b := range e.PerMachineReadBytes {
 			per[i] = formatFloat(float64(b) / 1e6)

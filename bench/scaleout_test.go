@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// scaleoutQuarter is the sweep at a quarter of the default scale, run once
-// for the shape test (and as one side of the determinism check).
-var scaleoutQuarter = sync.OnceValue(func() []ScaleoutEntry { return ScaleoutSnapshot(DefaultScale / 4) })
+// scaleoutDefault is the sweep at the default scale, run once for the
+// gate, the shape checks and the committed-results comparison.
+var scaleoutDefault = sync.OnceValue(func() []ScaleoutEntry { return ScaleoutSnapshot(DefaultScale) })
 
 // TestScaleoutSnapshotGate: the reason to scale out at all — 4 machines'
 // aggregate device bandwidth must clearly beat 1 machine on the IO-bound
@@ -18,7 +18,7 @@ func TestScaleoutSnapshotGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine measured runs; skipped in -short mode")
 	}
-	entries := ScaleoutSnapshot(DefaultScale)
+	entries := scaleoutDefault()
 	var m1, m4 int64
 	for _, e := range entries {
 		if e.Query != ScaleoutGateQuery {
@@ -47,7 +47,7 @@ func TestScaleoutSnapshotShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine measured runs; skipped in -short mode")
 	}
-	entries := scaleoutQuarter()
+	entries := scaleoutDefault()
 	if want := len(ScaleoutMachineCounts) * len(scaleoutQueries); len(entries) != want {
 		t.Fatalf("%d entries, want %d", len(entries), want)
 	}
@@ -73,14 +73,13 @@ func TestScaleoutSnapshotShape(t *testing.T) {
 }
 
 // TestScaleoutSnapshotDeterministic: the sweep is a pure function of the
-// sim — a fresh run must agree with the memoised one on every field,
-// network byte counts and the per-machine read split included.
+// sim — a second run in one process must agree with the first on every
+// field, network byte counts and the per-machine read split included.
 func TestScaleoutSnapshotDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("nine more measured runs; skipped in -short mode")
+		t.Skip("eighteen measured runs; skipped in -short mode")
 	}
-	a, b := scaleoutQuarter(), ScaleoutSnapshot(DefaultScale/4)
-	if !reflect.DeepEqual(a, b) {
+	if a, b := ScaleoutSnapshot(smokeScale), ScaleoutSnapshot(smokeScale); !reflect.DeepEqual(a, b) {
 		t.Errorf("same inputs, different measurements:\n%+v\nvs\n%+v", a, b)
 	}
 }

@@ -143,15 +143,15 @@ func ServingSnapshot(scale float64) []ServingEntry {
 	return entries
 }
 
-// ExtServing tabulates ServingSnapshot.
-func ExtServing(scale float64) []Table {
+// servingTable tabulates ServingSnapshot.
+func servingTable(entries []ServingEntry) []Table {
 	t := Table{
 		ID:    "ext_serving",
 		Title: "Serving stack under open-loop load: blaze on the rmat27 preset, 4 slots, interactive BFS 3:1 batch SpMV",
 		Header: []string{"load x capacity", "rate /s", "class", "service ms", "p50 ms", "p99 ms",
 			"goodput /s", "reject %", "submitted", "completed", "late", "rejected", "expired", "failed"},
 	}
-	for _, e := range ServingSnapshot(scale) {
+	for _, e := range entries {
 		t.Add(e.LoadFactor, e.RatePerSec, e.Class, float64(e.ServiceNs)/1e6,
 			float64(e.P50Ns)/1e6, float64(e.P99Ns)/1e6, e.GoodputPerSec, 100*e.RejectRate,
 			e.Submitted, e.Completed, e.Late, e.Rejected, e.Expired, e.Failed)

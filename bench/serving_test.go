@@ -2,14 +2,12 @@ package bench
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 )
 
-// servingGate is the gate load point, run once for the gate (and as one
-// side of the determinism check).
-var servingGate = sync.OnceValue(func() []ServingEntry {
-	return ServingRun(MustLoad("r2", DefaultScale), ServingGateLoadFactor)
+// servingAt holds each load point of the suite at the default scale.
+var servingAt = memoAt(ServingLoadFactors, func(lf float64) []ServingEntry {
+	return ServingRun(MustLoad("r2", DefaultScale), lf)
 })
 
 // TestServingP99Gate is the CI tail-latency gate: at the fixed subcritical
@@ -18,7 +16,7 @@ var servingGate = sync.OnceValue(func() []ServingEntry {
 // no queue expiries. A blowup here means priority dispatch, admission
 // control, or the session's sharing layers regressed under concurrency.
 func TestServingP99Gate(t *testing.T) {
-	entries := servingGate()
+	entries := servingAt[ServingGateLoadFactor]()
 	var inter, batch *ServingEntry
 	for i := range entries {
 		switch entries[i].Class {
@@ -51,16 +49,15 @@ func TestServingP99Gate(t *testing.T) {
 	}
 }
 
-// TestServingRunDeterministic: the same load point measured again on a
-// fresh stack produces identical entries — every counter, every percentile.
-// This is the full-precision form of the committed CSV's byte identity.
+// TestServingRunDeterministic: the gate load point measured again on a
+// fresh stack in the same process produces identical entries — every
+// counter, every percentile.
 func TestServingRunDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("a second full load point; skipped in -short mode")
+		t.Skip("two more load points; skipped in -short mode")
 	}
-	e1 := servingGate()
-	e2 := ServingRun(MustLoad("r2", DefaultScale), ServingGateLoadFactor)
-	if !reflect.DeepEqual(e1, e2) {
+	d := MustLoad("r2", smokeScale)
+	if e1, e2 := ServingRun(d, ServingGateLoadFactor), ServingRun(d, ServingGateLoadFactor); !reflect.DeepEqual(e1, e2) {
 		t.Errorf("same seed, different serving measurements:\n%+v\nvs\n%+v", e1, e2)
 	}
 }

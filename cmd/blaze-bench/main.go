@@ -26,8 +26,9 @@
 // error (the harness treats query failure as fatal).
 //
 // Results print as aligned tables and are saved under -out (default
-// ./results). The committed results/*.csv are the repo's trajectory: CI
-// regenerates them and fails on any byte of difference. The
+// ./results). The committed results/*.csv are the repo's trajectory:
+// bench's TestCommittedResults and CI's Figure identity step regenerate
+// the figures they cover and fail on any byte of difference. The
 // -cpuprofile/-memprofile flags write pprof profiles of the run for
 // `go tool pprof`.
 package main
