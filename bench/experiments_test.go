@@ -14,7 +14,10 @@ import (
 // Experiment-runner smoke tests: every runner must produce its tables with
 // the expected dimensions and sane values at a very coarse scale. These
 // exercise the complete measurement paths (all systems, all queries, all
-// sweeps) that cmd/blaze-bench runs at full resolution.
+// sweeps) that cmd/blaze-bench runs at full resolution. Each is an
+// independent Sim run over the mutex-guarded dataset cache and writes no
+// package state (DeviceOpts is set only by a sequential test, which ends
+// before any parallel one resumes), so they run in parallel.
 
 const smokeScale = 80000
 
@@ -40,6 +43,7 @@ func checkTable(t *testing.T, tb Table, wantRows, wantCols int) {
 }
 
 func TestFig1Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Fig1(smokeScale)
 	if len(tables) != 2 {
 		t.Fatal("fig1 should yield two tables")
@@ -59,6 +63,7 @@ func TestFig1Smoke(t *testing.T) {
 }
 
 func TestFig2Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Fig2(smokeScale)
 	if tables[0].ID != "fig2_summary" {
 		t.Fatal("first table should be the summary")
@@ -75,6 +80,7 @@ func TestFig2Smoke(t *testing.T) {
 }
 
 func TestFig4Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Fig4(smokeScale)
 	checkTable(t, tables[0], 3, 7)
 	for _, row := range tables[0].Rows {
@@ -91,6 +97,7 @@ func TestFig4Smoke(t *testing.T) {
 }
 
 func TestFig7Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Fig7(smokeScale)
 	checkTable(t, tables[0], 5, 7)
 	checkTable(t, tables[1], 4, 7)
@@ -106,12 +113,14 @@ func TestFig7Smoke(t *testing.T) {
 }
 
 func TestFig8Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Fig8(smokeScale)
 	checkTable(t, tables[0], 5, 7)
 	checkTable(t, tables[1], 5, 7)
 }
 
 func TestFig9Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Fig9(smokeScale)
 	if len(tables) != len(SixGraphs) {
 		t.Fatalf("fig9 yielded %d tables, want %d", len(tables), len(SixGraphs))
@@ -129,17 +138,20 @@ func TestFig9Smoke(t *testing.T) {
 }
 
 func TestFig10Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Fig10(smokeScale)
 	checkTable(t, tables[0], 6, 7)
 }
 
 func TestFig11Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Fig11(smokeScale)
 	checkTable(t, tables[0], 5, 10)
 	checkTable(t, tables[1], 5, 8)
 }
 
 func TestFig12Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Fig12(smokeScale)
 	checkTable(t, tables[0], 5, 8)
 	for _, row := range tables[0].Rows {
@@ -156,6 +168,7 @@ func TestFig12Smoke(t *testing.T) {
 }
 
 func TestTable2Smoke(t *testing.T) {
+	t.Parallel()
 	tables := Table2(smokeScale)
 	checkTable(t, tables[0], 7, 10)
 	// Distribution column must match the presets.
@@ -170,6 +183,7 @@ func TestTable2Smoke(t *testing.T) {
 }
 
 func TestScaleOutSmoke(t *testing.T) {
+	t.Parallel()
 	tables := ScaleOut(smokeScale)
 	checkTable(t, tables[0], 4, 5)
 	// SpMV must scale: 8 machines faster than 1.

@@ -22,7 +22,8 @@
 // lock word and one slice header on one cache line, under virtual time the
 // capacity-1 queue the model was calibrated with, behind one code path.
 // empty[b] holds the spare half, Put there by the gather proc that drained
-// it. Staging is one flat binCount × StageCap array per scatter proc. A
+// it. Staging is one flat binCount × stage array per scatter proc, the
+// stage StageCap records under virtual time and hostStageCap on the host. A
 // Manager outlives its round: after a clean one every buffer is parked in
 // its slot and every active half is empty, which is the primed state but
 // for the instants the slots were last Put at, so engine.Pool keeps the
@@ -36,10 +37,17 @@ import (
 	"blaze/internal/trace"
 )
 
-// StageCap is the per-bin capacity (in records) of each scatter proc's
-// staging buffer — one cache line of 8-byte records, as in propagation
-// blocking.
+// StageCap is the model's per-bin capacity (in records) of each scatter
+// proc's staging buffer — one cache line of 8-byte records, as in
+// propagation blocking. The virtual-time backend charges BinFlush once per
+// flush, so every modelled figure is taken at this capacity.
 const StageCap = 8
+
+// hostStageCap is the default capacity under the real-time backend, where a
+// flush costs a bin's slot line and buffer tail moving from the other
+// scatter core, so fewer, larger flushes win. A sweep of 8…256 on the
+// benchmark's pr_dense and bfs_sparse (DESIGN.md §6) put the knee at 64.
+const hostStageCap = 64
 
 // Record is one binned update.
 type Record[V any] struct {
@@ -98,9 +106,10 @@ type Config struct {
 	// RecordBytes is the marshalled size of one record (4 + sizeof(V)),
 	// used only for sizing and accounting.
 	RecordBytes int
-	// StageCap overrides the per-bin staging capacity (default StageCap);
-	// the ablation benchmarks use it to quantify the per-CPU buffer's
-	// contribution.
+	// StageCap overrides the per-bin staging capacity (default StageCap
+	// under virtual time, a larger host constant under the real-time
+	// backend); the ablation benchmarks use it to quantify the per-CPU
+	// buffer's contribution.
 	StageCap int
 	// FlushCostNs is the virtual-time CPU cost charged per staging flush
 	// (costmodel.BinFlush); it has no effect under the real-time backend,
@@ -117,17 +126,16 @@ func NewManager[V any](ctx exec.Context, cfg Config) *Manager[V] {
 	if cfg.RecordBytes < 1 {
 		cfg.RecordBytes = 8
 	}
-	bufCap := int(cfg.SpaceBytes / int64(2*cfg.BinCount) / int64(cfg.RecordBytes))
-	if cfg.StageCap > 0 && bufCap < cfg.StageCap {
-		bufCap = cfg.StageCap
-	}
-	if bufCap < StageCap {
-		bufCap = StageCap
-	}
 	stage := cfg.StageCap
 	if stage < 1 {
 		stage = StageCap
+		if _, host := ctx.(*exec.Real); host {
+			stage = hostStageCap
+		}
 	}
+	// A buffer holds at least one whole stage, so a flush publishes at most
+	// once.
+	bufCap := max(int(cfg.SpaceBytes/int64(2*cfg.BinCount)/int64(cfg.RecordBytes)), stage, StageCap)
 	mask := -1
 	if cfg.BinCount&(cfg.BinCount-1) == 0 {
 		mask = cfg.BinCount - 1
@@ -328,9 +336,4 @@ func (s *Stager[V]) FlushAll(p exec.Proc) {
 		s.m.records.Add(d)
 		s.pubEmits = s.emits
 	}
-}
-
-// MemBytes returns the staging footprint of one stager.
-func (s *Stager[V]) MemBytes(recordBytes int) int64 {
-	return int64(s.m.binCount) * int64(s.m.stageCap) * int64(recordBytes)
 }

@@ -107,16 +107,31 @@ func TestPipelineReal(t *testing.T) {
 	checkCounts(t, out, 4, 2000, 333)
 }
 
+// TestBufCapSizing: a buffer holds SpaceBytes/(2·BinCount) records, floored
+// at the effective stage (StageCap under Sim, hostStageCap under Real, an
+// explicit StageCap on both) and at StageCap, so a flush publishes at most
+// once.
 func TestBufCapSizing(t *testing.T) {
-	ctx := exec.NewSim()
-	m := NewManager[int64](ctx, Config{BinCount: 16, SpaceBytes: 16 * 2 * 100 * 12, RecordBytes: 12})
-	if m.BufCap() != 100 {
-		t.Errorf("BufCap = %d, want 100", m.BufCap())
-	}
-	// Tiny space still yields at least StageCap.
-	m2 := NewManager[int64](ctx, Config{BinCount: 1024, SpaceBytes: 10, RecordBytes: 12})
-	if m2.BufCap() < StageCap {
-		t.Errorf("BufCap = %d, want >= %d", m2.BufCap(), StageCap)
+	const fits100, tiny = 16 * 2 * 100 * 12, 10
+	for _, tc := range []struct {
+		name  string
+		ctx   exec.Context
+		space int64
+		stage int
+		want  int
+	}{
+		{"sim/budget", exec.NewSim(), fits100, 0, 100},
+		{"real/budget", exec.NewReal(), fits100, 0, 100},
+		{"sim/tiny", exec.NewSim(), tiny, 0, StageCap},
+		{"real/tiny", exec.NewReal(), tiny, 0, hostStageCap},
+		{"sim/tiny-override", exec.NewSim(), tiny, 200, 200},
+		{"real/tiny-override", exec.NewReal(), tiny, 200, 200},
+		{"real/small-override", exec.NewReal(), tiny, 2, StageCap},
+	} {
+		m := NewManager[int64](tc.ctx, Config{BinCount: 16, SpaceBytes: tc.space, RecordBytes: 12, StageCap: tc.stage})
+		if m.BufCap() != tc.want {
+			t.Errorf("%s: BufCap = %d, want %d", tc.name, m.BufCap(), tc.want)
+		}
 	}
 }
 
@@ -232,10 +247,6 @@ func TestFlushPartialsPublishesLeftovers(t *testing.T) {
 func TestStagerMemAccounting(t *testing.T) {
 	s := exec.NewSim()
 	m := NewManager[int64](s, Config{BinCount: 100, SpaceBytes: 1 << 16, RecordBytes: 12})
-	st := m.NewStager()
-	if st.MemBytes(12) != 100*StageCap*12 {
-		t.Errorf("stager MemBytes = %d", st.MemBytes(12))
-	}
 	if m.MemBytes(12) != int64(100*2*m.BufCap()*12) {
 		t.Errorf("manager MemBytes = %d", m.MemBytes(12))
 	}
@@ -273,7 +284,7 @@ func TestOneBufferPerBinOnGatherSide(t *testing.T) {
 			var onGather [bins]atomic.Int32
 			var sums [vertices]atomic.Int64
 			ctx.Run("main", func(p exec.Proc) {
-				// SpaceBytes 1 floors the buffer capacity at StageCap.
+				// SpaceBytes 1 floors the buffer capacity at the stage.
 				m := NewManager[int64](ctx, Config{BinCount: bins, SpaceBytes: 1, RecordBytes: 12})
 				m.Prime(p)
 				swg, gwg := ctx.NewWaitGroup(), ctx.NewWaitGroup()

@@ -131,8 +131,8 @@ type Config struct {
 	// IOBufferBytes is the static IO buffer space (64 MB in the paper).
 	IOBufferBytes int64
 	// BinCount and BinSpaceBytes configure online binning; StageCap
-	// overrides the per-proc staging capacity (0 = default, for the
-	// staging-buffer ablation).
+	// overrides the per-proc staging capacity (0 = the backend's default,
+	// see bin.Config; set by the staging-buffer ablation).
 	BinCount      int
 	BinSpaceBytes int64
 	StageCap      int
