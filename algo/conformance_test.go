@@ -21,6 +21,7 @@ import (
 	"blaze/internal/exec"
 	"blaze/internal/fault"
 	"blaze/internal/graph"
+	"blaze/internal/metrics"
 	"blaze/internal/pagecache"
 	"blaze/internal/registry"
 	"blaze/internal/session"
@@ -368,11 +369,12 @@ func (r row) run(t *testing.T, f *conformance) map[string]outcome {
 	} else {
 		for _, name := range r.queries() {
 			ctx := newCtx()
-			out, in := confGraphs(ctx, f.c, o)
 			qo := o
 			if s.traced {
 				qo.Tracer = trace.New(trace.Config{})
+				qo.Stats = metrics.NewIOStats(qo.NumDev)
 			}
+			out, in := confGraphs(ctx, f.c, qo)
 			sys, err := registry.New(r.engine, ctx, qo)
 			if err != nil {
 				t.Fatal(err)
@@ -382,7 +384,13 @@ func (r row) run(t *testing.T, f *conformance) map[string]outcome {
 			if sim, ok := ctx.(*exec.Sim); ok {
 				oc.end = sim.End
 			}
-			oc.events = qo.Tracer.Collect().Events()
+			tr := qo.Tracer.Collect()
+			oc.events = tr.Events()
+			if s.traced {
+				if err := traceMatchesIO(tr, qo.Stats); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
 			outcomes[name] = oc
 		}
 	}
@@ -399,10 +407,36 @@ func (r row) run(t *testing.T, f *conformance) map[string]outcome {
 	return outcomes
 }
 
-// confGraphs builds c and its transpose on ctx over the row's devices.
+// traceMatchesIO checks that a trace is a complete IO record: it holds one
+// dev-read span per request the devices served, and per device its spans'
+// pages are the pages the device read.
+func traceMatchesIO(tr *trace.Trace, stats *metrics.IOStats) error {
+	var requests int64
+	pages := make([]int64, stats.NumDevices())
+	for _, p := range tr.Procs {
+		for _, e := range p.Events {
+			if e.Op == trace.OpDevRead {
+				requests++
+				pages[e.Dev] += e.Arg
+			}
+		}
+	}
+	if requests != stats.Requests() {
+		return fmt.Errorf("trace holds %d device reads, the devices served %d", requests, stats.Requests())
+	}
+	for dev, b := range stats.DeviceBytes() {
+		if pages[dev]*ssd.PageSize != b {
+			return fmt.Errorf("device %d: trace holds %d pages read, the device read %d", dev, pages[dev], b/ssd.PageSize)
+		}
+	}
+	return nil
+}
+
+// confGraphs builds c and its transpose on ctx over the row's devices,
+// reporting their reads to o.Stats.
 func confGraphs(ctx exec.Context, c *graph.CSR, o registry.Options) (out, in *engine.Graph) {
-	out = engine.FromCSR(ctx, "conf", c, o.NumDev, o.Profile, nil, nil, o.DevOpts...)
-	in = engine.FromCSR(ctx, "conf.t", c.Transpose(), o.NumDev, o.Profile, nil, nil, o.DevOpts...)
+	out = engine.FromCSR(ctx, "conf", c, o.NumDev, o.Profile, o.Stats, nil, o.DevOpts...)
+	in = engine.FromCSR(ctx, "conf.t", c.Transpose(), o.NumDev, o.Profile, o.Stats, nil, o.DevOpts...)
 	return out, in
 }
 

@@ -155,7 +155,6 @@ func runQuery(sys algo.System, p exec.Proc, query string, out, in *engine.Graph,
 // byte-stable across hosts (what the trace golden test checks).
 func TraceRun(d *Dataset, o Opts) (Result, *trace.Trace) {
 	t := trace.New(trace.Config{})
-	t.SetEnabled(true)
 	o.Tracer = t
 	res := Run(d, o)
 	return res, t.Collect()

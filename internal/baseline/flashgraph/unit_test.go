@@ -1,6 +1,7 @@
 package flashgraph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -70,10 +71,11 @@ func TestRangeOwnershipSkewOnLowIDMass(t *testing.T) {
 // budget the blaze-family CLOCK cache would have 64 shards.
 func TestPrivateCacheIsLRU(t *testing.T) {
 	s := New(exec.NewSim(), DefaultConfig())
-	if n := s.cache.NumShards(); n != 1 {
-		t.Errorf("flashgraph cache has %d shards, want the single-shard LRU", n)
+	budget := DefaultConfig().CacheBytes
+	if !reflect.DeepEqual(s.cache, pagecache.NewWithPolicy(budget, pagecache.PolicyLRU)) {
+		t.Error("flashgraph's cache is not a fresh single-shard LRU at its budget")
 	}
-	if clock := pagecache.New(DefaultConfig().CacheBytes); clock.NumShards() <= 1 {
-		t.Errorf("the CLOCK cache at the same budget has %d shards: the check above tells nothing", clock.NumShards())
+	if reflect.DeepEqual(s.cache, pagecache.New(budget)) {
+		t.Error("the CLOCK cache at the same budget equals it: the check above tells nothing")
 	}
 }

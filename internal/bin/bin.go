@@ -31,8 +31,6 @@
 package bin
 
 import (
-	"sync/atomic"
-
 	"blaze/internal/exec"
 	"blaze/internal/trace"
 )
@@ -88,11 +86,6 @@ type Manager[V any] struct {
 
 	stageCap  int
 	flushCost int64
-	// records is aggregated from per-stager counters at Stager.FlushAll
-	// time (one atomic add per stager per round, not one per record): the
-	// scatter hot path stays contention-free, as §IV-A's atomic-free claim
-	// requires.
-	records atomic.Int64
 }
 
 // Config sizes a Manager.
@@ -176,11 +169,11 @@ func (m *Manager[V]) Prime(p exec.Proc) {
 // reopened (closed and drained by the earlier round's CloseFull and
 // gathers), every parked buffer re-offered by p as of now (a Sim Run
 // restarts the clocks, so the instants of the previous round's Puts must
-// not survive into this one), the round's record count zeroed. The earlier
-// round must have run to a clean end — FlushPartials, CloseFull, every
-// gather returned its buffers — which leaves every buffer parked in its
-// slot and every active buffer empty. A failed round skips FlushPartials
-// and leaves records behind: drop its Manager instead.
+// not survive into this one). The earlier round must have run to a clean
+// end — FlushPartials, CloseFull, every gather returned its buffers — which
+// leaves every buffer parked in its slot and every active buffer empty. A
+// failed round skips FlushPartials and leaves records behind: drop its
+// Manager instead.
 func (m *Manager[V]) Reopen(ctx exec.Context, p exec.Proc, cfg Config) bool {
 	if m.ctx != ctx || m.cfg != cfg {
 		return false
@@ -190,12 +183,8 @@ func (m *Manager[V]) Reopen(ctx exec.Context, p exec.Proc, cfg Config) bool {
 		m.slot[b].Renew(p)
 		m.empty[b].Renew(p)
 	}
-	m.records.Store(0)
 	return true
 }
-
-// BufCap returns the per-buffer record capacity.
-func (m *Manager[V]) BufCap() int { return m.bufCap }
 
 // BinOf maps a destination vertex to its bin, dst % binCount.
 func (m *Manager[V]) BinOf(dst uint32) int {
@@ -204,9 +193,6 @@ func (m *Manager[V]) BinOf(dst uint32) int {
 	}
 	return int(dst % uint32(m.binCount))
 }
-
-// Records returns the total records binned so far.
-func (m *Manager[V]) Records() int64 { return m.records.Load() }
 
 // MemBytes returns the bin-space footprint (both halves of every pair).
 func (m *Manager[V]) MemBytes(recordBytes int) int64 {
@@ -281,11 +267,10 @@ func (m *Manager[V]) Return(p exec.Proc, buf *Buffer[V]) {
 // is paid once per pooled round, never by a warm round whose proc emits for
 // the first time, and Emit tests nothing for it.
 //
-// The counter is proc-local: Emit and the flush path touch no shared state
-// beyond the slot protocol, and the total reaches the Manager in one atomic
-// add per FlushAll instead of one per record.
+// Emit and the flush path keep no counter and touch no shared state beyond
+// the slot protocol.
 //
-// The struct fills two whole cache lines, so no two stagers share one. At
+// The struct fills one whole cache line, so no two stagers share one. At
 // 88 bytes the allocator placed a Manager's stagers 96 bytes apart, and
 // whether one proc's Emit then invalidated a line the other read on every
 // Emit depended on the process's allocation history: BFS ran at two speeds
@@ -294,11 +279,7 @@ type Stager[V any] struct {
 	m     *Manager[V]
 	recs  []Record[V]
 	count []int32
-	emits int64
-	// pubEmits tracks what has already been published to the Manager, so
-	// repeated Emit/FlushAll cycles aggregate exactly once.
-	pubEmits int64
-	_        [56]byte // to 128 bytes, a size class of whole lines
+	_     [8]byte // to 64 bytes, a size class of whole lines
 }
 
 // NewStager returns a staging area for one scatter proc.
@@ -312,7 +293,6 @@ func (s *Stager[V]) Emit(p exec.Proc, dst uint32, val V) {
 	b := m.BinOf(dst)
 	row, n := b*m.stageCap, int(s.count[b])
 	s.recs[row+n] = Record[V]{dst, val}
-	s.emits++
 	if n++; n == m.stageCap {
 		m.flushBin(p, b, s.recs[row:row+n])
 		n = 0
@@ -320,20 +300,13 @@ func (s *Stager[V]) Emit(p exec.Proc, dst uint32, val V) {
 	s.count[b] = int32(n)
 }
 
-// Emits returns the number of records this stager produced.
-func (s *Stager[V]) Emits() int64 { return s.emits }
-
-// FlushAll drains every non-empty stage and publishes this stager's record
-// count to the Manager; call before the scatter proc exits.
+// FlushAll drains every non-empty stage; call before the scatter proc
+// exits.
 func (s *Stager[V]) FlushAll(p exec.Proc) {
 	for b, n := range s.count {
 		if n > 0 {
 			s.m.flushBin(p, b, s.recs[b*s.m.stageCap:][:n])
 			s.count[b] = 0
 		}
-	}
-	if d := s.emits - s.pubEmits; d != 0 {
-		s.m.records.Add(d)
-		s.pubEmits = s.emits
 	}
 }

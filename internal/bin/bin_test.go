@@ -11,9 +11,11 @@ import (
 	"blaze/internal/exec"
 )
 
-// drainAll runs nGather gather procs that apply records into out (indexed
-// by dst) and returns when the full queue closes. It also asserts the
-// no-concurrent-drain-per-bin invariant under the Sim backend.
+// runPipeline binds perScatter records from each of nScatter scatter procs
+// and has nGather gather procs apply them into out (indexed by dst),
+// returning when the full queue closes. It asserts the no-concurrent-drain-
+// per-bin invariant under the Sim backend, and that the gathers drained
+// every record emitted.
 func runPipeline(t *testing.T, ctx exec.Context, binCount, nScatter, nGather, perScatter int, vertices uint32) []int64 {
 	t.Helper()
 	out := make([]int64, vertices)
@@ -38,6 +40,7 @@ func runPipeline(t *testing.T, ctx exec.Context, binCount, nScatter, nGather, pe
 		gatherWG := ctx.NewWaitGroup()
 		gatherWG.Add(nGather)
 		draining := make([]int32, binCount) // invariant check
+		drained := make([]int, nGather)
 		for i := 0; i < nGather; i++ {
 			ctx.Go(fmt.Sprintf("gather%d", i), func(c exec.Proc) {
 				for {
@@ -59,6 +62,7 @@ func runPipeline(t *testing.T, ctx exec.Context, binCount, nScatter, nGather, pe
 					}
 					c.Sync()
 					draining[buf.BinID]--
+					drained[i] += len(buf.Records)
 					m.Return(c, buf)
 				}
 				gatherWG.Done(c)
@@ -68,8 +72,12 @@ func runPipeline(t *testing.T, ctx exec.Context, binCount, nScatter, nGather, pe
 		m.FlushPartials(p)
 		m.CloseFull()
 		gatherWG.Wait(p)
-		if m.Records() != int64(nScatter*perScatter) {
-			t.Errorf("Records = %d, want %d", m.Records(), nScatter*perScatter)
+		total := 0
+		for _, n := range drained {
+			total += n
+		}
+		if total != nScatter*perScatter {
+			t.Errorf("gathers drained %d records, want %d", total, nScatter*perScatter)
 		}
 	})
 	return out
@@ -129,8 +137,8 @@ func TestBufCapSizing(t *testing.T) {
 		{"real/small-override", exec.NewReal(), tiny, 2, StageCap},
 	} {
 		m := NewManager[int64](tc.ctx, Config{BinCount: 16, SpaceBytes: tc.space, RecordBytes: 12, StageCap: tc.stage})
-		if m.BufCap() != tc.want {
-			t.Errorf("%s: BufCap = %d, want %d", tc.name, m.BufCap(), tc.want)
+		if m.bufCap != tc.want {
+			t.Errorf("%s: bufCap = %d, want %d", tc.name, m.bufCap, tc.want)
 		}
 	}
 }
@@ -210,7 +218,7 @@ func TestPairBackpressure(t *testing.T) {
 		m.Prime(p)
 		st := m.NewStager()
 		// Fill far beyond two buffers with no gather side.
-		for i := 0; i < 10*m.BufCap(); i++ {
+		for i := 0; i < 10*m.bufCap; i++ {
 			st.Emit(p, 0, 1)
 		}
 		st.FlushAll(p)
@@ -247,24 +255,9 @@ func TestFlushPartialsPublishesLeftovers(t *testing.T) {
 func TestStagerMemAccounting(t *testing.T) {
 	s := exec.NewSim()
 	m := NewManager[int64](s, Config{BinCount: 100, SpaceBytes: 1 << 16, RecordBytes: 12})
-	if m.MemBytes(12) != int64(100*2*m.BufCap()*12) {
+	if m.MemBytes(12) != int64(100*2*m.bufCap*12) {
 		t.Errorf("manager MemBytes = %d", m.MemBytes(12))
 	}
-}
-
-func TestEmitsCounter(t *testing.T) {
-	s := exec.NewSim()
-	s.Run("main", func(p exec.Proc) {
-		m := NewManager[int64](s, Config{BinCount: 4, SpaceBytes: 1 << 16, RecordBytes: 12})
-		m.Prime(p)
-		st := m.NewStager()
-		for i := 0; i < 25; i++ {
-			st.Emit(p, uint32(i%4), 1)
-		}
-		if st.Emits() != 25 {
-			t.Errorf("Emits = %d, want 25", st.Emits())
-		}
-	})
 }
 
 // TestOneBufferPerBinOnGatherSide is the no-synchronization guarantee as a
@@ -342,8 +335,8 @@ func TestOneBufferPerBinOnGatherSide(t *testing.T) {
 }
 
 // TestReopen: a Manager retained from a clean round serves another one
-// under the same context and configuration only, with its counters zeroed,
-// its full queue open again, and — in a later Run, whose clocks restart at
+// under the same context and configuration only, with its full queue open
+// again, its records this round's only, and — in a later Run, whose clocks restart at
 // zero — none of the earlier round's instants left on its slots.
 func TestReopen(t *testing.T) {
 	ctx := exec.NewSim()
@@ -387,14 +380,8 @@ func TestReopen(t *testing.T) {
 		if !m.Reopen(ctx, p, cfg) {
 			t.Fatal("Reopen refused the context and configuration it was built with")
 		}
-		if m.Records() != 0 {
-			t.Errorf("reopened with Records %d, want 0", m.Records())
-		}
 		if got := round(p, st); got != 100 {
-			t.Errorf("second round gathered %d records, want 100", got)
-		}
-		if m.Records() != 100 {
-			t.Errorf("Records = %d after the second round, want 100 (this round's only)", m.Records())
+			t.Errorf("second round gathered %d records, want 100 (this round's only)", got)
 		}
 		// The round charges no model time (FlushCostNs 0), so the clock can
 		// only have moved by inheriting a stamp from the first Run.

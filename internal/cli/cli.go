@@ -320,7 +320,6 @@ func Setup(o *Options) (*Env, error) {
 	}
 	if o.Trace != "" || o.StageStats {
 		env.Tracer = trace.New(trace.Config{})
-		env.Tracer.SetEnabled(true)
 		env.tracePath = o.Trace
 		env.stageStats = o.StageStats
 	}

@@ -5,12 +5,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"blaze/algo"
 	"blaze/gen"
 	"blaze/internal/graph"
+	"blaze/internal/pagecache"
 	"blaze/internal/registry"
 )
 
@@ -128,8 +130,11 @@ func TestPageCacheIsShardedCLOCK(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	if n := env.Cache.NumShards(); n <= 1 {
-		t.Errorf("-pageCache 1 built a %d-shard cache, want sharded CLOCK", n)
+	if !reflect.DeepEqual(env.Cache, pagecache.New(1<<20)) {
+		t.Error("-pageCache 1 did not build pagecache.New's sharded CLOCK cache of 1 MB")
+	}
+	if reflect.DeepEqual(env.Cache, pagecache.NewWithPolicy(1<<20, pagecache.PolicyLRU)) {
+		t.Error("the LRU cache of 1 MB equals it: the check above tells nothing")
 	}
 	if env.Sys.(*algo.Blaze).Cfg.PageCache != env.Cache {
 		t.Error("the blaze engine does not carry the -pageCache cache")

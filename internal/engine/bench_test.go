@@ -45,13 +45,12 @@ func BenchmarkEdgeMapRealPageRank(b *testing.B) {
 		ctx.Run("main", func(p exec.Proc) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st, _ := EdgeMap(ctx, p, g, all,
+				if _, _, err := EdgeMap(ctx, p, g, all,
 					func(s, d uint32) float64 { return rank[s] / (deg[s] + 1) },
 					func(d uint32, v float64) bool { next[d] += v; return false },
 					func(d uint32) bool { return true },
-					false, conf)
-				if st.EdgesScanned != c.E {
-					b.Fatalf("EdgesScanned = %d, want %d", st.EdgesScanned, c.E)
+					false, conf); err != nil {
+					b.Fatal(err)
 				}
 			}
 			b.StopTimer()

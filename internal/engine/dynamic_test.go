@@ -19,14 +19,10 @@ import (
 // segments) and returns per-vertex in-degrees.
 func inDegrees(t *testing.T, ctx exec.Context, g *Graph, conf Config) []int64 {
 	t.Helper()
-	got := make([]int64, g.CSR.V)
+	var got []int64
 	ctx.Run("main", func(p exec.Proc) {
-		_, _, err := EdgeMap(ctx, p, g, frontier.All(g.CSR.V),
-			func(s, d uint32) int64 { return 1 },
-			func(d uint32, v int64) bool { got[d] += v; return false },
-			func(d uint32) bool { return true },
-			false, conf)
-		if err != nil {
+		var err error
+		if got, err = edgeSums[int64](ctx, p, g, conf); err != nil {
 			t.Errorf("EdgeMap: %v", err)
 		}
 	})
@@ -204,7 +200,7 @@ func TestCompactDropsCachedPages(t *testing.T) {
 // csrEdges lists c's edges in CSR order: the list Build maps back to c.
 func csrEdges(c *graph.CSR) (src, dst []uint32) {
 	for v := uint32(0); v < c.V; v++ {
-		for _, d := range c.Neighbors(v) {
+		for _, d := range neighbors(c, v) {
 			src, dst = append(src, v), append(dst, d)
 		}
 	}

@@ -29,13 +29,13 @@ func procName(names *[64]string, prefix string, i int) string {
 	return prefix + strconv.Itoa(i)
 }
 
-// Stats summarizes one EdgeMap execution.
-type Stats struct {
-	PagesRead     int64
-	EdgesScanned  int64
-	Records       int64
-	VerticesMoved int64 // output frontier size
-}
+// Stats is empty: EdgeMap keeps no counters, so its scatter path has
+// nothing to do per record but stage it. Device pages and requests are
+// metrics.IOStats', the output frontier's size its Count. It stays in
+// EdgeMap's results only because the frozen benchmark harness
+// (benchmark/probes.go) binds three results; ROADMAP item 1's benchmark
+// change deletes it.
+type Stats struct{}
 
 // EdgeMap executes the two edge functions over the edges whose source
 // vertices are in f (§IV-B):
@@ -66,9 +66,8 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	cond func(d uint32) bool,
 	output bool, cfg Config) (*frontier.VertexSubset, Stats, error) {
 
-	var st Stats
 	if err := cfg.validate(); err != nil {
-		return nil, st, err
+		return nil, Stats{}, err
 	}
 	m := cfg.Model
 	c := g.CSR
@@ -87,9 +86,9 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	fr, err := pipeline.Reopen(rd.fr, ctx, p, f, rd.spec)
 	if fr == nil {
 		if err != nil || !output {
-			return nil, st, err
+			return nil, Stats{}, err
 		}
-		return frontier.Renew(pool.takeSpare(c.V), c.V), st, nil
+		return frontier.Renew(pool.takeSpare(c.V), c.V), Stats{}, nil
 	}
 	rd.fr = fr
 	if cfg.Mem != nil {
@@ -155,12 +154,7 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	// and close the front half. The round goes back to the pool only on
 	// return, after the merge and the last phase span: a round in the pool
 	// is the next taker's, whose Reopen rewrites its Front's trace ring and
-	// clock and whose bins zero the count read here.
-	for _, s := range rd.scatStats[:cfg.ScatterProcs] {
-		st.PagesRead += s.PagesRead
-		st.EdgesScanned += s.EdgesScanned
-	}
-	st.Records = bm.Records()
+	// clock.
 	if fr.Failed() {
 		rd.bm = nil
 	}
@@ -168,13 +162,12 @@ func EdgeMap[V any](ctx exec.Context, p exec.Proc, g *Graph, f *frontier.VertexS
 	err = fr.Close(p)
 
 	if err != nil || !output {
-		return nil, st, err
+		return nil, Stats{}, err
 	}
 	merged := frontier.UnionFrom(pool.takeSpare(c.V), c.V, outFronts)
 	p.Advance(m.VertexOp * merged.Count() / int64(computeProcs))
 	fr.EndMerge(p)
-	st.VerticesMoved = merged.Count()
-	return merged, st, nil
+	return merged, Stats{}, nil
 }
 
 // scatterBody is the body of scatter proc id (steps 5-7), serving whatever
@@ -184,15 +177,13 @@ func (rd *round[V]) scatterBody(id int) func(exec.Proc) {
 	return func(sp exec.Proc) {
 		rd.cfg.Tracer.AttachQuery(sp, trace.StageScatter, int32(id), rd.cfg.TraceQuery())
 		stager := rd.stagers[id]
-		local := &rd.scatStats[id]
 		rd.fr.Drain(sp, &rd.drains[id], func(buf *pipeline.Buffer) {
 			sg := rd.sources[buf.Src]
 			for pg := 0; pg < buf.NumPages; pg++ {
 				logical := sg.Arr.Logical(buf.Dev, buf.Start+int64(pg))
 				pageData := buf.Data[pg*ssd.PageSize : (pg+1)*ssd.PageSize]
-				scanPage[V](sp, sg, rd.f, logical, pageData, stager, rd.scatter, rd.cond, rd.cfg, local)
+				scanPage[V](sp, sg, rd.f, logical, pageData, stager, rd.scatter, rd.cond, rd.cfg)
 			}
-			local.PagesRead += int64(buf.NumPages)
 		})
 		if !rd.fr.Failed() {
 			stager.FlushAll(sp)
@@ -254,8 +245,7 @@ func (rd *round[V]) gatherBody(id int) func(exec.Proc) {
 // per edge that passes cond.
 func scanPage[V any](sp exec.Proc, g *Graph, f *frontier.VertexSubset, logical int64,
 	pageData []byte, stager *bin.Stager[V],
-	scatter func(s, d uint32) V, cond func(d uint32) bool,
-	cfg Config, st *Stats) {
+	scatter func(s, d uint32) V, cond func(d uint32) bool, cfg Config) {
 
 	var produced int64
 	vertices, edges := ForEachActiveEdge(g.CSR, f, logical, pageData, func(s, d uint32) {
@@ -264,7 +254,6 @@ func scanPage[V any](sp exec.Proc, g *Graph, f *frontier.VertexSubset, logical i
 			produced++
 		}
 	})
-	st.EdgesScanned += edges
 	sp.Advance(cfg.Model.PageOverhead +
 		cfg.Model.VertexOp*vertices +
 		cfg.Model.EdgeScan*edges +

@@ -1,88 +1,226 @@
 package engine
 
 import (
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"blaze/gen"
 	"blaze/internal/exec"
+	"blaze/internal/fault"
 	"blaze/internal/frontier"
 	"blaze/internal/graph"
 	"blaze/internal/metrics"
+	"blaze/internal/pagecache"
 	"blaze/internal/ssd"
 )
 
-func testGraph(ctx exec.Context, numDev int, stats *metrics.IOStats) (*Graph, *graph.CSR) {
+// testCSR is the engine tests' graph: RMAT, 4096 vertices, 60000 edges.
+func testCSR() *graph.CSR {
 	p := gen.Preset{Kind: gen.KindRMAT, A: 0.57, B: 0.19, C: 0.19, Seed: 11, V: 4096, E: 60000}
 	src, dst := p.Generate()
-	c := graph.MustBuild(p.V, src, dst)
+	return graph.MustBuild(p.V, src, dst)
+}
+
+func testGraph(ctx exec.Context, numDev int, stats *metrics.IOStats) (*Graph, *graph.CSR) {
+	c := testCSR()
 	return FromCSR(ctx, "test", c, numDev, ssd.OptaneSSD, stats, nil), c
 }
 
-// inDegreeViaEdgeMap computes in-degrees with a full-frontier EdgeMap and
-// compares against a direct count — exercising IO, page scanning, binning,
-// and gathering end to end.
-func runInDegree(t *testing.T, ctx exec.Context, numDev int, cfg func(Config) Config) {
-	t.Helper()
-	stats := metrics.NewIOStats(numDev)
-	g, c := testGraph(ctx, numDev, stats)
-	conf := DefaultConfig(c.E)
-	conf.Stats = stats
-	if cfg != nil {
-		conf = cfg(conf)
+// neighbors lists v's destinations in adjacency order.
+func neighbors(c *graph.CSR, v uint32) []uint32 {
+	out := make([]uint32, 0, c.Degree(v))
+	for i := c.Offset(v); i < c.Offset(v)+int64(c.Degree(v)); i++ {
+		out = append(out, graph.GetEdge(c.Adj, i))
 	}
-	got := make([]int64, c.V)
-	var st Stats
-	ctx.Run("main", func(p exec.Proc) {
-		_, st, _ = EdgeMap(ctx, p, g, frontier.All(c.V),
-			func(s, d uint32) int64 { return 1 },
-			func(d uint32, v int64) bool { got[d] += v; return false },
-			func(d uint32) bool { return true },
-			false, conf)
-	})
+	return out
+}
+
+// invRow is one row of TestEdgeMapInvariance: a graph source, device count,
+// configuration, fault policy, cache and value type under one backend.
+type invRow struct {
+	real    bool
+	file    bool // the adjacency is read from a file, not memory
+	devs    int
+	variant string          // names cfg; "" is DefaultConfig
+	cfg     func(c *Config) // nil keeps DefaultConfig
+	faults  *fault.Policy   // non-nil wraps every device, even a zero policy
+	cache   bool            // a covering page cache, warm on the second pass
+	val     string          // "" is int64, else "float32" or "uint64"
+	twin    string          // a Sim row this one must match in makespan
+}
+
+// name is the row's subtest name: backend/source/devices, then whatever
+// the row sets, e.g. "sim/mem/2dev/bins-1" or "real/file/2dev/transient".
+func (r invRow) name() string {
+	parts := []string{"sim", "mem", strconv.Itoa(r.devs) + "dev"}
+	if r.real {
+		parts[0] = "real"
+	}
+	if r.file {
+		parts[1] = "file"
+	}
+	switch {
+	case r.faults == nil:
+	case r.faults.TransientRate > 0:
+		parts = append(parts, "transient")
+	default:
+		parts = append(parts, "zero-faults")
+	}
+	if r.cache {
+		parts = append(parts, "cache")
+	}
+	for _, s := range []string{r.variant, r.val} {
+		if s != "" {
+			parts = append(parts, s)
+		}
+	}
+	return strings.Join(parts, "/")
+}
+
+// TestEdgeMapInvariance runs in-degree counting — a full-frontier EdgeMap
+// whose every edge sends 1 — twice per row, and requires on every pass
+// that the sums are exact whatever the backend, source, device count,
+// configuration, faults, cache or value type, and that the devices read
+// every page once (none on a covering cache's warm second pass). Transient
+// faults are retried and surface no error; a Sim row with a twin takes
+// exactly the twin's virtual time (a rerun is deterministic, a zero fault
+// policy is free).
+func TestEdgeMapInvariance(t *testing.T) {
+	transient := &fault.Policy{Seed: 3, TransientRate: 0.2, TransientFails: 1}
+	procs := func(s, g int) func(*Config) {
+		return func(c *Config) { c.ScatterProcs, c.GatherProcs = s, g }
+	}
+	rows := []invRow{
+		{devs: 1},
+		{devs: 1, variant: "rerun", twin: "sim/mem/1dev"},
+		{devs: 1, val: "float32"},
+		{devs: 1, val: "uint64"},
+		{devs: 1, faults: transient},
+		{devs: 1, cache: true},
+		{devs: 2},
+		{devs: 2, faults: &fault.Policy{}, twin: "sim/mem/2dev"},
+		{devs: 2, variant: "1scatter-1gather", cfg: procs(1, 1)},
+		{devs: 2, variant: "15scatter-1gather", cfg: procs(15, 1)},
+		{devs: 2, variant: "bins-1", cfg: func(c *Config) { c.BinCount = 1 }},
+		{devs: 2, variant: "bins-65536", cfg: func(c *Config) { c.BinCount = 65536 }},
+		{devs: 2, variant: "binspace-min", cfg: func(c *Config) { c.BinSpaceBytes = 1 }},
+		{devs: 2, variant: "merge-1", cfg: func(c *Config) { c.MaxMergePages = 1 }},
+		{devs: 2, variant: "iobudget-32pages", cfg: func(c *Config) { c.IOBufferBytes = 32 * ssd.PageSize }},
+		{devs: 4},
+		{devs: 8},
+		{file: true, devs: 1},
+		{file: true, devs: 3, variant: "4scatter-4gather", cfg: procs(4, 4)},
+		{file: true, devs: 3, cache: true},
+		{real: true, devs: 1},
+		{real: true, devs: 2, val: "float32"},
+		{real: true, devs: 2, faults: transient},
+		{real: true, devs: 4, cache: true},
+		{real: true, file: true, devs: 2, variant: "4scatter-4gather", cfg: procs(4, 4)},
+		{real: true, file: true, devs: 2, faults: transient},
+	}
+	c := testCSR()
+	base := filepath.Join(t.TempDir(), "g")
+	if err := graph.WriteFiles(c, nil, base); err != nil {
+		t.Fatal(err)
+	}
 	want := make([]int64, c.V)
 	for i := int64(0); i < c.E; i++ {
 		want[graph.GetEdge(c.Adj, i)]++
 	}
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("in-degree(%d) = %d, want %d", v, got[v], want[v])
-		}
-	}
-	if st.EdgesScanned != c.E {
-		t.Errorf("EdgesScanned = %d, want %d", st.EdgesScanned, c.E)
-	}
-	if st.Records != c.E {
-		t.Errorf("Records = %d, want %d", st.Records, c.E)
-	}
-	if st.PagesRead != c.NumPages() {
-		t.Errorf("PagesRead = %d, want %d", st.PagesRead, c.NumPages())
-	}
-	if stats.TotalBytes() != c.NumPages()*ssd.PageSize {
-		t.Errorf("device bytes = %d, want %d", stats.TotalBytes(), c.NumPages()*ssd.PageSize)
+	makespans := map[string]int64{}
+	for _, r := range rows {
+		t.Run(r.name(), func(t *testing.T) {
+			var ctx exec.Context = exec.NewSim()
+			if r.real {
+				ctx = exec.NewReal()
+			}
+			stats := metrics.NewIOStats(r.devs)
+			var opts []ssd.DeviceOptions
+			if r.faults != nil {
+				opts = append(opts, r.faults.DeviceOptions())
+			}
+			var g *Graph
+			if r.file {
+				var err error
+				if g, err = FromFiles(ctx, "inv", base+".gr.index", base+".gr.adj.0", r.devs, ssd.OptaneSSD, stats, nil, opts...); err != nil {
+					t.Fatal(err)
+				}
+				defer g.Close()
+			} else {
+				g = FromCSR(ctx, "inv", c, r.devs, ssd.OptaneSSD, stats, nil, opts...)
+			}
+			conf := DefaultConfig(c.E)
+			conf.Stats = stats
+			if r.cfg != nil {
+				r.cfg(&conf)
+			}
+			if r.cache {
+				conf.PageCache = pagecache.New(1 << 30)
+			}
+			var run func(exec.Proc) ([]int64, error)
+			switch r.val {
+			case "":
+				run = func(p exec.Proc) ([]int64, error) { return edgeSums[int64](ctx, p, g, conf) }
+			case "float32":
+				run = func(p exec.Proc) ([]int64, error) { return edgeSums[float32](ctx, p, g, conf) }
+			case "uint64":
+				run = func(p exec.Proc) ([]int64, error) { return edgeSums[uint64](ctx, p, g, conf) }
+			}
+			ctx.Run("main", func(p exec.Proc) {
+				for pass := 0; pass < 2; pass++ {
+					before := stats.PagesRead()
+					got, err := run(p)
+					if err != nil {
+						t.Errorf("pass %d: %v", pass, err)
+						return
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Errorf("pass %d: in-degree(%d) = %d, want %d", pass, v, got[v], want[v])
+							return
+						}
+					}
+					wantPages := c.NumPages()
+					if r.cache && pass == 1 {
+						wantPages = 0
+					}
+					if read := stats.PagesRead() - before; read != wantPages {
+						t.Errorf("pass %d: devices read %d pages, want %d", pass, read, wantPages)
+					}
+				}
+			})
+			if r.faults != nil && r.faults.TransientRate > 0 && stats.Retries() == 0 {
+				t.Error("transient faults at rate 0.2 triggered no retries")
+			}
+			if stats.ReadErrors() != 0 {
+				t.Errorf("ReadErrors = %d, want 0", stats.ReadErrors())
+			}
+			if sim, ok := ctx.(*exec.Sim); ok {
+				makespans[r.name()] = sim.End
+				if r.twin != "" && (sim.End != makespans[r.twin] || sim.End == 0) {
+					t.Errorf("makespan %d, want its twin %s's %d", sim.End, r.twin, makespans[r.twin])
+				}
+			}
+		})
 	}
 }
 
-func TestEdgeMapFullFrontierSim(t *testing.T)  { runInDegree(t, exec.NewSim(), 1, nil) }
-func TestEdgeMapFullFrontierReal(t *testing.T) { runInDegree(t, exec.NewReal(), 1, nil) }
-
-func TestEdgeMapMultiDevice(t *testing.T) {
-	for _, nd := range []int{2, 4, 8} {
-		runInDegree(t, exec.NewSim(), nd, nil)
+// edgeSums runs one full-frontier EdgeMap over g sending V(1) along every
+// edge and returns the sums per destination: the in-degrees.
+func edgeSums[V int64 | float32 | uint64](ctx exec.Context, p exec.Proc, g *Graph, conf Config) ([]int64, error) {
+	acc := make([]V, g.CSR.V)
+	_, _, err := EdgeMap(ctx, p, g, frontier.All(g.CSR.V),
+		func(s, d uint32) V { return 1 },
+		func(d uint32, v V) bool { acc[d] += v; return false },
+		func(d uint32) bool { return true },
+		false, conf)
+	got := make([]int64, len(acc))
+	for v, x := range acc {
+		got[v] = int64(x)
 	}
-}
-
-func TestEdgeMapConfigVariants(t *testing.T) {
-	for _, mod := range []func(Config) Config{
-		func(c Config) Config { c.ScatterProcs, c.GatherProcs = 1, 1; return c },
-		func(c Config) Config { c.ScatterProcs, c.GatherProcs = 15, 1; return c },
-		func(c Config) Config { c.BinCount = 1; return c },
-		func(c Config) Config { c.BinCount = 65536; return c },
-		func(c Config) Config { c.BinSpaceBytes = 1; return c }, // minimum buffers
-		func(c Config) Config { c.MaxMergePages = 1; return c },
-		func(c Config) Config { c.IOBufferBytes = 8 * ssd.PageSize * 4; return c },
-	} {
-		runInDegree(t, exec.NewSim(), 2, mod)
-	}
+	return got, err
 }
 
 // TestEdgeMapSparseFrontier verifies selective scheduling: only pages
@@ -117,7 +255,7 @@ func TestEdgeMapSparseFrontier(t *testing.T) {
 	// The output frontier must equal the distinct out-neighbors.
 	want := map[uint32]bool{}
 	for _, s := range sources {
-		for _, d := range c.Neighbors(s) {
+		for _, d := range neighbors(c, s) {
 			want[d] = true
 		}
 	}
@@ -138,10 +276,12 @@ func TestEdgeMapSparseFrontier(t *testing.T) {
 
 func TestEdgeMapEmptyFrontier(t *testing.T) {
 	ctx := exec.NewSim()
-	g, c := testGraph(ctx, 1, nil)
+	stats := metrics.NewIOStats(1)
+	g, c := testGraph(ctx, 1, stats)
 	conf := DefaultConfig(c.E)
+	conf.Stats = stats
 	ctx.Run("main", func(p exec.Proc) {
-		out, st, _ := EdgeMap(ctx, p, g, frontier.NewVertexSubset(c.V),
+		out, _, _ := EdgeMap(ctx, p, g, frontier.NewVertexSubset(c.V),
 			func(s, d uint32) int64 { return 0 },
 			func(d uint32, v int64) bool { return false },
 			func(d uint32) bool { return true },
@@ -149,33 +289,10 @@ func TestEdgeMapEmptyFrontier(t *testing.T) {
 		if out == nil || !out.Empty() {
 			t.Error("empty frontier should yield empty output")
 		}
-		if st.PagesRead != 0 {
-			t.Errorf("empty frontier read %d pages", st.PagesRead)
+		if n := stats.PagesRead(); n != 0 {
+			t.Errorf("empty frontier read %d pages", n)
 		}
 	})
-}
-
-// TestEdgeMapDeterministicVirtualTime runs the same EdgeMap twice under Sim
-// and demands identical makespans — the property every figure depends on.
-func TestEdgeMapDeterministicVirtualTime(t *testing.T) {
-	run := func() int64 {
-		ctx := exec.NewSim()
-		g, c := testGraph(ctx, 2, nil)
-		conf := DefaultConfig(c.E)
-		acc := make([]int64, c.V)
-		ctx.Run("main", func(p exec.Proc) {
-			EdgeMap(ctx, p, g, frontier.All(c.V),
-				func(s, d uint32) int64 { return 1 },
-				func(d uint32, v int64) bool { acc[d] += v; return false },
-				func(d uint32) bool { return true },
-				false, conf)
-		})
-		return ctx.End
-	}
-	a, b := run(), run()
-	if a != b || a == 0 {
-		t.Errorf("virtual makespans differ or zero: %d vs %d", a, b)
-	}
 }
 
 // TestEdgeMapSaturatesOptane checks the paper's headline property: with the

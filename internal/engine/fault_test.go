@@ -68,46 +68,6 @@ func TestEdgeMapPermanentFaultReturnsError(t *testing.T) {
 	}
 }
 
-// TestEdgeMapTransientFaultsRetried: transient faults within the retry
-// budget are invisible to the caller — results are exact and only the
-// retry counter betrays them.
-func TestEdgeMapTransientFaultsRetried(t *testing.T) {
-	ctx := exec.NewSim()
-	stats := metrics.NewIOStats(1)
-	g, c := faultyGraph(ctx, 1, stats, fault.Policy{Seed: 3, TransientRate: 0.2, TransientFails: 1})
-	conf := DefaultConfig(c.E)
-	conf.Stats = stats
-	got := make([]int64, c.V)
-	ctx.Run("main", func(p exec.Proc) {
-		_, st, err := EdgeMap(ctx, p, g, frontier.All(c.V),
-			func(s, d uint32) int64 { return 1 },
-			func(d uint32, v int64) bool { got[d] += v; return false },
-			func(d uint32) bool { return true },
-			false, conf)
-		if err != nil {
-			t.Fatalf("EdgeMap failed despite retryable faults: %v", err)
-		}
-		if st.Records != c.E {
-			t.Errorf("Records = %d, want %d", st.Records, c.E)
-		}
-	})
-	want := make([]int64, c.V)
-	for i := int64(0); i < c.E; i++ {
-		want[graph.GetEdge(c.Adj, i)]++
-	}
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("in-degree(%d) = %d, want %d (corruption under retries)", v, got[v], want[v])
-		}
-	}
-	if stats.Retries() == 0 {
-		t.Error("transient faults at rate 0.2 triggered no retries")
-	}
-	if stats.ReadErrors() != 0 {
-		t.Errorf("ReadErrors = %d, want 0 (all faults retryable)", stats.ReadErrors())
-	}
-}
-
 // TestEdgeMapTransientBeyondBudgetFails: transient faults outlasting the
 // retry budget become unrecoverable; the pipeline still shuts down cleanly
 // after charging a bounded number of retries.
@@ -140,40 +100,6 @@ func TestEdgeMapTransientBeyondBudgetFails(t *testing.T) {
 	max := ssd.DefaultRetryPolicy().MaxRetries
 	if retries > int64(max)*(errs+stats.Requests()) {
 		t.Errorf("retries = %d not bounded by budget (%d errors, %d requests)", retries, errs, stats.Requests())
-	}
-}
-
-// TestEdgeMapFaultsOffIdentical: the error-handling machinery must cost
-// nothing when no faults are injected — the virtual-time makespan with a
-// zero policy equals the plain build's. This is the property that keeps
-// the paper figures byte-identical.
-func TestEdgeMapFaultsOffIdentical(t *testing.T) {
-	run := func(withPolicy bool) int64 {
-		ctx := exec.NewSim()
-		var g *Graph
-		var c *graph.CSR
-		if withPolicy {
-			g, c = faultyGraph(ctx, 2, nil, fault.Policy{})
-		} else {
-			g, c = testGraph(ctx, 2, nil)
-		}
-		conf := DefaultConfig(c.E)
-		acc := make([]int64, c.V)
-		ctx.Run("main", func(p exec.Proc) {
-			_, _, err := EdgeMap(ctx, p, g, frontier.All(c.V),
-				func(s, d uint32) int64 { return 1 },
-				func(d uint32, v int64) bool { acc[d] += v; return false },
-				func(d uint32) bool { return true },
-				false, conf)
-			if err != nil {
-				t.Errorf("fault-free run errored: %v", err)
-			}
-		})
-		return ctx.End
-	}
-	plain, zeroPolicy := run(false), run(true)
-	if plain != zeroPolicy || plain == 0 {
-		t.Errorf("makespan with zero policy %d != plain %d", zeroPolicy, plain)
 	}
 }
 

@@ -100,7 +100,7 @@ func FromFiles(ctx exec.Context, name, indexPath, adjPath string, numDev int, pr
 		var b ssd.Backing = &ssd.StripeView{Src: f, SrcSize: size, Dev: i, NumDev: numDev}
 		devs[i] = o.Build(ctx, i, prof, b, stats, tl)
 	}
-	arr := ssd.NewArray(devs, c.NumPages())
+	arr := ssd.NewArray(devs)
 	return &Graph{Name: name, CSR: c, Arr: arr, file: f}, nil
 }
 
@@ -166,9 +166,9 @@ type Common struct {
 	Stats *metrics.IOStats
 	// Tracer, when non-nil, attaches per-proc trace rings to every pipeline
 	// stage (coordinator, IO readers, scatter, gather) so runs can emit
-	// span timelines and stage statistics (see internal/trace). A nil — or
-	// attached-but-disabled — tracer leaves all hot paths on their untraced
-	// branches.
+	// span timelines and stage statistics (see internal/trace). A nil
+	// tracer attaches no ring, which leaves every hot path on its untraced
+	// branch: one nil check per emission site.
 	Tracer *trace.Tracer
 
 	// Scheds, when non-nil, switches the engine into session mode

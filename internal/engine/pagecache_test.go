@@ -10,52 +10,6 @@ import (
 	"blaze/internal/pagecache"
 )
 
-// TestEdgeMapWithPageCache verifies the optional LRU page cache extension:
-// results stay correct, and a second identical traversal reads almost
-// nothing from the device.
-func TestEdgeMapWithPageCache(t *testing.T) {
-	ctx := exec.NewSim()
-	stats := metrics.NewIOStats(1)
-	g, c := testGraph(ctx, 1, stats)
-	conf := DefaultConfig(c.E)
-	conf.Stats = stats
-	conf.PageCache = pagecache.New(1 << 30) // covers the whole test graph
-
-	runOnce := func(p exec.Proc) []int64 {
-		got := make([]int64, c.V)
-		EdgeMap(ctx, p, g, frontier.All(c.V),
-			func(s, d uint32) int64 { return 1 },
-			func(d uint32, v int64) bool { got[d] += v; return false },
-			func(d uint32) bool { return true },
-			false, conf)
-		return got
-	}
-
-	var first, second []int64
-	var bytes1, bytes2 int64
-	ctx.Run("main", func(p exec.Proc) {
-		first = runOnce(p)
-		bytes1 = stats.TotalBytes()
-		second = runOnce(p)
-		bytes2 = stats.TotalBytes() - bytes1
-	})
-
-	for v := range first {
-		if first[v] != second[v] {
-			t.Fatalf("cached traversal changed result at vertex %d", v)
-		}
-	}
-	if bytes1 == 0 {
-		t.Fatal("first traversal read nothing")
-	}
-	if bytes2 != 0 {
-		t.Errorf("second traversal read %d bytes; cache covering the graph should eliminate IO", bytes2)
-	}
-	if conf.PageCache.StatsDetail().Hits == 0 {
-		t.Error("no cache hits recorded")
-	}
-}
-
 // TestProbeRunTrimsDeviceReads: the acceptance check for the multi-page
 // probe contract. The traversal merges device-adjacent pages into runs of
 // up to MaxMergePages; warming only the TAIL pages of each run (logical

@@ -87,12 +87,10 @@ type round[V any] struct {
 	ctx                 exec.Context
 	scatterWG, gatherWG exec.WaitGroup
 	scatters, gathers   []func(exec.Proc)
-	// scatStats and drains are scatter proc i's counters and the batch its
-	// Drain moves buffers through; batches[i] is the batch gather proc i
-	// drains full bins through.
-	scatStats []Stats
-	drains    [][pipeline.ClaimBatch]*pipeline.Buffer
-	batches   [][pipeline.ClaimBatch]*bin.Buffer[V]
+	// drains[i] is the batch scatter proc i's Drain moves buffers through;
+	// batches[i] is the batch gather proc i drains full bins through.
+	drains  [][pipeline.ClaimBatch]*pipeline.Buffer
+	batches [][pipeline.ClaimBatch]*bin.Buffer[V]
 }
 
 // openBins readies rd's bins for a round under ctx: the Manager it holds
@@ -109,9 +107,9 @@ func (rd *round[V]) openBins(ctx exec.Context, p exec.Proc, cfg bin.Config, scat
 	}
 }
 
-// arm readies rd's wait groups for ctx, and its bodies, counters (zeroed)
-// and batches for scatterProcs scatter and gatherProcs gather procs,
-// building only those no earlier call built.
+// arm readies rd's wait groups for ctx, and its bodies and batches for
+// scatterProcs scatter and gatherProcs gather procs, building only those no
+// earlier call built.
 func (rd *round[V]) arm(ctx exec.Context, scatterProcs, gatherProcs int) {
 	if rd.ctx != ctx {
 		rd.ctx, rd.scatterWG, rd.gatherWG = ctx, ctx.NewWaitGroup(), ctx.NewWaitGroup()
@@ -122,11 +120,9 @@ func (rd *round[V]) arm(ctx exec.Context, scatterProcs, gatherProcs int) {
 	for i := len(rd.gathers); i < gatherProcs; i++ {
 		rd.gathers = append(rd.gathers, rd.gatherBody(i))
 	}
-	if len(rd.scatStats) < scatterProcs {
-		rd.scatStats = make([]Stats, scatterProcs)
+	if len(rd.drains) < scatterProcs {
 		rd.drains = make([][pipeline.ClaimBatch]*pipeline.Buffer, scatterProcs)
 	}
-	clear(rd.scatStats[:scatterProcs])
 	if len(rd.batches) < gatherProcs {
 		rd.batches = make([][pipeline.ClaimBatch]*bin.Buffer[V], gatherProcs)
 	}

@@ -260,20 +260,6 @@ func (c *CSR) PageRange(v uint32) (first, last int64, ok bool) {
 	return b * EdgeBytes / PageSize, (e*EdgeBytes - 1) / PageSize, true
 }
 
-// Neighbors returns v's destination list. It requires in-memory adjacency
-// and is used by reference implementations and tests, not the engine.
-func (c *CSR) Neighbors(v uint32) []uint32 {
-	if c.Adj == nil {
-		panic("graph: Neighbors on index-only CSR")
-	}
-	b, e := c.EdgeRange(v)
-	out := make([]uint32, 0, e-b)
-	for i := b; i < e; i++ {
-		out = append(out, GetEdge(c.Adj, i))
-	}
-	return out
-}
-
 // Transpose returns the reversed graph (requires in-memory adjacency). Each
 // destination's bucket lists its sources in forward-scan order. Long graphs
 // fill the reversed edge list as vertex ranges on up to GOMAXPROCS

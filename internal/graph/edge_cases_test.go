@@ -148,15 +148,6 @@ func TestReadIndexRejectsOversizedHeader(t *testing.T) {
 	}
 }
 
-func TestNeighborsPanicsOnIndexOnly(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Neighbors on index-only CSR did not panic")
-		}
-	}()
-	NewIndexOnly([]uint32{1, 0}).Neighbors(0)
-}
-
 // Build used to panic on malformed edge lists; it now reports errors (the
 // PR 2 error-propagation contract). MustBuild keeps the panic for inputs
 // that are valid by construction.

@@ -33,13 +33,13 @@ func TestSealedSegmentOverlaysBase(t *testing.T) {
 	if c.Degree(0) != 3 || c.Degree(3) != 2 || c.Degree(7) != 1 {
 		t.Errorf("merged degrees = %d,%d,%d", c.Degree(0), c.Degree(3), c.Degree(7))
 	}
-	if got := c.Neighbors(0); !reflect.DeepEqual(got, []uint32{1, 2, 5}) {
+	if got := neighbors(c, 0); !reflect.DeepEqual(got, []uint32{1, 2, 5}) {
 		t.Errorf("Neighbors(0) = %v", got)
 	}
-	if got := c.Neighbors(3); !reflect.DeepEqual(got, []uint32{4, 1}) {
+	if got := neighbors(c, 3); !reflect.DeepEqual(got, []uint32{4, 1}) {
 		t.Errorf("Neighbors(3) = %v", got)
 	}
-	if got := tr.Neighbors(5); !reflect.DeepEqual(got, []uint32{0}) {
+	if got := neighbors(tr, 5); !reflect.DeepEqual(got, []uint32{0}) {
 		t.Errorf("transpose Neighbors(5) = %v", got)
 	}
 }

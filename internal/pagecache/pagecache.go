@@ -746,11 +746,3 @@ func (c *Cache) Bytes() int64 {
 	}
 	return int64(c.cap) * graph.PageSize
 }
-
-// NumShards returns the shard count (tests and diagnostics).
-func (c *Cache) NumShards() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.shards)
-}

@@ -41,8 +41,8 @@ func TestGetPutRoundTrip(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := NewWithPolicy(2*graph.PageSize, PolicyLRU)
-	if c.NumShards() != 1 {
-		t.Fatalf("LRU cache has %d shards, want 1 (global recency order)", c.NumShards())
+	if len(c.shards) != 1 {
+		t.Fatalf("LRU cache has %d shards, want 1 (global recency order)", len(c.shards))
 	}
 	g := c.GraphID("g")
 	c.Put(Key{g, 1}, page(1))
@@ -71,8 +71,8 @@ func TestLRUEviction(t *testing.T) {
 func TestCLOCKSecondChance(t *testing.T) {
 	const cap = 8
 	c := NewWithPolicy(cap*graph.PageSize, PolicyCLOCK)
-	if c.NumShards() != 1 {
-		t.Fatalf("tiny CLOCK cache has %d shards, want 1", c.NumShards())
+	if len(c.shards) != 1 {
+		t.Fatalf("tiny CLOCK cache has %d shards, want 1", len(c.shards))
 	}
 	g := c.GraphID("g")
 	out := make([]byte, graph.PageSize)
@@ -400,10 +400,10 @@ func TestShardCount(t *testing.T) {
 		{1 << 20, PolicyLRU, 1},
 	} {
 		c := NewWithPolicy(int64(tc.pages)*graph.PageSize, tc.policy)
-		if got := c.NumShards(); got != tc.want {
+		if got := len(c.shards); got != tc.want {
 			t.Errorf("shardCount(%d pages, %v) = %d, want %d", tc.pages, tc.policy, got, tc.want)
 		}
-		if got := c.NumShards(); got&(got-1) != 0 {
+		if got := len(c.shards); got&(got-1) != 0 {
 			t.Errorf("shard count %d not a power of two", got)
 		}
 	}

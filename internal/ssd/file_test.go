@@ -31,11 +31,11 @@ func TestStripeViewOverRealFile(t *testing.T) {
 			Src: f, SrcSize: int64(len(data)), Dev: i, NumDev: numDev,
 		}, nil, nil)
 	}
-	a := NewArray(devs, 10)
+	a := NewArray(devs)
 	buf := make([]byte, PageSize)
 	ctx.Run("main", func(p exec.Proc) {
 		for logical := int64(0); logical < 10; logical++ {
-			dev, local := a.Map(logical)
+			dev, local := locate(a, logical)
 			if err := a.Device(dev).ReadPages(p, local, 1, buf); err != nil {
 				t.Fatal(err)
 			}

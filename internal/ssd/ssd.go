@@ -291,29 +291,17 @@ func (d *Device) BusyUntil() int64 { return d.res.BusyUntil() }
 // Array is a RAID-0 page-interleaved set of devices: logical page i lives
 // on device i%D at local page i/D (§IV-E of the paper).
 type Array struct {
-	devs         []*Device
-	logicalPages int64
+	devs []*Device
 }
 
-// NewArray stripes a logical page space of logicalPages pages over devs.
-func NewArray(devs []*Device, logicalPages int64) *Array {
-	return &Array{devs: devs, logicalPages: logicalPages}
-}
+// NewArray stripes a logical page space over devs.
+func NewArray(devs []*Device) *Array { return &Array{devs: devs} }
 
 // NumDevices returns the device count.
 func (a *Array) NumDevices() int { return len(a.devs) }
 
 // Device returns device i.
 func (a *Array) Device(i int) *Device { return a.devs[i] }
-
-// LogicalPages returns the logical page count.
-func (a *Array) LogicalPages() int64 { return a.logicalPages }
-
-// Map translates a logical page to (device, local page).
-func (a *Array) Map(logical int64) (dev int, local int64) {
-	d := int(logical % int64(len(a.devs)))
-	return d, logical / int64(len(a.devs))
-}
 
 // Logical translates (device, local page) back to the logical page.
 func (a *Array) Logical(dev int, local int64) int64 {
@@ -455,8 +443,7 @@ func NewMemArray(ctx exec.Context, first, n int, prof Profile, data []byte, stat
 		}
 		devs[i] = o.Build(ctx, first+i, prof, b, stats, tl)
 	}
-	pages := (int64(len(data)) + PageSize - 1) / PageSize
-	return NewArray(devs, pages)
+	return NewArray(devs)
 }
 
 // sliceReaderAt serves a byte slice to StripeView under the io.ReaderAt

@@ -9,12 +9,10 @@
 //
 // Design constraints, in order:
 //
-//   - Zero cost when disabled. Engines attach rings to procs only when a
-//     Tracer is configured; with no Tracer every emission site is one nil
-//     check on a proc-local pointer. With a Tracer present but disabled
-//     (SetEnabled(false)) every emission is one atomic load. The CI gate on
-//     BenchmarkStagerEmit holds the disabled path to within 5% of the
-//     untraced path.
+//   - Zero cost when absent. Engines attach rings to procs only when a
+//     Tracer is configured, and a ring records exactly when it is non-nil:
+//     with no Tracer every emission site is one nil check on a proc-local
+//     pointer.
 //   - No locks on the hot path. A ring has exactly one writer (its proc)
 //     and belongs to it until Collect, which runs after the execution
 //     context's Run has returned, when every proc has finished: events
@@ -36,7 +34,6 @@ package trace
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Proc is the subset of exec.Proc the tracer needs. It is declared
@@ -122,8 +119,10 @@ const (
 	// OpSinkBuf is a sink span processing one filled buffer; Dev is the
 	// buffer's device, Arg its page count.
 	OpSinkBuf
-	// OpBinFlush is an instant marking one staging-buffer flush into a
-	// bin; Dev is the bin, Arg the record count.
+	// OpBinFlush is an instant marking one bin buffer published to the
+	// gather side, by a staging flush that filled it or by the final
+	// partial flush; Dev is the bin, Arg the record count. A staging
+	// flush that leaves its bin's buffer unfilled emits nothing.
 	OpBinFlush
 	// OpGatherBin is a gather span draining one full bin buffer; Dev is
 	// the bin, Arg the record count.
@@ -225,7 +224,6 @@ const chunkCap = 4096
 // completed ones. Exactly one goroutine emits into a Ring, and Collect reads
 // it after that goroutine has finished.
 type Ring struct {
-	t     *Tracer
 	id    int
 	name  string
 	stage Stage
@@ -237,9 +235,9 @@ type Ring struct {
 }
 
 // emit appends one event, starting a new chunk when the active one is
-// full. Nil rings and disabled tracers make this a no-op.
+// full. A nil ring makes this a no-op.
 func (r *Ring) emit(e Event) {
-	if r == nil || !r.t.enabled.Load() {
+	if r == nil {
 		return
 	}
 	if r.active == nil {
@@ -267,12 +265,10 @@ func (r *Ring) Counter(op Op, dev int32, now, val int64) {
 	r.emit(Event{Op: op, Kind: KindCounter, Dev: dev, Start: now, Arg: val})
 }
 
-// Active reports whether events emitted now would be recorded; emission
-// sites bracketing extra clock reads use it to keep the disabled path free
-// of them.
-func (r *Ring) Active() bool {
-	return r != nil && r.t.enabled.Load()
-}
+// Active reports whether events emitted now would be recorded, that is
+// whether r is non-nil; emission sites bracketing extra clock reads use it
+// to keep the untraced path free of them.
+func (r *Ring) Active() bool { return r != nil }
 
 // RingOf returns p's attached ring (nil-safe); the one-liner every
 // emission site in the engines uses.
@@ -291,26 +287,12 @@ type Config struct{}
 // thread it through the engine configuration (registry.Options.Tracer),
 // and Collect after the run's Context.Run returns.
 type Tracer struct {
-	enabled atomic.Bool
-
 	mu    sync.Mutex
 	rings []*Ring
 }
 
-// New returns an enabled tracer.
-func New(Config) *Tracer {
-	t := &Tracer{}
-	t.enabled.Store(true)
-	return t
-}
-
-// SetEnabled toggles recording at runtime. Disabling does not discard
-// events already recorded.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
+// New returns a tracer; every ring it attaches records.
+func New(Config) *Tracer { return &Tracer{} }
 
 // Attach gives p a ring registered under the given stage and lane and
 // returns it. It is idempotent: a proc that already carries a ring keeps
@@ -331,7 +313,7 @@ func (t *Tracer) AttachQuery(p Proc, stage Stage, dev, query int32) *Ring {
 	if r := p.TraceRing(); r != nil {
 		return r
 	}
-	r := &Ring{t: t, name: p.Name(), stage: stage, dev: dev, query: query}
+	r := &Ring{name: p.Name(), stage: stage, dev: dev, query: query}
 	t.mu.Lock()
 	r.id = len(t.rings)
 	t.rings = append(t.rings, r)
